@@ -55,7 +55,9 @@ use aldsp_relational::value::ArithOp as ValueArithOp;
 use aldsp_relational::{decode_cell, ColumnInfo, Database, Relation, SqlValue, Table};
 use aldsp_sql::{JoinKind, Literal, Quantifier, SetOp, TrimSide};
 use aldsp_xml::{Atomic, Item, QName, Sequence};
-use aldsp_xquery::{evaluate_program_with, parse_program, FunctionSource, Program, XqError};
+use aldsp_xquery::{
+    evaluate_program_exec, parse_program, ExecStrategy, FunctionSource, Program, XqError,
+};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -1863,8 +1865,10 @@ fn run_generated(
             (format!("sqlParam{}", i + 1), seq)
         })
         .collect();
-    let result =
-        evaluate_program_with(program, &source, &vars).map_err(|e| format!("evaluate: {e}"))?;
+    // The reference interpreter, deliberately: the validator is what the
+    // streaming pipeline is checked against.
+    let result = evaluate_program_exec(program, &source, &vars, None, ExecStrategy::NestedLoop)
+        .map_err(|e| format!("evaluate: {e}"))?;
     decode_result(&result, output)
 }
 

@@ -10,6 +10,7 @@ use aldsp_bench::{connect, payload_for, projection_query, server_at_scale};
 use aldsp_catalog::{CachedMetadataApi, InProcessMetadataApi, TableLocator};
 use aldsp_core::{TranslationOptions, Translator, Transport};
 use aldsp_driver::{Connection, QueryService, ResultSet};
+use aldsp_governor::QueryBudget;
 use aldsp_plancache::PlanCache;
 use aldsp_relational::{execute_query, SqlValue};
 use aldsp_sql::parse_select;
@@ -58,6 +59,21 @@ fn main() {
     if want("e13") || args.iter().any(|a| a == "exec") {
         e13_exec_engine(smoke);
     }
+}
+
+/// Writes one experiment's JSON report. A full run writes the committed
+/// artifact, `BENCH_<name>.json` in the working directory; a smoke run
+/// writes `target/bench/<name>.smoke.json`, so a CI-scale run can never
+/// overwrite the full-scale numbers the documentation quotes.
+fn write_report(name: &str, smoke: bool, json: &str) {
+    let path = if smoke {
+        std::fs::create_dir_all("target/bench").unwrap();
+        format!("target/bench/{name}.smoke.json")
+    } else {
+        format!("BENCH_{name}.json")
+    };
+    std::fs::write(&path, json).unwrap();
+    println!("wrote {path}");
 }
 
 /// `percentile(sorted, 0.95)` — nearest-rank over a sorted sample set.
@@ -515,8 +531,7 @@ fn e8_plancache(smoke: bool) {
         stats.evictions,
         stats.epoch_invalidations,
     );
-    std::fs::write("BENCH_plancache.json", plancache_json).unwrap();
-    println!("wrote BENCH_plancache.json");
+    write_report("plancache", smoke, &plancache_json);
 
     // --- per-class translation latency percentiles (uncached path) ---
     let app = build_application();
@@ -543,8 +558,7 @@ fn e8_plancache(smoke: bool) {
          \"classes\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );
-    std::fs::write("BENCH_translation.json", translation_json).unwrap();
-    println!("wrote BENCH_translation.json");
+    write_report("translation", smoke, &translation_json);
     println!();
 }
 
@@ -631,8 +645,7 @@ fn e9_overload(smoke: bool) {
         e9_json(&ungoverned),
         e9_json(&governed),
     );
-    std::fs::write("BENCH_overload.json", json).unwrap();
-    println!("wrote BENCH_overload.json");
+    write_report("overload", smoke, &json);
     println!();
 }
 
@@ -729,8 +742,9 @@ fn e10_cost_model(smoke: bool) {
             &cost_options,
         )
         .unwrap_or_else(|e| panic!("E10: generated query failed to analyze: {e}\n  {sql}"));
-        let (_, fuel) = match service.execute_metered(&sql, &[], None) {
-            Ok(result) => result,
+        let meter = QueryBudget::unlimited();
+        let fuel = match service.execute_with_budget(&sql, &[], Some(&meter)) {
+            Ok(_) => meter.fuel_consumed(),
             Err(e) => {
                 // A generated statement the backend rejects (none known
                 // today) would be a missing sample, not a miscalibration;
@@ -788,8 +802,7 @@ fn e10_cost_model(smoke: bool) {
          \"bar\": 0.6\n}}\n",
         static_cost.len()
     );
-    std::fs::write("BENCH_cost.json", json).unwrap();
-    println!("wrote BENCH_cost.json");
+    write_report("cost", smoke, &json);
     println!();
 }
 
@@ -987,8 +1000,7 @@ fn e11_validation(smoke: bool) {
          \"kill_by_class\": {{\n{by_class_json}\n  }}\n}}\n",
         false_positives.len()
     );
-    std::fs::write("BENCH_validation.json", json).unwrap();
-    println!("wrote BENCH_validation.json");
+    write_report("validation", smoke, &json);
     println!();
 }
 
@@ -1135,12 +1147,15 @@ fn e12_optimizer(smoke: bool) {
             }
 
             // End to end: both services, same rows, metered fuel.
-            let (naive_rows, naive_fuel) = naive_service
-                .execute_metered(&sql, &[], None)
-                .unwrap_or_else(|e| panic!("E12: naive execution of `{sql}` failed: {e}"));
-            let (opt_rows, opt_fuel) = optimized_service
-                .execute_metered(&sql, &[], None)
-                .unwrap_or_else(|e| panic!("E12: optimized execution of `{sql}` failed: {e}"));
+            let metered = |service: &QueryService, which: &str| {
+                let meter = QueryBudget::unlimited();
+                let rows = service
+                    .execute_with_budget(&sql, &[], Some(&meter))
+                    .unwrap_or_else(|e| panic!("E12: {which} execution of `{sql}` failed: {e}"));
+                (rows, meter.fuel_consumed())
+            };
+            let (naive_rows, naive_fuel) = metered(&naive_service, "naive");
+            let (opt_rows, opt_fuel) = metered(&optimized_service, "optimized");
             let mut expected = naive_rows.rows().to_vec();
             let mut actual = opt_rows.rows().to_vec();
             if !sql.to_uppercase().contains("ORDER BY") {
@@ -1269,8 +1284,7 @@ fn e12_optimizer(smoke: bool) {
         miscompilations.len(),
         dirty_ratios.len()
     );
-    std::fs::write("BENCH_optimizer.json", json).unwrap();
-    println!("wrote BENCH_optimizer.json");
+    write_report("optimizer", smoke, &json);
     println!();
 }
 
@@ -1294,7 +1308,6 @@ fn e12_optimizer(smoke: bool) {
 /// `BENCH_exec.json`.
 fn e13_exec_engine(smoke: bool) {
     use aldsp_core::ExecStrategy;
-    use aldsp_governor::QueryBudget;
     use aldsp_workload::run_exec_differential;
 
     println!("== E13: streaming hash-join execution engine ==");
@@ -1473,8 +1486,7 @@ fn e13_exec_engine(smoke: bool) {
         seeds.len(),
         entries.join(",\n"),
     );
-    std::fs::write("BENCH_exec.json", json).unwrap();
-    println!("wrote BENCH_exec.json");
+    write_report("exec", smoke, &json);
     println!();
 }
 

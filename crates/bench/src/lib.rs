@@ -36,7 +36,9 @@ pub fn payload_for(
 ) -> (String, Vec<aldsp_core::OutputColumn>) {
     let conn = connect(server, transport);
     let translation = conn.create_statement().explain(sql).unwrap();
-    let payload = server.execute_to_payload(&translation.xquery, &[]).unwrap();
+    let payload = server
+        .execute_to_payload_governed_with(&translation.xquery, &[], None, None, Default::default())
+        .unwrap();
     (payload, translation.columns)
 }
 

@@ -22,7 +22,7 @@
 //!   metadata from before a catalog change.
 
 use crate::naming::{ResolveError, TableEntry, TableLocator};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -257,7 +257,10 @@ pub struct CachedMetadataApi<A> {
     inner: A,
     cache: RwLock<HashMap<Vec<String>, Arc<TableEntry>>>,
     filled_at_epoch: AtomicU64,
-    stats: Mutex<CacheStats>,
+    /// [`CacheStats`], one counter per field.
+    hits: AtomicU64,
+    misses: AtomicU64,
+    invalidations: AtomicU64,
 }
 
 impl<A: MetadataApi> CachedMetadataApi<A> {
@@ -268,43 +271,60 @@ impl<A: MetadataApi> CachedMetadataApi<A> {
             inner,
             cache: RwLock::new(HashMap::new()),
             filled_at_epoch,
-            stats: Mutex::new(CacheStats::default()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            invalidations: AtomicU64::new(0),
         }
     }
 
     /// Current cache statistics.
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock()
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            invalidations: self.invalidations.load(Ordering::Relaxed),
+        }
     }
 
     /// Empties the cache and resets statistics (used by benches to
     /// measure cold paths).
     pub fn clear(&self) {
         self.cache.write().clear();
-        *self.stats.lock() = CacheStats::default();
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
+        self.invalidations.store(0, Ordering::Relaxed);
     }
 
     /// Drops all entries, keeping statistics, and records an
     /// invalidation. Called when staleness is detected (epoch moved, or
     /// the server rejected a translation as stale).
     pub fn invalidate(&self) {
-        self.cache.write().clear();
-        self.stats.lock().invalidations += 1;
+        let mut cache = self.cache.write();
+        cache.clear();
+        self.invalidations.fetch_add(1, Ordering::Relaxed);
         self.filled_at_epoch
             .store(self.inner.epoch(), Ordering::Release);
     }
 
     /// Drops entries if the server's metadata epoch moved since the cache
     /// was filled. Returns whether an invalidation happened.
+    ///
+    /// The epoch a cache was filled at only moves under the write lock,
+    /// together with the clear: a thread that has seen the new epoch
+    /// cannot read an entry of the old one, even while another thread is
+    /// still on its way to clearing them.
     pub fn invalidate_if_stale(&self) -> bool {
         let current = self.inner.epoch();
-        if self.filled_at_epoch.swap(current, Ordering::AcqRel) != current {
-            self.cache.write().clear();
-            self.stats.lock().invalidations += 1;
-            true
-        } else {
-            false
+        if self.filled_at_epoch.load(Ordering::Acquire) == current {
+            return false;
         }
+        let mut cache = self.cache.write();
+        if self.filled_at_epoch.swap(current, Ordering::AcqRel) == current {
+            return false;
+        }
+        cache.clear();
+        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// The wrapped API.
@@ -317,14 +337,23 @@ impl<A: MetadataApi> MetadataApi for CachedMetadataApi<A> {
     fn table(&self, parts: &[String]) -> Result<Arc<TableEntry>, MetadataError> {
         self.invalidate_if_stale();
         if let Some(entry) = self.cache.read().get(parts) {
-            self.stats.lock().hits += 1;
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(entry));
+        }
+        // Fetch and insert under the write lock. Threads sharing the
+        // cache then fetch a table once per epoch between them, and an
+        // invalidation cannot slip in between a fetch of the old catalog
+        // and its insert (its `clear` waits for the lock, so it also
+        // clears what was fetched before it) — an entry that outlived the
+        // epoch it was fetched in would be served until the next change.
+        let mut cache = self.cache.write();
+        if let Some(entry) = cache.get(parts) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(entry));
         }
         let entry = self.inner.table(parts)?;
-        self.stats.lock().misses += 1;
-        self.cache
-            .write()
-            .insert(parts.to_vec(), Arc::clone(&entry));
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        cache.insert(parts.to_vec(), Arc::clone(&entry));
         Ok(entry)
     }
 

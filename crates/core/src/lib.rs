@@ -294,33 +294,6 @@ impl<M: MetadataApi> Translator<M> {
         )
     }
 
-    /// [`Translator::translate_full`] followed by a rewrite pass: when
-    /// `options.optimize` is not [`OptimizeLevel::Off`], runs `optimizer`
-    /// over the generated program and returns the optimized text in
-    /// `translation.xquery`, with the rewrite trace alongside. At
-    /// [`OptimizeLevel::Off`] the optimizer is not consulted and the trace
-    /// is `None`.
-    pub fn translate_optimized(
-        &self,
-        sql: &str,
-        options: TranslationOptions,
-        optimizer: &dyn QueryOptimizer,
-    ) -> Result<OptimizedTranslation, TranslateError> {
-        let mut full = self.translate_full(sql, options)?;
-        let trace = if options.optimize == OptimizeLevel::Off {
-            None
-        } else {
-            let outcome = optimizer.optimize(&full.prepared, &full.translation.xquery, options);
-            full.translation.xquery = outcome.xquery;
-            Some(outcome.trace)
-        };
-        Ok(OptimizedTranslation {
-            translation: full.translation,
-            prepared: full.prepared,
-            trace,
-        })
-    }
-
     /// Runs stages two and three over an already-parsed statement — the
     /// plan-cache path, where stage one ran once on the original text and
     /// the normalized statement is translated without re-parsing.
@@ -382,17 +355,4 @@ pub struct FullTranslation {
     pub translation: Translation,
     /// The stage-two prepared query (the cacheable plan form).
     pub prepared: PreparedQuery,
-}
-
-/// [`FullTranslation`] plus the optimizer's rewrite trace (when the
-/// translation ran at an optimize level above [`OptimizeLevel::Off`];
-/// `translation.xquery` then holds the *optimized* program).
-#[derive(Debug, Clone)]
-pub struct OptimizedTranslation {
-    /// The translation; `xquery` is the program to execute.
-    pub translation: Translation,
-    /// The stage-two prepared query (the cacheable plan form).
-    pub prepared: PreparedQuery,
-    /// The rewrite trace; `None` at [`OptimizeLevel::Off`].
-    pub trace: Option<RewriteTrace>,
 }

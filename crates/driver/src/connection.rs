@@ -5,24 +5,32 @@
 //! directly; `PreparedStatement` translates once and binds `?` parameters
 //! per execution, the way reporting tools reuse parameterized queries.
 //!
-//! Every execution path runs under the connection's [`RetryPolicy`]:
-//! transient boundary failures (dropped fetches, lost or corrupted
-//! payloads, timeouts — see [`DriverError::is_transient`]) are retried
-//! with exponential backoff inside the statement's deadline budget, and a
-//! [`DriverError::StaleMetadata`] rejection triggers at most one
-//! invalidate-and-retranslate before the error surfaces.
+//! There is one statement path. Every execution — plain, prepared,
+//! cached — obtains a plan (by translating, or from the shared plan
+//! cache) and from there on is the same code: one routine binds the
+//! parameters, ships the XQuery and decodes the payload, and one loop
+//! runs it under the connection's [`RetryPolicy`]. Transient boundary
+//! failures (dropped fetches, lost or corrupted payloads, timeouts — see
+//! [`DriverError::is_transient`]) are retried with exponential backoff
+//! inside the statement's deadline budget, and a stale-metadata rejection
+//! by the server triggers at most one invalidate-and-retranslate before
+//! the error surfaces.
 
 use crate::fault::RetryPolicy;
 use crate::resultset::ResultSet;
 use crate::server::{sql_value_to_sequence, DspServer};
 use crate::DriverError;
 use aldsp_catalog::{CachedMetadataApi, InProcessMetadataApi, MetadataApi};
-use aldsp_core::{QueryOptimizer, Translation, TranslationOptions, Translator, Transport};
+use aldsp_core::{
+    OutputColumn, QueryOptimizer, Translation, TranslationOptions, Translator, Transport,
+};
 use aldsp_governor::QueryBudget;
-use aldsp_plancache::{BoundPlan, PlanCache};
+use aldsp_plancache::PlanCache;
 use aldsp_relational::SqlValue;
 use aldsp_xml::Sequence;
-use std::cell::{Cell, RefCell};
+use parking_lot::Mutex;
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,16 +43,30 @@ pub struct RetryStats {
     pub retranslations: u64,
 }
 
-/// A client connection to a DSP application.
+/// A client connection to a DSP application. `Send + Sync`: any number of
+/// threads may execute statements through one shared `&Connection` (the
+/// metadata cache and the plan cache synchronize internally, the recovery
+/// counters are atomics); configuration (`set_*`) takes `&mut self`, so it
+/// happens before the connection is shared.
 pub struct Connection {
     server: Arc<DspServer>,
     translator: Translator<CachedMetadataApi<InProcessMetadataApi>>,
     options: TranslationOptions,
     plan_cache: Option<Arc<PlanCache>>,
     optimizer: Option<Arc<dyn QueryOptimizer + Send + Sync>>,
-    retry: Cell<RetryPolicy>,
-    retries: Cell<u64>,
-    retranslations: Cell<u64>,
+    retry: RetryPolicy,
+    retries: AtomicU64,
+    retranslations: AtomicU64,
+}
+
+/// Where a statement's executable plan comes from — the only thing the
+/// cached and uncached statement paths disagree on.
+enum PlanSource<'a> {
+    /// Translate the SQL on demand. The slot keeps the translation across
+    /// attempts — and, for a `PreparedStatement`, across executions.
+    Translate(&'a mut Option<Translation>),
+    /// Look the SQL up in (or build it into) the shared plan cache.
+    Cache(&'a PlanCache),
 }
 
 impl Connection {
@@ -89,15 +111,10 @@ impl Connection {
             options,
             plan_cache: None,
             optimizer: None,
-            retry: Cell::new(RetryPolicy::default()),
-            retries: Cell::new(0),
-            retranslations: Cell::new(0),
+            retry: RetryPolicy::default(),
+            retries: AtomicU64::new(0),
+            retranslations: AtomicU64::new(0),
         }
-    }
-
-    /// Attaches (or detaches) a shared plan cache.
-    pub fn set_plan_cache(&mut self, cache: Option<Arc<PlanCache>>) {
-        self.plan_cache = cache;
     }
 
     /// Attaches (or detaches) a rewrite engine. Plans built through
@@ -107,21 +124,6 @@ impl Connection {
     /// amortized over every hit on the optimized plan.
     pub fn set_optimizer(&mut self, optimizer: Option<Arc<dyn QueryOptimizer + Send + Sync>>) {
         self.optimizer = optimizer;
-    }
-
-    /// The attached rewrite engine, when one is set.
-    pub fn optimizer(&self) -> Option<&Arc<dyn QueryOptimizer + Send + Sync>> {
-        self.optimizer.as_ref()
-    }
-
-    /// The shared plan cache, when one is attached.
-    pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
-        self.plan_cache.as_ref()
-    }
-
-    /// The transport in use.
-    pub fn transport(&self) -> Transport {
-        self.options.transport
     }
 
     /// The server handle.
@@ -135,20 +137,15 @@ impl Connection {
     }
 
     /// Replaces the retry policy for subsequent executions.
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        self.retry.set(policy);
-    }
-
-    /// The retry policy in effect.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry.get()
+    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
+        self.retry = policy;
     }
 
     /// Recovery actions taken so far on this connection.
     pub fn retry_stats(&self) -> RetryStats {
         RetryStats {
-            retries: self.retries.get(),
-            retranslations: self.retranslations.get(),
+            retries: self.retries.load(Ordering::Relaxed),
+            retranslations: self.retranslations.load(Ordering::Relaxed),
         }
     }
 
@@ -159,7 +156,6 @@ impl Connection {
     /// attempts. No deadline → no budget → zero governance overhead.
     fn budget_from_policy(&self) -> Option<QueryBudget> {
         self.retry
-            .get()
             .deadline
             .map(|d| QueryBudget::unlimited().with_deadline(d))
     }
@@ -179,7 +175,7 @@ impl Connection {
         budget: Option<&QueryBudget>,
         mut op: impl FnMut() -> Result<T, DriverError>,
     ) -> Result<T, DriverError> {
-        let policy = self.retry.get();
+        let policy = self.retry;
         let started = Instant::now();
         let mut attempt: u32 = 0;
         loop {
@@ -213,7 +209,7 @@ impl Connection {
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                     }
-                    self.retries.set(self.retries.get() + 1);
+                    self.retries.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(e) => return Err(e),
             }
@@ -242,7 +238,7 @@ impl Connection {
         Ok(PreparedStatement {
             connection: self,
             sql: sql.to_string(),
-            translation: RefCell::new(translation),
+            translation: Mutex::new(translation),
             parameters,
         })
     }
@@ -276,7 +272,7 @@ impl Connection {
             .map(|i| format!("$sqlParam{i}"))
             .collect();
         let mut record = String::new();
-        let columns: Vec<aldsp_core::OutputColumn> = schema
+        let columns: Vec<OutputColumn> = schema
             .columns
             .iter()
             .map(|c| {
@@ -292,7 +288,7 @@ impl Connection {
                         c.name
                     ));
                 }
-                aldsp_core::OutputColumn {
+                OutputColumn {
                     name: element,
                     label: c.name.clone(),
                     sql_type: Some(c.sql_type),
@@ -315,63 +311,14 @@ impl Connection {
         })
     }
 
-    /// One execution attempt: (re)translate if needed, bind, execute with
-    /// the translation's metadata epoch, decode.
-    fn attempt(
-        &self,
-        sql: &str,
-        translation: &mut Option<Translation>,
-        params: &[Option<SqlValue>],
-        budget: Option<&QueryBudget>,
-    ) -> Result<ResultSet, DriverError> {
-        if translation.is_none() {
-            *translation = Some(
-                self.translator
-                    .translate_full_governed(sql, self.options, budget)?
-                    .translation,
-            );
-        }
-        let translation = translation.as_ref().expect("translation just filled");
-        if translation.parameter_count != params.len() {
-            return Err(DriverError::Usage(format!(
-                "statement expects {} parameter(s), {} bound",
-                translation.parameter_count,
-                params.len()
-            )));
-        }
-        let bound: Vec<(String, Sequence)> = params
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let value = v.as_ref().ok_or_else(|| {
-                    DriverError::Usage(format!("parameter {} is not bound", i + 1))
-                })?;
-                Ok((format!("sqlParam{}", i + 1), sql_value_to_sequence(value)))
-            })
-            .collect::<Result<_, DriverError>>()?;
-        let payload = self.server.execute_to_payload_governed_with(
-            &translation.xquery,
-            &bound,
-            Some(translation.metadata_epoch),
-            budget,
-            self.options.exec,
-        )?;
-        match self.options.transport {
-            Transport::DelimitedText => {
-                ResultSet::from_delimited(translation.columns.clone(), &payload)
-            }
-            Transport::Xml => ResultSet::from_xml(translation.columns.clone(), &payload),
-        }
-    }
-
     /// Executes one SELECT through the shared plan cache: exact-text hits
     /// skip translation (and parsing) entirely, normalized hits re-bind
     /// this statement's literals onto a plan built for a sibling
     /// statement, and misses translate once for every future caller.
     /// `params` bind the statement's own `?` markers, in order.
     ///
-    /// Recovery mirrors [`Connection::run_with_recovery`]: transient
-    /// failures retry under the policy, and a stale-metadata rejection
+    /// Recovery is the one every statement gets: transient failures
+    /// retry under the policy, and a stale-metadata rejection
     /// invalidates both the metadata cache *and* the cached plan, then
     /// retranslates — at most once — before failing. Without an attached
     /// cache this degrades to the ordinary translate-and-execute path.
@@ -391,23 +338,72 @@ impl Connection {
         params: &[SqlValue],
         budget: Option<&QueryBudget>,
     ) -> Result<ResultSet, DriverError> {
-        let Some(cache) = &self.plan_cache else {
-            let bound: Vec<Option<SqlValue>> = params.iter().cloned().map(Some).collect();
-            let mut translation = None;
-            return self.run_with_recovery(sql, &mut translation, &bound, budget);
-        };
+        match &self.plan_cache {
+            Some(cache) => self.run(sql, params, PlanSource::Cache(cache), budget),
+            None => self.run(sql, params, PlanSource::Translate(&mut None), budget),
+        }
+    }
+
+    /// The one statement path: obtain a plan from `source`, bind, ship,
+    /// decode. Transient failures retry under the policy; a
+    /// stale-metadata rejection refreshes the metadata cache and the plan
+    /// source, then retranslates `sql` — at most once — before failing.
+    /// On return a [`PlanSource::Translate`] slot holds the translation
+    /// that last ran (so prepared statements keep the refreshed one).
+    fn run(
+        &self,
+        sql: &str,
+        params: &[SqlValue],
+        mut source: PlanSource<'_>,
+        budget: Option<&QueryBudget>,
+    ) -> Result<ResultSet, DriverError> {
         let mut retranslated = false;
         loop {
             let result = self.retry_transient(budget, || {
-                let (bound, _) = cache
-                    .plan_with(
-                        &self.translator,
-                        sql,
-                        self.options,
-                        self.optimizer.as_deref().map(|o| o as &dyn QueryOptimizer),
-                    )
-                    .map_err(DriverError::from)?;
-                self.attempt_cached(&bound, params, budget)
+                // Keeps a cached plan alive for the attempt.
+                let bound;
+                let (translation, values) = match &mut source {
+                    PlanSource::Translate(slot) => {
+                        if slot.is_none() {
+                            **slot = Some(
+                                self.translator
+                                    .translate_full_governed(sql, self.options, budget)?
+                                    .translation,
+                            );
+                        }
+                        let translation = slot.as_ref().expect("translation just filled");
+                        if translation.parameter_count != params.len() {
+                            return Err(DriverError::Usage(format!(
+                                "statement expects {} parameter(s), {} bound",
+                                translation.parameter_count,
+                                params.len()
+                            )));
+                        }
+                        (translation, Cow::Borrowed(params))
+                    }
+                    PlanSource::Cache(cache) => {
+                        bound = cache
+                            .plan_with(
+                                &self.translator,
+                                sql,
+                                self.options,
+                                self.optimizer.as_deref().map(|o| o as &dyn QueryOptimizer),
+                            )?
+                            .0;
+                        // User parameters + extracted literals, in the
+                        // plan's `$sqlParam` order.
+                        let values = bound.resolve_args(params).map_err(DriverError::Usage)?;
+                        (&bound.plan.translation, Cow::Owned(values))
+                    }
+                };
+                self.ship(
+                    &translation.xquery,
+                    &translation.columns,
+                    &values,
+                    Some(translation.metadata_epoch),
+                    self.options.transport,
+                    budget,
+                )
             });
             match result {
                 Err(DriverError::StaleMetadata { .. }) if !retranslated => {
@@ -417,70 +413,46 @@ impl Connection {
                     // the server's current generation and drops the plan
                     // that just failed along with every other stale one.
                     self.translator.metadata().invalidate();
-                    cache.purge_stale(self.translator.metadata().epoch());
-                    self.retranslations.set(self.retranslations.get() + 1);
+                    match &mut source {
+                        PlanSource::Translate(slot) => **slot = None,
+                        PlanSource::Cache(cache) => {
+                            cache.purge_stale(self.translator.metadata().epoch());
+                        }
+                    }
+                    self.retranslations.fetch_add(1, Ordering::Relaxed);
                 }
                 other => return other,
             }
         }
     }
 
-    /// One cached-plan execution attempt: resolve the `$sqlParam` vector
-    /// from user parameters + extracted literals, execute at the plan's
-    /// epoch, decode.
-    fn attempt_cached(
+    /// One trip to the server: bind `values` to `$sqlParam1..N`, execute
+    /// `xquery` (at `client_epoch`, when the caller wants the server's
+    /// staleness check), decode the payload by `transport`.
+    fn ship(
         &self,
-        bound: &BoundPlan,
-        params: &[SqlValue],
+        xquery: &str,
+        columns: &[OutputColumn],
+        values: &[SqlValue],
+        client_epoch: Option<u64>,
+        transport: Transport,
         budget: Option<&QueryBudget>,
     ) -> Result<ResultSet, DriverError> {
-        let values = bound.resolve_args(params).map_err(DriverError::Usage)?;
         let external: Vec<(String, Sequence)> = values
             .iter()
             .enumerate()
             .map(|(i, v)| (format!("sqlParam{}", i + 1), sql_value_to_sequence(v)))
             .collect();
-        let translation = &bound.plan.translation;
         let payload = self.server.execute_to_payload_governed_with(
-            &translation.xquery,
+            xquery,
             &external,
-            Some(translation.metadata_epoch),
+            client_epoch,
             budget,
             self.options.exec,
         )?;
-        match self.options.transport {
-            Transport::DelimitedText => {
-                ResultSet::from_delimited(translation.columns.clone(), &payload)
-            }
-            Transport::Xml => ResultSet::from_xml(translation.columns.clone(), &payload),
-        }
-    }
-
-    /// The full execution engine: transient failures retry under the
-    /// policy; a stale-metadata rejection invalidates the metadata cache
-    /// and retranslates `sql` — at most once — before failing. On return,
-    /// `translation` holds the translation that last ran (so prepared
-    /// statements keep the refreshed one).
-    fn run_with_recovery(
-        &self,
-        sql: &str,
-        translation: &mut Option<Translation>,
-        params: &[Option<SqlValue>],
-        budget: Option<&QueryBudget>,
-    ) -> Result<ResultSet, DriverError> {
-        let mut retranslated = false;
-        loop {
-            let result =
-                self.retry_transient(budget, || self.attempt(sql, translation, params, budget));
-            match result {
-                Err(DriverError::StaleMetadata { .. }) if !retranslated => {
-                    retranslated = true;
-                    self.translator.metadata().invalidate();
-                    *translation = None;
-                    self.retranslations.set(self.retranslations.get() + 1);
-                }
-                other => return other,
-            }
+        match transport {
+            Transport::DelimitedText => ResultSet::from_delimited(columns.to_vec(), &payload),
+            Transport::Xml => ResultSet::from_xml(columns.to_vec(), &payload),
         }
     }
 }
@@ -503,11 +475,10 @@ impl<'a> Statement<'a> {
     /// Translates and executes one SELECT (under the connection's retry
     /// and stale-metadata recovery).
     pub fn execute_query(&self, sql: &str) -> Result<ResultSet, DriverError> {
-        let mut translation = None;
         let budget = self.connection.budget_from_policy();
         let mut rs =
             self.connection
-                .run_with_recovery(sql, &mut translation, &[], budget.as_ref())?;
+                .run(sql, &[], PlanSource::Translate(&mut None), budget.as_ref())?;
         if self.max_rows > 0 {
             rs.truncate(self.max_rows);
         }
@@ -529,7 +500,10 @@ pub struct PreparedStatement<'a> {
     /// The original SQL, kept so a stale-metadata rejection can
     /// retranslate against the refreshed catalog.
     sql: String,
-    translation: RefCell<Translation>,
+    /// Replaced by `execute_query(&self)` after a stale-metadata
+    /// recovery; behind a lock so the statement is as shareable as its
+    /// connection.
+    translation: Mutex<Translation>,
     parameters: Vec<Option<SqlValue>>,
 }
 
@@ -541,12 +515,7 @@ impl<'a> PreparedStatement<'a> {
 
     /// Binds a parameter (1-based index, like JDBC `setXxx`).
     pub fn set(&mut self, index: usize, value: SqlValue) -> Result<(), DriverError> {
-        let slot = self
-            .parameters
-            .get_mut(index - 1)
-            .ok_or_else(|| DriverError::Usage(format!("parameter index {index} out of range")))?;
-        *slot = Some(value);
-        Ok(())
+        set_parameter(&mut self.parameters, index, value)
     }
 
     /// Clears all bindings.
@@ -561,16 +530,17 @@ impl<'a> PreparedStatement<'a> {
     /// `prepare()`), the statement retranslates its SQL once and keeps
     /// the refreshed translation for subsequent executions.
     pub fn execute_query(&self) -> Result<ResultSet, DriverError> {
-        let mut slot = Some(self.translation.borrow().clone());
+        let values = bound_values(&self.parameters)?;
+        let mut slot = Some(self.translation.lock().clone());
         let budget = self.connection.budget_from_policy();
-        let result = self.connection.run_with_recovery(
+        let result = self.connection.run(
             &self.sql,
-            &mut slot,
-            &self.parameters,
+            &values,
+            PlanSource::Translate(&mut slot),
             budget.as_ref(),
         );
         if let Some(refreshed) = slot {
-            *self.translation.borrow_mut() = refreshed;
+            *self.translation.lock() = refreshed;
         }
         result
     }
@@ -578,7 +548,7 @@ impl<'a> PreparedStatement<'a> {
     /// The translation backing this statement (refreshed in place when a
     /// stale-metadata recovery retranslated it).
     pub fn translation(&self) -> Translation {
-        self.translation.borrow().clone()
+        self.translation.lock().clone()
     }
 
     /// The SQL text this statement was prepared from.
@@ -591,7 +561,7 @@ impl<'a> PreparedStatement<'a> {
 pub struct CallableStatement<'a> {
     connection: &'a Connection,
     xquery: String,
-    columns: Vec<aldsp_core::OutputColumn>,
+    columns: Vec<OutputColumn>,
     parameters: Vec<Option<SqlValue>>,
 }
 
@@ -603,12 +573,7 @@ impl<'a> CallableStatement<'a> {
 
     /// Binds a parameter (1-based).
     pub fn set(&mut self, index: usize, value: SqlValue) -> Result<(), DriverError> {
-        let slot = self
-            .parameters
-            .get_mut(index - 1)
-            .ok_or_else(|| DriverError::Usage(format!("parameter index {index} out of range")))?;
-        *slot = Some(value);
-        Ok(())
+        set_parameter(&mut self.parameters, index, value)
     }
 
     /// Executes the call (always the XML transport: the call bypasses the
@@ -617,27 +582,17 @@ impl<'a> CallableStatement<'a> {
     /// no staleness check because the XQuery is composed from the live
     /// catalog, not a cached translation.
     pub fn execute(&self) -> Result<ResultSet, DriverError> {
-        let bound: Vec<(String, Sequence)> = self
-            .parameters
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let value = v.as_ref().ok_or_else(|| {
-                    DriverError::Usage(format!("parameter {} is not bound", i + 1))
-                })?;
-                Ok((format!("sqlParam{}", i + 1), sql_value_to_sequence(value)))
-            })
-            .collect::<Result<_, DriverError>>()?;
+        let values = bound_values(&self.parameters)?;
         let budget = self.connection.budget_from_policy();
         self.connection.retry_transient(budget.as_ref(), || {
-            let payload = self.connection.server.execute_to_payload_governed_with(
+            self.connection.ship(
                 &self.xquery,
-                &bound,
+                &self.columns,
+                &values,
                 None,
+                Transport::Xml,
                 budget.as_ref(),
-                self.connection.options.exec,
-            )?;
-            ResultSet::from_xml(self.columns.clone(), &payload)
+            )
         })
     }
 
@@ -645,6 +600,33 @@ impl<'a> CallableStatement<'a> {
     pub fn xquery(&self) -> &str {
         &self.xquery
     }
+}
+
+/// JDBC `setXxx` on a parameter vector: `index` is 1-based.
+fn set_parameter(
+    parameters: &mut [Option<SqlValue>],
+    index: usize,
+    value: SqlValue,
+) -> Result<(), DriverError> {
+    let slot = index
+        .checked_sub(1)
+        .and_then(|i| parameters.get_mut(i))
+        .ok_or_else(|| DriverError::Usage(format!("parameter index {index} out of range")))?;
+    *slot = Some(value);
+    Ok(())
+}
+
+/// The bound values of a parameter vector, in order; an unbound marker is
+/// a usage error.
+fn bound_values(parameters: &[Option<SqlValue>]) -> Result<Vec<SqlValue>, DriverError> {
+    parameters
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            v.clone()
+                .ok_or_else(|| DriverError::Usage(format!("parameter {} is not bound", i + 1)))
+        })
+        .collect()
 }
 
 /// Accepts `{call NAME(?, ?)}`, `{call NAME}`, or a bare `NAME`.
@@ -845,6 +827,16 @@ mod tests {
         // Tables are not callable.
         assert!(matches!(
             conn.prepare_call("{call CUSTOMERS}"),
+            Err(DriverError::Usage(_))
+        ));
+    }
+
+    #[test]
+    fn call_parameter_index_zero_is_usage_error() {
+        let conn = connection_with_procedure();
+        let mut call = conn.prepare_call("CUSTOMER_BY_ID").unwrap();
+        assert!(matches!(
+            call.set(0, SqlValue::Int(23)),
             Err(DriverError::Usage(_))
         ));
     }

@@ -13,7 +13,7 @@ use aldsp_governor::{ExecStrategy, QueryBudget};
 use aldsp_relational::{Database, SqlValue};
 use aldsp_xml::{flat::build_row, QName, Sequence};
 use aldsp_xquery::{
-    evaluate_program_exec, evaluate_program_with, parse_program, FunctionSource, XqError,
+    evaluate_program, evaluate_program_exec, parse_program, FunctionSource, XqError,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
@@ -62,7 +62,11 @@ pub struct DspServer {
     /// (cycle detection must not trip when two threads evaluate the same
     /// logical service concurrently).
     logical_in_flight: Mutex<HashMap<ThreadId, HashSet<String>>>,
-    stats: Mutex<ServerStats>,
+    /// [`ServerStats`], one counter per field: bumped on every query and
+    /// every data-service call, so they must not serialize the workers.
+    queries: AtomicU64,
+    function_calls: AtomicU64,
+    bytes_shipped: AtomicU64,
     /// Optional fault injector exercising the driver boundary.
     fault: RwLock<Option<Arc<FaultInjector>>>,
 }
@@ -77,7 +81,9 @@ impl DspServer {
             application: RwLock::new(application),
             materialized: RwLock::new(HashMap::new()),
             logical_in_flight: Mutex::new(HashMap::new()),
-            stats: Mutex::new(ServerStats::default()),
+            queries: AtomicU64::new(0),
+            function_calls: AtomicU64::new(0),
+            bytes_shipped: AtomicU64::new(0),
             fault: RwLock::new(None),
         }
     }
@@ -107,16 +113,9 @@ impl DspServer {
         self.materialized.write().clear();
     }
 
-    /// The backing database (data loading). Counts as a metadata/data
-    /// change: materialized results are dropped and the epoch moves.
-    pub fn database_mut(&mut self) -> &mut Database {
-        self.bump_epoch();
-        self.database.get_mut()
-    }
-
     /// Mutates the backing database through a shared handle (the driver
-    /// holds servers in `Arc`). Epoch semantics match
-    /// [`DspServer::database_mut`].
+    /// holds servers in `Arc`). Counts as a metadata/data change:
+    /// materialized results are dropped and the epoch moves.
     pub fn mutate_database(&self, f: impl FnOnce(&mut Database)) {
         f(&mut self.database.write());
         self.bump_epoch();
@@ -152,41 +151,29 @@ impl DspServer {
 
     /// Statistics so far.
     pub fn stats(&self) -> ServerStats {
-        *self.stats.lock()
+        ServerStats {
+            queries: self.queries.load(Ordering::Relaxed),
+            function_calls: self.function_calls.load(Ordering::Relaxed),
+            bytes_shipped: self.bytes_shipped.load(Ordering::Relaxed),
+        }
     }
 
     /// Resets statistics (benchmark warm-up).
     pub fn reset_stats(&self) {
-        *self.stats.lock() = ServerStats::default();
+        self.queries.store(0, Ordering::Relaxed);
+        self.function_calls.store(0, Ordering::Relaxed);
+        self.bytes_shipped.store(0, Ordering::Relaxed);
     }
 
     /// Compiles and runs XQuery text with external variable bindings,
     /// returning the raw result sequence (server side).
-    pub fn execute(
-        &self,
-        xquery: &str,
-        params: &[(String, Sequence)],
-    ) -> Result<Sequence, DriverError> {
-        self.execute_governed(xquery, params, None)
-    }
-
-    /// [`DspServer::execute`] under an optional [`QueryBudget`]: the
-    /// evaluator charges fuel per expression and enforces the row cap and
-    /// deadline mid-evaluation, so a runaway query stops inside the
-    /// engine instead of after it.
-    pub fn execute_governed(
-        &self,
-        xquery: &str,
-        params: &[(String, Sequence)],
-        budget: Option<&QueryBudget>,
-    ) -> Result<Sequence, DriverError> {
-        self.execute_governed_with(xquery, params, budget, ExecStrategy::default())
-    }
-
-    /// [`DspServer::execute_governed`] with an explicit [`ExecStrategy`]:
-    /// under [`ExecStrategy::HashJoin`] the engine streams recognized
+    ///
+    /// Under a [`QueryBudget`] the evaluator charges fuel per expression
+    /// and enforces the row cap and deadline mid-evaluation, so a runaway
+    /// query stops inside the engine instead of after it. Under
+    /// [`ExecStrategy::HashJoin`] the engine streams recognized
     /// join-shaped FLWORs through hash-join operators instead of
-    /// materializing cross products. Results are identical either way.
+    /// materializing cross products; results are identical either way.
     pub fn execute_governed_with(
         &self,
         xquery: &str,
@@ -199,7 +186,7 @@ impl DspServer {
         }
         let program = parse_program(xquery)
             .map_err(|e| DriverError::Execution(format!("XQuery compilation failed: {e}")))?;
-        self.stats.lock().queries += 1;
+        self.queries.fetch_add(1, Ordering::Relaxed);
         evaluate_program_exec(&program, self, params, budget, strategy).map_err(|e| {
             match e.budget_error() {
                 Some(b) => DriverError::from_budget(b),
@@ -212,49 +199,13 @@ impl DspServer {
     /// serialization of the result sequence, or — for §4 wrapper queries —
     /// the single joined string). Returns the payload exactly as it would
     /// cross the client/server boundary.
-    pub fn execute_to_payload(
-        &self,
-        xquery: &str,
-        params: &[(String, Sequence)],
-    ) -> Result<String, DriverError> {
-        self.execute_to_payload_at(xquery, params, None)
-    }
-
-    /// [`DspServer::execute_to_payload`] with staleness checking: when
-    /// `client_epoch` is given and differs from the server's current
+    ///
+    /// When `client_epoch` is given and differs from the server's current
     /// metadata epoch, the query is rejected with
     /// [`DriverError::StaleMetadata`] before evaluation — executing a
     /// translation against metadata it was not prepared for could
-    /// otherwise return silently wrong rows.
-    pub fn execute_to_payload_at(
-        &self,
-        xquery: &str,
-        params: &[(String, Sequence)],
-        client_epoch: Option<u64>,
-    ) -> Result<String, DriverError> {
-        self.execute_to_payload_governed(xquery, params, client_epoch, None)
-    }
-
-    /// [`DspServer::execute_to_payload_at`] under an optional
-    /// [`QueryBudget`] (see [`DspServer::execute_governed`]).
-    pub fn execute_to_payload_governed(
-        &self,
-        xquery: &str,
-        params: &[(String, Sequence)],
-        client_epoch: Option<u64>,
-        budget: Option<&QueryBudget>,
-    ) -> Result<String, DriverError> {
-        self.execute_to_payload_governed_with(
-            xquery,
-            params,
-            client_epoch,
-            budget,
-            ExecStrategy::default(),
-        )
-    }
-
-    /// [`DspServer::execute_to_payload_governed`] with an explicit
-    /// [`ExecStrategy`] (see [`DspServer::execute_governed_with`]).
+    /// otherwise return silently wrong rows. `budget` and `strategy` are
+    /// those of [`DspServer::execute_governed_with`].
     pub fn execute_to_payload_governed_with(
         &self,
         xquery: &str,
@@ -281,7 +232,8 @@ impl DspServer {
         if let Some(injector) = self.fault_injector() {
             payload = injector.on_transport(payload)?;
         }
-        self.stats.lock().bytes_shipped += payload.len() as u64;
+        self.bytes_shipped
+            .fetch_add(payload.len() as u64, Ordering::Relaxed);
         Ok(payload)
     }
 
@@ -326,7 +278,7 @@ impl DspServer {
                     let program = aldsp_xquery::parse_program(&body).map_err(|e| {
                         XqError::new(format!("logical service {name} failed to compile: {e}"))
                     })?;
-                    evaluate_program_with(&program, self, &[])
+                    evaluate_program(&program, self)
                 })();
                 {
                     let mut in_flight = self.logical_in_flight.lock();
@@ -373,7 +325,7 @@ impl FunctionSource for DspServer {
         local: &str,
         args: &[Sequence],
     ) -> Result<Sequence, XqError> {
-        self.stats.lock().function_calls += 1;
+        self.function_calls.fetch_add(1, Ordering::Relaxed);
         let rows = self.rows_for_function(local)?;
         if args.is_empty() {
             return Ok(rows);
@@ -479,10 +431,12 @@ mod tests {
     fn execute_runs_queries_over_functions() {
         let s = server();
         let out = s
-            .execute(
+            .execute_governed_with(
                 "import schema namespace ns0 = \"ld:P/T\" at \"ld:P/schemas/T.xsd\";\n\
                  for $t in ns0:T() where $t/ID = 2 return <R>{fn:data($t/ID)}</R>",
                 &[],
+                None,
+                ExecStrategy::default(),
             )
             .unwrap();
         assert_eq!(aldsp_xml::serialize_sequence(&out), "<R>2</R>");
@@ -494,13 +448,15 @@ mod tests {
     fn external_variables_bind() {
         let s = server();
         let out = s
-            .execute(
+            .execute_governed_with(
                 "import schema namespace ns0 = \"ld:P/T\" at \"ld:P/schemas/T.xsd\";\n\
                  for $t in ns0:T() where $t/ID = $sqlParam1 return <R>{fn:data($t/ID)}</R>",
                 &[(
                     "sqlParam1".to_string(),
                     sql_value_to_sequence(&SqlValue::Int(1)),
                 )],
+                None,
+                ExecStrategy::default(),
             )
             .unwrap();
         assert_eq!(aldsp_xml::serialize_sequence(&out), "<R>1</R>");
@@ -523,10 +479,13 @@ mod tests {
     fn payload_counts_bytes() {
         let s = server();
         let payload = s
-            .execute_to_payload(
+            .execute_to_payload_governed_with(
                 "import schema namespace ns0 = \"ld:P/T\" at \"ld:P/schemas/T.xsd\";\n\
                  <RECORDSET>{ for $t in ns0:T() return <RECORD><ID>{fn:data($t/ID)}</ID></RECORD> }</RECORDSET>",
                 &[],
+                None,
+                None,
+                ExecStrategy::default(),
             )
             .unwrap();
         assert!(payload.starts_with("<RECORDSET>"));

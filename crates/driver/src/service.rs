@@ -6,13 +6,21 @@
 //! server, sharing translation work between them. [`QueryService`] is
 //! that front end:
 //!
-//! * one shared [`PlanCache`] — all threads reuse each other's
+//! * one shared [`Connection`] — it is `Send + Sync`, so every client
+//!   thread executes through the same translator and the same metadata
+//!   cache (one metadata fetch per table per epoch, not one per client),
+//!   and no lock is held across translation or execution;
+//! * one shared [`PlanCache`] behind it — all threads reuse each other's
 //!   translations (normalized, so literal-differing statements share);
-//! * a pool of [`Connection`]s — each checkout gets a connection with
-//!   its own metadata cache and retry counters, so no lock is held
-//!   across translation or execution;
+//! * a [`Governor`] in front — admission gate, statement-size cap and
+//!   circuit breaker;
 //! * the server itself ([`DspServer`]) is thread-safe (interior locking
 //!   over catalog, database, and materialization state).
+//!
+//! The connection is opened in [`QueryService::new`], and that is when it
+//! captures the server's metadata fault hook: install a fault injector on
+//! the server *before* constructing the service if metadata fetches are
+//! to route through it.
 //!
 //! `execute` is safe to call from any number of threads; results are
 //! byte-identical to a single-threaded uncached connection (pinned by
@@ -28,43 +36,26 @@ use aldsp_core::{QueryOptimizer, TranslationOptions};
 use aldsp_governor::{AdmissionError, Governor, GovernorConfig, GovernorStats, QueryBudget};
 use aldsp_plancache::{CacheStats, PlanCache};
 use aldsp_relational::SqlValue;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A thread-safe, plan-caching query front end over one server.
 pub struct QueryService {
-    server: Arc<DspServer>,
-    options: TranslationOptions,
+    connection: Connection,
     cache: Arc<PlanCache>,
-    optimizer: Option<Arc<dyn QueryOptimizer + Send + Sync>>,
     governor: Governor,
-    pool: Mutex<Vec<Connection>>,
     executions: AtomicU64,
-    peak_pool: AtomicU64,
 }
 
 impl QueryService {
     /// A service with a default-sized plan cache.
     pub fn new(server: Arc<DspServer>, options: TranslationOptions) -> QueryService {
-        QueryService::with_cache(server, options, Arc::new(PlanCache::default()))
-    }
-
-    /// A service over an existing (possibly shared) plan cache.
-    pub fn with_cache(
-        server: Arc<DspServer>,
-        options: TranslationOptions,
-        cache: Arc<PlanCache>,
-    ) -> QueryService {
+        let cache = Arc::new(PlanCache::default());
         QueryService {
-            server,
-            options,
+            connection: Connection::open_with_cache(server, options, Arc::clone(&cache)),
             cache,
-            optimizer: None,
             governor: Governor::default(),
-            pool: Mutex::new(Vec::new()),
             executions: AtomicU64::new(0),
-            peak_pool: AtomicU64::new(0),
         }
     }
 
@@ -86,13 +77,8 @@ impl QueryService {
         mut self,
         optimizer: Arc<dyn QueryOptimizer + Send + Sync>,
     ) -> QueryService {
-        self.optimizer = Some(optimizer);
+        self.connection.set_optimizer(Some(optimizer));
         self
-    }
-
-    /// The attached rewrite engine, when one is set.
-    pub fn optimizer(&self) -> Option<&Arc<dyn QueryOptimizer + Send + Sync>> {
-        self.optimizer.as_ref()
     }
 
     /// Executes one SELECT with positional `?` parameters through the
@@ -126,12 +112,12 @@ impl QueryService {
             Ok(permit) => permit,
             Err(e) => return Err(admission_to_driver(e)),
         };
-        let connection = self.checkout();
         let result = match budget {
-            Some(budget) => connection.execute_cached_governed(sql, params, Some(budget)),
-            None => connection.execute_cached(sql, params),
+            Some(budget) => self
+                .connection
+                .execute_cached_governed(sql, params, Some(budget)),
+            None => self.connection.execute_cached(sql, params),
         };
-        self.check_in(connection);
         self.observe(&result);
         // Fold the execution-strategy telemetry the evaluator recorded on
         // the budget (hash joins taken, join-shaped fallbacks) into the
@@ -142,30 +128,6 @@ impl QueryService {
             self.governor.record_exec(hash_joins, join_fallbacks);
         }
         result
-    }
-
-    /// [`QueryService::execute_with_budget`] that also reports the
-    /// evaluator fuel the statement consumed. When the caller passes no
-    /// budget, an effectively unbounded one is created just to meter —
-    /// the fuel ledger comes for free, evaluation is charged either way.
-    /// This is the read path for E10's cost-model calibration and for
-    /// per-query telemetry in tests.
-    pub fn execute_metered(
-        &self,
-        sql: &str,
-        params: &[SqlValue],
-        budget: Option<&QueryBudget>,
-    ) -> Result<(ResultSet, u64), DriverError> {
-        let meter;
-        let budget = match budget {
-            Some(b) => b,
-            None => {
-                meter = QueryBudget::unlimited();
-                &meter
-            }
-        };
-        let rows = self.execute_with_budget(sql, params, Some(budget))?;
-        Ok((rows, budget.fuel_consumed()))
     }
 
     /// Feeds an execution outcome back into the governor. Backend-health
@@ -212,38 +174,18 @@ impl QueryService {
 
     /// The server this service fronts.
     pub fn server(&self) -> &Arc<DspServer> {
-        &self.server
+        self.connection.server()
+    }
+
+    /// The connection every statement runs through (its translator,
+    /// metadata-cache counters and retry counters).
+    pub fn connection(&self) -> &Connection {
+        &self.connection
     }
 
     /// Total `execute` calls.
     pub fn executions(&self) -> u64 {
         self.executions.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of pooled idle connections — an upper bound on the
-    /// concurrency the service has actually seen.
-    pub fn peak_pooled_connections(&self) -> u64 {
-        self.peak_pool.load(Ordering::Relaxed)
-    }
-
-    fn checkout(&self) -> Connection {
-        if let Some(connection) = self.pool.lock().pop() {
-            return connection;
-        }
-        let mut connection = Connection::open_with_cache(
-            Arc::clone(&self.server),
-            self.options,
-            Arc::clone(&self.cache),
-        );
-        connection.set_optimizer(self.optimizer.clone());
-        connection
-    }
-
-    fn check_in(&self, connection: Connection) {
-        let mut pool = self.pool.lock();
-        pool.push(connection);
-        self.peak_pool
-            .fetch_max(pool.len() as u64, Ordering::Relaxed);
     }
 }
 
@@ -264,10 +206,9 @@ fn admission_to_driver(e: AdmissionError) -> DriverError {
 // at compile time rather than at first use in a distant test.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    const fn assert_send<T: Send>() {}
     assert_send_sync::<QueryService>();
     assert_send_sync::<DspServer>();
     assert_send_sync::<PlanCache>();
     assert_send_sync::<Governor>();
-    assert_send::<Connection>();
+    assert_send_sync::<Connection>();
 };

@@ -1,136 +1,11 @@
-//! Shared AST machinery for the rewrite rules: free-variable analysis,
-//! context-item detection, mutable FLWOR traversal, variable substitution,
-//! and the cardinality model used to order independent `for` clauses.
+//! Shared AST machinery for the rewrite rules: context-item detection,
+//! mutable FLWOR traversal, variable substitution, and the cardinality
+//! model used to order independent `for` clauses. (Free-variable analysis
+//! is `aldsp_xquery::visit::free_vars`, shared with the physical planner.)
 
 use aldsp_catalog::stats::CatalogStats;
 use aldsp_xquery::ast::{AttrPart, Clause, Content, ElementCtor, Expr, Flwor, PathStart, Program};
 use std::collections::BTreeSet;
-
-/// Collects the variables `expr` references but does not bind.
-pub fn free_vars(expr: &Expr) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let mut bound = Vec::new();
-    free_vars_into(expr, &mut bound, &mut out);
-    out
-}
-
-fn free_vars_into(expr: &Expr, bound: &mut Vec<String>, out: &mut BTreeSet<String>) {
-    let record = |name: &str, bound: &[String], out: &mut BTreeSet<String>| {
-        if !bound.iter().any(|b| b == name) {
-            out.insert(name.to_string());
-        }
-    };
-    match expr {
-        Expr::Literal(_) | Expr::EmptySequence | Expr::ContextItem => {}
-        Expr::VarRef(name) => record(name, bound, out),
-        Expr::Sequence(items) => {
-            for item in items {
-                free_vars_into(item, bound, out);
-            }
-        }
-        Expr::FunctionCall { args, .. } => {
-            for arg in args {
-                free_vars_into(arg, bound, out);
-            }
-        }
-        Expr::Path { start, steps } => {
-            match &**start {
-                PathStart::Var(name) => record(name, bound, out),
-                PathStart::Expr(e) => free_vars_into(e, bound, out),
-                PathStart::Context => {}
-            }
-            for step in steps {
-                for p in &step.predicates {
-                    free_vars_into(p, bound, out);
-                }
-            }
-        }
-        Expr::Filter { base, predicates } => {
-            free_vars_into(base, bound, out);
-            for p in predicates {
-                free_vars_into(p, bound, out);
-            }
-        }
-        Expr::Flwor(f) => {
-            let depth = bound.len();
-            for clause in &f.clauses {
-                match clause {
-                    Clause::For { var, source } => {
-                        free_vars_into(source, bound, out);
-                        bound.push(var.clone());
-                    }
-                    Clause::Let { var, value } => {
-                        free_vars_into(value, bound, out);
-                        bound.push(var.clone());
-                    }
-                    Clause::Where(p) => free_vars_into(p, bound, out),
-                    Clause::GroupBy(g) => {
-                        record(&g.source_var, bound, out);
-                        for (key, _) in &g.keys {
-                            free_vars_into(key, bound, out);
-                        }
-                        bound.push(g.partition_var.clone());
-                        for (_, var) in &g.keys {
-                            bound.push(var.clone());
-                        }
-                    }
-                    Clause::OrderBy(specs) => {
-                        for spec in specs {
-                            free_vars_into(&spec.key, bound, out);
-                        }
-                    }
-                }
-            }
-            free_vars_into(&f.ret, bound, out);
-            bound.truncate(depth);
-        }
-        Expr::If { cond, then, els } => {
-            free_vars_into(cond, bound, out);
-            free_vars_into(then, bound, out);
-            free_vars_into(els, bound, out);
-        }
-        Expr::Or(a, b) | Expr::And(a, b) => {
-            free_vars_into(a, bound, out);
-            free_vars_into(b, bound, out);
-        }
-        Expr::GeneralComp { left, right, .. }
-        | Expr::ValueComp { left, right, .. }
-        | Expr::Arith { left, right, .. } => {
-            free_vars_into(left, bound, out);
-            free_vars_into(right, bound, out);
-        }
-        Expr::UnaryMinus(inner) => free_vars_into(inner, bound, out),
-        Expr::Quantified {
-            var,
-            source,
-            satisfies,
-            ..
-        } => {
-            free_vars_into(source, bound, out);
-            bound.push(var.clone());
-            free_vars_into(satisfies, bound, out);
-            bound.pop();
-        }
-        Expr::Element(ctor) => free_vars_ctor(ctor, bound, out),
-    }
-}
-
-fn free_vars_ctor(ctor: &ElementCtor, bound: &mut Vec<String>, out: &mut BTreeSet<String>) {
-    for (_, parts) in &ctor.attributes {
-        for part in parts {
-            if let AttrPart::Enclosed(e) = part {
-                free_vars_into(e, bound, out);
-            }
-        }
-    }
-    for content in &ctor.content {
-        match content {
-            Content::Text(_) => {}
-            Content::Enclosed(e) => free_vars_into(e, bound, out),
-            Content::Element(nested) => free_vars_ctor(nested, bound, out),
-        }
-    }
-}
 
 /// True when `expr` contains the context item (`.` or a relative path) —
 /// such an expression cannot move out of the predicate that gives it its

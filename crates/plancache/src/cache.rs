@@ -23,7 +23,7 @@
 //! caller's current epoch and drop mismatched entries — and because a
 //! driver's epoch view can itself lag the server, the server-side
 //! rejection remains authoritative: a [`DriverError::StaleMetadata`]
-//! recovery calls [`PlanCache::invalidate`] before retranslating, so a
+//! recovery calls [`PlanCache::purge_stale`] before retranslating, so a
 //! stale plan is never served twice.
 //!
 //! [`DriverError::StaleMetadata`]: ../../aldsp_driver/enum.DriverError.html
@@ -278,7 +278,7 @@ impl PlanCache {
     /// `current_epoch` is read from the translator's metadata API; plans
     /// tagged with a different epoch are dropped rather than served. The
     /// tag check is best-effort — a lagging driver-side epoch is caught
-    /// by the server-side rejection and [`PlanCache::invalidate`].
+    /// by the server-side rejection and [`PlanCache::purge_stale`].
     pub fn plan<M: MetadataApi>(
         &self,
         translator: &Translator<M>,
@@ -307,23 +307,9 @@ impl PlanCache {
             // so it can neither evict warm plans nor pin a megabyte of
             // text in a shard.
             self.oversize_bypasses.fetch_add(1, Ordering::Relaxed);
-            let mut full = translator.translate_full(sql, options)?;
-            let rewrite = optimize_full(&mut full, options, optimizer);
-            let parameter_count = full.translation.parameter_count;
-            let cost_estimate = self.price(&full.prepared);
-            let plan = Arc::new(CachedPlan {
-                canonical_sql: sql.to_string(),
-                options,
-                slots: (0..parameter_count).map(ParamSlot::User).collect(),
-                user_param_count: parameter_count,
-                normalized: false,
-                translation: full.translation,
-                prepared: full.prepared,
-                cost_estimate,
-                rewrite,
-            });
+            let full = translator.translate_full(sql, options)?;
             let bound = BoundPlan {
-                plan,
+                plan: Arc::new(self.finish_plan(full, sql, None, options, optimizer)),
                 literal_args: Vec::new().into(),
             };
             return Ok((bound, Lookup::Bypass));
@@ -364,22 +350,9 @@ impl PlanCache {
         // and cache it under the exact key only. A failure here is the
         // statement's own error and surfaces unchanged.
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        let mut full = translator.translate_parsed(&parsed, options)?;
-        let rewrite = optimize_full(&mut full, options, optimizer);
-        let cost_estimate = self.price(&full.prepared);
-        let plan = Arc::new(CachedPlan {
-            canonical_sql: sql.to_string(),
-            options,
-            slots: (0..parsed.parameter_count).map(ParamSlot::User).collect(),
-            user_param_count: parsed.parameter_count,
-            normalized: false,
-            translation: full.translation,
-            prepared: full.prepared,
-            cost_estimate,
-            rewrite,
-        });
+        let full = translator.translate_parsed(&parsed, options)?;
         let bound = BoundPlan {
-            plan,
+            plan: Arc::new(self.finish_plan(full, sql, None, options, optimizer)),
             literal_args: Vec::new().into(),
         };
         self.insert_exact(sql, options, &bound);
@@ -399,20 +372,43 @@ impl PlanCache {
         if reparsed.parameter_count != norm.slots.len() {
             return None;
         }
-        let mut full = translator.translate_parsed(&reparsed, options).ok()?;
+        let full = translator.translate_parsed(&reparsed, options).ok()?;
+        Some(self.finish_plan(full, &norm.canonical_sql, Some(norm), options, optimizer))
+    }
+
+    /// The one place a [`CachedPlan`] is made: runs the rewrite engine
+    /// over the fresh translation of `canonical_sql`, prices it, and
+    /// packages it. With `norm`, the plan binds the normalizer's slots
+    /// (user markers and extracted literals); without, the text was
+    /// translated as written and every `$sqlParam` is a user marker.
+    fn finish_plan(
+        &self,
+        mut full: FullTranslation,
+        canonical_sql: &str,
+        norm: Option<&NormalizedStatement>,
+        options: TranslationOptions,
+        optimizer: Option<&dyn QueryOptimizer>,
+    ) -> CachedPlan {
         let rewrite = optimize_full(&mut full, options, optimizer);
         let cost_estimate = self.price(&full.prepared);
-        Some(CachedPlan {
-            canonical_sql: norm.canonical_sql.clone(),
+        let (slots, user_param_count) = match norm {
+            Some(norm) => (norm.slots.clone(), norm.user_param_count),
+            None => {
+                let markers = full.translation.parameter_count;
+                ((0..markers).map(ParamSlot::User).collect(), markers)
+            }
+        };
+        CachedPlan {
+            canonical_sql: canonical_sql.to_string(),
             options,
-            slots: norm.slots.clone(),
-            user_param_count: norm.user_param_count,
-            normalized: true,
+            slots,
+            user_param_count,
+            normalized: norm.is_some(),
             translation: full.translation,
             prepared: full.prepared,
             cost_estimate,
             rewrite,
-        })
+        }
     }
 
     /// Prices a freshly built plan with the analyzer's layer-4 estimator
@@ -499,20 +495,6 @@ impl PlanCache {
             }
         }
         None
-    }
-
-    /// Drops the exact entry for `sql` and the shared plan it pointed to.
-    /// Called by the driver's stale-metadata recovery before it
-    /// retranslates.
-    pub fn invalidate(&self, sql: &str, options: TranslationOptions, plan: &CachedPlan) {
-        let key = Key {
-            sql: sql.to_string(),
-            options,
-        };
-        if self.shard_for(&key).write().exact.remove(&key).is_some() {
-            self.epoch_invalidations.fetch_add(1, Ordering::Relaxed);
-        }
-        self.remove_plan(&plan.canonical_sql, options);
     }
 
     /// Sweeps every shard, dropping all entries whose epoch tag differs

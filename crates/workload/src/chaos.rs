@@ -155,7 +155,7 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
     server.install_fault_injector(Some(Arc::clone(&injector)));
 
     let open = |transport| {
-        let conn = Connection::open_with(
+        let mut conn = Connection::open_with(
             Arc::clone(&server),
             aldsp_core::TranslationOptions::with_transport(transport),
             Duration::ZERO,

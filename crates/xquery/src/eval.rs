@@ -155,46 +155,30 @@ pub struct Evaluator<'a> {
     strategy: ExecStrategy,
 }
 
-/// Evaluates a parsed program against a function source.
+/// Evaluates a parsed program against a function source: no external
+/// variables, no budget, the nested-loop interpreter.
 pub fn evaluate_program(
     program: &Program,
     functions: &dyn FunctionSource,
 ) -> Result<Sequence, XqError> {
-    evaluate_program_with(program, functions, &[])
+    evaluate_program_exec(program, functions, &[], None, ExecStrategy::NestedLoop)
 }
 
-/// Evaluates a program with pre-bound external variables — how the driver
-/// supplies JDBC prepared-statement parameters (`$sqlParam1`, ...).
-pub fn evaluate_program_with(
-    program: &Program,
-    functions: &dyn FunctionSource,
-    vars: &[(String, Sequence)],
-) -> Result<Sequence, XqError> {
-    evaluate_program_governed(program, functions, vars, None)
-}
-
-/// Evaluates a program under an optional [`QueryBudget`]: the evaluator
-/// charges one fuel unit per expression node and per FLWOR tuple
-/// binding, polls the wall-clock deadline and cancellation token at
-/// those charge points, and enforces the row cap while `for` clauses
-/// expand — so a runaway cartesian product stops mid-expansion instead
-/// of exhausting memory first.
-pub fn evaluate_program_governed(
-    program: &Program,
-    functions: &dyn FunctionSource,
-    vars: &[(String, Sequence)],
-    budget: Option<&QueryBudget>,
-) -> Result<Sequence, XqError> {
-    evaluate_program_exec(program, functions, vars, budget, ExecStrategy::NestedLoop)
-}
-
-/// Evaluates a program under an optional budget and a chosen
-/// [`ExecStrategy`]. Under [`ExecStrategy::HashJoin`] the evaluator
-/// lowers recognized join-shaped FLWORs onto the streaming pipeline in
-/// [`crate::exec`]; everything else — and every FLWOR under
-/// [`ExecStrategy::NestedLoop`] — runs on the naive interpreter. The
-/// strategy never changes observable results, only how (and how fast)
-/// they are produced.
+/// Evaluates a program with pre-bound external variables (how the driver
+/// supplies JDBC prepared-statement parameters, `$sqlParam1`, ...) under
+/// an optional [`QueryBudget`] and a chosen [`ExecStrategy`].
+///
+/// With a budget, the evaluator charges one fuel unit per expression node
+/// and per FLWOR tuple binding, polls the wall-clock deadline and
+/// cancellation token at those charge points, and enforces the row cap
+/// while `for` clauses expand — so a runaway cartesian product stops
+/// mid-expansion instead of exhausting memory first.
+///
+/// Under [`ExecStrategy::HashJoin`] the evaluator lowers recognized
+/// join-shaped FLWORs onto the streaming pipeline in [`crate::exec`];
+/// everything else — and every FLWOR under [`ExecStrategy::NestedLoop`] —
+/// runs on the naive interpreter. The strategy never changes observable
+/// results, only how (and how fast) they are produced.
 pub fn evaluate_program_exec(
     program: &Program,
     functions: &dyn FunctionSource,
@@ -205,8 +189,16 @@ pub fn evaluate_program_exec(
     if let Some(budget) = budget {
         budget.check().map_err(XqError::budget)?;
     }
-    let mut evaluator = Evaluator::with_budget(functions, &program.imports, budget);
-    evaluator.strategy = strategy;
+    let evaluator = Evaluator {
+        functions,
+        prefixes: program
+            .imports
+            .iter()
+            .map(|i| (i.prefix.clone(), i.namespace.clone()))
+            .collect(),
+        budget,
+        strategy,
+    };
     let mut env = Env::new();
     for (name, value) in vars {
         env = env.bind(name.clone(), value.clone());
@@ -215,30 +207,6 @@ pub fn evaluate_program_exec(
 }
 
 impl<'a> Evaluator<'a> {
-    /// Creates an ungoverned evaluator with the given prolog imports.
-    pub fn new(functions: &'a dyn FunctionSource, imports: &[SchemaImport]) -> Evaluator<'a> {
-        Evaluator::with_budget(functions, imports, None)
-    }
-
-    /// Creates an evaluator that charges every expression node and FLWOR
-    /// tuple against `budget`.
-    pub fn with_budget(
-        functions: &'a dyn FunctionSource,
-        imports: &[SchemaImport],
-        budget: Option<&'a QueryBudget>,
-    ) -> Evaluator<'a> {
-        let prefixes = imports
-            .iter()
-            .map(|i| (i.prefix.clone(), i.namespace.clone()))
-            .collect();
-        Evaluator {
-            functions,
-            prefixes,
-            budget,
-            strategy: ExecStrategy::NestedLoop,
-        }
-    }
-
     /// Spends `n` fuel units, surfacing deadline/cancellation/fuel
     /// violations as typed budget errors.
     pub(crate) fn charge(&self, n: u64) -> Result<(), XqError> {
@@ -1223,7 +1191,13 @@ mod tests {
 
     fn run_governed(query: &str, budget: &QueryBudget) -> Result<Sequence, XqError> {
         let program = parse_program(query).unwrap_or_else(|e| panic!("{e}"));
-        evaluate_program_governed(&program, &TestSource, &[], Some(budget))
+        evaluate_program_exec(
+            &program,
+            &TestSource,
+            &[],
+            Some(budget),
+            ExecStrategy::NestedLoop,
+        )
     }
 
     #[test]

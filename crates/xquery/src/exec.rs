@@ -72,12 +72,13 @@
 //! the row cap bounds what the pipeline actually materializes: the build
 //! table and the output vector.
 
-use crate::ast::{AttrPart, Clause, CompOp, Content, ElementCtor, Expr, Flwor, PathStart};
+use crate::ast::{Clause, CompOp, Expr, Flwor};
 use crate::eval::{Env, Evaluator, XqError};
 use crate::functions::data;
+use crate::visit::free_vars;
 use aldsp_xml::{Atomic, Item, Sequence};
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 // ---------------------------------------------------------------------
 // AtomKey: the hashable key vocabulary
@@ -157,143 +158,6 @@ impl AtomKey {
                     out.push(AtomKey::Str(trimmed.to_string()));
                 }
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Free variables
-// ---------------------------------------------------------------------
-
-/// The free variables of `expr`. Scope-aware where the generic
-/// [`crate::visit`] walkers are not: FLWOR clauses bind for subsequent
-/// clauses and the return, quantifiers bind their `satisfies`, group-by
-/// binds the partition and key variables, and a path starting at
-/// [`PathStart::Var`] counts as a variable use. Over-approximating
-/// freeness is safe (the planner just declines); missing a use is not,
-/// so the match is exhaustive.
-pub(crate) fn free_vars(expr: &Expr) -> HashSet<String> {
-    let mut free = HashSet::new();
-    let mut bound = Vec::new();
-    collect(expr, &mut bound, &mut free);
-    free
-}
-
-fn note(name: &str, bound: &[String], free: &mut HashSet<String>) {
-    if !bound.iter().any(|b| b == name) {
-        free.insert(name.to_string());
-    }
-}
-
-fn collect(expr: &Expr, bound: &mut Vec<String>, free: &mut HashSet<String>) {
-    match expr {
-        Expr::Literal(_) | Expr::EmptySequence | Expr::ContextItem => {}
-        Expr::VarRef(name) => note(name, bound, free),
-        Expr::Sequence(items) => {
-            for e in items {
-                collect(e, bound, free);
-            }
-        }
-        Expr::FunctionCall { args, .. } => {
-            for a in args {
-                collect(a, bound, free);
-            }
-        }
-        Expr::Path { start, steps } => {
-            match &**start {
-                PathStart::Var(v) => note(v, bound, free),
-                PathStart::Expr(e) => collect(e, bound, free),
-                PathStart::Context => {}
-            }
-            for step in steps {
-                for p in &step.predicates {
-                    collect(p, bound, free);
-                }
-            }
-        }
-        Expr::Filter { base, predicates } => {
-            collect(base, bound, free);
-            for p in predicates {
-                collect(p, bound, free);
-            }
-        }
-        Expr::Flwor(flwor) => {
-            let depth = bound.len();
-            for clause in &flwor.clauses {
-                match clause {
-                    Clause::For { var, source } => {
-                        collect(source, bound, free);
-                        bound.push(var.clone());
-                    }
-                    Clause::Let { var, value } => {
-                        collect(value, bound, free);
-                        bound.push(var.clone());
-                    }
-                    Clause::Where(p) => collect(p, bound, free),
-                    Clause::GroupBy(group) => {
-                        note(&group.source_var, bound, free);
-                        for (key, _) in &group.keys {
-                            collect(key, bound, free);
-                        }
-                        bound.push(group.partition_var.clone());
-                        for (_, key_var) in &group.keys {
-                            bound.push(key_var.clone());
-                        }
-                    }
-                    Clause::OrderBy(specs) => {
-                        for spec in specs {
-                            collect(&spec.key, bound, free);
-                        }
-                    }
-                }
-            }
-            collect(&flwor.ret, bound, free);
-            bound.truncate(depth);
-        }
-        Expr::If { cond, then, els } => {
-            collect(cond, bound, free);
-            collect(then, bound, free);
-            collect(els, bound, free);
-        }
-        Expr::Or(a, b) | Expr::And(a, b) => {
-            collect(a, bound, free);
-            collect(b, bound, free);
-        }
-        Expr::GeneralComp { left, right, .. }
-        | Expr::ValueComp { left, right, .. }
-        | Expr::Arith { left, right, .. } => {
-            collect(left, bound, free);
-            collect(right, bound, free);
-        }
-        Expr::UnaryMinus(e) => collect(e, bound, free),
-        Expr::Quantified {
-            var,
-            source,
-            satisfies,
-            ..
-        } => {
-            collect(source, bound, free);
-            bound.push(var.clone());
-            collect(satisfies, bound, free);
-            bound.pop();
-        }
-        Expr::Element(ctor) => collect_ctor(ctor, bound, free),
-    }
-}
-
-fn collect_ctor(ctor: &ElementCtor, bound: &mut Vec<String>, free: &mut HashSet<String>) {
-    for (_, parts) in &ctor.attributes {
-        for part in parts {
-            if let AttrPart::Enclosed(e) = part {
-                collect(e, bound, free);
-            }
-        }
-    }
-    for content in &ctor.content {
-        match content {
-            Content::Text(_) => {}
-            Content::Enclosed(e) => collect(e, bound, free),
-            Content::Element(nested) => collect_ctor(nested, bound, free),
         }
     }
 }
@@ -453,7 +317,7 @@ pub(crate) fn plan(flwor: &Flwor) -> Option<Plan<'_>> {
             else {
                 continue;
             };
-            let build_ok = |frees: &HashSet<String>| {
+            let build_ok = |frees: &BTreeSet<String>| {
                 frees.contains(var.as_str())
                     && frees.iter().all(|v| {
                         v == var
@@ -461,7 +325,7 @@ pub(crate) fn plan(flwor: &Flwor) -> Option<Plan<'_>> {
                             || constants.contains(v.as_str())
                     })
             };
-            let probe_ok = |frees: &HashSet<String>| {
+            let probe_ok = |frees: &BTreeSet<String>| {
                 frees.iter().all(|v| {
                     !all_bound.contains(v.as_str()) || bound_before[k].contains(v.as_str())
                 }) && frees.iter().any(|v| {
@@ -701,21 +565,6 @@ mod tests {
             panic!("expected a FLWOR body, got {:?}", program.body);
         };
         flwor
-    }
-
-    #[test]
-    fn free_vars_sees_path_starts_and_respects_scopes() {
-        let program =
-            parse_program("for $a in $src where $a/ID = $outer return <R>{$a, $other}</R>")
-                .unwrap();
-        let free = free_vars(&program.body);
-        let mut names: Vec<&str> = free.iter().map(|s| s.as_str()).collect();
-        names.sort_unstable();
-        assert_eq!(names, ["other", "outer", "src"]);
-
-        let quantified = parse_program("some $x in $pool satisfies $x > $floor").unwrap();
-        let free = free_vars(&quantified.body);
-        assert!(free.contains("pool") && free.contains("floor") && !free.contains("x"));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //!   variable from a `let`, and so on).
 
 use crate::ast::*;
+use std::collections::BTreeSet;
 
 /// The syntactic form that introduces a variable binding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,6 +202,140 @@ pub fn for_each_binding(program: &Program, mut f: impl FnMut(&str, BindingKind))
     b.visit_expr(&program.body);
 }
 
+/// The free variables of `expr`: the ones it references but does not
+/// bind. Scope-aware where the generic walkers above are not: FLWOR
+/// clauses bind for subsequent clauses and the return, quantifiers bind
+/// their `satisfies`, group-by binds the partition and key variables, and
+/// a path starting at [`PathStart::Var`] counts as a variable use. The
+/// physical planner and the rewrite rules both decide what may move on
+/// this: over-approximating freeness is safe (they just decline);
+/// missing a use is not, so the match is exhaustive.
+pub fn free_vars(expr: &Expr) -> BTreeSet<String> {
+    let mut free = BTreeSet::new();
+    let mut bound = Vec::new();
+    collect_free(expr, &mut bound, &mut free);
+    free
+}
+
+fn note_use(name: &str, bound: &[String], free: &mut BTreeSet<String>) {
+    if !bound.iter().any(|b| b == name) {
+        free.insert(name.to_string());
+    }
+}
+
+fn collect_free(expr: &Expr, bound: &mut Vec<String>, free: &mut BTreeSet<String>) {
+    match expr {
+        Expr::Literal(_) | Expr::EmptySequence | Expr::ContextItem => {}
+        Expr::VarRef(name) => note_use(name, bound, free),
+        Expr::Sequence(items) => {
+            for e in items {
+                collect_free(e, bound, free);
+            }
+        }
+        Expr::FunctionCall { args, .. } => {
+            for a in args {
+                collect_free(a, bound, free);
+            }
+        }
+        Expr::Path { start, steps } => {
+            match &**start {
+                PathStart::Var(v) => note_use(v, bound, free),
+                PathStart::Expr(e) => collect_free(e, bound, free),
+                PathStart::Context => {}
+            }
+            for step in steps {
+                for p in &step.predicates {
+                    collect_free(p, bound, free);
+                }
+            }
+        }
+        Expr::Filter { base, predicates } => {
+            collect_free(base, bound, free);
+            for p in predicates {
+                collect_free(p, bound, free);
+            }
+        }
+        Expr::Flwor(flwor) => {
+            let depth = bound.len();
+            for clause in &flwor.clauses {
+                match clause {
+                    Clause::For { var, source } => {
+                        collect_free(source, bound, free);
+                        bound.push(var.clone());
+                    }
+                    Clause::Let { var, value } => {
+                        collect_free(value, bound, free);
+                        bound.push(var.clone());
+                    }
+                    Clause::Where(p) => collect_free(p, bound, free),
+                    Clause::GroupBy(group) => {
+                        note_use(&group.source_var, bound, free);
+                        for (key, _) in &group.keys {
+                            collect_free(key, bound, free);
+                        }
+                        bound.push(group.partition_var.clone());
+                        for (_, key_var) in &group.keys {
+                            bound.push(key_var.clone());
+                        }
+                    }
+                    Clause::OrderBy(specs) => {
+                        for spec in specs {
+                            collect_free(&spec.key, bound, free);
+                        }
+                    }
+                }
+            }
+            collect_free(&flwor.ret, bound, free);
+            bound.truncate(depth);
+        }
+        Expr::If { cond, then, els } => {
+            collect_free(cond, bound, free);
+            collect_free(then, bound, free);
+            collect_free(els, bound, free);
+        }
+        Expr::Or(a, b) | Expr::And(a, b) => {
+            collect_free(a, bound, free);
+            collect_free(b, bound, free);
+        }
+        Expr::GeneralComp { left, right, .. }
+        | Expr::ValueComp { left, right, .. }
+        | Expr::Arith { left, right, .. } => {
+            collect_free(left, bound, free);
+            collect_free(right, bound, free);
+        }
+        Expr::UnaryMinus(e) => collect_free(e, bound, free),
+        Expr::Quantified {
+            var,
+            source,
+            satisfies,
+            ..
+        } => {
+            collect_free(source, bound, free);
+            bound.push(var.clone());
+            collect_free(satisfies, bound, free);
+            bound.pop();
+        }
+        Expr::Element(ctor) => collect_free_ctor(ctor, bound, free),
+    }
+}
+
+fn collect_free_ctor(ctor: &ElementCtor, bound: &mut Vec<String>, free: &mut BTreeSet<String>) {
+    for (_, parts) in &ctor.attributes {
+        for part in parts {
+            if let AttrPart::Enclosed(e) = part {
+                collect_free(e, bound, free);
+            }
+        }
+    }
+    for content in &ctor.content {
+        match content {
+            Content::Text(_) => {}
+            Content::Enclosed(e) => collect_free(e, bound, free),
+            Content::Element(nested) => collect_free_ctor(nested, bound, free),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +359,20 @@ mod tests {
         assert!(seen.contains(&("part".into(), BindingKind::GroupPartition)));
         assert!(seen.contains(&("k".into(), BindingKind::GroupKey)));
         assert!(seen.contains(&("q".into(), BindingKind::Quantifier)));
+    }
+
+    #[test]
+    fn free_vars_sees_path_starts_and_respects_scopes() {
+        let program =
+            parse_program("for $a in $src where $a/ID = $outer return <R>{$a, $other}</R>")
+                .unwrap();
+        let free = free_vars(&program.body);
+        let names: Vec<&str> = free.iter().map(|s| s.as_str()).collect();
+        assert_eq!(names, ["other", "outer", "src"]);
+
+        let quantified = parse_program("some $x in $pool satisfies $x > $floor").unwrap();
+        let free = free_vars(&quantified.body);
+        assert!(free.contains("pool") && free.contains("floor") && !free.contains("x"));
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn server(scale: Scale, seed: u64) -> Arc<DspServer> {
 /// surface as `Timeout`, never complete successfully.
 #[test]
 fn in_flight_attempt_observes_the_deadline_budget() {
-    let conn = Connection::open(server(Scale::of(50), 3));
+    let mut conn = Connection::open(server(Scale::of(50), 3));
     conn.set_retry_policy(RetryPolicy {
         max_attempts: 3,
         base_backoff: Duration::ZERO,

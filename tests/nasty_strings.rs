@@ -178,7 +178,7 @@ fn injected_corruption_yields_decode_errors_not_panics() {
                     ..FaultConfig::default()
                 },
             ))));
-            let conn = Connection::open_with(
+            let mut conn = Connection::open_with(
                 server,
                 TranslationOptions::with_transport(transport),
                 std::time::Duration::ZERO,
@@ -242,7 +242,7 @@ fn nasty_delimited_payload() -> (Vec<aldsp::core::OutputColumn>, String) {
         .unwrap();
     let payload = conn
         .server()
-        .execute_to_payload(&translation.xquery, &[])
+        .execute_to_payload_governed_with(&translation.xquery, &[], None, None, Default::default())
         .unwrap();
     (translation.columns, payload)
 }

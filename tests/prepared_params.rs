@@ -129,3 +129,25 @@ fn rebinding_reuses_translation() {
         assert_eq!(got, want, "count mismatch for CUSTID {id}");
     }
 }
+
+/// Parameter indexes are 1-based; 0 used to underflow `index - 1` (a panic
+/// in debug builds, a wrapped index in release). Both ends of the range
+/// are the same typed usage error in every profile.
+#[test]
+fn out_of_range_parameter_index_is_a_usage_error() {
+    use aldsp::driver::DriverError;
+
+    let (conn, _) = setup();
+    let mut statement = conn
+        .prepare("SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID > ?")
+        .unwrap();
+    for index in [0, 2] {
+        match statement.set(index, SqlValue::Int(1)) {
+            Err(DriverError::Usage(message)) => {
+                assert_eq!(message, format!("parameter index {index} out of range"))
+            }
+            other => panic!("set({index}, ..) must be a usage error, got {other:?}"),
+        }
+    }
+    statement.set(1, SqlValue::Int(1)).unwrap();
+}

@@ -92,9 +92,141 @@ fn threaded_service_is_byte_identical_to_single_threaded_oracle() {
         stats.misses <= 8,
         "plan sharing collapsed — every thread translated for itself: {stats:#?}"
     );
+    // One connection, hence one metadata cache, for all eight clients:
+    // the templates name two tables, and each was fetched from the server
+    // once — not once per client.
+    let metadata = service.connection().translator().metadata().stats();
+    assert_eq!(
+        metadata.misses, 2,
+        "CUSTOMERS and ORDERS must each be fetched exactly once per epoch: {metadata:#?}"
+    );
+}
+
+/// Eight threads share one `&Connection` directly — no service, no pool —
+/// while the catalog is redeployed under them. Every result must match
+/// the single-threaded oracle, and the connection's recovery counter must
+/// not lose an update.
+///
+/// Stale rejections are counted from outside the connection. A prepared
+/// statement carries its translation, so each one prepared before the
+/// reload is rejected exactly once after it, and its translation's epoch
+/// moves exactly then. A cached execution can only be rejected when the
+/// epoch moved while it ran; those few are the slack in the upper bound.
+#[test]
+fn shared_connection_survives_a_racing_reload_without_losing_recoveries() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Barrier;
+
+    const PREPARED: usize = 3;
+
+    let app = build_application();
+    let db = populate_database(&app, Scale::small(), 17);
+    let server = Arc::new(DspServer::new(app, db));
+
+    // oracle[template][turn % 9], executed serially and uncached.
+    let oracle_conn = Connection::open(Arc::clone(&server));
+    let oracle: Vec<Vec<Vec<Vec<SqlValue>>>> = (0..4)
+        .map(|template| {
+            (0..9)
+                .map(|turn| {
+                    let (sql, params) = statement(template, turn);
+                    oracle_conn
+                        .execute_cached(&sql, &params)
+                        .unwrap()
+                        .rows()
+                        .to_vec()
+                })
+                .collect()
+        })
+        .collect();
+
+    let conn = Connection::open_with_cache(
+        Arc::clone(&server),
+        TranslationOptions::default(),
+        Arc::new(aldsp_plancache::PlanCache::default()),
+    );
+    let all_prepared = Barrier::new(THREADS + 1);
+    let progress = AtomicUsize::new(0);
+    let reloaded = AtomicBool::new(false);
+    let epoch_moves = AtomicUsize::new(0);
+    let straddlers = AtomicUsize::new(0);
+
+    std::thread::scope(|scope| {
+        for worker in 0..THREADS {
+            let (conn, server, oracle) = (&conn, &server, &oracle);
+            let (all_prepared, progress, reloaded) = (&all_prepared, &progress, &reloaded);
+            let (epoch_moves, straddlers) = (&epoch_moves, &straddlers);
+            scope.spawn(move || {
+                let mut prepared: Vec<_> = (0..PREPARED)
+                    .map(|template| conn.prepare(&statement(template, 0).0).unwrap())
+                    .collect();
+                all_prepared.wait();
+
+                let mut run_prepared = |template: usize, turn: usize| {
+                    let ps = &mut prepared[template];
+                    let (sql, params) = statement(template, turn as i64);
+                    ps.set(1, params[0].clone()).unwrap();
+                    let before = ps.translation().metadata_epoch;
+                    let rs = ps.execute_query().unwrap();
+                    if ps.translation().metadata_epoch != before {
+                        epoch_moves.fetch_add(1, Ordering::Relaxed);
+                    }
+                    assert_eq!(
+                        rs.rows(),
+                        oracle[template][turn % 9].as_slice(),
+                        "worker {worker} turn {turn}: prepared `{sql}` diverged"
+                    );
+                };
+
+                let mut turn = worker;
+                while turn < worker + ITERATIONS || !reloaded.load(Ordering::Acquire) {
+                    let (sql, params) = statement(turn, turn as i64);
+                    let before = server.epoch();
+                    let rs = conn.execute_cached(&sql, &params).unwrap();
+                    if server.epoch() != before {
+                        straddlers.fetch_add(1, Ordering::Relaxed);
+                    }
+                    assert_eq!(
+                        rs.rows(),
+                        oracle[turn % 4][turn % 9].as_slice(),
+                        "worker {worker} turn {turn}: cached `{sql}` diverged"
+                    );
+                    run_prepared(turn % PREPARED, turn);
+                    progress.fetch_add(1, Ordering::Relaxed);
+                    turn += 1;
+                }
+                // Whatever the interleaving was, every prepared statement
+                // has now run at least once on the new catalog.
+                for template in 0..PREPARED {
+                    run_prepared(template, turn);
+                }
+            });
+        }
+
+        all_prepared.wait();
+        while progress.load(Ordering::Relaxed) < THREADS * ITERATIONS / 3 {
+            std::thread::yield_now();
+        }
+        // The same catalog and rows again: the oracle stays valid, the
+        // epoch moves, and everything translated before is stale.
+        let app = build_application();
+        let db = populate_database(&app, Scale::small(), 17);
+        server.reload(app, db);
+        reloaded.store(true, Ordering::Release);
+    });
+
+    let observed = epoch_moves.load(Ordering::Relaxed) as u64;
+    assert_eq!(
+        observed,
+        (THREADS * PREPARED) as u64,
+        "each prepared statement is rejected as stale exactly once"
+    );
+    let retranslations = conn.retry_stats().retranslations;
+    let slack = straddlers.load(Ordering::Relaxed) as u64;
     assert!(
-        service.peak_pooled_connections() <= THREADS as u64,
-        "pool grew beyond the number of concurrent clients"
+        (observed..=observed + slack).contains(&retranslations),
+        "{retranslations} retranslations counted for {observed} stale rejections observed \
+         (+ at most {slack} in cached executions that straddled the reload)"
     );
 }
 
