@@ -45,10 +45,10 @@
 //!
 //! Entry points: [`analyze_sql`] runs the static pipeline on a SQL
 //! string (used by the `analyze` bin and the workload harnesses;
-//! [`analyze_sql_with`] takes explicit [`CostOptions`], and
-//! [`analyze_sql_validated`] additionally runs layer 5 under
-//! [`ValidateOptions`]); [`analyze_translation`] checks an existing
-//! prepared query + generated text ([`analyze_translation_typed`] also
+//! [`analyze_sql_with`] is the general form: explicit [`CostOptions`]
+//! and, given [`ValidateOptions`], layer 5 as well);
+//! [`analyze_translation`] checks an existing prepared query + generated
+//! text ([`analyze_translation_with`] takes [`CostOptions`] and also
 //! returns the inferred output typing); [`lint_program`]/[`lint_text`]
 //! run layer 2 alone;
 //! [`ty::check_types`]/[`ty::check_translation`]/[`ty::check_metadata`]
@@ -75,8 +75,8 @@ pub use cost::{check_cost, estimate_prepared, CostOptions, CostReport, Estimate}
 pub use diag::{DiagCode, Diagnostic, Severity};
 pub use ir_check::check_prepared;
 pub use report::{
-    analyze_sql, analyze_sql_validated, analyze_sql_with, analyze_translation,
-    analyze_translation_typed, analyze_translation_typed_with, Analysis, TranslationReport,
+    analyze_sql, analyze_sql_with, analyze_translation, analyze_translation_with, Analysis,
+    TranslationReport,
 };
 pub use ty::{
     check_metadata, check_translation, check_types, InferredColumn, ReportedColumn, TypeFlow,

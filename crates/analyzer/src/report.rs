@@ -19,8 +19,8 @@ pub struct TranslationReport {
     /// Layer-3 findings (type flow + translation type diff, `T0xx`).
     pub types: Vec<Diagnostic>,
     /// Layer-5 findings (bounded equivalence validation, `V0xx`).
-    /// Empty unless validation was requested
-    /// ([`analyze_sql_validated`] / [`validate::check_equivalence`]).
+    /// Empty unless validation was requested ([`analyze_sql_with`] given
+    /// [`ValidateOptions`], or [`validate::check_equivalence`] directly).
     pub validation: Vec<Diagnostic>,
     /// Layer-4 result: cardinality/cost estimates and the advisory
     /// `P0xx` findings.
@@ -71,7 +71,7 @@ impl TranslationReport {
 /// diffing them, layer 4 estimating cardinality/cost under
 /// `cost_options`. Returns the report together with the SQL-side
 /// inferred output typing.
-pub fn analyze_translation_typed_with(
+pub fn analyze_translation_with(
     prepared: &PreparedQuery,
     xquery_text: &str,
     cost_options: &CostOptions,
@@ -100,20 +100,10 @@ pub fn analyze_translation_typed_with(
     )
 }
 
-/// [`analyze_translation_typed_with`] under default (stats-less) cost
-/// options.
-pub fn analyze_translation_typed(
-    prepared: &PreparedQuery,
-    xquery_text: &str,
-) -> (TranslationReport, Vec<ty::InferredColumn>) {
-    analyze_translation_typed_with(prepared, xquery_text, &CostOptions::default())
-}
-
-/// [`analyze_translation_typed`] without the typing (the original
-/// two-argument surface, kept for the debug validator and callers that
-/// only want the findings).
+/// [`analyze_translation_with`] under default (stats-less) cost options,
+/// findings only.
 pub fn analyze_translation(prepared: &PreparedQuery, xquery_text: &str) -> TranslationReport {
-    analyze_translation_typed(prepared, xquery_text).0
+    analyze_translation_with(prepared, xquery_text, &CostOptions::default()).0
 }
 
 /// An end-to-end analysis: the translation plus its report.
@@ -132,11 +122,18 @@ pub struct Analysis {
 /// both the prepared IR and the generated text, estimating cost under
 /// `cost_options`. Translation failures are returned as-is — they are
 /// the translator rejecting the statement, not analyzer findings.
+///
+/// With `validate_options`, layer 5 runs too: the bounded equivalence
+/// validator fills [`TranslationReport::validation`]. `V` findings are
+/// hard errors ([`TranslationReport::is_clean`] goes false), because an
+/// observed inequivalence on a concrete witness database is a
+/// miscompilation, not advice.
 pub fn analyze_sql_with<M: MetadataApi>(
     sql: &str,
     metadata: &M,
     options: TranslationOptions,
     cost_options: &CostOptions,
+    validate_options: Option<&ValidateOptions>,
 ) -> Result<Analysis, TranslateError> {
     let parsed = stage1::parse(sql)?;
     let prepared = stage2::prepare(&parsed, metadata)?;
@@ -145,7 +142,10 @@ pub fn analyze_sql_with<M: MetadataApi>(
         Transport::Xml => generated.into_query_text(),
         Transport::DelimitedText => wrapper::wrap_delimited(generated, &prepared),
     };
-    let (report, typing) = analyze_translation_typed_with(&prepared, &xquery, cost_options);
+    let (mut report, typing) = analyze_translation_with(&prepared, &xquery, cost_options);
+    if let Some(validate_options) = validate_options {
+        report.validation = validate::check_equivalence(&prepared, &xquery, validate_options);
+    }
     Ok(Analysis {
         xquery,
         report,
@@ -153,40 +153,12 @@ pub fn analyze_sql_with<M: MetadataApi>(
     })
 }
 
-/// [`analyze_sql_with`] under default (stats-less) cost options.
+/// [`analyze_sql_with`] under default (stats-less) cost options, layers
+/// 1–4 only.
 pub fn analyze_sql<M: MetadataApi>(
     sql: &str,
     metadata: &M,
     options: TranslationOptions,
 ) -> Result<Analysis, TranslateError> {
-    analyze_sql_with(sql, metadata, options, &CostOptions::default())
-}
-
-/// [`analyze_sql_with`] plus layer 5: runs the bounded equivalence
-/// validator over the translation under `validate_options`, filling
-/// [`TranslationReport::validation`]. `V` findings are hard errors
-/// ([`TranslationReport::is_clean`] goes false), because an observed
-/// inequivalence on a concrete witness database is a miscompilation,
-/// not advice.
-pub fn analyze_sql_validated<M: MetadataApi>(
-    sql: &str,
-    metadata: &M,
-    options: TranslationOptions,
-    cost_options: &CostOptions,
-    validate_options: &ValidateOptions,
-) -> Result<Analysis, TranslateError> {
-    let parsed = stage1::parse(sql)?;
-    let prepared = stage2::prepare(&parsed, metadata)?;
-    let generated = stage3::generate(&prepared)?;
-    let xquery = match options.transport {
-        Transport::Xml => generated.into_query_text(),
-        Transport::DelimitedText => wrapper::wrap_delimited(generated, &prepared),
-    };
-    let (mut report, typing) = analyze_translation_typed_with(&prepared, &xquery, cost_options);
-    report.validation = validate::check_equivalence(&prepared, &xquery, validate_options);
-    Ok(Analysis {
-        xquery,
-        report,
-        typing,
-    })
+    analyze_sql_with(sql, metadata, options, &CostOptions::default(), None)
 }

@@ -9,10 +9,16 @@
 //!    executes the stage-2 [`PreparedQuery`] IR under SQL-92 bag
 //!    semantics — 3VL WHERE/HAVING, GROUP BY and aggregates over groups
 //!    discovered in row order, outer-join padding, set operations on
-//!    multiplicities, DISTINCT, ORDER BY. It deliberately mirrors the
-//!    oracle executor in `aldsp-relational::exec` (the differential
-//!    harness's ground truth), but consumes the prepared IR instead of
-//!    the SQL AST, so a stage-2 bug cannot hide in a shared frontend.
+//!    multiplicities, DISTINCT, ORDER BY. What a value or a row
+//!    operation *means* is stated once, in `aldsp-relational`'s value
+//!    and relation kernels, which the relational oracle (the
+//!    differential harness's ground truth) is written over too; what is
+//!    written here is only the walk — over `PreparedQuery` / `Rsn` /
+//!    `TExpr` instead of the SQL AST, resolving columns by range
+//!    variable, reducing grouped expressions, projecting into output
+//!    slots — so a stage-2 bug cannot hide in a shared frontend, and the
+//!    two walkers are checked against each other directly by
+//!    `tests/reference_oracle.rs`.
 //! 2. A **witness-database enumerator** builds small databases over the
 //!    tables the IR references: 0–2 rows per table drawn from a value
 //!    domain seeded with literals harvested from the query (plus NULL,
@@ -24,8 +30,9 @@
 //! 3. For each witness database, the prepared IR runs through the
 //!    reference interpreter and the generated XQuery runs through the
 //!    real `aldsp-xquery` evaluator against a [`FunctionSource`] serving
-//!    the same rows as flat row elements (NULL = absent child, exactly
-//!    like the driver's `DspServer`). The transport payload is decoded
+//!    the same rows as flat row elements (`Table::row_elements`, the
+//!    function the driver's `DspServer` materializes with). The
+//!    transport payload is decoded
 //!    with the driver's own cell rules and the two row bags compared.
 //!
 //! Divergence classifies into stable codes `V001`–`V006`; each finding
@@ -48,18 +55,24 @@ use aldsp_core::ir::{
 };
 use aldsp_core::wrapper;
 use aldsp_relational::eval::{
-    and3, compare_values, compare_with_op, or3, scalar_function, truth, truth_to_value,
+    and3, between, compare_with_op, in_list, in_subquery, is_true, like, literal_value, negate,
+    or3, position, quantified, scalar_function, scalar_subquery, substring, trim, truth,
+    truth_to_value,
 };
-use aldsp_relational::like::like_match;
+use aldsp_relational::exec::{
+    apply_set_op, cross_join_all, filter_rows, fold_aggregate, group_rows, nested_loop_join,
+};
 use aldsp_relational::value::ArithOp as ValueArithOp;
-use aldsp_relational::{decode_cell, ColumnInfo, Database, Relation, SqlValue, Table};
-use aldsp_sql::{JoinKind, Literal, Quantifier, SetOp, TrimSide};
-use aldsp_xml::{Atomic, Item, QName, Sequence};
+use aldsp_relational::{
+    decode_cell, sql_value_to_sequence, ColumnInfo, Database, ExecError, Relation, SqlValue, Table,
+};
+use aldsp_sql::{CompareOp, Literal};
+use aldsp_xml::{Atomic, Item, Sequence};
 use aldsp_xquery::{
     evaluate_program_exec, parse_program, ExecStrategy, FunctionSource, Program, XqError,
 };
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Budget knobs for the enumerator.
 #[derive(Debug, Clone)]
@@ -180,7 +193,7 @@ pub fn validate_translation(
 // Reference interpreter over the prepared IR
 // ====================================================================
 
-type VResult<T> = Result<T, String>;
+type VResult<T> = Result<T, ExecError>;
 
 /// A row binding, chained outward for correlated subqueries (the
 /// interpreter-side analogue of the paper's context chain, §3.4.3).
@@ -197,11 +210,17 @@ impl<'a> Frame<'a> {
             [i] => Ok(self.row[*i].clone()),
             [] => match self.parent {
                 Some(parent) => parent.resolve(range_var, column),
-                None => Err(format!("unknown column {range_var}.{column}")),
+                None => Err(unknown_column(range_var, column)),
             },
-            _ => Err(format!("ambiguous column {range_var}.{column}")),
+            _ => Err(ExecError::new(format!(
+                "ambiguous column {range_var}.{column}"
+            ))),
         }
     }
+}
+
+fn unknown_column(range_var: &str, column: &str) -> ExecError {
+    ExecError::new(format!("unknown column {range_var}.{column}"))
 }
 
 /// Executes a prepared query against an in-memory database under SQL-92
@@ -211,7 +230,7 @@ pub fn execute_reference(
     db: &Database,
     params: &[SqlValue],
 ) -> Result<Relation, String> {
-    exec_query(query, db, params, None)
+    exec_query(query, db, params, None).map_err(|e| e.message)
 }
 
 fn exec_query(
@@ -256,94 +275,11 @@ fn exec_body(
         } => {
             let l = exec_body(left, db, params, outer)?;
             let r = exec_body(right, db, params, outer)?;
-            if l.arity() != r.arity() {
-                return Err(format!(
-                    "set operands have different arity: {} vs {}",
-                    l.arity(),
-                    r.arity()
-                ));
-            }
-            let mut rel = apply_set_op(l, r, *op, *all);
+            let mut rel = apply_set_op(l, r, *op, *all)?;
             rel.columns = output_columns(output);
             Ok(rel)
         }
     }
-}
-
-/// Bag-semantics set operations (SQL-92 §7.10), mirroring the oracle
-/// executor: plain forms eliminate duplicates, ALL forms operate on
-/// multiplicities.
-fn apply_set_op(left: Relation, right: Relation, op: SetOp, all: bool) -> Relation {
-    let columns = left.columns.clone();
-    let count = |rel: &Relation| {
-        let mut m: HashMap<String, usize> = HashMap::new();
-        for row in &rel.rows {
-            *m.entry(Relation::row_key(row)).or_insert(0) += 1;
-        }
-        m
-    };
-    let rows = match (op, all) {
-        (SetOp::Union, true) => {
-            let mut rows = left.rows;
-            rows.extend(right.rows);
-            rows
-        }
-        (SetOp::Union, false) => {
-            let mut seen = HashMap::new();
-            let mut rows = Vec::new();
-            for row in left.rows.into_iter().chain(right.rows) {
-                if seen.insert(Relation::row_key(&row), ()).is_none() {
-                    rows.push(row);
-                }
-            }
-            rows
-        }
-        (SetOp::Intersect, all) => {
-            let mut right_counts = count(&right);
-            let mut seen: HashMap<String, ()> = HashMap::new();
-            let mut rows = Vec::new();
-            for row in left.rows {
-                let key = Relation::row_key(&row);
-                match right_counts.get_mut(&key) {
-                    Some(n) if *n > 0 => {
-                        if all {
-                            *n -= 1;
-                            rows.push(row);
-                        } else if seen.insert(key, ()).is_none() {
-                            rows.push(row);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            rows
-        }
-        (SetOp::Except, all) => {
-            let mut right_counts = count(&right);
-            let mut seen: HashMap<String, ()> = HashMap::new();
-            let mut rows = Vec::new();
-            for row in left.rows {
-                let key = Relation::row_key(&row);
-                match right_counts.get_mut(&key) {
-                    Some(n) if *n > 0 => {
-                        if all {
-                            *n -= 1;
-                        }
-                        // Plain EXCEPT: suppressed entirely.
-                    }
-                    _ => {
-                        // ALL keeps every leftover; plain EXCEPT keeps the
-                        // first occurrence only.
-                        if all || seen.insert(key, ()).is_none() {
-                            rows.push(row);
-                        }
-                    }
-                }
-            }
-            rows
-        }
-    };
-    Relation { columns, rows }
 }
 
 fn output_columns(output: &[OutputColumn]) -> Vec<ColumnInfo> {
@@ -359,38 +295,23 @@ fn exec_select(
     params: &[SqlValue],
     outer: Option<&Frame<'_>>,
 ) -> VResult<Relation> {
-    // FROM: cross join the comma list of RSNs.
-    let mut from_rel: Option<Relation> = None;
-    for rsn in &select.from {
-        let r = exec_rsn(rsn, db, params, outer)?;
-        from_rel = Some(match from_rel {
-            None => r,
-            Some(acc) => acc.cross_join(&r),
-        });
-    }
-    let from_rel = from_rel.ok_or_else(|| "FROM clause is empty".to_string())?;
-
+    let from_rel = cross_join_all(
+        select
+            .from
+            .iter()
+            .map(|rsn| exec_rsn(rsn, db, params, outer)),
+    )?;
     // WHERE, under 3VL: keep only rows where the predicate is TRUE.
-    let mut filtered_rows = Vec::new();
-    for row in &from_rel.rows {
-        let keep = match &select.where_clause {
-            None => true,
-            Some(predicate) => {
-                let frame = Frame {
-                    rel: &from_rel,
-                    row,
-                    parent: outer,
-                };
-                truth3(&eval_expr(predicate, db, params, Some(&frame))?)? == Some(true)
-            }
-        };
-        if keep {
-            filtered_rows.push(row.clone());
-        }
-    }
-    let filtered = Relation {
-        columns: from_rel.columns.clone(),
-        rows: filtered_rows,
+    let filtered = match &select.where_clause {
+        None => from_rel,
+        Some(predicate) => filter_rows(from_rel, |rel, row| {
+            let frame = Frame {
+                rel,
+                row,
+                parent: outer,
+            };
+            is_true(&eval_expr(predicate, db, params, Some(&frame))?)
+        })?,
     };
 
     let mut projected = if select.grouped {
@@ -400,10 +321,7 @@ fn exec_select(
     };
 
     if select.distinct {
-        let mut seen = HashMap::new();
-        projected
-            .rows
-            .retain(|row| seen.insert(Relation::row_key(row), ()).is_none());
+        projected.dedup_rows();
     }
     Ok(projected)
 }
@@ -416,9 +334,9 @@ fn exec_rsn(
 ) -> VResult<Relation> {
     match rsn {
         Rsn::Table { range_var, entry } => {
-            let table = db
-                .table(&entry.schema.table_name)
-                .ok_or_else(|| format!("unknown table {}", entry.schema.table_name))?;
+            let table = db.table(&entry.schema.table_name).ok_or_else(|| {
+                ExecError::new(format!("unknown table {}", entry.schema.table_name))
+            })?;
             Ok(table.scan(range_var))
         }
         Rsn::Derived { range_var, query } => {
@@ -447,70 +365,19 @@ fn exec_rsn(
         } => {
             let l = exec_rsn(left, db, params, outer)?;
             let r = exec_rsn(right, db, params, outer)?;
-            exec_join(l, r, *kind, on.as_ref(), db, params, outer)
+            nested_loop_join(&l, &r, *kind, |rel, row| match on {
+                None => Ok(true),
+                Some(predicate) => {
+                    let frame = Frame {
+                        rel,
+                        row,
+                        parent: outer,
+                    };
+                    is_true(&eval_expr(predicate, db, params, Some(&frame))?)
+                }
+            })
         }
     }
-}
-
-fn exec_join(
-    left: Relation,
-    right: Relation,
-    kind: JoinKind,
-    on: Option<&TExpr>,
-    db: &Database,
-    params: &[SqlValue],
-    outer: Option<&Frame<'_>>,
-) -> VResult<Relation> {
-    let mut columns = left.columns.clone();
-    columns.extend(right.columns.iter().cloned());
-    let combined = Relation::with_columns(columns);
-
-    let matches_on = |joined: &[SqlValue]| -> VResult<bool> {
-        match on {
-            None => Ok(true),
-            Some(predicate) => {
-                let frame = Frame {
-                    rel: &combined,
-                    row: joined,
-                    parent: outer,
-                };
-                Ok(truth3(&eval_expr(predicate, db, params, Some(&frame))?)? == Some(true))
-            }
-        }
-    };
-
-    let mut rows = Vec::new();
-    let mut right_matched = vec![false; right.rows.len()];
-    for left_row in &left.rows {
-        let mut matched = false;
-        for (ri, right_row) in right.rows.iter().enumerate() {
-            let mut joined = left_row.clone();
-            joined.extend(right_row.iter().cloned());
-            if matches_on(&joined)? {
-                matched = true;
-                right_matched[ri] = true;
-                rows.push(joined);
-            }
-        }
-        if !matched && matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
-            let mut padded = left_row.clone();
-            padded.extend(right.null_row());
-            rows.push(padded);
-        }
-    }
-    if matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter) {
-        for (ri, right_row) in right.rows.iter().enumerate() {
-            if !right_matched[ri] {
-                let mut padded = left.null_row();
-                padded.extend(right_row.iter().cloned());
-                rows.push(padded);
-            }
-        }
-    }
-    Ok(Relation {
-        columns: combined.columns,
-        rows,
-    })
 }
 
 fn project_rows(
@@ -546,33 +413,14 @@ fn project_grouped(
     params: &[SqlValue],
     outer: Option<&Frame<'_>>,
 ) -> VResult<Relation> {
-    // Discover groups in row order, keyed by the group-key values.
-    let mut groups: Vec<(Vec<SqlValue>, Vec<Vec<SqlValue>>)> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    for row in &filtered.rows {
+    let groups = group_rows(&filtered.rows, select.group_by.len(), |row, k| {
         let frame = Frame {
             rel: filtered,
             row,
             parent: outer,
         };
-        let mut keys = Vec::with_capacity(select.group_by.len());
-        for k in &select.group_by {
-            keys.push(eval_expr(k, db, params, Some(&frame))?);
-        }
-        let key_str = Relation::row_key(&keys);
-        match index.get(&key_str) {
-            Some(&g) => groups[g].1.push(row.clone()),
-            None => {
-                index.insert(key_str, groups.len());
-                groups.push((keys, vec![row.clone()]));
-            }
-        }
-    }
-    // No GROUP BY but aggregates: one group over everything, even empty
-    // input (SQL-92: `SELECT COUNT(*) FROM empty` is one row).
-    if select.group_by.is_empty() && groups.is_empty() {
-        groups.push((Vec::new(), Vec::new()));
-    }
+        eval_expr(&select.group_by[k], db, params, Some(&frame))
+    })?;
 
     let columns = output_columns(&select.output);
     let mut rows = Vec::with_capacity(groups.len());
@@ -581,8 +429,7 @@ fn project_grouped(
             let reduced = reduce_grouped(
                 having, select, keys, group_rows, filtered, db, params, outer,
             )?;
-            let v = eval_expr(&reduced, db, params, outer)?;
-            if truth3(&v)? != Some(true) {
+            if !is_true(&eval_expr(&reduced, db, params, outer)?)? {
                 continue;
             }
         }
@@ -778,8 +625,6 @@ fn eval_aggregate(
         return Ok(SqlValue::Int(group_rows.len() as i64));
     };
 
-    // Evaluate the argument per row, dropping NULLs (SQL-92 aggregates
-    // ignore NULL inputs).
     let mut values = Vec::with_capacity(group_rows.len());
     for row in group_rows {
         let frame = Frame {
@@ -787,101 +632,19 @@ fn eval_aggregate(
             row,
             parent: outer,
         };
-        let v = eval_expr(arg, db, params, Some(&frame))?;
-        if !v.is_null() {
-            values.push(v);
-        }
+        values.push(eval_expr(arg, db, params, Some(&frame))?);
     }
-    if distinct {
-        let mut seen = HashMap::new();
-        values.retain(|v| seen.insert(v.group_key(), ()).is_none());
-    }
-
-    match func {
-        AggFunc::Count => Ok(SqlValue::Int(values.len() as i64)),
-        AggFunc::Min | AggFunc::Max => {
-            let want_min = func == AggFunc::Min;
-            let mut best: Option<SqlValue> = None;
-            for v in values {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        let keep_new = match v.compare(&b).map_err(|e| e.message)? {
-                            Some(Ordering::Less) => want_min,
-                            Some(Ordering::Greater) => !want_min,
-                            _ => false,
-                        };
-                        if keep_new {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            Ok(best.unwrap_or(SqlValue::Null))
-        }
-        AggFunc::Sum | AggFunc::Avg => {
-            if values.is_empty() {
-                return Ok(SqlValue::Null);
-            }
-            let mut all_int = true;
-            let mut any_double = false;
-            let mut int_sum: i64 = 0;
-            let mut f_sum: f64 = 0.0;
-            for v in &values {
-                match v {
-                    SqlValue::Int(i) => {
-                        int_sum = int_sum
-                            .checked_add(*i)
-                            .ok_or_else(|| "SUM overflow".to_string())?;
-                        f_sum += *i as f64;
-                    }
-                    SqlValue::Decimal(d) => {
-                        all_int = false;
-                        f_sum += d;
-                    }
-                    SqlValue::Double(d) => {
-                        all_int = false;
-                        any_double = true;
-                        f_sum += d;
-                    }
-                    other => return Err(format!("aggregate over non-numeric value {other:?}")),
-                }
-            }
-            if func == AggFunc::Sum {
-                Ok(if all_int {
-                    SqlValue::Int(int_sum)
-                } else if any_double {
-                    SqlValue::Double(f_sum)
-                } else {
-                    SqlValue::Decimal(f_sum)
-                })
-            } else {
-                let avg = f_sum / values.len() as f64;
-                Ok(if any_double {
-                    SqlValue::Double(avg)
-                } else {
-                    SqlValue::Decimal(avg)
-                })
-            }
-        }
-    }
+    let name = match func {
+        AggFunc::Count => "COUNT",
+        AggFunc::Sum => "SUM",
+        AggFunc::Avg => "AVG",
+        AggFunc::Min => "MIN",
+        AggFunc::Max => "MAX",
+    };
+    fold_aggregate(name, distinct, values)
 }
 
 // ---- scalar evaluation ------------------------------------------------
-
-fn truth3(v: &SqlValue) -> VResult<Option<bool>> {
-    truth(v).map_err(|e| e.message)
-}
-
-fn negate_if(t: Option<bool>, negate: bool) -> Option<bool> {
-    if negate {
-        t.map(|b| !b)
-    } else {
-        t
-    }
-}
 
 fn eval_expr(
     expr: &TExpr,
@@ -892,26 +655,17 @@ fn eval_expr(
     match &expr.kind {
         TExprKind::Column { range_var, column } => match frame {
             Some(f) => f.resolve(range_var, column),
-            None => Err(format!("unknown column {range_var}.{column}")),
+            None => Err(unknown_column(range_var, column)),
         },
         TExprKind::Literal(l) => Ok(literal_value(l)),
         TExprKind::Parameter(ordinal) => params
             .get(*ordinal)
             .cloned()
-            .ok_or_else(|| format!("parameter {} not bound", ordinal + 1)),
-        TExprKind::Neg(e) => match eval_expr(e, db, params, frame)? {
-            SqlValue::Null => Ok(SqlValue::Null),
-            SqlValue::Int(i) => i
-                .checked_neg()
-                .map(SqlValue::Int)
-                .ok_or_else(|| "integer overflow".to_string()),
-            SqlValue::Decimal(d) => Ok(SqlValue::Decimal(-d)),
-            SqlValue::Double(d) => Ok(SqlValue::Double(-d)),
-            other => Err(format!("cannot negate {other:?}")),
-        },
+            .ok_or_else(|| ExecError::new(format!("parameter {} not bound", ordinal + 1))),
+        TExprKind::Neg(e) => negate(eval_expr(e, db, params, frame)?),
         TExprKind::Not(e) => {
             let v = eval_expr(e, db, params, frame)?;
-            Ok(truth_to_value(truth3(&v)?.map(|b| !b)))
+            Ok(truth_to_value(truth(&v)?.map(|b| !b)))
         }
         TExprKind::Arith { op, left, right } => {
             let l = eval_expr(left, db, params, frame)?;
@@ -922,7 +676,7 @@ fn eval_expr(
                 ArithOp::Mul => ValueArithOp::Mul,
                 ArithOp::Div => ValueArithOp::Div,
             };
-            l.arith(vop, &r).map_err(|e| e.message)
+            l.arith(vop, &r).map_err(|e| ExecError::new(e.message))
         }
         TExprKind::Concat(left, right) => {
             let l = eval_expr(left, db, params, frame)?;
@@ -932,25 +686,23 @@ fn eval_expr(
         TExprKind::Compare { op, left, right } => {
             let l = eval_expr(left, db, params, frame)?;
             let r = eval_expr(right, db, params, frame)?;
-            Ok(truth_to_value(
-                compare_with_op(&l, *op, &r).map_err(|e| e.message)?,
-            ))
+            Ok(truth_to_value(compare_with_op(&l, *op, &r)?))
         }
         TExprKind::And(left, right) => {
-            let l = truth3(&eval_expr(left, db, params, frame)?)?;
+            let l = truth(&eval_expr(left, db, params, frame)?)?;
             // Short circuit: FALSE AND x is FALSE without evaluating x.
             if l == Some(false) {
                 return Ok(SqlValue::Bool(false));
             }
-            let r = truth3(&eval_expr(right, db, params, frame)?)?;
+            let r = truth(&eval_expr(right, db, params, frame)?)?;
             Ok(truth_to_value(and3(l, r)))
         }
         TExprKind::Or(left, right) => {
-            let l = truth3(&eval_expr(left, db, params, frame)?)?;
+            let l = truth(&eval_expr(left, db, params, frame)?)?;
             if l == Some(true) {
                 return Ok(SqlValue::Bool(true));
             }
-            let r = truth3(&eval_expr(right, db, params, frame)?)?;
+            let r = truth(&eval_expr(right, db, params, frame)?)?;
             Ok(truth_to_value(or3(l, r)))
         }
         TExprKind::ScalarFn { name, args } => {
@@ -958,9 +710,11 @@ fn eval_expr(
             for a in args {
                 values.push(eval_expr(a, db, params, frame)?);
             }
-            scalar_function(name, &values).map_err(|e| e.message)
+            scalar_function(name, &values)
         }
-        TExprKind::Aggregate { .. } => Err("aggregate used outside grouping context".to_string()),
+        TExprKind::Aggregate { .. } => {
+            Err(ExecError::new("aggregate used outside grouping context"))
+        }
         TExprKind::Case {
             operand,
             branches,
@@ -972,12 +726,10 @@ fn eval_expr(
                     Some(op_expr) => {
                         let lhs = eval_expr(op_expr, db, params, frame)?;
                         let rhs = eval_expr(when, db, params, frame)?;
-                        compare_values(&lhs, &rhs)
-                            .map_err(|e| e.message)?
-                            .map(|o| o == Ordering::Equal)
+                        compare_with_op(&lhs, CompareOp::Eq, &rhs)?
                     }
                     // Searched CASE evaluates the predicate.
-                    None => truth3(&eval_expr(when, db, params, frame)?)?,
+                    None => truth(&eval_expr(when, db, params, frame)?)?,
                 };
                 if matched == Some(true) {
                     return eval_expr(then, db, params, frame);
@@ -990,7 +742,7 @@ fn eval_expr(
         }
         TExprKind::Cast { expr: e, target } => {
             let v = eval_expr(e, db, params, frame)?;
-            v.cast_to(*target).map_err(|e| e.message)
+            v.cast_to(*target).map_err(|e| ExecError::new(e.message))
         }
         TExprKind::IsNull { expr: e, negated } => {
             let v = eval_expr(e, db, params, frame)?;
@@ -1005,13 +757,7 @@ fn eval_expr(
             let v = eval_expr(e, db, params, frame)?;
             let lo = eval_expr(low, db, params, frame)?;
             let hi = eval_expr(high, db, params, frame)?;
-            let ge_lo = compare_values(&v, &lo)
-                .map_err(|e| e.message)?
-                .map(|o| o != Ordering::Less);
-            let le_hi = compare_values(&v, &hi)
-                .map_err(|e| e.message)?
-                .map(|o| o != Ordering::Greater);
-            Ok(truth_to_value(negate_if(and3(ge_lo, le_hi), *negated)))
+            between(&v, &lo, &hi, *negated)
         }
         TExprKind::InList {
             expr: e,
@@ -1019,19 +765,8 @@ fn eval_expr(
             negated,
         } => {
             let v = eval_expr(e, db, params, frame)?;
-            let mut saw_unknown = false;
-            for item in list {
-                let candidate = eval_expr(item, db, params, frame)?;
-                match compare_values(&v, &candidate).map_err(|e| e.message)? {
-                    Some(Ordering::Equal) => {
-                        return Ok(truth_to_value(negate_if(Some(true), *negated)))
-                    }
-                    Some(_) => {}
-                    None => saw_unknown = true,
-                }
-            }
-            let t = if saw_unknown { None } else { Some(false) };
-            Ok(truth_to_value(negate_if(t, *negated)))
+            let candidates = list.iter().map(|item| eval_expr(item, db, params, frame));
+            in_list(&v, candidates, *negated)
         }
         TExprKind::InSubquery {
             expr: e,
@@ -1040,33 +775,13 @@ fn eval_expr(
         } => {
             let v = eval_expr(e, db, params, frame)?;
             let rel = exec_query(query, db, params, frame)?;
-            require_arity(&rel, 1, "IN subquery")?;
-            let mut saw_unknown = false;
-            for row in &rel.rows {
-                match compare_values(&v, &row[0]).map_err(|e| e.message)? {
-                    Some(Ordering::Equal) => {
-                        return Ok(truth_to_value(negate_if(Some(true), *negated)))
-                    }
-                    Some(_) => {}
-                    None => saw_unknown = true,
-                }
-            }
-            let t = if saw_unknown { None } else { Some(false) };
-            Ok(truth_to_value(negate_if(t, *negated)))
+            in_subquery(&v, &rel, *negated)
         }
         TExprKind::Exists { query, negated } => {
             let rel = exec_query(query, db, params, frame)?;
             Ok(SqlValue::Bool(rel.rows.is_empty() == *negated))
         }
-        TExprKind::ScalarSubquery(query) => {
-            let rel = exec_query(query, db, params, frame)?;
-            require_arity(&rel, 1, "scalar subquery")?;
-            match rel.rows.len() {
-                0 => Ok(SqlValue::Null),
-                1 => Ok(rel.rows[0][0].clone()),
-                n => Err(format!("scalar subquery returned {n} rows")),
-            }
-        }
+        TExprKind::ScalarSubquery(query) => scalar_subquery(&exec_query(query, db, params, frame)?),
         TExprKind::Quantified {
             expr: e,
             op,
@@ -1075,40 +790,7 @@ fn eval_expr(
         } => {
             let v = eval_expr(e, db, params, frame)?;
             let rel = exec_query(query, db, params, frame)?;
-            require_arity(&rel, 1, "quantified subquery")?;
-            let mut any_true = false;
-            let mut any_false = false;
-            let mut any_unknown = false;
-            for row in &rel.rows {
-                match compare_with_op(&v, *op, &row[0]).map_err(|e| e.message)? {
-                    Some(true) => any_true = true,
-                    Some(false) => any_false = true,
-                    None => any_unknown = true,
-                }
-            }
-            // SQL-92 quantified truth tables: ANY is an OR over the rows,
-            // ALL an AND; empty subquery → FALSE for ANY, TRUE for ALL.
-            let t = match quantifier {
-                Quantifier::Any => {
-                    if any_true {
-                        Some(true)
-                    } else if any_unknown {
-                        None
-                    } else {
-                        Some(false)
-                    }
-                }
-                Quantifier::All => {
-                    if any_false {
-                        Some(false)
-                    } else if any_unknown {
-                        None
-                    } else {
-                        Some(true)
-                    }
-                }
-            };
-            Ok(truth_to_value(t))
+            quantified(&v, *op, *quantifier, &rel)
         }
         TExprKind::Like {
             expr: e,
@@ -1119,26 +801,10 @@ fn eval_expr(
             let v = eval_expr(e, db, params, frame)?;
             let p = eval_expr(pattern, db, params, frame)?;
             let esc = match escape {
-                Some(esc_expr) => {
-                    let ev = eval_expr(esc_expr, db, params, frame)?;
-                    match ev {
-                        SqlValue::Null => return Ok(SqlValue::Null),
-                        SqlValue::Str(s) if s.chars().count() == 1 => s.chars().next(),
-                        other => {
-                            return Err(format!("ESCAPE must be a single character, got {other:?}"))
-                        }
-                    }
-                }
+                Some(esc_expr) => Some(eval_expr(esc_expr, db, params, frame)?),
                 None => None,
             };
-            match (&v, &p) {
-                (SqlValue::Null, _) | (_, SqlValue::Null) => Ok(SqlValue::Null),
-                _ => {
-                    let matched = like_match(&v.display_text(), &p.display_text(), esc)
-                        .map_err(|e| e.message)?;
-                    Ok(SqlValue::Bool(matched != *negated))
-                }
-            }
+            like(&v, &p, esc.as_ref(), *negated)
         }
         TExprKind::Substring {
             expr: e,
@@ -1151,22 +817,7 @@ fn eval_expr(
                 Some(l) => Some(eval_expr(l, db, params, frame)?),
                 None => None,
             };
-            if s.is_null() || st.is_null() || len.as_ref().is_some_and(|l| l.is_null()) {
-                return Ok(SqlValue::Null);
-            }
-            let text = s.display_text();
-            let start_pos = int_of(&st, "SUBSTRING start")?;
-            let length_n = match &len {
-                Some(l) => {
-                    let n = int_of(l, "SUBSTRING length")?;
-                    if n < 0 {
-                        return Err("negative SUBSTRING length".to_string());
-                    }
-                    Some(n)
-                }
-                None => None,
-            };
-            Ok(SqlValue::Str(sql_substring(&text, start_pos, length_n)))
+            substring(&s, &st, len.as_ref())
         }
         TExprKind::Trim {
             side,
@@ -1174,98 +825,25 @@ fn eval_expr(
             expr: e,
         } => {
             let v = eval_expr(e, db, params, frame)?;
+            // NULL answers before the trim character is evaluated, so an
+            // erroring character expression never runs.
             if v.is_null() {
                 return Ok(SqlValue::Null);
             }
             let pad = match trim_chars {
-                Some(c) => {
-                    let cv = eval_expr(c, db, params, frame)?;
-                    if cv.is_null() {
-                        return Ok(SqlValue::Null);
-                    }
-                    let s = cv.display_text();
-                    let mut chars = s.chars();
-                    match (chars.next(), chars.next()) {
-                        (Some(ch), None) => ch,
-                        _ => return Err("TRIM character must be a single character".to_string()),
-                    }
-                }
-                None => ' ',
+                Some(c) => Some(eval_expr(c, db, params, frame)?),
+                None => None,
             };
-            let text = v.display_text();
-            let trimmed = match side {
-                TrimSide::Both => text.trim_matches(pad),
-                TrimSide::Leading => text.trim_start_matches(pad),
-                TrimSide::Trailing => text.trim_end_matches(pad),
-            };
-            Ok(SqlValue::Str(trimmed.to_string()))
+            trim(*side, pad.as_ref(), &v)
         }
         TExprKind::Position { needle, haystack } => {
             let n = eval_expr(needle, db, params, frame)?;
             let h = eval_expr(haystack, db, params, frame)?;
-            if n.is_null() || h.is_null() {
-                return Ok(SqlValue::Null);
-            }
-            let needle_text = n.display_text();
-            let haystack_text = h.display_text();
-            // SQL POSITION is 1-based; 0 means not found; empty needle → 1.
-            let pos = if needle_text.is_empty() {
-                1
-            } else {
-                match haystack_text.find(&needle_text) {
-                    Some(byte) => haystack_text[..byte].chars().count() as i64 + 1,
-                    None => 0,
-                }
-            };
-            Ok(SqlValue::Int(pos))
+            Ok(position(&n, &h))
         }
-        TExprKind::Generated { .. } => Err("stage-3 internal node in stage-2 output".to_string()),
-    }
-}
-
-/// SQL SUBSTRING semantics: 1-based, start may be ≤ 0 (window clips).
-fn sql_substring(text: &str, start: i64, length: Option<i64>) -> String {
-    let chars: Vec<char> = text.chars().collect();
-    let end_exclusive = match length {
-        Some(l) => start.saturating_add(l),
-        None => i64::MAX,
-    };
-    let from = (start.max(1) - 1).min(chars.len() as i64) as usize;
-    let to = (end_exclusive - 1).clamp(0, chars.len() as i64) as usize;
-    if from >= to {
-        String::new()
-    } else {
-        chars[from..to].iter().collect()
-    }
-}
-
-fn int_of(v: &SqlValue, what: &str) -> VResult<i64> {
-    match v {
-        SqlValue::Int(i) => Ok(*i),
-        SqlValue::Decimal(d) | SqlValue::Double(d) => Ok(*d as i64),
-        other => Err(format!("{what} must be numeric, got {other:?}")),
-    }
-}
-
-fn require_arity(rel: &Relation, n: usize, what: &str) -> VResult<()> {
-    if rel.arity() == n {
-        Ok(())
-    } else {
-        Err(format!(
-            "{what} must return {n} column(s), returned {}",
-            rel.arity()
-        ))
-    }
-}
-
-fn literal_value(l: &Literal) -> SqlValue {
-    match l {
-        Literal::Integer(i) => SqlValue::Int(*i),
-        Literal::Decimal(d) => SqlValue::Decimal(*d),
-        Literal::Double(d) => SqlValue::Double(*d),
-        Literal::String(s) => SqlValue::Str(s.clone()),
-        Literal::Date(d) => SqlValue::Date(d.clone()),
-        Literal::Null => SqlValue::Null,
+        TExprKind::Generated { .. } => {
+            Err(ExecError::new("stage-3 internal node in stage-2 output"))
+        }
     }
 }
 
@@ -1803,8 +1381,8 @@ fn pinned_value(t: SqlColumnType) -> SqlValue {
 // Generated-query execution (the XQuery world)
 // ====================================================================
 
-/// Serves witness tables to the XQuery evaluator exactly as the driver's
-/// `DspServer` does: one flat row element per row, NULL = absent child.
+/// Serves witness tables to the XQuery evaluator as the driver's
+/// `DspServer` does, through the same [`Table::row_elements`].
 struct WitnessSource<'a> {
     db: &'a Database,
 }
@@ -1825,23 +1403,7 @@ impl FunctionSource for WitnessSource<'_> {
                 "data-service function {local} takes no arguments"
             )));
         }
-        let row_name = QName::prefixed("ns0".to_string(), table.schema.row_element.clone());
-        let items: Vec<Item> = table
-            .rows
-            .iter()
-            .map(|row| {
-                Item::element(aldsp_xml::flat::build_row(
-                    &row_name,
-                    table
-                        .schema
-                        .columns
-                        .iter()
-                        .zip(row)
-                        .map(|(c, v)| (c.name.as_str(), v.to_atomic())),
-                ))
-            })
-            .collect();
-        Ok(Sequence::from_items(items))
+        Ok(table.row_elements())
     }
 }
 
@@ -1857,13 +1419,7 @@ fn run_generated(
     let vars: Vec<(String, Sequence)> = params
         .iter()
         .enumerate()
-        .map(|(i, v)| {
-            let seq = match v.to_atomic() {
-                Some(a) => Sequence::singleton(a),
-                None => Sequence::empty(),
-            };
-            (format!("sqlParam{}", i + 1), seq)
-        })
+        .map(|(i, v)| (aldsp_core::sql_param_name(i), sql_value_to_sequence(v)))
         .collect();
     // The reference interpreter, deliberately: the validator is what the
     // streaming pipeline is checked against.
@@ -1925,17 +1481,6 @@ fn decode_result(result: &Sequence, output: &[OutputColumn]) -> Result<Vec<Vec<S
 // Comparison and classification
 // ====================================================================
 
-/// Two cells agree when both are NULL or their grouping keys coincide
-/// (tolerant of Int-vs-Decimal decode typing, like the differential
-/// harness).
-fn cells_agree(a: &SqlValue, b: &SqlValue) -> bool {
-    match (a.is_null(), b.is_null()) {
-        (true, true) => true,
-        (true, false) | (false, true) => false,
-        (false, false) => a.group_key() == b.group_key(),
-    }
-}
-
 fn canonical_sort(rows: &mut [Vec<SqlValue>]) {
     rows.sort_by(|a, b| Relation::row_key(a).cmp(&Relation::row_key(b)));
 }
@@ -1968,7 +1513,7 @@ fn classify(
         && ref_sorted
             .iter()
             .zip(&gen_sorted)
-            .all(|(a, b)| a.iter().zip(b).all(|(x, y)| cells_agree(x, y)));
+            .all(|(a, b)| a.iter().zip(b).all(|(x, y)| x.agrees_with(y)));
 
     if bags_equal {
         // Same bag — check the ORDER BY contract: consecutive generated
@@ -2005,7 +1550,7 @@ fn classify(
         let mut diffs: Vec<(usize, usize)> = Vec::new();
         for (ri, (a, b)) in ref_sorted.iter().zip(&gen_sorted).enumerate() {
             for (ci, (x, y)) in a.iter().zip(b).enumerate() {
-                if !cells_agree(x, y) {
+                if !x.agrees_with(y) {
                     diffs.push((ri, ci));
                 }
             }

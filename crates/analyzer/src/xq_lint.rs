@@ -248,7 +248,7 @@ impl Visitor for Linter {
 
 /// External variables the driver binds at execution time: `$sqlParamN`.
 fn is_external(name: &str) -> bool {
-    name.strip_prefix("sqlParam")
+    name.strip_prefix(aldsp_core::SQL_PARAM_PREFIX)
         .is_some_and(|rest| !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit()))
 }
 

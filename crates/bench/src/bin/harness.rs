@@ -740,6 +740,7 @@ fn e10_cost_model(smoke: bool) {
             &metadata,
             TranslationOptions::with_transport(Transport::Xml),
             &cost_options,
+            None,
         )
         .unwrap_or_else(|e| panic!("E10: generated query failed to analyze: {e}\n  {sql}"));
         let meter = QueryBudget::unlimited();
@@ -1189,6 +1190,7 @@ fn e12_optimizer(smoke: bool) {
                     &metadata,
                     TranslationOptions::with_transport(transport),
                     &cost_options,
+                    None,
                 )
                 .unwrap_or_else(|e| panic!("E12: `{sql}` failed to analyze: {e}"));
                 let flagged = |code: DiagCode| {

@@ -48,6 +48,19 @@ pub use aldsp_governor::ExecStrategy;
 use aldsp_governor::QueryBudget;
 use std::time::{Duration, Instant};
 
+/// Name prefix of the XQuery external variables that carry statement
+/// parameters; what follows is the 1-based ordinal in decimal.
+pub const SQL_PARAM_PREFIX: &str = "sqlParam";
+
+/// The external variable (no `$`) bound to the parameter with 0-based
+/// `ordinal`: `sqlParam1`, `sqlParam2`, ... — the one spelling of the
+/// contract between stage 3, which emits references to these variables,
+/// and whoever executes the program and binds them (the driver, the
+/// layer-5 validator).
+pub fn sql_param_name(ordinal: usize) -> String {
+    format!("{SQL_PARAM_PREFIX}{}", ordinal + 1)
+}
+
 /// How results travel back to the driver (paper §4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Transport {

@@ -1279,7 +1279,7 @@ impl Generator {
                 Ok(format!("fn:data({path})"))
             }
             Literal(l) => Ok(gen_literal(l)),
-            Parameter(n) => Ok(format!("$sqlParam{}", n + 1)),
+            Parameter(n) => Ok(format!("${}", crate::sql_param_name(*n))),
             Neg(inner) => Ok(format!("(-{})", self.gen_typed(inner, scope)?)),
             Arith { op, left, right } => {
                 let l = self.gen_typed(left, scope)?;
@@ -1896,7 +1896,7 @@ impl Generator {
             Column { range_var, column } => Ok((scope.column_path(range_var, column)?, false)),
             Literal(l) => Ok((gen_comparison_literal(l), true)),
             // Parameters are bound to typed atomics by the driver.
-            Parameter(n) => Ok((format!("$sqlParam{}", n + 1), true)),
+            Parameter(n) => Ok((format!("${}", crate::sql_param_name(*n)), true)),
             Generated { xquery } => Ok((xquery.clone(), true)),
             _ => Ok((self.gen_value(expr, scope)?, true)),
         }

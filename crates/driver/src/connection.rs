@@ -22,7 +22,8 @@ use crate::server::{sql_value_to_sequence, DspServer};
 use crate::DriverError;
 use aldsp_catalog::{CachedMetadataApi, InProcessMetadataApi, MetadataApi};
 use aldsp_core::{
-    OutputColumn, QueryOptimizer, Translation, TranslationOptions, Translator, Transport,
+    sql_param_name, OutputColumn, QueryOptimizer, Translation, TranslationOptions, Translator,
+    Transport,
 };
 use aldsp_governor::QueryBudget;
 use aldsp_plancache::PlanCache;
@@ -268,8 +269,8 @@ impl Connection {
 
         // Compose the XQuery: call the function with the bound external
         // variables and wrap its rows in the standard RECORD shape.
-        let args: Vec<String> = (1..=parameter_count)
-            .map(|i| format!("$sqlParam{i}"))
+        let args: Vec<String> = (0..parameter_count)
+            .map(|i| format!("${}", sql_param_name(i)))
             .collect();
         let mut record = String::new();
         let columns: Vec<OutputColumn> = schema
@@ -441,7 +442,7 @@ impl Connection {
         let external: Vec<(String, Sequence)> = values
             .iter()
             .enumerate()
-            .map(|(i, v)| (format!("sqlParam{}", i + 1), sql_value_to_sequence(v)))
+            .map(|(i, v)| (sql_param_name(i), sql_value_to_sequence(v)))
             .collect();
         let payload = self.server.execute_to_payload_governed_with(
             xquery,

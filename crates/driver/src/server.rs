@@ -10,8 +10,9 @@ use crate::fault::FaultInjector;
 use crate::DriverError;
 use aldsp_catalog::{shared_locator, Application, SharedLocator, TableLocator};
 use aldsp_governor::{ExecStrategy, QueryBudget};
-use aldsp_relational::{Database, SqlValue};
-use aldsp_xml::{flat::build_row, QName, Sequence};
+pub use aldsp_relational::sql_value_to_sequence;
+use aldsp_relational::Database;
+use aldsp_xml::Sequence;
 use aldsp_xquery::{
     evaluate_program, evaluate_program_exec, parse_program, FunctionSource, XqError,
 };
@@ -297,18 +298,7 @@ impl DspServer {
                 let table = database.table(name).ok_or_else(|| {
                     XqError::new(format!("no data behind data-service function {name}"))
                 })?;
-                let row_name = QName::prefixed("ns0", table.schema.row_element.clone());
-                let mut rows = Sequence::empty();
-                for row in &table.rows {
-                    let columns = table
-                        .schema
-                        .columns
-                        .iter()
-                        .zip(row)
-                        .map(|(c, v)| (c.name.as_str(), v.to_atomic()));
-                    rows.push(aldsp_xml::Item::element(build_row(&row_name, columns)));
-                }
-                rows
+                table.row_elements()
             }
         };
         self.materialized
@@ -367,20 +357,11 @@ impl FunctionSource for DspServer {
     }
 }
 
-/// Converts a SQL runtime value into the singleton/empty sequence a bound
-/// XQuery variable holds.
-pub fn sql_value_to_sequence(value: &SqlValue) -> Sequence {
-    match value.to_atomic() {
-        Some(a) => Sequence::singleton(a),
-        None => Sequence::empty(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aldsp_catalog::{ApplicationBuilder, SqlColumnType};
-    use aldsp_relational::Table;
+    use aldsp_relational::{SqlValue, Table};
 
     fn server() -> DspServer {
         let app = ApplicationBuilder::new("APP")

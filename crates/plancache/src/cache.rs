@@ -62,11 +62,6 @@ pub struct CachedPlan {
     /// The stage-two IR — kept so cached plans remain analyzable without
     /// re-running the pipeline.
     pub prepared: PreparedQuery,
-    /// The analyzer's static cost estimate for this plan, in evaluator-
-    /// fuel units, computed once at build time under default (stats-less)
-    /// cost options. Feeds the [`CacheStats::cost_buckets`] histogram so
-    /// eviction tuning has data on what the cache actually holds.
-    pub cost_estimate: f64,
     /// The optimizer's rewrite trace, when the plan was built through
     /// [`PlanCache::plan_with`] at an optimize level above `Off`:
     /// `translation.xquery` then holds the optimized program and the
@@ -169,12 +164,6 @@ pub struct CacheStats {
     /// Statements translated without caching because they exceeded the
     /// size cap.
     pub oversize_bypasses: u64,
-    /// Histogram of built plans by static cost estimate, in decimal
-    /// orders of magnitude of fuel: bucket `i` counts plans with
-    /// `10^i <= cost < 10^(i+1)` (bucket 0 also takes cheaper, bucket 7
-    /// also takes dearer). Counts *builds* (misses, fallbacks, bypasses),
-    /// not store occupancy — evictions do not decrement.
-    pub cost_buckets: [u64; 8],
 }
 
 impl CacheStats {
@@ -213,14 +202,14 @@ struct Shard {
     plans: HashMap<Key, PlanEntry>,
 }
 
-/// Default [`PlanCache`] statement-size cap: 1 MiB of SQL text.
+/// The [`PlanCache`] statement-size cap: 1 MiB of SQL text. Longer
+/// statements are translated but never cached ([`Lookup::Bypass`]).
 pub const DEFAULT_STATEMENT_CAP: usize = 1 << 20;
 
 /// The concurrent translation plan cache.
 pub struct PlanCache {
     shards: Vec<RwLock<Shard>>,
     shard_capacity: usize,
-    max_statement_bytes: usize,
     tick: AtomicU64,
     exact_hits: AtomicU64,
     normalized_hits: AtomicU64,
@@ -229,7 +218,6 @@ pub struct PlanCache {
     evictions: AtomicU64,
     epoch_invalidations: AtomicU64,
     oversize_bypasses: AtomicU64,
-    cost_buckets: [AtomicU64; 8],
 }
 
 impl Default for PlanCache {
@@ -240,14 +228,12 @@ impl Default for PlanCache {
 
 impl PlanCache {
     /// A cache with `shards` lock domains, each holding up to
-    /// `shard_capacity` entries per level, with the default statement-size
-    /// cap of [`DEFAULT_STATEMENT_CAP`] bytes.
+    /// `shard_capacity` entries per level.
     pub fn new(shards: usize, shard_capacity: usize) -> PlanCache {
         let shards = shards.max(1);
         PlanCache {
             shards: (0..shards).map(|_| RwLock::new(Shard::default())).collect(),
             shard_capacity: shard_capacity.max(1),
-            max_statement_bytes: DEFAULT_STATEMENT_CAP,
             tick: AtomicU64::new(0),
             exact_hits: AtomicU64::new(0),
             normalized_hits: AtomicU64::new(0),
@@ -256,20 +242,7 @@ impl PlanCache {
             evictions: AtomicU64::new(0),
             epoch_invalidations: AtomicU64::new(0),
             oversize_bypasses: AtomicU64::new(0),
-            cost_buckets: Default::default(),
         }
-    }
-
-    /// Replaces the statement-size cap: statements longer than `bytes`
-    /// bypass the cache entirely (`0` disables the cap).
-    pub fn with_statement_cap(mut self, bytes: usize) -> PlanCache {
-        self.max_statement_bytes = bytes;
-        self
-    }
-
-    /// The current statement-size cap in bytes (`0` = uncapped).
-    pub fn statement_cap(&self) -> usize {
-        self.max_statement_bytes
     }
 
     /// The central entry point: an executable plan for `sql`, from the
@@ -302,14 +275,14 @@ impl PlanCache {
         options: TranslationOptions,
         optimizer: Option<&dyn QueryOptimizer>,
     ) -> Result<(BoundPlan, Lookup), TranslateError> {
-        if self.max_statement_bytes > 0 && sql.len() > self.max_statement_bytes {
+        if sql.len() > DEFAULT_STATEMENT_CAP {
             // Oversized statement: translate without touching the store,
             // so it can neither evict warm plans nor pin a megabyte of
             // text in a shard.
             self.oversize_bypasses.fetch_add(1, Ordering::Relaxed);
             let full = translator.translate_full(sql, options)?;
             let bound = BoundPlan {
-                plan: Arc::new(self.finish_plan(full, sql, None, options, optimizer)),
+                plan: Arc::new(Self::finish_plan(full, sql, None, options, optimizer)),
                 literal_args: Vec::new().into(),
             };
             return Ok((bound, Lookup::Bypass));
@@ -352,7 +325,7 @@ impl PlanCache {
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
         let full = translator.translate_parsed(&parsed, options)?;
         let bound = BoundPlan {
-            plan: Arc::new(self.finish_plan(full, sql, None, options, optimizer)),
+            plan: Arc::new(Self::finish_plan(full, sql, None, options, optimizer)),
             literal_args: Vec::new().into(),
         };
         self.insert_exact(sql, options, &bound);
@@ -373,16 +346,21 @@ impl PlanCache {
             return None;
         }
         let full = translator.translate_parsed(&reparsed, options).ok()?;
-        Some(self.finish_plan(full, &norm.canonical_sql, Some(norm), options, optimizer))
+        Some(Self::finish_plan(
+            full,
+            &norm.canonical_sql,
+            Some(norm),
+            options,
+            optimizer,
+        ))
     }
 
     /// The one place a [`CachedPlan`] is made: runs the rewrite engine
-    /// over the fresh translation of `canonical_sql`, prices it, and
-    /// packages it. With `norm`, the plan binds the normalizer's slots
-    /// (user markers and extracted literals); without, the text was
-    /// translated as written and every `$sqlParam` is a user marker.
+    /// over the fresh translation of `canonical_sql` and packages it.
+    /// With `norm`, the plan binds the normalizer's slots (user markers
+    /// and extracted literals); without, the text was translated as
+    /// written and every `$sqlParam` is a user marker.
     fn finish_plan(
-        &self,
         mut full: FullTranslation,
         canonical_sql: &str,
         norm: Option<&NormalizedStatement>,
@@ -390,7 +368,6 @@ impl PlanCache {
         optimizer: Option<&dyn QueryOptimizer>,
     ) -> CachedPlan {
         let rewrite = optimize_full(&mut full, options, optimizer);
-        let cost_estimate = self.price(&full.prepared);
         let (slots, user_param_count) = match norm {
             Some(norm) => (norm.slots.clone(), norm.user_param_count),
             None => {
@@ -406,26 +383,8 @@ impl PlanCache {
             normalized: norm.is_some(),
             translation: full.translation,
             prepared: full.prepared,
-            cost_estimate,
             rewrite,
         }
-    }
-
-    /// Prices a freshly built plan with the analyzer's layer-4 estimator
-    /// (default stats) and records it in the cost histogram. Estimation
-    /// is a pure IR walk — microseconds against the translation the plan
-    /// just paid for.
-    fn price(&self, prepared: &PreparedQuery) -> f64 {
-        let cost =
-            aldsp_analyzer::estimate_prepared(prepared, &aldsp_analyzer::CostOptions::default())
-                .cost;
-        let bucket = if cost < 1.0 {
-            0
-        } else {
-            (cost.log10().floor() as usize).min(7)
-        };
-        self.cost_buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        cost
     }
 
     /// Exact-level lookup (no parsing). Drops and reports entries whose
@@ -553,7 +512,6 @@ impl PlanCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             epoch_invalidations: self.epoch_invalidations.load(Ordering::Relaxed),
             oversize_bypasses: self.oversize_bypasses.load(Ordering::Relaxed),
-            cost_buckets: std::array::from_fn(|i| self.cost_buckets[i].load(Ordering::Relaxed)),
         }
     }
 

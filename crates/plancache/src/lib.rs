@@ -23,4 +23,4 @@ pub mod cache;
 pub mod normalize;
 
 pub use cache::{BoundPlan, CacheStats, CachedPlan, Lookup, PlanCache, DEFAULT_STATEMENT_CAP};
-pub use normalize::{literal_value, normalize, NormalizedStatement, ParamSlot};
+pub use normalize::{normalize, NormalizedStatement, ParamSlot};

@@ -44,8 +44,9 @@
 //!   semantics are position-dependent; it stays verbatim.
 
 use aldsp_catalog::SqlColumnType;
+use aldsp_relational::eval::literal_value;
 use aldsp_relational::{type_name_to_column, SqlValue};
-use aldsp_sql::{Expr, Literal, Query, QueryBody, Select, SelectItem, TableRef};
+use aldsp_sql::{Expr, Query, QueryBody, Select, SelectItem, TableRef};
 
 /// Where one `$sqlParam` of a cached plan gets its value at execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +68,7 @@ pub struct NormalizedStatement {
     /// ([`ParamSlot::Literal`] indexes into this).
     pub literal_args: Vec<SqlValue>,
     /// Face types of the extracted literals (SQL-92 §5.3, via the shared
-    /// [`Literal::type_name`] table — the same table the analyzer's
+    /// [`aldsp_sql::Literal::type_name`] table — the same table the analyzer's
     /// type-flow layer consumes).
     pub literal_types: Vec<SqlColumnType>,
     /// Number of `?` markers in the *original* statement.
@@ -86,19 +87,6 @@ pub fn normalize(query: &Query, user_param_count: usize) -> NormalizedStatement 
         literal_args: walker.literal_args,
         literal_types: walker.literal_types,
         user_param_count,
-    }
-}
-
-/// The runtime value a literal binds as (the same values the relational
-/// oracle computes with, so cached-plan executions stay bit-identical).
-pub fn literal_value(l: &Literal) -> SqlValue {
-    match l {
-        Literal::Integer(i) => SqlValue::Int(*i),
-        Literal::Decimal(d) => SqlValue::Decimal(*d),
-        Literal::Double(d) => SqlValue::Double(*d),
-        Literal::String(s) => SqlValue::Str(s.clone()),
-        Literal::Date(d) => SqlValue::Date(d.clone()),
-        Literal::Null => SqlValue::Null,
     }
 }
 

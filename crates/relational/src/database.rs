@@ -3,6 +3,7 @@
 use crate::relation::{ColumnInfo, Relation};
 use crate::value::SqlValue;
 use aldsp_catalog::TableSchema;
+use aldsp_xml::{flat::build_row, Item, QName, Sequence};
 use std::collections::HashMap;
 
 /// A stored table: its schema plus rows.
@@ -58,6 +59,27 @@ impl Table {
             columns,
             rows: self.rows.clone(),
         }
+    }
+
+    /// The table as its physical data-service function returns it (paper
+    /// Example 1): one flat `ns0:<row_element>` per row, a child element
+    /// per column, SQL NULL as an *absent* child. The one definition of
+    /// that shape — the server materializes tables with it and the
+    /// layer-5 validator serves its witness tables with it, so what the
+    /// validator proves is about the rows production queries see.
+    pub fn row_elements(&self) -> Sequence {
+        let row_name = QName::prefixed("ns0", self.schema.row_element.clone());
+        let mut rows = Sequence::empty();
+        for row in &self.rows {
+            let columns = self
+                .schema
+                .columns
+                .iter()
+                .zip(row)
+                .map(|(c, v)| (c.name.as_str(), v.to_atomic()));
+            rows.push(Item::element(build_row(&row_name, columns)));
+        }
+        rows
     }
 }
 
@@ -120,6 +142,17 @@ mod tests {
         let r = t.scan("X");
         assert_eq!(r.columns[0].qualifier.as_deref(), Some("X"));
         assert_eq!(r.rows.len(), 1);
+    }
+
+    #[test]
+    fn row_elements_are_flat_with_null_as_absent_child() {
+        let mut t = Table::new(schema());
+        t.insert(vec![SqlValue::Int(1), SqlValue::Str("a".into())]);
+        t.insert(vec![SqlValue::Int(2), SqlValue::Null]);
+        assert_eq!(
+            aldsp_xml::serialize_sequence(&t.row_elements()),
+            "<ns0:T><ID>1</ID><NAME>a</NAME></ns0:T><ns0:T><ID>2</ID></ns0:T>"
+        );
     }
 
     #[test]

@@ -5,6 +5,15 @@
 //! current relation, chained to outer rows so correlated subqueries can see
 //! enclosing range variables (the oracle-side counterpart of the paper's
 //! context chain, §3.4.3).
+//!
+//! The file has two halves. [`eval_expr`] is the oracle's walker over the
+//! SQL AST. Everything below it is the SQL-92 *value kernel*: functions
+//! over already-evaluated operands that state each rule once — 3VL,
+//! comparison, BETWEEN, IN, quantified comparison, LIKE, SUBSTRING, TRIM,
+//! POSITION, the scalar function library. The layer-5 reference
+//! interpreter (`aldsp-analyzer::validate`) walks the stage-2 IR instead
+//! of the AST and calls the same kernel, so the two interpreters can
+//! differ only in how they walk a plan, never in what a value means.
 
 use crate::database::Database;
 use crate::exec::{execute_body_scoped, ExecError};
@@ -14,6 +23,7 @@ use crate::value::{ArithOp, SqlValue};
 use aldsp_sql::{
     BinaryOp, ColumnRef, CompareOp, Expr, FunctionArgs, Literal, Quantifier, TrimSide, UnaryOp,
 };
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 
 /// Evaluation environment: the database (for subqueries) and statement
@@ -73,16 +83,7 @@ pub fn eval_expr(
             let v = eval_expr(ctx, scope, expr)?;
             match op {
                 UnaryOp::Plus => Ok(v),
-                UnaryOp::Neg => match v {
-                    SqlValue::Null => Ok(SqlValue::Null),
-                    SqlValue::Int(i) => i
-                        .checked_neg()
-                        .map(SqlValue::Int)
-                        .ok_or_else(|| ExecError::new("integer overflow")),
-                    SqlValue::Decimal(d) => Ok(SqlValue::Decimal(-d)),
-                    SqlValue::Double(d) => Ok(SqlValue::Double(-d)),
-                    other => Err(ExecError::new(format!("cannot negate {other:?}"))),
-                },
+                UnaryOp::Neg => negate(v),
                 UnaryOp::Not => Ok(truth_to_value(truth(&v)?.map(|b| !b))),
             }
         }
@@ -99,7 +100,7 @@ pub fn eval_expr(
                     Some(op_expr) => {
                         let lhs = eval_expr(ctx, scope, op_expr)?;
                         let rhs = eval_expr(ctx, scope, when)?;
-                        compare_values(&lhs, &rhs)?.map(|o| o == Ordering::Equal)
+                        compare_with_op(&lhs, CompareOp::Eq, &rhs)?
                     }
                     // Searched CASE evaluates the predicate.
                     None => truth(&eval_expr(ctx, scope, when)?)?,
@@ -131,10 +132,7 @@ pub fn eval_expr(
             let v = eval_expr(ctx, scope, expr)?;
             let lo = eval_expr(ctx, scope, low)?;
             let hi = eval_expr(ctx, scope, high)?;
-            let ge_lo = compare_values(&v, &lo)?.map(|o| o != Ordering::Less);
-            let le_hi = compare_values(&v, &hi)?.map(|o| o != Ordering::Greater);
-            let t = and3(ge_lo, le_hi);
-            Ok(truth_to_value(negate_if(t, *negated)))
+            between(&v, &lo, &hi, *negated)
         }
         Expr::InList {
             expr,
@@ -142,19 +140,8 @@ pub fn eval_expr(
             negated,
         } => {
             let v = eval_expr(ctx, scope, expr)?;
-            let mut saw_unknown = false;
-            for item in list {
-                let candidate = eval_expr(ctx, scope, item)?;
-                match compare_values(&v, &candidate)? {
-                    Some(Ordering::Equal) => {
-                        return Ok(truth_to_value(negate_if(Some(true), *negated)))
-                    }
-                    Some(_) => {}
-                    None => saw_unknown = true,
-                }
-            }
-            let t = if saw_unknown { None } else { Some(false) };
-            Ok(truth_to_value(negate_if(t, *negated)))
+            let candidates = list.iter().map(|item| eval_expr(ctx, scope, item));
+            in_list(&v, candidates, *negated)
         }
         Expr::InSubquery {
             expr,
@@ -163,33 +150,18 @@ pub fn eval_expr(
         } => {
             let v = eval_expr(ctx, scope, expr)?;
             let rel = execute_body_scoped(ctx.db, query, ctx.params, Some(scope))?;
-            require_arity(&rel, 1, "IN subquery")?;
-            let mut saw_unknown = false;
-            for row in &rel.rows {
-                match compare_values(&v, &row[0])? {
-                    Some(Ordering::Equal) => {
-                        return Ok(truth_to_value(negate_if(Some(true), *negated)))
-                    }
-                    Some(_) => {}
-                    None => saw_unknown = true,
-                }
-            }
-            let t = if saw_unknown { None } else { Some(false) };
-            Ok(truth_to_value(negate_if(t, *negated)))
+            in_subquery(&v, &rel, *negated)
         }
         Expr::Exists { query, negated } => {
             let rel = execute_body_scoped(ctx.db, query, ctx.params, Some(scope))?;
             Ok(SqlValue::Bool(rel.rows.is_empty() == *negated))
         }
-        Expr::ScalarSubquery(query) => {
-            let rel = execute_body_scoped(ctx.db, query, ctx.params, Some(scope))?;
-            require_arity(&rel, 1, "scalar subquery")?;
-            match rel.rows.len() {
-                0 => Ok(SqlValue::Null),
-                1 => Ok(rel.rows[0][0].clone()),
-                n => Err(ExecError::new(format!("scalar subquery returned {n} rows"))),
-            }
-        }
+        Expr::ScalarSubquery(query) => scalar_subquery(&execute_body_scoped(
+            ctx.db,
+            query,
+            ctx.params,
+            Some(scope),
+        )?),
         Expr::Quantified {
             expr,
             op,
@@ -198,41 +170,7 @@ pub fn eval_expr(
         } => {
             let v = eval_expr(ctx, scope, expr)?;
             let rel = execute_body_scoped(ctx.db, query, ctx.params, Some(scope))?;
-            require_arity(&rel, 1, "quantified subquery")?;
-            let mut any_true = false;
-            let mut any_false = false;
-            let mut any_unknown = false;
-            for row in &rel.rows {
-                match compare_with_op(&v, *op, &row[0])? {
-                    Some(true) => any_true = true,
-                    Some(false) => any_false = true,
-                    None => any_unknown = true,
-                }
-            }
-            // SQL-92 quantified comparison truth tables: ANY is an OR over
-            // the rows, ALL is an AND; empty subquery → FALSE for ANY,
-            // TRUE for ALL.
-            let t = match quantifier {
-                Quantifier::Any => {
-                    if any_true {
-                        Some(true)
-                    } else if any_unknown {
-                        None
-                    } else {
-                        Some(false)
-                    }
-                }
-                Quantifier::All => {
-                    if any_false {
-                        Some(false)
-                    } else if any_unknown {
-                        None
-                    } else {
-                        Some(true)
-                    }
-                }
-            };
-            Ok(truth_to_value(t))
+            quantified(&v, *op, *quantifier, &rel)
         }
         Expr::Like {
             expr,
@@ -243,28 +181,10 @@ pub fn eval_expr(
             let v = eval_expr(ctx, scope, expr)?;
             let p = eval_expr(ctx, scope, pattern)?;
             let esc = match escape {
-                Some(e) => {
-                    let ev = eval_expr(ctx, scope, e)?;
-                    match ev {
-                        SqlValue::Null => return Ok(SqlValue::Null),
-                        SqlValue::Str(s) if s.chars().count() == 1 => s.chars().next(),
-                        other => {
-                            return Err(ExecError::new(format!(
-                                "ESCAPE must be a single character, got {other:?}"
-                            )))
-                        }
-                    }
-                }
+                Some(e) => Some(eval_expr(ctx, scope, e)?),
                 None => None,
             };
-            match (&v, &p) {
-                (SqlValue::Null, _) | (_, SqlValue::Null) => Ok(SqlValue::Null),
-                _ => {
-                    let matched = like_match(&v.display_text(), &p.display_text(), esc)
-                        .map_err(|e| ExecError::new(e.message))?;
-                    Ok(SqlValue::Bool(matched != *negated))
-                }
-            }
+            like(&v, &p, esc.as_ref(), *negated)
         }
         Expr::Substring {
             expr,
@@ -277,22 +197,7 @@ pub fn eval_expr(
                 Some(l) => Some(eval_expr(ctx, scope, l)?),
                 None => None,
             };
-            if s.is_null() || st.is_null() || len.as_ref().is_some_and(|l| l.is_null()) {
-                return Ok(SqlValue::Null);
-            }
-            let text = s.display_text();
-            let start_pos = int_of(&st, "SUBSTRING start")?;
-            let length_n = match &len {
-                Some(l) => {
-                    let n = int_of(l, "SUBSTRING length")?;
-                    if n < 0 {
-                        return Err(ExecError::new("negative SUBSTRING length"));
-                    }
-                    Some(n)
-                }
-                None => None,
-            };
-            Ok(SqlValue::Str(sql_substring(&text, start_pos, length_n)))
+            substring(&s, &st, len.as_ref())
         }
         Expr::Trim {
             side,
@@ -300,52 +205,21 @@ pub fn eval_expr(
             expr,
         } => {
             let v = eval_expr(ctx, scope, expr)?;
+            // A NULL operand answers before the trim character is
+            // evaluated, so an erroring character expression never runs.
             if v.is_null() {
                 return Ok(SqlValue::Null);
             }
             let pad = match trim_chars {
-                Some(c) => {
-                    let cv = eval_expr(ctx, scope, c)?;
-                    if cv.is_null() {
-                        return Ok(SqlValue::Null);
-                    }
-                    let s = cv.display_text();
-                    let mut chars = s.chars();
-                    match (chars.next(), chars.next()) {
-                        (Some(ch), None) => ch,
-                        _ => {
-                            return Err(ExecError::new("TRIM character must be a single character"))
-                        }
-                    }
-                }
-                None => ' ',
+                Some(c) => Some(eval_expr(ctx, scope, c)?),
+                None => None,
             };
-            let text = v.display_text();
-            let trimmed = match side {
-                TrimSide::Both => text.trim_matches(pad),
-                TrimSide::Leading => text.trim_start_matches(pad),
-                TrimSide::Trailing => text.trim_end_matches(pad),
-            };
-            Ok(SqlValue::Str(trimmed.to_string()))
+            trim(*side, pad.as_ref(), &v)
         }
         Expr::Position { needle, haystack } => {
             let n = eval_expr(ctx, scope, needle)?;
             let h = eval_expr(ctx, scope, haystack)?;
-            if n.is_null() || h.is_null() {
-                return Ok(SqlValue::Null);
-            }
-            let needle_text = n.display_text();
-            let haystack_text = h.display_text();
-            // SQL POSITION is 1-based; 0 means not found; empty needle → 1.
-            let pos = if needle_text.is_empty() {
-                1
-            } else {
-                match haystack_text.find(&needle_text) {
-                    Some(byte) => haystack_text[..byte].chars().count() as i64 + 1,
-                    None => 0,
-                }
-            };
-            Ok(SqlValue::Int(pos))
+            Ok(position(&n, &h))
         }
     }
 }
@@ -424,6 +298,8 @@ fn eval_function(
     scalar_function(name, &values)
 }
 
+// ---- the value kernel --------------------------------------------------
+
 /// Evaluates a scalar function over already-computed argument values
 /// (shared with the XQuery-side function map tests).
 pub fn scalar_function(name: &str, values: &[SqlValue]) -> Result<SqlValue, ExecError> {
@@ -457,7 +333,11 @@ pub fn scalar_function(name: &str, values: &[SqlValue]) -> Result<SqlValue, Exec
             arity(1)?;
             Ok(match &values[0] {
                 SqlValue::Null => SqlValue::Null,
-                SqlValue::Int(i) => SqlValue::Int(i.abs()),
+                // ABS(i64::MIN) has no i64 answer.
+                SqlValue::Int(i) => SqlValue::Int(
+                    i.checked_abs()
+                        .ok_or_else(|| ExecError::new("integer overflow"))?,
+                ),
                 SqlValue::Decimal(d) => SqlValue::Decimal(d.abs()),
                 SqlValue::Double(d) => SqlValue::Double(d.abs()),
                 other => return Err(ExecError::new(format!("ABS of non-number {other:?}"))),
@@ -486,7 +366,9 @@ pub fn scalar_function(name: &str, values: &[SqlValue]) -> Result<SqlValue, Exec
                     if *b == 0 {
                         Err(ExecError::new("MOD by zero"))
                     } else {
-                        Ok(SqlValue::Int(a % b))
+                        // `i64::MIN % -1` overflows the CPU's division
+                        // but has an answer, 0; wrapping gives it.
+                        Ok(SqlValue::Int(a.wrapping_rem(*b)))
                     }
                 }
                 (a, b) => Err(ExecError::new(format!("MOD of non-integers {a:?}, {b:?}"))),
@@ -530,6 +412,170 @@ fn map_string(v: &SqlValue, f: impl FnOnce(&str) -> String) -> SqlValue {
     }
 }
 
+/// Unary minus: NULL-propagating, overflow-checked on integers.
+pub fn negate(v: SqlValue) -> Result<SqlValue, ExecError> {
+    match v {
+        SqlValue::Null => Ok(SqlValue::Null),
+        SqlValue::Int(i) => i
+            .checked_neg()
+            .map(SqlValue::Int)
+            .ok_or_else(|| ExecError::new("integer overflow")),
+        SqlValue::Decimal(d) => Ok(SqlValue::Decimal(-d)),
+        SqlValue::Double(d) => Ok(SqlValue::Double(-d)),
+        other => Err(ExecError::new(format!("cannot negate {other:?}"))),
+    }
+}
+
+/// `v [NOT] BETWEEN lo AND hi`: `v >= lo AND v <= hi` under 3VL.
+pub fn between(
+    v: &SqlValue,
+    lo: &SqlValue,
+    hi: &SqlValue,
+    negated: bool,
+) -> Result<SqlValue, ExecError> {
+    let ge_lo = compare_with_op(v, CompareOp::GtEq, lo)?;
+    let le_hi = compare_with_op(v, CompareOp::LtEq, hi)?;
+    Ok(truth_to_value(negate_if(and3(ge_lo, le_hi), negated)))
+}
+
+/// `v [NOT] IN (candidates)`. TRUE at the first equal candidate — later
+/// ones are never pulled from the iterator, so a list item that would
+/// fail to evaluate after a match does not run; otherwise UNKNOWN when
+/// any comparison was UNKNOWN (a NULL on either side), else FALSE.
+pub fn in_list<V: Borrow<SqlValue>>(
+    v: &SqlValue,
+    candidates: impl IntoIterator<Item = Result<V, ExecError>>,
+    negated: bool,
+) -> Result<SqlValue, ExecError> {
+    let mut saw_unknown = false;
+    for candidate in candidates {
+        match compare_values(v, candidate?.borrow())? {
+            Some(Ordering::Equal) => return Ok(truth_to_value(negate_if(Some(true), negated))),
+            Some(_) => {}
+            None => saw_unknown = true,
+        }
+    }
+    let t = if saw_unknown { None } else { Some(false) };
+    Ok(truth_to_value(negate_if(t, negated)))
+}
+
+/// `v [NOT] IN (subquery)`: [`in_list`] over the subquery's one column.
+pub fn in_subquery(v: &SqlValue, rel: &Relation, negated: bool) -> Result<SqlValue, ExecError> {
+    require_arity(rel, 1, "IN subquery")?;
+    in_list(v, rel.rows.iter().map(|row| Ok(&row[0])), negated)
+}
+
+/// `v op ANY|ALL (subquery)`. SQL-92 quantified comparison truth tables:
+/// ANY is an OR over the rows, ALL is an AND; an empty subquery is FALSE
+/// for ANY, TRUE for ALL.
+pub fn quantified(
+    v: &SqlValue,
+    op: CompareOp,
+    quantifier: Quantifier,
+    rel: &Relation,
+) -> Result<SqlValue, ExecError> {
+    require_arity(rel, 1, "quantified subquery")?;
+    let mut any_true = false;
+    let mut any_false = false;
+    let mut any_unknown = false;
+    for row in &rel.rows {
+        match compare_with_op(v, op, &row[0])? {
+            Some(true) => any_true = true,
+            Some(false) => any_false = true,
+            None => any_unknown = true,
+        }
+    }
+    let t = match quantifier {
+        Quantifier::Any => {
+            if any_true {
+                Some(true)
+            } else if any_unknown {
+                None
+            } else {
+                Some(false)
+            }
+        }
+        Quantifier::All => {
+            if any_false {
+                Some(false)
+            } else if any_unknown {
+                None
+            } else {
+                Some(true)
+            }
+        }
+    };
+    Ok(truth_to_value(t))
+}
+
+/// The value of a scalar subquery: its single cell, NULL when it returned
+/// no row, an error when it returned several.
+pub fn scalar_subquery(rel: &Relation) -> Result<SqlValue, ExecError> {
+    require_arity(rel, 1, "scalar subquery")?;
+    match rel.rows.as_slice() {
+        [] => Ok(SqlValue::Null),
+        [row] => Ok(row[0].clone()),
+        rows => Err(ExecError::new(format!(
+            "scalar subquery returned {} rows",
+            rows.len()
+        ))),
+    }
+}
+
+/// `v [NOT] LIKE pattern [ESCAPE escape]`; NULL when any operand is NULL.
+/// The escape value must be a single character.
+pub fn like(
+    v: &SqlValue,
+    pattern: &SqlValue,
+    escape: Option<&SqlValue>,
+    negated: bool,
+) -> Result<SqlValue, ExecError> {
+    let esc = match escape {
+        None => None,
+        Some(SqlValue::Null) => return Ok(SqlValue::Null),
+        Some(SqlValue::Str(s)) if s.chars().count() == 1 => s.chars().next(),
+        Some(other) => {
+            return Err(ExecError::new(format!(
+                "ESCAPE must be a single character, got {other:?}"
+            )))
+        }
+    };
+    if v.is_null() || pattern.is_null() {
+        return Ok(SqlValue::Null);
+    }
+    let matched = like_match(&v.display_text(), &pattern.display_text(), esc)
+        .map_err(|e| ExecError::new(e.message))?;
+    Ok(SqlValue::Bool(matched != negated))
+}
+
+/// `SUBSTRING(s FROM start [FOR length])`; NULL when any operand is NULL,
+/// an error when the length is negative.
+pub fn substring(
+    s: &SqlValue,
+    start: &SqlValue,
+    length: Option<&SqlValue>,
+) -> Result<SqlValue, ExecError> {
+    if s.is_null() || start.is_null() || length.is_some_and(|l| l.is_null()) {
+        return Ok(SqlValue::Null);
+    }
+    let start = int_of(start, "SUBSTRING start")?;
+    let length = match length {
+        Some(l) => {
+            let n = int_of(l, "SUBSTRING length")?;
+            if n < 0 {
+                return Err(ExecError::new("negative SUBSTRING length"));
+            }
+            Some(n)
+        }
+        None => None,
+    };
+    Ok(SqlValue::Str(sql_substring(
+        &s.display_text(),
+        start,
+        length,
+    )))
+}
+
 /// SQL SUBSTRING semantics: 1-based, start may be ≤ 0 (window clips).
 fn sql_substring(text: &str, start: i64, length: Option<i64>) -> String {
     let chars: Vec<char> = text.chars().collect();
@@ -544,6 +590,50 @@ fn sql_substring(text: &str, start: i64, length: Option<i64>) -> String {
     } else {
         chars[from..to].iter().collect()
     }
+}
+
+/// `TRIM([side] [pad FROM] v)`: strips `pad` (one character, a blank when
+/// absent) from the chosen side(s); NULL when either operand is NULL.
+pub fn trim(side: TrimSide, pad: Option<&SqlValue>, v: &SqlValue) -> Result<SqlValue, ExecError> {
+    if v.is_null() || pad.is_some_and(|p| p.is_null()) {
+        return Ok(SqlValue::Null);
+    }
+    let pad = match pad {
+        Some(p) => {
+            let s = p.display_text();
+            let mut chars = s.chars();
+            match (chars.next(), chars.next()) {
+                (Some(ch), None) => ch,
+                _ => return Err(ExecError::new("TRIM character must be a single character")),
+            }
+        }
+        None => ' ',
+    };
+    let text = v.display_text();
+    let trimmed = match side {
+        TrimSide::Both => text.trim_matches(pad),
+        TrimSide::Leading => text.trim_start_matches(pad),
+        TrimSide::Trailing => text.trim_end_matches(pad),
+    };
+    Ok(SqlValue::Str(trimmed.to_string()))
+}
+
+/// `POSITION(needle IN haystack)`: 1-based character position, 0 when not
+/// found, 1 for an empty needle; NULL when either operand is NULL.
+pub fn position(needle: &SqlValue, haystack: &SqlValue) -> SqlValue {
+    if needle.is_null() || haystack.is_null() {
+        return SqlValue::Null;
+    }
+    let needle = needle.display_text();
+    let haystack = haystack.display_text();
+    SqlValue::Int(if needle.is_empty() {
+        1
+    } else {
+        match haystack.find(&needle) {
+            Some(byte) => haystack[..byte].chars().count() as i64 + 1,
+            None => 0,
+        }
+    })
 }
 
 fn int_of(v: &SqlValue, what: &str) -> Result<i64, ExecError> {
@@ -576,6 +666,12 @@ pub fn truth(v: &SqlValue) -> Result<Option<bool>, ExecError> {
             "predicate evaluated to non-boolean {other:?}"
         ))),
     }
+}
+
+/// Whether a WHERE / ON / HAVING predicate value keeps its row: only TRUE
+/// does, UNKNOWN drops it like FALSE.
+pub fn is_true(v: &SqlValue) -> Result<bool, ExecError> {
+    Ok(truth(v)? == Some(true))
 }
 
 /// Converts three-valued truth into a value.
@@ -634,7 +730,10 @@ pub fn compare_with_op(
     }))
 }
 
-fn literal_value(l: &Literal) -> SqlValue {
+/// The runtime value of a SQL literal — what the oracle, the reference
+/// interpreter and the plan cache's extracted-literal bindings all compute
+/// with, so a literal means the same value on every path.
+pub fn literal_value(l: &Literal) -> SqlValue {
     match l {
         Literal::Integer(i) => SqlValue::Int(*i),
         Literal::Decimal(d) => SqlValue::Decimal(*d),
@@ -692,6 +791,49 @@ mod tests {
             SqlValue::Int(1)
         );
         assert!(scalar_function("NO_SUCH_FN", &[]).is_err());
+    }
+
+    #[test]
+    fn integer_min_corners_answer_or_overflow() {
+        let min = SqlValue::Int(i64::MIN);
+        assert_eq!(
+            scalar_function("MOD", &[min.clone(), SqlValue::Int(-1)]).unwrap(),
+            SqlValue::Int(0)
+        );
+        let overflow = ExecError::new("integer overflow");
+        assert_eq!(
+            scalar_function("ABS", std::slice::from_ref(&min)),
+            Err(overflow.clone())
+        );
+        assert_eq!(negate(min.clone()), Err(overflow));
+        assert_eq!(
+            min.arith(ArithOp::Div, &SqlValue::Int(-1))
+                .unwrap_err()
+                .message,
+            "integer overflow"
+        );
+    }
+
+    #[test]
+    fn in_list_stops_at_the_first_match_and_remembers_unknowns() {
+        let one = SqlValue::Int(1);
+        let boom = || Err(ExecError::new("evaluated past the match"));
+        let hit = [Ok(SqlValue::Null), Ok(SqlValue::Int(1))];
+        assert_eq!(
+            in_list(
+                &one,
+                hit.into_iter().chain(std::iter::once_with(boom)),
+                false
+            ),
+            Ok(SqlValue::Bool(true))
+        );
+        let miss = [Ok(SqlValue::Int(2)), Ok(SqlValue::Null)];
+        assert_eq!(in_list(&one, miss.clone(), false), Ok(SqlValue::Null));
+        assert_eq!(in_list(&one, miss, true), Ok(SqlValue::Null));
+        assert_eq!(
+            in_list(&one, [Ok(SqlValue::Int(2))], true),
+            Ok(SqlValue::Bool(true))
+        );
     }
 
     #[test]

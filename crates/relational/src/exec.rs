@@ -4,9 +4,16 @@
 //! semantics. No optimization: plans are evaluated naively (nested loops,
 //! full materialization), because the oracle's only job is to be obviously
 //! correct.
+//!
+//! The plan walker (`execute_select`, `expand_items`, `eval_grouped`,
+//! `sort_relation`) is private to the oracle. The *relation kernel* — the
+//! public functions [`cross_join_all`], [`filter_rows`],
+//! [`nested_loop_join`], [`group_rows`], [`fold_aggregate`] and
+//! [`apply_set_op`] — states each row-level SQL-92 rule once and is shared with the layer-5 reference interpreter
+//! (`aldsp-analyzer::validate`), which walks the stage-2 IR instead.
 
 use crate::database::Database;
-use crate::eval::{eval_expr, truth, EvalContext, Scope};
+use crate::eval::{eval_expr, is_true, EvalContext, Scope};
 use crate::relation::{ColumnInfo, Relation};
 use crate::value::SqlValue;
 use aldsp_catalog::SqlColumnType;
@@ -81,21 +88,27 @@ fn execute_body(
         } => {
             let l = execute_body(ctx, left, outer)?;
             let r = execute_body(ctx, right, outer)?;
-            if l.arity() != r.arity() {
-                return Err(ExecError::new(format!(
-                    "set operands have different arity: {} vs {}",
-                    l.arity(),
-                    r.arity()
-                )));
-            }
-            Ok(apply_set_op(l, r, *op, *all))
+            apply_set_op(l, r, *op, *all)
         }
     }
 }
 
 /// Bag-semantics set operations (SQL-92 §7.10): plain forms eliminate
-/// duplicates, ALL forms operate on multiplicities.
-fn apply_set_op(left: Relation, right: Relation, op: SetOp, all: bool) -> Relation {
+/// duplicates, ALL forms operate on multiplicities. The operands must have
+/// the same arity; the result keeps the left operand's columns.
+pub fn apply_set_op(
+    left: Relation,
+    right: Relation,
+    op: SetOp,
+    all: bool,
+) -> Result<Relation, ExecError> {
+    if left.arity() != right.arity() {
+        return Err(ExecError::new(format!(
+            "set operands have different arity: {} vs {}",
+            left.arity(),
+            right.arity()
+        )));
+    }
     let columns = left.columns.clone();
     let count = |rel: &Relation| {
         let mut m: HashMap<String, usize> = HashMap::new();
@@ -165,7 +178,7 @@ fn apply_set_op(left: Relation, right: Relation, op: SetOp, all: bool) -> Relati
             rows
         }
     };
-    Relation { columns, rows }
+    Ok(Relation { columns, rows })
 }
 
 fn execute_select(
@@ -173,38 +186,22 @@ fn execute_select(
     select: &Select,
     outer: Option<&Scope<'_>>,
 ) -> Result<Relation, ExecError> {
-    // FROM: cross join the comma list.
-    let mut from_rel: Option<Relation> = None;
-    for table_ref in &select.from {
-        let r = execute_table_ref(ctx, table_ref, outer)?;
-        from_rel = Some(match from_rel {
-            None => r,
-            Some(acc) => acc.cross_join(&r),
-        });
-    }
-    let from_rel = from_rel.ok_or_else(|| ExecError::new("FROM clause is empty"))?;
-
-    // WHERE.
-    let mut filtered_rows = Vec::new();
-    for row in &from_rel.rows {
-        let keep = match &select.where_clause {
-            None => true,
-            Some(predicate) => {
-                let scope = Scope {
-                    relation: &from_rel,
-                    row,
-                    parent: outer,
-                };
-                truth(&eval_expr(ctx, &scope, predicate)?)? == Some(true)
-            }
-        };
-        if keep {
-            filtered_rows.push(row.clone());
-        }
-    }
-    let filtered = Relation {
-        columns: from_rel.columns.clone(),
-        rows: filtered_rows,
+    let from_rel = cross_join_all(
+        select
+            .from
+            .iter()
+            .map(|table_ref| execute_table_ref(ctx, table_ref, outer)),
+    )?;
+    let filtered = match &select.where_clause {
+        None => from_rel,
+        Some(predicate) => filter_rows(from_rel, |relation, row| {
+            let scope = Scope {
+                relation,
+                row,
+                parent: outer,
+            };
+            is_true(&eval_expr(ctx, &scope, predicate)?)
+        })?,
     };
 
     let has_aggregates = select_has_aggregates(select);
@@ -215,10 +212,7 @@ fn execute_select(
     };
 
     if select.distinct {
-        let mut seen = HashMap::new();
-        projected
-            .rows
-            .retain(|row| seen.insert(Relation::row_key(row), ()).is_none());
+        projected.dedup_rows();
     }
     Ok(projected)
 }
@@ -265,69 +259,19 @@ fn execute_table_ref(
         } => {
             let l = execute_table_ref(ctx, left, outer)?;
             let r = execute_table_ref(ctx, right, outer)?;
-            execute_join(ctx, l, r, *kind, on.as_ref(), outer)
+            nested_loop_join(&l, &r, *kind, |relation, row| match on {
+                None => Ok(true),
+                Some(predicate) => {
+                    let scope = Scope {
+                        relation,
+                        row,
+                        parent: outer,
+                    };
+                    is_true(&eval_expr(ctx, &scope, predicate)?)
+                }
+            })
         }
     }
-}
-
-fn execute_join(
-    ctx: &EvalContext<'_>,
-    left: Relation,
-    right: Relation,
-    kind: JoinKind,
-    on: Option<&Expr>,
-    outer: Option<&Scope<'_>>,
-) -> Result<Relation, ExecError> {
-    let mut columns = left.columns.clone();
-    columns.extend(right.columns.iter().cloned());
-    let combined = Relation::with_columns(columns);
-
-    let matches_on = |joined: &[SqlValue]| -> Result<bool, ExecError> {
-        match on {
-            None => Ok(true),
-            Some(predicate) => {
-                let scope = Scope {
-                    relation: &combined,
-                    row: joined,
-                    parent: outer,
-                };
-                Ok(truth(&eval_expr(ctx, &scope, predicate)?)? == Some(true))
-            }
-        }
-    };
-
-    let mut rows = Vec::new();
-    let mut right_matched = vec![false; right.rows.len()];
-    for left_row in &left.rows {
-        let mut matched = false;
-        for (ri, right_row) in right.rows.iter().enumerate() {
-            let mut joined = left_row.clone();
-            joined.extend(right_row.iter().cloned());
-            if matches_on(&joined)? {
-                matched = true;
-                right_matched[ri] = true;
-                rows.push(joined);
-            }
-        }
-        if !matched && matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
-            let mut padded = left_row.clone();
-            padded.extend(right.null_row());
-            rows.push(padded);
-        }
-    }
-    if matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter) {
-        for (ri, right_row) in right.rows.iter().enumerate() {
-            if !right_matched[ri] {
-                let mut padded = left.null_row();
-                padded.extend(right_row.iter().cloned());
-                rows.push(padded);
-            }
-        }
-    }
-    Ok(Relation {
-        columns: combined.columns,
-        rows,
-    })
 }
 
 // ---- projection -------------------------------------------------------
@@ -428,32 +372,14 @@ fn project_grouped(
     // a group key; simplest correct behaviour is to validate item-by-item
     // during rewriting below.
 
-    // Group rows by key values.
-    let mut groups: Vec<(Vec<SqlValue>, Vec<Vec<SqlValue>>)> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    for row in &filtered.rows {
+    let groups = group_rows(&filtered.rows, select.group_by.len(), |row, k| {
         let scope = Scope {
             relation: filtered,
             row,
             parent: outer,
         };
-        let mut keys = Vec::with_capacity(select.group_by.len());
-        for k in &select.group_by {
-            keys.push(eval_expr(ctx, &scope, k)?);
-        }
-        let key_str = Relation::row_key(&keys);
-        match index.get(&key_str) {
-            Some(&g) => groups[g].1.push(row.clone()),
-            None => {
-                index.insert(key_str, groups.len());
-                groups.push((keys, vec![row.clone()]));
-            }
-        }
-    }
-    // No GROUP BY but aggregates: one group over everything, even empty.
-    if select.group_by.is_empty() && groups.is_empty() {
-        groups.push((Vec::new(), Vec::new()));
-    }
+        eval_expr(ctx, &scope, &select.group_by[k])
+    })?;
 
     let columns: Vec<ColumnInfo> = items
         .iter()
@@ -472,7 +398,7 @@ fn project_grouped(
         // HAVING.
         if let Some(having) = &select.having {
             let v = eval_grouped(ctx, select, filtered, keys, group_rows, having, outer)?;
-            if truth(&v)? != Some(true) {
+            if !is_true(&v)? {
                 continue;
             }
         }
@@ -807,8 +733,6 @@ fn eval_aggregate(
         }
     };
 
-    // Evaluate the argument per row, dropping NULLs (SQL-92 aggregates
-    // ignore NULL inputs).
     let mut values = Vec::with_capacity(group_rows.len());
     for row in group_rows {
         let scope = Scope {
@@ -816,17 +740,146 @@ fn eval_aggregate(
             row,
             parent: outer,
         };
-        let v = eval_expr(ctx, &scope, arg)?;
-        if !v.is_null() {
-            values.push(v);
+        values.push(eval_expr(ctx, &scope, arg)?);
+    }
+    fold_aggregate(name, distinct, values)
+}
+
+// ---- the relation kernel ------------------------------------------------
+
+/// The FROM clause's comma list: the cross product of its operands, in
+/// order. An empty list is an error.
+pub fn cross_join_all(
+    operands: impl IntoIterator<Item = Result<Relation, ExecError>>,
+) -> Result<Relation, ExecError> {
+    let mut product: Option<Relation> = None;
+    for operand in operands {
+        let operand = operand?;
+        product = Some(match product {
+            None => operand,
+            Some(acc) => acc.cross_join(&operand),
+        });
+    }
+    product.ok_or_else(|| ExecError::new("FROM clause is empty"))
+}
+
+/// WHERE: the rows of `rel` that `keep` answers true for, in order. `keep`
+/// is given the relation's header (columns, no rows) and one row.
+pub fn filter_rows(
+    mut rel: Relation,
+    mut keep: impl FnMut(&Relation, &[SqlValue]) -> Result<bool, ExecError>,
+) -> Result<Relation, ExecError> {
+    let mut kept = Vec::new();
+    for row in std::mem::take(&mut rel.rows) {
+        if keep(&rel, &row)? {
+            kept.push(row);
         }
     }
+    rel.rows = kept;
+    Ok(rel)
+}
+
+/// Nested-loop join with LEFT/RIGHT/FULL outer padding: every
+/// left × right pair `on` answers true for, left-major; an unmatched left
+/// row is padded with NULLs in place, unmatched right rows follow at the
+/// end. `on` is given the joined relation's header and one joined row.
+pub fn nested_loop_join(
+    left: &Relation,
+    right: &Relation,
+    kind: JoinKind,
+    mut on: impl FnMut(&Relation, &[SqlValue]) -> Result<bool, ExecError>,
+) -> Result<Relation, ExecError> {
+    let mut columns = left.columns.clone();
+    columns.extend(right.columns.iter().cloned());
+    let mut joined_rel = Relation::with_columns(columns);
+
+    let mut rows = Vec::new();
+    let mut right_matched = vec![false; right.rows.len()];
+    for left_row in &left.rows {
+        let mut matched = false;
+        for (ri, right_row) in right.rows.iter().enumerate() {
+            let mut joined = left_row.clone();
+            joined.extend(right_row.iter().cloned());
+            if on(&joined_rel, &joined)? {
+                matched = true;
+                right_matched[ri] = true;
+                rows.push(joined);
+            }
+        }
+        if !matched && matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
+            let mut padded = left_row.clone();
+            padded.extend(right.null_row());
+            rows.push(padded);
+        }
+    }
+    if matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter) {
+        for (ri, right_row) in right.rows.iter().enumerate() {
+            if !right_matched[ri] {
+                let mut padded = left.null_row();
+                padded.extend(right_row.iter().cloned());
+                rows.push(padded);
+            }
+        }
+    }
+    joined_rel.rows = rows;
+    Ok(joined_rel)
+}
+
+/// One group: its key values and its member rows.
+pub type Group = (Vec<SqlValue>, Vec<Vec<SqlValue>>);
+
+/// GROUP BY: partitions `rows` into groups discovered in row order.
+/// `key(row, k)` evaluates the `k`-th of `key_count` grouping expressions;
+/// rows whose keys share a [`Relation::row_key`] (NULLs group together)
+/// share a group. With no grouping expression the whole input is one
+/// group *even when it is empty* (SQL-92: `SELECT COUNT(*) FROM empty` is
+/// one row).
+pub fn group_rows(
+    rows: &[Vec<SqlValue>],
+    key_count: usize,
+    mut key: impl FnMut(&[SqlValue], usize) -> Result<SqlValue, ExecError>,
+) -> Result<Vec<Group>, ExecError> {
+    let mut groups: Vec<Group> = Vec::new();
+    let mut index: HashMap<String, usize> = HashMap::new();
+    for row in rows {
+        let mut keys = Vec::with_capacity(key_count);
+        for k in 0..key_count {
+            keys.push(key(row, k)?);
+        }
+        let key_str = Relation::row_key(&keys);
+        match index.get(&key_str) {
+            Some(&g) => groups[g].1.push(row.clone()),
+            None => {
+                index.insert(key_str, groups.len());
+                groups.push((keys, vec![row.clone()]));
+            }
+        }
+    }
+    if key_count == 0 && groups.is_empty() {
+        groups.push((Vec::new(), Vec::new()));
+    }
+    Ok(groups)
+}
+
+/// Folds one aggregate (`COUNT`, `MIN`, `MAX`, `SUM`, `AVG` — not
+/// `COUNT(*)`, which is the group's cardinality) over its argument's
+/// per-row `values`. NULLs are dropped first (SQL-92 aggregates ignore
+/// NULL inputs), then duplicates under DISTINCT. Over nothing, COUNT is 0
+/// and the others are NULL. SUM stays Int over integers (overflow is an
+/// error), otherwise Double if any input is, else Decimal; AVG is Decimal
+/// unless an input is Double.
+pub fn fold_aggregate(
+    name: &str,
+    distinct: bool,
+    mut values: Vec<SqlValue>,
+) -> Result<SqlValue, ExecError> {
+    values.retain(|v| !v.is_null());
     if distinct {
         let mut seen = HashMap::new();
         values.retain(|v| seen.insert(v.group_key(), ()).is_none());
     }
 
-    match name.as_str() {
+    match name {
         "COUNT" => Ok(SqlValue::Int(values.len() as i64)),
         "MIN" | "MAX" => {
             let mut best: Option<SqlValue> = None;

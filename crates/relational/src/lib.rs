@@ -21,8 +21,15 @@
 //! * [`like`] — SQL `LIKE` pattern matching with `ESCAPE`.
 //! * [`relation`] — materialized relations (ordered columns + rows).
 //! * [`database`] — named tables.
-//! * [`eval`] — scalar expression evaluation with correlation scopes.
-//! * [`exec`] — the query executor (joins, grouping, set ops, ordering).
+//! * [`eval`] — scalar expression evaluation with correlation scopes,
+//!   and the SQL-92 *value kernel* it is written over.
+//! * [`exec`] — the query executor (joins, grouping, set ops, ordering),
+//!   and the *relation kernel* it is written over.
+//!
+//! The two kernels are the workspace's one statement of SQL-92 value
+//! semantics (DESIGN.md §15): the oracle here walks the SQL AST over
+//! them, the analyzer's layer-5 reference interpreter walks the stage-2
+//! IR over the same functions.
 
 pub mod database;
 pub mod eval;
@@ -36,4 +43,4 @@ pub use database::{Database, Table};
 pub use exec::{execute_query, ExecError};
 pub use relation::{ColumnInfo, Relation};
 pub use sqltype::{column_type_from_name, decode_cell, type_name_to_column};
-pub use value::SqlValue;
+pub use value::{sql_value_to_sequence, SqlValue};

@@ -2,6 +2,7 @@
 
 use crate::value::SqlValue;
 use aldsp_catalog::SqlColumnType;
+use std::collections::HashSet;
 
 /// Metadata for one output column of a relation.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,6 +106,12 @@ impl Relation {
     /// padding).
     pub fn null_row(&self) -> Vec<SqlValue> {
         vec![SqlValue::Null; self.arity()]
+    }
+
+    /// DISTINCT: keeps the first row of every [`Relation::row_key`].
+    pub fn dedup_rows(&mut self) {
+        let mut seen = HashSet::new();
+        self.rows.retain(|row| seen.insert(Relation::row_key(row)));
     }
 
     /// A canonical duplicate-elimination key for a row.

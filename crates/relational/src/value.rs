@@ -6,7 +6,7 @@
 //! differential tests — see DESIGN.md §2 on the decimal substitution.
 
 use aldsp_catalog::SqlColumnType;
-use aldsp_xml::Atomic;
+use aldsp_xml::{Atomic, Sequence};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -142,6 +142,16 @@ impl SqlValue {
             SqlValue::Bool(b) => format!("b{b}"),
             SqlValue::Date(d) => format!("d{d}"),
         }
+    }
+
+    /// Result agreement, as the differential harnesses and the layer-5
+    /// validator judge two cells: NULL agrees with NULL only, anything else
+    /// by [`SqlValue::group_key`] — so numerics agree by magnitude (a
+    /// transport decodes `SUM(int)` as Int where an interpreter may hold a
+    /// Decimal of equal value) and NaN agrees with NaN, which
+    /// [`SqlValue::group_eq`]'s SQL comparison would not allow.
+    pub fn agrees_with(&self, other: &SqlValue) -> bool {
+        self.group_key() == other.group_key()
     }
 
     /// Arithmetic with SQL type promotion: Int⊕Int→Int (`/` truncates
@@ -294,6 +304,15 @@ impl SqlValue {
                 _ => Err(fail()),
             },
         }
+    }
+}
+
+/// The sequence a bound XQuery external variable holds for a SQL
+/// parameter value: the singleton atomic, empty for NULL.
+pub fn sql_value_to_sequence(value: &SqlValue) -> Sequence {
+    match value.to_atomic() {
+        Some(a) => Sequence::singleton(a),
+        None => Sequence::empty(),
     }
 }
 

@@ -79,7 +79,7 @@ pub fn compare_results(
             return Err(format!("arity differs at row {i}"));
         }
         for (j, (a, b)) in l.iter().zip(r).enumerate() {
-            if !values_agree(a, b) {
+            if !a.agrees_with(b) {
                 return Err(format!(
                     "row {i} column {j} differs: driver {a:?} vs oracle {b:?}"
                 ));
@@ -87,17 +87,6 @@ pub fn compare_results(
         }
     }
     Ok(())
-}
-
-/// Value agreement: NULL equals NULL; numerics compare by value (the
-/// driver decodes `SUM(int)` as Int while the oracle may hold Decimal of
-/// equal magnitude); everything else by canonical text.
-fn values_agree(a: &SqlValue, b: &SqlValue) -> bool {
-    match (a, b) {
-        (SqlValue::Null, SqlValue::Null) => true,
-        (SqlValue::Null, _) | (_, SqlValue::Null) => false,
-        _ => a.group_key() == b.group_key(),
-    }
 }
 
 /// Statically analyzes one query through the connection's translator

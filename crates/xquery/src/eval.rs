@@ -816,14 +816,19 @@ fn arith(op: ArithOp, a: &Atomic, b: &Atomic) -> Result<Atomic, XqError> {
                 if *y == 0 {
                     Err(XqError::new("division by zero"))
                 } else {
-                    Ok(Integer(x / y))
+                    // `i64::MIN idiv -1` has no i64 answer.
+                    x.checked_div(*y)
+                        .map(Integer)
+                        .ok_or_else(|| XqError::new("integer overflow"))
                 }
             }
             ArithOp::Mod => {
                 if *y == 0 {
                     Err(XqError::new("division by zero"))
                 } else {
-                    Ok(Integer(x % y))
+                    // `i64::MIN mod -1` overflows the CPU's division but
+                    // has an answer, 0; wrapping gives it.
+                    Ok(Integer(x.wrapping_rem(*y)))
                 }
             }
         };

@@ -147,26 +147,38 @@ pub fn call_builtin(name: &str, args: &[Sequence]) -> Result<Option<Sequence>, X
                 }
             }
         }
-        "fn:abs" => numeric_unary(name, args, |a| match a {
-            Atomic::Integer(i) => Atomic::Integer(i.abs()),
-            Atomic::Decimal(d) => Atomic::Decimal(d.abs()),
-            Atomic::Double(d) => Atomic::Double(d.abs()),
-            other => other,
+        "fn:abs" => numeric_unary(name, args, |a| {
+            Ok(match a {
+                // abs(i64::MIN) has no i64 answer.
+                Atomic::Integer(i) => Atomic::Integer(
+                    i.checked_abs()
+                        .ok_or_else(|| XqError::new("integer overflow"))?,
+                ),
+                Atomic::Decimal(d) => Atomic::Decimal(d.abs()),
+                Atomic::Double(d) => Atomic::Double(d.abs()),
+                other => other,
+            })
         })?,
-        "fn:floor" => numeric_unary(name, args, |a| match a {
-            Atomic::Decimal(d) => Atomic::Decimal(d.floor()),
-            Atomic::Double(d) => Atomic::Double(d.floor()),
-            other => other,
+        "fn:floor" => numeric_unary(name, args, |a| {
+            Ok(match a {
+                Atomic::Decimal(d) => Atomic::Decimal(d.floor()),
+                Atomic::Double(d) => Atomic::Double(d.floor()),
+                other => other,
+            })
         })?,
-        "fn:ceiling" => numeric_unary(name, args, |a| match a {
-            Atomic::Decimal(d) => Atomic::Decimal(d.ceil()),
-            Atomic::Double(d) => Atomic::Double(d.ceil()),
-            other => other,
+        "fn:ceiling" => numeric_unary(name, args, |a| {
+            Ok(match a {
+                Atomic::Decimal(d) => Atomic::Decimal(d.ceil()),
+                Atomic::Double(d) => Atomic::Double(d.ceil()),
+                other => other,
+            })
         })?,
-        "fn:round" => numeric_unary(name, args, |a| match a {
-            Atomic::Decimal(d) => Atomic::Decimal(d.round()),
-            Atomic::Double(d) => Atomic::Double(d.round()),
-            other => other,
+        "fn:round" => numeric_unary(name, args, |a| {
+            Ok(match a {
+                Atomic::Decimal(d) => Atomic::Decimal(d.round()),
+                Atomic::Double(d) => Atomic::Double(d.round()),
+                other => other,
+            })
         })?,
         "fn:distinct-values" => {
             require_arity(name, args, 1)?;
@@ -496,7 +508,7 @@ fn string_fn(
 fn numeric_unary(
     name: &str,
     args: &[Sequence],
-    f: impl FnOnce(Atomic) -> Atomic,
+    f: impl FnOnce(Atomic) -> Result<Atomic, XqError>,
 ) -> Result<Sequence, XqError> {
     require_arity(name, args, 1)?;
     match args[0].items() {
@@ -507,7 +519,7 @@ fn numeric_unary(
                 .ok_or_else(|| XqError::new(format!("{name}: cannot atomize operand")))?;
             let atomic = coerce_numeric(&atomic)
                 .ok_or_else(|| XqError::new(format!("{name}: non-numeric operand")))?;
-            Ok(Sequence::singleton(f(atomic)))
+            Ok(Sequence::singleton(f(atomic)?))
         }
         _ => Err(XqError::new(format!("{name} requires a singleton"))),
     }

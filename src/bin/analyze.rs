@@ -45,7 +45,7 @@
 //! layer, 1 when any statement fails to parse/translate or produces
 //! findings in a requested layer, 2 on usage or I/O errors.
 
-use aldsp::analyzer::{analyze_sql_validated, analyze_sql_with, CostOptions, ValidateOptions};
+use aldsp::analyzer::{analyze_sql_with, CostOptions, ValidateOptions};
 use aldsp::catalog::{CachedMetadataApi, InProcessMetadataApi, TableLocator};
 use aldsp::core::{stage1, stage2, OptimizeLevel, QueryOptimizer, TranslationOptions, Transport};
 use aldsp::optimizer::Optimizer;
@@ -179,22 +179,13 @@ fn main() {
             println!("-- {sql}");
         }
         for transport in [Transport::Xml, Transport::DelimitedText] {
-            let result = if check_validate {
-                analyze_sql_validated(
-                    sql,
-                    &metadata,
-                    TranslationOptions::with_transport(transport),
-                    &cost_options,
-                    &validate_options,
-                )
-            } else {
-                analyze_sql_with(
-                    sql,
-                    &metadata,
-                    TranslationOptions::with_transport(transport),
-                    &cost_options,
-                )
-            };
+            let result = analyze_sql_with(
+                sql,
+                &metadata,
+                TranslationOptions::with_transport(transport),
+                &cost_options,
+                check_validate.then_some(&validate_options),
+            );
             match result {
                 Ok(analysis) => {
                     let report = &analysis.report;

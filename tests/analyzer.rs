@@ -1260,11 +1260,17 @@ fn conjunct_never_raises_cardinality_estimate() {
     ];
     let rows_of = |predicate: &str| -> f64 {
         let sql = format!("SELECT CUSTOMERID FROM CUSTOMERS WHERE {predicate}");
-        analyze_sql_with(&sql, &metadata, TranslationOptions::default(), &options)
-            .unwrap_or_else(|e| panic!("`{sql}` failed: {e}"))
-            .report
-            .cost
-            .rows
+        analyze_sql_with(
+            &sql,
+            &metadata,
+            TranslationOptions::default(),
+            &options,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("`{sql}` failed: {e}"))
+        .report
+        .cost
+        .rows
     };
     for p in &predicates {
         let base = rows_of(p);
@@ -1307,6 +1313,7 @@ fn golden_statements_are_performance_clean() {
                 &metadata,
                 TranslationOptions::with_transport(transport),
                 &options,
+                None,
             )
             .unwrap_or_else(|e| panic!("golden `{sql}` failed: {e}"));
             assert!(
@@ -1345,6 +1352,7 @@ fn fuzzed_workload_cost_analyzes_per_seed() {
                         &metadata,
                         TranslationOptions::with_transport(transport),
                         &options,
+                        None,
                     )
                     .unwrap_or_else(|e| panic!("seed {seed}: `{sql}` failed: {e}"));
                     let cost = &analysis.report.cost;
@@ -1384,7 +1392,7 @@ fn fuzzed_workload_cost_analyzes_per_seed() {
 // witness budget, and a fuzzed workload sample per seed validates clean
 // under the quick budget.
 
-use aldsp::analyzer::{analyze_sql_validated, validate_translation, ValidateOptions};
+use aldsp::analyzer::{validate_translation, ValidateOptions};
 use aldsp::core::{stage1, stage2, wrapper};
 
 fn demo_metadata() -> CachedMetadataApi<InProcessMetadataApi> {
@@ -1494,12 +1502,12 @@ fn golden_statements_validate_equivalent_in_both_transports() {
         .filter(|s| !s.is_empty())
     {
         for transport in [Transport::Xml, Transport::DelimitedText] {
-            let analysis = analyze_sql_validated(
+            let analysis = analyze_sql_with(
                 sql,
                 &metadata,
                 TranslationOptions::with_transport(transport),
                 &cost_options,
-                &validate_options,
+                Some(&validate_options),
             )
             .unwrap_or_else(|e| panic!("golden `{sql}` failed: {e}"));
             assert!(

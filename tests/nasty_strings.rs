@@ -353,3 +353,65 @@ fn deeply_nested_statements_return_depth_exceeded() {
     let rs = conn.create_statement().execute_query(&shallow).unwrap();
     assert_eq!(rs.row_count(), 1);
 }
+
+/// Adversarial *values*: `i64::MIN`, reached by arithmetic from SQL text,
+/// fed to the three integer operations that have no wrapping-free answer
+/// for it. `MIN mod -1` is 0; `MIN / -1` and `ABS(MIN)` overflow and must
+/// come back as the typed `integer overflow` error the neighbouring
+/// `+ - *` already return — from the driver in both transports under both
+/// execution strategies, and from the relational oracle alike. Before the
+/// fix all three panicked in debug builds, and in release `ABS` answered
+/// `i64::MIN` on both sides, so no differential could see it.
+#[test]
+fn integer_overflow_corners_are_answers_or_typed_errors() {
+    use aldsp::core::ExecStrategy;
+    use aldsp::driver::DriverError;
+    use aldsp::relational::execute_query;
+    use aldsp::sql::parse_select;
+
+    const MIN: &str = "(-9223372036854775807 - 1)";
+    let modulo = format!("SELECT MOD({MIN}, -1) FROM T");
+    let overflowing = [
+        format!("SELECT {MIN} / -1 FROM T"),
+        format!("SELECT ABS({MIN}) FROM T"),
+    ];
+
+    let server = server_with_nasty();
+    let oracle_db = server.database().clone();
+    let oracle = |sql: &str| execute_query(&oracle_db, &parse_select(sql).unwrap(), &[]);
+    let zeros = oracle(&modulo).unwrap();
+    assert_eq!(zeros.rows.len(), NASTY.len() + 1);
+    assert!(zeros.rows.iter().all(|row| row == &[SqlValue::Int(0)]));
+    for sql in &overflowing {
+        let error = oracle(sql).expect_err("the oracle must reject the overflow");
+        assert!(
+            error.message.contains("integer overflow"),
+            "`{sql}`: {error}"
+        );
+    }
+
+    for transport in [Transport::DelimitedText, Transport::Xml] {
+        for exec in [ExecStrategy::NestedLoop, ExecStrategy::HashJoin] {
+            let conn = Connection::open_with(
+                Arc::clone(&server),
+                TranslationOptions::with_transport(transport).with_exec(exec),
+                std::time::Duration::ZERO,
+            );
+            let mut rs = conn.create_statement().execute_query(&modulo).unwrap();
+            assert_eq!(rs.row_count(), NASTY.len() + 1);
+            while rs.next() {
+                assert_eq!(rs.get_i64(1).unwrap(), 0, "{transport:?}/{exec:?}");
+            }
+            for sql in &overflowing {
+                match conn.create_statement().execute_query(sql) {
+                    Err(DriverError::Execution(m)) if m.contains("integer overflow") => {}
+                    other => panic!(
+                        "`{sql}` ({transport:?}/{exec:?}) must fail with a typed integer \
+                         overflow, got {:?}",
+                        other.map(|rs| rs.row_count())
+                    ),
+                }
+            }
+        }
+    }
+}

@@ -177,3 +177,41 @@ fn transports_do_not_share_cache_entries() {
     assert_eq!(cache.stats().misses, 2);
     assert_eq!(cache.stats().hits(), 0);
 }
+
+/// The statement-size guard rejects outside input, so it is tested from
+/// outside: a valid statement padded past the cap is translated and
+/// answered, but never stored — it cannot evict a shard of warm plans.
+#[test]
+fn oversized_statement_bypasses_the_cache_and_still_answers() {
+    use aldsp_plancache::DEFAULT_STATEMENT_CAP;
+
+    let cache = Arc::new(PlanCache::default());
+    let conn = open(&cache);
+    conn.execute_cached("SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID > 5", &[])
+        .unwrap();
+    let warm = cache.len();
+    assert_ne!(warm, (0, 0));
+
+    let sql = format!(
+        "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID > 3 ORDER BY CUSTOMERID{}",
+        " ".repeat(DEFAULT_STATEMENT_CAP)
+    );
+    let (_, lookup) = cache
+        .plan_with(conn.translator(), &sql, TranslationOptions::default(), None)
+        .unwrap();
+    assert_eq!(lookup, Lookup::Bypass);
+    assert_eq!(cache.stats().oversize_bypasses, 1);
+    assert_eq!(cache.len(), warm);
+
+    let rows = conn.execute_cached(&sql, &[]).unwrap();
+    let oracle = aldsp_relational::execute_query(
+        &conn.server().database(),
+        &aldsp_sql::parse_select(&sql).unwrap(),
+        &[],
+    )
+    .unwrap();
+    assert!(!oracle.rows.is_empty());
+    aldsp_workload::compare_results(rows.rows(), &oracle, true).unwrap();
+    assert_eq!(cache.stats().oversize_bypasses, 2);
+    assert_eq!(cache.len(), warm);
+}
