@@ -239,6 +239,10 @@ impl DspServer {
     }
 
     fn rows_for_function(&self, name: &str) -> Result<Sequence, XqError> {
+        // Read before any data is: the rows built below are at least as
+        // new as this epoch, so `store_materialized` can tell whether a
+        // write has landed since.
+        let epoch = self.epoch();
         if let Some(cached) = self.materialized.read().get(name) {
             return Ok(cached.clone());
         }
@@ -301,10 +305,20 @@ impl DspServer {
                 table.row_elements()
             }
         };
-        self.materialized
-            .write()
-            .insert(name.to_string(), rows.clone());
+        self.store_materialized(name, &rows, epoch);
         Ok(rows)
+    }
+
+    /// Caches `rows`, built from data read at `epoch` or later — unless
+    /// the epoch has moved since. `bump_epoch` moves the epoch first and
+    /// clears the map second, so a check under the map's write lock
+    /// either sees the new epoch (and keeps the stale rows out) or runs
+    /// before the clear (which then drops them).
+    fn store_materialized(&self, name: &str, rows: &Sequence, epoch: u64) {
+        let mut materialized = self.materialized.write();
+        if self.epoch() == epoch {
+            materialized.insert(name.to_string(), rows.clone());
+        }
     }
 }
 
@@ -558,6 +572,29 @@ mod tests {
         let s = DspServer::new(app, Database::new());
         let err = s.call(None, "LOOP", &[]).unwrap_err();
         assert!(err.message.contains("cyclic"), "{}", err.message);
+    }
+
+    #[test]
+    fn rows_built_before_a_write_are_not_cached_after_it() {
+        // The interleaving `rows_for_function` can lose: it reads the
+        // epoch and builds T's rows, a write bumps the epoch and clears
+        // the map, and only then does it reach the store.
+        let s = server();
+        let epoch = s.epoch();
+        let stale = s.database().table("T").unwrap().row_elements();
+        s.mutate_database(|db| {
+            db.table_mut("T")
+                .unwrap()
+                .insert(vec![SqlValue::Int(3), SqlValue::Str("c".into())])
+        });
+        s.store_materialized("T", &stale, epoch);
+        assert!(
+            s.materialized.read().is_empty(),
+            "rows of the old data were cached at the new epoch"
+        );
+        assert_eq!(s.call(None, "T", &[]).unwrap().len(), 3);
+        // Rows built at the current epoch do get cached.
+        assert_eq!(s.materialized.read().len(), 1);
     }
 
     #[test]

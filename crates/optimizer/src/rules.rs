@@ -9,7 +9,7 @@ use aldsp_catalog::stats::CatalogStats;
 use aldsp_core::ir::{PreparedBody, Rsn, TExprKind};
 use aldsp_core::{OptimizeLevel, PreparedQuery};
 use aldsp_xquery::ast::{Clause, Expr, Program};
-use aldsp_xquery::visit::free_vars;
+use aldsp_xquery::visit::{free_vars, uses_context};
 use std::collections::BTreeSet;
 
 /// Everything a rule may consult.

@@ -1,26 +1,12 @@
-//! Shared AST machinery for the rewrite rules: context-item detection,
-//! mutable FLWOR traversal, variable substitution, and the cardinality
-//! model used to order independent `for` clauses. (Free-variable analysis
-//! is `aldsp_xquery::visit::free_vars`, shared with the physical planner.)
+//! Shared AST machinery for the rewrite rules: mutable FLWOR traversal,
+//! variable substitution, and the cardinality model used to order
+//! independent `for` clauses. (Free-variable analysis and context-item
+//! detection are `aldsp_xquery::visit::{free_vars, uses_context}`, shared
+//! with the physical planner.)
 
 use aldsp_catalog::stats::CatalogStats;
 use aldsp_xquery::ast::{AttrPart, Clause, Content, ElementCtor, Expr, Flwor, PathStart, Program};
 use std::collections::BTreeSet;
-
-/// True when `expr` contains the context item (`.` or a relative path) —
-/// such an expression cannot move out of the predicate that gives it its
-/// context.
-pub fn uses_context(expr: &Expr) -> bool {
-    let mut found = false;
-    each_expr(expr, &mut |e| {
-        if matches!(e, Expr::ContextItem)
-            || matches!(e, Expr::Path { start, .. } if matches!(&**start, PathStart::Context))
-        {
-            found = true;
-        }
-    });
-    found
-}
 
 /// Pre-order immutable walk over every sub-expression of `expr`,
 /// including FLWOR clause bodies and constructor content.

@@ -487,7 +487,7 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Sequence, XqError> {
         let mut skip = 0;
         let mut tuples: Vec<Env> = vec![env.clone()];
-        if self.strategy == ExecStrategy::HashJoin {
+        if self.strategy == ExecStrategy::HashJoin && exec::hash_shaped(flwor) {
             match exec::plan(flwor) {
                 Some(plan) => match exec::run(self, &plan, env, context) {
                     Ok(streamed) => {
@@ -509,14 +509,12 @@ impl<'a> Evaluator<'a> {
                         }
                     }
                 },
+                // Declined lowerings count only where `hash_shaped` saw a
+                // hashable shape, so the telemetry's fast-path fraction
+                // is over those rather than all FLWORs.
                 None => {
-                    // Count declined lowerings only where a join was
-                    // plausible, so the telemetry's fast-path fraction
-                    // is over joins rather than all FLWORs.
-                    if exec::join_shaped(flwor) {
-                        if let Some(budget) = self.budget {
-                            budget.record_join_fallback();
-                        }
+                    if let Some(budget) = self.budget {
+                        budget.record_join_fallback();
                     }
                 }
             }
@@ -1420,6 +1418,142 @@ mod tests {
             hash_budget.fuel_consumed(),
             naive_budget.fuel_consumed()
         );
+    }
+
+    /// Example 10's shape over NULLABLEPAY: customer 55 matches two rows
+    /// (source order 10, 30), 23 and 7 match nothing, the NULL CUSTID
+    /// row and the 99 row match nobody.
+    const OUTER: &str = "for $c in ns0:CUSTOMERS() \
+         let $m := ns1:NULLABLEPAY()[($c/CUSTOMERID=CUSTID)] \
+         return if (fn:empty($m)) then <R><ID>{fn:data($c/CUSTOMERID)}</ID></R> \
+         else (for $p in $m return <R><ID>{fn:data($c/CUSTOMERID)}</ID>\
+<PAY>{fn:data($p/PAYMENT)}</PAY></R>)";
+
+    /// `IN (SELECT ..)`'s shape: a general `=` against a constructed view.
+    const SEMI: &str = "for $c in ns0:CUSTOMERS() \
+         where ($c/CUSTOMERID = <RECORDSET>{ for $p in ns1:NULLABLEPAY() return \
+           <RECORD><K>{fn:data($p/CUSTID)}</K></RECORD> }</RECORDSET>/RECORD/K) \
+         return <ID>{fn:data($c/CUSTOMERID)}</ID>";
+
+    #[test]
+    fn probe_let_pads_and_matches_like_the_interpreter() {
+        let (joins, fallbacks) = assert_strategies_agree(&format!("{IMPORT} {OUTER}"));
+        assert_eq!((joins, fallbacks), (1, 0));
+        let out = run_exec(
+            &format!("{IMPORT} {OUTER}"),
+            &QueryBudget::unlimited(),
+            ExecStrategy::HashJoin,
+        )
+        .unwrap();
+        assert_eq!(
+            serialize_sequence(&out),
+            "<R><ID>55</ID><PAY>10</PAY></R><R><ID>55</ID><PAY>30</PAY></R>\
+             <R><ID>23</ID></R><R><ID>7</ID></R>"
+        );
+        // With a residual conjunct beside the key, in either order.
+        for predicate in [
+            "(($c/CUSTOMERID=CUSTID) and (PAYMENT>xs:integer(15)))",
+            "((PAYMENT>xs:integer(15)) and (CUSTID=$c/CUSTOMERID))",
+        ] {
+            let query = format!("{IMPORT} {OUTER}").replace("($c/CUSTOMERID=CUSTID)", predicate);
+            assert_eq!(assert_strategies_agree(&query), (1, 0));
+            let out = run_exec(&query, &QueryBudget::unlimited(), ExecStrategy::HashJoin).unwrap();
+            assert!(
+                serialize_sequence(&out).starts_with("<R><ID>55</ID><PAY>30</PAY></R><R><ID>23")
+            );
+        }
+    }
+
+    #[test]
+    fn semi_join_filters_like_the_general_comparison() {
+        let (joins, fallbacks) = assert_strategies_agree(&format!("{IMPORT} {SEMI}"));
+        assert_eq!((joins, fallbacks), (1, 0));
+        assert_eq!(run_text(&format!("{IMPORT} {SEMI}")), "<ID>55</ID>");
+        // An empty left operand (customer 7 has no name) passes nothing;
+        // NOT IN's `every` beside it is not a hash operator.
+        let query = format!(
+            "{IMPORT} let $v := (<V>{{ns0:CUSTOMERS()}}</V>)/CUSTOMERS \
+             let $w := (<V>{{ns1:PAYMENTS()}}</V>)/PAYMENTS \
+             for $c in ns0:CUSTOMERS() where $c/CUSTOMERNAME = $v/CUSTOMERNAME \
+             where every $q in $w satisfies $c/CUSTOMERID != $q/PAYMENT \
+             return <ID>{{fn:data($c/CUSTOMERID)}}</ID>"
+        );
+        assert_eq!(assert_strategies_agree(&query), (1, 0));
+        assert_eq!(run_text(&query), "<ID>55</ID><ID>23</ID>");
+    }
+
+    #[test]
+    fn declined_shapes_count_one_fallback_and_change_nothing() {
+        // A correlated view, and a let-filter on an inequality.
+        let correlated = format!("{IMPORT} {SEMI}").replace(
+            "ns1:NULLABLEPAY() return",
+            "ns1:NULLABLEPAY() where $p/PAYMENT < $c/CUSTOMERID return",
+        );
+        let inequality =
+            format!("{IMPORT} {OUTER}").replace("CUSTOMERID=CUSTID", "CUSTOMERID<CUSTID");
+        for query in [correlated, inequality] {
+            assert_eq!(assert_strategies_agree(&query), (0, 1), "{query}");
+            assert!(!run(&query).is_empty());
+        }
+    }
+
+    #[test]
+    fn new_operators_build_lazily_and_fall_back_on_errors() {
+        // A dead stream never evaluates SRC or R (which would error).
+        for dead in [
+            "for $c in ns0:CUSTOMERS() where fn:false() \
+             let $m := ns1:NOSUCHTABLE()[($c/CUSTOMERID=CUSTID)] return <R/>",
+            "for $c in ns0:CUSTOMERS() where fn:false() \
+             where $c/CUSTOMERID = <V>{ns1:NOSUCHTABLE()}</V>/X return <R/>",
+        ] {
+            let query = format!("{IMPORT} {dead}");
+            assert_eq!(assert_strategies_agree(&query), (1, 0));
+            assert!(run(&query).is_empty());
+        }
+        // A live one hits the error in the pipeline, counts a fallback,
+        // and reports what the interpreter reports.
+        for failing in [
+            "for $c in ns0:CUSTOMERS() \
+             let $m := ns1:PAYMENTS()[(($c/CUSTOMERID=CUSTID) and (1 div 0 = PAYMENT))] return <R/>",
+            "for $c in ns0:CUSTOMERS() \
+             where $c/CUSTOMERID = <V>{ns1:NOSUCHTABLE()}</V>/X return <R/>",
+        ] {
+            let query = format!("{IMPORT} {failing}");
+            let budget = QueryBudget::unlimited();
+            let hashed = run_exec(&query, &budget, ExecStrategy::HashJoin).unwrap_err();
+            let naive =
+                run_exec(&query, &QueryBudget::unlimited(), ExecStrategy::NestedLoop).unwrap_err();
+            assert_eq!(hashed.message, naive.message);
+            assert_eq!(budget.take_exec_counts(), (0, 1));
+        }
+    }
+
+    #[test]
+    fn budgets_bind_on_the_new_operators_tables() {
+        for query in [format!("{IMPORT} {OUTER}"), format!("{IMPORT} {SEMI}")] {
+            // Four NULLABLEPAY rows (three non-NULL keys) against a cap
+            // of 2 — the three customers alone would pass it.
+            let capped = QueryBudget::unlimited().with_row_cap(2);
+            let err = run_exec(&query, &capped, ExecStrategy::HashJoin).unwrap_err();
+            let Some(BudgetError::RowCapExceeded { cap: 2, .. }) = err.budget_error() else {
+                panic!("expected row-cap violation, got {err:?}");
+            };
+            let starved = QueryBudget::unlimited().with_fuel(12);
+            let err = run_exec(&query, &starved, ExecStrategy::HashJoin).unwrap_err();
+            assert_eq!(
+                err.budget_error(),
+                Some(BudgetError::FuelExhausted { limit: 12 })
+            );
+            let (naive, hash) = (QueryBudget::unlimited(), QueryBudget::unlimited());
+            run_exec(&query, &naive, ExecStrategy::NestedLoop).unwrap();
+            run_exec(&query, &hash, ExecStrategy::HashJoin).unwrap();
+            assert!(
+                hash.fuel_consumed() < naive.fuel_consumed(),
+                "hash {} vs naive {}",
+                hash.fuel_consumed(),
+                naive.fuel_consumed()
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The streaming physical execution layer.
 //!
 //! The paper's server delegates join execution to "the underlying XQuery
-//! engine"; this module is that engine's physical side. It lowers a FLWOR
-//! whose `where` conjuncts equate variables bound by different `for`
-//! clauses into a pipeline of streaming operators, so the cartesian
-//! product the naive interpreter materializes (`eval_flwor` expands a
-//! tuple vector per clause) never exists:
+//! engine"; this module is that engine's physical side. It lowers the
+//! three quadratic shapes stage 3 emits — `for … for … where a = b`, the
+//! outer join's filtered `let` (Example 10) and `x IN (SELECT ..)`'s
+//! comparison against a view — into a pipeline of streaming operators,
+//! so neither the cartesian product the naive interpreter materializes
+//! (`eval_flwor` expands a tuple vector per clause) nor its per-tuple
+//! re-scan of the other side ever happens:
 //!
 //! * [`Op::For`] — scan: expands one `for` clause, pushing each binding
 //!   down the pipeline immediately.
@@ -15,6 +17,11 @@
 //!   naive interpreter would also never evaluate it) into a hash table
 //!   keyed by [`AtomKey`] projections of the join key; each probe tuple
 //!   then binds only its matching build items.
+//! * [`Op::ProbeLet`] — the same table over a `let`'s filtered source:
+//!   binds the variable to the probe tuple's matches (possibly none —
+//!   the `if (fn:empty(..))` padding stays the interpreter's).
+//! * [`Op::SemiJoin`] — the same table over a view's atoms: passes a
+//!   tuple when its key finds any.
 //! * [`Op::Let`] / [`Op::Filter`] — bind and residual-predicate
 //!   operators, fused into the same tuple flow.
 //!
@@ -22,24 +29,31 @@
 //!
 //! [`plan`] lowers the longest prefix of `for`/`let`/`where` clauses
 //! (group-by and order-by terminate it; they run through the interpreter
-//! on the pipeline's output). A `for` clause becomes a hash join when:
+//! on the pipeline's output). An expression is *stream-invariant* when
+//! no free variable of it is bound by an earlier tuple-varying prefix
+//! clause (`let`s whose values are themselves stream-invariant are fine —
+//! the translator's let-bound `<RECORDSET>` views of paper Example 8
+//! hang joins off exactly such variables). A `for` clause over a
+//! stream-invariant source becomes a hash join when some later `where`
+//! conjunct (conjuncts are `and`-flattened) is a general `=` whose one
+//! side references this clause's variable and nothing else
+//! tuple-varying, while the other side references at least one
+//! tuple-varying earlier binding and nothing bound at or after this
+//! clause. `let $m := SRC[(A = B) and rest…]` (one predicate, on a
+//! filter or on a path's last step) becomes a probe-let when `SRC` is
+//! stream-invariant and one side of the `=` reads the context item and
+//! nothing tuple-varying while the other reads a tuple-varying binding
+//! and not the context item. A `where` conjunct `L = R` becomes a
+//! semi-join when `R` is stream-invariant and is a path over a
+//! constructed element or `$v`/a path from `$v` for a stream-invariant
+//! `let` of this prefix — not a literal, cast, sequence or external
+//! variable, so point lookups and IN-lists keep the interpreter's path.
 //!
-//! * its source is *stream-invariant*: no free variable bound by an
-//!   earlier tuple-varying prefix clause (`let`s whose values are
-//!   themselves stream-invariant are fine — the translator's let-bound
-//!   `<RECORDSET>` views of paper Example 8 hang joins off exactly such
-//!   variables), and
-//! * some later `where` conjunct (conjuncts are `and`-flattened) is a
-//!   general `=` whose one side references this clause's variable and
-//!   nothing else tuple-varying, while the other side references at
-//!   least one tuple-varying earlier binding and nothing bound at or
-//!   after this clause.
-//!
-//! Each conjunct keys at most one join; leftovers stay residual filters
-//! at their original clause position. Anything else — fewer than two
-//! `for` clauses, shadowed variable names, value comparisons,
-//! correlated sources — declines, and the FLWOR runs on the naive
-//! interpreter unchanged.
+//! Each conjunct keys at most one operator; leftovers stay residual
+//! filters at their original position. Anything else — shadowed variable
+//! names, value comparisons, `fn:not(..)`-wrapped or correlated shapes,
+//! the anti-join `where fn:empty(SRC[..])`, NOT IN's `every` — declines,
+//! and the FLWOR runs on the naive interpreter unchanged.
 //!
 //! ## Hash as prefilter, `compare` as judge
 //!
@@ -60,23 +74,25 @@
 //! ## Ordering, errors, budgets
 //!
 //! Output order is the interpreter's: probe-major, with each probe
-//! tuple's matches emitted in build-source order (candidate indices are
-//! sorted and deduplicated across projections). Any dynamic error inside
-//! the pipeline abandons it and the caller re-runs the FLWOR naively —
-//! the pipeline evaluates the same pure expressions, possibly in a
-//! different order or for fewer tuples, so the naive outcome is
-//! authoritative (budget violations propagate immediately instead; they
-//! are not outcomes to reproduce but limits already hit). Fuel is
-//! charged through the same [`aldsp_governor::QueryBudget`] hooks — one
-//! unit per scan binding, per build row, and per joined binding — and
-//! the row cap bounds what the pipeline actually materializes: the build
-//! table and the output vector.
+//! tuple's matches emitted (or let-bound) in build-source order
+//! (candidate indices are sorted and deduplicated across projections).
+//! Any dynamic error inside the pipeline abandons it and the caller
+//! re-runs the FLWOR naively — the pipeline evaluates the same pure
+//! expressions, possibly in a different order or for fewer tuples, so the
+//! naive outcome is authoritative (budget violations propagate
+//! immediately instead; they are not outcomes to reproduce but limits
+//! already hit). Fuel is charged through the same
+//! [`aldsp_governor::QueryBudget`] hooks — one unit per scan binding, per
+//! build row, and per joined or let-bound match — and the row cap bounds
+//! what the pipeline actually materializes: the build tables and the
+//! output vector.
 
-use crate::ast::{Clause, CompOp, Expr, Flwor};
+use crate::ast::{Clause, CompOp, Expr, Flwor, PathStart, Step};
 use crate::eval::{Env, Evaluator, XqError};
 use crate::functions::data;
-use crate::visit::free_vars;
+use crate::visit::{free_vars, uses_context};
 use aldsp_xml::{Atomic, Item, Sequence};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -195,6 +211,29 @@ pub(crate) enum Op<'p> {
         /// Key over `var`, evaluated per build item.
         build_key: &'p Expr,
     },
+    /// Probe-let replacing `let $var := SRC[(A = B) and rest…]` — the
+    /// matched arm of an outer join (paper Example 10).
+    ProbeLet {
+        /// The `let` variable, bound to the matches in source order.
+        var: &'p str,
+        /// `SRC`: stream-invariant; owned when it had to be cut out of a
+        /// path whose last step carries the predicate.
+        source: Cow<'p, Expr>,
+        /// The side of the `=` over earlier bindings.
+        probe_key: &'p Expr,
+        /// The side of the `=` over the context item.
+        build_key: &'p Expr,
+        /// The predicate's other conjuncts, checked per hashed match.
+        rest: Vec<&'p Expr>,
+    },
+    /// Semi-join filter replacing the `where` conjunct `L = R` with a
+    /// stream-invariant view on the right — `IN (SELECT …)`.
+    SemiJoin {
+        /// `L`, evaluated per tuple.
+        probe_key: &'p Expr,
+        /// `R`, evaluated once; every atom of it is a build row.
+        source: &'p Expr,
+    },
 }
 
 /// A lowered FLWOR prefix.
@@ -204,27 +243,15 @@ pub(crate) struct Plan<'p> {
     /// How many leading clauses of the FLWOR the pipeline covers; the
     /// interpreter resumes with the remainder (group-by / order-by).
     pub consumed: usize,
-    /// How many [`Op::HashJoin`] operators the plan contains.
+    /// How many hash operators ([`Op::HashJoin`], [`Op::ProbeLet`],
+    /// [`Op::SemiJoin`]) the plan contains; never zero.
     pub joins: usize,
 }
 
-/// Whether this FLWOR even looks like a join — used to count fallbacks
-/// only where a join was plausible, so the fast-path fraction in
-/// [`aldsp_governor::GovernorStats`] measures joins, not every FLWOR.
-pub(crate) fn join_shaped(flwor: &Flwor) -> bool {
-    flwor
-        .clauses
-        .iter()
-        .filter(|c| matches!(c, Clause::For { .. }))
-        .count()
-        >= 2
-}
-
-/// Plans the streamable prefix of `flwor`, or `None` when no `for`
-/// clause qualifies as a hash join (see the module docs for the
-/// conditions).
-pub(crate) fn plan(flwor: &Flwor) -> Option<Plan<'_>> {
-    let prefix_len = flwor
+/// The `for`/`let`/`where` clauses a pipeline can cover: everything
+/// before the first group-by or order-by.
+fn prefix_of(flwor: &Flwor) -> &[Clause] {
+    let len = flwor
         .clauses
         .iter()
         .take_while(|c| {
@@ -234,15 +261,53 @@ pub(crate) fn plan(flwor: &Flwor) -> Option<Plan<'_>> {
             )
         })
         .count();
-    let prefix = &flwor.clauses[..prefix_len];
-    if prefix
-        .iter()
-        .filter(|c| matches!(c, Clause::For { .. }))
-        .count()
-        < 2
-    {
-        return None;
-    }
+    &flwor.clauses[..len]
+}
+
+/// The syntactic early-out in front of [`plan`]: whether the prefix holds
+/// anything a hash operator could come from — a second `for`, a `let`
+/// over a filter, or a `where` conjunct equating something with a view.
+/// One pass, no allocation, so the translator's many single-`for`
+/// FLWORs (`for $v in fn:data(..) return <COL>`) pay nothing for the
+/// planner; and a FLWOR that passes but then lowers nothing is what
+/// [`aldsp_governor::GovernorStats`] counts as a fallback, so the
+/// fast-path fraction is over hashable shapes rather than all FLWORs.
+// Out of line, like `plan` and `run`: inlined into `eval_flwor` they
+// make every FLWOR evaluation dearer — about 2 % of a warm point lookup,
+// measured on the end-to-end benchmark's `warm_point` floor.
+#[inline(never)]
+pub(crate) fn hash_shaped(flwor: &Flwor) -> bool {
+    let prefix = prefix_of(flwor);
+    let let_bound = |v: &str| {
+        prefix
+            .iter()
+            .any(|c| matches!(c, Clause::Let { var, .. } if var == v))
+    };
+    let mut fors = 0;
+    prefix.iter().any(|clause| match clause {
+        Clause::For { .. } => {
+            fors += 1;
+            fors == 2
+        }
+        Clause::Let { value, .. } => filter_predicate(value).is_some(),
+        Clause::Where(pred) => any_conjunct(pred, &mut |e| match e {
+            Expr::GeneralComp {
+                op: CompOp::Eq,
+                right,
+                ..
+            } => is_view(right, let_bound),
+            _ => false,
+        }),
+        Clause::GroupBy(_) | Clause::OrderBy(_) => false,
+    })
+}
+
+/// Plans the streamable prefix of `flwor`, or `None` when nothing in it
+/// qualifies for a hash operator (see the module docs for the
+/// conditions).
+#[inline(never)]
+pub(crate) fn plan(flwor: &Flwor) -> Option<Plan<'_>> {
+    let prefix = prefix_of(flwor);
 
     // Binder names in clause order; shadowing (which the translator
     // never emits) would make the free-variable analysis lie, so decline.
@@ -259,7 +324,7 @@ pub(crate) fn plan(flwor: &Flwor) -> Option<Plan<'_>> {
 
     // `bound_before[i]`: variables bound by clauses `0..i`. `constants`:
     // let-bound names whose values cannot vary across tuples.
-    let mut bound_before: Vec<HashSet<&str>> = Vec::with_capacity(prefix_len);
+    let mut bound_before: Vec<HashSet<&str>> = Vec::with_capacity(prefix.len());
     let mut bound: HashSet<&str> = HashSet::new();
     let mut constants: HashSet<&str> = HashSet::new();
     for clause in prefix {
@@ -279,16 +344,21 @@ pub(crate) fn plan(flwor: &Flwor) -> Option<Plan<'_>> {
             }
             Clause::Where(_) => {}
             Clause::GroupBy(_) | Clause::OrderBy(_) => {
-                unreachable!("take_while excludes group-by/order-by from the prefix")
+                unreachable!("prefix_of excludes group-by/order-by")
             }
         }
     }
+    // Whether `$v`, read at clause `k`, can differ from tuple to tuple.
+    let varying = |k: usize, v: &str| bound_before[k].contains(v) && !constants.contains(v);
 
     // And-flattened where conjuncts, tagged with their clause position.
     let mut conjuncts: Vec<(usize, &Expr, bool)> = Vec::new();
     for (i, clause) in prefix.iter().enumerate() {
         if let Clause::Where(pred) = clause {
-            flatten_and(pred, i, &mut conjuncts);
+            any_conjunct(pred, &mut |e| {
+                conjuncts.push((i, e, false));
+                false
+            });
         }
     }
 
@@ -298,10 +368,7 @@ pub(crate) fn plan(flwor: &Flwor) -> Option<Plan<'_>> {
         let Clause::For { var, source } = clause else {
             continue;
         };
-        let source_invariant = free_vars(source)
-            .iter()
-            .all(|v| !bound_before[k].contains(v.as_str()) || constants.contains(v.as_str()));
-        if !source_invariant {
+        if !invariant(source, &|v| varying(k, v)) {
             continue;
         }
         for (ci, entry) in conjuncts.iter_mut().enumerate() {
@@ -328,9 +395,7 @@ pub(crate) fn plan(flwor: &Flwor) -> Option<Plan<'_>> {
             let probe_ok = |frees: &BTreeSet<String>| {
                 frees.iter().all(|v| {
                     !all_bound.contains(v.as_str()) || bound_before[k].contains(v.as_str())
-                }) && frees.iter().any(|v| {
-                    bound_before[k].contains(v.as_str()) && !constants.contains(v.as_str())
-                })
+                }) && frees.iter().any(|v| varying(k, v))
             };
             let lf = free_vars(left);
             let rf = free_vars(right);
@@ -346,10 +411,8 @@ pub(crate) fn plan(flwor: &Flwor) -> Option<Plan<'_>> {
             break;
         }
     }
-    if joins.is_empty() {
-        return None;
-    }
 
+    let mut hash_ops = joins.len();
     let mut ops: Vec<Op<'_>> = Vec::new();
     for (i, clause) in prefix.iter().enumerate() {
         match clause {
@@ -372,33 +435,154 @@ pub(crate) fn plan(flwor: &Flwor) -> Option<Plan<'_>> {
                 }
                 None => ops.push(Op::For { var, source }),
             },
-            Clause::Let { var, value } => ops.push(Op::Let { var, value }),
+            Clause::Let { var, value } => match probe_let(var, value, &|v| varying(i, v)) {
+                Some(op) => {
+                    hash_ops += 1;
+                    ops.push(op);
+                }
+                None => ops.push(Op::Let { var, value }),
+            },
             Clause::Where(_) => {
+                // A view variable is a `let` of this prefix that holds
+                // the same value on every tuple.
+                let view_var = |v: &str| bound_before[i].contains(v) && constants.contains(v);
                 for &(w, e, used) in &conjuncts {
-                    if w == i && !used {
-                        ops.push(Op::Filter(e));
+                    if w != i || used {
+                        continue;
+                    }
+                    match e {
+                        Expr::GeneralComp {
+                            op: CompOp::Eq,
+                            left,
+                            right,
+                        } if is_view(right, view_var) && invariant(right, &|v| varying(i, v)) => {
+                            hash_ops += 1;
+                            ops.push(Op::SemiJoin {
+                                probe_key: left,
+                                source: right,
+                            });
+                        }
+                        _ => ops.push(Op::Filter(e)),
                     }
                 }
             }
             Clause::GroupBy(_) | Clause::OrderBy(_) => {
-                unreachable!("take_while excludes group-by/order-by from the prefix")
+                unreachable!("prefix_of excludes group-by/order-by")
             }
         }
     }
-    Some(Plan {
+    (hash_ops > 0).then_some(Plan {
         ops,
-        consumed: prefix_len,
-        joins: joins.len(),
+        consumed: prefix.len(),
+        joins: hash_ops,
     })
 }
 
-fn flatten_and<'p>(expr: &'p Expr, clause: usize, out: &mut Vec<(usize, &'p Expr, bool)>) {
-    if let Expr::And(a, b) = expr {
-        flatten_and(a, clause, out);
-        flatten_and(b, clause, out);
-    } else {
-        out.push((clause, expr, false));
+/// Calls `f` on each conjunct of an `and` tree, left to right, until one
+/// answers true.
+fn any_conjunct<'p>(expr: &'p Expr, f: &mut impl FnMut(&'p Expr) -> bool) -> bool {
+    match expr {
+        Expr::And(a, b) => any_conjunct(a, f) || any_conjunct(b, f),
+        other => f(other),
     }
+}
+
+/// No free variable of `expr` differs from tuple to tuple.
+fn invariant(expr: &Expr, varying: &dyn Fn(&str) -> bool) -> bool {
+    free_vars(expr).iter().all(|v| !varying(v))
+}
+
+/// What a semi-join may build from: a path over a constructed view, or
+/// `$v` / a path from `$v` for a view variable. Literals, casts,
+/// sequences and other variables (`$sqlParam1`) are not views: a point
+/// lookup or an IN-list has nothing worth hashing.
+fn is_view(expr: &Expr, view_var: impl Fn(&str) -> bool) -> bool {
+    match expr {
+        Expr::VarRef(v) => view_var(v),
+        Expr::Path { start, .. } => match &**start {
+            PathStart::Var(v) => view_var(v),
+            PathStart::Expr(e) => matches!(e, Expr::Element(_)),
+            PathStart::Context => false,
+        },
+        _ => false,
+    }
+}
+
+/// The predicate of `SRC[pred]`: a filter over any primary, or a path
+/// whose last step carries the predicate (`$view/RECORD[pred]`; the
+/// evaluator filters a step's whole result, so the two mean the same).
+/// More than one predicate declines: the second would see positions in
+/// the first one's output.
+fn filter_predicate(value: &Expr) -> Option<&Expr> {
+    let predicates = match value {
+        Expr::Filter { predicates, .. } => predicates,
+        Expr::Path { steps, .. } => &steps.last()?.predicates,
+        _ => return None,
+    };
+    match predicates.as_slice() {
+        [predicate] => Some(predicate),
+        _ => None,
+    }
+}
+
+/// Lowers `let $var := SRC[(A = B) and rest…]` when `SRC` is
+/// stream-invariant and some `=` conjunct has one side over the context
+/// item only and the other over tuple-varying bindings only. A predicate
+/// with such a conjunct is an `and` tree or a comparison, so it is never
+/// positional.
+fn probe_let<'p>(var: &'p str, value: &'p Expr, varying: &dyn Fn(&str) -> bool) -> Option<Op<'p>> {
+    let predicate = filter_predicate(value)?;
+    let source = match value {
+        Expr::Filter { base, .. } => Cow::Borrowed(&**base),
+        Expr::Path { start, steps } => {
+            let (last, before) = steps.split_last()?;
+            let mut steps = before.to_vec();
+            steps.push(Step {
+                test: last.test.clone(),
+                predicates: Vec::new(),
+            });
+            Cow::Owned(Expr::Path {
+                start: start.clone(),
+                steps,
+            })
+        }
+        _ => return None,
+    };
+    if !invariant(&source, varying) {
+        return None;
+    }
+    let mut rest = Vec::new();
+    any_conjunct(predicate, &mut |e| {
+        rest.push(e);
+        false
+    });
+    let probes = |e: &Expr| !uses_context(e) && free_vars(e).iter().any(|v| varying(v));
+    let builds = |e: &Expr| uses_context(e) && invariant(e, varying);
+    let (at, probe_key, build_key) = rest.iter().enumerate().find_map(|(at, e)| {
+        let Expr::GeneralComp {
+            op: CompOp::Eq,
+            left,
+            right,
+        } = e
+        else {
+            return None;
+        };
+        if probes(left) && builds(right) {
+            Some((at, &**left, &**right))
+        } else if probes(right) && builds(left) {
+            Some((at, &**right, &**left))
+        } else {
+            None
+        }
+    })?;
+    rest.remove(at);
+    Some(Op::ProbeLet {
+        var,
+        source,
+        probe_key,
+        build_key,
+        rest,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -416,6 +600,7 @@ struct JoinTable {
 /// surviving tuple environments in interpreter order. Budget errors
 /// propagate; any other error means the caller must re-run the FLWOR
 /// naively (see the module docs).
+#[inline(never)]
 pub(crate) fn run(
     ev: &Evaluator<'_>,
     plan: &Plan<'_>,
@@ -467,73 +652,96 @@ fn drive(
             probe_key,
             build_key,
         } => {
-            if tables[i].is_none() {
-                // Built on first arrival: the source and build key are
-                // stream-invariant, so this tuple's environment values
-                // them identically to every other tuple's.
-                tables[i] = Some(build_table(ev, var, source, build_key, env, context)?);
-            }
-            let matched: Vec<Item> = {
-                let table = tables[i].as_ref().expect("table built above");
-                let probe = data(&ev.eval(probe_key, env, context)?);
-                let mut candidates: Vec<usize> = Vec::new();
-                let mut projections = Vec::new();
-                for item in probe.iter() {
-                    let Item::Atomic(a) = item else { continue };
-                    projections.clear();
-                    AtomKey::join_projections(a, &mut projections);
-                    for key in &projections {
-                        if let Some(bucket) = table.buckets.get(key) {
-                            candidates.extend(bucket);
-                        }
-                    }
-                }
-                candidates.sort_unstable();
-                candidates.dedup();
-                candidates
-                    .into_iter()
-                    .filter(|&idx| {
-                        let (_, build_atoms) = &table.entries[idx];
-                        probe.iter().any(|p| {
-                            let Item::Atomic(p) = p else { return false };
-                            build_atoms
-                                .iter()
-                                .any(|b| p.compare(b) == Some(Ordering::Equal))
-                        })
-                    })
-                    .map(|idx| table.entries[idx].0.clone())
-                    .collect()
-            };
+            // Built on first arrival: the source and build key are
+            // stream-invariant, so this tuple's environment values them
+            // identically to every other tuple's.
+            let table = built(&mut tables[i], || {
+                let items = ev.eval(source, env, context)?;
+                build_table(ev, items, |item| {
+                    let bound = env.bind(*var, Sequence::singleton(item.clone()));
+                    ev.eval(build_key, &bound, context)
+                })
+            })?;
+            let matched: Vec<Item> = probe(table, &data(&ev.eval(probe_key, env, context)?))
+                .into_iter()
+                .map(|idx| table.entries[idx].0.clone())
+                .collect();
             for item in matched {
                 ev.charge(1)?;
                 let next = env.bind(*var, Sequence::singleton(item));
                 drive(ev, ops, tables, i + 1, &next, context, out)?;
             }
         }
+        Op::ProbeLet {
+            var,
+            source,
+            probe_key,
+            build_key,
+            rest,
+        } => {
+            // The build key reads each item as its context, the way the
+            // predicate it came from did.
+            let table = built(&mut tables[i], || {
+                let items = ev.eval(source, env, context)?;
+                build_table(ev, items, |item| ev.eval(build_key, env, Some(item)))
+            })?;
+            let mut matched = Sequence::empty();
+            'candidates: for idx in probe(table, &data(&ev.eval(probe_key, env, context)?)) {
+                let item = &table.entries[idx].0;
+                // The predicate's other conjuncts, left to right and
+                // short-circuiting like the `and` they were cut from.
+                for conjunct in rest {
+                    if !ev.eval(conjunct, env, Some(item))?.effective_boolean() {
+                        continue 'candidates;
+                    }
+                }
+                ev.charge(1)?;
+                matched.push(item.clone());
+            }
+            let next = env.bind(*var, matched);
+            drive(ev, ops, tables, i + 1, &next, context, out)?;
+        }
+        Op::SemiJoin { probe_key, source } => {
+            // Every atom of the view is a build row and its own key.
+            let table = built(&mut tables[i], || {
+                let atoms = data(&ev.eval(source, env, context)?);
+                build_table(ev, atoms, |atom| Ok(Sequence::singleton(atom.clone())))
+            })?;
+            if !probe(table, &data(&ev.eval(probe_key, env, context)?)).is_empty() {
+                drive(ev, ops, tables, i + 1, env, context, out)?;
+            }
+        }
     }
     Ok(())
 }
 
+/// The table in `slot`, built on first use: a dead stream never builds.
+fn built(
+    slot: &mut Option<JoinTable>,
+    build: impl FnOnce() -> Result<JoinTable, XqError>,
+) -> Result<&JoinTable, XqError> {
+    if slot.is_none() {
+        *slot = Some(build()?);
+    }
+    Ok(slot.as_ref().expect("built above"))
+}
+
+/// Materializes a build side from `items`, keying each by `key`. One fuel
+/// unit per row, like a `for` expansion, and the table stays under the
+/// row cap.
 fn build_table(
     ev: &Evaluator<'_>,
-    var: &str,
-    source: &Expr,
-    build_key: &Expr,
-    env: &Env,
-    context: Option<&Item>,
+    items: Sequence,
+    key: impl Fn(&Item) -> Result<Sequence, XqError>,
 ) -> Result<JoinTable, XqError> {
-    let seq = ev.eval(source, env, context)?;
     let mut table = JoinTable {
         entries: Vec::new(),
         buckets: HashMap::new(),
     };
     let mut projections = Vec::new();
-    for item in seq.into_items() {
-        // Charge the build scan like a `for` expansion, and keep the
-        // materialized table under the row cap.
+    for item in items.into_items() {
         ev.charge(1)?;
-        let bound = env.bind(var, Sequence::singleton(item.clone()));
-        let keyed = data(&ev.eval(build_key, &bound, context)?);
+        let keyed = data(&key(&item)?);
         let idx = table.entries.len();
         let mut atoms = Vec::new();
         for key_item in keyed.into_items() {
@@ -554,6 +762,36 @@ fn build_table(
     Ok(table)
 }
 
+/// The build rows some atom of `probe` equals, as indices in source
+/// order: candidates come from the projection buckets, and every one is
+/// verified with [`Atomic::compare`]. An empty key gathers nothing.
+fn probe(table: &JoinTable, probe: &Sequence) -> Vec<usize> {
+    let mut candidates: Vec<usize> = Vec::new();
+    let mut projections = Vec::new();
+    for item in probe.iter() {
+        let Item::Atomic(a) = item else { continue };
+        projections.clear();
+        AtomKey::join_projections(a, &mut projections);
+        for key in &projections {
+            if let Some(bucket) = table.buckets.get(key) {
+                candidates.extend(bucket);
+            }
+        }
+    }
+    candidates.sort_unstable();
+    candidates.dedup();
+    candidates.retain(|&idx| {
+        let (_, build_atoms) = &table.entries[idx];
+        probe.iter().any(|p| {
+            let Item::Atomic(p) = p else { return false };
+            build_atoms
+                .iter()
+                .any(|b| p.compare(b) == Some(Ordering::Equal))
+        })
+    });
+    candidates
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,6 +805,20 @@ mod tests {
         flwor
     }
 
+    fn kinds(plan: &Plan<'_>) -> Vec<&'static str> {
+        plan.ops
+            .iter()
+            .map(|op| match op {
+                Op::For { .. } => "for",
+                Op::Let { .. } => "let",
+                Op::Filter(_) => "filter",
+                Op::HashJoin { .. } => "join",
+                Op::ProbeLet { .. } => "probe-let",
+                Op::SemiJoin { .. } => "semi-join",
+            })
+            .collect()
+    }
+
     #[test]
     fn plans_the_translator_join_shape() {
         let flwor = flwor_of(
@@ -577,17 +829,7 @@ mod tests {
         let plan = plan(&flwor).expect("join shape should lower");
         assert_eq!(plan.consumed, 3);
         assert_eq!(plan.joins, 1);
-        let kinds: Vec<&str> = plan
-            .ops
-            .iter()
-            .map(|op| match op {
-                Op::For { .. } => "for",
-                Op::Let { .. } => "let",
-                Op::Filter(_) => "filter",
-                Op::HashJoin { .. } => "join",
-            })
-            .collect();
-        assert_eq!(kinds, ["for", "join", "filter"]);
+        assert_eq!(kinds(&plan), ["for", "join", "filter"]);
     }
 
     #[test]
@@ -649,6 +891,195 @@ mod tests {
              where $k = $b/CUSTID return $a"
         ))
         .is_none());
+    }
+
+    /// The outer-join arm as `gen_left_outer` writes it, with the ON's
+    /// second conjunct as the residual.
+    const OUTER_ARM: &str = "for $c in ns0:CUSTOMERS() \
+         let $m := ns1:PAYMENTS()[(($c/CUSTOMERID=CUSTID) and (PAYMENT>$sqlParam1))] \
+         return if (fn:empty($m)) then <L/> else (for $p in $m return <R/>)";
+
+    #[test]
+    fn plans_the_outer_join_let_filter_as_a_probe_let() {
+        let flwor = flwor_of(OUTER_ARM);
+        assert!(hash_shaped(&flwor));
+        let plan = plan(&flwor).expect("outer-join arm should lower");
+        assert_eq!(kinds(&plan), ["for", "probe-let"]);
+        assert_eq!((plan.consumed, plan.joins), (2, 1));
+        let Op::ProbeLet {
+            var,
+            source,
+            probe_key,
+            build_key,
+            rest,
+        } = &plan.ops[1]
+        else {
+            unreachable!()
+        };
+        assert_eq!(*var, "m");
+        assert!(matches!(&**source, Expr::FunctionCall { name, .. } if name == "ns1:PAYMENTS"));
+        assert_eq!(**probe_key, Expr::var_path("c", &["CUSTOMERID"]));
+        assert!(uses_context(build_key));
+        assert_eq!(rest.len(), 1, "the other ON conjunct stays a residual");
+
+        // RIGHT OUTER writes the context side first; a derived right side
+        // hangs the predicate off the last step of a path over a view.
+        let mirrored = flwor_of(
+            "let $v := <RECORDSET>{for $x in ns1:PAYMENTS() return $x}</RECORDSET> \
+             for $c in ns0:CUSTOMERS() \
+             let $m := $v/RECORD[(CUSTID=$c/CUSTOMERID)] return $m",
+        );
+        let plan = super::plan(&mirrored).expect("path-form let-filter should lower");
+        assert_eq!(kinds(&plan), ["let", "for", "probe-let"]);
+        let Op::ProbeLet { source, rest, .. } = &plan.ops[2] else {
+            unreachable!()
+        };
+        assert_eq!(*source.as_ref(), Expr::var_path("v", &["RECORD"]));
+        assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn plans_a_view_comparison_as_a_semi_join() {
+        // Positive IN as stage 3 writes it ...
+        let inline = flwor_of(
+            "for $c in ns0:CUSTOMERS() \
+             where ($c/CUSTOMERID = <RECORDSET>{ for $o in ns1:ORDERS() \
+               where ($o/AMOUNT>$sqlParam1) return <RECORD><K>{fn:data($o/CUSTID)}</K></RECORD> \
+             }</RECORDSET>/RECORD/K) and ($c/REGION = $sqlParam2) return $c",
+        );
+        assert!(hash_shaped(&inline));
+        let plan = plan(&inline).expect("view comparison should lower");
+        assert_eq!(kinds(&plan), ["for", "semi-join", "filter"]);
+        assert_eq!((plan.consumed, plan.joins), (2, 1));
+
+        // ... and with the view hoisted to a stream-invariant let.
+        let hoisted = flwor_of(
+            "let $v := (<RECORDSET>{for $o in ns1:ORDERS() return $o}</RECORDSET>)/RECORD \
+             for $c in ns0:CUSTOMERS() where $c/CUSTOMERID = $v/CUSTID return $c",
+        );
+        assert!(hash_shaped(&hoisted));
+        assert_eq!(
+            kinds(&super::plan(&hoisted).expect("let-view comparison should lower")),
+            ["let", "for", "semi-join"]
+        );
+
+        // Beside an ordinary hash join, each conjunct keys one operator.
+        let both = flwor_of(
+            "let $v := <V>{ns1:ORDERS()}</V> \
+             for $a in ns0:CUSTOMERS() for $b in ns1:PAYMENTS() \
+             where ($a/CUSTOMERID = $b/CUSTID) and ($a/CUSTOMERID = $v/ORDERS/CUSTID) return $a",
+        );
+        let plan = super::plan(&both).unwrap();
+        assert_eq!(kinds(&plan), ["let", "for", "join", "semi-join"]);
+        assert_eq!(plan.joins, 2);
+    }
+
+    /// Shaped, so a fallback is counted, but not lowered.
+    fn assert_declined(query: &str) {
+        let flwor = flwor_of(query);
+        assert!(hash_shaped(&flwor), "should look hashable: {query}");
+        assert!(plan(&flwor).is_none(), "should decline: {query}");
+    }
+
+    /// Not even shaped: the early-out answers, nothing is counted.
+    fn assert_not_shaped(query: &str) {
+        let flwor = flwor_of(query);
+        assert!(!hash_shaped(&flwor), "should not look hashable: {query}");
+        assert!(plan(&flwor).is_none(), "should decline: {query}");
+    }
+
+    #[test]
+    fn declines_unhashable_let_filters() {
+        // Correlated SRC.
+        assert_declined(
+            "for $c in ns0:CUSTOMERS() let $m := $c/PAYMENTS[($c/CUSTOMERID=CUSTID)] return $m",
+        );
+        assert_declined(
+            "for $c in ns0:CUSTOMERS() \
+             let $m := ns1:PAYMENTS()[PAYMENT>$c/CREDIT][($c/CUSTOMERID=CUSTID)] return $m",
+        );
+        // No general `=`: an inequality, a value comparison, a negation.
+        assert_declined(
+            "for $c in ns0:CUSTOMERS() let $m := ns1:PAYMENTS()[($c/CUSTOMERID<CUSTID)] return $m",
+        );
+        assert_declined(
+            "for $c in ns0:CUSTOMERS() let $m := ns1:PAYMENTS()[$c/CUSTOMERID eq CUSTID] return $m",
+        );
+        assert_declined(
+            "for $c in ns0:CUSTOMERS() \
+             let $m := ns1:PAYMENTS()[fn:not($c/CUSTOMERID=CUSTID)] return $m",
+        );
+        // Both sides on the context item, or neither.
+        assert_declined(
+            "for $c in ns0:CUSTOMERS() let $m := ns1:PAYMENTS()[(PAYMENTID=CUSTID)] return $m",
+        );
+        assert_declined(
+            "for $c in ns0:CUSTOMERS() for $d in $c/KIDS \
+             let $m := ns1:PAYMENTS()[($c/CUSTOMERID=$d/ID)] return $m",
+        );
+        // The tuple side may not read the context item as well.
+        assert_declined(
+            "for $c in ns0:CUSTOMERS() \
+             let $m := ns1:PAYMENTS()[($c/ROW[ID=1]/CUSTOMERID=CUSTID)] return $m",
+        );
+        // A probe side that does not vary is a point lookup, not a join.
+        assert_declined(
+            "for $c in ns0:CUSTOMERS() let $m := ns1:PAYMENTS()[($sqlParam1=CUSTID)] return $m",
+        );
+        // Positional predicates, literal or computed.
+        assert_declined("for $c in ns0:CUSTOMERS() let $m := ns1:PAYMENTS()[2] return $m");
+        assert_declined(
+            "for $c in ns0:CUSTOMERS() let $m := ns1:PAYMENTS()[xs:integer($c/N)] return $m",
+        );
+    }
+
+    #[test]
+    fn declines_comparisons_that_are_not_against_a_view() {
+        // Point lookups and IN-lists keep today's path untouched.
+        assert_not_shaped("for $c in ns0:CUSTOMERS() where $c/CUSTOMERID = 17 return $c");
+        assert_not_shaped(
+            "for $c in ns0:CUSTOMERS() where ($c/CUSTOMERID = xs:integer(17)) return $c",
+        );
+        assert_not_shaped("for $c in ns0:CUSTOMERS() where ($c/CUSTOMERID = $sqlParam1) return $c");
+        assert_not_shaped(
+            "for $c in ns0:CUSTOMERS() \
+             where ($c/CUSTOMERID = ($sqlParam1, $sqlParam2, $sqlParam3)) return $c",
+        );
+        // A correlated subquery's own FLWOR: the right side is the outer
+        // tuple's variable, not a view.
+        assert_not_shaped("for $o in ns1:ORDERS() where ($o/CUSTID = $c/CUSTOMERID) return $o");
+        // NOT IN and the FULL OUTER anti-join arm stay on the interpreter.
+        assert_not_shaped(
+            "let $v := (<V>{ns1:ORDERS()}</V>)/ORDERS for $c in ns0:CUSTOMERS() \
+             where every $q in $v satisfies $c/CUSTOMERID != $q/CUSTID return $c",
+        );
+        assert_not_shaped(
+            "for $p in ns1:PAYMENTS() \
+             where fn:empty(ns0:CUSTOMERS()[(CUSTOMERID=$p/CUSTID)]) return $p",
+        );
+        assert_not_shaped(
+            "for $c in ns0:CUSTOMERS() \
+             where fn:not($c/CUSTOMERID = <V>{ns1:ORDERS()}</V>/ORDERS/CUSTID) return $c",
+        );
+        assert_not_shaped(
+            "for $c in ns0:CUSTOMERS() \
+             where ($c/CUSTOMERID < <V>{ns1:ORDERS()}</V>/ORDERS/CUSTID) return $c",
+        );
+        // The translator's column loops: one `for`, nothing else.
+        assert_not_shaped("for $v in fn:data($r/NAME) return <NAME>{$v}</NAME>");
+
+        // A view that depends on the tuple (a correlated IN) is shaped
+        // but declined, as is a `let` that is not stream-invariant.
+        assert_declined(
+            "for $c in ns0:CUSTOMERS() \
+             where ($c/CUSTOMERID = <RECORDSET>{ for $o in ns1:ORDERS() \
+               where ($o/AMOUNT>$c/CREDIT) return <RECORD><K>{fn:data($o/CUSTID)}</K></RECORD> \
+             }</RECORDSET>/RECORD/K) return $c",
+        );
+        assert_declined(
+            "for $c in ns0:CUSTOMERS() let $kids := $c/KIDS \
+             where $c/CUSTOMERID = $kids/ID return $c",
+        );
     }
 
     #[test]

@@ -202,6 +202,31 @@ pub fn for_each_binding(program: &Program, mut f: impl FnMut(&str, BindingKind))
     b.visit_expr(&program.body);
 }
 
+/// True when `expr` contains the context item (`.` or a relative path)
+/// anywhere, nested predicates included — such an expression cannot move
+/// out of the predicate that gives it its context. The rewrite rules
+/// refuse to move one; the physical planner uses it to tell a filter
+/// predicate's build side (reads the candidate item) from its probe side
+/// (must not).
+pub fn uses_context(expr: &Expr) -> bool {
+    struct Finder(bool);
+    impl Visitor for Finder {
+        fn visit_expr(&mut self, expr: &Expr) {
+            match expr {
+                Expr::ContextItem => self.0 = true,
+                Expr::Path { start, .. } if matches!(**start, PathStart::Context) => self.0 = true,
+                _ => {}
+            }
+            if !self.0 {
+                walk_expr(self, expr);
+            }
+        }
+    }
+    let mut finder = Finder(false);
+    finder.visit_expr(expr);
+    finder.0
+}
+
 /// The free variables of `expr`: the ones it references but does not
 /// bind. Scope-aware where the generic walkers above are not: FLWOR
 /// clauses bind for subsequent clauses and the return, quantifiers bind
@@ -373,6 +398,19 @@ mod tests {
         let quantified = parse_program("some $x in $pool satisfies $x > $floor").unwrap();
         let free = free_vars(&quantified.body);
         assert!(free.contains("pool") && free.contains("floor") && !free.contains("x"));
+    }
+
+    #[test]
+    fn uses_context_sees_dots_and_relative_paths_at_any_depth() {
+        let uses = |q: &str| uses_context(&parse_program(q).unwrap().body);
+        assert!(uses("."));
+        assert!(uses("CUSTID"));
+        assert!(uses("xs:integer(fn:data(CUSTID)) + 1"));
+        assert!(uses("<R>{ for $x in $y where $x/A = B return $x }</R>"));
+        // Over-approximates: a nested predicate's own context counts.
+        assert!(uses("$c/ROW[ID = 1]"));
+        assert!(!uses("$c/CUSTOMERID"));
+        assert!(!uses("for $x in ns0:T() return fn:data($x/A)"));
     }
 
     #[test]

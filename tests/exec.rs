@@ -8,12 +8,15 @@
 //! properties on *translated SQL* across both transports, plus the
 //! governor telemetry that reports hash-path coverage.
 
+use aldsp::catalog::{ApplicationBuilder, SqlColumnType};
 use aldsp::core::{ExecStrategy, TranslationOptions, Transport};
-use aldsp::driver::{DspServer, QueryService};
+use aldsp::driver::{DriverError, DspServer, QueryService};
 use aldsp::governor::QueryBudget;
-use aldsp::relational::SqlValue;
+use aldsp::relational::{execute_query, Database, SqlValue, Table};
+use aldsp::sql::parse_select;
 use aldsp::workload::{
-    build_application, paper_queries, populate_database, run_exec_differential, Scale,
+    build_application, compare_results, paper_queries, populate_database, run_exec_differential,
+    Scale,
 };
 use std::sync::Arc;
 
@@ -128,8 +131,6 @@ fn governor_stats_expose_hash_join_counts() {
 /// hash strategy consumes no more fuel than the interpreter.
 #[test]
 fn budgets_still_bind_under_hash_join() {
-    use aldsp::driver::DriverError;
-
     let server = server(41);
     let (_, join_sql) = paper_queries()
         .into_iter()
@@ -156,4 +157,246 @@ fn budgets_still_bind_under_hash_join() {
         hash_fuel < naive_fuel,
         "hash join should consume less fuel: {hash_fuel} vs {naive_fuel}"
     );
+}
+
+/// A universe with what the generated one lacks: NULL join keys on both
+/// sides, duplicate keys on the right, an empty table, and a right side
+/// larger than any result (so a row cap can trip on the build table
+/// alone). `L.K`: 1, 2, NULL, 3, 2. `R.K`: 2, NULL, 2, 4, 1, then 5..=11.
+fn keyed_server() -> (Arc<DspServer>, Database) {
+    let keyed = |t: aldsp::catalog::builder::TableSchemaBuilder, payload: &str| {
+        t.column("K", SqlColumnType::Integer, true)
+            .column(payload, SqlColumnType::Integer, true)
+    };
+    let app = ApplicationBuilder::new("KEYED")
+        .project("P")
+        .data_service("L")
+        .physical_table("L", |t| keyed(t, "V"))
+        .finish_service()
+        .data_service("R")
+        .physical_table("R", |t| keyed(t, "W"))
+        .finish_service()
+        .data_service("E")
+        .physical_table("E", |t| keyed(t, "X"))
+        .finish_service()
+        .finish_project()
+        .build();
+    let int = |v: Option<i64>| v.map_or(SqlValue::Null, SqlValue::Int);
+    let mut db = Database::new();
+    let fill = |name: &str, rows: &[(Option<i64>, Option<i64>)]| {
+        let (_, _, function) = app.functions().find(|(_, _, f)| f.name == name).unwrap();
+        let mut table = Table::new(function.schema.clone());
+        for &(k, payload) in rows {
+            table.insert(vec![int(k), int(payload)]);
+        }
+        table
+    };
+    db.add_table(fill(
+        "L",
+        &[
+            (Some(1), Some(100)),
+            (Some(2), Some(200)),
+            (None, Some(300)),
+            (Some(3), None),
+            (Some(2), Some(500)),
+        ],
+    ));
+    let mut right = vec![
+        (Some(2), Some(10)),
+        (None, Some(20)),
+        (Some(2), Some(30)),
+        (Some(4), Some(40)),
+        (Some(1), Some(5)),
+    ];
+    right.extend((5..=11).map(|k| (Some(k), Some(k * 10))));
+    db.add_table(fill("R", &right));
+    db.add_table(fill("E", &[]));
+    let oracle = db.clone();
+    (Arc::new(DspServer::new(app, db)), oracle)
+}
+
+/// Runs `sql` under both strategies in both transports: both agree with
+/// the oracle as bags and with each other row by row, in order. Returns
+/// the rows and the hash service's `(hash_joins, join_fallbacks)` for one
+/// execution (the same in both transports).
+fn check_keyed(sql: &str) -> (Vec<Vec<SqlValue>>, (u64, u64)) {
+    let (server, oracle_db) = keyed_server();
+    let oracle = execute_query(&oracle_db, &parse_select(sql).unwrap(), &[]).unwrap();
+    let mut seen = Vec::new();
+    for transport in [Transport::DelimitedText, Transport::Xml] {
+        let naive = service(&server, transport, ExecStrategy::NestedLoop);
+        let hash = service(&server, transport, ExecStrategy::HashJoin);
+        let naive_rows = rows(&naive, sql);
+        let hash_rows = rows(&hash, sql);
+        compare_results(&naive_rows, &oracle, false)
+            .unwrap_or_else(|e| panic!("{transport:?} naive vs oracle on `{sql}`: {e}"));
+        assert_eq!(
+            hash_rows, naive_rows,
+            "{transport:?} hash vs naive on `{sql}`"
+        );
+        let stats = hash.governor_stats();
+        assert_eq!(naive.governor_stats().hash_joins, 0);
+        seen.push((hash_rows, (stats.hash_joins, stats.join_fallbacks)));
+    }
+    assert_eq!(seen[0], seen[1], "transports disagree on `{sql}`");
+    seen.swap_remove(0)
+}
+
+/// The first arm of LEFT, RIGHT and FULL OUTER runs as one probe-let:
+/// NULL keys on either side match nothing and are padded, duplicate right
+/// rows come back in source order, an empty right table pads every row,
+/// and a second ON conjunct filters the hashed matches.
+#[test]
+fn outer_joins_probe_a_hash_table_and_pad_like_the_interpreter() {
+    let int = SqlValue::Int;
+    let (rows, counts) = check_keyed("SELECT L.V, R.W FROM L LEFT OUTER JOIN R ON L.K = R.K");
+    assert_eq!(counts, (1, 0), "one probe-let, no fallback");
+    assert_eq!(
+        rows,
+        [
+            vec![int(100), int(5)],
+            vec![int(200), int(10)],
+            vec![int(200), int(30)],
+            vec![int(300), SqlValue::Null],
+            vec![SqlValue::Null, SqlValue::Null],
+            vec![int(500), int(10)],
+            vec![int(500), int(30)],
+        ],
+        "left-major, each left row's matches in right-table order"
+    );
+
+    let (rows, counts) = check_keyed("SELECT L.V, R.W FROM L RIGHT OUTER JOIN R ON L.K = R.K");
+    assert_eq!(counts, (1, 0));
+    assert_eq!(
+        rows.len(),
+        5 + 1 + 1 + 7,
+        "matches, NULL key, key 4, keys 5..=11"
+    );
+    assert_eq!(
+        rows[0],
+        [int(200), int(10)],
+        "right-major after normalization"
+    );
+    assert_eq!(rows[1], [int(500), int(10)]);
+
+    let (rows, counts) = check_keyed("SELECT L.V, R.W FROM L FULL OUTER JOIN R ON L.K = R.K");
+    assert_eq!(counts, (1, 0), "the anti-join arm stays on the interpreter");
+    assert_eq!(rows.len(), 7 + 9);
+
+    let (rows, counts) = check_keyed("SELECT L.V, E.X FROM L LEFT OUTER JOIN E ON L.K = E.K");
+    assert_eq!(counts, (1, 0));
+    assert_eq!(rows.len(), 5);
+    assert!(rows.iter().all(|r| r[1] == SqlValue::Null));
+
+    for on in ["L.K = R.K AND R.W > 15", "R.W > 15 AND R.K = L.K"] {
+        let (rows, counts) =
+            check_keyed(&format!("SELECT L.V, R.W FROM L LEFT OUTER JOIN R ON {on}"));
+        assert_eq!(counts, (1, 0), "ON {on}");
+        assert_eq!(
+            rows,
+            [
+                vec![int(100), SqlValue::Null],
+                vec![int(200), int(30)],
+                vec![int(300), SqlValue::Null],
+                vec![SqlValue::Null, SqlValue::Null],
+                vec![int(500), int(30)],
+            ],
+            "ON {on}"
+        );
+    }
+
+    // A derived right side hangs the predicate off a path's last step.
+    let (rows, counts) = check_keyed(
+        "SELECT L.V, D.W FROM L LEFT OUTER JOIN (SELECT K, W FROM R WHERE W > 5) AS D \
+         ON L.K = D.K",
+    );
+    assert_eq!(counts, (1, 0));
+    assert_eq!(rows.len(), 7);
+    assert_eq!(rows[0], [int(100), SqlValue::Null]);
+
+    // An inequality ON has nothing to hash: declined, counted, unchanged.
+    let (rows, counts) = check_keyed("SELECT L.V, R.W FROM L LEFT OUTER JOIN R ON L.K > R.K");
+    assert_eq!(counts, (0, 1));
+    assert_eq!(rows.len(), 7);
+}
+
+/// Positive `IN (SELECT ..)` runs as one semi-join: a NULL in the
+/// subquery matches nobody, a NULL left operand is not IN anything.
+/// `NOT IN` and a correlated `IN` keep the interpreter's path.
+#[test]
+fn in_subqueries_probe_a_hash_set() {
+    let int = SqlValue::Int;
+    let (rows, counts) = check_keyed("SELECT V FROM L WHERE K IN (SELECT K FROM R)");
+    assert_eq!(counts, (1, 0), "one semi-join, no fallback");
+    assert_eq!(rows, [[int(100)], [int(200)], [int(500)]]);
+
+    let (rows, counts) = check_keyed("SELECT V FROM L WHERE K IN (SELECT K FROM R) AND V > 100");
+    assert_eq!(counts, (1, 0));
+    assert_eq!(rows, [[int(200)], [int(500)]]);
+
+    let (rows, counts) =
+        check_keyed("SELECT V FROM L WHERE K NOT IN (SELECT K FROM R WHERE K IS NOT NULL)");
+    assert_eq!(counts, (0, 0), "NOT IN is no hash operator and no fallback");
+    assert_eq!(
+        rows,
+        [[SqlValue::Null]],
+        "only K = 3; a NULL K is not NOT IN"
+    );
+    let (rows, _) = check_keyed("SELECT V FROM L WHERE K NOT IN (SELECT K FROM R)");
+    assert!(rows.is_empty(), "a NULL in the subquery empties NOT IN");
+
+    let (rows, counts) =
+        check_keyed("SELECT V FROM L WHERE K IN (SELECT K FROM R WHERE R.W < L.V)");
+    assert_eq!(
+        counts,
+        (0, 1),
+        "a correlated view is declined: one fallback"
+    );
+    assert_eq!(rows, [[int(100)], [int(200)], [int(500)]]);
+
+    // IN-lists and point lookups are not even candidates.
+    let (rows, counts) = check_keyed("SELECT V FROM L WHERE K IN (1, 3, 9)");
+    assert_eq!(counts, (0, 0));
+    assert_eq!(rows.len(), 2);
+}
+
+/// The probe-let's table and the semi-join's set are materialized state:
+/// the row cap binds on them (R's 12 rows trip a cap that every tuple
+/// vector of the query stays under), and fuel still runs out.
+#[test]
+fn budgets_bind_on_probe_let_and_semi_join_tables() {
+    let (server, _) = keyed_server();
+    for sql in [
+        "SELECT L.V, R.W FROM L LEFT OUTER JOIN R ON L.K = R.K",
+        "SELECT V FROM L WHERE K IN (SELECT K FROM R)",
+    ] {
+        let naive = service(&server, Transport::DelimitedText, ExecStrategy::NestedLoop);
+        let hash = service(&server, Transport::DelimitedText, ExecStrategy::HashJoin);
+        let capped = || QueryBudget::unlimited().with_row_cap(9);
+        // The subquery's own 12-row scan trips the cap under either
+        // strategy; the outer join's naive run never holds 10 tuples.
+        if sql.contains("OUTER") {
+            naive
+                .execute_with_budget(sql, &[], Some(&capped()))
+                .unwrap();
+        }
+        match hash.execute_with_budget(sql, &[], Some(&capped())) {
+            Err(DriverError::BudgetExceeded(_)) => {}
+            other => panic!("`{sql}`: the cap must trip on the build table, got {other:?}"),
+        }
+        let starved = QueryBudget::unlimited().with_fuel(40);
+        match hash.execute_with_budget(sql, &[], Some(&starved)) {
+            Err(DriverError::BudgetExceeded(_)) => {}
+            other => panic!("`{sql}`: starved budget must surface, got {other:?}"),
+        }
+        let fuel = |svc: &QueryService| {
+            let budget = QueryBudget::unlimited();
+            svc.execute_with_budget(sql, &[], Some(&budget)).unwrap();
+            budget.fuel_consumed()
+        };
+        assert!(
+            fuel(&hash) < fuel(&naive),
+            "`{sql}` should cost less fuel hashed"
+        );
+    }
 }
