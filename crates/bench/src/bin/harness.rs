@@ -6,7 +6,9 @@
 //! cargo run --release -p aldsp-bench --bin harness e1 e3    # subset
 //! ```
 
-use aldsp_bench::{connect, payload_for, projection_query, server_at_scale};
+use aldsp_bench::{
+    connect, demo_metadata, payload_for, production_lanes, projection_query, server_at_scale,
+};
 use aldsp_catalog::{CachedMetadataApi, InProcessMetadataApi, TableLocator};
 use aldsp_core::{TranslationOptions, Translator, Transport};
 use aldsp_driver::{Connection, QueryService, ResultSet};
@@ -14,50 +16,35 @@ use aldsp_governor::QueryBudget;
 use aldsp_plancache::PlanCache;
 use aldsp_relational::{execute_query, SqlValue};
 use aldsp_sql::parse_select;
-use aldsp_workload::{build_application, paper_queries, run_differential, Scale};
+use aldsp_workload::{
+    build_application, fuzzed_corpus, golden_statements, paper_corpus, paper_queries,
+    report_statement, run_matrix, Lane, MatrixReport, Scale, Universe,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "smoke");
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name && a != "smoke");
-
-    if want("e1") {
-        e1_result_transport();
-    }
-    if want("e2") {
-        e2_translation_latency();
-    }
-    if want("e3") {
-        e3_metadata_cache();
-    }
-    if want("e4") {
-        e4_end_to_end();
-    }
-    if want("e6") {
-        e6_differential();
-    }
-    if want("e7") {
-        e7_null_machinery_ablation();
-    }
-    if want("e8") || args.iter().any(|a| a == "plancache") {
-        e8_plancache(smoke);
-    }
-    if want("e9") || args.iter().any(|a| a == "overload") {
-        e9_overload(smoke);
-    }
-    if want("e10") || args.iter().any(|a| a == "cost") {
-        e10_cost_model(smoke);
-    }
-    if want("e11") || args.iter().any(|a| a == "validation") {
-        e11_validation(smoke);
-    }
-    if want("e12") || args.iter().any(|a| a == "optimizer") {
-        e12_optimizer(smoke);
-    }
-    if want("e13") || args.iter().any(|a| a == "exec") {
-        e13_exec_engine(smoke);
+    // Name, the name of the report it writes (also accepted), entry point.
+    let experiments: [(&str, &str, &dyn Fn()); 12] = [
+        ("e1", "", &e1_result_transport),
+        ("e2", "", &e2_translation_latency),
+        ("e3", "", &e3_metadata_cache),
+        ("e4", "", &e4_end_to_end),
+        ("e6", "", &e6_differential),
+        ("e7", "", &e7_null_machinery_ablation),
+        ("e8", "plancache", &|| e8_plancache(smoke)),
+        ("e9", "overload", &|| e9_overload(smoke)),
+        ("e10", "cost", &|| e10_cost_model(smoke)),
+        ("e11", "validation", &|| e11_validation(smoke)),
+        ("e12", "optimizer", &|| e12_optimizer(smoke)),
+        ("e13", "exec", &|| e13_exec_engine(smoke)),
+    ];
+    for (name, report, run) in experiments {
+        if args.is_empty() || args.iter().any(|a| a == name || a == report) {
+            run();
+        }
     }
 }
 
@@ -65,15 +52,126 @@ fn main() {
 /// artifact, `BENCH_<name>.json` in the working directory; a smoke run
 /// writes `target/bench/<name>.smoke.json`, so a CI-scale run can never
 /// overwrite the full-scale numbers the documentation quotes.
-fn write_report(name: &str, smoke: bool, json: &str) {
+fn write_report(name: &str, smoke: bool, report: &Json) {
     let path = if smoke {
         std::fs::create_dir_all("target/bench").unwrap();
         format!("target/bench/{name}.smoke.json")
     } else {
         format!("BENCH_{name}.json")
     };
-    std::fs::write(&path, json).unwrap();
+    let mut text = String::new();
+    report.write(&mut text, 0);
+    std::fs::write(&path, text + "\n").unwrap();
     println!("wrote {path}");
+}
+
+/// A report value. `Num` carries the number of decimals it prints with;
+/// objects keep their insertion order.
+enum Json {
+    Bool(bool),
+    Int(u64),
+    Num(f64, usize),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+/// `obj! { "key": value, .. }` — a report object laid out like the JSON it
+/// becomes; a value is anything `Json::from` takes.
+macro_rules! obj {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        Json::Obj(vec![$(($key.to_string(), Json::from($value))),*])
+    };
+}
+
+macro_rules! json_from {
+    ($($from:ty => $make:expr),*) => {$(
+        impl From<$from> for Json {
+            fn from(value: $from) -> Json {
+                $make(value)
+            }
+        }
+    )*};
+}
+json_from!(
+    bool => Json::Bool,
+    u64 => Json::Int,
+    usize => |n| Json::Int(n as u64),
+    &str => |s: &str| Json::Str(s.to_string()),
+    Vec<Json> => Json::Arr
+);
+
+impl Json {
+    fn write(&self, out: &mut String, depth: usize) {
+        match self {
+            Json::Bool(b) => out.push_str(&b.to_string()),
+            Json::Int(n) => out.push_str(&n.to_string()),
+            Json::Num(x, decimals) => out.push_str(&format!("{x:.decimals$}")),
+            Json::Str(s) => {
+                out.push('"');
+                for c in s.chars() {
+                    match c {
+                        '"' | '\\' => out.extend(['\\', c]),
+                        c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+                        c => out.push(c),
+                    }
+                }
+                out.push('"');
+            }
+            Json::Arr(items) => {
+                let items: Vec<_> = items.iter().map(|v| (None, v)).collect();
+                Json::write_items(out, depth, ['[', ']'], &items)
+            }
+            Json::Obj(fields) => {
+                let items: Vec<_> = fields.iter().map(|(k, v)| (Some(k), v)).collect();
+                Json::write_items(out, depth, ['{', '}'], &items)
+            }
+        }
+    }
+
+    /// One item per line, except that a container of scalars stays on one
+    /// line.
+    fn write_items(
+        out: &mut String,
+        depth: usize,
+        [open, close]: [char; 2],
+        items: &[(Option<&String>, &Json)],
+    ) {
+        let nested = items
+            .iter()
+            .any(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)));
+        let separator = |depth: usize| match nested {
+            true => format!("\n{}", "  ".repeat(depth)),
+            false => " ".to_string(),
+        };
+        out.push(open);
+        for (i, (key, value)) in items.iter().enumerate() {
+            out.push_str(if i > 0 { "," } else { "" });
+            out.push_str(&separator(depth + 1));
+            if let Some(key) = key {
+                Json::Str(key.to_string()).write(out, 0);
+                out.push_str(": ");
+            }
+            value.write(out, depth + 1);
+        }
+        out.push_str(&separator(depth));
+        out.push(close);
+    }
+}
+
+/// The `{ "p50": .., "p95": .. }` pair of a sorted microsecond sample set.
+fn p50_p95(sorted: &[f64]) -> Json {
+    obj! { "p50": Json::Num(percentile(sorted, 0.5), 2), "p95": Json::Num(percentile(sorted, 0.95), 2) }
+}
+
+/// Prints the first few mismatches of a matrix run.
+fn print_mismatches(report: &MatrixReport) {
+    for m in report.mismatches.iter().take(8) {
+        println!(
+            "MISMATCH [{} on {}]: {}\n  {}",
+            m.origin, m.lane, m.sql, m.reason
+        );
+    }
 }
 
 /// `percentile(sorted, 0.95)` — nearest-rank over a sorted sample set.
@@ -146,9 +244,7 @@ fn e1_result_transport() {
 /// E2: per-stage translation latency by construct class.
 fn e2_translation_latency() {
     println!("== E2: translation latency by construct class (paper §3.2 (ii)) ==");
-    let app = build_application();
-    let locator = TableLocator::for_application(&app);
-    let translator = Translator::new(CachedMetadataApi::new(InProcessMetadataApi::new(locator)));
+    let translator = Translator::new(demo_metadata());
     let options = TranslationOptions::with_transport(Transport::Xml);
     println!(
         "{:>20} {:>10} {:>11} {:>12} {:>10}",
@@ -210,9 +306,7 @@ fn e3_metadata_cache() {
             cold.as_secs_f64() / warm.as_secs_f64()
         );
     }
-    let app = build_application();
-    let locator = TableLocator::for_application(&app);
-    let translator = Translator::new(CachedMetadataApi::new(InProcessMetadataApi::new(locator)));
+    let translator = Translator::new(demo_metadata());
     for _ in 0..50 {
         translator.translate(sql, options).unwrap();
     }
@@ -340,36 +434,6 @@ fn e7_null_machinery_ablation() {
     );
 }
 
-/// The E8 template mix: three `?`-parameterized statements plus one that
-/// bakes its value in as a literal, so successive turns produce distinct
-/// SQL texts that normalize onto one shared plan.
-fn e8_statement(template: usize, turn: i64) -> (String, Vec<SqlValue>) {
-    let v = turn % 9 + 1;
-    match template % 4 {
-        0 => (
-            "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID > ? \
-             ORDER BY CUSTOMERID"
-                .to_string(),
-            vec![SqlValue::Int(v)],
-        ),
-        1 => (
-            "SELECT ORDERID, AMOUNT FROM ORDERS WHERE CUSTID = ? ORDER BY ORDERID".to_string(),
-            vec![SqlValue::Int(v)],
-        ),
-        2 => (
-            "SELECT CUSTOMERS.CUSTOMERNAME, ORDERS.AMOUNT FROM CUSTOMERS \
-             INNER JOIN ORDERS ON CUSTOMERS.CUSTOMERID = ORDERS.CUSTID \
-             WHERE ORDERS.CUSTID = ? ORDER BY CUSTOMERS.CUSTOMERNAME, ORDERS.AMOUNT"
-                .to_string(),
-            vec![SqlValue::Int(v)],
-        ),
-        _ => (
-            format!("SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID > {v} ORDER BY CUSTOMERID"),
-            Vec::new(),
-        ),
-    }
-}
-
 /// E8: the plan-cache subsystem — cold/warm translation latency
 /// percentiles, normalized-hit latency, and multi-threaded `QueryService`
 /// throughput against a single-threaded uncached oracle. Emits
@@ -420,7 +484,7 @@ fn e8_plancache(smoke: bool) {
     // landing on one shared plan — pays parse + normalize, skips
     // translation.
     for turn in 0..(samples_per_query * queries.len()) {
-        let (sql, _) = e8_statement(3, turn as i64 + 100_000);
+        let (sql, _) = report_statement(3, (turn as i64 + 100_000) % 9 + 1);
         let sql = format!("{sql} /* v{turn} */");
         let t = Instant::now();
         cache.plan(conn.translator(), &sql, options).unwrap();
@@ -449,12 +513,14 @@ fn e8_plancache(smoke: bool) {
     );
 
     // --- multi-threaded throughput vs the single-threaded oracle ---
+    // The shared reporting templates, values cycling 1..=9.
+    let e8_statement = |turn: usize| report_statement(turn, turn as i64 % 9 + 1);
     let oracle_conn = Connection::open(Arc::clone(&server));
     let mut oracle: Vec<Vec<Vec<Vec<SqlValue>>>> = Vec::new();
     for worker in 0..threads {
         let mut per_worker = Vec::new();
         for turn in 0..iterations {
-            let (sql, params) = e8_statement(worker + turn, (worker + turn) as i64);
+            let (sql, params) = e8_statement(worker + turn);
             let rs = oracle_conn.execute_cached(&sql, &params).unwrap();
             per_worker.push(rs.rows().to_vec());
         }
@@ -470,7 +536,7 @@ fn e8_plancache(smoke: bool) {
                 scope.spawn(move || {
                     let mut bad = 0usize;
                     for (turn, expected_rows) in expected.iter().enumerate() {
-                        let (sql, params) = e8_statement(worker + turn, (worker + turn) as i64);
+                        let (sql, params) = e8_statement(worker + turn);
                         match service.execute(&sql, &params) {
                             Ok(rs) if rs.rows() == expected_rows.as_slice() => {}
                             _ => bad += 1,
@@ -505,38 +571,25 @@ fn e8_plancache(smoke: bool) {
         "acceptance: cache hit rate must be positive"
     );
 
-    let plancache_json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"scale_customers\": {customers},\n  \
-         \"cold_plan_us\": {{ \"p50\": {:.2}, \"p95\": {:.2} }},\n  \
-         \"warm_exact_hit_us\": {{ \"p50\": {:.2}, \"p95\": {:.2} }},\n  \
-         \"warm_normalized_hit_us\": {{ \"p50\": {:.2}, \"p95\": {:.2} }},\n  \
-         \"warm_speedup_p50\": {speedup:.2},\n  \
-         \"throughput\": {{ \"threads\": {threads}, \"statements\": {executions}, \
-         \"elapsed_ms\": {:.2}, \"qps\": {qps:.1}, \"oracle_matched\": {} }},\n  \
-         \"cache_stats\": {{ \"exact_hits\": {}, \"normalized_hits\": {}, \
-         \"misses\": {}, \"fallbacks\": {}, \"evictions\": {}, \
-         \"epoch_invalidations\": {}, \"hit_rate\": {hit_rate:.4} }}\n}}\n",
-        percentile(&cold, 0.5),
-        percentile(&cold, 0.95),
-        percentile(&warm, 0.5),
-        percentile(&warm, 0.95),
-        percentile(&normalized, 0.5),
-        percentile(&normalized, 0.95),
-        elapsed.as_secs_f64() * 1e3,
-        mismatches == 0,
-        stats.exact_hits,
-        stats.normalized_hits,
-        stats.misses,
-        stats.fallbacks,
-        stats.evictions,
-        stats.epoch_invalidations,
-    );
+    let plancache_json = obj! {
+        "smoke": smoke, "scale_customers": customers,
+        "cold_plan_us": p50_p95(&cold), "warm_exact_hit_us": p50_p95(&warm),
+        "warm_normalized_hit_us": p50_p95(&normalized), "warm_speedup_p50": Json::Num(speedup, 2),
+        "throughput": obj! {
+            "threads": threads, "statements": executions,
+            "elapsed_ms": Json::Num(elapsed.as_secs_f64() * 1e3, 2), "qps": Json::Num(qps, 1),
+            "oracle_matched": mismatches == 0,
+        },
+        "cache_stats": obj! {
+            "exact_hits": stats.exact_hits, "normalized_hits": stats.normalized_hits,
+            "misses": stats.misses, "fallbacks": stats.fallbacks, "evictions": stats.evictions,
+            "epoch_invalidations": stats.epoch_invalidations, "hit_rate": Json::Num(hit_rate, 4),
+        },
+    };
     write_report("plancache", smoke, &plancache_json);
 
     // --- per-class translation latency percentiles (uncached path) ---
-    let app = build_application();
-    let locator = TableLocator::for_application(&app);
-    let translator = Translator::new(CachedMetadataApi::new(InProcessMetadataApi::new(locator)));
+    let translator = Translator::new(demo_metadata());
     let mut entries = Vec::new();
     for (name, sql) in paper_queries() {
         translator.translate(sql, options).unwrap(); // warm metadata
@@ -547,17 +600,13 @@ fn e8_plancache(smoke: bool) {
             samples.push(t.elapsed().as_secs_f64() * 1e6);
         }
         let samples = sorted_us(samples);
-        entries.push(format!(
-            "    {{ \"class\": \"{name}\", \"p50_us\": {:.2}, \"p95_us\": {:.2} }}",
-            percentile(&samples, 0.5),
-            percentile(&samples, 0.95)
-        ));
+        entries.push(obj! {
+            "class": name, "p50_us": Json::Num(percentile(&samples, 0.5), 2),
+            "p95_us": Json::Num(percentile(&samples, 0.95), 2),
+        });
     }
-    let translation_json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"samples_per_class\": {samples_per_query},\n  \
-         \"classes\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
+    let translation_json =
+        obj! { "smoke": smoke, "samples_per_class": samples_per_query, "classes": entries };
     write_report("translation", smoke, &translation_json);
     println!();
 }
@@ -634,61 +683,48 @@ fn e9_overload(smoke: bool) {
         );
     }
 
-    let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"threads\": {threads},\n  \
-         \"iterations_per_thread\": {iterations},\n  \
-         \"queue_timeout_us\": {},\n  \
-         \"uncontended\": {},\n  \"ungoverned\": {},\n  \"governed\": {},\n  \
-         \"governed_shed_rate\": {shed_rate:.4}\n}}\n",
-        queue_timeout.as_micros(),
-        e9_json(&uncontended),
-        e9_json(&ungoverned),
-        e9_json(&governed),
-    );
+    let json = obj! {
+        "smoke": smoke, "threads": threads, "iterations_per_thread": iterations,
+        "queue_timeout_us": queue_timeout.as_micros() as u64,
+        "uncontended": e9_json(&uncontended), "ungoverned": e9_json(&ungoverned),
+        "governed": e9_json(&governed), "governed_shed_rate": Json::Num(shed_rate, 4),
+    };
     write_report("overload", smoke, &json);
     println!();
 }
 
-fn e9_json(report: &aldsp_workload::OverloadReport) -> String {
+fn e9_json(report: &aldsp_workload::OverloadReport) -> Json {
     let g = &report.governor;
-    format!(
-        "{{ \"executions\": {}, \"passed\": {}, \"typed_errors\": {}, \
-         \"good_p95_us\": {}, \"submitted\": {}, \"admitted\": {}, \
-         \"shed\": {}, \"breaker_rejections\": {}, \"statement_rejections\": {}, \
-         \"budget_rejections\": {}, \"breaker_trips\": {} }}",
-        report.executions,
-        report.passed,
-        report.typed_errors,
-        report.p95_latency_us(),
-        g.submitted,
-        g.admitted,
-        g.shed,
-        g.breaker_rejections,
-        g.statement_rejections,
-        g.budget_rejections,
-        g.breaker_trips,
-    )
+    obj! {
+        "executions": report.executions, "passed": report.passed,
+        "typed_errors": report.typed_errors, "good_p95_us": report.p95_latency_us(),
+        "submitted": g.submitted, "admitted": g.admitted, "shed": g.shed,
+        "breaker_rejections": g.breaker_rejections,
+        "statement_rejections": g.statement_rejections,
+        "budget_rejections": g.budget_rejections, "breaker_trips": g.breaker_trips,
+    }
 }
 
-/// E6: differential correctness counts.
+/// E6: differential correctness counts — the matrix's plain and
+/// production lanes, both transports.
 fn e6_differential() {
     println!("== E6: differential correctness (paper §3.2 (i)) ==");
-    let mut total = 0;
-    let mut passed = 0;
+    let scale = Scale::small();
+    let mut lanes = Lane::both(Lane::plain);
+    lanes.extend(production_lanes(scale));
+    let (mut passed, mut total) = (0, 0);
     for seed in [1u64, 2, 3, 4, 5] {
-        let report = run_differential(seed, 10, Scale::small());
-        total += report.total();
-        passed += report.passed;
-        if !report.mismatches.is_empty() {
-            for m in &report.mismatches {
-                println!("MISMATCH [{}]: {}\n  {}", m.class.label(), m.sql, m.reason);
-            }
-        }
+        let universe = Universe::generated(scale, seed);
+        let report = run_matrix(&universe, &fuzzed_corpus(seed, 10), &lanes, None);
+        let (clean, statements) = report.statements();
+        passed += clean;
+        total += statements;
+        print_mismatches(&report);
     }
     let classes = aldsp_workload::ConstructClass::all().len();
     println!(
-        "{passed}/{total} random queries agree across oracle + both transports \
-         (5 seeds x 10 per class x {classes} classes)"
+        "{passed}/{total} random queries agree across oracle + plain and production lanes, \
+         both transports (5 seeds x 10 per class x {classes} classes)"
     );
     println!();
 }
@@ -718,10 +754,7 @@ fn e10_cost_model(smoke: bool) {
         Arc::clone(&server),
         TranslationOptions::with_transport(Transport::Xml),
     );
-    let app = aldsp_workload::build_application();
-    let metadata = CachedMetadataApi::new(InProcessMetadataApi::new(
-        TableLocator::for_application(&app),
-    ));
+    let metadata = demo_metadata();
     let cost_options = CostOptions {
         stats: stats_for(scale),
         ..CostOptions::default()
@@ -796,13 +829,11 @@ fn e10_cost_model(smoke: bool) {
          (Spearman >= 0.6), got {spearman_ir:.3}"
     );
 
-    let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"scale_customers\": {customers},\n  \
-         \"queries\": {},\n  \"skipped\": {skipped},\n  \
-         \"spearman\": {spearman_ir:.4},\n  \"spearman_flwor\": {spearman_flwor:.4},\n  \
-         \"bar\": 0.6\n}}\n",
-        static_cost.len()
-    );
+    let json = obj! {
+        "smoke": smoke, "scale_customers": customers, "queries": static_cost.len(),
+        "skipped": skipped, "spearman": Json::Num(spearman_ir, 4),
+        "spearman_flwor": Json::Num(spearman_flwor, 4), "bar": Json::Num(0.6, 1),
+    };
     write_report("cost", smoke, &json);
     println!();
 }
@@ -820,10 +851,7 @@ fn e11_validation(smoke: bool) {
     use std::collections::BTreeMap;
 
     println!("== E11: bounded equivalence validation teeth ==");
-    let app = aldsp_workload::build_application();
-    let metadata = CachedMetadataApi::new(InProcessMetadataApi::new(
-        TableLocator::for_application(&app),
-    ));
+    let metadata = demo_metadata();
     let defaults = ValidateOptions::default();
     // The acceptance bars (>= 500 fuzzed queries per seed clean,
     // >= 90% kill over >= 200 mutants) hold at any scale; smoke only
@@ -848,25 +876,21 @@ fn e11_validation(smoke: bool) {
     let mut validated = 0usize;
     let mut false_positives: Vec<String> = Vec::new();
 
-    // -- false positives: the golden statements, both transports ------
-    let golden = std::fs::read_to_string("tests/golden.sql")
-        .or_else(|_| {
-            std::fs::read_to_string(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../tests/golden.sql"
-            ))
-        })
-        .expect("E11: tests/golden.sql not found");
-    let mut golden_statements = 0usize;
-    for sql in golden
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("--"))
-        .collect::<String>()
-        .split(';')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-    {
-        golden_statements += 1;
+    // -- false positives: the golden statements, then the fuzzed
+    // workload, both transports ---------------------------------------
+    let mut clean: Vec<(String, String)> = golden_statements()
+        .into_iter()
+        .map(|sql| ("golden".to_string(), sql))
+        .collect();
+    let golden_count = clean.len();
+    for seed in [11u64, 23] {
+        let mut generator = QueryGenerator::new(seed);
+        clean.extend((0..per_seed).map(|_| (format!("seed {seed}"), generator.generate_any().1)));
+    }
+    let fuzzed_clean = clean.len() - golden_count;
+    // The fuzzed XML-transport translations double as the mutation corpus.
+    let mut corpus: Vec<(aldsp_core::ir::PreparedQuery, String)> = Vec::new();
+    for (i, (origin, sql)) in clean.iter().enumerate() {
         let (prepared, xml, delimited) = translate(sql);
         for text in [&xml, &delimited] {
             let started = Instant::now();
@@ -875,38 +899,15 @@ fn e11_validation(smoke: bool) {
             witnesses += outcome.witnesses_checked;
             validated += 1;
             for d in &outcome.diagnostics {
-                false_positives.push(format!("golden `{sql}`: {d}"));
+                false_positives.push(format!("{origin} `{sql}`: {d}"));
             }
         }
-    }
-
-    // -- false positives: the fuzzed workload, both transports --------
-    // The XML-transport translations double as the mutation corpus.
-    let mut corpus: Vec<(aldsp_core::ir::PreparedQuery, String)> = Vec::new();
-    let mut fuzzed_clean = 0usize;
-    for seed in [11u64, 23] {
-        let mut generator = QueryGenerator::new(seed);
-        for _ in 0..per_seed {
-            let (_, sql) = generator.generate_any();
-            let (prepared, xml, delimited) = translate(&sql);
-            for text in [&xml, &delimited] {
-                let started = Instant::now();
-                let outcome = validate_translation(&prepared, text, &defaults);
-                latency_us.push(started.elapsed().as_secs_f64() * 1e6);
-                witnesses += outcome.witnesses_checked;
-                validated += 1;
-                for d in &outcome.diagnostics {
-                    false_positives.push(format!("seed {seed} `{sql}`: {d}"));
-                }
-            }
-            fuzzed_clean += 1;
+        if i >= golden_count {
             corpus.push((prepared, xml));
         }
     }
-    if !false_positives.is_empty() {
-        for fp in false_positives.iter().take(10) {
-            println!("FALSE POSITIVE: {fp}");
-        }
+    for fp in false_positives.iter().take(10) {
+        println!("FALSE POSITIVE: {fp}");
     }
 
     // -- mutation kill rate -------------------------------------------
@@ -956,7 +957,7 @@ fn e11_validation(smoke: bool) {
         println!("{name:>22} {n:>8} {k:>8} {rate:>10}");
     }
     println!(
-        "{validated} clean validations ({golden_statements} golden x 2 transports + \
+        "{validated} clean validations ({golden_count} golden x 2 transports + \
          {fuzzed_clean} fuzzed x 2 transports): {} false positives, \
          {witnesses_per_query:.1} witness dbs/query, p50 {p50:.0}us p95 {p95:.0}us",
         false_positives.len()
@@ -988,26 +989,24 @@ fn e11_validation(smoke: bool) {
 
     let by_class_json = by_class
         .iter()
-        .map(|(name, (n, k))| format!("    \"{name}\": {{\"mutants\": {n}, \"killed\": {k}}}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"golden_statements\": {golden_statements},\n  \
-         \"fuzzed_clean\": {fuzzed_clean},\n  \"clean_validations\": {validated},\n  \
-         \"false_positives\": {},\n  \"mutants\": {mutants_total},\n  \
-         \"killed\": {killed_total},\n  \"kill_rate\": {kill_rate:.4},\n  \"bar\": 0.9,\n  \
-         \"witnesses_per_query\": {witnesses_per_query:.2},\n  \
-         \"validation_p50_us\": {p50:.1},\n  \"validation_p95_us\": {p95:.1},\n  \
-         \"kill_by_class\": {{\n{by_class_json}\n  }}\n}}\n",
-        false_positives.len()
-    );
+        .map(|(name, (n, k))| (name.to_string(), obj! { "mutants": *n, "killed": *k }))
+        .collect();
+    let json = obj! {
+        "smoke": smoke, "golden_statements": golden_count, "fuzzed_clean": fuzzed_clean,
+        "clean_validations": validated, "false_positives": false_positives.len(),
+        "mutants": mutants_total, "killed": killed_total, "kill_rate": Json::Num(kill_rate, 4),
+        "bar": Json::Num(0.9, 1), "witnesses_per_query": Json::Num(witnesses_per_query, 2),
+        "validation_p50_us": Json::Num(p50, 1), "validation_p95_us": Json::Num(p95, 1),
+        "kill_by_class": Json::Obj(by_class_json),
+    };
     write_report("validation", smoke, &json);
     println!();
 }
 
-/// E12: optimizer effectiveness and safety. Two `QueryService`s over one
-/// server — naive vs the rewrite engine at `Full` — execute the same
-/// fuzzed workload on both transports. Bars: every golden statement
+/// E12: optimizer effectiveness and safety. The differential matrix runs
+/// one fuzzed workload on the naive lanes, on the lanes optimizing at
+/// `Full` and on the production lanes of both transports, every lane
+/// against the oracle, metering fuel per query. Bars: every golden statement
 /// comes out of the optimizer clean through all five analyzer layers,
 /// the >= 1000 fuzzed queries produce 0 result mismatches and 0
 /// validator-detected miscompilations, and the median measured-fuel
@@ -1029,42 +1028,23 @@ fn e12_optimizer(smoke: bool) {
     let customers = if smoke { 25 } else { 40 };
     let per_transport = if smoke { 500 } else { 1_000 };
     let scale = Scale::of(customers);
-    let server = server_at_scale(customers, 42);
     let stats = stats_for(scale);
     let engine = Optimizer::new(stats.clone()).with_validation(true);
-    let metadata = CachedMetadataApi::new(InProcessMetadataApi::new(
-        TableLocator::for_application(&aldsp_workload::build_application()),
-    ));
-    let translator = Translator::new(CachedMetadataApi::new(InProcessMetadataApi::new(
-        TableLocator::for_application(&aldsp_workload::build_application()),
-    )));
+    let metadata = demo_metadata();
+    let translator = Translator::new(demo_metadata());
     // Final-program audit budget: the E11 witness budget, enumerating
     // only databases that respect the declared keys — optimized plans
     // are equivalent *relative to those integrity constraints*.
     let audit = ValidateOptions::default().with_key_columns(stats.unique_columns());
 
     // -- golden corpus: optimizer-clean through all five layers --------
-    let golden = std::fs::read_to_string("tests/golden.sql")
-        .or_else(|_| {
-            std::fs::read_to_string(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../tests/golden.sql"
-            ))
-        })
-        .expect("E12: tests/golden.sql not found");
-    let mut golden_statements = 0usize;
+    let golden = golden_statements();
+    let mut golden_count = 0usize;
     let mut golden_rewritten = 0usize;
     for transport in [Transport::Xml, Transport::DelimitedText] {
         let options = TranslationOptions::with_transport(transport).optimized(OptimizeLevel::Full);
-        for sql in golden
-            .lines()
-            .filter(|l| !l.trim_start().starts_with("--"))
-            .collect::<String>()
-            .split(';')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-        {
-            golden_statements += 1;
+        for sql in &golden {
+            golden_count += 1;
             let full = translator
                 .translate_full(sql, options)
                 .unwrap_or_else(|e| panic!("E12: golden `{sql}` failed to translate: {e}"));
@@ -1101,32 +1081,45 @@ fn e12_optimizer(smoke: bool) {
         subquery_work: 0.0,
         ..CostOptions::default()
     };
+    // End to end first: the matrix runs every query on the naive lanes
+    // (uncached and cached), on the lanes optimizing at `Full` and on the
+    // production lanes, every lane against the oracle, and meters each
+    // lane's fuel per query. The fuel baseline of `+opt` is `+cache`: both
+    // run the normalized plan, so the rewrites are the only difference.
+    let mut generator = QueryGenerator::new(77);
+    let corpus: Vec<(String, String)> = (0..per_transport)
+        .map(|_| {
+            let (class, sql) = generator.generate_any();
+            (class.label().to_string(), sql)
+        })
+        .collect();
+    let opt_lane = |t| Lane::optimized(t, aldsp_bench::production_engine(scale));
+    let mut lanes = Lane::both(Lane::plain);
+    lanes.extend(Lane::both(Lane::cached));
+    lanes.extend(Lane::both(opt_lane));
+    lanes.extend(production_lanes(scale));
+    let matrix = run_matrix(&Universe::generated(scale, 42), &corpus, &lanes, None);
+    print_mismatches(&matrix);
+
     let mut queries = 0usize;
     let mut rewritten = 0usize;
-    let mut mismatches: Vec<String> = Vec::new();
     let mut miscompilations: Vec<String> = Vec::new();
-    let mut audited = 0usize;
     let mut by_rule: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
     let mut dirty_ratios: Vec<f64> = Vec::new();
     let mut all_ratios: Vec<f64> = Vec::new();
-    for transport in [Transport::Xml, Transport::DelimitedText] {
-        let naive_service = QueryService::new(
-            Arc::clone(&server),
-            TranslationOptions::with_transport(transport),
-        );
+    for (transport, naive, optimized) in [
+        (Transport::Xml, "xml+cache", "xml+opt"),
+        (Transport::DelimitedText, "text+cache", "text+opt"),
+    ] {
         let options = TranslationOptions::with_transport(transport).optimized(OptimizeLevel::Full);
-        let optimized_service = QueryService::new(Arc::clone(&server), options).with_optimizer(
-            Arc::new(Optimizer::new(stats.clone()).with_validation(true)),
-        );
-        let mut generator = QueryGenerator::new(77);
-        for _ in 0..per_transport {
-            let (_, sql) = generator.generate_any();
+        let (naive_fuel, opt_fuel) = (&matrix.lane(naive).fuel, &matrix.lane(optimized).fuel);
+        for (i, (_, sql)) in corpus.iter().enumerate() {
             queries += 1;
 
-            // The optimized program, produced the same way the service's
+            // The optimized program, produced the same way the lane's
             // plan cache builds it, audited against the prepared IR.
             let full = translator
-                .translate_full(&sql, options)
+                .translate_full(sql, options)
                 .unwrap_or_else(|e| panic!("E12: `{sql}` failed to translate: {e}"));
             let outcome = engine.optimize(&full.prepared, &full.translation.xquery, options);
             for step in &outcome.trace.steps {
@@ -1136,39 +1129,17 @@ fn e12_optimizer(smoke: bool) {
                     entry.1 += 1;
                 }
             }
-            let applied = outcome.trace.applied() > 0;
-            if applied {
-                rewritten += 1;
-                audited += 1;
-                for d in check_equivalence(&full.prepared, &outcome.xquery, &audit) {
-                    if miscompilations.len() < 8 {
-                        miscompilations.push(format!("{transport:?} `{sql}`: {d}"));
-                    }
+            let ratio = naive_fuel[i] as f64 / (opt_fuel[i] as f64).max(1.0);
+            all_ratios.push(ratio);
+            if outcome.trace.applied() == 0 {
+                continue;
+            }
+            rewritten += 1;
+            for d in check_equivalence(&full.prepared, &outcome.xquery, &audit) {
+                if miscompilations.len() < 8 {
+                    miscompilations.push(format!("{transport:?} `{sql}`: {d}"));
                 }
             }
-
-            // End to end: both services, same rows, metered fuel.
-            let metered = |service: &QueryService, which: &str| {
-                let meter = QueryBudget::unlimited();
-                let rows = service
-                    .execute_with_budget(&sql, &[], Some(&meter))
-                    .unwrap_or_else(|e| panic!("E12: {which} execution of `{sql}` failed: {e}"));
-                (rows, meter.fuel_consumed())
-            };
-            let (naive_rows, naive_fuel) = metered(&naive_service, "naive");
-            let (opt_rows, opt_fuel) = metered(&optimized_service, "optimized");
-            let mut expected = naive_rows.rows().to_vec();
-            let mut actual = opt_rows.rows().to_vec();
-            if !sql.to_uppercase().contains("ORDER BY") {
-                expected.sort_by_key(|row| format!("{row:?}"));
-                actual.sort_by_key(|row| format!("{row:?}"));
-            }
-            if expected != actual && mismatches.len() < 8 {
-                mismatches.push(format!("{transport:?} `{sql}`"));
-            }
-
-            let ratio = naive_fuel as f64 / (opt_fuel as f64).max(1.0);
-            all_ratios.push(ratio);
             // The P-dirty rewritten slice: the layer-4 analyzer flagged
             // the naive plan with a *work-shaped* lint — P002 (predicate
             // evaluated after the loops it could have pruned) or P008
@@ -1177,35 +1148,33 @@ fn e12_optimizer(smoke: bool) {
             // population the tentpole claims >= 2x measured fuel on;
             // P003/P004 discharges are gated for safety the same way but
             // remove sub-linear work their ratio cannot witness.
-            if applied {
-                let discharged: Vec<&str> = outcome
-                    .trace
-                    .steps
+            let discharged: Vec<&str> = outcome
+                .trace
+                .steps
+                .iter()
+                .filter(|s| s.applied)
+                .map(|s| s.lint)
+                .collect();
+            let analysis = analyze_sql_with(
+                sql,
+                &metadata,
+                TranslationOptions::with_transport(transport),
+                &cost_options,
+                None,
+            )
+            .unwrap_or_else(|e| panic!("E12: `{sql}` failed to analyze: {e}"));
+            let flagged = |code: DiagCode| {
+                analysis
+                    .report
+                    .cost
+                    .diagnostics
                     .iter()
-                    .filter(|s| s.applied)
-                    .map(|s| s.lint)
-                    .collect();
-                let analysis = analyze_sql_with(
-                    &sql,
-                    &metadata,
-                    TranslationOptions::with_transport(transport),
-                    &cost_options,
-                    None,
-                )
-                .unwrap_or_else(|e| panic!("E12: `{sql}` failed to analyze: {e}"));
-                let flagged = |code: DiagCode| {
-                    analysis
-                        .report
-                        .cost
-                        .diagnostics
-                        .iter()
-                        .any(|d| d.code == code)
-                };
-                if (flagged(DiagCode::P002) && discharged.contains(&"P002"))
-                    || (flagged(DiagCode::P008) && discharged.contains(&"P008"))
-                {
-                    dirty_ratios.push(ratio);
-                }
+                    .any(|d| d.code == code)
+            };
+            if (flagged(DiagCode::P002) && discharged.contains(&"P002"))
+                || (flagged(DiagCode::P008) && discharged.contains(&"P008"))
+            {
+                dirty_ratios.push(ratio);
             }
         }
     }
@@ -1223,13 +1192,15 @@ fn e12_optimizer(smoke: bool) {
         println!("{rule:>22} {attempted:>10} {applied:>10}");
     }
     println!(
-        "{golden_statements} golden translations (both transports): all five layers clean, \
+        "{golden_count} golden translations (both transports): all five layers clean, \
          {golden_rewritten} rewritten"
     );
     println!(
-        "{queries} fuzzed queries x 2 services: {} result mismatches, \
-         {} validator-detected miscompilations over {audited} audited optimized plans",
-        mismatches.len(),
+        "{queries} fuzzed queries x (naive, cached, optimized, production) lanes vs the oracle: \
+         {} result mismatches, {} rejected, {} validator-detected miscompilations over \
+         {rewritten} audited optimized plans",
+        matrix.mismatches.len(),
+        matrix.rejected,
         miscompilations.len()
     );
     println!(
@@ -1238,7 +1209,7 @@ fn e12_optimizer(smoke: bool) {
          ({} queries)",
         dirty_ratios.len()
     );
-    for m in mismatches.iter().chain(miscompilations.iter()) {
+    for m in &miscompilations {
         println!("  DIVERGED: {m}");
     }
 
@@ -1247,9 +1218,15 @@ fn e12_optimizer(smoke: bool) {
         "acceptance: E12 must execute >= 1000 fuzzed queries, got {queries}"
     );
     assert!(
-        mismatches.is_empty(),
-        "acceptance: optimized services must return exactly the naive rows"
+        matrix.is_clean(),
+        "acceptance: optimized lanes must return exactly the oracle's rows, as the naive ones do"
     );
+    for label in ["xml+opt", "text+opt", "xml+production", "text+production"] {
+        assert!(
+            matrix.lane(label).rewritten > 0,
+            "acceptance: lane {label} ran no rewritten plan"
+        );
+    }
     assert!(
         miscompilations.is_empty(),
         "acceptance: the validator must detect 0 miscompiled optimized plans"
@@ -1268,37 +1245,33 @@ fn e12_optimizer(smoke: bool) {
     let by_rule_json = by_rule
         .iter()
         .map(|(rule, (attempted, applied))| {
-            format!("    \"{rule}\": {{\"attempted\": {attempted}, \"applied\": {applied}}}")
+            let counts = obj! { "attempted": *attempted, "applied": *applied };
+            (rule.to_string(), counts)
         })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"scale_customers\": {customers},\n  \
-         \"golden_statements\": {golden_statements},\n  \
-         \"golden_rewritten\": {golden_rewritten},\n  \"queries\": {queries},\n  \
-         \"rewritten\": {rewritten},\n  \"audited\": {audited},\n  \
-         \"result_mismatches\": {},\n  \"validator_miscompilations\": {},\n  \
-         \"median_fuel_ratio\": {median_all:.3},\n  \
-         \"median_fuel_ratio_p_dirty\": {median_dirty:.3},\n  \
-         \"p90_fuel_ratio_p_dirty\": {p90_dirty:.3},\n  \
-         \"p_dirty_slice\": {},\n  \"bar\": 2.0,\n  \"by_rule\": {{\n{by_rule_json}\n  }}\n}}\n",
-        mismatches.len(),
-        miscompilations.len(),
-        dirty_ratios.len()
-    );
+        .collect();
+    let json = obj! {
+        "smoke": smoke, "scale_customers": customers, "golden_statements": golden_count,
+        "golden_rewritten": golden_rewritten, "queries": queries, "rewritten": rewritten,
+        "audited": rewritten, "result_mismatches": matrix.mismatches.len(),
+        "validator_miscompilations": miscompilations.len(),
+        "median_fuel_ratio": Json::Num(median_all, 3),
+        "median_fuel_ratio_p_dirty": Json::Num(median_dirty, 3),
+        "p90_fuel_ratio_p_dirty": Json::Num(p90_dirty, 3), "p_dirty_slice": dirty_ratios.len(),
+        "bar": Json::Num(2.0, 1), "by_rule": Json::Obj(by_rule_json),
+    };
     write_report("optimizer", smoke, &json);
     println!();
 }
 
 /// E13: the streaming hash-join execution engine. Two halves:
 ///
-/// * **Correctness** — `run_exec_differential`: golden corpus plus at
-///   least 1,000 fuzzed queries per seed run under both execution
-///   strategies in both transports; hash-join results must match
-///   nested-loop results exactly (ordered) and both must match the
-///   relational oracle. The governor's telemetry reports what fraction
-///   of hashable FLWORs (two `for`s, a filtered `let`, a comparison
-///   against a view) actually took the hash path.
+/// * **Correctness** — the differential matrix: the paper corpus plus at
+///   least 1,000 fuzzed queries per seed on the interpreter lanes, the
+///   hash-join lanes and the production lanes of both transports; every
+///   lane must match the relational oracle and the hash lanes the
+///   interpreter's rows exactly (ordered). The per-lane meter reports what
+///   fraction of hashable FLWORs (two `for`s, a filtered `let`, a
+///   comparison against a view) actually took the hash path.
 /// * **Performance** — the join-heavy slice at scale >= 200 customers
 ///   (200 x 500 orders: 100k-pair naive cross products), p50 wall clock
 ///   per strategy; the slice's median speedup must reach 5x, and so
@@ -1311,9 +1284,6 @@ fn e12_optimizer(smoke: bool) {
 /// sample counts but never the bars' sample sizes or the scale). Emits
 /// `BENCH_exec.json`.
 fn e13_exec_engine(smoke: bool) {
-    use aldsp_core::ExecStrategy;
-    use aldsp_workload::run_exec_differential;
-
     println!("== E13: streaming hash-join execution engine ==");
 
     // -- correctness: strategy differential over golden + fuzzed ------
@@ -1322,41 +1292,44 @@ fn e13_exec_engine(smoke: bool) {
     // seed, not the per-seed count.
     let seeds: &[u64] = if smoke { &[11] } else { &[11, 23] };
     let per_class = 91usize;
-    let mut fuzzed_per_seed = 0usize;
-    let mut golden_total = 0usize;
-    let mut passed = 0usize;
-    let mut total = 0usize;
-    let mut rejected = 0usize;
-    let mut mismatches = 0usize;
-    let mut hash_joins = 0u64;
-    let mut join_fallbacks = 0u64;
-    for &seed in seeds {
-        let report = run_exec_differential(seed, per_class, Scale::small());
-        let (golden, fuzzed) = report
-            .per_origin
+    let mut strategy_lanes = Lane::both(Lane::plain);
+    strategy_lanes.extend(Lane::both(Lane::hash));
+    let mut lanes = strategy_lanes.clone();
+    lanes.extend(production_lanes(Scale::small()));
+    let reports: Vec<MatrixReport> = seeds
+        .iter()
+        .map(|&seed| {
+            let mut corpus = paper_corpus();
+            corpus.extend(fuzzed_corpus(seed, per_class));
+            let universe = Universe::generated(Scale::small(), seed);
+            let report = run_matrix(&universe, &corpus, &lanes, None);
+            print_mismatches(&report);
+            for label in ["text+production", "xml+production"] {
+                let lane = report.lane(label);
+                assert!(
+                    lane.hash_operators > 0 && lane.join_fallbacks == 0 && lane.rewritten > 0,
+                    "acceptance: lane {label} must run rewritten plans on hash operators, \
+                     none falling back: {lane:?}"
+                );
+            }
+            report
+        })
+        .collect();
+    let sum = |f: &dyn Fn(&MatrixReport) -> usize| reports.iter().map(f).sum::<usize>();
+    let (passed, total) = (sum(&|r| r.statements().0), sum(&|r| r.statements().1));
+    let (rejected, mismatches) = (sum(&|r| r.rejected), sum(&|r| r.mismatches.len()));
+    let golden_total = seeds.len() * paper_corpus().len();
+    let fuzzed_per_seed = (total - golden_total) / seeds.len();
+    let hash_lanes = || {
+        reports
             .iter()
-            .fold((0, 0), |acc, (origin, &(_, n))| {
-                if origin.starts_with("golden:") {
-                    (acc.0 + n, acc.1)
-                } else {
-                    (acc.0, acc.1 + n)
-                }
-            });
-        golden_total += golden;
-        fuzzed_per_seed = fuzzed;
-        passed += report.passed;
-        total += report.total();
-        rejected += report.rejected;
-        mismatches += report.mismatches.len();
-        hash_joins += report.hash_joins;
-        join_fallbacks += report.join_fallbacks;
-        for m in report.mismatches.iter().take(8) {
-            println!("MISMATCH [{}]: {}\n  {}", m.origin, m.sql, m.reason);
-        }
-    }
+            .flat_map(|r| [r.lane("text+hash"), r.lane("xml+hash")])
+    };
+    let hash_joins: u64 = hash_lanes().map(|l| l.hash_operators).sum();
+    let join_fallbacks: u64 = hash_lanes().map(|l| l.join_fallbacks).sum();
     let fast_path_fraction = hash_joins as f64 / (hash_joins + join_fallbacks).max(1) as f64;
     println!(
-        "{passed}/{total} queries agree (hash vs naive vs oracle, both transports; \
+        "{passed}/{total} queries agree (hash vs naive vs production vs oracle, both transports; \
          {} seed(s) x ({golden_total} golden / {} + {fuzzed_per_seed} fuzzed)): \
          {mismatches} mismatches, {rejected} rejected",
         seeds.len(),
@@ -1382,16 +1355,10 @@ fn e13_exec_engine(smoke: bool) {
     // -- performance: the join-heavy slice at scale >= 200 ------------
     let customers = 200usize;
     let samples = if smoke { 5 } else { 15 };
-    let server = server_at_scale(customers, 11);
-    let naive_service = QueryService::new(
-        Arc::clone(&server),
-        TranslationOptions::with_transport(Transport::DelimitedText),
-    );
-    let hash_service = QueryService::new(
-        Arc::clone(&server),
-        TranslationOptions::with_transport(Transport::DelimitedText)
-            .with_exec(ExecStrategy::HashJoin),
-    );
+    let universe = Universe::generated(Scale::of(customers), 11);
+    let server = &universe.server;
+    let naive_service = Lane::plain(Transport::DelimitedText).service(Arc::clone(server));
+    let hash_service = Lane::hash(Transport::DelimitedText).service(Arc::clone(server));
     let slice = [
         (
             "inner_join",
@@ -1429,15 +1396,22 @@ fn e13_exec_engine(smoke: bool) {
              (SELECT CUSTID FROM ORDERS WHERE AMOUNT > 250)",
         ),
     ];
-    let time_service = |service: &QueryService, sql: &str| -> (f64, Vec<Vec<SqlValue>>) {
-        let budget = QueryBudget::unlimited();
-        let rows = service
-            .execute_with_budget(sql, &[], Some(&budget))
-            .unwrap()
-            .rows()
-            .to_vec(); // warm (plan cache + materialization)
+    // The timed queries return identical rows under both strategies at
+    // this scale too.
+    let slice_corpus: Vec<(String, String)> = slice
+        .iter()
+        .map(|(name, sql)| (name.to_string(), sql.to_string()))
+        .collect();
+    let slice_report = run_matrix(&universe, &slice_corpus, &strategy_lanes, None);
+    print_mismatches(&slice_report);
+    assert!(
+        slice_report.is_clean(),
+        "acceptance: the timed slice queries must return identical rows"
+    );
+    let time_service = |service: &QueryService, sql: &str| -> f64 {
         let mut times = Vec::with_capacity(samples);
-        for _ in 0..samples {
+        // One extra, untimed: warms the plan cache and the materialization.
+        for sample in 0..=samples {
             let budget = QueryBudget::unlimited();
             let t = Instant::now();
             std::hint::black_box(
@@ -1445,9 +1419,11 @@ fn e13_exec_engine(smoke: bool) {
                     .execute_with_budget(sql, &[], Some(&budget))
                     .unwrap(),
             );
-            times.push(t.elapsed().as_secs_f64() * 1e6);
+            if sample > 0 {
+                times.push(t.elapsed().as_secs_f64() * 1e6);
+            }
         }
-        (percentile(&sorted_us(times), 0.5), rows)
+        percentile(&sorted_us(times), 0.5)
     };
     println!(
         "{:>14} {:>14} {:>14} {:>9}",
@@ -1456,22 +1432,18 @@ fn e13_exec_engine(smoke: bool) {
     let mut entries = Vec::new();
     let mut speedups = Vec::new();
     for (name, sql) in slice {
-        let (naive_p50, naive_rows) = time_service(&naive_service, sql);
-        let (hash_p50, hash_rows) = time_service(&hash_service, sql);
-        assert_eq!(
-            naive_rows, hash_rows,
-            "acceptance: timed slice query `{name}` must return identical rows"
-        );
+        let naive_p50 = time_service(&naive_service, sql);
+        let hash_p50 = time_service(&hash_service, sql);
         let speedup = naive_p50 / hash_p50.max(1e-9);
         println!("{name:>14} {naive_p50:>14.0} {hash_p50:>14.0} {speedup:>8.1}x");
         assert!(
             !matches!(name, "outer_join" | "in_subquery") || speedup >= 5.0,
             "acceptance: `{name}` must be >= 5x faster hashed, got {speedup:.1}x"
         );
-        entries.push(format!(
-            "    {{ \"query\": \"{name}\", \"naive_p50_us\": {naive_p50:.1}, \
-             \"hash_p50_us\": {hash_p50:.1}, \"speedup\": {speedup:.2} }}"
-        ));
+        entries.push(obj! {
+            "query": name, "naive_p50_us": Json::Num(naive_p50, 1),
+            "hash_p50_us": Json::Num(hash_p50, 1), "speedup": Json::Num(speedup, 2),
+        });
         speedups.push(speedup);
     }
     let slice_p50 = percentile(&sorted_us(speedups.clone()), 0.5);
@@ -1492,20 +1464,20 @@ fn e13_exec_engine(smoke: bool) {
          got {slice_p50:.1}x"
     );
 
-    let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"correctness\": {{\n    \"seeds\": {},\n    \
-         \"golden\": {golden_total},\n    \"fuzzed_per_seed\": {fuzzed_per_seed},\n    \
-         \"passed\": {passed},\n    \"rejected\": {rejected},\n    \
-         \"mismatches\": {mismatches},\n    \"hash_joins\": {hash_joins},\n    \
-         \"join_fallbacks\": {join_fallbacks},\n    \
-         \"fast_path_fraction\": {fast_path_fraction:.4}\n  }},\n  \
-         \"perf\": {{\n    \"scale_customers\": {customers},\n    \
-         \"samples_per_query\": {samples},\n    \"queries\": [\n{}\n    ],\n    \
-         \"p50_speedup\": {slice_p50:.2},\n    \
-         \"timed_fast_path_fraction\": {timed_fraction:.4},\n    \"bar\": 5.0\n  }}\n}}\n",
-        seeds.len(),
-        entries.join(",\n"),
-    );
+    let json = obj! {
+        "smoke": smoke,
+        "correctness": obj! {
+            "seeds": seeds.len(), "golden": golden_total, "fuzzed_per_seed": fuzzed_per_seed,
+            "passed": passed, "rejected": rejected, "mismatches": mismatches,
+            "hash_joins": hash_joins, "join_fallbacks": join_fallbacks,
+            "fast_path_fraction": Json::Num(fast_path_fraction, 4),
+        },
+        "perf": obj! {
+            "scale_customers": customers, "samples_per_query": samples, "queries": entries,
+            "p50_speedup": Json::Num(slice_p50, 2),
+            "timed_fast_path_fraction": Json::Num(timed_fraction, 4), "bar": Json::Num(5.0, 1),
+        },
+    };
     write_report("exec", smoke, &json);
     println!();
 }

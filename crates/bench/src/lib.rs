@@ -4,17 +4,37 @@
 //! One bench target per experiment in `EXPERIMENTS.md` (E1–E4), plus the
 //! `harness` binary that prints every experiment's table in one run.
 
+use aldsp_catalog::{CachedMetadataApi, InProcessMetadataApi, TableLocator};
 use aldsp_core::{TranslationOptions, Transport};
 use aldsp_driver::{Connection, DspServer};
-use aldsp_workload::{build_application, populate_database, Scale};
+use aldsp_optimizer::Optimizer;
+use aldsp_workload::{build_application, stats_for, Engine, Lane, Scale, Universe};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Builds a populated server at the given customer count.
 pub fn server_at_scale(customers: usize, seed: u64) -> Arc<DspServer> {
-    let app = build_application();
-    let db = populate_database(&app, Scale::of(customers), seed);
-    Arc::new(DspServer::new(app, db))
+    Universe::generated(Scale::of(customers), seed).server
+}
+
+/// The universe's catalog behind a fresh metadata cache, served in process
+/// with no latency.
+pub fn demo_metadata() -> CachedMetadataApi<InProcessMetadataApi> {
+    let locator = TableLocator::for_application(&build_application());
+    CachedMetadataApi::new(InProcessMetadataApi::new(locator))
+}
+
+/// The rewrite engine production runs at `scale`: seeded with the
+/// universe's statistics, validation gate on — what
+/// `e2e/src/sut.rs::Sut::open` builds. (`aldsp-workload` does not depend on
+/// the optimizer crate, so the matrix's lanes get their engine here.)
+pub fn production_engine(scale: Scale) -> Engine {
+    Arc::new(Optimizer::new(stats_for(scale)).with_validation(true))
+}
+
+/// The differential matrix's production lane on both transports.
+pub fn production_lanes(scale: Scale) -> Vec<Lane> {
+    Lane::both(|transport| Lane::production(transport, production_engine(scale)))
 }
 
 /// Opens a connection with a given transport (no metadata latency).

@@ -18,21 +18,26 @@ impl ResultSetMetaData {
         self.columns.len()
     }
 
+    /// The descriptor at a 1-based index (like JDBC); 0 and past-the-end
+    /// are both `None`.
+    fn column(&self, index: usize) -> Option<&OutputColumn> {
+        self.columns.get(index.checked_sub(1)?)
+    }
+
     /// Column label (1-based index, like JDBC).
     pub fn column_label(&self, index: usize) -> Option<&str> {
-        self.columns.get(index - 1).map(|c| c.label.as_str())
+        self.column(index).map(|c| c.label.as_str())
     }
 
     /// SQL type name (1-based).
     pub fn column_type_name(&self, index: usize) -> Option<&'static str> {
-        self.columns
-            .get(index - 1)
+        self.column(index)
             .map(|c| c.sql_type.map_or("VARCHAR", |t| t.sql_name()))
     }
 
     /// Nullability (1-based).
     pub fn is_nullable(&self, index: usize) -> Option<bool> {
-        self.columns.get(index - 1).map(|c| c.nullable)
+        self.column(index).map(|c| c.nullable)
     }
 
     /// The raw column descriptors.
@@ -133,8 +138,9 @@ impl ResultSet {
             .position
             .filter(|p| *p < self.rows.len())
             .ok_or_else(|| DriverError::Usage("cursor is not on a row".into()))?;
-        let value = self.rows[row]
-            .get(index - 1)
+        let value = index
+            .checked_sub(1)
+            .and_then(|i| self.rows[row].get(i))
             .ok_or_else(|| DriverError::Usage(format!("column index {index} out of range")))?;
         self.was_null = value.is_null();
         Ok(value)

@@ -1,169 +1,26 @@
-//! Plan-cache correctness harnesses.
+//! The plan-cache reload race.
 //!
-//! Two invariants guard the cache subsystem:
-//!
-//! 1. **Cached == fresh** ([`run_cached_differential`]): for every golden
-//!    paper query and every fuzzed query, executing through a plan-cache
-//!    attached connection returns rows byte-identical to a fresh,
-//!    uncached translation on the same server — on the first (miss)
-//!    execution, and again on the warm (hit) execution. Every cached
-//!    plan's prepared IR and generated text must also pass all three
-//!    analyzer layers clean.
-//! 2. **Never stale** ([`run_cache_consistency`]): a multi-threaded
-//!    [`QueryService`] racing a mid-run [`DspServer::reload`] must return
-//!    rows matching either the old-catalog oracle or the new-catalog
-//!    oracle for every execution — never a stale or mixed answer. The
-//!    epoch tags on cached entries are what makes this hold: a reload
-//!    bumps the server epoch, and every post-reload lookup invalidates
-//!    the entry instead of serving it.
+//! Cached == fresh is a lane of the differential matrix
+//! ([`Lane::cached`]: cold and warm executions identical to the fresh
+//! translation's rows, the resident plan an exact hit that analyzes
+//! clean). This module holds the invariant a single-threaded matrix cannot
+//! check — **never stale** ([`run_cache_consistency`]): a multi-threaded
+//! [`QueryService`](aldsp_driver::QueryService) racing a mid-run
+//! [`DspServer::reload`](aldsp_driver::DspServer::reload) must return rows matching either the old-catalog
+//! oracle or the new-catalog oracle for every execution — never a stale or
+//! mixed answer. The epoch tags on cached entries are what makes this
+//! hold: a reload bumps the server epoch, and every post-reload lookup
+//! invalidates the entry instead of serving it.
 
-use crate::differential::compare_results;
-use crate::querygen::{ConstructClass, QueryGenerator};
-use crate::schema::{build_application, paper_queries, populate_database, Scale};
-use aldsp_analyzer::analyze_translation;
-use aldsp_core::{TranslationOptions, Transport};
-use aldsp_driver::{Connection, DspServer, QueryService};
-use aldsp_plancache::{CacheStats, Lookup, PlanCache};
-use aldsp_relational::{execute_query, Database, SqlValue};
-use aldsp_sql::parse_select;
+use crate::differential::{check_against_oracle, Lane, Universe};
+use crate::schema::{build_application, populate_database, Scale};
+use aldsp_core::Transport;
+use aldsp_plancache::CacheStats;
+use aldsp_relational::{Database, SqlValue};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
-
-/// Outcome of one [`run_cached_differential`] run.
-#[derive(Debug, Clone, Default)]
-pub struct CachedDifferentialReport {
-    /// Queries whose cached and fresh executions were compared.
-    pub checked: usize,
-    /// Cached plans run through the three analyzer layers.
-    pub analyzed: usize,
-    /// Invariant violations, one line each.
-    pub mismatches: Vec<String>,
-    /// Final cache counters, per transport.
-    pub stats: Vec<(&'static str, CacheStats)>,
-}
-
-impl CachedDifferentialReport {
-    /// True when every cached execution matched its fresh twin and every
-    /// cached plan analyzed clean.
-    pub fn invariant_holds(&self) -> bool {
-        self.mismatches.is_empty()
-    }
-}
-
-/// Runs the golden paper queries plus a seeded fuzzed workload through a
-/// plan-cache attached connection and a fresh uncached connection on the
-/// same server, on both transports, and compares:
-///
-/// * first (cold) cached execution vs fresh — byte-identical rows;
-/// * second (warm) cached execution — must be an exact cache hit, again
-///   byte-identical;
-/// * the cached plan's `PreparedQuery` + generated text — clean under
-///   [`analyze_translation`] (no `A` or `T` findings).
-///
-/// Queries the fresh path rejects must be rejected by the cached path
-/// too (same translation error), never silently executed.
-pub fn run_cached_differential(
-    seed: u64,
-    count_per_class: usize,
-    scale: Scale,
-) -> CachedDifferentialReport {
-    let app = build_application();
-    let db = populate_database(&app, scale, seed);
-    let server = Arc::new(DspServer::new(app, db));
-
-    let mut queries: Vec<String> = paper_queries()
-        .into_iter()
-        .map(|(_, sql)| sql.to_string())
-        .collect();
-    let mut generator = QueryGenerator::new(seed);
-    for class in ConstructClass::all() {
-        for _ in 0..count_per_class {
-            queries.push(generator.generate(*class));
-        }
-    }
-
-    let mut report = CachedDifferentialReport::default();
-    for (label, transport) in [("text", Transport::DelimitedText), ("xml", Transport::Xml)] {
-        let options = TranslationOptions::with_transport(transport);
-        let cache = Arc::new(PlanCache::default());
-        let fresh = Connection::open_with(Arc::clone(&server), options, Duration::ZERO);
-        let cached = Connection::open_with_cache(Arc::clone(&server), options, Arc::clone(&cache));
-
-        for sql in &queries {
-            report.checked += 1;
-            let fresh_result = fresh.create_statement().execute_query(sql);
-            let cold = cached.execute_cached(sql, &[]);
-            match (&fresh_result, &cold) {
-                (Ok(fresh_rs), Ok(cold_rs)) => {
-                    if fresh_rs.rows() != cold_rs.rows() {
-                        report.mismatches.push(format!(
-                            "{label}: cold cached rows differ from fresh for `{sql}`"
-                        ));
-                        continue;
-                    }
-                    let warm = cached.execute_cached(sql, &[]);
-                    match warm {
-                        Ok(warm_rs) if warm_rs.rows() == fresh_rs.rows() => {}
-                        Ok(_) => {
-                            report.mismatches.push(format!(
-                                "{label}: warm cached rows differ from fresh for `{sql}`"
-                            ));
-                            continue;
-                        }
-                        Err(e) => {
-                            report.mismatches.push(format!(
-                                "{label}: warm cached execution failed for `{sql}`: {e}"
-                            ));
-                            continue;
-                        }
-                    }
-                    // The warm plan must now be resident; pull it and run
-                    // the analyzer over exactly what the cache will keep
-                    // serving.
-                    match cache.plan(cached.translator(), sql, options) {
-                        Ok((bound, lookup)) => {
-                            if lookup != Lookup::ExactHit {
-                                report.mismatches.push(format!(
-                                    "{label}: third lookup was {lookup:?}, not an exact hit, \
-                                     for `{sql}`"
-                                ));
-                            }
-                            let analysis = analyze_translation(
-                                &bound.plan.prepared,
-                                &bound.plan.translation.xquery,
-                            );
-                            report.analyzed += 1;
-                            if !analysis.is_clean() {
-                                report.mismatches.push(format!(
-                                    "{label}: cached plan has analyzer findings for `{sql}`:\n{}",
-                                    analysis.render()
-                                ));
-                            }
-                        }
-                        Err(e) => report.mismatches.push(format!(
-                            "{label}: plan lookup failed after warm execution of `{sql}`: {e}"
-                        )),
-                    }
-                }
-                (Err(_), Err(_)) => {
-                    // Both paths rejected the statement — acceptable, as
-                    // long as neither executed what the other refused.
-                }
-                (Ok(_), Err(e)) => report.mismatches.push(format!(
-                    "{label}: cached path rejected `{sql}` that fresh path executed: {e}"
-                )),
-                (Err(e), Ok(_)) => report.mismatches.push(format!(
-                    "{label}: cached path executed `{sql}` that fresh path rejected: {e}"
-                )),
-            }
-        }
-        report.stats.push((label, cache.stats()));
-    }
-    report
-}
 
 /// One cache-consistency run's parameters.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct CacheConsistencyConfig {
     /// Seed for the two data populations (old catalog: `seed`, new
     /// catalog: `seed + 1`).
@@ -175,16 +32,19 @@ pub struct CacheConsistencyConfig {
     pub iterations_per_phase: usize,
     /// Data scale.
     pub scale: Scale,
+    /// The configuration of the service under test.
+    pub lane: Lane,
 }
 
 impl CacheConsistencyConfig {
-    /// A small, fast configuration.
+    /// A small, fast configuration: a default-options service (E8's).
     pub fn new(seed: u64, threads: usize) -> CacheConsistencyConfig {
         CacheConsistencyConfig {
             seed,
             threads,
             iterations_per_phase: 4,
             scale: Scale::small(),
+            lane: Lane::cached(Transport::DelimitedText),
         }
     }
 }
@@ -214,12 +74,11 @@ impl CacheConsistencyReport {
     }
 }
 
-/// The parameterized statement mix the workers replay. Templates 0–2
-/// carry a `?` marker (bound per iteration); template 3 bakes the value
-/// in as a literal, so successive iterations produce distinct SQL texts
-/// that the normalizer folds onto one shared plan.
-fn statement(template: usize, turn: i64) -> (String, Vec<SqlValue>) {
-    let v = turn % 10 + 1;
+/// The reporting-statement templates the threaded scenarios and E8
+/// replay. Templates 0–2 carry a `?` marker bound to `v`; template 3 bakes
+/// `v` in as a literal, so distinct values produce distinct SQL texts that
+/// the normalizer folds onto one shared plan.
+pub fn report_statement(template: usize, v: i64) -> (String, Vec<SqlValue>) {
     match template % 4 {
         0 => (
             "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID > ? \
@@ -262,16 +121,7 @@ fn classify(
     old_db: &Database,
     new_db: &Database,
 ) -> Generation {
-    let parsed = match parse_select(sql) {
-        Ok(p) => p,
-        Err(e) => return Generation::Neither(format!("template failed to parse: {e}")),
-    };
-    let ordered = !parsed.order_by.is_empty();
-    let matches = |db: &Database| {
-        execute_query(db, &parsed, params)
-            .map_err(|e| format!("oracle failed: {e}"))
-            .and_then(|oracle| compare_results(rows, &oracle, ordered))
-    };
+    let matches = |db: &Database| check_against_oracle(db, sql, params, rows);
     match (matches(old_db), matches(new_db)) {
         (Ok(()), Ok(())) => Generation::Both,
         (Ok(()), Err(_)) => Generation::Old,
@@ -300,14 +150,15 @@ fn classify(
 ///    must be invalidated here (epoch tag or server rejection), never
 ///    served.
 pub fn run_cache_consistency(config: &CacheConsistencyConfig) -> CacheConsistencyReport {
-    let app = build_application();
-    let old_db = populate_database(&app, config.scale, config.seed);
-    let new_db = populate_database(&app, config.scale, config.seed.wrapping_add(1));
-    let old_oracle = old_db.clone();
+    let universe = Universe::generated(config.scale, config.seed);
+    let (server, old_oracle) = (&universe.server, &universe.oracle);
+    let new_db = populate_database(
+        &build_application(),
+        config.scale,
+        config.seed.wrapping_add(1),
+    );
     let new_oracle = new_db.clone();
-
-    let server = Arc::new(DspServer::new(app, old_db));
-    let service = QueryService::new(Arc::clone(&server), TranslationOptions::default());
+    let service = config.lane.service(Arc::clone(server));
     // threads + 1: the main thread participates to place the reload
     // between the phase fences.
     let fence = Barrier::new(config.threads + 1);
@@ -319,13 +170,13 @@ pub fn run_cache_consistency(config: &CacheConsistencyConfig) -> CacheConsistenc
             .map(|worker| {
                 let service = &service;
                 let fence = &fence;
-                let (old_oracle, new_oracle) = (&old_oracle, &new_oracle);
+                let new_oracle = &new_oracle;
                 scope.spawn(move || {
                     let mut matched = (0usize, 0usize);
                     let mut mismatches = Vec::new();
                     let mut run = |phase: usize, turn: usize, expect: &str| {
-                        let template = worker + turn;
-                        let (sql, params) = statement(template, (worker * per_phase + turn) as i64);
+                        let v = (worker * per_phase + turn) as i64 % 10 + 1;
+                        let (sql, params) = report_statement(worker + turn, v);
                         match service.execute(&sql, &params) {
                             Ok(rs) => {
                                 let generation =
@@ -392,12 +243,23 @@ mod tests {
 
     #[test]
     fn cached_execution_matches_fresh_on_golden_and_fuzzed_queries() {
-        let report = run_cached_differential(7, 2, Scale::small());
-        assert!(report.invariant_holds(), "{:#?}", report.mismatches);
-        assert!(report.checked > 0);
-        assert!(report.analyzed > 0, "no cached plan reached the analyzer");
-        for (label, stats) in &report.stats {
-            assert!(stats.hits() > 0, "{label}: warm executions never hit");
+        use crate::differential::{fuzzed_corpus, paper_corpus, run_matrix, Universe};
+        let mut corpus = paper_corpus();
+        corpus.extend(fuzzed_corpus(7, 2));
+        let mut lanes = Lane::both(Lane::plain);
+        lanes.extend(Lane::both(Lane::cached));
+        let universe = Universe::generated(Scale::small(), 7);
+        let report = run_matrix(&universe, &corpus, &lanes, None);
+        assert!(report.is_clean(), "{:#?}", report.mismatches);
+        for label in ["text+cache", "xml+cache"] {
+            let lane = report.lane(label);
+            assert_eq!(
+                lane.analyzed,
+                corpus.len(),
+                "{label}: a plan skipped the analyzer"
+            );
+            let stats = lane.cache.expect("a cached lane reports its counters");
+            assert!(stats.exact_hits > 0, "{label}: warm executions never hit");
         }
     }
 

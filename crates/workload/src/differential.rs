@@ -1,51 +1,313 @@
-//! The differential-testing harness (experiment E6).
+//! The differential matrix (experiments E6, E12, E13 and the chaos sweeps).
 //!
 //! Correctness goal (paper §3.2 (i)): "the XQuery must do what the SQL
-//! query would have done". We check that mechanically: every query runs
-//! through the full driver stack (translate → XQuery evaluation → result
-//! transport → result set) *and* directly through the relational oracle;
-//! the materialized results must agree — as ordered lists when the query
-//! has ORDER BY, as multisets otherwise, with numeric values compared by
-//! value (the transports serialize decimals canonically).
+//! query would have done". We check that mechanically, in one place:
+//! [`run_matrix`] takes a [`Universe`] (a populated server and the
+//! oracle's copy of its data), a corpus of `(origin, sql)` statements and
+//! a list of [`Lane`]s — driver configurations, as data — and runs every
+//! statement on every lane through one call site,
+//! [`Connection::execute_cached_governed`] under an unlimited
+//! [`QueryBudget`] meter. Every lane's rows go to the relational oracle
+//! through [`compare_results`] — as ordered lists when the query has
+//! ORDER BY, as multisets otherwise, numeric values compared by value (the
+//! transports serialize decimals canonically). A lane may also claim its
+//! rows are *identical, in emission order,* to an earlier lane's (hash
+//! joins vs the interpreter, cached vs fresh); an optimized lane claims
+//! nothing, join reorder being only bag-preserving.
+//!
+//! Faults are a property of the run, not a second runner: with a
+//! [`ChaosConfig`] the injector goes onto the server, every lane retries
+//! under the config's policy, and a typed [`DriverError`] is an acceptable
+//! outcome — wrong rows never are. Everything is deterministic per
+//! `(seed, fault plan)`; [`MatrixReport::fingerprint`] canonicalizes the
+//! per-execution outcomes for byte-identical comparison across runs.
 
+use crate::chaos::ChaosConfig;
 use crate::querygen::{ConstructClass, QueryGenerator};
-use crate::schema::{build_application, populate_database, Scale};
-use aldsp_core::{TranslationOptions, Transport};
-use aldsp_driver::{Connection, DriverError, DspServer};
-use aldsp_relational::{execute_query, Relation, SqlValue};
+use crate::schema::{
+    build_application, golden_statements, paper_queries, populate_database, Scale,
+};
+use aldsp_analyzer::analyze_translation;
+use aldsp_catalog::{Application, MetadataApi};
+use aldsp_core::{
+    stage1, ExecStrategy, OptimizeLevel, QueryOptimizer, TranslationOptions, Transport,
+};
+use aldsp_driver::{
+    Connection, DriverError, DspServer, FaultConfig, FaultInjector, FaultStats, QueryService,
+};
+use aldsp_governor::QueryBudget;
+use aldsp_plancache::{CacheStats, PlanCache};
+use aldsp_relational::{execute_query, Database, Relation, SqlValue};
 use aldsp_sql::parse_select;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Duration;
+
+/// A populated server and the oracle's copy of its data. The fields are
+/// public so a test can hand the oracle a database that differs from the
+/// server's.
+pub struct Universe {
+    /// The server every lane connects to.
+    pub server: Arc<DspServer>,
+    /// What the relational oracle reads.
+    pub oracle: Database,
+}
+
+impl Universe {
+    /// A server over `database`, the oracle reading a clone of it.
+    pub fn new(application: Application, database: Database) -> Universe {
+        Universe {
+            oracle: database.clone(),
+            server: Arc::new(DspServer::new(application, database)),
+        }
+    }
+
+    /// The paper's universe at `scale`, populated from `seed`.
+    pub fn generated(scale: Scale, seed: u64) -> Universe {
+        let application = build_application();
+        let database = populate_database(&application, scale, seed);
+        Universe::new(application, database)
+    }
+}
+
+/// The rewrite engine a lane runs, handed in by callers that have the
+/// optimizer crate (this one does not depend on it).
+pub type Engine = Arc<dyn QueryOptimizer + Send + Sync>;
+
+/// One driver configuration a statement runs under.
+#[derive(Clone)]
+pub struct Lane {
+    /// Names the lane in mismatches, the outcome log and the report.
+    pub label: String,
+    /// Transport, optimize level and execution strategy.
+    pub options: TranslationOptions,
+    /// Whether the connection has a plan cache. A cached lane runs every
+    /// statement twice — a miss, then an exact hit — and checks that the
+    /// resident plan analyzes clean.
+    pub cache: bool,
+    /// The rewrite engine; it only runs on a cached lane whose options ask
+    /// for an optimize level above `Off`.
+    pub optimizer: Option<Engine>,
+    /// Label of an earlier lane whose rows this lane's must equal row by
+    /// row, in emission order, ORDER BY or not.
+    pub identical_to: Option<String>,
+}
+
+fn transport_label(transport: Transport) -> &'static str {
+    match transport {
+        Transport::DelimitedText => "text",
+        Transport::Xml => "xml",
+    }
+}
+
+impl Lane {
+    /// The uncached lane `<transport><suffix>` under `options`.
+    fn on(suffix: &str, options: TranslationOptions) -> Lane {
+        Lane {
+            label: format!("{}{suffix}", transport_label(options.transport)),
+            options,
+            cache: false,
+            optimizer: None,
+            identical_to: None,
+        }
+    }
+
+    /// All defaults on `transport`, no cache: the plain translate path.
+    /// Labelled `text` / `xml`.
+    pub fn plain(transport: Transport) -> Lane {
+        Lane::on("", TranslationOptions::with_transport(transport))
+    }
+
+    /// [`Lane::plain`] under [`ExecStrategy::HashJoin`], claiming the
+    /// interpreter's emission order (`text+hash` ≡ `text`).
+    pub fn hash(transport: Transport) -> Lane {
+        let options =
+            TranslationOptions::with_transport(transport).with_exec(ExecStrategy::HashJoin);
+        Lane {
+            identical_to: Some(transport_label(transport).to_string()),
+            ..Lane::on("+hash", options)
+        }
+    }
+
+    /// [`Lane::plain`] through a plan cache, cold and warm both claiming
+    /// the fresh translation's rows (`text+cache` ≡ `text`).
+    pub fn cached(transport: Transport) -> Lane {
+        Lane {
+            cache: true,
+            identical_to: Some(transport_label(transport).to_string()),
+            ..Lane::on("+cache", TranslationOptions::with_transport(transport))
+        }
+    }
+
+    /// `OptimizeLevel::Full` through `optimizer` on the interpreter
+    /// (`text+opt`). Claims no identity: join reorder keeps the bag, not
+    /// the order.
+    pub fn optimized(transport: Transport, optimizer: Engine) -> Lane {
+        let options = TranslationOptions::with_transport(transport).optimized(OptimizeLevel::Full);
+        Lane {
+            cache: true,
+            optimizer: Some(optimizer),
+            ..Lane::on("+opt", options)
+        }
+    }
+
+    /// What production and the end-to-end benchmark run
+    /// (`e2e/src/sut.rs::Sut::open`): `OptimizeLevel::Full` through
+    /// `optimizer` (built with the validation gate on), hash-join
+    /// execution, a plan cache. Labelled `text+production`.
+    pub fn production(transport: Transport, optimizer: Engine) -> Lane {
+        let options = TranslationOptions::with_transport(transport)
+            .optimized(OptimizeLevel::Full)
+            .with_exec(ExecStrategy::HashJoin);
+        Lane {
+            cache: true,
+            optimizer: Some(optimizer),
+            ..Lane::on("+production", options)
+        }
+    }
+
+    /// `lane` on both transports, delimited text first.
+    pub fn both(lane: impl Fn(Transport) -> Lane) -> Vec<Lane> {
+        vec![lane(Transport::DelimitedText), lane(Transport::Xml)]
+    }
+
+    /// A [`QueryService`] configured as this lane (a service always has a
+    /// plan cache), for the threaded scenarios.
+    pub fn service(&self, server: Arc<DspServer>) -> QueryService {
+        let service = QueryService::new(server, self.options);
+        match &self.optimizer {
+            Some(optimizer) => service.with_optimizer(Arc::clone(optimizer)),
+            None => service,
+        }
+    }
+}
+
+/// The paper's worked examples, origins `paper:<label>`.
+pub fn paper_corpus() -> Vec<(String, String)> {
+    paper_queries()
+        .into_iter()
+        .map(|(label, sql)| (format!("paper:{label}"), sql.to_string()))
+        .collect()
+}
+
+/// The statements of `tests/golden.sql` that take no `?` parameter (the
+/// matrix binds none), origins `golden:<n>` (1-based position in the
+/// file).
+pub fn golden_corpus() -> Vec<(String, String)> {
+    golden_statements()
+        .into_iter()
+        .enumerate()
+        .filter(|(_, sql)| stage1::parse(sql).map_or(true, |p| p.parameter_count == 0))
+        .map(|(i, sql)| (format!("golden:{}", i + 1), sql))
+        .collect()
+}
+
+/// `count_per_class` generated statements per construct class, origins
+/// the class labels.
+pub fn fuzzed_corpus(seed: u64, count_per_class: usize) -> Vec<(String, String)> {
+    let mut generator = QueryGenerator::new(seed);
+    let mut corpus = Vec::new();
+    for class in ConstructClass::all() {
+        for _ in 0..count_per_class {
+            corpus.push((class.label().to_string(), generator.generate(*class)));
+        }
+    }
+    corpus
+}
 
 /// One disagreement.
 #[derive(Debug, Clone)]
 pub struct Mismatch {
+    /// Where the statement came from.
+    pub origin: String,
+    /// The lane that disagreed (`lint` / `oracle` for the per-statement
+    /// checks that run before any lane).
+    pub lane: String,
     /// The SQL text.
     pub sql: String,
-    /// The construct class it came from.
-    pub class: ConstructClass,
     /// What went wrong.
     pub reason: String,
 }
 
-/// Aggregate report.
+/// What one lane did over the whole corpus.
 #[derive(Debug, Clone, Default)]
-pub struct DifferentialReport {
-    /// Queries that agreed.
-    pub passed: usize,
-    /// Queries whose translation was rejected (counted separately —
-    /// the generator should not produce these).
-    pub rejected: usize,
-    /// Disagreements.
-    pub mismatches: Vec<Mismatch>,
-    /// Per-class pass counts.
-    pub per_class: HashMap<&'static str, (usize, usize)>,
+pub struct LaneReport {
+    /// The lane's label.
+    pub label: String,
+    /// Evaluator fuel of each statement's last execution, in corpus order
+    /// (0 for a statement that never reached the lane).
+    pub fuel: Vec<u64>,
+    /// Hash operators the streaming engine ran.
+    pub hash_operators: u64,
+    /// Hashable FLWORs that fell back to the interpreter.
+    pub join_fallbacks: u64,
+    /// Final plan-cache counters of a cached lane.
+    pub cache: Option<CacheStats>,
+    /// Resident plans put through `analyze_translation`.
+    pub analyzed: usize,
+    /// Resident plans carrying at least one applied rewrite.
+    pub rewritten: usize,
+    /// Transient failures the connection retried.
+    pub retries: u64,
 }
 
-impl DifferentialReport {
-    /// Total queries exercised.
-    pub fn total(&self) -> usize {
-        self.passed + self.rejected + self.mismatches.len()
+/// Aggregate outcome of one [`run_matrix`] call. `passed`, `rejected` and
+/// `typed_errors` count *executions* (statement × lane × run);
+/// `per_origin` counts statements.
+#[derive(Debug, Clone, Default)]
+pub struct MatrixReport {
+    /// Executions whose rows matched the oracle (and the lane's identity
+    /// claim), possibly after retries.
+    pub passed: usize,
+    /// Statements the SQL parser refused plus executions the translator
+    /// rejected on a fault-free run — the generator should produce none.
+    pub rejected: usize,
+    /// Executions that surfaced a typed error under a fault plan — the
+    /// acceptable failure mode there.
+    pub typed_errors: usize,
+    /// Invariant violations: wrong rows, a broken identity claim, lint
+    /// findings, a fault-free execution error, a dirty cached plan.
+    pub mismatches: Vec<Mismatch>,
+    /// Per origin, `(statements clean on every lane, statements attempted)`.
+    pub per_origin: BTreeMap<String, (usize, usize)>,
+    /// Per lane, in the order the lanes were given.
+    pub lanes: Vec<LaneReport>,
+    /// One canonical line per execution, in order.
+    pub outcome_log: Vec<String>,
+    /// What the injector did (all zero without a fault plan).
+    pub fault_stats: FaultStats,
+}
+
+impl MatrixReport {
+    /// No wrong rows, no untyped failure, nothing rejected.
+    pub fn is_clean(&self) -> bool {
+        self.mismatches.is_empty() && self.rejected == 0
+    }
+
+    /// `(statements clean on every lane, statements attempted)`.
+    pub fn statements(&self) -> (usize, usize) {
+        self.per_origin
+            .values()
+            .fold((0, 0), |acc, (ok, n)| (acc.0 + ok, acc.1 + n))
+    }
+
+    /// The report of the lane labelled `label`.
+    pub fn lane(&self, label: &str) -> &LaneReport {
+        self.lanes
+            .iter()
+            .find(|l| l.label == label)
+            .unwrap_or_else(|| panic!("no lane labelled `{label}` in this run"))
+    }
+
+    /// Transient retries across all lanes.
+    pub fn retries(&self) -> u64 {
+        self.lanes.iter().map(|l| l.retries).sum()
+    }
+
+    /// The canonical outcome transcript; equal seeds and plans must
+    /// produce byte-identical fingerprints.
+    pub fn fingerprint(&self) -> String {
+        self.outcome_log.join("\n")
     }
 }
 
@@ -89,6 +351,21 @@ pub fn compare_results(
     Ok(())
 }
 
+/// One execution's rows against the oracle's answer for `sql` over
+/// `database`: the per-execution check of the threaded scenarios (the
+/// matrix asks the oracle once per statement, for all its lanes).
+pub fn check_against_oracle(
+    database: &Database,
+    sql: &str,
+    params: &[SqlValue],
+    rows: &[Vec<SqlValue>],
+) -> Result<(), String> {
+    let parsed = parse_select(sql).map_err(|e| format!("statement does not parse: {e}"))?;
+    let oracle =
+        execute_query(database, &parsed, params).map_err(|e| format!("oracle failed: {e}"))?;
+    compare_results(rows, &oracle, !parsed.order_by.is_empty())
+}
+
 /// Statically analyzes one query through the connection's translator
 /// metadata, in both transports (the delimited-text wrapper introduces
 /// its own variables, so both final forms are linted). Returns the
@@ -114,124 +391,250 @@ pub fn lint_query(conn: &Connection, sql: &str) -> Option<String> {
     None
 }
 
-/// Runs `count` random queries per construct class at the given scale and
-/// seed, over both transports. Every generated query is linted through
-/// the analyzer before execution; findings count as mismatches (the
-/// harness doubles as a find-the-generator-bug machine).
-pub fn run_differential(seed: u64, count_per_class: usize, scale: Scale) -> DifferentialReport {
+/// The identity claim: same rows, same physical order.
+fn identical(rows: &[Vec<SqlValue>], reference: &[Vec<SqlValue>], to: &str) -> Result<(), String> {
+    if rows == reference {
+        return Ok(());
+    }
+    let at = rows.iter().zip(reference).position(|(a, b)| a != b);
+    Err(format!(
+        "not identical to lane `{to}`: {} vs {} rows, first divergence at row {at:?}",
+        rows.len(),
+        reference.len()
+    ))
+}
+
+/// Runs every statement of `corpus` on every lane of `lanes` against
+/// `universe`, under `faults` when given. Per statement: parse, lint once
+/// (fault-free metadata path; findings are mismatches — the matrix doubles
+/// as a find-the-generator-bug machine), ask the oracle once, then execute
+/// lane by lane.
+pub fn run_matrix(
+    universe: &Universe,
+    corpus: &[(String, String)],
+    lanes: &[Lane],
+    faults: Option<&ChaosConfig>,
+) -> MatrixReport {
     #[cfg(feature = "debug-analyze")]
     aldsp_analyzer::install_debug_validator();
-    let app = build_application();
-    let db = populate_database(&app, scale, seed);
-    let oracle_db = db.clone();
-    let server = Arc::new(DspServer::new(app, db));
+    let server = &universe.server;
+    // A connection captures the metadata fault hook when it opens, so the
+    // lint connection opens before the injector goes in: analysis results
+    // must be a pure function of the SQL, not of the fault plan.
+    let lint_conn = Connection::open(Arc::clone(server));
+    let injector = faults.map(|config| {
+        let injector = Arc::new(FaultInjector::new(FaultConfig::uniform(
+            config.seed ^ 0xC4A0_5CA0_5CA0_5EED,
+            config.fault_rate,
+        )));
+        server.install_fault_injector(Some(Arc::clone(&injector)));
+        injector
+    });
+    let open: Vec<(Connection, Option<Arc<PlanCache>>)> = lanes
+        .iter()
+        .map(|lane| {
+            let cache = lane.cache.then(|| Arc::new(PlanCache::default()));
+            let mut conn = match &cache {
+                Some(cache) => {
+                    Connection::open_with_cache(Arc::clone(server), lane.options, Arc::clone(cache))
+                }
+                None => Connection::open_with(Arc::clone(server), lane.options, Duration::ZERO),
+            };
+            conn.set_optimizer(lane.optimizer.clone());
+            if let Some(config) = faults {
+                conn.set_retry_policy(config.retry);
+            }
+            (conn, cache)
+        })
+        .collect();
+    // The index of the earlier lane that lane `k` claims identity to.
+    let reference = |k: usize| {
+        let to = lanes[k].identical_to.as_ref()?;
+        let found = lanes[..k].iter().position(|l| l.label == *to);
+        Some(found.unwrap_or_else(|| panic!("`{}`: no earlier lane `{to}`", lanes[k].label)))
+    };
+    let runs_per_statement: usize = lanes.iter().map(|l| 1 + usize::from(l.cache)).sum();
 
-    let text_conn = Connection::open_with(
-        Arc::clone(&server),
-        aldsp_core::TranslationOptions::with_transport(aldsp_core::Transport::DelimitedText),
-        std::time::Duration::ZERO,
-    );
-    let xml_conn = Connection::open_with(
-        Arc::clone(&server),
-        aldsp_core::TranslationOptions::with_transport(aldsp_core::Transport::Xml),
-        std::time::Duration::ZERO,
-    );
-
-    let mut generator = QueryGenerator::new(seed);
-    let mut report = DifferentialReport::default();
-
-    for class in ConstructClass::all() {
-        for _ in 0..count_per_class {
-            let sql = generator.generate(*class);
-            let entry = report.per_class.entry(class.label()).or_insert((0, 0));
-            entry.1 += 1;
-            if let Some(reason) = lint_query(&text_conn, &sql) {
-                report.mismatches.push(Mismatch {
-                    sql,
-                    class: *class,
-                    reason,
-                });
+    let mut report = MatrixReport {
+        lanes: lanes
+            .iter()
+            .map(|lane| LaneReport {
+                label: lane.label.clone(),
+                fuel: vec![0; corpus.len()],
+                ..LaneReport::default()
+            })
+            .collect(),
+        ..MatrixReport::default()
+    };
+    for (index, (origin, sql)) in corpus.iter().enumerate() {
+        let entry = report.per_origin.entry(origin.clone()).or_insert((0, 0));
+        let ordinal = entry.1;
+        entry.1 += 1;
+        let (passed_before, mismatches_before) = (report.passed, report.mismatches.len());
+        let mismatch = |lane: &str, reason: String| Mismatch {
+            origin: origin.clone(),
+            lane: lane.to_string(),
+            sql: sql.clone(),
+            reason,
+        };
+        let Ok(parsed) = parse_select(sql) else {
+            report.rejected += 1;
+            continue;
+        };
+        if let Some(reason) = lint_query(&lint_conn, sql) {
+            report.mismatches.push(mismatch("lint", reason));
+            continue;
+        }
+        // The oracle never sees faults: it is the ground truth a
+        // successful (possibly retried) execution must reproduce.
+        let oracle = match execute_query(&universe.oracle, &parsed, &[]) {
+            Ok(relation) => relation,
+            Err(e) => {
+                let reason = format!("oracle failed: {e}");
+                report.mismatches.push(mismatch("oracle", reason));
                 continue;
             }
-            match check_one(&text_conn, &xml_conn, &oracle_db, &sql) {
-                Ok(()) => {
-                    report.passed += 1;
-                    entry.0 += 1;
+        };
+        let ordered = !parsed.order_by.is_empty();
+        // Each lane's rows from its latest execution, for identity claims.
+        let mut rows_of: Vec<Option<Vec<Vec<SqlValue>>>> = vec![None; lanes.len()];
+        for (k, lane) in lanes.iter().enumerate() {
+            let (conn, cache) = &open[k];
+            for _ in 0..1 + usize::from(lane.cache) {
+                // Unlimited: lanes legitimately differ in fuel and in what
+                // a row cap would measure, so no limit may fire on one
+                // side only; the budget is here as the meter.
+                let meter = QueryBudget::unlimited();
+                let result = conn.execute_cached_governed(sql, &[], Some(&meter));
+                let stats = &mut report.lanes[k];
+                stats.fuel[index] = meter.fuel_consumed();
+                stats.hash_operators += meter.hash_joins();
+                stats.join_fallbacks += meter.join_fallbacks();
+                let tag = match result {
+                    Ok(rs) => {
+                        let claim = reference(k).and_then(|r| Some((r, rows_of[r].as_ref()?)));
+                        let verdict = compare_results(rs.rows(), &oracle, ordered)
+                            .map_err(|reason| format!("vs oracle: {reason}"))
+                            .and_then(|()| match claim {
+                                Some((r, rows)) => identical(rs.rows(), rows, &lanes[r].label),
+                                None => Ok(()),
+                            });
+                        rows_of[k] = Some(rs.rows().to_vec());
+                        match verdict {
+                            Ok(()) => {
+                                report.passed += 1;
+                                "ok".to_string()
+                            }
+                            Err(reason) => {
+                                let tag = format!("MISMATCH:{reason}");
+                                report.mismatches.push(mismatch(&lane.label, reason));
+                                tag
+                            }
+                        }
+                    }
+                    Err(e) => {
+                        rows_of[k] = None;
+                        match e {
+                            _ if faults.is_some() => report.typed_errors += 1,
+                            DriverError::Translation(_) => report.rejected += 1,
+                            _ => {
+                                let reason = format!("execution failed: {e}");
+                                report.mismatches.push(mismatch(&lane.label, reason));
+                            }
+                        }
+                        format!("error:{e}")
+                    }
+                };
+                report
+                    .outcome_log
+                    .push(format!("{origin}#{ordinal}/{}: {tag}", lane.label));
+            }
+            // After a warm execution that returned rows, the plan must be
+            // resident under this exact text, and it is what the cache
+            // will keep serving: it has to analyze clean.
+            if let (Some(cache), Some(_)) = (cache, &rows_of[k]) {
+                let epoch = conn.translator().metadata().epoch();
+                let verdict = match cache.lookup_exact(sql, lane.options, epoch) {
+                    None => Err("no exact-hit plan resident after a warm execution".to_string()),
+                    Some(bound) => {
+                        let plan = &bound.plan;
+                        let stats = &mut report.lanes[k];
+                        stats.analyzed += 1;
+                        stats.rewritten +=
+                            usize::from(plan.rewrite.as_ref().is_some_and(|t| t.applied() > 0));
+                        let analysis =
+                            analyze_translation(&plan.prepared, &plan.translation.xquery);
+                        match analysis.is_clean() {
+                            true => Ok(()),
+                            false => {
+                                Err(format!("cached plan has findings:\n{}", analysis.render()))
+                            }
+                        }
+                    }
+                };
+                if let Err(reason) = verdict {
+                    report.mismatches.push(mismatch(&lane.label, reason));
                 }
-                Err(CheckFailure::Rejected(_)) => report.rejected += 1,
-                Err(CheckFailure::Mismatch(reason)) => report.mismatches.push(Mismatch {
-                    sql,
-                    class: *class,
-                    reason,
-                }),
             }
         }
+        if report.passed - passed_before == runs_per_statement
+            && report.mismatches.len() == mismatches_before
+        {
+            report.per_origin.get_mut(origin).expect("made above").0 += 1;
+        }
+    }
+
+    for (stats, (conn, cache)) in report.lanes.iter_mut().zip(&open) {
+        stats.cache = cache.as_ref().map(|c| c.stats());
+        stats.retries = conn.retry_stats().retries;
+    }
+    if let Some(injector) = injector {
+        report.fault_stats = injector.stats();
+        server.install_fault_injector(None);
     }
     report
-}
-
-/// Why one query check failed.
-pub enum CheckFailure {
-    /// The translator (or SQL parser) rejected the query.
-    Rejected(String),
-    /// Results disagreed or execution failed.
-    Mismatch(String),
-}
-
-/// Runs one query through both transports and the oracle.
-pub fn check_one(
-    text_conn: &Connection,
-    xml_conn: &Connection,
-    oracle_db: &aldsp_relational::Database,
-    sql: &str,
-) -> Result<(), CheckFailure> {
-    let parsed = parse_select(sql).map_err(|e| CheckFailure::Rejected(format!("parse: {e}")))?;
-    let ordered = !parsed.order_by.is_empty();
-
-    let oracle = execute_query(oracle_db, &parsed, &[])
-        .map_err(|e| CheckFailure::Mismatch(format!("oracle failed: {e}")))?;
-
-    for (label, conn) in [("text", text_conn), ("xml", xml_conn)] {
-        let result = conn.create_statement().execute_query(sql);
-        let rs = match result {
-            Ok(rs) => rs,
-            Err(DriverError::Translation(e)) => {
-                return Err(CheckFailure::Rejected(format!("translation: {e}")))
-            }
-            Err(e) => {
-                return Err(CheckFailure::Mismatch(format!(
-                    "{label} transport execution failed: {e}"
-                )))
-            }
-        };
-        compare_results(rs.rows(), &oracle, ordered)
-            .map_err(|reason| CheckFailure::Mismatch(format!("{label} transport: {reason}")))?;
-    }
-    Ok(())
-}
-
-impl std::fmt::Debug for CheckFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckFailure::Rejected(m) => write!(f, "Rejected({m})"),
-            CheckFailure::Mismatch(m) => write!(f, "Mismatch({m})"),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn lanes(kinds: &[fn(Transport) -> Lane]) -> Vec<Lane> {
+        kinds.iter().flat_map(Lane::both).collect()
+    }
+
     #[test]
     fn small_differential_run_is_clean() {
-        let report = run_differential(11, 3, Scale::small());
-        assert!(
-            report.mismatches.is_empty(),
-            "mismatches: {:#?}",
-            report.mismatches
+        let report = run_matrix(
+            &Universe::generated(Scale::small(), 11),
+            &fuzzed_corpus(11, 3),
+            &lanes(&[Lane::plain]),
+            None,
         );
-        assert_eq!(report.rejected, 0, "generator produced rejected queries");
-        assert_eq!(report.passed, report.total());
+        assert!(report.is_clean(), "mismatches: {:#?}", report.mismatches);
+        assert_eq!(report.passed, 66);
+        assert_eq!(report.statements(), (33, 33));
+    }
+
+    #[test]
+    fn small_exec_differential_run_is_clean() {
+        let mut corpus = paper_corpus();
+        corpus.extend(fuzzed_corpus(13, 2));
+        let report = run_matrix(
+            &Universe::generated(Scale::small(), 13),
+            &corpus,
+            &lanes(&[Lane::plain, Lane::hash]),
+            None,
+        );
+        assert!(report.is_clean(), "mismatches: {:#?}", report.mismatches);
+        assert_eq!(report.passed, 4 * corpus.len());
+        assert_eq!(report.lane("text").hash_operators, 0);
+        for label in ["text+hash", "xml+hash"] {
+            let lane = report.lane(label);
+            assert!(
+                lane.hash_operators > 0,
+                "{label}: join classes should exercise the hash path"
+            );
+        }
     }
 }

@@ -10,18 +10,18 @@
 //!   construct class (simple selects through outer joins, grouping, set
 //!   operations, and subqueries), used by differential tests (E6) and
 //!   benchmarks (E2/E4).
-//! * [`differential`] — the E6 harness: run a query through the full
-//!   driver stack (SQL → XQuery → evaluation → result set) and through
-//!   the relational oracle, and compare.
-//! * [`chaos`] — the same differential check under injected boundary
-//!   faults and a retrying connection: every query must either match the
-//!   oracle or fail with a typed error.
-//! * [`execdiff`] — the E13 correctness harness: every query runs under
-//!   both execution strategies (nested-loop interpreter vs streaming
-//!   hash joins) in both transports; results must agree with each other
-//!   (exact emission order) and with the oracle.
-//! * [`cached`] — the plan-cache harnesses: cached execution must be
-//!   byte-identical to fresh uncached translation, and a multi-threaded
+//! * [`differential`] — the differential matrix (E6, E12, E13): one
+//!   runner takes a universe, a corpus of `(origin, sql)` and a list of
+//!   lanes (driver configurations as data: plain, hash joins, plan cache,
+//!   optimizer, and the production combination of all three), runs every
+//!   statement on every lane through the full driver stack (SQL → XQuery
+//!   → evaluation → result set), and compares every lane with the
+//!   relational oracle and, where a lane claims it, with another lane row
+//!   by row.
+//! * [`chaos`] — the fault plan the same runner takes: under injected
+//!   boundary faults and retrying connections every execution must either
+//!   match the oracle or fail with a typed error.
+//! * [`cached`] — the threaded plan-cache scenario: a multi-threaded
 //!   `QueryService` must never serve a stale plan across a mid-run
 //!   catalog reload.
 //! * [`overload`] — the resource-governance chaos harness: worker
@@ -30,24 +30,29 @@
 //!   products, oversized texts, cancelled budgets); every rejection must
 //!   be typed, admitted good queries must match the oracle, and the
 //!   governor's accounting identity must hold.
+//! * [`mutation`] — seeded single-site corruptions of generated XQuery,
+//!   for measuring the layer-5 validator's and the optimizer gate's kill
+//!   rates (E11).
 
 pub mod cached;
 pub mod chaos;
 pub mod differential;
-pub mod execdiff;
 pub mod mutation;
 pub mod overload;
 pub mod querygen;
 pub mod schema;
 
 pub use cached::{
-    run_cache_consistency, run_cached_differential, CacheConsistencyConfig, CacheConsistencyReport,
-    CachedDifferentialReport,
+    report_statement, run_cache_consistency, CacheConsistencyConfig, CacheConsistencyReport,
 };
-pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
-pub use differential::{compare_results, run_differential, DifferentialReport, Mismatch};
-pub use execdiff::{run_exec_differential, ExecDifferentialReport, ExecMismatch};
+pub use chaos::ChaosConfig;
+pub use differential::{
+    compare_results, fuzzed_corpus, golden_corpus, paper_corpus, run_matrix, Engine, Lane,
+    LaneReport, MatrixReport, Mismatch, Universe,
+};
 pub use mutation::{mutants_for, Mutant, MutationClass};
 pub use overload::{run_overload, OverloadConfig, OverloadReport};
 pub use querygen::{ConstructClass, QueryGenerator};
-pub use schema::{build_application, paper_queries, populate_database, stats_for, Scale};
+pub use schema::{
+    build_application, golden_statements, paper_queries, populate_database, stats_for, Scale,
+};

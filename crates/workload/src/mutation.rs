@@ -20,9 +20,6 @@
 //!   FLWOR's leading clause, ahead of a `for`/`let`/`group` binding it
 //!   depends on (the mutant still parses but evaluates an unbound
 //!   variable).
-//! * [`PositionalOffByOne`](MutationClass::PositionalOffByOne) — an
-//!   off-by-one in a positional/filter predicate: increment an integer
-//!   literal inside a `[...]`.
 //! * [`DropOuterPad`](MutationClass::DropOuterPad) — outer-join NULL
 //!   padding lost (§3.4.2): replace an
 //!   `if (fn:empty(...)) then <pad> else <matched>` with its matched
@@ -47,7 +44,6 @@
 //! mutation per mutant), so a harness run is reproducible without any
 //! RNG.
 
-use aldsp_xml::Atomic;
 use aldsp_xquery::ast::{Clause, CompOp, Content, Expr, PathStart, Program};
 use aldsp_xquery::{parse_program, unparse_program};
 
@@ -60,8 +56,6 @@ pub enum MutationClass {
     DropWhere,
     /// Hoist a non-leading `where` clause to the front of its FLWOR.
     ReorderFlwor,
-    /// Increment an integer literal inside a predicate.
-    PositionalOffByOne,
     /// Replace an `if (fn:empty(...))` padding conditional with its
     /// else branch.
     DropOuterPad,
@@ -76,12 +70,11 @@ pub enum MutationClass {
 
 impl MutationClass {
     /// Every class, in a stable order.
-    pub fn all() -> [MutationClass; 8] {
+    pub fn all() -> [MutationClass; 7] {
         [
             MutationClass::SwapComparison,
             MutationClass::DropWhere,
             MutationClass::ReorderFlwor,
-            MutationClass::PositionalOffByOne,
             MutationClass::DropOuterPad,
             MutationClass::FlipOrderDirection,
             MutationClass::BadPushdown,
@@ -95,7 +88,6 @@ impl MutationClass {
             MutationClass::SwapComparison => "swap_comparison",
             MutationClass::DropWhere => "drop_where",
             MutationClass::ReorderFlwor => "reorder_flwor",
-            MutationClass::PositionalOffByOne => "positional_off_by_one",
             MutationClass::DropOuterPad => "drop_outer_pad",
             MutationClass::FlipOrderDirection => "flip_order_direction",
             MutationClass::BadPushdown => "bad_pushdown",
@@ -160,18 +152,10 @@ fn mutate_program(
     target: usize,
     counter: &mut usize,
 ) -> bool {
-    mutate_expr(&mut program.body, class, target, counter, false)
+    mutate_expr(&mut program.body, class, target, counter)
 }
 
-/// `in_predicate` tracks whether the walk is inside a `[...]` — the
-/// scope `PositionalOffByOne` applies to.
-fn mutate_expr(
-    expr: &mut Expr,
-    class: MutationClass,
-    target: usize,
-    counter: &mut usize,
-    in_predicate: bool,
-) -> bool {
+fn mutate_expr(expr: &mut Expr, class: MutationClass, target: usize, counter: &mut usize) -> bool {
     // Site checks at this node first (pre-order).
     match (&class, &mut *expr) {
         (MutationClass::SwapComparison, Expr::GeneralComp { op, .. })
@@ -180,14 +164,6 @@ fn mutate_expr(
         {
             *op = swap_comp(*op);
             return true;
-        }
-        (MutationClass::PositionalOffByOne, Expr::Literal(atomic)) if in_predicate => {
-            if let Atomic::Integer(i) = atomic {
-                if bump(counter, target) {
-                    *atomic = Atomic::Integer(*i + 1);
-                    return true;
-                }
-            }
         }
         (MutationClass::DropOuterPad, Expr::If { cond, els, .. }) => {
             let is_empty_guard = matches!(
@@ -309,8 +285,8 @@ fn mutate_expr(
     }
 
     // Recurse into children.
-    each_child(expr, &mut |child, child_in_pred| {
-        mutate_expr(child, class, target, counter, in_predicate || child_in_pred)
+    each_child(expr, &mut |child| {
+        mutate_expr(child, class, target, counter)
     })
 }
 
@@ -430,7 +406,7 @@ fn rename_var(expr: &mut Expr, from: &str, to: &str) {
         }
         _ => {}
     }
-    each_child(expr, &mut |child, _| {
+    each_child(expr, &mut |child| {
         rename_var(child, from, to);
         false
     });
@@ -457,7 +433,7 @@ fn substitute_uses(expr: &mut Expr, var: &str, replacement: &Expr) {
         }
         _ => {}
     }
-    each_child(expr, &mut |child, _| {
+    each_child(expr, &mut |child| {
         substitute_uses(child, var, replacement);
         false
     });
@@ -588,43 +564,40 @@ fn swap_comp(op: CompOp) -> CompOp {
     }
 }
 
-/// Visits each direct child expression; the callback's second argument
-/// is true when the child lives inside a predicate. Stops (returning
-/// true) as soon as the callback does.
-fn each_child(expr: &mut Expr, f: &mut dyn FnMut(&mut Expr, bool) -> bool) -> bool {
+/// Visits each direct child expression. Stops (returning true) as soon
+/// as the callback does.
+fn each_child(expr: &mut Expr, f: &mut dyn FnMut(&mut Expr) -> bool) -> bool {
     match expr {
         Expr::Literal(_) | Expr::EmptySequence | Expr::VarRef(_) | Expr::ContextItem => false,
-        Expr::Sequence(items) => items.iter_mut().any(|e| f(e, false)),
-        Expr::FunctionCall { args, .. } => args.iter_mut().any(|e| f(e, false)),
+        Expr::Sequence(items) => items.iter_mut().any(&mut *f),
+        Expr::FunctionCall { args, .. } => args.iter_mut().any(&mut *f),
         Expr::Path { start, steps } => {
             if let PathStart::Expr(e) = &mut **start {
-                if f(e, false) {
+                if f(e) {
                     return true;
                 }
             }
             steps
                 .iter_mut()
-                .any(|s| s.predicates.iter_mut().any(|p| f(p, true)))
+                .any(|s| s.predicates.iter_mut().any(&mut *f))
         }
-        Expr::Filter { base, predicates } => {
-            f(base, false) || predicates.iter_mut().any(|p| f(p, true))
-        }
+        Expr::Filter { base, predicates } => f(base) || predicates.iter_mut().any(&mut *f),
         Expr::Flwor(flwor) => {
             for clause in &mut flwor.clauses {
                 let hit = match clause {
-                    Clause::For { source, .. } => f(source, false),
-                    Clause::Let { value, .. } => f(value, false),
-                    Clause::Where(cond) => f(cond, false),
-                    Clause::GroupBy(group) => group.keys.iter_mut().any(|(k, _)| f(k, false)),
-                    Clause::OrderBy(specs) => specs.iter_mut().any(|s| f(&mut s.key, false)),
+                    Clause::For { source, .. } => f(source),
+                    Clause::Let { value, .. } => f(value),
+                    Clause::Where(cond) => f(cond),
+                    Clause::GroupBy(group) => group.keys.iter_mut().any(|(k, _)| f(k)),
+                    Clause::OrderBy(specs) => specs.iter_mut().any(|s| f(&mut s.key)),
                 };
                 if hit {
                     return true;
                 }
             }
-            f(&mut flwor.ret, false)
+            f(&mut flwor.ret)
         }
-        Expr::If { cond, then, els } => f(cond, false) || f(then, false) || f(els, false),
+        Expr::If { cond, then, els } => f(cond) || f(then) || f(els),
         Expr::Or(l, r)
         | Expr::And(l, r)
         | Expr::GeneralComp {
@@ -635,23 +608,23 @@ fn each_child(expr: &mut Expr, f: &mut dyn FnMut(&mut Expr, bool) -> bool) -> bo
         }
         | Expr::Arith {
             left: l, right: r, ..
-        } => f(l, false) || f(r, false),
-        Expr::UnaryMinus(e) => f(e, false),
+        } => f(l) || f(r),
+        Expr::UnaryMinus(e) => f(e),
         Expr::Quantified {
             source, satisfies, ..
-        } => f(source, false) || f(satisfies, false),
+        } => f(source) || f(satisfies),
         Expr::Element(ctor) => each_ctor_child(ctor, f),
     }
 }
 
 fn each_ctor_child(
     ctor: &mut aldsp_xquery::ast::ElementCtor,
-    f: &mut dyn FnMut(&mut Expr, bool) -> bool,
+    f: &mut dyn FnMut(&mut Expr) -> bool,
 ) -> bool {
     for (_, parts) in &mut ctor.attributes {
         for part in parts {
             if let aldsp_xquery::ast::AttrPart::Enclosed(e) = part {
-                if f(e, false) {
+                if f(e) {
                     return true;
                 }
             }
@@ -660,7 +633,7 @@ fn each_ctor_child(
     for content in &mut ctor.content {
         let hit = match content {
             Content::Text(_) => false,
-            Content::Enclosed(e) => f(e, false),
+            Content::Enclosed(e) => f(e),
             Content::Element(child) => each_ctor_child(child, f),
         };
         if hit {
@@ -715,18 +688,6 @@ mod tests {
             .collect();
         assert_eq!(mutants.len(), 1);
         assert!(!mutants[0].xquery.contains("if ("), "{}", mutants[0].xquery);
-    }
-
-    #[test]
-    fn off_by_one_only_inside_predicates() {
-        let text = "for $v in ns0:T() return $v/A[1] + 1";
-        let mutants: Vec<Mutant> = mutants_for(text)
-            .into_iter()
-            .filter(|m| m.class == MutationClass::PositionalOffByOne)
-            .collect();
-        assert_eq!(mutants.len(), 1);
-        assert!(mutants[0].xquery.contains("[2]"), "{}", mutants[0].xquery);
-        assert!(mutants[0].xquery.contains("+ 1"), "{}", mutants[0].xquery);
     }
 
     #[test]

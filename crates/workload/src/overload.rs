@@ -21,22 +21,22 @@
 //! [`GovernorStats::is_consistent`]) must hold at the end of every run,
 //! however many threads raced.
 
-use crate::chaos::error_tag;
-use crate::differential::compare_results;
-use crate::schema::{build_application, populate_database, Scale};
+use crate::cached::report_statement;
+use crate::differential::{check_against_oracle, Lane, Universe};
+use crate::schema::Scale;
+use aldsp_core::Transport;
 use aldsp_driver::{
-    DriverError, DspServer, FaultConfig, FaultInjector, GovernorConfig, GovernorStats, QueryBudget,
+    DriverError, FaultConfig, FaultInjector, GovernorConfig, GovernorStats, QueryBudget,
     QueryService,
 };
 use aldsp_plancache::CacheStats;
-use aldsp_relational::{execute_query, SqlValue};
-use aldsp_sql::parse_select;
+use aldsp_relational::SqlValue;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// One overload run's parameters.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct OverloadConfig {
     /// Seed for data and the fault plan.
     pub seed: u64,
@@ -51,11 +51,14 @@ pub struct OverloadConfig {
     pub fault_rate: f64,
     /// Governor tuning for the service under test.
     pub governor: GovernorConfig,
+    /// The configuration of the service under test.
+    pub lane: Lane,
 }
 
 impl OverloadConfig {
     /// A small, fast configuration: admission capacity 2 with a short
-    /// queue, a modest statement cap, and the default breaker.
+    /// queue, a modest statement cap, the default breaker, and a
+    /// default-options service (E9's).
     pub fn new(seed: u64, threads: usize) -> OverloadConfig {
         OverloadConfig {
             seed,
@@ -69,6 +72,7 @@ impl OverloadConfig {
                 max_statement_bytes: 4096,
                 ..GovernorConfig::default()
             },
+            lane: Lane::cached(Transport::DelimitedText),
         }
     }
 }
@@ -152,25 +156,10 @@ impl OverloadReport {
     }
 }
 
-/// The well-behaved template mix (all oracle-checkable).
+/// The well-behaved template mix (all oracle-checkable): the two
+/// single-table `?` templates and the literal one, cycled.
 fn good_statement(turn: usize) -> (String, Vec<SqlValue>) {
-    let v = (turn % 10 + 1) as i64;
-    match turn % 3 {
-        0 => (
-            "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID > ? \
-             ORDER BY CUSTOMERID"
-                .to_string(),
-            vec![SqlValue::Int(v)],
-        ),
-        1 => (
-            "SELECT ORDERID, AMOUNT FROM ORDERS WHERE CUSTID = ? ORDER BY ORDERID".to_string(),
-            vec![SqlValue::Int(v)],
-        ),
-        _ => (
-            format!("SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID > {v} ORDER BY CUSTOMERID"),
-            Vec::new(),
-        ),
-    }
+    report_statement([0, 1, 3][turn % 3], (turn % 10 + 1) as i64)
 }
 
 /// A WHERE expression nested ~400 parentheses deep — far past the SQL
@@ -226,10 +215,7 @@ fn classify(
             if faults_on {
                 Ok(false)
             } else {
-                Err(format!(
-                    "good statement failed without faults: {}",
-                    error_tag(e)
-                ))
+                Err(format!("good statement failed without faults: {e}"))
             }
         }
         (Kind::Nested, Err(DriverError::DepthExceeded(_))) => Ok(true),
@@ -243,9 +229,8 @@ fn classify(
         (_, Err(e)) if faults_on && e.is_transient() => Ok(false),
         (_, Err(DriverError::Execution(_))) if faults_on => Ok(false),
         (kind, Err(e)) => Err(format!(
-            "{} statement surfaced the wrong error class: {}",
-            kind.label(),
-            error_tag(e)
+            "{} statement surfaced the wrong error class: {e}",
+            kind.label()
         )),
     }
 }
@@ -254,10 +239,8 @@ fn classify(
 /// good/pathological mix and verifies the governance invariant. Workers
 /// run free (no barriers): contention on the admission gate is the point.
 pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
-    let app = build_application();
-    let db = populate_database(&app, config.scale, config.seed);
-    let oracle_db = db.clone();
-    let server = Arc::new(DspServer::new(app, db));
+    let universe = Universe::generated(config.scale, config.seed);
+    let (server, oracle_db) = (&universe.server, &universe.oracle);
     if config.fault_rate > 0.0 {
         let injector = Arc::new(FaultInjector::new(FaultConfig::uniform(
             config.seed ^ 0x07E8_10AD,
@@ -265,8 +248,10 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
         )));
         server.install_fault_injector(Some(injector));
     }
-    let service =
-        QueryService::new(Arc::clone(&server), Default::default()).with_governor(config.governor);
+    let service = config
+        .lane
+        .service(Arc::clone(server))
+        .with_governor(config.governor);
     let faults_on = config.fault_rate > 0.0;
     let statement_cap = config.governor.max_statement_bytes.max(1);
 
@@ -285,7 +270,6 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
         let workers: Vec<_> = (0..config.threads)
             .map(|worker| {
                 let service = &service;
-                let oracle_db = &oracle_db;
                 scope.spawn(move || {
                     let mut out = WorkerOutcome::default();
                     for turn in 0..config.iterations_per_thread {
@@ -303,7 +287,7 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
                                     out.good_latencies_us.push(us);
                                 }
                                 match classify(kind, &result, faults_on) {
-                                    Ok(true) => out.signature_hit(kind.label()),
+                                    Ok(true) => add_hits(&mut out.signature_hits, kind.label(), 1),
                                     Ok(false) => {}
                                     Err(reason) => out.violations.push(reason),
                                 }
@@ -334,10 +318,7 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadReport {
         report.violations.extend(out.violations);
         report.good_latencies_us.extend(out.good_latencies_us);
         for (label, n) in out.signature_hits {
-            match report.signature_hits.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, total)) => *total += n,
-                None => report.signature_hits.push((label, n)),
-            }
+            add_hits(&mut report.signature_hits, label, n);
         }
     }
     report.governor = service.governor_stats();
@@ -356,12 +337,11 @@ struct WorkerOutcome {
     good_latencies_us: Vec<u64>,
 }
 
-impl WorkerOutcome {
-    fn signature_hit(&mut self, label: &'static str) {
-        match self.signature_hits.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, n)) => *n += 1,
-            None => self.signature_hits.push((label, 1)),
-        }
+/// Adds `n` signature rejections of the kind labelled `label`.
+fn add_hits(hits: &mut Vec<(&'static str, usize)>, label: &'static str, n: usize) {
+    match hits.iter_mut().find(|(l, _)| *l == label) {
+        Some((_, total)) => *total += n,
+        None => hits.push((label, n)),
     }
 }
 
@@ -384,8 +364,10 @@ fn run_one(
             match service.execute_with_budget(&sql, &params, Some(&budget)) {
                 Ok(rs) => {
                     let latency = started.elapsed().as_micros() as u64;
-                    let verdict = verify_against_oracle(oracle_db, &sql, &params, rs.rows());
-                    (verdict, Some(latency))
+                    // `Usage` on a good template marks wrong rows: the
+                    // templates cannot misuse the API.
+                    let verdict = check_against_oracle(oracle_db, &sql, &params, rs.rows());
+                    (verdict.map_err(DriverError::Usage), Some(latency))
                 }
                 Err(e) => (Err(e), None),
             }
@@ -417,22 +399,6 @@ fn run_one(
             (result, None)
         }
     }
-}
-
-/// Compares an admitted good query's rows against the relational oracle.
-fn verify_against_oracle(
-    db: &aldsp_relational::Database,
-    sql: &str,
-    params: &[SqlValue],
-    rows: &[Vec<SqlValue>],
-) -> Result<(), DriverError> {
-    let parsed =
-        parse_select(sql).map_err(|e| DriverError::Usage(format!("template unparseable: {e}")))?;
-    let ordered = !parsed.order_by.is_empty();
-    let oracle = execute_query(db, &parsed, params)
-        .map_err(|e| DriverError::Usage(format!("oracle failed: {e}")))?;
-    compare_results(rows, &oracle, ordered)
-        .map_err(|reason| DriverError::Usage(format!("rows diverge from oracle: {reason}")))
 }
 
 #[cfg(test)]

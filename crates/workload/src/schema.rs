@@ -236,9 +236,49 @@ pub fn paper_queries() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
+/// The statements of `tests/golden.sql` — the paper's Example shapes
+/// restated against this universe, the corpus CI's `analyze` steps read.
+pub fn golden_statements() -> Vec<String> {
+    split_statements(include_str!("../../../tests/golden.sql"))
+}
+
+/// Drops `--` comment lines and splits on `;`. Lines are re-joined with
+/// `\n`, so a statement wrapped onto a second line keeps its token
+/// boundary.
+fn split_statements(text: &str) -> Vec<String> {
+    text.lines()
+        .filter(|l| !l.trim_start().starts_with("--"))
+        .collect::<Vec<_>>()
+        .join("\n")
+        .split(';')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(str::to_string)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wrapped_statements_keep_their_token_boundaries() {
+        let statements = split_statements(
+            "-- a comment\nSELECT A FROM T WHERE D >= '2005-01-01'\nORDER BY A;\n\
+             -- another\nSELECT B FROM T;\n",
+        );
+        assert_eq!(
+            statements,
+            [
+                "SELECT A FROM T WHERE D >= '2005-01-01'\nORDER BY A",
+                "SELECT B FROM T"
+            ]
+        );
+        aldsp_sql::parse_select(&statements[0]).expect("the wrapped statement still parses");
+        let golden = golden_statements();
+        assert_eq!(golden.len(), 25);
+        assert!(golden.iter().all(|s| !s.contains("--")));
+    }
 
     #[test]
     fn population_is_deterministic() {

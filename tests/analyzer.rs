@@ -817,16 +817,8 @@ fn golden_result_set_metadata_matches_inferred_typing() {
     let metadata = CachedMetadataApi::new(InProcessMetadataApi::new(
         TableLocator::for_application(&aldsp::workload::schema::build_application()),
     ));
-    let sql_file = include_str!("golden.sql");
     let mut checked = 0usize;
-    for sql in sql_file
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("--"))
-        .collect::<String>()
-        .split(';')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-    {
+    for sql in &aldsp::workload::golden_statements() {
         let analysis = analyze_sql(sql, &metadata, TranslationOptions::default())
             .unwrap_or_else(|e| panic!("golden `{sql}` failed: {e}"));
         let translation = statement
@@ -1297,16 +1289,8 @@ fn golden_statements_are_performance_clean() {
         stats: stats_for(Scale::small()),
         ..CostOptions::default()
     };
-    let sql_file = include_str!("golden.sql");
     let mut checked = 0usize;
-    for sql in sql_file
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("--"))
-        .collect::<String>()
-        .split(';')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-    {
+    for sql in &aldsp::workload::golden_statements() {
         for transport in [Transport::Xml, Transport::DelimitedText] {
             let analysis = analyze_sql_with(
                 sql,
@@ -1489,18 +1473,10 @@ fn rejected_evaluation_is_v006() {
 #[test]
 fn golden_statements_validate_equivalent_in_both_transports() {
     let metadata = demo_metadata();
-    let sql_file = include_str!("golden.sql");
     let cost_options = CostOptions::default();
     let validate_options = ValidateOptions::default();
     let mut checked = 0usize;
-    for sql in sql_file
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("--"))
-        .collect::<String>()
-        .split(';')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-    {
+    for sql in &aldsp::workload::golden_statements() {
         for transport in [Transport::Xml, Transport::DelimitedText] {
             let analysis = analyze_sql_with(
                 sql,

@@ -1,30 +1,48 @@
-//! Chaos differential sweep: the E6 workload through the full driver
-//! stack under injected boundary faults (see `crates/workload/src/chaos.rs`).
+//! Chaos differential sweep: the E6 workload on the lanes of the
+//! differential matrix — the plain translate path and the production
+//! configuration, both transports — under injected boundary faults (see
+//! `crates/workload/src/chaos.rs`).
 //!
-//! Invariant: every query either returns rows matching the relational
+//! Invariant: every execution either returns rows matching the relational
 //! oracle or a typed `DriverError` — never a panic, never silently wrong
 //! rows after a retry. Runs are deterministic per (seed, fault plan); the
 //! fingerprint assertions pin byte-identical replay.
 
-use aldsp_workload::chaos::{run_chaos, ChaosConfig};
+mod common;
+
+use aldsp::core::Transport;
 use aldsp_workload::{
-    run_cache_consistency, run_cached_differential, CacheConsistencyConfig, Scale,
+    fuzzed_corpus, paper_corpus, run_cache_consistency, run_matrix, CacheConsistencyConfig,
+    ChaosConfig, Lane, MatrixReport, Scale, Universe,
 };
 
 const SEEDS: [u64; 3] = [11, 42, 20060403];
 const RATES: [f64; 3] = [0.0, 0.1, 0.3];
 
+/// `count_per_class` fuzzed statements per class on the plain and the
+/// production lanes under `config`'s fault plan.
+fn chaos(config: &ChaosConfig, count_per_class: usize) -> MatrixReport {
+    let mut lanes = Lane::both(Lane::plain);
+    lanes.extend(common::production(Scale::small()));
+    run_matrix(
+        &Universe::generated(Scale::small(), config.seed),
+        &fuzzed_corpus(config.seed, count_per_class),
+        &lanes,
+        Some(config),
+    )
+}
+
 #[test]
 fn invariant_holds_across_seeds_and_fault_rates() {
     for seed in SEEDS {
         for rate in RATES {
-            let report = run_chaos(&ChaosConfig::new(seed, rate));
+            let report = chaos(&ChaosConfig::new(seed, rate), 3);
             assert!(
-                report.invariant_holds(),
+                report.is_clean(),
                 "seed {seed} rate {rate}: {:#?}",
                 report.mismatches
             );
-            assert!(report.total() > 0);
+            assert!(!report.outcome_log.is_empty());
             if rate == 0.0 {
                 assert_eq!(
                     report.typed_errors, 0,
@@ -48,15 +66,19 @@ fn invariant_holds_across_seeds_and_fault_rates() {
 #[test]
 fn chaos_outcomes_replay_byte_identically_per_seed() {
     for seed in SEEDS {
-        let first = run_chaos(&ChaosConfig::new(seed, 0.3));
-        let second = run_chaos(&ChaosConfig::new(seed, 0.3));
+        let first = chaos(&ChaosConfig::new(seed, 0.3), 3);
+        let second = chaos(&ChaosConfig::new(seed, 0.3), 3);
         assert_eq!(
             first.fingerprint(),
             second.fingerprint(),
             "seed {seed}: outcome transcript not reproducible"
         );
+        assert!(
+            first.fingerprint().contains("/text+production: "),
+            "the transcript must cover the production lane"
+        );
         assert_eq!(first.fault_stats, second.fault_stats);
-        assert_eq!(first.retries, second.retries);
+        assert_eq!(first.retries(), second.retries());
     }
 }
 
@@ -65,13 +87,13 @@ fn retries_recover_queries_under_moderate_faults() {
     // At 10% the plan injects transient faults the policy's four
     // attempts usually out-last: recovery must be visible (retries > 0)
     // and productive (more passes than a single-attempt policy gets).
-    let retrying = run_chaos(&ChaosConfig::new(42, 0.1));
-    assert!(retrying.retries > 0);
+    let retrying = chaos(&ChaosConfig::new(42, 0.1), 3);
+    assert!(retrying.retries() > 0);
 
     let mut single = ChaosConfig::new(42, 0.1);
     single.retry = aldsp_driver::RetryPolicy::none();
-    let no_retry = run_chaos(&single);
-    assert!(no_retry.invariant_holds(), "{:#?}", no_retry.mismatches);
+    let no_retry = chaos(&single, 3);
+    assert!(no_retry.is_clean(), "{:#?}", no_retry.mismatches);
     assert!(
         retrying.passed > no_retry.passed,
         "retrying ({}) should out-pass no-retry ({})",
@@ -83,33 +105,32 @@ fn retries_recover_queries_under_moderate_faults() {
 /// The lint-integrated chaos run at scale: ≥500 generated queries per
 /// seed, every one statically analyzed (fault-free metadata path) before
 /// execution, zero analyzer findings. Analyzer findings surface as
-/// mismatches, so `invariant_holds` covers both the lint and the
-/// execution oracle.
+/// mismatches, so `is_clean` covers both the lint and the execution
+/// oracle.
 #[test]
-#[ignore = "506 queries × 2 transports per seed; run in the CI chaos job"]
+#[ignore = "506 queries × 6 executions per seed; run in the CI chaos job"]
 fn lint_clean_across_five_hundred_queries_per_seed() {
     for seed in SEEDS {
-        let mut config = ChaosConfig::new(seed, 0.0);
-        assert!(config.lint, "lint must be on by default");
-        config.count_per_class = 46; // 11 construct classes → 506 queries
-        let report = run_chaos(&config);
-        assert!(
-            report.invariant_holds(),
-            "seed {seed}: {:#?}",
-            report.mismatches
-        );
-        assert!(report.total() >= 500, "only {} queries ran", report.total());
+        // 11 construct classes × 46 → 506 queries
+        let report = chaos(&ChaosConfig::new(seed, 0.0), 46);
+        assert!(report.is_clean(), "seed {seed}: {:#?}", report.mismatches);
+        let (clean, statements) = report.statements();
+        assert!(statements >= 500, "only {statements} queries ran");
+        assert_eq!(clean, statements);
     }
 }
 
 /// The cache-consistency chaos scenario: eight threads drive a shared
-/// `QueryService` while the catalog is reloaded mid-run. Every result
+/// `QueryService` — configured as the production lane — while the catalog
+/// is reloaded mid-run. Every result
 /// must match the old- or new-catalog oracle in full — a stale cached
 /// plan surviving the reload would show up as a mismatch.
 #[test]
 fn cache_consistency_holds_across_mid_run_reloads() {
     for seed in SEEDS {
-        let report = run_cache_consistency(&CacheConsistencyConfig::new(seed, 8));
+        let mut config = CacheConsistencyConfig::new(seed, 8);
+        config.lane = Lane::production(Transport::DelimitedText, common::engine(config.scale));
+        let report = run_cache_consistency(&config);
         assert!(
             report.invariant_holds(),
             "seed {seed}: {:#?}",
@@ -133,20 +154,27 @@ fn cache_consistency_holds_across_mid_run_reloads() {
 
 /// Cached-vs-fresh differential: golden + fuzzed queries through a
 /// plan-cache attached connection must be byte-identical to fresh
-/// uncached translation, and every cached plan must analyze clean.
+/// uncached translation, cold and warm, and every cached plan must analyze
+/// clean — on the default options and on the production lane.
 #[test]
 fn cached_execution_matches_fresh_across_seeds() {
     for seed in [5u64, 29] {
-        let report = run_cached_differential(seed, 3, Scale::small());
-        assert!(
-            report.invariant_holds(),
-            "seed {seed}: {:#?}",
-            report.mismatches
-        );
-        assert!(
-            report.analyzed > 0,
-            "seed {seed}: no plan reached the analyzer"
-        );
+        let mut corpus = paper_corpus();
+        corpus.extend(fuzzed_corpus(seed, 3));
+        let mut lanes = Lane::both(Lane::plain);
+        lanes.extend(Lane::both(Lane::cached));
+        lanes.extend(common::production(Scale::small()));
+        let universe = Universe::generated(Scale::small(), seed);
+        let report = run_matrix(&universe, &corpus, &lanes, None);
+        assert!(report.is_clean(), "seed {seed}: {:#?}", report.mismatches);
+        for lane in &report.lanes[2..] {
+            assert_eq!(
+                lane.analyzed,
+                corpus.len(),
+                "seed {seed} {}: a plan skipped the analyzer",
+                lane.label
+            );
+        }
     }
 }
 
@@ -156,11 +184,9 @@ fn cached_execution_matches_fresh_across_seeds() {
 fn deep_chaos_sweep() {
     for seed in [1u64, 7, 11, 42, 99, 20060403] {
         for rate in [0.05, 0.1, 0.2, 0.3, 0.5] {
-            let mut config = ChaosConfig::new(seed, rate);
-            config.count_per_class = 6;
-            let report = run_chaos(&config);
+            let report = chaos(&ChaosConfig::new(seed, rate), 6);
             assert!(
-                report.invariant_holds(),
+                report.is_clean(),
                 "seed {seed} rate {rate}: {:#?}",
                 report.mismatches
             );

@@ -1,68 +1,321 @@
 //! E6: large-scale differential testing — the mechanical check of the
 //! paper's correctness goal (§3.2 (i)). Hundreds of seeded random queries
-//! per construct class run through the full driver stack (both result
-//! transports) and the relational oracle; all results must agree.
+//! per construct class run through the full driver stack on the lanes of
+//! the differential matrix (`aldsp_workload::differential`) — the plain
+//! translate path and the production configuration, both result
+//! transports — and the relational oracle; all results must agree.
+//!
+//! The second half gives the one checker teeth of its own: a matrix that
+//! silently compared nothing, or a lane that quietly ran the default
+//! configuration, would pass every sweep above.
 
-use aldsp::workload::{run_differential, Scale};
+mod common;
 
-#[test]
-fn differential_sweep_seed_1() {
-    let report = run_differential(1, 12, Scale::small());
-    assert_eq!(report.rejected, 0, "generator produced rejected queries");
+use aldsp::driver::RetryPolicy;
+use aldsp::relational::SqlValue;
+use aldsp::workload::{
+    fuzzed_corpus, golden_corpus, paper_corpus, run_matrix, ChaosConfig, ConstructClass, Lane,
+    MatrixReport, Scale, Universe,
+};
+
+/// `count_per_class` fuzzed statements per class on the plain and the
+/// production lanes, both transports.
+fn sweep(seed: u64, count_per_class: usize, scale: Scale) -> MatrixReport {
+    let mut lanes = Lane::both(Lane::plain);
+    lanes.extend(common::production(scale));
+    let report = run_matrix(
+        &Universe::generated(scale, seed),
+        &fuzzed_corpus(seed, count_per_class),
+        &lanes,
+        None,
+    );
+    assert_eq!(
+        report.rejected, 0,
+        "seed {seed}: generator produced rejected queries"
+    );
     assert!(
         report.mismatches.is_empty(),
-        "{} mismatches, first: {:#?}",
+        "seed {seed}: {} mismatches, first: {:#?}",
         report.mismatches.len(),
         report.mismatches.first()
     );
+    report
+}
+
+/// The counters that prove a production lane ran the production
+/// configuration: plans were rewritten, hash operators ran and none fell
+/// back, warm executions were exact hits.
+fn assert_production_ran(report: &MatrixReport) {
+    for label in ["text+production", "xml+production"] {
+        let lane = report.lane(label);
+        assert!(lane.rewritten > 0, "{label}: no plan was rewritten");
+        assert!(lane.hash_operators > 0, "{label}: no hash operator ran");
+        assert_eq!(
+            lane.join_fallbacks, 0,
+            "{label}: a hashable FLWOR fell back"
+        );
+        let cache = lane.cache.expect("the production lane has a plan cache");
+        assert!(cache.exact_hits > 0, "{label}: warm executions never hit");
+    }
+}
+
+#[test]
+fn differential_sweep_seed_1() {
+    assert_production_ran(&sweep(1, 12, Scale::small()));
 }
 
 #[test]
 fn differential_sweep_seed_2_larger_data() {
-    let report = run_differential(2, 8, Scale::of(60));
-    assert_eq!(report.rejected, 0);
-    assert!(
-        report.mismatches.is_empty(),
-        "{} mismatches, first: {:#?}",
-        report.mismatches.len(),
-        report.mismatches.first()
-    );
+    sweep(2, 8, Scale::of(60));
 }
 
 #[test]
 fn differential_sweep_seed_3() {
-    let report = run_differential(3, 12, Scale::small());
-    assert_eq!(report.rejected, 0);
-    assert!(
-        report.mismatches.is_empty(),
-        "{} mismatches, first: {:#?}",
-        report.mismatches.len(),
-        report.mismatches.first()
-    );
+    sweep(3, 12, Scale::small());
 }
 
 #[test]
 fn per_class_coverage_is_complete() {
-    let report = run_differential(4, 4, Scale::small());
-    // Every construct class must have been exercised and passed.
-    for class in aldsp::workload::ConstructClass::all() {
-        let (passed, total) = report.per_class[class.label()];
+    let report = sweep(4, 4, Scale::small());
+    // Every construct class must have been exercised and passed, on
+    // every lane.
+    for class in ConstructClass::all() {
+        let (passed, total) = report.per_origin[class.label()];
         assert_eq!(passed, total, "class {} not fully passing", class.label());
         assert_eq!(total, 4);
     }
+    assert_production_ran(&report);
 }
 
 /// A larger sweep for occasional deep runs: `cargo test -- --ignored`.
+/// 6 seeds × 275 statements × (2 plain + 2 × 2 production) executions;
+/// the production lanes alone are 6,600 statement × transport checks.
 #[test]
 #[ignore = "slow; run explicitly with --ignored"]
 fn differential_deep_sweep() {
+    let mut production_checks = 0;
     for seed in 10..16 {
-        let report = run_differential(seed, 25, Scale::of(40));
-        assert_eq!(report.rejected, 0, "seed {seed}");
+        let report = sweep(seed, 25, Scale::of(40));
+        assert_production_ran(&report);
+        production_checks += 2 * report.statements().1 * 2;
+    }
+    assert!(production_checks >= 3_000, "only {production_checks}");
+}
+
+// ---- the checker's own teeth -------------------------------------------
+
+/// All five lane kinds on both transports, in dependency order.
+fn every_lane(scale: Scale) -> Vec<Lane> {
+    let mut lanes = Lane::both(Lane::plain);
+    lanes.extend(Lane::both(Lane::hash));
+    lanes.extend(Lane::both(Lane::cached));
+    lanes.extend(Lane::both(|t| Lane::optimized(t, common::engine(scale))));
+    lanes.extend(common::production(scale));
+    lanes
+}
+
+fn corpus(statements: &[&str]) -> Vec<(String, String)> {
+    statements
+        .iter()
+        .enumerate()
+        .map(|(i, sql)| (format!("s{i}"), sql.to_string()))
+        .collect()
+}
+
+/// Statements whose answer must change when ORDERS gains a row for
+/// customer 1.
+const READS_ORDERS: [&str; 4] = [
+    "SELECT ORDERID, AMOUNT FROM ORDERS",
+    "SELECT COUNT(*) FROM ORDERS",
+    "SELECT CUSTOMERS.CUSTOMERNAME, ORDERS.ORDERID FROM CUSTOMERS INNER JOIN ORDERS \
+     ON CUSTOMERS.CUSTOMERID = ORDERS.CUSTID",
+    "SELECT CUSTID FROM PAYMENTS UNION ALL SELECT CUSTID FROM ORDERS",
+];
+
+/// A universe whose oracle has one ORDERS row the server does not.
+fn universe_with_a_lying_oracle(seed: u64) -> Universe {
+    let mut universe = Universe::generated(Scale::small(), seed);
+    let orders = universe.oracle.table_mut("ORDERS").expect("ORDERS exists");
+    let id = orders.rows.len() as i64 + 1;
+    orders.insert(vec![
+        SqlValue::Int(id),
+        SqlValue::Int(1),
+        SqlValue::Decimal(19.5),
+        SqlValue::Str("OPEN".to_string()),
+    ]);
+    universe
+}
+
+/// (a) One ORDERS row of difference between the oracle and the server is
+/// reported on *every* lane, cold and warm, for the statements that read
+/// ORDERS — and on none for those that do not.
+#[test]
+fn one_row_of_difference_is_a_mismatch_on_every_lane() {
+    let mut statements = READS_ORDERS.to_vec();
+    statements.extend([
+        "SELECT * FROM CUSTOMERS",
+        "SELECT CUSTOMERS.CUSTOMERID, PAYMENTS.PAYMENT FROM CUSTOMERS LEFT OUTER JOIN PAYMENTS \
+         ON CUSTOMERS.CUSTOMERID = PAYMENTS.CUSTID",
+        "SELECT REGION, COUNT(*) FROM CUSTOMERS GROUP BY REGION",
+    ]);
+    let lanes = every_lane(Scale::small());
+    let report = run_matrix(
+        &universe_with_a_lying_oracle(31),
+        &corpus(&statements),
+        &lanes,
+        None,
+    );
+    for (i, sql) in statements.iter().enumerate() {
+        for lane in &lanes {
+            let seen = report
+                .mismatches
+                .iter()
+                .filter(|m| m.origin == format!("s{i}") && m.lane == lane.label)
+                .count();
+            let expected = if sql.contains("ORDERS") {
+                1 + usize::from(lane.cache)
+            } else {
+                0
+            };
+            assert_eq!(seen, expected, "lane {} on `{sql}`", lane.label);
+        }
+    }
+    assert!(report
+        .mismatches
+        .iter()
+        .all(|m| m.reason.starts_with("vs oracle")));
+    assert_eq!(report.statements(), (3, 7));
+}
+
+/// (b) The identity claim is stronger than the oracle comparison: join
+/// reorder returns the same bag in another order, so an optimized lane
+/// passes as a bag and fails the moment it claims the plain lane's
+/// emission order.
+#[test]
+fn identity_claim_rejects_the_same_bag_in_another_order() {
+    let universe = Universe::generated(Scale::small(), 23);
+    let reorderable = corpus(
+        &["SELECT ORDERS.ORDERID, CUSTOMERS.CUSTOMERNAME FROM ORDERS \
+         INNER JOIN CUSTOMERS ON ORDERS.CUSTID = CUSTOMERS.CUSTOMERID"],
+    );
+    let xml = aldsp::core::Transport::Xml;
+    let optimized = Lane::optimized(xml, common::engine(Scale::small()));
+    let as_bag = [Lane::plain(xml), optimized.clone()];
+    let report = run_matrix(&universe, &reorderable, &as_bag, None);
+    assert!(report.is_clean(), "{:#?}", report.mismatches);
+    assert_eq!(
+        report.lane("xml+opt").rewritten,
+        1,
+        "join reorder must fire"
+    );
+
+    let claiming = [
+        Lane::plain(xml),
+        Lane {
+            identical_to: Some("xml".to_string()),
+            ..optimized
+        },
+    ];
+    let report = run_matrix(&universe, &reorderable, &claiming, None);
+    assert_eq!(report.mismatches.len(), 2, "cold and warm both diverge");
+    for m in &report.mismatches {
+        assert_eq!(m.lane, "xml+opt");
+        assert!(m.reason.starts_with("not identical to lane `xml`"), "{m:?}");
+    }
+    assert_eq!(report.statements(), (0, 1));
+}
+
+/// (c) Under faults a typed error is an acceptable outcome *of that
+/// execution* only: with the oracle one row off, every execution that does
+/// return rows is still a mismatch, on the same statement where another
+/// lane failed typed.
+#[test]
+fn a_typed_error_on_one_lane_does_not_excuse_wrong_rows_on_another() {
+    let mut lanes = Lane::both(Lane::plain);
+    lanes.extend(common::production(Scale::small()));
+    let mut faults = ChaosConfig::new(31, 0.5);
+    faults.retry = RetryPolicy::none();
+    let statements = corpus(&READS_ORDERS);
+    let report = run_matrix(
+        &universe_with_a_lying_oracle(31),
+        &statements,
+        &lanes,
+        Some(&faults),
+    );
+    assert_eq!(
+        report.passed, 0,
+        "no execution may pass against this oracle"
+    );
+    assert!(report.typed_errors > 0, "the plan injected nothing");
+    assert_eq!(
+        report.typed_errors + report.mismatches.len(),
+        statements.len() * 6,
+        "every execution is a typed error or a mismatch"
+    );
+    let mixed = statements.iter().any(|(origin, _)| {
+        let of = |needle: &str| {
+            report
+                .outcome_log
+                .iter()
+                .any(|line| line.starts_with(&format!("{origin}#0/")) && line.contains(needle))
+        };
+        of(": error:") && of(": MISMATCH:")
+    });
+    assert!(
+        mixed,
+        "no statement saw both outcomes:\n{}",
+        report.fingerprint()
+    );
+}
+
+/// (d) Per-lane counters over the paper and golden corpora: each lane kind
+/// leaves the trace only its own configuration can leave.
+#[test]
+fn lane_counters_prove_each_lane_ran_its_own_configuration() {
+    let mut statements = paper_corpus();
+    statements.extend(golden_corpus());
+    let report = run_matrix(
+        &Universe::generated(Scale::small(), 41),
+        &statements,
+        &every_lane(Scale::small()),
+        None,
+    );
+    assert!(report.is_clean(), "{:#?}", report.mismatches);
+    for transport in ["text", "xml"] {
+        let lane = |suffix: &str| report.lane(&format!("{transport}{suffix}"));
+        let exact_hits = |suffix: &str| lane(suffix).cache.map(|c| c.exact_hits);
+        for interpreted in ["", "+cache", "+opt"] {
+            assert_eq!(
+                lane(interpreted).hash_operators,
+                0,
+                "{transport}{interpreted}"
+            );
+        }
+        for hashed in ["+hash", "+production"] {
+            assert!(lane(hashed).hash_operators > 0, "{transport}{hashed}");
+            assert_eq!(lane(hashed).join_fallbacks, 0, "{transport}{hashed}");
+        }
+        for uncached in ["", "+hash"] {
+            assert_eq!(exact_hits(uncached), None, "{transport}{uncached}");
+            assert_eq!(lane(uncached).analyzed, 0);
+        }
+        for cached in ["+cache", "+opt", "+production"] {
+            assert!(exact_hits(cached) >= Some(statements.len() as u64));
+            assert_eq!(
+                lane(cached).analyzed,
+                statements.len(),
+                "{transport}{cached}"
+            );
+        }
+        assert_eq!(lane("+cache").rewritten, 0);
         assert!(
-            report.mismatches.is_empty(),
-            "seed {seed}: {:#?}",
-            report.mismatches.first()
+            lane("+opt").rewritten > 0,
+            "{transport}+opt rewrote nothing"
         );
+        assert!(lane("+production").rewritten > 0);
+        // The optimizer only ever lowers measured fuel over a corpus.
+        let fuel = |suffix: &str| lane(suffix).fuel.iter().sum::<u64>();
+        assert!(fuel("+opt") < fuel(""), "{transport}+opt saved no fuel");
+        assert!(fuel("+hash") < fuel(""), "{transport}+hash saved no fuel");
     }
 }

@@ -1,6 +1,8 @@
 //! Execution-engine integration tests (the `execcheck` CI step): the
-//! streaming hash-join engine run end-to-end through the `QueryService`
-//! against the nested-loop interpreter and the relational oracle.
+//! streaming hash-join engine run end-to-end against the nested-loop
+//! interpreter and the relational oracle — the strategy comparisons as
+//! lanes of the differential matrix (`text+hash` ≡ `text`, row by row),
+//! the budget and telemetry checks through the `QueryService`.
 //!
 //! The evaluator-level unit tests (`aldsp-xquery`'s `exec` and `eval`
 //! modules) pin lowering decisions, NULL-join semantics, emission order,
@@ -8,15 +10,16 @@
 //! properties on *translated SQL* across both transports, plus the
 //! governor telemetry that reports hash-path coverage.
 
+mod common;
+
 use aldsp::catalog::{ApplicationBuilder, SqlColumnType};
 use aldsp::core::{ExecStrategy, TranslationOptions, Transport};
 use aldsp::driver::{DriverError, DspServer, QueryService};
 use aldsp::governor::QueryBudget;
-use aldsp::relational::{execute_query, Database, SqlValue, Table};
-use aldsp::sql::parse_select;
+use aldsp::relational::{Database, SqlValue, Table};
 use aldsp::workload::{
-    build_application, compare_results, paper_queries, populate_database, run_exec_differential,
-    Scale,
+    build_application, fuzzed_corpus, paper_corpus, paper_queries, populate_database, run_matrix,
+    Lane, MatrixReport, Scale, Universe,
 };
 use std::sync::Arc;
 
@@ -42,44 +45,54 @@ fn rows(service: &QueryService, sql: &str) -> Vec<Vec<SqlValue>> {
         .to_vec()
 }
 
+/// `corpus` on the interpreter and the hash-join lanes of both transports
+/// (and on `more` lanes): clean, or the test fails here.
+fn strategies_agree(
+    universe: &Universe,
+    corpus: &[(String, String)],
+    more: Vec<Lane>,
+) -> MatrixReport {
+    let mut lanes = Lane::both(Lane::plain);
+    lanes.extend(Lane::both(Lane::hash));
+    lanes.extend(more);
+    let report = run_matrix(universe, corpus, &lanes, None);
+    assert!(report.is_clean(), "mismatches: {:#?}", report.mismatches);
+    assert_eq!(report.passed, report.outcome_log.len());
+    report
+}
+
 /// The golden paper corpus comes back row-for-row identical (same rows,
 /// same physical order) under both strategies, in both transports.
 #[test]
 fn golden_corpus_is_strategy_invariant() {
-    let server = server(41);
-    for transport in [Transport::DelimitedText, Transport::Xml] {
-        let naive = service(&server, transport, ExecStrategy::NestedLoop);
-        let hash = service(&server, transport, ExecStrategy::HashJoin);
-        for (label, sql) in paper_queries() {
-            assert_eq!(
-                rows(&naive, sql),
-                rows(&hash, sql),
-                "{transport:?} golden `{label}` diverged"
-            );
-        }
-    }
+    let universe = Universe::generated(Scale::small(), 41);
+    let report = strategies_agree(&universe, &paper_corpus(), Vec::new());
+    assert_eq!(report.statements(), (6, 6));
 }
 
-/// The full differential harness (golden + fuzzed, both transports,
-/// three-way comparison against the oracle) is clean, and the hash path
-/// actually fires — a run that silently fell back everywhere would pass
-/// the equality checks while testing nothing.
+/// The full differential (golden + fuzzed, both transports, every lane
+/// against the oracle and hash against the interpreter row by row) is
+/// clean on the strategy lanes and on the production lane, and the hash
+/// path actually fires — a run that silently fell back everywhere would
+/// pass the equality checks while testing nothing.
 #[test]
 fn exec_differential_is_clean_and_covers_the_fast_path() {
-    let report = run_exec_differential(29, 4, Scale::small());
-    assert!(
-        report.mismatches.is_empty(),
-        "mismatches: {:#?}",
-        report.mismatches
+    let mut corpus = paper_corpus();
+    corpus.extend(fuzzed_corpus(29, 4));
+    let report = strategies_agree(
+        &Universe::generated(Scale::small(), 29),
+        &corpus,
+        common::production(Scale::small()),
     );
-    assert_eq!(report.rejected, 0, "generator produced rejected queries");
-    assert!(report.hash_joins > 0, "hash path never fired");
-    assert!(
-        report.fast_path_fraction().unwrap_or(0.0) > 0.5,
-        "most join-shaped FLWORs should lower: {} joined / {} fell back",
-        report.hash_joins,
-        report.join_fallbacks
-    );
+    for label in ["text+hash", "xml+hash", "text+production"] {
+        let lane = report.lane(label);
+        assert!(
+            lane.hash_operators > lane.join_fallbacks,
+            "{label}: most hashable FLWORs should lower: {} hashed / {} fell back",
+            lane.hash_operators,
+            lane.join_fallbacks
+        );
+    }
 }
 
 /// SQL NULL never joins: rows whose key column is NULL disappear from an
@@ -87,18 +100,20 @@ fn exec_differential_is_clean_and_covers_the_fast_path() {
 /// an absent element (an empty XQuery sequence) on the wire.
 #[test]
 fn null_keys_never_join_under_either_strategy() {
-    let server = server(17);
-    // CUSTOMERNAME is nullable; self-join CUSTOMERS on it. Every
-    // surviving row must have a name, and the strategies must agree.
+    // CUSTOMERNAME is nullable; self-join CUSTOMERS on it. The oracle
+    // keeps only rows with a name, and the strategies must agree.
     let sql = "SELECT A.CUSTOMERID, B.CUSTOMERID FROM CUSTOMERS A \
                INNER JOIN CUSTOMERS B ON A.CUSTOMERNAME = B.CUSTOMERNAME";
-    let naive = service(&server, Transport::DelimitedText, ExecStrategy::NestedLoop);
-    let hash = service(&server, Transport::DelimitedText, ExecStrategy::HashJoin);
-    let naive_rows = rows(&naive, sql);
-    let hash_rows = rows(&hash, sql);
-    assert_eq!(naive_rows, hash_rows);
-    let stats = hash.governor_stats();
-    assert!(stats.hash_joins > 0, "self-join should take the hash path");
+    let report = strategies_agree(
+        &Universe::generated(Scale::small(), 17),
+        &[("self_join".to_string(), sql.to_string())],
+        Vec::new(),
+    );
+    let lane = report.lane("text+hash");
+    assert!(
+        lane.hash_operators > 0,
+        "self-join should take the hash path"
+    );
 }
 
 /// The service-level governor counters aggregate the evaluator's
@@ -163,7 +178,7 @@ fn budgets_still_bind_under_hash_join() {
 /// sides, duplicate keys on the right, an empty table, and a right side
 /// larger than any result (so a row cap can trip on the build table
 /// alone). `L.K`: 1, 2, NULL, 3, 2. `R.K`: 2, NULL, 2, 4, 1, then 5..=11.
-fn keyed_server() -> (Arc<DspServer>, Database) {
+fn keyed_universe() -> Universe {
     let keyed = |t: aldsp::catalog::builder::TableSchemaBuilder, payload: &str| {
         t.column("K", SqlColumnType::Integer, true)
             .column(payload, SqlColumnType::Integer, true)
@@ -211,35 +226,36 @@ fn keyed_server() -> (Arc<DspServer>, Database) {
     right.extend((5..=11).map(|k| (Some(k), Some(k * 10))));
     db.add_table(fill("R", &right));
     db.add_table(fill("E", &[]));
-    let oracle = db.clone();
-    (Arc::new(DspServer::new(app, db)), oracle)
+    Universe::new(app, db)
 }
 
-/// Runs `sql` under both strategies in both transports: both agree with
-/// the oracle as bags and with each other row by row, in order. Returns
-/// the rows and the hash service's `(hash_joins, join_fallbacks)` for one
-/// execution (the same in both transports).
+/// Runs `sql` under both strategies in both transports: every lane agrees
+/// with the oracle, the hash lanes with the interpreter row by row, in
+/// order. Returns the rows and the hash lane's `(hash operators,
+/// fallbacks)` for one execution (the same in both transports).
 fn check_keyed(sql: &str) -> (Vec<Vec<SqlValue>>, (u64, u64)) {
-    let (server, oracle_db) = keyed_server();
-    let oracle = execute_query(&oracle_db, &parse_select(sql).unwrap(), &[]).unwrap();
-    let mut seen = Vec::new();
-    for transport in [Transport::DelimitedText, Transport::Xml] {
-        let naive = service(&server, transport, ExecStrategy::NestedLoop);
-        let hash = service(&server, transport, ExecStrategy::HashJoin);
-        let naive_rows = rows(&naive, sql);
-        let hash_rows = rows(&hash, sql);
-        compare_results(&naive_rows, &oracle, false)
-            .unwrap_or_else(|e| panic!("{transport:?} naive vs oracle on `{sql}`: {e}"));
-        assert_eq!(
-            hash_rows, naive_rows,
-            "{transport:?} hash vs naive on `{sql}`"
-        );
-        let stats = hash.governor_stats();
-        assert_eq!(naive.governor_stats().hash_joins, 0);
-        seen.push((hash_rows, (stats.hash_joins, stats.join_fallbacks)));
-    }
-    assert_eq!(seen[0], seen[1], "transports disagree on `{sql}`");
-    seen.swap_remove(0)
+    let universe = keyed_universe();
+    let report = strategies_agree(
+        &universe,
+        &[("keyed".to_string(), sql.to_string())],
+        Vec::new(),
+    );
+    let counts = |label: &str| {
+        let lane = report.lane(label);
+        (lane.hash_operators, lane.join_fallbacks)
+    };
+    assert_eq!(counts("text"), (0, 0));
+    assert_eq!(
+        counts("text+hash"),
+        counts("xml+hash"),
+        "transports disagree on `{sql}`"
+    );
+    let hash = service(
+        &universe.server,
+        Transport::DelimitedText,
+        ExecStrategy::HashJoin,
+    );
+    (rows(&hash, sql), counts("text+hash"))
 }
 
 /// The first arm of LEFT, RIGHT and FULL OUTER runs as one probe-let:
@@ -365,7 +381,7 @@ fn in_subqueries_probe_a_hash_set() {
 /// vector of the query stays under), and fuel still runs out.
 #[test]
 fn budgets_bind_on_probe_let_and_semi_join_tables() {
-    let (server, _) = keyed_server();
+    let server = keyed_universe().server;
     for sql in [
         "SELECT L.V, R.W FROM L LEFT OUTER JOIN R ON L.K = R.K",
         "SELECT V FROM L WHERE K IN (SELECT K FROM R)",

@@ -3,12 +3,17 @@
 //! — the overload-protection subsystem exercised through the public
 //! facade, end to end.
 
+mod common;
+
+use aldsp::core::Transport;
 use aldsp::driver::{
     BreakerConfig, BreakerState, Connection, DriverError, DspServer, FaultConfig, FaultInjector,
     GovernorConfig, QueryBudget, QueryService, RetryPolicy,
 };
 use aldsp::relational::SqlValue;
-use aldsp::workload::{build_application, populate_database, Scale};
+use aldsp::workload::{
+    build_application, populate_database, run_overload, Lane, OverloadConfig, Scale,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -228,4 +233,30 @@ fn stats_account_consistently_under_8_thread_overload() {
         (cache.hits() + cache.misses + cache.fallbacks) as usize,
         stats.admitted as usize
     );
+}
+
+/// The overload mix (`workload::overload`: good templates, deep nesting,
+/// fuel-starved cartesians, oversized texts, cancelled budgets — 8
+/// threads against admission capacity 2) against a service configured as
+/// the production lane, fault-free and under a 20 % fault plan: the
+/// governance invariant is a property of the configuration that ships,
+/// not only of the all-defaults one the scenario's unit tests run.
+#[test]
+fn overload_mix_holds_under_the_production_lane() {
+    for fault_rate in [0.0, 0.2] {
+        let mut config = OverloadConfig::new(41, 8);
+        config.iterations_per_thread = 16;
+        config.fault_rate = fault_rate;
+        config.lane = Lane::production(Transport::DelimitedText, common::engine(config.scale));
+        let report = run_overload(&config);
+        assert!(
+            report.invariant_holds(),
+            "fault rate {fault_rate}: violations {:#?}\ngovernor {:#?}",
+            report.violations,
+            report.governor
+        );
+        assert_eq!(report.executions, 8 * 16);
+        assert!(report.passed > 0, "no good query survived admission");
+        assert!(report.cache.hits() > 0, "the plan cache never hit");
+    }
 }

@@ -1,18 +1,17 @@
 //! Optimizer integration tests: per-rule behavior on real translations,
 //! golden-corpus cleanliness through all five analyzer layers, the
 //! validator gate's kill rate against rewrite-shaped miscompilations,
-//! and end-to-end result equality through the `QueryService`.
+//! and end-to-end result equality on the optimized lanes of the
+//! differential matrix.
 
 use aldsp::analyzer::report::analyze_translation;
 use aldsp::analyzer::validate::{check_equivalence, ValidateOptions};
 use aldsp::catalog::{CachedMetadataApi, InProcessMetadataApi, TableLocator};
 use aldsp::core::{OptimizeLevel, QueryOptimizer, TranslationOptions, Translator, Transport};
-use aldsp::driver::{DspServer, QueryService};
 use aldsp::optimizer::Optimizer;
-use aldsp::relational::SqlValue;
 use aldsp::workload::{
-    build_application, mutants_for, populate_database, stats_for, MutationClass, QueryGenerator,
-    Scale,
+    build_application, golden_statements, mutants_for, run_matrix, stats_for, Engine, Lane,
+    MutationClass, QueryGenerator, Scale, Universe,
 };
 use aldsp::xquery::parse_program;
 use std::sync::Arc;
@@ -195,20 +194,12 @@ fn every_step_reruns_the_gate_and_never_raises_cost() {
 /// diverging witness against the prepared IR.
 #[test]
 fn golden_corpus_optimizes_clean_through_all_layers() {
-    let golden = std::fs::read_to_string("tests/golden.sql").expect("tests/golden.sql");
     let translator = translator();
     let engine = optimizer();
     let options = TranslationOptions::with_transport(Transport::Xml).optimized(OptimizeLevel::Full);
     let mut statements = 0usize;
     let mut rewritten = 0usize;
-    for sql in golden
-        .lines()
-        .filter(|l| !l.trim_start().starts_with("--"))
-        .collect::<String>()
-        .split(';')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-    {
+    for sql in &golden_statements() {
         statements += 1;
         let full = translator
             .translate_full(sql, options)
@@ -327,61 +318,46 @@ fn gate_rejects_rewrite_shaped_miscompilations() {
     assert!(validator_kills > 0, "expected validator-layer rejections");
 }
 
-/// End to end: a `QueryService` with the optimizer at `Full` returns
-/// exactly the rows of an unoptimized service, on both transports, for
-/// a mixed workload (ordered queries compared positionally, unordered
-/// as bags).
+/// End to end: the lanes that optimize at `Full` — on the interpreter and
+/// in the production configuration — agree with the oracle on both
+/// transports for a mixed workload (ordered queries compared
+/// positionally, unordered as bags; neither lane claims the naive
+/// emission order, join reorder keeps only the bag).
 #[test]
 fn optimized_service_matches_naive_service() {
-    let app = build_application();
-    let db = populate_database(&app, Scale::small(), 23);
-    let server = Arc::new(DspServer::new(app, db));
     let queries = [
-        (
-            "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS ORDER BY CUSTOMERID",
-            true,
-        ),
-        (
-            "SELECT DISTINCT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS \
-             ORDER BY CUSTOMERID, CUSTOMERNAME",
-            true,
-        ),
-        (
-            "SELECT ORDERS.ORDERID, CUSTOMERS.CUSTOMERNAME FROM ORDERS \
-             INNER JOIN CUSTOMERS ON ORDERS.CUSTID = CUSTOMERS.CUSTOMERID \
-             WHERE CUSTOMERS.REGION = 'WEST'",
-            false,
-        ),
-        (
-            "SELECT CUSTOMERS.CUSTOMERID, PAYMENTS.PAYMENT FROM CUSTOMERS \
-             LEFT OUTER JOIN PAYMENTS ON CUSTOMERS.CUSTOMERID = PAYMENTS.CUSTID \
-             WHERE PAYMENTS.PAYMENT > 50",
-            false,
-        ),
+        "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS ORDER BY CUSTOMERID",
+        "SELECT DISTINCT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS \
+         ORDER BY CUSTOMERID, CUSTOMERNAME",
+        "SELECT ORDERS.ORDERID, CUSTOMERS.CUSTOMERNAME FROM ORDERS \
+         INNER JOIN CUSTOMERS ON ORDERS.CUSTID = CUSTOMERS.CUSTOMERID \
+         WHERE CUSTOMERS.REGION = 'WEST'",
+        "SELECT CUSTOMERS.CUSTOMERID, PAYMENTS.PAYMENT FROM CUSTOMERS \
+         LEFT OUTER JOIN PAYMENTS ON CUSTOMERS.CUSTOMERID = PAYMENTS.CUSTID \
+         WHERE PAYMENTS.PAYMENT > 50",
     ];
-    for transport in [Transport::Xml, Transport::DelimitedText] {
-        let naive = QueryService::new(
-            Arc::clone(&server),
-            TranslationOptions::with_transport(transport),
+    let corpus: Vec<(String, String)> = queries
+        .iter()
+        .enumerate()
+        .map(|(i, sql)| (format!("q{i}"), sql.to_string()))
+        .collect();
+    let engine = || -> Engine { Arc::new(optimizer()) };
+    let mut lanes = Lane::both(Lane::plain);
+    lanes.extend(Lane::both(|t| Lane::optimized(t, engine())));
+    lanes.extend(Lane::both(|t| Lane::production(t, engine())));
+    let universe = Universe::generated(Scale::small(), 23);
+    let report = run_matrix(&universe, &corpus, &lanes, None);
+    assert!(report.is_clean(), "{:#?}", report.mismatches);
+    // The optimizer actually ran: cached plans carry applied rewrites,
+    // and they cost less fuel than the same transport's naive plans.
+    let fuel = |label: &str| report.lane(label).fuel.iter().sum::<u64>();
+    for lane in &report.lanes[2..] {
+        assert!(lane.rewritten >= 2, "{}: {}", lane.label, lane.rewritten);
+        let naive = lane.label.split('+').next().expect("<transport>+<kind>");
+        assert!(
+            fuel(&lane.label) < fuel(naive),
+            "{} saved no fuel",
+            lane.label
         );
-        let optimized = QueryService::new(
-            Arc::clone(&server),
-            TranslationOptions::with_transport(transport).optimized(OptimizeLevel::Full),
-        )
-        .with_optimizer(Arc::new(optimizer()));
-        for (sql, ordered) in queries {
-            let mut expected = naive.execute(sql, &[]).unwrap().rows().to_vec();
-            let mut actual = optimized.execute(sql, &[]).unwrap().rows().to_vec();
-            if !ordered {
-                let key = |row: &Vec<SqlValue>| format!("{row:?}");
-                expected.sort_by_key(key);
-                actual.sort_by_key(key);
-            }
-            assert_eq!(expected, actual, "{transport:?} `{sql}`");
-        }
-        // The optimizer actually ran: at least one cached plan carries
-        // an applied rewrite step.
-        let stats = optimized.cache_stats();
-        assert!(stats.misses > 0, "optimized service should build plans");
     }
 }

@@ -151,3 +151,36 @@ fn out_of_range_parameter_index_is_a_usage_error() {
     }
     statement.set(1, SqlValue::Int(1)).unwrap();
 }
+
+/// Column indexes are 1-based too, on the result set and on its metadata:
+/// 0 is the same typed usage error as one past the end from every getter
+/// (`None` from the metadata getters), in every profile.
+#[test]
+fn out_of_range_column_index_is_a_usage_error() {
+    use aldsp::driver::DriverError;
+
+    let (conn, _) = setup();
+    let mut rs = conn
+        .create_statement()
+        .execute_query("SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID = 1")
+        .unwrap();
+    assert!(rs.next());
+    for index in [0, 2] {
+        let expected = format!("column index {index} out of range");
+        let usage = |e: DriverError| match e {
+            DriverError::Usage(message) => message,
+            other => panic!("index {index} must be a usage error, got {other:?}"),
+        };
+        assert_eq!(usage(rs.value(index).map(|_| ()).unwrap_err()), expected);
+        assert_eq!(usage(rs.get_string(index).unwrap_err()), expected);
+        assert_eq!(usage(rs.get_i64(index).unwrap_err()), expected);
+        assert_eq!(usage(rs.get_f64(index).unwrap_err()), expected);
+        assert_eq!(usage(rs.get_bool(index).unwrap_err()), expected);
+        assert_eq!(usage(rs.get_date(index).unwrap_err()), expected);
+        assert_eq!(rs.meta().column_label(index), None);
+        assert_eq!(rs.meta().column_type_name(index), None);
+        assert_eq!(rs.meta().is_nullable(index), None);
+    }
+    assert_eq!(rs.get_i64(1).unwrap(), 1);
+    assert_eq!(rs.meta().column_label(1), Some("CUSTOMERID"));
+}

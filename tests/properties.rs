@@ -97,10 +97,12 @@ proptest! {
 
     #[test]
     fn differential_agreement_for_arbitrary_seeds(seed in 0u64..1_000) {
-        let report = aldsp::workload::run_differential(
-            seed,
-            2,
-            aldsp::workload::Scale::small(),
+        use aldsp::workload::{fuzzed_corpus, run_matrix, Lane, Scale, Universe};
+        let report = run_matrix(
+            &Universe::generated(Scale::small(), seed),
+            &fuzzed_corpus(seed, 2),
+            &Lane::both(Lane::plain),
+            None,
         );
         prop_assert_eq!(report.rejected, 0);
         prop_assert!(

@@ -8,8 +8,6 @@
 //! database must give `compare_results`-equal rows from both (ordered when
 //! it has ORDER BY), or fail on both. A one-sided error is a failure.
 
-mod common;
-
 use aldsp::analyzer::execute_reference;
 use aldsp::catalog::{CachedMetadataApi, InProcessMetadataApi, TableLocator};
 use aldsp::core::{stage1, stage2};
@@ -64,7 +62,7 @@ impl Universe {
 /// seed; returns how many statements both sides answered, alike.
 fn sweep(seeds: &[u64], per_seed: usize) -> usize {
     let universe = Universe::new();
-    let mut statements = common::golden_statements();
+    let mut statements = aldsp::workload::golden_statements();
     assert!(statements.len() >= 20, "golden corpus went missing");
     for &seed in seeds {
         let mut generator = QueryGenerator::new(seed);

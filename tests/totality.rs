@@ -11,8 +11,6 @@
 //! error; each case runs under `catch_unwind` and the distinct panic
 //! messages are reported. Seeds are fixed, so a failure reproduces.
 
-mod common;
-
 use aldsp::core::{wrapper, OutputColumn, TranslationOptions, Transport};
 use aldsp::driver::{Connection, DspServer, ResultSet};
 use aldsp::governor::QueryBudget;
@@ -56,7 +54,7 @@ fn corpus() -> Corpus {
     let db = populate_database(&app, Scale::small(), 7);
     let server = Arc::new(DspServer::new(app, db));
     let mut corpus = Corpus {
-        sql: common::golden_statements(),
+        sql: aldsp::workload::golden_statements(),
         xquery: Vec::new(),
         recordsets: Vec::new(),
         delimited: Vec::new(),
