@@ -171,6 +171,10 @@ struct BudgetInner {
     // evaluation layer.
     hash_joins: AtomicU64,
     join_fallbacks: AtomicU64,
+    // §4 wrappers the text sink wrote, and those it abandoned to the
+    // interpreter. Not hash operators: they stay out of the two above.
+    sinks: AtomicU64,
+    sink_fallbacks: AtomicU64,
 }
 
 /// A per-query resource allowance, shared by translation, retries, and
@@ -204,6 +208,8 @@ impl QueryBudget {
                 token: CancellationToken::new(),
                 hash_joins: AtomicU64::new(0),
                 join_fallbacks: AtomicU64::new(0),
+                sinks: AtomicU64::new(0),
+                sink_fallbacks: AtomicU64::new(0),
             }),
         }
     }
@@ -221,6 +227,8 @@ impl QueryBudget {
             token: inner.token.clone(),
             hash_joins: AtomicU64::new(inner.hash_joins.load(Ordering::Relaxed)),
             join_fallbacks: AtomicU64::new(inner.join_fallbacks.load(Ordering::Relaxed)),
+            sinks: AtomicU64::new(inner.sinks.load(Ordering::Relaxed)),
+            sink_fallbacks: AtomicU64::new(inner.sink_fallbacks.load(Ordering::Relaxed)),
         };
         f(&mut next);
         QueryBudget {
@@ -320,6 +328,27 @@ impl QueryBudget {
         (
             self.inner.hash_joins.swap(0, Ordering::Relaxed),
             self.inner.join_fallbacks.swap(0, Ordering::Relaxed),
+        )
+    }
+
+    /// Records a §4 wrapper the text sink wrote.
+    pub fn record_sink(&self) {
+        self.inner.sinks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a §4 wrapper the text sink abandoned on an error and the
+    /// interpreter re-ran.
+    pub fn record_sink_fallback(&self) {
+        self.inner.sink_fallbacks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `(sinks run, sink fallbacks)` so far. Not drained by
+    /// [`QueryBudget::take_exec_counts`], which keeps counting hash
+    /// operators only.
+    pub fn sink_counts(&self) -> (u64, u64) {
+        (
+            self.inner.sinks.load(Ordering::Relaxed),
+            self.inner.sink_fallbacks.load(Ordering::Relaxed),
         )
     }
 
@@ -934,9 +963,14 @@ mod tests {
         let clone = budget.clone();
         clone.record_hash_join(1);
         assert_eq!(budget.hash_joins(), 3);
-        // Draining yields deltas and resets.
+        // The sink's pair rides the same way.
+        clone.record_sink();
+        clone.record_sink_fallback();
+        let budget = budget.with_row_cap(9);
+        // Draining yields deltas and resets — the hash operators' only.
         assert_eq!(budget.take_exec_counts(), (3, 1));
         assert_eq!(budget.take_exec_counts(), (0, 0));
+        assert_eq!(budget.sink_counts(), (1, 1));
     }
 
     #[test]

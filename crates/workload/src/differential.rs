@@ -241,6 +241,11 @@ pub struct LaneReport {
     pub hash_operators: u64,
     /// Hashable FLWORs that fell back to the interpreter.
     pub join_fallbacks: u64,
+    /// §4 wrappers the text sink wrote: on a delimited-text lane under
+    /// the pipeline strategy, one per execution that reached evaluation.
+    pub sinks: u64,
+    /// §4 wrappers the text sink abandoned to the interpreter.
+    pub sink_fallbacks: u64,
     /// Final plan-cache counters of a cached lane.
     pub cache: Option<CacheStats>,
     /// Resident plans put through `analyze_translation`.
@@ -510,6 +515,9 @@ pub fn run_matrix(
                 stats.fuel[index] = meter.fuel_consumed();
                 stats.hash_operators += meter.hash_joins();
                 stats.join_fallbacks += meter.join_fallbacks();
+                let (sinks, sink_fallbacks) = meter.sink_counts();
+                stats.sinks += sinks;
+                stats.sink_fallbacks += sink_fallbacks;
                 let tag = match result {
                     Ok(rs) => {
                         let claim = reference(k).and_then(|r| Some((r, rows_of[r].as_ref()?)));

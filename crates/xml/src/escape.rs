@@ -14,33 +14,42 @@
 
 /// Escapes text content for XML serialization (`&`, `<`, `>`).
 pub fn escape_text(s: &str) -> String {
-    escape_with(s, false)
+    let mut out = String::with_capacity(s.len());
+    escape_text_into(&mut out, s);
+    out
+}
+
+/// [`escape_text`], appended to `out`: what a writer that is already
+/// filling a buffer calls, so the escaped form is never a string of its
+/// own.
+pub fn escape_text_into(out: &mut String, s: &str) {
+    escape_into(out, s, false);
 }
 
 /// Escapes an attribute value (additionally `"`).
 pub fn escape_attribute(s: &str) -> String {
-    escape_with(s, true)
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s, true);
+    out
 }
 
-fn escape_with(s: &str, attr: bool) -> String {
-    // Fast path: most values contain nothing to escape.
-    if !s
-        .chars()
-        .any(|c| matches!(c, '&' | '<' | '>') || (attr && c == '"'))
-    {
-        return s.to_string();
+fn escape_into(out: &mut String, s: &str, attr: bool) {
+    // Most values contain nothing to escape: copy the runs between the
+    // special characters whole. All four are ASCII, so a byte offset of
+    // one is a character boundary.
+    let special = |b: u8| matches!(b, b'&' | b'<' | b'>') || (attr && b == b'"');
+    let mut rest = s;
+    while let Some(at) = rest.bytes().position(special) {
+        out.push_str(&rest[..at]);
+        out.push_str(match rest.as_bytes()[at] {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            _ => "&quot;",
+        });
+        rest = &rest[at + 1..];
     }
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' if attr => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-    out
+    out.push_str(rest);
 }
 
 /// The inverse of [`escape_text`] / [`escape_attribute`]: expands the five
@@ -97,6 +106,15 @@ mod tests {
         // The §4 transport reuses XML escaping so embedded separators
         // survive: `a>b<c` must not split into extra columns/rows.
         assert_eq!(escape_text("a>b<c&d"), "a&gt;b&lt;c&amp;d");
+    }
+
+    #[test]
+    fn escaping_into_a_buffer_appends() {
+        let mut out = String::from(">");
+        escape_text_into(&mut out, "a<b");
+        escape_text_into(&mut out, "");
+        escape_text_into(&mut out, "é&\"");
+        assert_eq!(out, ">a&lt;bé&amp;\"");
     }
 
     #[test]

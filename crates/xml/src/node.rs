@@ -90,15 +90,18 @@ impl Element {
     /// The *string value*: concatenation of all descendant text.
     pub fn string_value(&self) -> String {
         let mut out = String::new();
-        self.collect_text(&mut out);
+        self.each_text(&mut |text| out.push_str(text));
         out
     }
 
-    fn collect_text(&self, out: &mut String) {
+    /// Calls `f` on every descendant text node in document order — the
+    /// pieces of the string value, for a caller that writes them somewhere
+    /// (escaped, say) without building the value first.
+    pub fn each_text(&self, f: &mut impl FnMut(&str)) {
         for child in &self.children {
             match child {
-                Node::Text(t) => out.push_str(t),
-                Node::Element(e) => e.collect_text(out),
+                Node::Text(t) => f(t),
+                Node::Element(e) => e.each_text(f),
             }
         }
     }

@@ -40,9 +40,20 @@ impl Item {
 
     /// The item's string value.
     pub fn string_value(&self) -> String {
+        let mut out = String::new();
+        self.push_string_value(&mut out);
+        out
+    }
+
+    /// Appends the item's string value to `out`.
+    pub fn push_string_value(&self, out: &mut String) {
         match self {
-            Item::Atomic(a) => a.lexical(),
-            Item::Node(n) => n.string_value(),
+            Item::Atomic(Atomic::String(s) | Atomic::Untyped(s) | Atomic::Date(s)) => {
+                out.push_str(s)
+            }
+            Item::Atomic(a) => out.push_str(&a.lexical()),
+            Item::Node(Node::Text(t)) => out.push_str(t),
+            Item::Node(Node::Element(e)) => e.each_text(&mut |text| out.push_str(text)),
         }
     }
 

@@ -203,7 +203,43 @@ pub fn evaluate_program_exec(
     for (name, value) in vars {
         env = env.bind(name.clone(), value.clone());
     }
+    if strategy == ExecStrategy::HashJoin {
+        if let Some(sink) = exec::text_sink(&program.body) {
+            let written = interpret_on_error(exec::run_sink(&evaluator, &sink, &env))?;
+            if let Some(budget) = budget {
+                match written {
+                    Some(_) => budget.record_sink(),
+                    None => budget.record_sink_fallback(),
+                }
+            }
+            if let Some(text) = written {
+                return Ok(Sequence::singleton(Atomic::String(text)));
+            }
+            // No silent fallback: the sink gives up only on what the
+            // interpreter fails on too.
+            let interpreted = evaluator.eval(&program.body, &env, None);
+            debug_assert!(
+                interpreted.is_err(),
+                "the text sink failed on a wrapper the interpreter evaluates"
+            );
+            return interpreted;
+        }
+    }
     evaluator.eval(&program.body, &env, None)
+}
+
+/// What a pipeline operator's error means (DESIGN.md §17, "Fallback and
+/// error parity"). A budget violation is a limit already hit: it
+/// propagates. After any other dynamic error the answer is `None` and the
+/// caller runs the interpreter instead — the pipeline may have evaluated
+/// expressions the interpreter never would, or in another order, so the
+/// interpreter's outcome, value or error, is the authoritative one.
+fn interpret_on_error<T>(piped: Result<T, XqError>) -> Result<Option<T>, XqError> {
+    match piped {
+        Ok(value) => Ok(Some(value)),
+        Err(e) if e.budget_error().is_some() => Err(e),
+        Err(_) => Ok(None),
+    }
 }
 
 impl<'a> Evaluator<'a> {
@@ -488,31 +524,24 @@ impl<'a> Evaluator<'a> {
         let mut skip = 0;
         let mut tuples: Vec<Env> = vec![env.clone()];
         if self.strategy == ExecStrategy::HashJoin && exec::hash_shaped(flwor) {
-            match exec::plan(flwor) {
-                Some(plan) => match exec::run(self, &plan, env, context) {
-                    Ok(streamed) => {
-                        if let Some(budget) = self.budget {
-                            budget.record_hash_join(plan.joins as u64);
-                        }
-                        tuples = streamed;
-                        skip = plan.consumed;
+            let plan = exec::plan(flwor);
+            let streamed = match &plan {
+                Some(plan) => interpret_on_error(exec::run(self, plan, env, context))?,
+                None => None,
+            };
+            match (plan, streamed) {
+                (Some(plan), Some(streamed)) => {
+                    if let Some(budget) = self.budget {
+                        budget.record_hash_join(plan.joins as u64);
                     }
-                    // Budget violations are real limits — propagate.
-                    Err(e) if e.budget_error().is_some() => return Err(e),
-                    // Any other dynamic error: the pipeline may have
-                    // evaluated expressions the interpreter never would
-                    // (or in another order), so the naive run below is
-                    // authoritative for both results and errors.
-                    Err(_) => {
-                        if let Some(budget) = self.budget {
-                            budget.record_join_fallback();
-                        }
-                    }
-                },
-                // Declined lowerings count only where `hash_shaped` saw a
-                // hashable shape, so the telemetry's fast-path fraction
-                // is over those rather than all FLWORs.
-                None => {
+                    tuples = streamed;
+                    skip = plan.consumed;
+                }
+                // An abandoned pipeline, or a declined lowering — which
+                // counts only where `hash_shaped` saw a hashable shape, so
+                // the telemetry's fast-path fraction is over those rather
+                // than all FLWORs. The naive run below answers.
+                _ => {
                     if let Some(budget) = self.budget {
                         budget.record_join_fallback();
                     }
@@ -739,12 +768,19 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-fn element_name_matches(element: &Arc<Element>, test: &str) -> bool {
+pub(crate) fn element_name_matches(element: &Element, test: &str) -> bool {
     // Step tests in the generated dialect are written without prefixes and
-    // match by local name; a prefixed test matches exactly.
-    match test.split_once(':') {
-        Some(_) => element.name.to_string() == test,
-        None => element.name.matches_local(test),
+    // match by local name; a prefixed test matches the name as written.
+    if !test.contains(':') {
+        return element.name.matches_local(test);
+    }
+    let local = element.name.local_part();
+    match element.name.prefix() {
+        Some(prefix) => test
+            .strip_prefix(prefix)
+            .and_then(|rest| rest.strip_prefix(':'))
+            .is_some_and(|rest| rest == local),
+        None => test == local,
     }
 }
 
@@ -942,6 +978,31 @@ mod tests {
                         ],
                     ),
                 ],
+                // What the §4 transport has to carry: the empty string
+                // beside NULL, the separators and `&`, and the NULL
+                // marker, its neighbour and itself.
+                "ODD" => [
+                    Some(""),
+                    None,
+                    Some("<"),
+                    Some("a>b<c&d;"),
+                    Some("&lt;"),
+                    Some("\u{1}"),
+                    Some("\u{0}"),
+                    Some("é 🙂 >"),
+                ]
+                .into_iter()
+                .enumerate()
+                .map(|(id, val)| {
+                    (
+                        "ODD",
+                        vec![
+                            ("ID", Some(Atomic::Integer(id as i64))),
+                            ("VAL", val.map(|v| Atomic::String(v.into()))),
+                        ],
+                    )
+                })
+                .collect(),
                 "PAYMENTS" => vec![
                     (
                         "PAYMENTS",
@@ -1554,6 +1615,265 @@ mod tests {
                 naive.fuel_consumed()
             );
         }
+    }
+
+    /// The §4 wrapper as `wrap_delimited` writes it, around `view` (the
+    /// `let`'s value), for output columns `A` and `B`.
+    fn wrapped(view: &str) -> String {
+        format!(
+            "{IMPORT} fn:string-join((\nlet $actualQuery := {view}\n\
+             for $tokenQuery in $actualQuery/RECORD\nreturn (\">\",\n\
+             fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(\
+             fn:data($tokenQuery/A))), \"&#0;\"),\n\">\",\n\
+             fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(\
+             fn:data($tokenQuery/B))), \"&#0;\"),\n\"<\")), \"\")"
+        )
+    }
+
+    /// `<RECORDSET>` of `table`'s rows, columns `a` and `b` as `A` and
+    /// `B`, an absent column an absent element — stage 3's construction.
+    fn view_of(table: &str, a: &str, b: &str) -> String {
+        format!(
+            "<RECORDSET>{{ for $v in ns0:{table}() return <RECORD>\
+             {{ for $a in fn:data($v/{a}) return <A>{{$a}}</A> }}\
+             {{ for $b in fn:data($v/{b}) return <B>{{$b}}</B> }}</RECORD> }}</RECORDSET>"
+        )
+    }
+
+    /// Runs a wrapper on the interpreter and through the sink — which must
+    /// have run, once, without falling back — and returns the one payload
+    /// both produced.
+    fn assert_sink_writes_the_interpreters_payload(query: &str) -> String {
+        let naive_budget = QueryBudget::unlimited();
+        let naive = run_exec(query, &naive_budget, ExecStrategy::NestedLoop)
+            .unwrap_or_else(|e| panic!("naive: {e}"));
+        assert_eq!(naive_budget.sink_counts(), (0, 0), "the interpreter sank");
+        let budget = QueryBudget::unlimited();
+        let sunk = run_exec(query, &budget, ExecStrategy::HashJoin)
+            .unwrap_or_else(|e| panic!("sink: {e}"));
+        assert_eq!(budget.sink_counts(), (1, 0), "no sink ran: {query}");
+        assert_eq!(sunk, naive, "payloads differ on: {query}");
+        assert!(
+            budget.fuel_consumed() < naive_budget.fuel_consumed(),
+            "sink {} vs naive {}",
+            budget.fuel_consumed(),
+            naive_budget.fuel_consumed()
+        );
+        let Some(Item::Atomic(Atomic::String(payload))) = sunk.as_singleton() else {
+            panic!("expected one string, got {sunk:?}");
+        };
+        payload.clone()
+    }
+
+    #[test]
+    fn sink_payload_is_the_interpreters_byte_for_byte() {
+        let payload = assert_sink_writes_the_interpreters_payload(&wrapped(&view_of(
+            "CUSTOMERS",
+            "CUSTOMERID",
+            "CUSTOMERNAME",
+        )));
+        assert_eq!(payload, ">55>Joe<>23>Sue<>7>\u{0}<");
+        // NULL is the marker and '' is nothing; separators and `&` inside
+        // values arrive as entities; the marker's neighbour passes as it is.
+        let payload =
+            assert_sink_writes_the_interpreters_payload(&wrapped(&view_of("ODD", "ID", "VAL")));
+        assert_eq!(
+            payload,
+            ">0><>1>\u{0}<>2>&lt;<>3>a&gt;b&lt;c&amp;d;<>4>&amp;lt;<>5>\u{1}<>6>\u{0}<>7>é 🙂 &gt;<"
+        );
+        // Zero rows: the empty payload.
+        let none = view_of("ODD", "ID", "VAL")
+            .replace("return <RECORD>", "where fn:false() return <RECORD>");
+        assert_eq!(
+            assert_sink_writes_the_interpreters_payload(&wrapped(&none)),
+            ""
+        );
+        // A value that is several text nodes and a nested element.
+        let nested = "<RECORDSET><RECORD><A>x&lt;<I>y</I>{\"&\"}z</A></RECORD>\
+                      <NOTARECORD><A>q</A></NOTARECORD></RECORDSET>";
+        assert_eq!(
+            assert_sink_writes_the_interpreters_payload(&wrapped(nested)),
+            ">x&lt;y&amp;z>\u{0}<"
+        );
+    }
+
+    #[test]
+    fn sink_takes_whatever_the_view_evaluates_to() {
+        let rows = "for $v in ns1:NULLABLEPAY() return <RECORD>\
+             { for $a in fn:data($v/CUSTID) return <A>{$a}</A> }<B>{fn:data($v/PAYMENT)}</B></RECORD>";
+        // DISTINCT, UNION ALL, EXCEPT ALL and a derived table, as stage 3
+        // shapes them; the last one's join runs on the hash pipeline.
+        for view in [
+            format!(
+                "<RECORDSET>{{ let $t := <RECORDSET>{{ {rows} }}</RECORDSET> \
+                 for $d in fn-bea:distinct-records($t/RECORD/A) return <RECORD>{{$d}}</RECORD> }}</RECORDSET>"
+            ),
+            format!("<RECORDSET>{{ ({rows}, {rows}) }}</RECORDSET>"),
+            format!(
+                "<RECORDSET>{{ let $l := <RECORDSET>{{ {rows} }}</RECORDSET> \
+                 let $r := <RECORDSET>{{ {rows} }}</RECORDSET> \
+                 for $x in fn-bea:except-all-records($l/RECORD, $r/RECORD[B > 25]) return $x }}</RECORDSET>"
+            ),
+            format!(
+                "<RECORDSET>{{ let $t := <RECORDSET>{{ {rows} }}</RECORDSET> \
+                 for $c in ns0:CUSTOMERS() for $d in $t/RECORD where ($c/CUSTOMERID = $d/A) \
+                 return <RECORD><A>{{fn:data($c/CUSTOMERNAME)}}</A>{{$d/B}}</RECORD> }}</RECORDSET>"
+            ),
+            // Not one element: every item's RECORD children count, atomic
+            // items have none.
+            format!("(<S>{{ {rows} }}</S>, 7, <S>{{ {rows} }}</S>)"),
+        ] {
+            let payload = assert_sink_writes_the_interpreters_payload(&wrapped(&view));
+            assert!(payload.ends_with('<'), "{view} wrote {payload:?}");
+        }
+    }
+
+    #[test]
+    fn sink_gives_up_where_the_interpreter_fails() {
+        // A duplicated output column: `fn-bea:serialize-atomic` refuses
+        // two items, so the sink gives up and the interpreter's error is
+        // the answer.
+        let twice = "<RECORDSET><RECORD><A>1</A><B>2</B></RECORD>\
+                     <RECORD><A>3</A><B>4</B><A>5</A></RECORD></RECORDSET>";
+        // And an error inside the view itself.
+        let broken = view_of("CUSTOMERS", "CUSTOMERID", "CUSTOMERNAME")
+            .replace("return <RECORD>", "where 1 div 0 = 1 return <RECORD>");
+        for view in [twice, broken.as_str()] {
+            let query = wrapped(view);
+            let budget = QueryBudget::unlimited();
+            let sunk = run_exec(&query, &budget, ExecStrategy::HashJoin).unwrap_err();
+            let naive =
+                run_exec(&query, &QueryBudget::unlimited(), ExecStrategy::NestedLoop).unwrap_err();
+            assert_eq!(sunk, naive);
+            assert_eq!(budget.sink_counts(), (0, 1));
+        }
+    }
+
+    #[test]
+    fn what_is_not_the_wrapper_is_interpreted() {
+        let view = view_of("CUSTOMERS", "CUSTOMERID", "CUSTOMERNAME");
+        let wrapper = wrapped(&view);
+        for other in [
+            // Another separator, a predicate on the record step, a piece
+            // that is not the column chain, a column of another variable.
+            wrapper.replace("\"<\")), \"\")", "\"<\")), \",\")"),
+            wrapper.replace("$actualQuery/RECORD", "$actualQuery/RECORD[A > 10]"),
+            wrapper.replace(
+                "fn-bea:serialize-atomic(fn:data($tokenQuery/B))",
+                "fn-bea:serialize-atomic(fn:data($tokenQuery/B[1]))",
+            ),
+            wrapper.replace("\">\",\nfn-bea:if-empty", "fn:string(7),\nfn-bea:if-empty"),
+            wrapper.replace(
+                "fn:data($tokenQuery/A)",
+                "fn:data($actualQuery/RECORD[1]/A)",
+            ),
+            // The same call below the top of the program.
+            wrapper.replace("fn:string-join((", "fn:string(fn:string-join((") + ")",
+        ] {
+            let budget = QueryBudget::unlimited();
+            let hashed = run_exec(&other, &budget, ExecStrategy::HashJoin)
+                .unwrap_or_else(|e| panic!("{other}: {e}"));
+            assert_eq!(budget.sink_counts(), (0, 0), "lowered: {other}");
+            let naive = run_exec(&other, &QueryBudget::unlimited(), ExecStrategy::NestedLoop);
+            assert_eq!(hashed, naive.unwrap());
+        }
+    }
+
+    #[test]
+    fn budgets_bind_inside_the_sinks_loop() {
+        // Three literal RECORDs: nothing in the view expands a tuple
+        // stream, so only the sink's own row count can meet the cap.
+        let literal = "<RECORDSET><RECORD><A>1</A></RECORD><RECORD><A>2</A></RECORD>\
+                       <RECORD><A>3</A></RECORD></RECORDSET>";
+        let query = wrapped(literal);
+        let capped = QueryBudget::unlimited().with_row_cap(2);
+        let err = run_exec(&query, &capped, ExecStrategy::HashJoin).unwrap_err();
+        assert_eq!(
+            err.budget_error(),
+            Some(BudgetError::RowCapExceeded { rows: 3, cap: 2 })
+        );
+        // A budget error is neither a sink run nor a fallback.
+        assert_eq!(capped.sink_counts(), (0, 0));
+        let exact = QueryBudget::unlimited().with_row_cap(3);
+        run_exec(&query, &exact, ExecStrategy::HashJoin).unwrap();
+
+        // The sink charges last, a row and its five pieces at a time: one
+        // unit short of the whole run starves the third row.
+        let meter = QueryBudget::unlimited();
+        run_exec(&query, &meter, ExecStrategy::HashJoin).unwrap();
+        let whole = meter.fuel_consumed();
+        let view_only = QueryBudget::unlimited();
+        run_exec(
+            &format!("{IMPORT} {literal}"),
+            &view_only,
+            ExecStrategy::HashJoin,
+        )
+        .unwrap();
+        assert_eq!(whole, view_only.fuel_consumed() + 3 * 6);
+        let starved = QueryBudget::unlimited().with_fuel(whole - 1);
+        let err = run_exec(&query, &starved, ExecStrategy::HashJoin).unwrap_err();
+        assert_eq!(
+            err.budget_error(),
+            Some(BudgetError::FuelExhausted { limit: whole - 1 })
+        );
+        run_exec(
+            &query,
+            &QueryBudget::unlimited().with_fuel(whole),
+            ExecStrategy::HashJoin,
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn cancellation_is_seen_inside_the_sinks_loop() {
+        /// Forty one-column RECORDs, and the query cancelled by the time
+        /// they are handed over.
+        struct CancelsOnCall(QueryBudget);
+        impl FunctionSource for CancelsOnCall {
+            fn call(&self, _: Option<&str>, _: &str, _: &[Sequence]) -> Result<Sequence, XqError> {
+                self.0.cancel();
+                Ok((0..40)
+                    .map(|i| {
+                        Item::element(build_row(
+                            &QName::local("RECORD"),
+                            [("A", Some(Atomic::Integer(i)))],
+                        ))
+                    })
+                    .collect())
+            }
+        }
+        let budget = QueryBudget::unlimited();
+        let program = parse_program(&wrapped("<RECORDSET>{ns0:ROWS()}</RECORDSET>")).unwrap();
+        let err = evaluate_program_exec(
+            &program,
+            &CancelsOnCall(budget.clone()),
+            &[],
+            Some(&budget),
+            ExecStrategy::HashJoin,
+        )
+        .unwrap_err();
+        assert_eq!(err.budget_error(), Some(BudgetError::Cancelled));
+        // The view cost two units (the constructor, the call); the poll
+        // that saw the token is the one on crossing 64, eleven rows of six
+        // units into the loop.
+        assert_eq!(budget.fuel_spent(), 2 + 11 * 6);
+    }
+
+    #[test]
+    fn prefixed_name_tests_match_the_name_as_written() {
+        // CUSTOMERS rows are `ns0:CUSTOMERS`; their columns carry no prefix.
+        let count = |path: &str| {
+            run(&format!(
+                "{IMPORT} fn:count(<V>{{ns0:CUSTOMERS()}}</V>/{path})"
+            ))
+        };
+        let n = |n: i64| Sequence::singleton(Atomic::Integer(n));
+        assert_eq!(count("ns0:CUSTOMERS"), n(3));
+        assert_eq!(count("CUSTOMERS"), n(3));
+        assert_eq!(count("ns1:CUSTOMERS"), n(0));
+        assert_eq!(count("ns0:CUSTOMER"), n(0));
+        assert_eq!(count("ns0:CUSTOMERS/ns0:CUSTOMERID"), n(0));
+        assert_eq!(count("ns0:CUSTOMERS/CUSTOMERID"), n(3));
     }
 
     #[test]

@@ -24,6 +24,12 @@
 //!   tuple when its key finds any.
 //! * [`Op::Let`] / [`Op::Filter`] — bind and residual-predicate
 //!   operators, fused into the same tuple flow.
+//! * [`TextSink`] — the last operator of a delimited-text statement: the
+//!   §4 wrapper `fn:string-join((let $q := V for $t in $q/RECORD return
+//!   (piece, …)), "")`, recognized by [`text_sink`] on the program body
+//!   and run by [`run_sink`], which writes each `RECORD` of `V` straight
+//!   into the payload string instead of interpreting a call chain per
+//!   cell and joining a sequence of every separator and value.
 //!
 //! ## Lowering conditions
 //!
@@ -85,12 +91,16 @@
 //! [`aldsp_governor::QueryBudget`] hooks — one unit per scan binding, per
 //! build row, and per joined or let-bound match — and the row cap bounds
 //! what the pipeline actually materializes: the build tables and the
-//! output vector.
+//! output vector. The sink obeys the same rules: one unit per `RECORD`
+//! plus one per piece written, the row cap on the number of `RECORD`s (what
+//! the interpreter's `for $t` would hold as tuples), and any error but a
+//! budget's sends the whole wrapper back to the interpreter.
 
-use crate::ast::{Clause, CompOp, Expr, Flwor, PathStart, Step};
-use crate::eval::{Env, Evaluator, XqError};
+use crate::ast::{Clause, CompOp, Expr, Flwor, NodeTest, PathStart, Step};
+use crate::eval::{element_name_matches, Env, Evaluator, XqError};
 use crate::functions::data;
 use crate::visit::{free_vars, uses_context};
+use aldsp_xml::escape::escape_text_into;
 use aldsp_xml::{Atomic, Item, Sequence};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -790,6 +800,159 @@ fn probe(table: &JoinTable, probe: &Sequence) -> Vec<usize> {
         })
     });
     candidates
+}
+
+// ---------------------------------------------------------------------
+// The text sink
+// ---------------------------------------------------------------------
+
+/// The §4 wrapper, lowered: `V`'s `RECORD`s written piece by piece into
+/// one string. Borrows the program body it was recognized in.
+pub(crate) struct TextSink<'p> {
+    /// `V`, the statement proper; evaluated as any expression is.
+    rows: &'p Expr,
+    /// The name test of `$q/RECORD`.
+    record: &'p str,
+    /// What one row writes, in order.
+    pieces: Vec<Piece<'p>>,
+}
+
+enum Piece<'p> {
+    /// A separator: written as it is.
+    Text(&'p str),
+    /// `fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(
+    /// fn:data($t/NAME))), "null")`.
+    Column { name: &'p str, null: &'p str },
+}
+
+/// The sole argument of a call of `name`.
+fn call_of<'p>(expr: &'p Expr, name: &str) -> Option<&'p Expr> {
+    match expr {
+        Expr::FunctionCall { name: called, args } if called == name => match args.as_slice() {
+            [arg] => Some(arg),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// The name in `$var/NAME`: one step, no predicate.
+fn child_of<'p>(expr: &'p Expr, var: &str) -> Option<&'p str> {
+    let Expr::Path { start, steps } = expr else {
+        return None;
+    };
+    match (&**start, steps.as_slice()) {
+        (
+            PathStart::Var(v),
+            [Step {
+                test: NodeTest::Name(name),
+                predicates,
+            }],
+        ) if v == var && predicates.is_empty() => Some(name),
+        _ => None,
+    }
+}
+
+/// Recognizes exactly what `aldsp_core::wrapper::wrap_delimited` emits
+/// (the two are halves of one format; `tests/exec.rs` holds them
+/// together): `fn:string-join((let $q := V for $t in $q/RECORD return
+/// (piece, …)), "")`, every piece a string literal or the column chain of
+/// [`Piece::Column`] over `$t`. Anything else is `None` and is
+/// interpreted.
+pub(crate) fn text_sink(body: &Expr) -> Option<TextSink<'_>> {
+    let Expr::FunctionCall { name, args } = body else {
+        return None;
+    };
+    let [Expr::Flwor(flwor), Expr::Literal(Atomic::String(separator))] = args.as_slice() else {
+        return None;
+    };
+    if name != "fn:string-join" || !separator.is_empty() {
+        return None;
+    }
+    let [Clause::Let {
+        var: view,
+        value: rows,
+    }, Clause::For { var: row, source }] = flwor.clauses.as_slice()
+    else {
+        return None;
+    };
+    let record = child_of(source, view)?;
+    let Expr::Sequence(pieces) = &*flwor.ret else {
+        return None;
+    };
+    let pieces = pieces
+        .iter()
+        .map(|piece| match piece {
+            Expr::Literal(Atomic::String(text)) => Some(Piece::Text(text)),
+            Expr::FunctionCall { name, args } if name == "fn-bea:if-empty" => {
+                let [value, Expr::Literal(Atomic::String(null))] = args.as_slice() else {
+                    return None;
+                };
+                let value = call_of(value, "fn-bea:xml-escape")?;
+                let value = call_of(value, "fn-bea:serialize-atomic")?;
+                let name = child_of(call_of(value, "fn:data")?, row)?;
+                Some(Piece::Column { name, null })
+            }
+            _ => None,
+        })
+        .collect::<Option<_>>()?;
+    Some(TextSink {
+        rows,
+        record,
+        pieces,
+    })
+}
+
+/// Runs the wrapper: `V` through the evaluator, then every `RECORD` child
+/// of its items, in document order, into one string. A column with no
+/// matching child writes its NULL literal, with one child that child's
+/// string value, escaped in place; with more than one,
+/// `fn-bea:serialize-atomic` fails in the interpreter, so the sink gives
+/// up. Budget errors propagate; after any other the caller interprets the
+/// wrapper instead (see the module docs).
+#[inline(never)]
+pub(crate) fn run_sink(
+    ev: &Evaluator<'_>,
+    sink: &TextSink<'_>,
+    env: &Env,
+) -> Result<String, XqError> {
+    let views = ev.eval(sink.rows, env, None)?;
+    let fuel_per_row = 1 + sink.pieces.len() as u64;
+    let mut out = String::new();
+    let mut rows = 0;
+    for view in views.iter().filter_map(Item::as_element) {
+        for record in view.child_elements() {
+            if !element_name_matches(record, sink.record) {
+                continue;
+            }
+            ev.charge(fuel_per_row)?;
+            rows += 1;
+            ev.check_rows(rows)?;
+            for piece in &sink.pieces {
+                match piece {
+                    Piece::Text(text) => out.push_str(text),
+                    Piece::Column { name, null } => {
+                        let mut cells = record
+                            .child_elements()
+                            .filter(|cell| element_name_matches(cell, name));
+                        match (cells.next(), cells.next()) {
+                            (None, _) => out.push_str(null),
+                            (Some(cell), None) => {
+                                cell.each_text(&mut |text| escape_text_into(&mut out, text))
+                            }
+                            (Some(_), Some(_)) => {
+                                return Err(XqError::new(format!(
+                                    "text sink: more than one {name} in a {}",
+                                    sink.record
+                                )))
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

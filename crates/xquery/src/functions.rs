@@ -85,8 +85,14 @@ pub fn call_builtin(name: &str, args: &[Sequence]) -> Result<Option<Sequence>, X
         "fn:string-join" => {
             require_arity(name, args, 2)?;
             let sep = singleton_string(&args[1]).unwrap_or_default();
-            let joined: Vec<String> = args[0].iter().map(|item| item.string_value()).collect();
-            Sequence::singleton(Atomic::String(joined.join(&sep)))
+            let mut joined = String::new();
+            for (i, item) in args[0].iter().enumerate() {
+                if i > 0 {
+                    joined.push_str(&sep);
+                }
+                item.push_string_value(&mut joined);
+            }
+            Sequence::singleton(Atomic::String(joined))
         }
         "fn:concat" => {
             if args.len() < 2 {
@@ -819,6 +825,26 @@ mod tests {
                 &[parts, Sequence::singleton(Atomic::String("-".into()))]
             ),
             Sequence::singleton(Atomic::String("a-b-c".into()))
+        );
+        // String values of any item kind go into the one buffer; an empty
+        // sequence joins to the empty string.
+        let mixed = Sequence::from_items(vec![
+            Atomic::Integer(7).into(),
+            Item::element(
+                aldsp_xml::Element::new("A")
+                    .with_text("x")
+                    .with_child(aldsp_xml::Element::new("B").with_text("y")),
+            ),
+            Atomic::Decimal(1.5).into(),
+        ]);
+        let comma = Sequence::singleton(Atomic::String(", ".into()));
+        assert_eq!(
+            call("fn:string-join", &[mixed, comma.clone()]),
+            Sequence::singleton(Atomic::String("7, xy, 1.5".into()))
+        );
+        assert_eq!(
+            call("fn:string-join", &[Sequence::empty(), comma]),
+            Sequence::singleton(Atomic::String(String::new()))
         );
         assert_eq!(
             call(

@@ -1,13 +1,15 @@
 //! The §4 experiment in miniature: ship the same result set as serialized
 //! XML (materialize-and-parse) and as delimited text, and compare payload
-//! sizes and end-to-end time. This is a demonstration; the rigorous sweep
-//! is `cargo bench -p aldsp-bench` (E1) and the harness binary.
+//! sizes and end-to-end time, under the production execution strategy
+//! (whose text sink writes the delimited payload row by row). This is a
+//! demonstration; the rigorous sweep is `cargo bench -p aldsp-bench` (E1)
+//! and the harness binary.
 //!
 //! ```sh
 //! cargo run --release --example transport_comparison
 //! ```
 
-use aldsp::core::{TranslationOptions, Transport};
+use aldsp::core::{ExecStrategy, TranslationOptions, Transport};
 use aldsp::driver::{Connection, DspServer};
 use aldsp::workload::{build_application, populate_database, Scale};
 use std::sync::Arc;
@@ -30,7 +32,7 @@ fn main() {
         for transport in [Transport::Xml, Transport::DelimitedText] {
             let conn = Connection::open_with(
                 Arc::clone(&server),
-                TranslationOptions::with_transport(transport),
+                TranslationOptions::with_transport(transport).with_exec(ExecStrategy::HashJoin),
                 std::time::Duration::ZERO,
             );
             // Warm the server-side materialization cache so we measure
@@ -40,8 +42,14 @@ fn main() {
 
             let start = Instant::now();
             let rs = conn.create_statement().execute_query(sql).unwrap();
-            let elapsed = start.elapsed();
+            let mut elapsed = start.elapsed();
             let bytes = server.stats().bytes_shipped;
+            // The fastest of five: one run carries the machine's noise.
+            for _ in 0..4 {
+                let start = Instant::now();
+                conn.create_statement().execute_query(sql).unwrap();
+                elapsed = elapsed.min(start.elapsed());
+            }
             measurements.push((rs.row_count(), bytes, elapsed));
         }
         let (rows, xml_bytes, xml_time) = measurements[0];
@@ -58,7 +66,8 @@ fn main() {
 
     println!(
         "\nThe delimited-text transport ships fewer bytes (no element markup\n\
-         per value) and skips XML re-parsing in the driver — the effect the\n\
-         paper reports as 'measurably improved' (§4)."
+         per value), skips XML re-parsing in the driver, and is the faster\n\
+         statement end to end — the effect the paper reports as 'measurably\n\
+         improved' (§4)."
     );
 }

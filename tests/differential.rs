@@ -44,10 +44,17 @@ fn sweep(seed: u64, count_per_class: usize, scale: Scale) -> MatrixReport {
 
 /// The counters that prove a production lane ran the production
 /// configuration: plans were rewritten, hash operators ran and none fell
-/// back, warm executions were exact hits.
+/// back, warm executions were exact hits — and every delimited-text
+/// execution (cold and warm) ended in the text sink, none of which gave up.
 fn assert_production_ran(report: &MatrixReport) {
-    for label in ["text+production", "xml+production"] {
+    let executions = 2 * report.statements().1 as u64;
+    for (label, sinks) in [("text+production", executions), ("xml+production", 0)] {
         let lane = report.lane(label);
+        assert_eq!(
+            (lane.sinks, lane.sink_fallbacks),
+            (sinks, 0),
+            "{label}: one sink per text execution, no fallback"
+        );
         assert!(lane.rewritten > 0, "{label}: no plan was rewritten");
         assert!(lane.hash_operators > 0, "{label}: no hash operator ran");
         assert_eq!(
@@ -294,6 +301,26 @@ fn lane_counters_prove_each_lane_ran_its_own_configuration() {
         for hashed in ["+hash", "+production"] {
             assert!(lane(hashed).hash_operators > 0, "{transport}{hashed}");
             assert_eq!(lane(hashed).join_fallbacks, 0, "{transport}{hashed}");
+        }
+        // The text sink ends every delimited-text execution of the
+        // pipeline strategy (a cached lane executes twice) and nothing
+        // else; it never gives up on a statement that succeeds.
+        for (suffix, executions) in [
+            ("", 0),
+            ("+hash", 1),
+            ("+cache", 0),
+            ("+opt", 0),
+            ("+production", 2),
+        ] {
+            let sinks = match transport {
+                "text" => executions * statements.len() as u64,
+                _ => 0,
+            };
+            assert_eq!(
+                (lane(suffix).sinks, lane(suffix).sink_fallbacks),
+                (sinks, 0),
+                "{transport}{suffix}"
+            );
         }
         for uncached in ["", "+hash"] {
             assert_eq!(exact_hits(uncached), None, "{transport}{uncached}");

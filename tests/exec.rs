@@ -8,18 +8,20 @@
 //! modules) pin lowering decisions, NULL-join semantics, emission order,
 //! and budget parity on hand-built FLWORs; these tests pin the same
 //! properties on *translated SQL* across both transports, plus the
-//! governor telemetry that reports hash-path coverage.
+//! governor telemetry that reports hash-path coverage — and that every
+//! delimited-text statement of the pipeline strategy ends in the text
+//! sink (`strategies_agree` counts them).
 
 mod common;
 
 use aldsp::catalog::{ApplicationBuilder, SqlColumnType};
-use aldsp::core::{ExecStrategy, TranslationOptions, Transport};
-use aldsp::driver::{DriverError, DspServer, QueryService};
+use aldsp::core::{ExecStrategy, OptimizeLevel, TranslationOptions, Transport};
+use aldsp::driver::{Connection, DriverError, DspServer, QueryService};
 use aldsp::governor::QueryBudget;
 use aldsp::relational::{Database, SqlValue, Table};
 use aldsp::workload::{
-    build_application, fuzzed_corpus, paper_corpus, paper_queries, populate_database, run_matrix,
-    Lane, MatrixReport, Scale, Universe,
+    build_application, fuzzed_corpus, golden_corpus, paper_corpus, paper_queries,
+    populate_database, run_matrix, Lane, MatrixReport, Scale, Universe,
 };
 use std::sync::Arc;
 
@@ -58,6 +60,18 @@ fn strategies_agree(
     let report = run_matrix(universe, corpus, &lanes, None);
     assert!(report.is_clean(), "mismatches: {:#?}", report.mismatches);
     assert_eq!(report.passed, report.outcome_log.len());
+    // No silent fallback: every delimited-text statement of the pipeline
+    // strategy ends in the text sink, and the interpreter lanes in none.
+    let lane = report.lane("text+hash");
+    assert_eq!(
+        (lane.sinks, lane.sink_fallbacks),
+        (corpus.len() as u64, 0),
+        "text+hash: one sink per statement"
+    );
+    for label in ["text", "xml", "xml+hash"] {
+        let lane = report.lane(label);
+        assert_eq!((lane.sinks, lane.sink_fallbacks), (0, 0), "{label}");
+    }
     report
 }
 
@@ -414,5 +428,69 @@ fn budgets_bind_on_probe_let_and_semi_join_tables() {
             fuel(&hash) < fuel(&naive),
             "`{sql}` should cost less fuel hashed"
         );
+    }
+}
+
+/// `wrap_delimited` and the sink's shape test are two halves of one
+/// format: every delimited-text program the translator emits — as
+/// generated, and as the optimizer leaves it at `Full` — must lower to a
+/// sink that then writes the payload. A change to the wrapper text, or a
+/// rewrite rule that reshapes it, fails here instead of silently switching
+/// the operator off.
+#[test]
+fn every_delimited_program_the_translator_emits_lowers_to_a_sink() {
+    let scale = Scale::small();
+    let server = Universe::generated(scale, 53).server;
+    let conn = Connection::open(Arc::clone(&server));
+    let engine = common::engine(scale);
+    let mut corpus = paper_corpus();
+    corpus.extend(golden_corpus());
+    corpus.extend(fuzzed_corpus(53, 10));
+    let mut lowered = 0;
+    for (origin, sql) in &corpus {
+        for level in [OptimizeLevel::Off, OptimizeLevel::Full] {
+            let options = TranslationOptions::with_transport(Transport::DelimitedText)
+                .optimized(level)
+                .with_exec(ExecStrategy::HashJoin);
+            let full = conn
+                .translator()
+                .translate_full(sql, options)
+                .unwrap_or_else(|e| panic!("{origin}: `{sql}`: {e}"));
+            let xquery = engine
+                .optimize(&full.prepared, &full.translation.xquery, options)
+                .xquery;
+            let meter = QueryBudget::unlimited();
+            server
+                .execute_governed_with(&xquery, &[], Some(&meter), options.exec)
+                .unwrap_or_else(|e| panic!("{origin}: `{sql}`: {e}"));
+            assert_eq!(
+                meter.sink_counts(),
+                (1, 0),
+                "{origin} at {level:?}: `{sql}` did not end in a text sink:\n{xquery}"
+            );
+            lowered += 1;
+        }
+    }
+    assert!(lowered >= 2 * 100, "only {lowered} programs checked");
+}
+
+/// Whatever the statement proper evaluates to, the sink writes it: a
+/// `fn-bea:distinct-records` value, the set operations, a derived table,
+/// an empty result, and NULLs beside values — byte for byte what the
+/// interpreter joins (`strategies_agree` compares the decoded rows in
+/// order and counts one sink, no fallback, per statement).
+#[test]
+fn sink_writes_distinct_set_operation_and_derived_table_values() {
+    for sql in [
+        "SELECT DISTINCT K FROM R",
+        "SELECT K FROM L UNION SELECT K FROM R",
+        "SELECT K, V FROM L UNION ALL SELECT K, W FROM R",
+        "SELECT K FROM R EXCEPT ALL SELECT K FROM L",
+        "SELECT K FROM R INTERSECT SELECT K FROM L",
+        "SELECT D.W FROM (SELECT K, W FROM R WHERE W > 5) AS D",
+        "SELECT K, X FROM E",
+        "SELECT V, K FROM L WHERE K IS NULL OR V IS NULL",
+    ] {
+        check_keyed(sql);
     }
 }

@@ -3,10 +3,12 @@
 //! characters, and non-ASCII text must survive translation, evaluation,
 //! both transports, and predicate matching — the whole point of the
 //! escaping layers (`fn-bea:xml-escape`, XML serialization, SQL string
-//! literal escaping).
+//! literal escaping). The delimited-text checks run twice: on the
+//! interpreter, which calls those functions per cell, and under the
+//! production strategy, whose text sink escapes into the payload itself.
 
 use aldsp::catalog::{ApplicationBuilder, SqlColumnType};
-use aldsp::core::{TranslationOptions, Transport};
+use aldsp::core::{ExecStrategy, TranslationOptions, Transport};
 use aldsp::driver::{Connection, DspServer};
 use aldsp::relational::{Database, SqlValue, Table};
 use std::sync::Arc;
@@ -52,31 +54,42 @@ fn server_with_nasty() -> Arc<DspServer> {
 }
 
 fn connection(transport: Transport) -> Connection {
+    connection_under(transport, ExecStrategy::NestedLoop)
+}
+
+fn connection_under(transport: Transport, exec: ExecStrategy) -> Connection {
     Connection::open_with(
         server_with_nasty(),
-        TranslationOptions::with_transport(transport),
+        TranslationOptions::with_transport(transport).with_exec(exec),
         std::time::Duration::ZERO,
     )
 }
 
+/// Delimited text on the interpreter and under the production strategy.
+fn text_connections() -> [Connection; 2] {
+    [ExecStrategy::NestedLoop, ExecStrategy::HashJoin]
+        .map(|exec| connection_under(Transport::DelimitedText, exec))
+}
+
 #[test]
 fn all_values_roundtrip_text_transport() {
-    let conn = connection(Transport::DelimitedText);
-    let mut rs = conn
-        .create_statement()
-        .execute_query("SELECT ID, VAL FROM T ORDER BY ID")
-        .unwrap();
-    for (i, expected) in NASTY.iter().enumerate() {
+    for conn in text_connections() {
+        let mut rs = conn
+            .create_statement()
+            .execute_query("SELECT ID, VAL FROM T ORDER BY ID")
+            .unwrap();
+        for (i, expected) in NASTY.iter().enumerate() {
+            assert!(rs.next());
+            assert_eq!(rs.get_i64(1).unwrap(), i as i64);
+            assert_eq!(
+                rs.get_string(2).unwrap().as_deref(),
+                Some(*expected),
+                "value {i} corrupted in text transport"
+            );
+        }
         assert!(rs.next());
-        assert_eq!(rs.get_i64(1).unwrap(), i as i64);
-        assert_eq!(
-            rs.get_string(2).unwrap().as_deref(),
-            Some(*expected),
-            "value {i} corrupted in text transport"
-        );
+        assert_eq!(rs.get_string(2).unwrap(), None); // the NULL row
     }
-    assert!(rs.next());
-    assert_eq!(rs.get_string(2).unwrap(), None); // the NULL row
 }
 
 #[test]
@@ -100,61 +113,64 @@ fn all_values_roundtrip_xml_transport() {
 fn predicates_match_nasty_literals() {
     // The SQL literal passes through the translator's string escaping and
     // must still match the stored value exactly.
-    let conn = connection(Transport::DelimitedText);
-    for (i, s) in NASTY.iter().enumerate() {
-        let literal = s.replace('\'', "''");
-        let sql = format!("SELECT ID FROM T WHERE VAL = '{literal}'");
-        let mut rs = conn
-            .create_statement()
-            .execute_query(&sql)
-            .unwrap_or_else(|e| panic!("query failed for value {i}: {e}\nsql: {sql}"));
-        assert_eq!(rs.row_count(), 1, "predicate missed value {i}: {s:?}");
-        rs.next();
-        assert_eq!(rs.get_i64(1).unwrap(), i as i64);
+    for conn in text_connections() {
+        for (i, s) in NASTY.iter().enumerate() {
+            let literal = s.replace('\'', "''");
+            let sql = format!("SELECT ID FROM T WHERE VAL = '{literal}'");
+            let mut rs = conn
+                .create_statement()
+                .execute_query(&sql)
+                .unwrap_or_else(|e| panic!("query failed for value {i}: {e}\nsql: {sql}"));
+            assert_eq!(rs.row_count(), 1, "predicate missed value {i}: {s:?}");
+            rs.next();
+            assert_eq!(rs.get_i64(1).unwrap(), i as i64);
+        }
     }
 }
 
 #[test]
 fn like_patterns_over_nasty_data() {
-    let conn = connection(Transport::DelimitedText);
-    // `%>%` finds the values containing the column separator character.
-    let mut rs = conn
-        .create_statement()
-        .execute_query("SELECT ID FROM T WHERE VAL LIKE '%>%' ORDER BY ID")
-        .unwrap();
-    let mut ids = Vec::new();
-    while rs.next() {
-        ids.push(rs.get_i64(1).unwrap());
+    for conn in text_connections() {
+        // `%>%` finds the values containing the column separator character.
+        let mut rs = conn
+            .create_statement()
+            .execute_query("SELECT ID FROM T WHERE VAL LIKE '%>%' ORDER BY ID")
+            .unwrap();
+        let mut ids = Vec::new();
+        while rs.next() {
+            ids.push(rs.get_i64(1).unwrap());
+        }
+        let expected: Vec<i64> = NASTY
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.contains('>'))
+            .map(|(i, _)| i as i64)
+            .collect();
+        assert_eq!(ids, expected);
     }
-    let expected: Vec<i64> = NASTY
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.contains('>'))
-        .map(|(i, _)| i as i64)
-        .collect();
-    assert_eq!(ids, expected);
 }
 
 #[test]
 fn concat_and_functions_preserve_content() {
-    let conn = connection(Transport::DelimitedText);
-    let mut rs = conn
-        .create_statement()
-        .execute_query("SELECT VAL || '|' || VAL FROM T WHERE ID = 1")
-        .unwrap();
-    rs.next();
-    assert_eq!(rs.get_string(1).unwrap().as_deref(), Some("a>b|a>b"));
+    for conn in text_connections() {
+        let mut rs = conn
+            .create_statement()
+            .execute_query("SELECT VAL || '|' || VAL FROM T WHERE ID = 1")
+            .unwrap();
+        rs.next();
+        assert_eq!(rs.get_string(1).unwrap().as_deref(), Some("a>b|a>b"));
 
-    let mut rs = conn
-        .create_statement()
-        .execute_query("SELECT CHAR_LENGTH(VAL) FROM T WHERE ID = 9")
-        .unwrap();
-    rs.next();
-    assert_eq!(
-        rs.get_i64(1).unwrap(),
-        NASTY[9].chars().count() as i64,
-        "character length over non-ASCII"
-    );
+        let mut rs = conn
+            .create_statement()
+            .execute_query("SELECT CHAR_LENGTH(VAL) FROM T WHERE ID = 9")
+            .unwrap();
+        rs.next();
+        assert_eq!(
+            rs.get_i64(1).unwrap(),
+            NASTY[9].chars().count() as i64,
+            "character length over non-ASCII"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -304,17 +320,18 @@ fn scripted_corruption_modes_are_detected() {
 #[test]
 fn group_by_nasty_strings() {
     // Grouping keys pass through the $inter view and the group clause.
-    let conn = connection(Transport::DelimitedText);
-    let mut rs = conn
-        .create_statement()
-        .execute_query("SELECT VAL, COUNT(*) FROM T GROUP BY VAL ORDER BY 1")
-        .unwrap();
-    // 12 distinct values + the NULL group.
-    assert_eq!(rs.row_count(), NASTY.len() + 1);
-    // First row is the NULL group (NULL sorts least).
-    rs.next();
-    assert_eq!(rs.get_string(1).unwrap(), None);
-    assert_eq!(rs.get_i64(2).unwrap(), 1);
+    for conn in text_connections() {
+        let mut rs = conn
+            .create_statement()
+            .execute_query("SELECT VAL, COUNT(*) FROM T GROUP BY VAL ORDER BY 1")
+            .unwrap();
+        // 12 distinct values + the NULL group.
+        assert_eq!(rs.row_count(), NASTY.len() + 1);
+        // First row is the NULL group (NULL sorts least).
+        rs.next();
+        assert_eq!(rs.get_string(1).unwrap(), None);
+        assert_eq!(rs.get_i64(2).unwrap(), 1);
+    }
 }
 
 /// Adversarial *structure* instead of adversarial data: statements nested
