@@ -43,7 +43,7 @@
 
 use crate::diag::{DiagCode, Diagnostic};
 use aldsp_catalog::stats::{CatalogStats, ColumnStats};
-use aldsp_core::ir::{PreparedBody, PreparedQuery, PreparedSelect, Rsn, TExpr, TExprKind};
+use aldsp_core::ir::{IrNode, PreparedBody, PreparedQuery, PreparedSelect, Rsn, TExpr, TExprKind};
 use aldsp_sql::{CompareOp, JoinKind, SetOp};
 use aldsp_xquery::ast as xq;
 use std::collections::HashMap;
@@ -511,23 +511,11 @@ impl<'a> Estimator<'a> {
     /// of any subquery — the generated XQuery re-evaluates predicate
     /// subqueries at every site evaluation.
     fn expr_cost(&mut self, e: &TExpr) -> f64 {
-        let mut cost = 1.0;
-        match &e.kind {
-            TExprKind::InSubquery { expr, query, .. } => {
-                cost += self.expr_cost(expr);
-                cost += self.query(query, true).cost;
-            }
-            TExprKind::Exists { query, .. } => cost += self.query(query, true).cost,
-            TExprKind::ScalarSubquery(query) => cost += self.query(query, true).cost,
-            TExprKind::Quantified { expr, query, .. } => {
-                cost += self.expr_cost(expr);
-                cost += self.query(query, true).cost;
-            }
-            _ => {
-                let mut child_cost = 0.0;
-                e.visit_children(&mut |c| child_cost += self.expr_cost(c));
-                cost += child_cost;
-            }
+        let mut child_cost = 0.0;
+        e.visit_children(&mut |c| child_cost += self.expr_cost(c));
+        let mut cost = 1.0 + child_cost;
+        if let Some(query) = e.subquery() {
+            cost += self.query(query, true).cost;
         }
         cost
     }
@@ -940,79 +928,6 @@ fn join_vars(rsn: &Rsn) -> String {
     rsn.range_vars().join(", ")
 }
 
-/// Direct children of `e`, borrowing with `e`'s own lifetime (the
-/// `TExpr::visit_children` callback lifetime is too short for walkers
-/// that collect references). Subquery bodies are not children.
-fn children(e: &TExpr) -> Vec<&TExpr> {
-    use TExprKind::*;
-    match &e.kind {
-        Column { .. } | Literal(_) | Parameter(_) | Generated { .. } => Vec::new(),
-        Neg(a) | Not(a) | Cast { expr: a, .. } | IsNull { expr: a, .. } => vec![a],
-        Arith { left, right, .. }
-        | Compare { left, right, .. }
-        | Concat(left, right)
-        | And(left, right)
-        | Or(left, right)
-        | Position {
-            needle: left,
-            haystack: right,
-        } => vec![left, right],
-        ScalarFn { args, .. } => args.iter().collect(),
-        Aggregate { arg, .. } => arg.iter().map(|a| a.as_ref()).collect(),
-        Case {
-            operand,
-            branches,
-            else_result,
-        } => {
-            let mut v: Vec<&TExpr> = Vec::new();
-            v.extend(operand.iter().map(|o| o.as_ref()));
-            for (when, then) in branches {
-                v.push(when);
-                v.push(then);
-            }
-            v.extend(else_result.iter().map(|o| o.as_ref()));
-            v
-        }
-        Between {
-            expr, low, high, ..
-        } => vec![expr, low, high],
-        InList { expr, list, .. } => {
-            let mut v = vec![expr.as_ref()];
-            v.extend(list.iter());
-            v
-        }
-        InSubquery { expr, .. } | Quantified { expr, .. } => vec![expr],
-        Exists { .. } | ScalarSubquery(_) => Vec::new(),
-        Like {
-            expr,
-            pattern,
-            escape,
-            ..
-        } => {
-            let mut v = vec![expr.as_ref(), pattern.as_ref()];
-            v.extend(escape.iter().map(|o| o.as_ref()));
-            v
-        }
-        Substring {
-            expr,
-            start,
-            length,
-        } => {
-            let mut v = vec![expr.as_ref(), start.as_ref()];
-            v.extend(length.iter().map(|o| o.as_ref()));
-            v
-        }
-        Trim {
-            trim_chars, expr, ..
-        } => {
-            let mut v: Vec<&TExpr> = Vec::new();
-            v.extend(trim_chars.iter().map(|o| o.as_ref()));
-            v.push(expr);
-            v
-        }
-    }
-}
-
 /// Splits a predicate into its top-level AND conjuncts.
 fn collect_conjuncts<'e>(e: &'e TExpr, out: &mut Vec<&'e TExpr>) {
     if let TExprKind::And(a, b) = &e.kind {
@@ -1027,46 +942,15 @@ fn collect_conjuncts<'e>(e: &'e TExpr, out: &mut Vec<&'e TExpr>) {
 /// subqueries (a correlated reference still ties the conjunct to its
 /// input).
 fn collect_range_vars(e: &TExpr, out: &mut Vec<String>) {
-    match &e.kind {
-        TExprKind::Column { range_var, .. } => out.push(range_var.clone()),
-        TExprKind::InSubquery { expr, query, .. } => {
-            collect_range_vars(expr, out);
-            collect_range_vars_query(query, out);
+    e.walk(&mut |node| {
+        if let IrNode::Expr(TExpr {
+            kind: TExprKind::Column { range_var, .. },
+            ..
+        }) = node
+        {
+            out.push(range_var.clone());
         }
-        TExprKind::Exists { query, .. } => collect_range_vars_query(query, out),
-        TExprKind::ScalarSubquery(query) => collect_range_vars_query(query, out),
-        TExprKind::Quantified { expr, query, .. } => {
-            collect_range_vars(expr, out);
-            collect_range_vars_query(query, out);
-        }
-        _ => e.visit_children(&mut |c| collect_range_vars(c, out)),
-    }
-}
-
-fn collect_range_vars_query(q: &PreparedQuery, out: &mut Vec<String>) {
-    fn body(b: &PreparedBody, out: &mut Vec<String>) {
-        match b {
-            PreparedBody::Select(s) => {
-                for item in &s.items {
-                    collect_range_vars(&item.expr, out);
-                }
-                if let Some(w) = &s.where_clause {
-                    collect_range_vars(w, out);
-                }
-                for k in &s.group_by {
-                    collect_range_vars(k, out);
-                }
-                if let Some(h) = &s.having {
-                    collect_range_vars(h, out);
-                }
-            }
-            PreparedBody::SetOp { left, right, .. } => {
-                body(left, out);
-                body(right, out);
-            }
-        }
-    }
-    body(&q.body, out);
+    });
 }
 
 /// Comparison sites where one operand is a NULL literal (including NULL
@@ -1102,9 +986,7 @@ fn collect_subqueries<'e>(e: &'e TExpr, out: &mut Vec<(&'static str, &'e Prepare
         TExprKind::Quantified { query, .. } => out.push(("quantified", query)),
         _ => {}
     }
-    for child in children(e) {
-        collect_subqueries(child, out);
-    }
+    e.visit_children(&mut |child| collect_subqueries(child, out));
 }
 
 fn count_aggregates(select: &PreparedSelect) -> usize {
@@ -1194,7 +1076,14 @@ pub fn estimate_program_fuel(
 ) -> f64 {
     // prefix -> row count, joined through namespace.
     let mut rows_by_namespace: HashMap<&str, f64> = HashMap::new();
-    collect_table_rows(&prepared.body, stats, &mut rows_by_namespace);
+    prepared.walk(&mut |node| {
+        if let IrNode::Rsn(Rsn::Table { entry, .. }) = node {
+            rows_by_namespace.insert(
+                entry.schema.namespace.as_str(),
+                stats.rows(&entry.schema.table_name) as f64,
+            );
+        }
+    });
     let mut rows_by_prefix: HashMap<&str, f64> = HashMap::new();
     for import in &program.imports {
         if let Some(rows) = rows_by_namespace.get(import.namespace.as_str()) {
@@ -1206,61 +1095,6 @@ pub fn estimate_program_fuel(
         default_rows: stats.default_rows as f64,
     };
     walker.expr(&program.body).cost
-}
-
-fn collect_table_rows<'a>(
-    body: &'a PreparedBody,
-    stats: &CatalogStats,
-    out: &mut HashMap<&'a str, f64>,
-) {
-    fn rsn<'a>(r: &'a Rsn, stats: &CatalogStats, out: &mut HashMap<&'a str, f64>) {
-        match r {
-            Rsn::Table { entry, .. } => {
-                out.insert(
-                    entry.schema.namespace.as_str(),
-                    stats.rows(&entry.schema.table_name) as f64,
-                );
-            }
-            Rsn::Derived { query, .. } => collect_table_rows(&query.body, stats, out),
-            Rsn::Join { left, right, .. } => {
-                rsn(left, stats, out);
-                rsn(right, stats, out);
-            }
-        }
-    }
-    fn expr<'a>(e: &'a TExpr, stats: &CatalogStats, out: &mut HashMap<&'a str, f64>) {
-        match &e.kind {
-            TExprKind::InSubquery { query, .. }
-            | TExprKind::Exists { query, .. }
-            | TExprKind::Quantified { query, .. } => collect_table_rows(&query.body, stats, out),
-            TExprKind::ScalarSubquery(query) => collect_table_rows(&query.body, stats, out),
-            _ => {
-                for child in children(e) {
-                    expr(child, stats, out);
-                }
-            }
-        }
-    }
-    match body {
-        PreparedBody::Select(s) => {
-            for r in &s.from {
-                rsn(r, stats, out);
-            }
-            for item in &s.items {
-                expr(&item.expr, stats, out);
-            }
-            if let Some(w) = &s.where_clause {
-                expr(w, stats, out);
-            }
-            if let Some(h) = &s.having {
-                expr(h, stats, out);
-            }
-        }
-        PreparedBody::SetOp { left, right, .. } => {
-            collect_table_rows(left, stats, out);
-            collect_table_rows(right, stats, out);
-        }
-    }
 }
 
 /// `(cardinality, cost)` of one XQuery expression evaluation.
@@ -1445,6 +1279,48 @@ impl FuelWalker<'_> {
         Fuel {
             card: tuples * r.card.max(1.0),
             cost,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aldsp_catalog::{
+        ApplicationBuilder, CachedMetadataApi, InProcessMetadataApi, SqlColumnType, TableLocator,
+    };
+    use aldsp_core::{stage1, stage2};
+
+    /// The outer `C.ID` is reachable only through the subquery's FROM
+    /// tree — a join `ON`, or the WHERE of a derived table — and still
+    /// ties the conjunct to `C`.
+    #[test]
+    fn range_vars_inside_a_subquerys_from_tree_are_collected() {
+        let mut project = ApplicationBuilder::new("APP").project("P");
+        for table in ["C", "A", "B"] {
+            project = project
+                .data_service(table)
+                .physical_table(table, |t| t.column("ID", SqlColumnType::Integer, false))
+                .finish_service();
+        }
+        let app = project.finish_project().build();
+        let metadata = CachedMetadataApi::new(InProcessMetadataApi::new(
+            TableLocator::for_application(&app),
+        ));
+        for subquery in [
+            "SELECT A.ID FROM A INNER JOIN B ON B.ID = C.ID",
+            "SELECT D.ID FROM (SELECT A.ID FROM A WHERE A.ID = C.ID) AS D",
+        ] {
+            let sql = format!("SELECT C.ID FROM C WHERE EXISTS ({subquery})");
+            let parsed = stage1::parse(&sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+            let prepared =
+                stage2::prepare(&parsed, &metadata).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+            let PreparedBody::Select(select) = &prepared.body else {
+                panic!("a select")
+            };
+            let mut vars = Vec::new();
+            collect_range_vars(select.where_clause.as_ref().expect("a WHERE"), &mut vars);
+            assert!(vars.iter().any(|v| v == "C"), "`{sql}`: {vars:?}");
         }
     }
 }

@@ -246,15 +246,12 @@ impl IrChecker {
                     ),
                 );
             }
-            TExprKind::InSubquery { query, .. }
-            | TExprKind::Exists { query, .. }
-            | TExprKind::Quantified { query, .. } => {
-                // Predicate subqueries are correlated: they see the full
-                // current frame stack, so no frames are popped.
-                self.check_query(query);
-            }
-            TExprKind::ScalarSubquery(query) => self.check_query(query),
             _ => {}
+        }
+        if let Some(query) = expr.subquery() {
+            // Subqueries are correlated: they see the full current frame
+            // stack, so no frames are popped.
+            self.check_query(query);
         }
         expr.visit_children(&mut |child| self.check_expr(child));
     }

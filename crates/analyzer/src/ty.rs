@@ -34,8 +34,8 @@ use crate::diag::{DiagCode, Diagnostic};
 use aldsp_catalog::{SqlColumnType, TableSchema};
 use aldsp_core::funcmap;
 use aldsp_core::ir::{
-    AggFunc, OutputColumn, PreparedBody, PreparedQuery, PreparedSelect, Rsn, RsnColumn, TExpr,
-    TExprKind,
+    AggFunc, IrNode, OutputColumn, PreparedBody, PreparedQuery, PreparedSelect, Rsn, RsnColumn,
+    TExpr, TExprKind,
 };
 use aldsp_sql::Literal;
 use aldsp_xml::XsType;
@@ -103,7 +103,13 @@ pub fn check_translation(
     inferred: &[InferredColumn],
 ) -> Vec<Diagnostic> {
     let mut schemas: HashMap<String, TableSchema> = HashMap::new();
-    collect_schemas_body(&prepared.body, &mut schemas);
+    prepared.walk(&mut |node| {
+        if let IrNode::Rsn(Rsn::Table { entry, .. }) = node {
+            schemas
+                .entry(entry.schema.namespace.clone())
+                .or_insert_with(|| entry.schema.clone());
+        }
+    });
     let mut interp = XqInterp::new(program, &schemas);
     let result = interp.eval(&program.body);
     let records = interp.captured_actual.unwrap_or(result);
@@ -765,68 +771,6 @@ fn kind_name(kind: &TExprKind) -> &'static str {
         Trim { .. } => "TRIM",
         Position { .. } => "POSITION",
         Generated { .. } => "generated fragment",
-    }
-}
-
-fn collect_schemas_body(body: &PreparedBody, out: &mut HashMap<String, TableSchema>) {
-    match body {
-        PreparedBody::Select(s) => {
-            for rsn in &s.from {
-                collect_schemas_rsn(rsn, out);
-            }
-            for item in &s.items {
-                collect_schemas_expr(&item.expr, out);
-            }
-            if let Some(w) = &s.where_clause {
-                collect_schemas_expr(w, out);
-            }
-            for k in &s.group_by {
-                collect_schemas_expr(k, out);
-            }
-            if let Some(h) = &s.having {
-                collect_schemas_expr(h, out);
-            }
-        }
-        PreparedBody::SetOp { left, right, .. } => {
-            collect_schemas_body(left, out);
-            collect_schemas_body(right, out);
-        }
-    }
-}
-
-fn collect_schemas_rsn(rsn: &Rsn, out: &mut HashMap<String, TableSchema>) {
-    match rsn {
-        Rsn::Table { entry, .. } => {
-            out.entry(entry.schema.namespace.clone())
-                .or_insert_with(|| entry.schema.clone());
-        }
-        Rsn::Derived { query, .. } => collect_schemas_body(&query.body, out),
-        Rsn::Join {
-            left, right, on, ..
-        } => {
-            collect_schemas_rsn(left, out);
-            collect_schemas_rsn(right, out);
-            if let Some(on) = on {
-                collect_schemas_expr(on, out);
-            }
-        }
-    }
-}
-
-fn collect_schemas_expr(expr: &TExpr, out: &mut HashMap<String, TableSchema>) {
-    use TExprKind::*;
-    match &expr.kind {
-        InSubquery { expr: e, query, .. } => {
-            collect_schemas_expr(e, out);
-            collect_schemas_body(&query.body, out);
-        }
-        Exists { query, .. } => collect_schemas_body(&query.body, out),
-        ScalarSubquery(query) => collect_schemas_body(&query.body, out),
-        Quantified { expr: e, query, .. } => {
-            collect_schemas_expr(e, out);
-            collect_schemas_body(&query.body, out);
-        }
-        _ => expr.visit_children(&mut |child| collect_schemas_expr(child, out)),
     }
 }
 

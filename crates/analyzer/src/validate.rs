@@ -50,8 +50,8 @@
 use crate::diag::{DiagCode, Diagnostic};
 use aldsp_catalog::{ColumnMeta, SqlColumnType, TableSchema};
 use aldsp_core::ir::{
-    AggFunc, ArithOp, OutputColumn, PreparedBody, PreparedQuery, PreparedSelect, Rsn, TExpr,
-    TExprKind,
+    AggFunc, ArithOp, IrNode, OutputColumn, PreparedBody, PreparedQuery, PreparedSelect, Rsn,
+    TExpr, TExprKind,
 };
 use aldsp_core::wrapper;
 use aldsp_relational::eval::{
@@ -487,100 +487,17 @@ fn reduce_grouped(
         )?;
         return Ok(value_to_literal(&v));
     }
+    // Subquery kinds are left untouched (including their comparison
+    // operand): in grouped context they evaluate against the outer scope
+    // only, exactly like the oracle executor.
     let mut reduced = expr.clone();
-    rewrite_children(&mut reduced, &mut |child| {
-        let r = reduce_grouped(child, select, keys, group_rows, from_rel, db, params, outer)?;
-        *child = r;
-        Ok(())
-    })?;
-    Ok(reduced)
-}
-
-/// Applies `f` to each direct child expression, in place. Subquery kinds
-/// are left untouched (including their comparison operand): in grouped
-/// context they evaluate against the outer scope only, exactly like the
-/// oracle executor.
-fn rewrite_children(expr: &mut TExpr, f: &mut dyn FnMut(&mut TExpr) -> VResult<()>) -> VResult<()> {
-    use TExprKind::*;
-    match &mut expr.kind {
-        Column { .. } | Literal(_) | Parameter(_) | Generated { .. } | Aggregate { .. } => Ok(()),
-        Neg(e) | Not(e) | Cast { expr: e, .. } | IsNull { expr: e, .. } => f(e),
-        Arith { left, right, .. }
-        | Concat(left, right)
-        | Compare { left, right, .. }
-        | And(left, right)
-        | Or(left, right) => {
-            f(left)?;
-            f(right)
-        }
-        ScalarFn { args, .. } => args.iter_mut().try_for_each(f),
-        Case {
-            operand,
-            branches,
-            else_result,
-        } => {
-            if let Some(o) = operand {
-                f(o)?;
-            }
-            for (w, t) in branches.iter_mut() {
-                f(w)?;
-                f(t)?;
-            }
-            if let Some(e) = else_result {
-                f(e)?;
-            }
-            Ok(())
-        }
-        Between {
-            expr, low, high, ..
-        } => {
-            f(expr)?;
-            f(low)?;
-            f(high)
-        }
-        InList { expr, list, .. } => {
-            f(expr)?;
-            list.iter_mut().try_for_each(f)
-        }
-        Like {
-            expr,
-            pattern,
-            escape,
-            ..
-        } => {
-            f(expr)?;
-            f(pattern)?;
-            if let Some(e) = escape {
-                f(e)?;
-            }
-            Ok(())
-        }
-        Substring {
-            expr,
-            start,
-            length,
-        } => {
-            f(expr)?;
-            f(start)?;
-            if let Some(l) = length {
-                f(l)?;
-            }
-            Ok(())
-        }
-        Trim {
-            trim_chars, expr, ..
-        } => {
-            if let Some(c) = trim_chars {
-                f(c)?;
-            }
-            f(expr)
-        }
-        Position { needle, haystack } => {
-            f(needle)?;
-            f(haystack)
-        }
-        InSubquery { .. } | Exists { .. } | ScalarSubquery(_) | Quantified { .. } => Ok(()),
+    if reduced.subquery().is_none() {
+        reduced.try_visit_children_mut(&mut |child| {
+            *child = reduce_grouped(child, select, keys, group_rows, from_rel, db, params, outer)?;
+            VResult::Ok(())
+        })?;
     }
+    Ok(reduced)
 }
 
 fn value_to_literal(v: &SqlValue) -> TExpr {
@@ -883,7 +800,18 @@ impl QueryShape {
         // column touched in two tables is merely less pruning).
         let mut rv_tables: Vec<(String, String)> = Vec::new();
         let mut columns: Vec<(String, String)> = Vec::new();
-        shape.walk_query(query, &mut rv_tables, &mut columns);
+        query.walk(&mut |node| match node {
+            IrNode::Rsn(Rsn::Table { range_var, entry }) => {
+                let name = entry.schema.table_name.clone();
+                shape
+                    .tables
+                    .entry(name.clone())
+                    .or_insert_with(|| entry.schema.clone());
+                rv_tables.push((range_var.clone(), name));
+            }
+            IrNode::Rsn(_) => {}
+            IrNode::Expr(expr) => shape.harvest_expr(expr, &mut columns),
+        });
         for (rv, col) in &columns {
             for (rv2, table) in &rv_tables {
                 if rv == rv2 {
@@ -894,78 +822,8 @@ impl QueryShape {
         shape
     }
 
-    fn walk_query(
-        &mut self,
-        query: &PreparedQuery,
-        rv_tables: &mut Vec<(String, String)>,
-        columns: &mut Vec<(String, String)>,
-    ) {
-        self.walk_body(&query.body, rv_tables, columns);
-    }
-
-    fn walk_body(
-        &mut self,
-        body: &PreparedBody,
-        rv_tables: &mut Vec<(String, String)>,
-        columns: &mut Vec<(String, String)>,
-    ) {
-        match body {
-            PreparedBody::Select(select) => {
-                for rsn in &select.from {
-                    self.walk_rsn(rsn, rv_tables, columns);
-                }
-                for item in &select.items {
-                    self.walk_expr(&item.expr, rv_tables, columns);
-                }
-                for e in select
-                    .where_clause
-                    .iter()
-                    .chain(select.group_by.iter())
-                    .chain(select.having.iter())
-                {
-                    self.walk_expr(e, rv_tables, columns);
-                }
-            }
-            PreparedBody::SetOp { left, right, .. } => {
-                self.walk_body(left, rv_tables, columns);
-                self.walk_body(right, rv_tables, columns);
-            }
-        }
-    }
-
-    fn walk_rsn(
-        &mut self,
-        rsn: &Rsn,
-        rv_tables: &mut Vec<(String, String)>,
-        columns: &mut Vec<(String, String)>,
-    ) {
-        match rsn {
-            Rsn::Table { range_var, entry } => {
-                let name = entry.schema.table_name.clone();
-                self.tables
-                    .entry(name.clone())
-                    .or_insert_with(|| entry.schema.clone());
-                rv_tables.push((range_var.clone(), name));
-            }
-            Rsn::Derived { query, .. } => self.walk_query(query, rv_tables, columns),
-            Rsn::Join {
-                left, right, on, ..
-            } => {
-                self.walk_rsn(left, rv_tables, columns);
-                self.walk_rsn(right, rv_tables, columns);
-                if let Some(on) = on {
-                    self.walk_expr(on, rv_tables, columns);
-                }
-            }
-        }
-    }
-
-    fn walk_expr(
-        &mut self,
-        expr: &TExpr,
-        rv_tables: &mut Vec<(String, String)>,
-        columns: &mut Vec<(String, String)>,
-    ) {
+    /// What one expression node contributes.
+    fn harvest_expr(&mut self, expr: &TExpr, columns: &mut Vec<(String, String)>) {
         match &expr.kind {
             TExprKind::Column { range_var, column } => {
                 columns.push((range_var.clone(), column.clone()));
@@ -986,15 +844,8 @@ impl QueryShape {
                     self.strings.insert(resolved);
                 }
             }
-            TExprKind::InSubquery { query, .. }
-            | TExprKind::Exists { query, .. }
-            | TExprKind::ScalarSubquery(query)
-            | TExprKind::Quantified { query, .. } => {
-                self.walk_query(query, rv_tables, columns);
-            }
             _ => {}
         }
-        expr.visit_children(&mut |child| self.walk_expr(child, rv_tables, columns));
     }
 
     fn harvest(&mut self, l: &Literal) {

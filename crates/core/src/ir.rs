@@ -484,8 +484,23 @@ impl TExpr {
         found
     }
 
-    /// Visits direct child expressions (not subqueries).
-    pub fn visit_children(&self, visit: &mut dyn FnMut(&TExpr)) {
+    /// The query of a subquery node (`IN` / `EXISTS` / scalar /
+    /// quantified), `None` for every other kind.
+    pub fn subquery(&self) -> Option<&PreparedQuery> {
+        use TExprKind::*;
+        match &self.kind {
+            InSubquery { query, .. }
+            | Exists { query, .. }
+            | ScalarSubquery(query)
+            | Quantified { query, .. } => Some(query),
+            _ => None,
+        }
+    }
+
+    /// Visits direct child expressions, in source order. A subquery's
+    /// body is not a child (its comparison operand is): reach it through
+    /// [`TExpr::subquery`] or [`TExpr::walk`].
+    pub fn visit_children<'a>(&'a self, visit: &mut dyn FnMut(&'a TExpr)) {
         use TExprKind::*;
         match &self.kind {
             Column { .. } | Literal(_) | Parameter(_) | Generated { .. } => {}
@@ -567,6 +582,157 @@ impl TExpr {
             Position { needle, haystack } => {
                 visit(needle);
                 visit(haystack);
+            }
+        }
+    }
+
+    /// The mutable enumeration: [`TExpr::visit_children`]'s children in
+    /// the same order, stopping at the first error.
+    pub fn try_visit_children_mut<E>(
+        &mut self,
+        visit: &mut dyn FnMut(&mut TExpr) -> Result<(), E>,
+    ) -> Result<(), E> {
+        use TExprKind::*;
+        match &mut self.kind {
+            Column { .. } | Literal(_) | Parameter(_) | Generated { .. } => Ok(()),
+            Neg(e) | Not(e) | Cast { expr: e, .. } | IsNull { expr: e, .. } => visit(e),
+            Arith { left, right, .. }
+            | Concat(left, right)
+            | Compare { left, right, .. }
+            | And(left, right)
+            | Or(left, right) => {
+                visit(left)?;
+                visit(right)
+            }
+            ScalarFn { args, .. } => args.iter_mut().try_for_each(visit),
+            Aggregate { arg, .. } => arg.as_deref_mut().map_or(Ok(()), visit),
+            Case {
+                operand,
+                branches,
+                else_result,
+            } => {
+                if let Some(o) = operand {
+                    visit(o)?;
+                }
+                for (w, t) in branches {
+                    visit(w)?;
+                    visit(t)?;
+                }
+                else_result.as_deref_mut().map_or(Ok(()), visit)
+            }
+            Between {
+                expr, low, high, ..
+            } => {
+                visit(expr)?;
+                visit(low)?;
+                visit(high)
+            }
+            InList { expr, list, .. } => {
+                visit(expr)?;
+                list.iter_mut().try_for_each(visit)
+            }
+            InSubquery { expr, .. } | Quantified { expr, .. } => visit(expr),
+            Exists { .. } | ScalarSubquery(_) => Ok(()),
+            Like {
+                expr,
+                pattern,
+                escape,
+                ..
+            } => {
+                visit(expr)?;
+                visit(pattern)?;
+                escape.as_deref_mut().map_or(Ok(()), visit)
+            }
+            Substring {
+                expr,
+                start,
+                length,
+            } => {
+                visit(expr)?;
+                visit(start)?;
+                length.as_deref_mut().map_or(Ok(()), visit)
+            }
+            Trim {
+                trim_chars, expr, ..
+            } => {
+                if let Some(c) = trim_chars {
+                    visit(c)?;
+                }
+                visit(expr)
+            }
+            Position { needle, haystack } => {
+                visit(needle)?;
+                visit(haystack)
+            }
+        }
+    }
+
+    /// The deep walk from one expression: `self`, then its subquery (if
+    /// it is one) through [`PreparedQuery::walk`], then its children.
+    pub fn walk<'a>(&'a self, f: &mut dyn FnMut(IrNode<'a>)) {
+        f(IrNode::Expr(self));
+        if let Some(query) = self.subquery() {
+            query.walk(f);
+        }
+        self.visit_children(&mut |child| child.walk(f));
+    }
+}
+
+/// What the deep walk hands its callback.
+#[derive(Debug, Clone, Copy)]
+pub enum IrNode<'a> {
+    /// A FROM-tree node.
+    Rsn(&'a Rsn),
+    /// An expression node.
+    Expr(&'a TExpr),
+}
+
+impl PreparedQuery {
+    /// The one deep walk: hands `f` every [`Rsn`] and every [`TExpr`]
+    /// node of the query, parents first — per SELECT block the FROM tree
+    /// (a join's `ON` after its operands), then items, WHERE, GROUP BY,
+    /// HAVING — through set-operation arms, derived tables and
+    /// subqueries. Scope-free: a walk that needs frames (layer 1, the
+    /// estimator, the interpreters) recurses by hand.
+    pub fn walk<'a>(&'a self, f: &mut dyn FnMut(IrNode<'a>)) {
+        self.body.walk(f);
+    }
+}
+
+impl PreparedBody {
+    fn walk<'a>(&'a self, f: &mut dyn FnMut(IrNode<'a>)) {
+        match self {
+            PreparedBody::Select(select) => {
+                select.from.iter().for_each(|rsn| rsn.walk(f));
+                let exprs = select.items.iter().map(|item| &item.expr);
+                exprs
+                    .chain(&select.where_clause)
+                    .chain(&select.group_by)
+                    .chain(&select.having)
+                    .for_each(|e| e.walk(f));
+            }
+            PreparedBody::SetOp { left, right, .. } => {
+                left.walk(f);
+                right.walk(f);
+            }
+        }
+    }
+}
+
+impl Rsn {
+    fn walk<'a>(&'a self, f: &mut dyn FnMut(IrNode<'a>)) {
+        f(IrNode::Rsn(self));
+        match self {
+            Rsn::Table { .. } => {}
+            Rsn::Derived { query, .. } => query.walk(f),
+            Rsn::Join {
+                left, right, on, ..
+            } => {
+                left.walk(f);
+                right.walk(f);
+                if let Some(on) = on {
+                    on.walk(f);
+                }
             }
         }
     }

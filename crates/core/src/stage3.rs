@@ -645,123 +645,23 @@ impl Generator {
                 expr.nullable,
             ));
         }
+        if expr.subquery().is_some() {
+            return Err(TranslateError::unsupported(
+                "subqueries are not supported in grouped select lists or HAVING",
+            ));
+        }
         // Structural recursion via clone-and-map.
         let mut clone = expr.clone();
-        self.rewrite_children(&mut clone, group, parent_scope, ctx)?;
+        clone.try_visit_children_mut(&mut |child| -> Result<(), TranslateError> {
+            *child = self.rewrite_grouped(child, group, parent_scope, ctx)?;
+            Ok(())
+        })?;
         if let TExprKind::Column { range_var, column } = &clone.kind {
             return Err(TranslateError::semantic(format!(
                 "column {range_var}.{column} must appear in GROUP BY or inside an aggregate"
             )));
         }
         Ok(clone)
-    }
-
-    fn rewrite_children(
-        &mut self,
-        expr: &mut TExpr,
-        group: &GroupCtx<'_>,
-        parent_scope: &GScope<'_>,
-        ctx: u32,
-    ) -> Result<(), TranslateError> {
-        use TExprKind::*;
-        let rewrite = |me: &mut Self, e: &mut Box<TExpr>| -> Result<(), TranslateError> {
-            **e = me.rewrite_grouped(e, group, parent_scope, ctx)?;
-            Ok(())
-        };
-        match &mut expr.kind {
-            Column { .. } | Literal(_) | Parameter(_) | Generated { .. } => Ok(()),
-            Neg(e) | Not(e) | Cast { expr: e, .. } | IsNull { expr: e, .. } => rewrite(self, e),
-            Arith { left, right, .. }
-            | Concat(left, right)
-            | Compare { left, right, .. }
-            | And(left, right)
-            | Or(left, right) => {
-                rewrite(self, left)?;
-                rewrite(self, right)
-            }
-            ScalarFn { args, .. } => {
-                for a in args {
-                    *a = self.rewrite_grouped(a, group, parent_scope, ctx)?;
-                }
-                Ok(())
-            }
-            Aggregate { .. } => unreachable!("handled by rewrite_grouped"),
-            Case {
-                operand,
-                branches,
-                else_result,
-            } => {
-                if let Some(o) = operand {
-                    rewrite(self, o)?;
-                }
-                for (w, t) in branches {
-                    *w = self.rewrite_grouped(w, group, parent_scope, ctx)?;
-                    *t = self.rewrite_grouped(t, group, parent_scope, ctx)?;
-                }
-                if let Some(e) = else_result {
-                    rewrite(self, e)?;
-                }
-                Ok(())
-            }
-            Between {
-                expr: e, low, high, ..
-            } => {
-                rewrite(self, e)?;
-                rewrite(self, low)?;
-                rewrite(self, high)
-            }
-            InList { expr: e, list, .. } => {
-                rewrite(self, e)?;
-                for item in list {
-                    *item = self.rewrite_grouped(item, group, parent_scope, ctx)?;
-                }
-                Ok(())
-            }
-            Like {
-                expr: e,
-                pattern,
-                escape,
-                ..
-            } => {
-                rewrite(self, e)?;
-                rewrite(self, pattern)?;
-                if let Some(x) = escape {
-                    rewrite(self, x)?;
-                }
-                Ok(())
-            }
-            Substring {
-                expr: e,
-                start,
-                length,
-            } => {
-                rewrite(self, e)?;
-                rewrite(self, start)?;
-                if let Some(l) = length {
-                    rewrite(self, l)?;
-                }
-                Ok(())
-            }
-            Trim {
-                trim_chars,
-                expr: e,
-                ..
-            } => {
-                if let Some(c) = trim_chars {
-                    rewrite(self, c)?;
-                }
-                rewrite(self, e)
-            }
-            Position { needle, haystack } => {
-                rewrite(self, needle)?;
-                rewrite(self, haystack)
-            }
-            InSubquery { .. } | Exists { .. } | ScalarSubquery(_) | Quantified { .. } => {
-                Err(TranslateError::unsupported(
-                    "subqueries are not supported in grouped select lists or HAVING",
-                ))
-            }
-        }
     }
 
     /// Generates one aggregate over the partition (paper Example 12:

@@ -9,7 +9,9 @@ use aldsp_catalog::stats::CatalogStats;
 use aldsp_core::ir::{PreparedBody, Rsn, TExprKind};
 use aldsp_core::{OptimizeLevel, PreparedQuery};
 use aldsp_xquery::ast::{Clause, Expr, Program};
-use aldsp_xquery::visit::{free_vars, uses_context};
+use aldsp_xquery::visit::{
+    each_clause_expr, each_expr, each_expr_mut, free_vars, uses_context, walk_clause_mut,
+};
 use std::collections::BTreeSet;
 
 /// Everything a rule may consult.
@@ -434,40 +436,36 @@ fn invariant_hoist(program: &mut Program, _cx: &RuleContext) -> Option<String> {
     (hoisted > 0).then(|| format!("hoisted {hoisted} loop-invariant source(s) to let"))
 }
 
-/// Uses of `$name` across a clause, including a `group` clause's source
-/// variable (a name use that is not an expression).
+/// True when `clause` is a `group` clause partitioning `$name` (a name
+/// use that is not an expression).
+fn groups(clause: &Clause, name: &str) -> bool {
+    matches!(clause, Clause::GroupBy(g) if g.source_var == name)
+}
+
+/// Uses of `$name` across a clause, a `group` clause's source variable
+/// included.
 fn clause_uses(clause: &Clause, name: &str) -> usize {
-    match clause {
-        Clause::For { source, .. } => count_var_uses(source, name),
-        Clause::Let { value, .. } => count_var_uses(value, name),
-        Clause::Where(p) => count_var_uses(p, name),
-        Clause::GroupBy(g) => {
-            let keys: usize = g.keys.iter().map(|(k, _)| count_var_uses(k, name)).sum();
-            keys + usize::from(g.source_var == name)
-        }
-        Clause::OrderBy(specs) => specs.iter().map(|s| count_var_uses(&s.key, name)).sum(),
+    let mut uses = usize::from(groups(clause, name));
+    each_clause_expr(clause, &mut |e| uses += usize::from(is_var_use(e, name)));
+    uses
+}
+
+/// [`substitutable`] across a clause: a `group` clause's source variable
+/// can only become another variable.
+fn clause_substitutable(clause: &Clause, name: &str, replacement: &Expr) -> bool {
+    if matches!(replacement, Expr::VarRef(_)) {
+        return true;
     }
+    let mut ok = !groups(clause, name);
+    each_clause_expr(clause, &mut |e| ok &= !is_path_from(e, name));
+    ok
 }
 
 fn substitute_in_clause(clause: &mut Clause, name: &str, replacement: &Expr) {
-    match clause {
-        Clause::For { source, .. } => substitute_var(source, name, replacement),
-        Clause::Let { value, .. } => substitute_var(value, name, replacement),
-        Clause::Where(p) => substitute_var(p, name, replacement),
-        Clause::GroupBy(g) => {
-            for (k, _) in &mut g.keys {
-                substitute_var(k, name, replacement);
-            }
-            if g.source_var == name {
-                if let Expr::VarRef(new_name) = replacement {
-                    g.source_var = new_name.clone();
-                }
-            }
-        }
-        Clause::OrderBy(specs) => {
-            for spec in specs {
-                substitute_var(&mut spec.key, name, replacement);
-            }
+    walk_clause_mut(clause, &mut |e| substitute_var(e, name, replacement));
+    if let (Clause::GroupBy(g), Expr::VarRef(new_name)) = (clause, replacement) {
+        if g.source_var == name {
+            g.source_var = new_name.clone();
         }
     }
 }
@@ -501,23 +499,10 @@ fn let_inline(program: &mut Program, _cx: &RuleContext) -> Option<String> {
                 .map(|c| clause_uses(c, &var))
                 .sum::<usize>()
                 + count_var_uses(&flwor.ret, &var);
-            let group_source_use = flwor.clauses[i + 1..]
+            let substitutable_everywhere = flwor.clauses[i + 1..]
                 .iter()
-                .any(|c| matches!(c, Clause::GroupBy(g) if g.source_var == var));
-            let substitutable_everywhere = matches!(value, Expr::VarRef(_))
-                || (!group_source_use
-                    && flwor.clauses[i + 1..].iter().all(|c| match c {
-                        Clause::For { source, .. } => substitutable(source, &var, &value),
-                        Clause::Let { value: v, .. } => substitutable(v, &var, &value),
-                        Clause::Where(p) => substitutable(p, &var, &value),
-                        Clause::GroupBy(g) => {
-                            g.keys.iter().all(|(k, _)| substitutable(k, &var, &value))
-                        }
-                        Clause::OrderBy(specs) => {
-                            specs.iter().all(|s| substitutable(&s.key, &var, &value))
-                        }
-                    })
-                    && substitutable(&flwor.ret, &var, &value));
+                .all(|c| clause_substitutable(c, &var, &value))
+                && substitutable(&flwor.ret, &var, &value);
             if uses == 0 || !substitutable_everywhere {
                 i += 1;
                 continue;

@@ -1,164 +1,13 @@
-//! Shared AST machinery for the rewrite rules: mutable FLWOR traversal,
-//! variable substitution, and the cardinality model used to order
-//! independent `for` clauses. (Free-variable analysis and context-item
-//! detection are `aldsp_xquery::visit::{free_vars, uses_context}`, shared
-//! with the physical planner.)
+//! Shared AST machinery for the rewrite rules: variable substitution and
+//! the cardinality model used to order independent `for` clauses. (The
+//! traversals themselves, free-variable analysis and context-item
+//! detection are `aldsp_xquery::visit`, shared with the physical planner
+//! and the mutation harness.)
 
 use aldsp_catalog::stats::CatalogStats;
-use aldsp_xquery::ast::{AttrPart, Clause, Content, ElementCtor, Expr, Flwor, PathStart, Program};
+use aldsp_xquery::ast::{Clause, Expr, Flwor, PathStart, Program};
+use aldsp_xquery::visit::{each_expr, each_expr_mut};
 use std::collections::BTreeSet;
-
-/// Pre-order immutable walk over every sub-expression of `expr`,
-/// including FLWOR clause bodies and constructor content.
-pub fn each_expr(expr: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(expr);
-    match expr {
-        Expr::Literal(_) | Expr::EmptySequence | Expr::VarRef(_) | Expr::ContextItem => {}
-        Expr::Sequence(items) => items.iter().for_each(|e| each_expr(e, f)),
-        Expr::FunctionCall { args, .. } => args.iter().for_each(|e| each_expr(e, f)),
-        Expr::Path { start, steps } => {
-            if let PathStart::Expr(e) = &**start {
-                each_expr(e, f);
-            }
-            for step in steps {
-                step.predicates.iter().for_each(|e| each_expr(e, f));
-            }
-        }
-        Expr::Filter { base, predicates } => {
-            each_expr(base, f);
-            predicates.iter().for_each(|e| each_expr(e, f));
-        }
-        Expr::Flwor(flwor) => {
-            for clause in &flwor.clauses {
-                match clause {
-                    Clause::For { source, .. } => each_expr(source, f),
-                    Clause::Let { value, .. } => each_expr(value, f),
-                    Clause::Where(p) => each_expr(p, f),
-                    Clause::GroupBy(g) => g.keys.iter().for_each(|(k, _)| each_expr(k, f)),
-                    Clause::OrderBy(specs) => specs.iter().for_each(|s| each_expr(&s.key, f)),
-                }
-            }
-            each_expr(&flwor.ret, f);
-        }
-        Expr::If { cond, then, els } => {
-            each_expr(cond, f);
-            each_expr(then, f);
-            each_expr(els, f);
-        }
-        Expr::Or(a, b) | Expr::And(a, b) => {
-            each_expr(a, f);
-            each_expr(b, f);
-        }
-        Expr::GeneralComp { left, right, .. }
-        | Expr::ValueComp { left, right, .. }
-        | Expr::Arith { left, right, .. } => {
-            each_expr(left, f);
-            each_expr(right, f);
-        }
-        Expr::UnaryMinus(inner) => each_expr(inner, f),
-        Expr::Quantified {
-            source, satisfies, ..
-        } => {
-            each_expr(source, f);
-            each_expr(satisfies, f);
-        }
-        Expr::Element(ctor) => each_ctor(ctor, f),
-    }
-}
-
-fn each_ctor(ctor: &ElementCtor, f: &mut impl FnMut(&Expr)) {
-    for (_, parts) in &ctor.attributes {
-        for part in parts {
-            if let AttrPart::Enclosed(e) = part {
-                each_expr(e, f);
-            }
-        }
-    }
-    for content in &ctor.content {
-        match content {
-            Content::Text(_) => {}
-            Content::Enclosed(e) => each_expr(e, f),
-            Content::Element(nested) => each_ctor(nested, f),
-        }
-    }
-}
-
-/// Post-order mutable walk applying `f` to every sub-expression
-/// (children first, so rules compose bottom-up).
-pub fn each_expr_mut(expr: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    match expr {
-        Expr::Literal(_) | Expr::EmptySequence | Expr::VarRef(_) | Expr::ContextItem => {}
-        Expr::Sequence(items) => items.iter_mut().for_each(|e| each_expr_mut(e, f)),
-        Expr::FunctionCall { args, .. } => args.iter_mut().for_each(|e| each_expr_mut(e, f)),
-        Expr::Path { start, steps } => {
-            if let PathStart::Expr(e) = &mut **start {
-                each_expr_mut(e, f);
-            }
-            for step in steps {
-                step.predicates.iter_mut().for_each(|e| each_expr_mut(e, f));
-            }
-        }
-        Expr::Filter { base, predicates } => {
-            each_expr_mut(base, f);
-            predicates.iter_mut().for_each(|e| each_expr_mut(e, f));
-        }
-        Expr::Flwor(flwor) => {
-            for clause in &mut flwor.clauses {
-                match clause {
-                    Clause::For { source, .. } => each_expr_mut(source, f),
-                    Clause::Let { value, .. } => each_expr_mut(value, f),
-                    Clause::Where(p) => each_expr_mut(p, f),
-                    Clause::GroupBy(g) => g.keys.iter_mut().for_each(|(k, _)| each_expr_mut(k, f)),
-                    Clause::OrderBy(specs) => {
-                        specs.iter_mut().for_each(|s| each_expr_mut(&mut s.key, f))
-                    }
-                }
-            }
-            each_expr_mut(&mut flwor.ret, f);
-        }
-        Expr::If { cond, then, els } => {
-            each_expr_mut(cond, f);
-            each_expr_mut(then, f);
-            each_expr_mut(els, f);
-        }
-        Expr::Or(a, b) | Expr::And(a, b) => {
-            each_expr_mut(a, f);
-            each_expr_mut(b, f);
-        }
-        Expr::GeneralComp { left, right, .. }
-        | Expr::ValueComp { left, right, .. }
-        | Expr::Arith { left, right, .. } => {
-            each_expr_mut(left, f);
-            each_expr_mut(right, f);
-        }
-        Expr::UnaryMinus(inner) => each_expr_mut(inner, f),
-        Expr::Quantified {
-            source, satisfies, ..
-        } => {
-            each_expr_mut(source, f);
-            each_expr_mut(satisfies, f);
-        }
-        Expr::Element(ctor) => each_ctor_mut(ctor, f),
-    }
-    f(expr);
-}
-
-fn each_ctor_mut(ctor: &mut ElementCtor, f: &mut impl FnMut(&mut Expr)) {
-    for (_, parts) in &mut ctor.attributes {
-        for part in parts {
-            if let AttrPart::Enclosed(e) = part {
-                each_expr_mut(e, f);
-            }
-        }
-    }
-    for content in &mut ctor.content {
-        match content {
-            Content::Text(_) => {}
-            Content::Enclosed(e) => each_expr_mut(e, f),
-            Content::Element(nested) => each_ctor_mut(nested, f),
-        }
-    }
-}
 
 /// Applies `f` to every FLWOR in the program body, innermost first.
 pub fn for_each_flwor_mut(program: &mut Program, f: &mut impl FnMut(&mut Flwor)) {
@@ -169,18 +18,23 @@ pub fn for_each_flwor_mut(program: &mut Program, f: &mut impl FnMut(&mut Flwor))
     });
 }
 
+/// True when `e` is itself a path rooted at `$name`.
+pub(crate) fn is_path_from(e: &Expr, name: &str) -> bool {
+    matches!(e, Expr::Path { start, .. } if matches!(&**start, PathStart::Var(n) if n == name))
+}
+
+/// True when `e` is itself a reference to `$name` (a `VarRef` or a path
+/// start).
+pub(crate) fn is_var_use(e: &Expr, name: &str) -> bool {
+    matches!(e, Expr::VarRef(n) if n == name) || is_path_from(e, name)
+}
+
 /// Counts raw references to `$name` (as a `VarRef` or a path start).
 /// Callers guarantee `name` is bound exactly once program-wide, so no
 /// scope tracking is needed.
 pub fn count_var_uses(expr: &Expr, name: &str) -> usize {
     let mut count = 0usize;
-    each_expr(expr, &mut |e| match e {
-        Expr::VarRef(n) if n == name => count += 1,
-        Expr::Path { start, .. } if matches!(&**start, PathStart::Var(n) if n == name) => {
-            count += 1
-        }
-        _ => {}
-    });
+    each_expr(expr, &mut |e| count += usize::from(is_var_use(e, name)));
     count
 }
 
@@ -193,13 +47,7 @@ pub fn substitutable(expr: &Expr, name: &str, replacement: &Expr) -> bool {
         return true;
     }
     let mut ok = true;
-    each_expr(expr, &mut |e| {
-        if let Expr::Path { start, .. } = e {
-            if matches!(&**start, PathStart::Var(n) if n == name) {
-                ok = false;
-            }
-        }
-    });
+    each_expr(expr, &mut |e| ok &= !is_path_from(e, name));
     ok
 }
 

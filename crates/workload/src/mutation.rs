@@ -44,7 +44,10 @@
 //! mutation per mutant), so a harness run is reproducible without any
 //! RNG.
 
-use aldsp_xquery::ast::{Clause, CompOp, Content, Expr, PathStart, Program};
+use aldsp_xquery::ast::{Clause, CompOp, Expr, PathStart, Program};
+use aldsp_xquery::visit::{
+    each_expr_mut, walk_clause, walk_clause_mut, walk_expr, walk_expr_mut, Visitor,
+};
 use aldsp_xquery::{parse_program, unparse_program};
 
 /// One family of seeded translator bugs.
@@ -284,10 +287,12 @@ fn mutate_expr(expr: &mut Expr, class: MutationClass, target: usize, counter: &m
         }
     }
 
-    // Recurse into children.
-    each_child(expr, &mut |child| {
-        mutate_expr(child, class, target, counter)
-    })
+    // Recurse into children, stopping at the first that mutated.
+    let mut done = false;
+    walk_expr_mut(expr, &mut |child| {
+        done = done || mutate_expr(child, class, target, counter);
+    });
+    done
 }
 
 /// An `UnsoundLetInline` site: the `let` at clause index `.0`, whose
@@ -314,7 +319,7 @@ fn unsound_inline_sites(flwor: &aldsp_xquery::ast::Flwor) -> Vec<InlineSite> {
         }
         let mut used_after = Vec::new();
         for later in &flwor.clauses[i + 1..] {
-            collect_clause_var_refs(later, &mut used_after);
+            VarRefs(&mut used_after).visit_clause(later);
         }
         collect_var_refs(&flwor.ret, &mut used_after);
         if !used_after.iter().any(|u| u == w) {
@@ -358,44 +363,16 @@ fn apply_unsound_inline(flwor: &mut aldsp_xquery::ast::Flwor, (i, u, z): InlineS
     };
     rename_var(&mut value, &u, &z);
     for clause in &mut flwor.clauses[i..] {
-        match clause {
-            Clause::For { source, .. } => substitute_uses(source, &w, &value),
-            Clause::Let { value: v, .. } => substitute_uses(v, &w, &value),
-            Clause::Where(cond) => substitute_uses(cond, &w, &value),
-            Clause::GroupBy(group) => group
-                .keys
-                .iter_mut()
-                .for_each(|(k, _)| substitute_uses(k, &w, &value)),
-            Clause::OrderBy(specs) => specs
-                .iter_mut()
-                .for_each(|s| substitute_uses(&mut s.key, &w, &value)),
-        }
+        walk_clause_mut(clause, &mut |e| substitute_uses(e, &w, &value));
     }
     substitute_uses(&mut flwor.ret, &w, &value);
-}
-
-/// [`collect_var_refs`] over one clause's expressions.
-fn collect_clause_var_refs(clause: &Clause, out: &mut Vec<String>) {
-    match clause {
-        Clause::For { source, .. } => collect_var_refs(source, out),
-        Clause::Let { value, .. } => collect_var_refs(value, out),
-        Clause::Where(cond) => collect_var_refs(cond, out),
-        Clause::GroupBy(group) => {
-            out.push(group.source_var.clone());
-            group
-                .keys
-                .iter()
-                .for_each(|(k, _)| collect_var_refs(k, out));
-        }
-        Clause::OrderBy(specs) => specs.iter().for_each(|s| collect_var_refs(&s.key, out)),
-    }
 }
 
 /// Renames every reference to `$from` (as a variable or a path start)
 /// to `$to`, descending into nested scopes (generated names are unique,
 /// so no nested binder can legitimately re-bind `from`).
 fn rename_var(expr: &mut Expr, from: &str, to: &str) {
-    match expr {
+    each_expr_mut(expr, &mut |e| match e {
         Expr::VarRef(name) if name == from => *name = to.to_string(),
         Expr::Path { start, .. } => {
             if let PathStart::Var(v) = &mut **start {
@@ -405,10 +382,6 @@ fn rename_var(expr: &mut Expr, from: &str, to: &str) {
             }
         }
         _ => {}
-    }
-    each_child(expr, &mut |child| {
-        rename_var(child, from, to);
-        false
     });
 }
 
@@ -416,26 +389,17 @@ fn rename_var(expr: &mut Expr, from: &str, to: &str) {
 /// become the expression itself, path starts become parenthesized
 /// expression starts.
 fn substitute_uses(expr: &mut Expr, var: &str, replacement: &Expr) {
-    match expr {
-        Expr::VarRef(name) if name == var => {
-            *expr = replacement.clone();
-            return;
-        }
+    each_expr_mut(expr, &mut |e| match e {
+        Expr::VarRef(name) if name == var => *e = replacement.clone(),
         Expr::Path { start, .. } => {
-            if let PathStart::Var(v) = &**start {
-                if v == var {
-                    **start = match replacement {
-                        Expr::VarRef(n) => PathStart::Var(n.clone()),
-                        other => PathStart::Expr(other.clone()),
-                    };
-                }
+            if matches!(&**start, PathStart::Var(v) if v == var) {
+                **start = match replacement {
+                    Expr::VarRef(n) => PathStart::Var(n.clone()),
+                    other => PathStart::Expr(other.clone()),
+                };
             }
         }
         _ => {}
-    }
-    each_child(expr, &mut |child| {
-        substitute_uses(child, var, replacement);
-        false
     });
 }
 
@@ -452,99 +416,35 @@ fn binder_vars(clause: &Clause) -> Vec<&str> {
     }
 }
 
-/// Collects every `$var` reference in a subtree (immutably; used for
-/// reorder-site eligibility).
-fn collect_var_refs(expr: &Expr, out: &mut Vec<String>) {
-    if let Expr::VarRef(name) = expr {
-        out.push(name.clone());
-    }
-    // Reuse the mutable walker over a clone-free path: a tiny local
-    // recursion keeps this read-only.
-    match expr {
-        Expr::Sequence(items) => items.iter().for_each(|e| collect_var_refs(e, out)),
-        Expr::FunctionCall { args, .. } => args.iter().for_each(|e| collect_var_refs(e, out)),
-        Expr::Path { start, steps } => {
-            if let PathStart::Var(v) = &**start {
-                out.push(v.clone());
-            }
-            if let PathStart::Expr(e) = &**start {
-                collect_var_refs(e, out);
-            }
-            steps
-                .iter()
-                .flat_map(|s| s.predicates.iter())
-                .for_each(|p| collect_var_refs(p, out));
-        }
-        Expr::Filter { base, predicates } => {
-            collect_var_refs(base, out);
-            predicates.iter().for_each(|p| collect_var_refs(p, out));
-        }
-        Expr::Flwor(flwor) => {
-            for clause in &flwor.clauses {
-                match clause {
-                    Clause::For { source, .. } => collect_var_refs(source, out),
-                    Clause::Let { value, .. } => collect_var_refs(value, out),
-                    Clause::Where(cond) => collect_var_refs(cond, out),
-                    Clause::GroupBy(group) => {
-                        out.push(group.source_var.clone());
-                        group
-                            .keys
-                            .iter()
-                            .for_each(|(k, _)| collect_var_refs(k, out));
-                    }
-                    Clause::OrderBy(specs) => {
-                        specs.iter().for_each(|s| collect_var_refs(&s.key, out))
-                    }
+/// Collects every variable use — `$var`, a `$var/...` path start, a
+/// `group` clause's source variable — in visit order (used for site
+/// eligibility; scopes are ignored, generated names are unique).
+struct VarRefs<'a>(&'a mut Vec<String>);
+
+impl Visitor for VarRefs<'_> {
+    fn visit_expr(&mut self, expr: &Expr) {
+        match expr {
+            Expr::VarRef(name) => self.0.push(name.clone()),
+            Expr::Path { start, .. } => {
+                if let PathStart::Var(v) = &**start {
+                    self.0.push(v.clone());
                 }
             }
-            collect_var_refs(&flwor.ret, out);
+            _ => {}
         }
-        Expr::If { cond, then, els } => {
-            collect_var_refs(cond, out);
-            collect_var_refs(then, out);
-            collect_var_refs(els, out);
+        walk_expr(self, expr);
+    }
+
+    fn visit_clause(&mut self, clause: &Clause) {
+        if let Clause::GroupBy(group) = clause {
+            self.0.push(group.source_var.clone());
         }
-        Expr::Or(l, r)
-        | Expr::And(l, r)
-        | Expr::GeneralComp {
-            left: l, right: r, ..
-        }
-        | Expr::ValueComp {
-            left: l, right: r, ..
-        }
-        | Expr::Arith {
-            left: l, right: r, ..
-        } => {
-            collect_var_refs(l, out);
-            collect_var_refs(r, out);
-        }
-        Expr::UnaryMinus(e) => collect_var_refs(e, out),
-        Expr::Quantified {
-            source, satisfies, ..
-        } => {
-            collect_var_refs(source, out);
-            collect_var_refs(satisfies, out);
-        }
-        Expr::Element(ctor) => collect_ctor_var_refs(ctor, out),
-        Expr::Literal(_) | Expr::EmptySequence | Expr::VarRef(_) | Expr::ContextItem => {}
+        walk_clause(self, clause);
     }
 }
 
-fn collect_ctor_var_refs(ctor: &aldsp_xquery::ast::ElementCtor, out: &mut Vec<String>) {
-    for (_, parts) in &ctor.attributes {
-        for part in parts {
-            if let aldsp_xquery::ast::AttrPart::Enclosed(e) = part {
-                collect_var_refs(e, out);
-            }
-        }
-    }
-    for content in &ctor.content {
-        match content {
-            Content::Text(_) => {}
-            Content::Enclosed(e) => collect_var_refs(e, out),
-            Content::Element(child) => collect_ctor_var_refs(child, out),
-        }
-    }
+fn collect_var_refs(expr: &Expr, out: &mut Vec<String>) {
+    VarRefs(out).visit_expr(expr);
 }
 
 fn bump(counter: &mut usize, target: usize) -> bool {
@@ -562,85 +462,6 @@ fn swap_comp(op: CompOp) -> CompOp {
         CompOp::Gt => CompOp::Ge,
         CompOp::Ge => CompOp::Gt,
     }
-}
-
-/// Visits each direct child expression. Stops (returning true) as soon
-/// as the callback does.
-fn each_child(expr: &mut Expr, f: &mut dyn FnMut(&mut Expr) -> bool) -> bool {
-    match expr {
-        Expr::Literal(_) | Expr::EmptySequence | Expr::VarRef(_) | Expr::ContextItem => false,
-        Expr::Sequence(items) => items.iter_mut().any(&mut *f),
-        Expr::FunctionCall { args, .. } => args.iter_mut().any(&mut *f),
-        Expr::Path { start, steps } => {
-            if let PathStart::Expr(e) = &mut **start {
-                if f(e) {
-                    return true;
-                }
-            }
-            steps
-                .iter_mut()
-                .any(|s| s.predicates.iter_mut().any(&mut *f))
-        }
-        Expr::Filter { base, predicates } => f(base) || predicates.iter_mut().any(&mut *f),
-        Expr::Flwor(flwor) => {
-            for clause in &mut flwor.clauses {
-                let hit = match clause {
-                    Clause::For { source, .. } => f(source),
-                    Clause::Let { value, .. } => f(value),
-                    Clause::Where(cond) => f(cond),
-                    Clause::GroupBy(group) => group.keys.iter_mut().any(|(k, _)| f(k)),
-                    Clause::OrderBy(specs) => specs.iter_mut().any(|s| f(&mut s.key)),
-                };
-                if hit {
-                    return true;
-                }
-            }
-            f(&mut flwor.ret)
-        }
-        Expr::If { cond, then, els } => f(cond) || f(then) || f(els),
-        Expr::Or(l, r)
-        | Expr::And(l, r)
-        | Expr::GeneralComp {
-            left: l, right: r, ..
-        }
-        | Expr::ValueComp {
-            left: l, right: r, ..
-        }
-        | Expr::Arith {
-            left: l, right: r, ..
-        } => f(l) || f(r),
-        Expr::UnaryMinus(e) => f(e),
-        Expr::Quantified {
-            source, satisfies, ..
-        } => f(source) || f(satisfies),
-        Expr::Element(ctor) => each_ctor_child(ctor, f),
-    }
-}
-
-fn each_ctor_child(
-    ctor: &mut aldsp_xquery::ast::ElementCtor,
-    f: &mut dyn FnMut(&mut Expr) -> bool,
-) -> bool {
-    for (_, parts) in &mut ctor.attributes {
-        for part in parts {
-            if let aldsp_xquery::ast::AttrPart::Enclosed(e) = part {
-                if f(e) {
-                    return true;
-                }
-            }
-        }
-    }
-    for content in &mut ctor.content {
-        let hit = match content {
-            Content::Text(_) => false,
-            Content::Enclosed(e) => f(e),
-            Content::Element(child) => each_ctor_child(child, f),
-        };
-        if hit {
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]

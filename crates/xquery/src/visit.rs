@@ -1,4 +1,6 @@
-//! Borrowing visitor over the XQuery AST.
+//! The traversals of the XQuery AST: the one shared and the one mutable
+//! enumeration of an expression's children, and the deep walks built on
+//! them (DESIGN §19).
 //!
 //! Static analyses (the `aldsp-analyzer` crate's scope/def-use lint, dead
 //! `let` detection, naming-discipline checks) need to traverse every
@@ -13,6 +15,10 @@
 //!   what the paper's `var<ctx><zone><n>` zone discipline is checked
 //!   against (a `FR` variable must come from a `for`, a guard `GD`
 //!   variable from a `let`, and so on).
+//! * [`walk_expr_mut`] / [`walk_clause_mut`] — the same children in the
+//!   same order, mutably, for closures; [`each_expr`] (pre-order) and
+//!   [`each_expr_mut`] (post-order) are the deep walks the rewrite rules
+//!   and the mutation harness share.
 
 use crate::ast::*;
 use std::collections::BTreeSet;
@@ -171,6 +177,120 @@ pub fn walk_element<V: Visitor>(v: &mut V, ctor: &ElementCtor) {
     }
 }
 
+/// The mutable enumeration: calls `f` on each direct child expression of
+/// `expr`, in [`walk_expr`]'s order (path start, then step predicates;
+/// clauses in order, then `return`; attributes, then content). There is
+/// no clause hook on this side: a FLWOR's children are its clauses'
+/// expressions, a constructor's the enclosed expressions of its whole
+/// element tree.
+pub fn walk_expr_mut(expr: &mut Expr, f: &mut dyn FnMut(&mut Expr)) {
+    match expr {
+        Expr::Literal(_) | Expr::EmptySequence | Expr::VarRef(_) | Expr::ContextItem => {}
+        Expr::Sequence(items) => items.iter_mut().for_each(f),
+        Expr::FunctionCall { args, .. } => args.iter_mut().for_each(f),
+        Expr::Path { start, steps } => {
+            if let PathStart::Expr(e) = &mut **start {
+                f(e);
+            }
+            for step in steps {
+                step.predicates.iter_mut().for_each(&mut *f);
+            }
+        }
+        Expr::Filter { base, predicates } => {
+            f(base);
+            predicates.iter_mut().for_each(f);
+        }
+        Expr::Flwor(flwor) => {
+            for clause in &mut flwor.clauses {
+                walk_clause_mut(clause, f);
+            }
+            f(&mut flwor.ret);
+        }
+        Expr::If { cond, then, els } => {
+            f(cond);
+            f(then);
+            f(els);
+        }
+        Expr::Or(a, b) | Expr::And(a, b) => {
+            f(a);
+            f(b);
+        }
+        Expr::GeneralComp { left, right, .. }
+        | Expr::ValueComp { left, right, .. }
+        | Expr::Arith { left, right, .. } => {
+            f(left);
+            f(right);
+        }
+        Expr::UnaryMinus(inner) => f(inner),
+        Expr::Quantified {
+            source, satisfies, ..
+        } => {
+            f(source);
+            f(satisfies);
+        }
+        Expr::Element(ctor) => walk_element_mut(ctor, f),
+    }
+}
+
+/// Calls `f` on each expression of one clause, mutably, in
+/// [`walk_clause`]'s order. A group clause's `source_var` is a name, not
+/// an expression: not a child on either side.
+pub fn walk_clause_mut(clause: &mut Clause, f: &mut dyn FnMut(&mut Expr)) {
+    match clause {
+        Clause::For { source, .. } => f(source),
+        Clause::Let { value, .. } => f(value),
+        Clause::Where(p) => f(p),
+        Clause::GroupBy(group) => group.keys.iter_mut().for_each(|(key, _)| f(key)),
+        Clause::OrderBy(specs) => specs.iter_mut().for_each(|spec| f(&mut spec.key)),
+    }
+}
+
+fn walk_element_mut(ctor: &mut ElementCtor, f: &mut dyn FnMut(&mut Expr)) {
+    for (_, parts) in &mut ctor.attributes {
+        for part in parts {
+            if let AttrPart::Enclosed(e) = part {
+                f(e);
+            }
+        }
+    }
+    for content in &mut ctor.content {
+        match content {
+            Content::Text(_) => {}
+            Content::Enclosed(e) => f(e),
+            Content::Element(nested) => walk_element_mut(nested, f),
+        }
+    }
+}
+
+/// A closure as a [`Visitor`]: sees every expression, parents first.
+struct PreOrder<F>(F);
+
+impl<F: FnMut(&Expr)> Visitor for PreOrder<F> {
+    fn visit_expr(&mut self, expr: &Expr) {
+        (self.0)(expr);
+        walk_expr(self, expr);
+    }
+}
+
+/// Pre-order walk: calls `f` on `expr` and on every expression below it,
+/// FLWOR clause bodies and constructor content included.
+pub fn each_expr(expr: &Expr, f: &mut impl FnMut(&Expr)) {
+    PreOrder(f).visit_expr(expr);
+}
+
+/// [`each_expr`] over the expressions of one clause.
+pub fn each_clause_expr(clause: &Clause, f: &mut impl FnMut(&Expr)) {
+    PreOrder(f).visit_clause(clause);
+}
+
+/// Post-order mutable walk: calls `f` on every expression below `expr`
+/// and then on `expr` itself — children first, so rewrites compose
+/// bottom-up and a replaced node is not descended into.
+pub fn each_expr_mut(expr: &mut Expr, f: &mut dyn FnMut(&mut Expr)) {
+    walk_expr_mut(expr, &mut |child| each_expr_mut(child, f));
+    f(expr);
+}
+
 /// Calls `f` for every variable binding in the program with the binding
 /// name and the clause form that introduced it. Convenience wrapper used
 /// by naming-discipline checks that do not need full scope tracking.
@@ -234,131 +354,73 @@ pub fn uses_context(expr: &Expr) -> bool {
 /// a path starting at [`PathStart::Var`] counts as a variable use. The
 /// physical planner and the rewrite rules both decide what may move on
 /// this: over-approximating freeness is safe (they just decline);
-/// missing a use is not, so the match is exhaustive.
+/// missing a use is not, so everything that neither binds nor uses a
+/// name goes through [`walk_expr`].
 pub fn free_vars(expr: &Expr) -> BTreeSet<String> {
-    let mut free = BTreeSet::new();
-    let mut bound = Vec::new();
-    collect_free(expr, &mut bound, &mut free);
-    free
-}
-
-fn note_use(name: &str, bound: &[String], free: &mut BTreeSet<String>) {
-    if !bound.iter().any(|b| b == name) {
-        free.insert(name.to_string());
+    struct Free {
+        bound: Vec<String>,
+        free: BTreeSet<String>,
     }
-}
-
-fn collect_free(expr: &Expr, bound: &mut Vec<String>, free: &mut BTreeSet<String>) {
-    match expr {
-        Expr::Literal(_) | Expr::EmptySequence | Expr::ContextItem => {}
-        Expr::VarRef(name) => note_use(name, bound, free),
-        Expr::Sequence(items) => {
-            for e in items {
-                collect_free(e, bound, free);
+    impl Free {
+        fn note_use(&mut self, name: &str) {
+            if !self.bound.iter().any(|b| b == name) {
+                self.free.insert(name.to_string());
             }
         }
-        Expr::FunctionCall { args, .. } => {
-            for a in args {
-                collect_free(a, bound, free);
-            }
-        }
-        Expr::Path { start, steps } => {
-            match &**start {
-                PathStart::Var(v) => note_use(v, bound, free),
-                PathStart::Expr(e) => collect_free(e, bound, free),
-                PathStart::Context => {}
-            }
-            for step in steps {
-                for p in &step.predicates {
-                    collect_free(p, bound, free);
+    }
+    impl Visitor for Free {
+        fn visit_expr(&mut self, expr: &Expr) {
+            match expr {
+                Expr::VarRef(name) => self.note_use(name),
+                Expr::Path { start, .. } => {
+                    if let PathStart::Var(name) = &**start {
+                        self.note_use(name);
+                    }
+                    walk_expr(self, expr);
                 }
-            }
-        }
-        Expr::Filter { base, predicates } => {
-            collect_free(base, bound, free);
-            for p in predicates {
-                collect_free(p, bound, free);
-            }
-        }
-        Expr::Flwor(flwor) => {
-            let depth = bound.len();
-            for clause in &flwor.clauses {
-                match clause {
-                    Clause::For { var, source } => {
-                        collect_free(source, bound, free);
-                        bound.push(var.clone());
-                    }
-                    Clause::Let { var, value } => {
-                        collect_free(value, bound, free);
-                        bound.push(var.clone());
-                    }
-                    Clause::Where(p) => collect_free(p, bound, free),
-                    Clause::GroupBy(group) => {
-                        note_use(&group.source_var, bound, free);
-                        for (key, _) in &group.keys {
-                            collect_free(key, bound, free);
-                        }
-                        bound.push(group.partition_var.clone());
-                        for (_, key_var) in &group.keys {
-                            bound.push(key_var.clone());
-                        }
-                    }
-                    Clause::OrderBy(specs) => {
-                        for spec in specs {
-                            collect_free(&spec.key, bound, free);
-                        }
-                    }
+                Expr::Flwor(flwor) => {
+                    let depth = self.bound.len();
+                    walk_flwor(self, flwor);
+                    self.bound.truncate(depth);
                 }
+                Expr::Quantified {
+                    var,
+                    source,
+                    satisfies,
+                    ..
+                } => {
+                    self.visit_expr(source);
+                    self.bound.push(var.clone());
+                    self.visit_expr(satisfies);
+                    self.bound.pop();
+                }
+                _ => walk_expr(self, expr),
             }
-            collect_free(&flwor.ret, bound, free);
-            bound.truncate(depth);
         }
-        Expr::If { cond, then, els } => {
-            collect_free(cond, bound, free);
-            collect_free(then, bound, free);
-            collect_free(els, bound, free);
-        }
-        Expr::Or(a, b) | Expr::And(a, b) => {
-            collect_free(a, bound, free);
-            collect_free(b, bound, free);
-        }
-        Expr::GeneralComp { left, right, .. }
-        | Expr::ValueComp { left, right, .. }
-        | Expr::Arith { left, right, .. } => {
-            collect_free(left, bound, free);
-            collect_free(right, bound, free);
-        }
-        Expr::UnaryMinus(e) => collect_free(e, bound, free),
-        Expr::Quantified {
-            var,
-            source,
-            satisfies,
-            ..
-        } => {
-            collect_free(source, bound, free);
-            bound.push(var.clone());
-            collect_free(satisfies, bound, free);
-            bound.pop();
-        }
-        Expr::Element(ctor) => collect_free_ctor(ctor, bound, free),
-    }
-}
-
-fn collect_free_ctor(ctor: &ElementCtor, bound: &mut Vec<String>, free: &mut BTreeSet<String>) {
-    for (_, parts) in &ctor.attributes {
-        for part in parts {
-            if let AttrPart::Enclosed(e) = part {
-                collect_free(e, bound, free);
+        /// A clause's own expressions see the bindings before it; what it
+        /// binds is in scope for the rest of the FLWOR.
+        fn visit_clause(&mut self, clause: &Clause) {
+            if let Clause::GroupBy(group) = clause {
+                self.note_use(&group.source_var);
+            }
+            walk_clause(self, clause);
+            match clause {
+                Clause::For { var, .. } | Clause::Let { var, .. } => self.bound.push(var.clone()),
+                Clause::GroupBy(group) => {
+                    self.bound.push(group.partition_var.clone());
+                    self.bound
+                        .extend(group.keys.iter().map(|(_, key_var)| key_var.clone()));
+                }
+                Clause::Where(_) | Clause::OrderBy(_) => {}
             }
         }
     }
-    for content in &ctor.content {
-        match content {
-            Content::Text(_) => {}
-            Content::Enclosed(e) => collect_free(e, bound, free),
-            Content::Element(nested) => collect_free_ctor(nested, bound, free),
-        }
-    }
+    let mut v = Free {
+        bound: Vec::new(),
+        free: BTreeSet::new(),
+    };
+    v.visit_expr(expr);
+    v.free
 }
 
 #[cfg(test)]

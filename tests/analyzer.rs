@@ -1277,6 +1277,52 @@ fn conjunct_never_raises_cardinality_estimate() {
     }
 }
 
+/// The FLWOR fuel walk sizes `ns:TABLE()` scans through the prepared
+/// query, so it must see every table the query reaches — one behind a
+/// join's `ON` predicate as much as one behind a WHERE.
+#[test]
+fn cardinality_of_a_table_behind_a_join_on_reaches_the_fuel_walk() {
+    let app = aldsp::workload::schema::build_application();
+    let metadata = CachedMetadataApi::new(InProcessMetadataApi::new(
+        TableLocator::for_application(&app),
+    ));
+    let fuel_at = |sql: &str, payments: usize| -> f64 {
+        let options = CostOptions {
+            stats: stats_for(Scale {
+                payments,
+                ..Scale::small()
+            }),
+            ..CostOptions::default()
+        };
+        analyze_sql_with(
+            sql,
+            &metadata,
+            TranslationOptions::default(),
+            &options,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("`{sql}` failed: {e}"))
+        .report
+        .cost
+        .flwor_fuel
+        .expect("a FLWOR walk")
+    };
+    let subquery = "O.CUSTID IN (SELECT P.CUSTID FROM PAYMENTS P)";
+    for sql in [
+        format!(
+            "SELECT C.CUSTOMERNAME FROM CUSTOMERS C INNER JOIN ORDERS O \
+             ON C.CUSTOMERID = O.CUSTID AND {subquery}"
+        ),
+        format!("SELECT O.ORDERID FROM ORDERS O WHERE {subquery}"),
+    ] {
+        let (small, large) = (fuel_at(&sql, 15), fuel_at(&sql, 15_000));
+        assert!(
+            small < large,
+            "PAYMENTS at 15 and at 15,000 rows price `{sql}` alike: {small} vs {large}"
+        );
+    }
+}
+
 /// All 25 golden statements analyze `P`-clean end to end under the demo
 /// universe's statistics, in both transports.
 #[test]
