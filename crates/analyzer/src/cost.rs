@@ -33,8 +33,8 @@
 //!   subquery re-evaluation (P008).
 //!
 //! `P` findings are *advisory*: unlike the `A`/`T` layers, a flagged
-//! query still computes the correct answer, so the `debug-analyze`
-//! validator and [`crate::TranslationReport::is_clean`] deliberately do
+//! query still computes the correct answer, so the optimizer's safety
+//! gate and [`crate::TranslationReport::is_clean`] deliberately do
 //! not fail on them — chaos workloads legitimately run cartesian
 //! stressors. The estimator itself never panics and degrades to the
 //! documented [`aldsp_catalog::stats`] defaults when stats are missing.

@@ -47,21 +47,23 @@
 //! string (used by the `analyze` bin and the workload harnesses;
 //! [`analyze_sql_with`] is the general form: explicit [`CostOptions`]
 //! and, given [`ValidateOptions`], layer 5 as well);
-//! [`analyze_translation`] checks an existing prepared query + generated
-//! text ([`analyze_translation_with`] takes [`CostOptions`] and also
-//! returns the inferred output typing); [`lint_program`]/[`lint_text`]
-//! run layer 2 alone;
+//! [`analyze_translation_with`] checks an existing prepared query +
+//! generated text under given [`CostOptions`] and also returns the
+//! inferred output typing. Every text entry point parses
+//! its text once and hands the program to two values that are built per
+//! prepared query and judge any number of programs against it:
+//! [`QueryFacts`] (what layers 1 and 3 learn from the query alone;
+//! [`QueryFacts::check`] is layers 1–3 over a parse) and [`Witnesses`]
+//! (layer 5's witness databases and reference answers;
+//! [`Witnesses::check`] runs a program on them). The optimizer's safety
+//! gate holds one of each per `optimize` call — layer 4 stays out of it
+//! because its findings are advisory and workloads run expensive queries
+//! on purpose. Piecewise: [`lint_program`]/[`lint_text`] run layer 2
+//! alone;
 //! [`ty::check_types`]/[`ty::check_translation`]/[`ty::check_metadata`]
-//! run layer 3 piecewise; [`cost::check_cost`]/[`cost::estimate_prepared`]
-//! run layer 4 alone; [`validate::check_equivalence`] /
-//! [`validate::validate_translation`] /
-//! [`validate::execute_reference`] run layer 5 piecewise. With the
-//! `debug-analyze` feature, [`install_debug_validator`] hooks the
-//! *correctness* layers (1–3, plus a quick-budget layer-5 pass when the
-//! static layers are clean) into `core::stage3` so every generation in
-//! a test build re-checks itself and fails hard on findings — layer 4
-//! stays out of the validator because its findings are advisory and
-//! test workloads run expensive queries on purpose.
+//! layer 3; [`cost::check_cost`]/[`cost::estimate_prepared`] layer 4;
+//! [`validate::check_equivalence`] / [`validate::validate_translation`] /
+//! [`validate::execute_reference`] layer 5.
 
 pub mod cost;
 pub mod diag;
@@ -75,7 +77,7 @@ pub use cost::{check_cost, estimate_prepared, CostOptions, CostReport, Estimate}
 pub use diag::{DiagCode, Diagnostic, Severity};
 pub use ir_check::check_prepared;
 pub use report::{
-    analyze_sql, analyze_sql_with, analyze_translation, analyze_translation_with, Analysis,
+    analyze_sql, analyze_sql_with, analyze_translation_with, Analysis, QueryFacts,
     TranslationReport,
 };
 pub use ty::{
@@ -83,46 +85,6 @@ pub use ty::{
 };
 pub use validate::{
     check_equivalence, execute_reference, validate_translation, ValidateOptions, ValidationOutcome,
+    Witnesses,
 };
 pub use xq_lint::{lint_program, lint_text};
-
-/// Installs the analyzer into `core::stage3`'s debug validation slot:
-/// from then on, every `stage3::generate` in this process re-checks its
-/// own output (both layers, on the unwrapped query text) and fails the
-/// translation with a semantic error when diagnostics are found.
-/// Idempotent; test harnesses call it unconditionally.
-#[cfg(feature = "debug-analyze")]
-pub fn install_debug_validator() {
-    aldsp_core::stage3::debug_validate::install(validate_generated);
-}
-
-#[cfg(feature = "debug-analyze")]
-fn validate_generated(
-    prepared: &aldsp_core::ir::PreparedQuery,
-    generated: &aldsp_core::stage3::Generated,
-) -> Vec<String> {
-    let text = generated.clone().into_query_text();
-    let report = analyze_translation(prepared, &text);
-    // Correctness layers only: advisory `P` findings must not fail a
-    // translation (chaos/governance tests execute cartesian stressors
-    // and NULL-literal predicates deliberately).
-    let mut findings: Vec<String> = report
-        .ir
-        .iter()
-        .chain(report.xquery.iter())
-        .chain(report.types.iter())
-        .map(|d| d.to_string())
-        .collect();
-    // Layer 5 under the quick budget, only once the static layers are
-    // clean (a statically broken program would just produce a noisier
-    // `V006` for the same root cause). `V` findings are hard errors too:
-    // an inequivalence witness is a miscompilation.
-    if findings.is_empty() {
-        findings.extend(
-            validate::check_equivalence(prepared, &text, &validate::ValidateOptions::quick())
-                .iter()
-                .map(|d| d.to_string()),
-        );
-    }
-    findings
-}

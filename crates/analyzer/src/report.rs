@@ -3,11 +3,12 @@
 
 use crate::cost::{self, CostOptions, CostReport};
 use crate::diag::{Diagnostic, Severity};
-use crate::validate::{self, ValidateOptions};
+use crate::validate::{ValidateOptions, Witnesses};
 use crate::{ir_check, ty, xq_lint};
 use aldsp_catalog::MetadataApi;
 use aldsp_core::ir::PreparedQuery;
 use aldsp_core::{stage1, stage2, stage3, wrapper, TranslateError, TranslationOptions, Transport};
+use aldsp_xquery::{parse_program, Program, XqParseError};
 
 /// All five analysis layers over one translation.
 #[derive(Debug, Clone, Default)]
@@ -20,7 +21,7 @@ pub struct TranslationReport {
     pub types: Vec<Diagnostic>,
     /// Layer-5 findings (bounded equivalence validation, `V0xx`).
     /// Empty unless validation was requested ([`analyze_sql_with`] given
-    /// [`ValidateOptions`], or [`validate::check_equivalence`] directly).
+    /// [`ValidateOptions`], or [`crate::validate::check_equivalence`] directly).
     pub validation: Vec<Diagnostic>,
     /// Layer-4 result: cardinality/cost estimates and the advisory
     /// `P0xx` findings.
@@ -65,45 +66,86 @@ impl TranslationReport {
     }
 }
 
+/// What layers 1–3 know about a prepared query before they see any
+/// program for it: layer 1's findings and layer 3's SQL-side type flow.
+/// Built once per query; every program that claims to translate the
+/// query — the generated text, each rewrite candidate, the plan a cache
+/// keeps serving — is judged against the same value.
+pub struct QueryFacts<'q> {
+    prepared: &'q PreparedQuery,
+    ir: Vec<Diagnostic>,
+    flow: ty::TypeFlow,
+}
+
+impl<'q> QueryFacts<'q> {
+    /// Runs the two checks that look at the prepared query alone.
+    pub fn of(prepared: &'q PreparedQuery) -> QueryFacts<'q> {
+        QueryFacts {
+            prepared,
+            ir: ir_check::check_prepared(prepared),
+            flow: ty::check_types(prepared),
+        }
+    }
+
+    /// Layers 1–3 over one parse of a translation's text (`validation`
+    /// and `cost` stay empty, so [`TranslationReport::all`] is exactly
+    /// the correctness findings, layer 1 first). Text that did not parse
+    /// is layer 2's single `A100`; the translation type diff needs a
+    /// program and is skipped.
+    pub fn check(&self, parsed: Result<&Program, &XqParseError>) -> TranslationReport {
+        let mut types = self.flow.diagnostics.clone();
+        let xquery = match parsed {
+            Ok(program) => {
+                types.extend(ty::check_translation(
+                    self.prepared,
+                    program,
+                    &self.flow.columns,
+                ));
+                xq_lint::lint_program(program)
+            }
+            Err(error) => vec![xq_lint::unparsable(error)],
+        };
+        TranslationReport {
+            ir: self.ir.clone(),
+            xquery,
+            types,
+            ..TranslationReport::default()
+        }
+    }
+}
+
+/// Every layer over one parse of `xquery_text`: [`QueryFacts::check`],
+/// layer 4 under `cost_options` (without the FLWOR fuel walk when there
+/// is no program) and, given a budget and a program, layer 5.
+fn analyze_text(
+    prepared: &PreparedQuery,
+    xquery_text: &str,
+    cost_options: &CostOptions,
+    validate_options: Option<&ValidateOptions>,
+) -> (TranslationReport, Vec<ty::InferredColumn>) {
+    let parsed = parse_program(xquery_text);
+    let parsed = parsed.as_ref();
+    let facts = QueryFacts::of(prepared);
+    let mut report = facts.check(parsed);
+    report.cost = cost::check_cost(prepared, parsed.ok(), cost_options);
+    if let (Some(options), Ok(program)) = (validate_options, parsed) {
+        report.validation = Witnesses::of(prepared, options).check(program).diagnostics;
+    }
+    (report, facts.flow.columns)
+}
+
 /// Analyzes one already-produced translation: layer 1 over the prepared
 /// IR, layer 2 over the generated query text (wrapped or unwrapped),
 /// layer 3 re-inferring types on both sides of the translation and
 /// diffing them, layer 4 estimating cardinality/cost under
-/// `cost_options`. Returns the report together with the SQL-side
-/// inferred output typing.
+/// `cost_options` — all over one parse of the text. Returns the report
+/// together with the SQL-side inferred output typing.
 pub fn analyze_translation_with(
     prepared: &PreparedQuery,
     xquery_text: &str,
     cost_options: &CostOptions,
 ) -> (TranslationReport, Vec<ty::InferredColumn>) {
-    let ir = ir_check::check_prepared(prepared);
-    let xquery = xq_lint::lint_text(xquery_text);
-    let flow = ty::check_types(prepared);
-    let mut types = flow.diagnostics;
-    // The translation diff (and layer 4's FLWOR fuel walk) need a
-    // parseable program; when the text does not parse, layer 2 already
-    // reports `A100` and both are moot.
-    let program = aldsp_xquery::parse_program(xquery_text).ok();
-    if let Some(program) = &program {
-        types.extend(ty::check_translation(prepared, program, &flow.columns));
-    }
-    let cost = cost::check_cost(prepared, program.as_ref(), cost_options);
-    (
-        TranslationReport {
-            ir,
-            xquery,
-            types,
-            validation: Vec::new(),
-            cost,
-        },
-        flow.columns,
-    )
-}
-
-/// [`analyze_translation_with`] under default (stats-less) cost options,
-/// findings only.
-pub fn analyze_translation(prepared: &PreparedQuery, xquery_text: &str) -> TranslationReport {
-    analyze_translation_with(prepared, xquery_text, &CostOptions::default()).0
+    analyze_text(prepared, xquery_text, cost_options, None)
 }
 
 /// An end-to-end analysis: the translation plus its report.
@@ -142,10 +184,7 @@ pub fn analyze_sql_with<M: MetadataApi>(
         Transport::Xml => generated.into_query_text(),
         Transport::DelimitedText => wrapper::wrap_delimited(generated, &prepared),
     };
-    let (mut report, typing) = analyze_translation_with(&prepared, &xquery, cost_options);
-    if let Some(validate_options) = validate_options {
-        report.validation = validate::check_equivalence(&prepared, &xquery, validate_options);
-    }
+    let (report, typing) = analyze_text(&prepared, &xquery, cost_options, validate_options);
     Ok(Analysis {
         xquery,
         report,

@@ -71,6 +71,7 @@ use aldsp_xml::{Atomic, Item, Sequence};
 use aldsp_xquery::{
     evaluate_program_exec, parse_program, ExecStrategy, FunctionSource, Program, XqError,
 };
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -113,8 +114,8 @@ impl Default for ValidateOptions {
 }
 
 impl ValidateOptions {
-    /// A reduced budget for the per-translation debug hook, where the
-    /// validator runs on every `stage3::generate` under test.
+    /// A reduced budget for where the validator runs per statement or
+    /// per rewrite: the optimizer's safety gate and the matrix's lint.
     pub fn quick() -> ValidateOptions {
         ValidateOptions {
             max_databases: 6,
@@ -144,6 +145,64 @@ pub struct ValidationOutcome {
     pub witnesses_checked: usize,
 }
 
+/// The reference side of a validation: the witness databases a prepared
+/// query is checked on (smallest first), the values its `?` parameters
+/// take, and the reference interpreter's answer on each witness. It is a
+/// function of the query and the budget only, so every program that claims
+/// to translate the query — the generated text, each rewrite candidate,
+/// each mutant — is checked against one value.
+pub struct Witnesses<'q> {
+    prepared: &'q PreparedQuery,
+    params: Vec<SqlValue>,
+    /// Each witness with the reference's answer on it, filled the first
+    /// time a check reaches the witness (a refuted program stops at an
+    /// early one); `None` where the reference itself erred.
+    witnesses: Vec<(Database, OnceCell<Option<Relation>>)>,
+}
+
+impl<'q> Witnesses<'q> {
+    /// Enumerates the witness databases of `prepared` under `options`.
+    pub fn of(prepared: &'q PreparedQuery, options: &ValidateOptions) -> Witnesses<'q> {
+        let shape = QueryShape::of(prepared);
+        Witnesses {
+            prepared,
+            params: shape.parameter_values(),
+            witnesses: shape
+                .enumerate_databases(options)
+                .into_iter()
+                .map(|db| (db, OnceCell::new()))
+                .collect(),
+        }
+    }
+
+    /// Runs `program` on the witnesses in order and stops at the first one
+    /// where its rows diverge from the reference's.
+    pub fn check(&self, program: &Program) -> ValidationOutcome {
+        let mut outcome = ValidationOutcome {
+            databases_enumerated: self.witnesses.len(),
+            ..ValidationOutcome::default()
+        };
+        for (db, reference) in &self.witnesses {
+            let reference =
+                reference.get_or_init(|| execute_reference(self.prepared, db, &self.params).ok());
+            // The reference erred on this witness (division by zero on
+            // enumerated data, an unsupported corner): skip rather than
+            // blame the translation.
+            let Some(reference) = reference else {
+                continue;
+            };
+            outcome.witnesses_checked += 1;
+            let generated = run_generated(program, db, &self.params, &self.prepared.output);
+            if let Some((code, divergence)) = classify(self.prepared, reference, generated) {
+                let message = format!("{divergence} on witness {}", render_db(db));
+                outcome.diagnostics.push(Diagnostic::new(code, message));
+                break;
+            }
+        }
+        outcome
+    }
+}
+
 /// Validates one translation: prepared IR vs generated XQuery text (in
 /// either transport). Returns only the findings.
 pub fn check_equivalence(
@@ -161,32 +220,11 @@ pub fn validate_translation(
     xquery_text: &str,
     options: &ValidateOptions,
 ) -> ValidationOutcome {
-    let mut outcome = ValidationOutcome::default();
     // Unparsable text is layer 2's A100; nothing to execute here.
-    let Ok(program) = parse_program(xquery_text) else {
-        return outcome;
-    };
-    let shape = QueryShape::of(prepared);
-    let params = shape.parameter_values();
-    let databases = shape.enumerate_databases(options);
-    outcome.databases_enumerated = databases.len();
-
-    for db in &databases {
-        let reference = match execute_reference(prepared, db, &params) {
-            Ok(rel) => rel,
-            // The reference erred on this witness (division by zero on
-            // enumerated data, an unsupported corner): skip rather than
-            // blame the translation.
-            Err(_) => continue,
-        };
-        outcome.witnesses_checked += 1;
-        let generated = run_generated(&program, db, &params, &prepared.output);
-        if let Some(diag) = classify(prepared, db, &reference, generated) {
-            outcome.diagnostics.push(diag);
-            break;
-        }
+    match parse_program(xquery_text) {
+        Ok(program) => Witnesses::of(prepared, options).check(&program),
+        Err(_) => ValidationOutcome::default(),
     }
-    outcome
 }
 
 // ====================================================================
@@ -1336,21 +1374,19 @@ fn canonical_sort(rows: &mut [Vec<SqlValue>]) {
     rows.sort_by(|a, b| Relation::row_key(a).cmp(&Relation::row_key(b)));
 }
 
+/// How the generated rows diverge from the reference's, if they do: the
+/// finding's code and its message up to the witness.
 fn classify(
     prepared: &PreparedQuery,
-    db: &Database,
     reference: &Relation,
     generated: Result<Vec<Vec<SqlValue>>, String>,
-) -> Option<Diagnostic> {
-    let witness = render_db(db);
+) -> Option<(DiagCode, String)> {
     let gen_rows = match generated {
         Ok(rows) => rows,
         Err(e) => {
-            return Some(Diagnostic::new(
+            return Some((
                 DiagCode::V006,
-                format!(
-                    "the generated query failed where the reference succeeds ({e}) on witness {witness}"
-                ),
+                format!("the generated query failed where the reference succeeds ({e})"),
             ));
         }
     };
@@ -1382,10 +1418,10 @@ fn classify(
                     }
                 }
                 if ord == Ordering::Greater {
-                    return Some(Diagnostic::new(
+                    return Some((
                         DiagCode::V004,
                         format!(
-                            "rows {} / {} violate the ORDER BY specification on witness {witness}",
+                            "rows {} / {} violate the ORDER BY specification",
                             render_row(&pair[0]),
                             render_row(&pair[1])
                         ),
@@ -1429,10 +1465,7 @@ fn classify(
         } else {
             (DiagCode::V005, "column values diverge")
         };
-        return Some(Diagnostic::new(
-            code,
-            format!("{label} ({detail}) on witness {witness}"),
-        ));
+        return Some((code, format!("{label} ({detail})")));
     }
 
     // Unequal cardinality: same distinct rows → multiplicity; else rows
@@ -1443,10 +1476,10 @@ fn classify(
     let ref_keys = key_set(&ref_sorted);
     let gen_keys = key_set(&gen_sorted);
     if ref_keys == gen_keys {
-        return Some(Diagnostic::new(
+        return Some((
             DiagCode::V002,
             format!(
-                "same distinct rows but reference has {} row(s) and generated {} on witness {witness}",
+                "same distinct rows but reference has {} row(s) and generated {}",
                 ref_sorted.len(),
                 gen_sorted.len()
             ),
@@ -1464,10 +1497,10 @@ fn classify(
         .take(3)
         .map(|r| render_row(r))
         .collect();
-    Some(Diagnostic::new(
+    Some((
         DiagCode::V001,
         format!(
-            "reference returns {} row(s), generated {}; reference-only rows [{}], generated-only rows [{}] on witness {witness}",
+            "reference returns {} row(s), generated {}; reference-only rows [{}], generated-only rows [{}]",
             ref_sorted.len(),
             gen_sorted.len(),
             only_ref.join(", "),

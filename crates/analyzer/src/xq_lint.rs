@@ -28,6 +28,7 @@ use crate::diag::{DiagCode, Diagnostic};
 use aldsp_xquery::ast::{AttrPart, Clause, Content, ElementCtor, Expr, Flwor, PathStart, Program};
 use aldsp_xquery::functions;
 use aldsp_xquery::visit::{walk_expr, BindingKind, Visitor};
+use aldsp_xquery::XqParseError;
 use std::collections::HashSet;
 
 /// Parses and lints generated query text. A parse failure yields a single
@@ -35,11 +36,16 @@ use std::collections::HashSet;
 pub fn lint_text(text: &str) -> Vec<Diagnostic> {
     match aldsp_xquery::parse_program(text) {
         Ok(program) => lint_program(&program),
-        Err(e) => vec![Diagnostic::new(
-            DiagCode::A100,
-            format!("generated XQuery does not parse: {e}"),
-        )],
+        Err(e) => vec![unparsable(&e)],
     }
+}
+
+/// Layer 2's whole verdict on text that is not a program.
+pub(crate) fn unparsable(error: &XqParseError) -> Diagnostic {
+    Diagnostic::new(
+        DiagCode::A100,
+        format!("generated XQuery does not parse: {error}"),
+    )
 }
 
 /// Lints a parsed program.

@@ -63,63 +63,10 @@ pub fn generate(query: &PreparedQuery) -> Result<Generated, TranslateError> {
             "import schema namespace ns{i} = \"{namespace}\" at \"{location}\";"
         );
     }
-    let generated = Generated {
+    Ok(Generated {
         prolog: prolog.trim_end().to_string(),
         body,
-    };
-    #[cfg(feature = "debug-analyze")]
-    debug_validate::run(query, &generated)?;
-    Ok(generated)
-}
-
-/// Debug-build validation hook (the `debug-analyze` feature).
-///
-/// The analyzer crate depends on this crate, so stage three cannot invoke
-/// it directly; instead it exposes a process-wide validator slot. The
-/// analyzer installs its [`run`]-compatible entry point (see
-/// `aldsp_analyzer::install_debug_validator`), after which every
-/// [`generate`] call re-checks its own output and fails the translation
-/// with a semantic error if the validator reports diagnostics. The feature
-/// is enabled through the workspace root's dev-dependencies, so the slot
-/// (and the per-translation re-parse it implies) exists in test builds
-/// only.
-#[cfg(feature = "debug-analyze")]
-pub mod debug_validate {
-    use super::Generated;
-    use crate::error::TranslateError;
-    use crate::ir::PreparedQuery;
-    use std::sync::OnceLock;
-
-    /// A validator over a prepared query and the XQuery generated from it.
-    /// Returns rendered diagnostics; empty means clean.
-    pub type Validator = fn(&PreparedQuery, &Generated) -> Vec<String>;
-
-    static VALIDATOR: OnceLock<Validator> = OnceLock::new();
-
-    /// Installs the process-wide validator. The first install wins;
-    /// concurrent and repeated installs of the same entry point are
-    /// harmless no-ops.
-    pub fn install(validator: Validator) {
-        let _ = VALIDATOR.set(validator);
-    }
-
-    /// True once a validator has been installed.
-    pub fn installed() -> bool {
-        VALIDATOR.get().is_some()
-    }
-
-    pub(super) fn run(query: &PreparedQuery, generated: &Generated) -> Result<(), TranslateError> {
-        if let Some(validator) = VALIDATOR.get() {
-            let diagnostics = validator(query, generated);
-            if !diagnostics.is_empty() {
-                return Err(TranslateError::semantic(format!(
-                    "debug-analyze: generated query failed validation: {}",
-                    diagnostics.join("; ")
-                )));
-            }
-        }
-        Ok(())
-    }
+    })
 }
 
 /// How a range variable's columns are reached in generated XQuery.

@@ -18,10 +18,13 @@
 //! 1. it must not raise the program's estimated fuel;
 //! 2. analyzer layers 1–3 over the rewritten program must stay as clean
 //!    as the baseline (no new findings, no errors);
-//! 3. when validation is on (the default in debug builds, and always in
-//!    the test suites and harnesses), the layer-5 bounded-equivalence
-//!    validator must find no diverging witness under its `quick()`
-//!    budget.
+//! 3. when validation is on (the default), the layer-5
+//!    bounded-equivalence validator must find no diverging witness under
+//!    its `quick()` budget.
+//!
+//! Gates 2 and 3 judge a fresh parse of the candidate's *text* — what
+//! ships — against facts a [`Gate`] works out once per `optimize` call,
+//! when the first candidate reaches it.
 //!
 //! A rule instance that fails any gate is *refused*: recorded in the
 //! rewrite trace with `applied: false`, and the program reverts to the
@@ -33,14 +36,13 @@ pub mod rules;
 pub mod support;
 
 use aldsp_analyzer::cost::estimate_program_fuel;
-use aldsp_analyzer::report::analyze_translation;
-use aldsp_analyzer::validate::{check_equivalence, ValidateOptions};
+use aldsp_analyzer::{QueryFacts, ValidateOptions, Witnesses};
 use aldsp_catalog::stats::CatalogStats;
 use aldsp_core::{
     OptimizeLevel, OptimizeOutcome, PreparedQuery, QueryOptimizer, RewriteStep, RewriteTrace,
     TranslationOptions,
 };
-use aldsp_xquery::{parse_program, unparse_program};
+use aldsp_xquery::{parse_program, unparse_program, Program, XqParseError};
 use rules::RuleContext;
 
 /// Which layer of the safety gate refused a rewrite.
@@ -69,9 +71,9 @@ pub struct Optimizer {
 
 impl Optimizer {
     /// An optimizer over `stats`. Layer-5 validation of every rewrite is
-    /// on in debug builds and off in release builds (where the analyzer
-    /// layers 1–3 and the fuel gate still run); override with
-    /// [`Optimizer::with_validation`]. The validation budget defaults to
+    /// on; [`Optimizer::with_validation`] turns it off (the analyzer
+    /// layers 1–3 and the fuel gate still run). The validation budget
+    /// defaults to
     /// [`ValidateOptions::quick`] with the stats' declared-unique columns
     /// as key constraints, so uniqueness-keyed rewrites are judged
     /// relative to the integrity constraints they rely on.
@@ -79,7 +81,7 @@ impl Optimizer {
         let validate_options = ValidateOptions::quick().with_key_columns(stats.unique_columns());
         Optimizer {
             stats,
-            validate: cfg!(debug_assertions),
+            validate: true,
             validate_options,
         }
     }
@@ -109,42 +111,70 @@ impl Optimizer {
     /// Runs the safety gate alone: would this engine accept `candidate`
     /// as a rewrite of `baseline` (both translations of `prepared`)?
     /// Used by the mutation harness to measure the gate's kill rate
-    /// against rewrite-shaped miscompilations.
+    /// against rewrite-shaped miscompilations; [`Optimizer::gate_for`]
+    /// judges many candidates of one query.
     pub fn gate(
         &self,
         prepared: &PreparedQuery,
         baseline: &str,
         candidate: &str,
     ) -> Result<(), GateRefusal> {
-        let baseline_findings = correctness_findings(prepared, baseline);
-        self.gate_with_baseline(prepared, baseline_findings, candidate)
+        self.gate_for(prepared, baseline).admit(candidate)
     }
 
-    fn gate_with_baseline(
+    /// The safety gate over `prepared`, with `baseline` as the translation
+    /// candidates must stay as clean as.
+    pub fn gate_for<'q>(&self, prepared: &'q PreparedQuery, baseline: &str) -> Gate<'q> {
+        self.open_gate(prepared, parse_program(baseline).as_ref())
+    }
+
+    fn open_gate<'q>(
         &self,
-        prepared: &PreparedQuery,
-        baseline_findings: usize,
-        candidate: &str,
-    ) -> Result<(), GateRefusal> {
-        let report = analyze_translation(prepared, candidate);
-        let findings = report.ir.len() + report.xquery.len() + report.types.len();
-        if !report.is_clean() || findings > baseline_findings {
-            let reason = report
-                .ir
-                .iter()
-                .chain(report.xquery.iter())
-                .chain(report.types.iter())
-                .map(|d| d.to_string())
-                .next()
-                .unwrap_or_else(|| "new analyzer findings".to_string());
+        prepared: &'q PreparedQuery,
+        baseline: Result<&Program, &XqParseError>,
+    ) -> Gate<'q> {
+        let facts = QueryFacts::of(prepared);
+        let baseline_findings = facts.check(baseline).all().count();
+        let witnesses = self
+            .validate
+            .then(|| Witnesses::of(prepared, &self.validate_options));
+        Gate {
+            facts,
+            baseline_findings,
+            witnesses,
+        }
+    }
+}
+
+/// Gates 2 and 3 over one prepared query: everything that depends on the
+/// query alone — layer 1's findings and layer 3's SQL-side type flow, how
+/// many layer-1–3 findings (of any severity) the baseline translation
+/// has, and, when validation is on, the witness databases with the
+/// reference's answers — worked out once, for every candidate the query
+/// gets.
+pub struct Gate<'q> {
+    facts: QueryFacts<'q>,
+    baseline_findings: usize,
+    witnesses: Option<Witnesses<'q>>,
+}
+
+impl Gate<'_> {
+    /// Judges one candidate. What is judged is a fresh parse of
+    /// `candidate` — the text that ships, with the printer between the
+    /// rule and the server inside the check — never the rule's AST; text
+    /// that does not parse is refused with layer 2's `A100`.
+    pub fn admit(&self, candidate: &str) -> Result<(), GateRefusal> {
+        let parsed = parse_program(candidate);
+        let report = self.facts.check(parsed.as_ref());
+        if !report.is_clean() || report.all().count() > self.baseline_findings {
+            let first = report.all().next().expect("either test needs a finding");
             return Err(GateRefusal {
                 layer: "analyzer",
-                reason,
+                reason: first.to_string(),
             });
         }
-        if self.validate {
-            let diagnostics = check_equivalence(prepared, candidate, &self.validate_options);
-            if let Some(first) = diagnostics.first() {
+        if let (Some(witnesses), Ok(program)) = (&self.witnesses, &parsed) {
+            if let Some(first) = witnesses.check(program).diagnostics.first() {
                 return Err(GateRefusal {
                     layer: "validator",
                     reason: first.to_string(),
@@ -153,13 +183,6 @@ impl Optimizer {
         }
         Ok(())
     }
-}
-
-/// Counts the layer-1–3 findings of a translation (any severity) — the
-/// baseline the gate compares candidates against.
-fn correctness_findings(prepared: &PreparedQuery, xquery: &str) -> usize {
-    let report = analyze_translation(prepared, xquery);
-    report.ir.len() + report.xquery.len() + report.types.len()
 }
 
 impl QueryOptimizer for Optimizer {
@@ -186,7 +209,9 @@ impl QueryOptimizer for Optimizer {
             return unchanged(Vec::new(), 0.0);
         };
         let cost_start = estimate_program_fuel(prepared, &program, &self.stats);
-        let baseline_findings = correctness_findings(prepared, xquery);
+        // Opened by the first candidate that gets past the cost gate:
+        // until one is accepted `program` is still the baseline.
+        let mut gate: Option<Gate<'_>> = None;
         let cx = RuleContext {
             prepared,
             stats: &self.stats,
@@ -218,9 +243,8 @@ impl QueryOptimizer for Optimizer {
                 });
                 continue;
             }
-            if let Err(refusal) =
-                self.gate_with_baseline(prepared, baseline_findings, &candidate_text)
-            {
+            let gate = gate.get_or_insert_with(|| self.open_gate(prepared, Ok(&program)));
+            if let Err(refusal) = gate.admit(&candidate_text) {
                 steps.push(RewriteStep {
                     rule: rule.name,
                     lint: rule.lint,

@@ -27,7 +27,7 @@ use crate::querygen::{ConstructClass, QueryGenerator};
 use crate::schema::{
     build_application, golden_statements, paper_queries, populate_database, Scale,
 };
-use aldsp_analyzer::analyze_translation;
+use aldsp_analyzer::{analyze_sql_with, CostOptions, QueryFacts, ValidateOptions};
 use aldsp_catalog::{Application, MetadataApi};
 use aldsp_core::{
     stage1, ExecStrategy, OptimizeLevel, QueryOptimizer, TranslationOptions, Transport,
@@ -39,6 +39,7 @@ use aldsp_governor::QueryBudget;
 use aldsp_plancache::{CacheStats, PlanCache};
 use aldsp_relational::{execute_query, Database, Relation, SqlValue};
 use aldsp_sql::parse_select;
+use aldsp_xquery::parse_program;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -248,7 +249,7 @@ pub struct LaneReport {
     pub sink_fallbacks: u64,
     /// Final plan-cache counters of a cached lane.
     pub cache: Option<CacheStats>,
-    /// Resident plans put through `analyze_translation`.
+    /// Resident plans put through analyzer layers 1–3.
     pub analyzed: usize,
     /// Resident plans carrying at least one applied rewrite.
     pub rewritten: usize,
@@ -371,19 +372,21 @@ pub fn check_against_oracle(
     compare_results(rows, &oracle, !parsed.order_by.is_empty())
 }
 
-/// Statically analyzes one query through the connection's translator
-/// metadata, in both transports (the delimited-text wrapper introduces
-/// its own variables, so both final forms are linted). Returns the
-/// rendered findings when the analyzer is not clean; translation failures
-/// return `None` — they surface through the normal execution path as
-/// rejections.
+/// Analyzes one query through the connection's translator metadata, in
+/// both transports (the delimited-text wrapper introduces its own
+/// variables, so both final forms are checked): the static layers, and
+/// layer 5 under its quick budget. Returns the rendered findings when the
+/// analyzer is not clean; translation failures return `None` — they
+/// surface through the normal execution path as rejections.
 pub fn lint_query(conn: &Connection, sql: &str) -> Option<String> {
     let metadata = conn.translator().metadata();
     for transport in [Transport::DelimitedText, Transport::Xml] {
-        if let Ok(analysis) = aldsp_analyzer::analyze_sql(
+        if let Ok(analysis) = analyze_sql_with(
             sql,
             metadata,
             TranslationOptions::with_transport(transport),
+            &CostOptions::default(),
+            Some(&ValidateOptions::quick()),
         ) {
             if !analysis.report.is_clean() {
                 return Some(format!(
@@ -411,17 +414,15 @@ fn identical(rows: &[Vec<SqlValue>], reference: &[Vec<SqlValue>], to: &str) -> R
 
 /// Runs every statement of `corpus` on every lane of `lanes` against
 /// `universe`, under `faults` when given. Per statement: parse, lint once
-/// (fault-free metadata path; findings are mismatches — the matrix doubles
-/// as a find-the-generator-bug machine), ask the oracle once, then execute
-/// lane by lane.
+/// ([`lint_query`] on the fault-free metadata path; findings are
+/// mismatches — the matrix doubles as a find-the-generator-bug machine),
+/// ask the oracle once, then execute lane by lane.
 pub fn run_matrix(
     universe: &Universe,
     corpus: &[(String, String)],
     lanes: &[Lane],
     faults: Option<&ChaosConfig>,
 ) -> MatrixReport {
-    #[cfg(feature = "debug-analyze")]
-    aldsp_analyzer::install_debug_validator();
     let server = &universe.server;
     // A connection captures the metadata fault hook when it opens, so the
     // lint connection opens before the injector goes in: analysis results
@@ -570,8 +571,8 @@ pub fn run_matrix(
                         stats.analyzed += 1;
                         stats.rewritten +=
                             usize::from(plan.rewrite.as_ref().is_some_and(|t| t.applied() > 0));
-                        let analysis =
-                            analyze_translation(&plan.prepared, &plan.translation.xquery);
+                        let parsed = parse_program(&plan.translation.xquery);
+                        let analysis = QueryFacts::of(&plan.prepared).check(parsed.as_ref());
                         match analysis.is_clean() {
                             true => Ok(()),
                             false => {

@@ -5,9 +5,9 @@
 //! clean two-layer reports in both transports. Negative direction:
 //! hand-built XQuery ASTs and prepared IR seeded with one defect each
 //! must be reported with the exact stable diagnostic code. Finally, the
-//! `debug-analyze` stage-three hook is exercised end to end: once the
-//! validator is installed, a defective IR hard-errors inside
-//! `stage3::generate`.
+//! two per-query values every asker shares — `QueryFacts` (layers 1–3)
+//! and `Witnesses` (layer 5's reference side) — are checked against the
+//! piecewise layer functions and against a fresh run per text.
 
 use aldsp::analyzer::{
     analyze_sql, check_metadata, check_prepared, check_translation, check_types, lint_program,
@@ -909,42 +909,6 @@ fn fuzzed_workload_type_checks_clean_per_seed() {
     }
 }
 
-// ---- the debug-analyze hard-error hook -------------------------------
-
-#[test]
-fn debug_validator_turns_findings_into_translation_errors() {
-    aldsp::analyzer::install_debug_validator();
-    assert!(stage3::debug_validate::installed());
-
-    // Clean IR still generates.
-    let good = select_of(
-        1,
-        vec![PreparedItem {
-            expr: column("T", "A"),
-            output: 0,
-        }],
-        vec![output("A")],
-    );
-    stage3::generate(&good).expect("clean IR must generate");
-
-    // The same IR carrying the reserved context id 0 generates
-    // syntactically fine XQuery — only the analyzer notices — and the
-    // installed validator turns that finding into a hard error.
-    let bad = select_of(
-        0,
-        vec![PreparedItem {
-            expr: column("T", "A"),
-            output: 0,
-        }],
-        vec![output("A")],
-    );
-    let err = stage3::generate(&bad).expect_err("validator must reject ctx 0");
-    assert!(
-        err.message.contains("debug-analyze") && err.message.contains("A001"),
-        "unexpected error: {err}"
-    );
-}
-
 // ---- layer 4: cost & cardinality (exact P codes) ---------------------
 
 use aldsp::analyzer::{analyze_sql_with, check_cost, CostOptions};
@@ -1431,15 +1395,25 @@ fn demo_metadata() -> CachedMetadataApi<InProcessMetadataApi> {
     )))
 }
 
+/// Stages 1–3 over the demo schema: the prepared query and its final
+/// text in the XML and in the delimited-text transport.
+fn translate_both(
+    metadata: &CachedMetadataApi<InProcessMetadataApi>,
+    sql: &str,
+) -> (PreparedQuery, String, String) {
+    let parsed = stage1::parse(sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+    let prepared = stage2::prepare(&parsed, metadata).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+    let generated = stage3::generate(&prepared).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+    let xml = generated.clone().into_query_text();
+    let delimited = wrapper::wrap_delimited(generated, &prepared);
+    (prepared, xml, delimited)
+}
+
 /// Translates `sql` against the demo schema, replaces `pattern` with
 /// `replacement` in the generated (unwrapped) text, and returns the
 /// validator's finding codes for the corrupted translation.
 fn corrupted_codes(sql: &str, pattern: &str, replacement: &str) -> Vec<String> {
-    let metadata = demo_metadata();
-    let parsed = stage1::parse(sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
-    let prepared = stage2::prepare(&parsed, &metadata).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
-    let generated = stage3::generate(&prepared).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
-    let xml = generated.into_query_text();
+    let (prepared, xml, _) = translate_both(&demo_metadata(), sql);
     assert!(
         xml.contains(pattern),
         "corruption pattern `{pattern}` not found in generated text:\n{xml}"
@@ -1555,13 +1529,7 @@ fn fuzzed_workload_validates_clean_per_seed() {
         for class in ConstructClass::all() {
             for _ in 0..46 {
                 let sql = generator.generate(*class);
-                let parsed = stage1::parse(&sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
-                let prepared =
-                    stage2::prepare(&parsed, &metadata).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
-                let generated =
-                    stage3::generate(&prepared).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
-                let xml = generated.clone().into_query_text();
-                let delimited = wrapper::wrap_delimited(generated, &prepared);
+                let (prepared, xml, delimited) = translate_both(&metadata, &sql);
                 for text in [&xml, &delimited] {
                     let outcome = validate_translation(&prepared, text, &quick);
                     assert!(
@@ -1575,4 +1543,136 @@ fn fuzzed_workload_validates_clean_per_seed() {
         }
         assert!(checked >= 500, "only {checked} fuzzed queries validated");
     }
+}
+
+// ---- one verdict per translation: the two per-query values -----------
+//
+// `QueryFacts` and `Witnesses` are built once per prepared query and
+// judge any number of programs against it. Sharing must be unobservable:
+// the same findings as the piecewise layer functions composed by hand
+// (which is how `analyze_translation_with` was written before it parsed
+// once), the same outcome as a fresh validation of each text.
+
+use aldsp::analyzer::{analyze_translation_with, lint_text, Witnesses};
+use aldsp::workload::{fuzzed_corpus, golden_statements, mutants_for, paper_corpus};
+use aldsp::xquery::parse_program;
+
+/// Paper + golden (parameterized statements included) +
+/// `fuzzed_corpus(3, 10)`: the prepared query with its final text in the
+/// XML and the delimited-text transport.
+fn verdict_corpus() -> Vec<(String, PreparedQuery, String, String)> {
+    let metadata = demo_metadata();
+    let mut statements = paper_corpus();
+    statements.extend(
+        golden_statements()
+            .into_iter()
+            .enumerate()
+            .map(|(i, sql)| (format!("golden:{}", i + 1), sql)),
+    );
+    statements.extend(fuzzed_corpus(3, 10));
+    statements
+        .into_iter()
+        .map(|(origin, sql)| {
+            let (prepared, xml, delimited) = translate_both(&metadata, &sql);
+            (format!("{origin} `{sql}`"), prepared, xml, delimited)
+        })
+        .collect()
+}
+
+#[test]
+fn shared_reference_side_agrees_with_a_fresh_validation() {
+    let corpus = verdict_corpus();
+    let (mut clean, mut refuted) = (0usize, 0usize);
+    for options in [ValidateOptions::quick(), ValidateOptions::default()] {
+        for (origin, prepared, xml, _) in &corpus {
+            let shared = Witnesses::of(prepared, &options);
+            let mutants = mutants_for(xml);
+            for text in std::iter::once(xml).chain(mutants.iter().map(|m| &m.xquery)) {
+                let fresh = validate_translation(prepared, text, &options);
+                let program = parse_program(text)
+                    .unwrap_or_else(|e| panic!("{origin}: mutants are unparsed programs: {e}"));
+                let outcome = shared.check(&program);
+                let first = |o: &aldsp::analyzer::ValidationOutcome| {
+                    o.diagnostics.first().map(|d| (d.code, d.message.clone()))
+                };
+                assert_eq!(first(&outcome), first(&fresh), "{origin}:\n{text}");
+                assert_eq!(
+                    (outcome.databases_enumerated, outcome.witnesses_checked),
+                    (fresh.databases_enumerated, fresh.witnesses_checked),
+                    "{origin}:\n{text}"
+                );
+                match outcome.diagnostics.is_empty() {
+                    true => clean += 1,
+                    false => refuted += 1,
+                }
+            }
+        }
+    }
+    assert!(
+        clean >= 2 * corpus.len() && refuted >= 100,
+        "{clean} agreeing, {refuted} refuted checks"
+    );
+}
+
+/// Layers 1–4 composed by hand from the piecewise functions, each given
+/// the text or a parse of its own.
+fn piecewise_report(prepared: &PreparedQuery, text: &str) -> (String, Option<f64>) {
+    let flow = check_types(prepared);
+    let program = parse_program(text).ok();
+    let cost = check_cost(prepared, program.as_ref(), &CostOptions::default());
+    let diff = program
+        .iter()
+        .flat_map(|program| check_translation(prepared, program, &flow.columns));
+    let findings: Vec<String> = check_prepared(prepared)
+        .into_iter()
+        .chain(lint_text(text))
+        .chain(flow.diagnostics.iter().cloned())
+        .chain(diff)
+        .chain(cost.diagnostics)
+        .map(|d| d.to_string())
+        .collect();
+    (findings.join("\n"), cost.flwor_fuel)
+}
+
+#[test]
+fn one_parse_returns_the_piecewise_report() {
+    let (mut texts, mut dirty) = (0usize, 0usize);
+    for (origin, prepared, xml, delimited) in &verdict_corpus() {
+        let mutants = mutants_for(xml);
+        for text in [xml, delimited]
+            .into_iter()
+            .chain(mutants.iter().map(|m| &m.xquery))
+        {
+            let (report, _) = analyze_translation_with(prepared, text, &CostOptions::default());
+            assert_eq!(
+                (report.render(), report.cost.flwor_fuel),
+                piecewise_report(prepared, text),
+                "{origin}:\n{text}"
+            );
+            assert!(report.validation.is_empty());
+            texts += 1;
+            dirty += usize::from(report.all().next().is_some());
+        }
+        // Text that is not a program: `A100` once, no translation diff,
+        // no FLWOR fuel walk.
+        let broken = format!("{xml} (");
+        let (report, typing) = analyze_translation_with(prepared, &broken, &CostOptions::default());
+        assert_eq!(
+            (report.render(), report.cost.flwor_fuel),
+            piecewise_report(prepared, &broken),
+            "{origin}: unparsable text"
+        );
+        let codes: Vec<DiagCode> = report.xquery.iter().map(|d| d.code).collect();
+        assert_eq!(codes, [DiagCode::A100], "{origin}");
+        assert!(report.types.iter().all(|d| !matches!(
+            d.code,
+            DiagCode::T004 | DiagCode::T005 | DiagCode::T006 | DiagCode::T007
+        )));
+        assert_eq!(report.cost.flwor_fuel, None);
+        assert_eq!(typing.len(), prepared.output.len());
+    }
+    assert!(
+        texts >= 500 && dirty >= 50,
+        "{texts} texts, {dirty} with findings"
+    );
 }

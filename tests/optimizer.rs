@@ -4,14 +4,13 @@
 //! and end-to-end result equality on the optimized lanes of the
 //! differential matrix.
 
-use aldsp::analyzer::report::analyze_translation;
-use aldsp::analyzer::validate::{check_equivalence, ValidateOptions};
+use aldsp::analyzer::validate::ValidateOptions;
 use aldsp::catalog::{CachedMetadataApi, InProcessMetadataApi, TableLocator};
 use aldsp::core::{OptimizeLevel, QueryOptimizer, TranslationOptions, Translator, Transport};
 use aldsp::optimizer::Optimizer;
 use aldsp::workload::{
-    build_application, golden_statements, mutants_for, run_matrix, stats_for, Engine, Lane,
-    MutationClass, QueryGenerator, Scale, Universe,
+    build_application, fuzzed_corpus, golden_corpus, golden_statements, mutants_for, paper_corpus,
+    run_matrix, stats_for, Engine, Lane, MutationClass, QueryGenerator, Scale, Universe,
 };
 use aldsp::xquery::parse_program;
 use std::sync::Arc;
@@ -189,9 +188,10 @@ fn every_step_reruns_the_gate_and_never_raises_cost() {
 }
 
 /// Every golden-corpus statement must come out of the optimizer clean
-/// through all five analyzer layers — layers 1–3 report nothing, the
-/// optimized text parses, and the bounded-equivalence validator finds no
-/// diverging witness against the prepared IR.
+/// through all five analyzer layers: the engine's own gate — one fresh
+/// parse of the optimized text, layers 1–3 with no error and no more
+/// findings than the naive text has, no diverging witness against the
+/// prepared IR — accepts the final text as a rewrite of the naive one.
 #[test]
 fn golden_corpus_optimizes_clean_through_all_layers() {
     let translator = translator();
@@ -205,24 +205,13 @@ fn golden_corpus_optimizes_clean_through_all_layers() {
             .translate_full(sql, options)
             .unwrap_or_else(|e| panic!("golden `{sql}` must translate: {e}"));
         let outcome = engine.optimize(&full.prepared, &full.translation.xquery, options);
-        let report = analyze_translation(&full.prepared, &outcome.xquery);
-        assert!(
-            report.is_clean(),
-            "golden `{sql}` optimized dirty: {:?}/{:?}/{:?}",
-            report.ir,
-            report.xquery,
-            report.types
-        );
         // Optimized programs are equivalent *relative to the declared
-        // key constraints* (DISTINCT elimination relies on them), so the
-        // final check enumerates constraint-respecting witnesses.
-        let validate_options =
-            ValidateOptions::quick().with_key_columns(stats_for(Scale::small()).unique_columns());
-        let diagnostics = check_equivalence(&full.prepared, &outcome.xquery, &validate_options);
-        assert!(
-            diagnostics.is_empty(),
-            "golden `{sql}` optimized text diverges: {diagnostics:?}"
-        );
+        // key constraints* (DISTINCT elimination relies on them): the
+        // engine's budget enumerates constraint-respecting witnesses.
+        if let Err(refusal) = engine.gate(&full.prepared, &full.translation.xquery, &outcome.xquery)
+        {
+            panic!("golden `{sql}` optimized dirty: {refusal}");
+        }
         if outcome.trace.applied() > 0 {
             rewritten += 1;
         }
@@ -277,6 +266,9 @@ fn gate_rejects_rewrite_shaped_miscompilations() {
         let Ok(full) = translator.translate_full(sql, options) else {
             continue;
         };
+        // One gate per statement: every mutant is judged against the same
+        // query facts, baseline and reference side.
+        let gate = engine.gate_for(&full.prepared, &full.translation.xquery);
         for mutant in mutants_for(&full.translation.xquery) {
             if !matches!(
                 mutant.class,
@@ -285,7 +277,7 @@ fn gate_rejects_rewrite_shaped_miscompilations() {
                 continue;
             }
             total += 1;
-            match engine.gate(&full.prepared, &full.translation.xquery, &mutant.xquery) {
+            match gate.admit(&mutant.xquery) {
                 Err(refusal) => {
                     rejected += 1;
                     match refusal.layer {
@@ -316,6 +308,81 @@ fn gate_rejects_rewrite_shaped_miscompilations() {
     // equivalence check (layer 5) can refute them.
     assert!(analyzer_kills > 0, "expected analyzer-layer rejections");
     assert!(validator_kills > 0, "expected validator-layer rejections");
+}
+
+/// The gate judges the text that ships, not the rule's AST: a candidate
+/// that does not parse is refused with layer 2's `A100`, and a baseline
+/// that does not parse is a baseline with that one finding.
+#[test]
+fn gate_refuses_unparsable_text_at_the_analyzer_layer() {
+    let options = TranslationOptions::with_transport(Transport::Xml);
+    let full = translator()
+        .translate_full("SELECT CUSTOMERID FROM CUSTOMERS", options)
+        .expect("translates");
+    let (engine, naive) = (optimizer(), &full.translation.xquery);
+    for baseline in [naive.as_str(), "for $x in ("] {
+        let refusal = engine
+            .gate(&full.prepared, baseline, "for $x in (")
+            .expect_err("unparsable candidate");
+        assert_eq!(refusal.layer, "analyzer");
+        assert!(refusal.reason.contains("A100"), "{refusal}");
+        engine
+            .gate(&full.prepared, baseline, naive)
+            .unwrap_or_else(|refusal| panic!("the clean text is refused: {refusal}"));
+    }
+}
+
+/// The layer-5 gate only ever refuses: with it on and off the engine
+/// tries the same rules in the same order and, wherever layer 5 refused
+/// nothing, produces the same text and the same trace — so the gate's
+/// per-query facts, filled by the first candidate that reaches it, are
+/// the ones every later candidate is judged against.
+#[test]
+fn validation_gate_changes_nothing_it_does_not_refuse() {
+    let translator = translator();
+    let stats = stats_for(Scale::small());
+    let (gated, ungated) = (
+        Optimizer::new(stats.clone()),
+        Optimizer::new(stats).with_validation(false),
+    );
+    assert!(gated.validates() && !ungated.validates());
+    let mut statements = paper_corpus();
+    statements.extend(golden_corpus());
+    statements.extend(fuzzed_corpus(3, 10));
+    let (mut compared, mut rewritten) = (0usize, 0usize);
+    for (origin, sql) in &statements {
+        for transport in [Transport::DelimitedText, Transport::Xml] {
+            let options =
+                TranslationOptions::with_transport(transport).optimized(OptimizeLevel::Full);
+            let full = translator
+                .translate_full(sql, options)
+                .unwrap_or_else(|e| panic!("{origin}: `{sql}`: {e}"));
+            let optimize = |engine: &Optimizer| {
+                engine.optimize(&full.prepared, &full.translation.xquery, options)
+            };
+            let (on, off) = (optimize(&gated), optimize(&ungated));
+            if on
+                .trace
+                .steps
+                .iter()
+                .any(|s| s.note.starts_with("validator gate:"))
+            {
+                continue;
+            }
+            let steps = |outcome: &aldsp::core::OptimizeOutcome| -> Vec<(&str, bool, String)> {
+                let steps = outcome.trace.steps.iter();
+                steps.map(|s| (s.rule, s.applied, s.note.clone())).collect()
+            };
+            assert_eq!(steps(&on), steps(&off), "{origin} {transport:?}: `{sql}`");
+            assert_eq!(on.xquery, off.xquery, "{origin} {transport:?}: `{sql}`");
+            compared += 1;
+            rewritten += usize::from(on.trace.applied() > 0);
+        }
+    }
+    assert!(
+        compared >= 200 && rewritten >= 50,
+        "{compared} statements compared, {rewritten} of them rewritten"
+    );
 }
 
 /// End to end: the lanes that optimize at `Full` — on the interpreter and
