@@ -216,7 +216,8 @@ fn fastest_of<R>(n: usize, mut f: impl FnMut() -> R) -> Duration {
 /// and the whole statement (SQL text in, decoded rows out, warm plan
 /// cache) per transport under the production configuration, which is the
 /// paper's claim end to end: from 1,000 rows up delimited text must not
-/// be slower than XML. Smoke stops at 10,000 rows.
+/// be slower than XML, with each transport's statement written by its sink
+/// (asserted from `sink_counts()`). Smoke stops at 10,000 rows.
 fn e1_result_transport(smoke: bool) {
     println!("== E1: result transport (paper §4) ==");
     println!(
@@ -263,6 +264,17 @@ fn e1_result_transport(smoke: bool) {
             };
             let xml_statement = statement(xml_service);
             let text_statement = statement(text_service);
+            // Both sides of the comparison are the fused path: a transport
+            // that silently stopped sinking would flatter the other.
+            for (service, transport) in [(text_service, "delimited-text"), (xml_service, "XML")] {
+                let meter = QueryBudget::unlimited();
+                service.execute_with_budget(sql, &[], Some(&meter)).unwrap();
+                assert_eq!(
+                    meter.sink_counts(),
+                    (1, 0),
+                    "E1: the {transport} statement did not end in its sink"
+                );
+            }
             println!(
                 "{:>8} {:>5} {:>12} {:>12} {:>7.2}x {:>14.1} {:>14.1} {:>7.2}x {:>12.2} {:>13.2} {:>7.2}x",
                 rows,

@@ -14,7 +14,8 @@ pub use aldsp_relational::sql_value_to_sequence;
 use aldsp_relational::Database;
 use aldsp_xml::Sequence;
 use aldsp_xquery::{
-    evaluate_program, evaluate_program_exec, parse_program, FunctionSource, XqError,
+    evaluate_program, evaluate_program_exec, evaluate_program_to_payload, parse_program,
+    FunctionSource, Program, XqError,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
@@ -182,24 +183,37 @@ impl DspServer {
         budget: Option<&QueryBudget>,
         strategy: ExecStrategy,
     ) -> Result<Sequence, DriverError> {
+        self.compile_and(xquery, |program| {
+            evaluate_program_exec(program, self, params, budget, strategy)
+        })
+    }
+
+    /// One execution: the fault hook, compilation, the query count, then
+    /// `evaluate` with its errors mapped onto the driver's.
+    fn compile_and<T>(
+        &self,
+        xquery: &str,
+        evaluate: impl FnOnce(&Program) -> Result<T, XqError>,
+    ) -> Result<T, DriverError> {
         if let Some(injector) = self.fault_injector() {
             injector.on_execute()?;
         }
         let program = parse_program(xquery)
             .map_err(|e| DriverError::Execution(format!("XQuery compilation failed: {e}")))?;
         self.queries.fetch_add(1, Ordering::Relaxed);
-        evaluate_program_exec(&program, self, params, budget, strategy).map_err(|e| {
-            match e.budget_error() {
-                Some(b) => DriverError::from_budget(b),
-                None => DriverError::Execution(e.message),
-            }
+        evaluate(&program).map_err(|e| match e.budget_error() {
+            Some(b) => DriverError::from_budget(b),
+            None => DriverError::Execution(e.message),
         })
     }
 
     /// Executes and ships the result as serialized text (either the XML
     /// serialization of the result sequence, or — for §4 wrapper queries —
     /// the single joined string). Returns the payload exactly as it would
-    /// cross the client/server boundary.
+    /// cross the client/server boundary; the engine writes it
+    /// ([`evaluate_program_to_payload`]), so under
+    /// [`ExecStrategy::HashJoin`] a statement whose body has a sink's shape
+    /// is serialized while it is evaluated.
     ///
     /// When `client_epoch` is given and differs from the server's current
     /// metadata epoch, the query is rejected with
@@ -224,12 +238,9 @@ impl DspServer {
                 });
             }
         }
-        let result = self.execute_governed_with(xquery, params, budget, strategy)?;
-        let mut payload = match result.as_singleton() {
-            // A single string item: the delimited-text transport.
-            Some(aldsp_xml::Item::Atomic(aldsp_xml::Atomic::String(s))) => s.clone(),
-            _ => aldsp_xml::serialize_sequence(&result),
-        };
+        let mut payload = self.compile_and(xquery, |program| {
+            evaluate_program_to_payload(program, self, params, budget, strategy)
+        })?;
         if let Some(injector) = self.fault_injector() {
             payload = injector.on_transport(payload)?;
         }

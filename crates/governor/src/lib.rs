@@ -171,8 +171,9 @@ struct BudgetInner {
     // evaluation layer.
     hash_joins: AtomicU64,
     join_fallbacks: AtomicU64,
-    // §4 wrappers the text sink wrote, and those it abandoned to the
-    // interpreter. Not hash operators: they stay out of the two above.
+    // Statement bodies a sink (text or XML) wrote, and those it abandoned
+    // to the interpreter. Not hash operators: they stay out of the two
+    // above.
     sinks: AtomicU64,
     sink_fallbacks: AtomicU64,
 }
@@ -331,12 +332,13 @@ impl QueryBudget {
         )
     }
 
-    /// Records a §4 wrapper the text sink wrote.
+    /// Records a statement body a sink wrote: a §4 wrapper (the text
+    /// sink) or an XML `<RECORDSET>` of one FLWOR's rows (the XML sink).
     pub fn record_sink(&self) {
         self.inner.sinks.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a §4 wrapper the text sink abandoned on an error and the
+    /// Records a statement body a sink abandoned on an error and the
     /// interpreter re-ran.
     pub fn record_sink_fallback(&self) {
         self.inner.sink_fallbacks.fetch_add(1, Ordering::Relaxed);

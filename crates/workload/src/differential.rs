@@ -242,10 +242,12 @@ pub struct LaneReport {
     pub hash_operators: u64,
     /// Hashable FLWORs that fell back to the interpreter.
     pub join_fallbacks: u64,
-    /// §4 wrappers the text sink wrote: on a delimited-text lane under
-    /// the pipeline strategy, one per execution that reached evaluation.
+    /// Statement bodies a sink wrote. Under the pipeline strategy, on a
+    /// delimited-text lane: one per execution that reached evaluation; on
+    /// an XML lane: one per such execution whose body is a `<RECORDSET>`
+    /// of one FLWOR's `<RECORD>`s.
     pub sinks: u64,
-    /// §4 wrappers the text sink abandoned to the interpreter.
+    /// Statement bodies a sink abandoned to the interpreter.
     pub sink_fallbacks: u64,
     /// Final plan-cache counters of a cached lane.
     pub cache: Option<CacheStats>,

@@ -6,6 +6,7 @@
 //! comparisons on these values using the same promotion lattice, so that a
 //! translated query computes the same answers as direct SQL execution.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -143,14 +144,18 @@ impl Atomic {
     /// The canonical lexical representation, as produced by
     /// `fn-bea:serialize-atomic` in result transport (paper §4).
     pub fn lexical(&self) -> String {
+        self.lexical_str().into_owned()
+    }
+
+    /// [`Atomic::lexical`] without the copy where the value already is its
+    /// lexical form — what a writer escapes straight into its buffer.
+    pub fn lexical_str(&self) -> Cow<'_, str> {
         match self {
-            Atomic::String(s) => s.clone(),
-            Atomic::Integer(i) => i.to_string(),
-            Atomic::Decimal(d) => format_decimal(*d),
-            Atomic::Double(d) => format_double(*d),
-            Atomic::Boolean(b) => b.to_string(),
-            Atomic::Date(d) => d.clone(),
-            Atomic::Untyped(s) => s.clone(),
+            Atomic::String(s) | Atomic::Date(s) | Atomic::Untyped(s) => Cow::Borrowed(s),
+            Atomic::Integer(i) => Cow::Owned(i.to_string()),
+            Atomic::Decimal(d) => Cow::Owned(format_decimal(*d)),
+            Atomic::Double(d) => Cow::Owned(format_double(*d)),
+            Atomic::Boolean(b) => Cow::Owned(b.to_string()),
         }
     }
 

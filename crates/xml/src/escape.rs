@@ -29,8 +29,13 @@ pub fn escape_text_into(out: &mut String, s: &str) {
 /// Escapes an attribute value (additionally `"`).
 pub fn escape_attribute(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s, true);
+    escape_attribute_into(&mut out, s);
     out
+}
+
+/// [`escape_attribute`], appended to `out`.
+pub fn escape_attribute_into(out: &mut String, s: &str) {
+    escape_into(out, s, true);
 }
 
 fn escape_into(out: &mut String, s: &str, attr: bool) {

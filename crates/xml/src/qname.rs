@@ -67,6 +67,16 @@ impl QName {
     pub fn matches_local(&self, local: &str) -> bool {
         &*self.local == local
     }
+
+    /// Appends the lexical form (`prefix:local` or `local`) to `out` —
+    /// [`fmt::Display`] without a formatter, for the serializer.
+    pub fn write_into(&self, out: &mut String) {
+        if let Some(prefix) = &self.prefix {
+            out.push_str(prefix);
+            out.push(':');
+        }
+        out.push_str(&self.local);
+    }
 }
 
 impl fmt::Display for QName {

@@ -5,14 +5,15 @@
 //! client/server boundary, and re-parsed in the driver (paper §4 argues this
 //! is the *slow* path that the text-encoded transport replaces).
 
-use crate::escape::{escape_attribute, escape_text};
+use crate::escape::{escape_attribute, escape_attribute_into, escape_text, escape_text_into};
 use crate::node::{Element, Node};
+use crate::qname::QName;
 use crate::sequence::{Item, Sequence};
 
 /// Serializes a node compactly (no added whitespace).
 pub fn serialize_node(node: &Node) -> String {
     let mut out = String::new();
-    write_node(node, &mut out);
+    write_node(&mut out, node);
     out
 }
 
@@ -32,14 +33,14 @@ pub fn serialize_sequence(seq: &Sequence) -> String {
     for item in seq.iter() {
         match item {
             Item::Node(n) => {
-                write_node(n, &mut out);
+                write_node(&mut out, n);
                 prev_atomic = false;
             }
             Item::Atomic(a) => {
                 if prev_atomic {
                     out.push(' ');
                 }
-                out.push_str(&escape_text(&a.lexical()));
+                write_text(&mut out, &a.lexical_str());
                 prev_atomic = true;
             }
         }
@@ -47,21 +48,53 @@ pub fn serialize_sequence(seq: &Sequence) -> String {
     out
 }
 
-fn write_node(node: &Node, out: &mut String) {
+fn write_node(out: &mut String, node: &Node) {
     match node {
-        Node::Text(t) => out.push_str(&escape_text(t)),
-        Node::Element(e) => write_element(e, out),
+        Node::Text(t) => write_text(out, t),
+        Node::Element(e) => write_element(out, e),
     }
 }
 
-fn write_element(e: &Element, out: &mut String) {
+// The writers below are public for a writer that serializes while it
+// evaluates (the XQuery engine's XML sink): what it writes is then, by
+// construction, what `serialize_sequence` makes of the tree it never built.
+
+/// `<name>`.
+pub fn write_start_tag(out: &mut String, name: &QName) {
     out.push('<');
-    out.push_str(&e.name.to_string());
+    name.write_into(out);
+    out.push('>');
+}
+
+/// `<name/>`: an element without children (an empty text node is a child:
+/// that element is `<name></name>`).
+pub fn write_empty_tag(out: &mut String, name: &QName) {
+    out.push('<');
+    name.write_into(out);
+    out.push_str("/>");
+}
+
+/// `</name>`.
+pub fn write_end_tag(out: &mut String, name: &QName) {
+    out.push_str("</");
+    name.write_into(out);
+    out.push('>');
+}
+
+/// Text content, escaped in place.
+pub fn write_text(out: &mut String, text: &str) {
+    escape_text_into(out, text);
+}
+
+/// A whole element, markup and content.
+pub fn write_element(out: &mut String, e: &Element) {
+    out.push('<');
+    e.name.write_into(out);
     for (name, value) in &e.attributes {
         out.push(' ');
-        out.push_str(&name.to_string());
+        name.write_into(out);
         out.push_str("=\"");
-        out.push_str(&escape_attribute(value));
+        escape_attribute_into(out, value);
         out.push('"');
     }
     if e.children.is_empty() {
@@ -70,11 +103,9 @@ fn write_element(e: &Element, out: &mut String) {
     }
     out.push('>');
     for child in &e.children {
-        write_node(child, out);
+        write_node(out, child);
     }
-    out.push_str("</");
-    out.push_str(&e.name.to_string());
-    out.push('>');
+    write_end_tag(out, &e.name);
 }
 
 /// Pretty-prints a node with two-space indentation — used by examples and
@@ -135,7 +166,6 @@ fn indent(depth: usize, out: &mut String) {
 mod tests {
     use super::*;
     use crate::atomic::Atomic;
-    use crate::qname::QName;
 
     fn record() -> Element {
         Element::new("RECORD")

@@ -3,9 +3,23 @@
 //! Evaluates the dialect AST over the `aldsp-xml` data model. FLWOR
 //! expressions run as tuple streams (each clause transforms a vector of
 //! variable environments), which makes the BEA group-by extension a
-//! straightforward stream re-partitioning. No optimization is attempted:
-//! the paper explicitly leaves optimization to the server's compiler
-//! (§3.2), and this engine's job is fidelity, not speed.
+//! straightforward stream re-partitioning.
+//!
+//! This module is two things. It is the **reference**: the interpreter
+//! under [`ExecStrategy::NestedLoop`] evaluates every expression exactly as
+//! written — no shape is recognized, nothing is reordered or skipped — and
+//! its job is fidelity, not speed; it is what the `+hash` lanes of the
+//! differential matrix and analyzer layer 5 compare against, and what
+//! every operator falls back to (`interpret_on_error`). And it is the
+//! **engine**'s front door: under [`ExecStrategy::HashJoin`] the same
+//! walk hands what [`crate::exec`] recognizes to its operators — a FLWOR's
+//! join-shaped clause prefix (`Evaluator::flwor_tuples`), its `return
+//! <RECORD>…</RECORD>` (`eval_flwor`), a program body that is a sink's
+//! ([`evaluate_program_exec`], [`evaluate_program_to_payload`]) — and
+//! interprets the rest. (The paper leaves optimization to the server's
+//! compiler, §3.2; `exec` is this repository's share of that compiler's
+//! physical side, the rewrite engine in `aldsp-optimizer` its logical
+//! one.)
 
 use crate::ast::*;
 use crate::exec::{self, AtomKey};
@@ -132,6 +146,12 @@ impl Env {
         })))
     }
 
+    /// [`Env::lookup`], or the dynamic error of reading an unbound `$name`.
+    pub(crate) fn value_of(&self, name: &str) -> Result<&Sequence, XqError> {
+        self.lookup(name)
+            .ok_or_else(|| XqError::new(format!("undefined variable ${name}")))
+    }
+
     /// Innermost binding of `name`.
     pub fn lookup(&self, name: &str) -> Option<&Sequence> {
         let mut current = self;
@@ -174,11 +194,13 @@ pub fn evaluate_program(
 /// while `for` clauses expand — so a runaway cartesian product stops
 /// mid-expansion instead of exhausting memory first.
 ///
-/// Under [`ExecStrategy::HashJoin`] the evaluator lowers recognized
-/// join-shaped FLWORs onto the streaming pipeline in [`crate::exec`];
-/// everything else — and every FLWOR under [`ExecStrategy::NestedLoop`] —
-/// runs on the naive interpreter. The strategy never changes observable
-/// results, only how (and how fast) they are produced.
+/// Under [`ExecStrategy::HashJoin`] the evaluator lowers what
+/// [`crate::exec`] recognizes — join-shaped FLWOR prefixes, `return
+/// <RECORD>…</RECORD>`, the §4 wrapper (whose payload is then this
+/// function's singleton string) — onto its operators; everything else —
+/// and everything under [`ExecStrategy::NestedLoop`] — runs on the
+/// interpreter. The strategy never changes observable results, only how
+/// (and how fast) they are produced.
 pub fn evaluate_program_exec(
     program: &Program,
     functions: &dyn FunctionSource,
@@ -186,6 +208,59 @@ pub fn evaluate_program_exec(
     budget: Option<&QueryBudget>,
     strategy: ExecStrategy,
 ) -> Result<Sequence, XqError> {
+    Ok(
+        match evaluate(program, functions, vars, budget, strategy, false)? {
+            Evaluated::Payload(text) => Sequence::singleton(Atomic::String(text)),
+            Evaluated::Items(items) => items,
+        },
+    )
+}
+
+/// [`evaluate_program_exec`] for a caller that ships the result: evaluates
+/// and serializes as it crosses the boundary. The payload is the single
+/// string of a delimited-text statement, moved out, or the XML
+/// serialization of the result sequence — which, under
+/// [`ExecStrategy::HashJoin`], a body of the shape stage 3 emits for a
+/// plain `SELECT` is written as while it is evaluated, so the `<RECORDSET>`
+/// tree is never built.
+pub fn evaluate_program_to_payload(
+    program: &Program,
+    functions: &dyn FunctionSource,
+    vars: &[(String, Sequence)],
+    budget: Option<&QueryBudget>,
+    strategy: ExecStrategy,
+) -> Result<String, XqError> {
+    Ok(
+        match evaluate(program, functions, vars, budget, strategy, true)? {
+            Evaluated::Payload(payload) => payload,
+            Evaluated::Items(items) => {
+                let mut items = items.into_items();
+                match items.as_mut_slice() {
+                    [Item::Atomic(Atomic::String(text))] => std::mem::take(text),
+                    _ => aldsp_xml::serialize_sequence(&Sequence::from_items(items)),
+                }
+            }
+        },
+    )
+}
+
+/// What a program body came to: the payload a sink wrote, or the items
+/// the evaluator built.
+enum Evaluated {
+    Payload(String),
+    Items(Sequence),
+}
+
+/// The one entry behind both public ones. `xml_sink` says the caller wants
+/// a payload, so an XML body may be sunk as well as a delimited one.
+fn evaluate(
+    program: &Program,
+    functions: &dyn FunctionSource,
+    vars: &[(String, Sequence)],
+    budget: Option<&QueryBudget>,
+    strategy: ExecStrategy,
+    xml_sink: bool,
+) -> Result<Evaluated, XqError> {
     if let Some(budget) = budget {
         budget.check().map_err(XqError::budget)?;
     }
@@ -204,7 +279,7 @@ pub fn evaluate_program_exec(
         env = env.bind(name.clone(), value.clone());
     }
     if strategy == ExecStrategy::HashJoin {
-        if let Some(sink) = exec::text_sink(&program.body) {
+        if let Some(sink) = exec::sink(&program.body, xml_sink) {
             let written = interpret_on_error(exec::run_sink(&evaluator, &sink, &env))?;
             if let Some(budget) = budget {
                 match written {
@@ -212,20 +287,22 @@ pub fn evaluate_program_exec(
                     None => budget.record_sink_fallback(),
                 }
             }
-            if let Some(text) = written {
-                return Ok(Sequence::singleton(Atomic::String(text)));
+            if let Some(payload) = written {
+                return Ok(Evaluated::Payload(payload));
             }
-            // No silent fallback: the sink gives up only on what the
+            // No silent fallback: a sink gives up only on what the
             // interpreter fails on too.
             let interpreted = evaluator.eval(&program.body, &env, None);
             debug_assert!(
                 interpreted.is_err(),
-                "the text sink failed on a wrapper the interpreter evaluates"
+                "a sink failed on a body the interpreter evaluates"
             );
-            return interpreted;
+            return interpreted.map(Evaluated::Items);
         }
     }
-    evaluator.eval(&program.body, &env, None)
+    evaluator
+        .eval(&program.body, &env, None)
+        .map(Evaluated::Items)
 }
 
 /// What a pipeline operator's error means (DESIGN.md §17, "Fallback and
@@ -281,10 +358,7 @@ impl<'a> Evaluator<'a> {
                 }
                 Ok(out)
             }
-            Expr::VarRef(name) => env
-                .lookup(name)
-                .cloned()
-                .ok_or_else(|| XqError::new(format!("undefined variable ${name}"))),
+            Expr::VarRef(name) => env.value_of(name).cloned(),
             Expr::ContextItem => match context {
                 Some(item) => Ok(Sequence::singleton(item.clone())),
                 None => Err(XqError::new("no context item")),
@@ -307,10 +381,7 @@ impl<'a> Evaluator<'a> {
             }
             Expr::Path { start, steps } => {
                 let mut current = match &**start {
-                    PathStart::Var(v) => env
-                        .lookup(v)
-                        .cloned()
-                        .ok_or_else(|| XqError::new(format!("undefined variable ${v}")))?,
+                    PathStart::Var(v) => env.value_of(v)?.clone(),
                     PathStart::Expr(e) => self.eval(e, env, context)?,
                     PathStart::Context => match context {
                         Some(item) => Sequence::singleton(item.clone()),
@@ -458,7 +529,7 @@ impl<'a> Evaluator<'a> {
             for child in element.child_elements() {
                 let matches = match &step.test {
                     NodeTest::Wildcard => true,
-                    NodeTest::Name(name) => element_name_matches(child, name),
+                    NodeTest::Name(name) => name_matches(&child.name, name),
                 };
                 if matches {
                     out.push(Item::Node(Node::Element(Arc::clone(child))));
@@ -521,6 +592,31 @@ impl<'a> Evaluator<'a> {
         env: &Env,
         context: Option<&Item>,
     ) -> Result<Sequence, XqError> {
+        let tuples = self.flwor_tuples(flwor, env, context)?;
+        if self.strategy == ExecStrategy::HashJoin {
+            if let Some(project) = exec::project(&flwor.ret) {
+                let rows = exec::project_tree(self, &project, &tuples, context);
+                if let Some(rows) = interpret_on_error(rows)? {
+                    return Ok(rows);
+                }
+            }
+        }
+        let mut out = Sequence::empty();
+        for tuple in &tuples {
+            out.extend(self.eval(&flwor.ret, tuple, context)?);
+        }
+        Ok(out)
+    }
+
+    /// The tuple stream of `flwor`, every clause applied: what its
+    /// `return` is evaluated over — by [`Evaluator::eval_flwor`], or by a
+    /// sink of [`crate::exec`] that writes the rows itself.
+    pub(crate) fn flwor_tuples(
+        &self,
+        flwor: &Flwor,
+        env: &Env,
+        context: Option<&Item>,
+    ) -> Result<Vec<Env>, XqError> {
         let mut skip = 0;
         let mut tuples: Vec<Env> = vec![env.clone()];
         if self.strategy == ExecStrategy::HashJoin && exec::hash_shaped(flwor) {
@@ -594,11 +690,7 @@ impl<'a> Evaluator<'a> {
                 }
             }
         }
-        let mut out = Sequence::empty();
-        for tuple in &tuples {
-            out.extend(self.eval(&flwor.ret, tuple, context)?);
-        }
-        Ok(out)
+        Ok(tuples)
     }
 
     /// The BEA group-by extension: partitions the tuple stream by the key
@@ -702,7 +794,7 @@ impl<'a> Evaluator<'a> {
         Ok(keyed.into_iter().map(|(_, t)| t).collect())
     }
 
-    fn construct_element(
+    pub(crate) fn construct_element(
         &self,
         ctor: &ElementCtor,
         env: &Env,
@@ -768,14 +860,15 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-pub(crate) fn element_name_matches(element: &Element, test: &str) -> bool {
+/// Whether the name test `test` selects an element named `name`.
+pub(crate) fn name_matches(name: &QName, test: &str) -> bool {
     // Step tests in the generated dialect are written without prefixes and
     // match by local name; a prefixed test matches the name as written.
     if !test.contains(':') {
-        return element.name.matches_local(test);
+        return name.matches_local(test);
     }
-    let local = element.name.local_part();
-    match element.name.prefix() {
+    let local = name.local_part();
+    match name.prefix() {
         Some(prefix) => test
             .strip_prefix(prefix)
             .and_then(|rest| rest.strip_prefix(':'))
@@ -1003,6 +1096,26 @@ mod tests {
                     )
                 })
                 .collect(),
+                // What no physical table produces: a row with a column
+                // element twice (and once, and not at all).
+                "TWINS" => vec![
+                    (
+                        "TWINS",
+                        vec![
+                            ("ID", Some(Atomic::Integer(1))),
+                            ("X", Some(Atomic::String("a".into()))),
+                            ("X", Some(Atomic::String("b<".into()))),
+                        ],
+                    ),
+                    (
+                        "TWINS",
+                        vec![
+                            ("ID", Some(Atomic::Integer(2))),
+                            ("X", Some(Atomic::String("c".into()))),
+                        ],
+                    ),
+                    ("TWINS", vec![("ID", Some(Atomic::Integer(3)))]),
+                ],
                 "PAYMENTS" => vec![
                     (
                         "PAYMENTS",
@@ -1842,21 +1955,367 @@ mod tests {
                     .collect())
             }
         }
+        let rows = "<RECORDSET>{ for $r in ns0:ROWS() return \
+                    <RECORD><A>{fn:data($r/A)}</A></RECORD> }</RECORDSET>";
+        for (query, spent) in [
+            // The view cost two units (the constructor, the call); the
+            // poll that saw the token is the one on crossing 64, eleven
+            // rows of six units into the loop.
+            (wrapped("<RECORDSET>{ns0:ROWS()}</RECORDSET>"), 2 + 11 * 6),
+            // Fused, and as an XML body: the call and forty bindings, then
+            // three rows of 2 + 6 units, or twelve of 2.
+            (wrapped(rows), 41 + 3 * 8),
+            (rows.to_string(), 41 + 12 * 2),
+        ] {
+            let budget = QueryBudget::unlimited();
+            let err = evaluate_program_to_payload(
+                &parse_program(&query).unwrap(),
+                &CancelsOnCall(budget.clone()),
+                &[],
+                Some(&budget),
+                ExecStrategy::HashJoin,
+            )
+            .unwrap_err();
+            assert_eq!(err.budget_error(), Some(BudgetError::Cancelled));
+            assert_eq!(budget.fuel_spent(), spent, "{query}");
+        }
+    }
+
+    /// Runs a program whose body is an XML sink's on the interpreter and
+    /// through [`evaluate_program_to_payload`] — where the sink must have
+    /// run, once, without falling back — and as items under the pipeline
+    /// strategy, where [`exec::project_tree`] builds the rows: one payload,
+    /// and trees `==` to the interpreter's.
+    fn assert_projection_matches_the_interpreter(query: &str) -> String {
+        let program = parse_program(query).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(
+            exec::sink_kind(&program.body),
+            Some(exec::SinkKind::Xml),
+            "{query}"
+        );
+        let naive = run_exec(query, &QueryBudget::unlimited(), ExecStrategy::NestedLoop)
+            .unwrap_or_else(|e| panic!("naive: {e}"));
+        let tree_budget = QueryBudget::unlimited();
+        let tree = run_exec(query, &tree_budget, ExecStrategy::HashJoin)
+            .unwrap_or_else(|e| panic!("tree: {e}"));
+        assert_eq!(tree, naive, "trees differ on: {query}");
+        assert_eq!(tree_budget.sink_counts(), (0, 0), "items were asked for");
         let budget = QueryBudget::unlimited();
-        let program = parse_program(&wrapped("<RECORDSET>{ns0:ROWS()}</RECORDSET>")).unwrap();
-        let err = evaluate_program_exec(
+        let payload = evaluate_program_to_payload(
             &program,
-            &CancelsOnCall(budget.clone()),
+            &TestSource,
             &[],
             Some(&budget),
             ExecStrategy::HashJoin,
         )
+        .unwrap_or_else(|e| panic!("sink: {e}"));
+        assert_eq!(budget.sink_counts(), (1, 0), "no sink ran: {query}");
+        assert_eq!(
+            payload,
+            serialize_sequence(&naive),
+            "payloads differ on: {query}"
+        );
+        payload
+    }
+
+    /// `<RECORDSET>` of `table`'s rows with `cells` as the `<RECORD>`'s
+    /// content.
+    fn recordset_of(table: &str, cells: &str) -> String {
+        format!(
+            "{IMPORT} <RECORDSET>{{ for $v in ns0:{table}() return \
+             <RECORD>{cells}</RECORD> }}</RECORDSET>"
+        )
+    }
+
+    const NULLABLE_NAME: &str = "{ for $s in fn:data($v/CUSTOMERNAME) return <NAME>{$s}</NAME> }";
+
+    #[test]
+    fn projected_rows_are_the_interpreters_in_tree_and_markup() {
+        // Both cell shapes; an absent nullable column is no element.
+        let payload = assert_projection_matches_the_interpreter(&recordset_of(
+            "CUSTOMERS",
+            &format!("<ID>{{fn:data($v/CUSTOMERID)}}</ID>{NULLABLE_NAME}"),
+        ));
+        assert_eq!(
+            payload,
+            "<RECORDSET><RECORD><ID>55</ID><NAME>Joe</NAME></RECORD>\
+             <RECORD><ID>23</ID><NAME>Sue</NAME></RECORD>\
+             <RECORD><ID>7</ID></RECORD></RECORDSET>"
+        );
+        // An absent NOT NULL column is a childless element; '' is an
+        // element around an empty text node; markup in values is escaped.
+        let payload = assert_projection_matches_the_interpreter(&recordset_of(
+            "ODD",
+            "<V>{fn:data($v/VAL)}</V>{ for $s in fn:data($v/VAL) return <W>{$s}</W> }",
+        ));
+        assert!(
+            payload.starts_with(
+                "<RECORDSET><RECORD><V></V><W></W></RECORD><RECORD><V/></RECORD>\
+                 <RECORD><V>&lt;</V><W>&lt;</W></RECORD>"
+            ),
+            "{payload}"
+        );
+        assert!(payload.contains("<W>&amp;lt;</W>") && payload.contains("<V>é 🙂 &gt;</V>"));
+        // No row, a record without cells, a record whose every cell is
+        // NULL: the serializer's empty-element forms.
+        for (cells, filter, expected) in [
+            (
+                "<A>{fn:data($v/ID)}</A>",
+                "where fn:false()",
+                "<RECORDSET/>",
+            ),
+            ("", "", "<RECORDSET><RECORD/><RECORD/><RECORD/></RECORDSET>"),
+            (
+                "{ for $s in fn:data($v/NOSUCH) return <A>{$s}</A> }",
+                "",
+                "<RECORDSET><RECORD/><RECORD/><RECORD/></RECORDSET>",
+            ),
+        ] {
+            let query = recordset_of("TWINS", cells)
+                .replace("return <RECORD>", &format!("{filter} return <RECORD>"));
+            assert_eq!(assert_projection_matches_the_interpreter(&query), expected);
+        }
+        // Values that are no `fn:data($v/CHILD)` are the interpreter's,
+        // typed atoms and sequences of them included; prefixed names.
+        assert_projection_matches_the_interpreter(&recordset_of(
+            "CUSTOMERS",
+            "<ns0:N>{xs:integer(fn:data($v/CUSTOMERID)) + 1}</ns0:N>\
+             <S>{(1, \"b&\", 2.5)}</S>{ for $s in (fn:data($v/CUSTOMERNAME), 7) return <T>{$s}</T> }\
+             <E>{()}</E><D>{fn:data($v/CUSTOMERNAME/NOSUCH)}</D>",
+        ));
+    }
+
+    #[test]
+    fn a_cell_matched_twice_joins_or_repeats_like_the_interpreter() {
+        let payload = assert_projection_matches_the_interpreter(&recordset_of(
+            "TWINS",
+            "<J>{fn:data($v/X)}</J>{ for $s in fn:data($v/X) return <R>{$s}</R> }",
+        ));
+        assert_eq!(
+            payload,
+            "<RECORDSET><RECORD><J>a b&lt;</J><R>a</R><R>b&lt;</R></RECORD>\
+             <RECORD><J>c</J><R>c</R></RECORD><RECORD><J/></RECORD></RECORDSET>"
+        );
+        // Over delimited text the joined cell is one value; the repeated
+        // one is two `R`s in a row, which `fn-bea:serialize-atomic`
+        // refuses: the fused sink gives up and the interpreter's error is
+        // the answer.
+        let view = |cell: &str| {
+            format!(
+                "<RECORDSET>{{ for $v in ns0:TWINS() return <RECORD>\
+                 <A>{{fn:data($v/ID)}}</A>{cell}</RECORD> }}</RECORDSET>"
+            )
+        };
+        let joined = wrapped(&view("<B>{fn:data($v/X)}</B>"));
+        assert_eq!(
+            assert_sink_writes_the_interpreters_payload(&joined),
+            ">1>a b&lt;<>2>c<>3><"
+        );
+        let repeated = wrapped(&view("{ for $s in fn:data($v/X) return <B>{$s}</B> }"));
+        let program = parse_program(&repeated).unwrap();
+        assert_eq!(
+            exec::sink_kind(&program.body),
+            Some(exec::SinkKind::TextFused)
+        );
+        let budget = QueryBudget::unlimited();
+        let sunk = run_exec(&repeated, &budget, ExecStrategy::HashJoin).unwrap_err();
+        let naive = run_exec(
+            &repeated,
+            &QueryBudget::unlimited(),
+            ExecStrategy::NestedLoop,
+        )
         .unwrap_err();
-        assert_eq!(err.budget_error(), Some(BudgetError::Cancelled));
-        // The view cost two units (the constructor, the call); the poll
-        // that saw the token is the one on crossing 64, eleven rows of six
-        // units into the loop.
-        assert_eq!(budget.fuel_spent(), 2 + 11 * 6);
+        assert_eq!(sunk, naive);
+        assert!(naive.message.contains("serialize-atomic"), "{naive}");
+        assert_eq!(budget.sink_counts(), (0, 1));
+    }
+
+    #[test]
+    fn a_node_valued_cell_is_the_interpreters_row_in_every_output() {
+        // `{$v/CUSTOMERID}` copies the element in: not a projected cell's
+        // value. The row goes back to the interpreter, the rest do not,
+        // and no sink falls back for it.
+        let cells =
+            "<A>{if ($v/CUSTOMERID = 23) then $v/CUSTOMERID else fn:data($v/CUSTOMERID)}</A>";
+        let payload = assert_projection_matches_the_interpreter(&recordset_of("CUSTOMERS", cells));
+        assert_eq!(
+            payload,
+            "<RECORDSET><RECORD><A>55</A></RECORD>\
+             <RECORD><A><CUSTOMERID>23</CUSTOMERID></A></RECORD>\
+             <RECORD><A>7</A></RECORD></RECORDSET>"
+        );
+        let view = format!(
+            "<RECORDSET>{{ for $v in ns0:CUSTOMERS() return <RECORD>{cells}\
+             {{ for $s in fn:data($v/CUSTOMERNAME) return <B>{{$s}}</B> }}</RECORD> }}</RECORDSET>"
+        );
+        assert_eq!(
+            assert_sink_writes_the_interpreters_payload(&wrapped(&view)),
+            ">55>Joe<>23>Sue<>7>\u{0}<"
+        );
+    }
+
+    #[test]
+    fn the_text_sink_fuses_only_what_it_can_resolve() {
+        let fused = |view: &str| {
+            let program = parse_program(&wrapped(view)).unwrap();
+            exec::sink_kind(&program.body) == Some(exec::SinkKind::TextFused)
+        };
+        let rows = |cells: &str| {
+            format!(
+                "<RECORDSET>{{ for $v in ns0:CUSTOMERS() return <RECORD>{cells}</RECORD> }}</RECORDSET>"
+            )
+        };
+        let a = "<A>{fn:data($v/CUSTOMERID)}</A>";
+        let b = "{ for $s in fn:data($v/CUSTOMERNAME) return <B>{$s}</B> }";
+        assert!(fused(&rows(&format!("{a}{b}"))));
+        assert!(fused(&rows(&format!("{b}{a}"))), "cells in any order");
+        // A column no cell makes is always NULL.
+        assert!(fused(&rows(a)));
+        assert_eq!(
+            assert_sink_writes_the_interpreters_payload(&wrapped(&rows(a))),
+            ">55>\u{0}<>23>\u{0}<>7>\u{0}<"
+        );
+        for unresolved in [
+            // Two cells make `A`s; a cell no column reads; rows `$q/RECORD`
+            // does not select; a record with an attribute, with text, with
+            // a cell that has two enclosed expressions.
+            rows(&format!("{a}{a}{b}")),
+            rows(&format!("{a}{b}<C>{{1 div 0}}</C>")),
+            rows(&format!("{a}{b}")).replace("RECORD>", "ROW>"),
+            rows(&format!("{a}{b}")).replace("<RECORD>", "<RECORD k=\"v\">"),
+            rows(&format!("{a}{b}text")),
+            rows(&format!("{a}{b}")).replace("}</A>", "}{1}</A>"),
+            // Not one FLWOR in an attribute-less element.
+            format!("({}, {})", rows(a), rows(b)),
+            rows(&format!("{a}{b}")).replace("<RECORDSET>", "<RECORDSET k=\"v\">"),
+        ] {
+            assert!(!fused(&unresolved), "fused: {unresolved}");
+            // The view is evaluated and read, or the interpreter's error
+            // is the sink's.
+            let naive = run_exec(
+                &wrapped(&unresolved),
+                &QueryBudget::unlimited(),
+                ExecStrategy::NestedLoop,
+            );
+            let sunk = run_exec(
+                &wrapped(&unresolved),
+                &QueryBudget::unlimited(),
+                ExecStrategy::HashJoin,
+            );
+            assert_eq!(sunk, naive, "{unresolved}");
+        }
+    }
+
+    #[test]
+    fn budgets_bind_inside_the_projected_row_loops() {
+        // Three customers, two cells: each output's loop charges its rows
+        // `1 + cells` (the text sink its `1 + pieces` as well) in one call
+        // before the row is written.
+        let cells = format!("<A>{{fn:data($v/CUSTOMERID)}}</A>{NULLABLE_NAME}");
+        let xml = recordset_of("CUSTOMERS", &cells);
+        let text = wrapped(&recordset_of("CUSTOMERS", &cells).replace(IMPORT, ""))
+            .replace("$tokenQuery/B", "$tokenQuery/NAME");
+        let payload = |query: &str, budget: &QueryBudget| {
+            let program = parse_program(query).unwrap();
+            evaluate_program_to_payload(
+                &program,
+                &TestSource,
+                &[],
+                Some(budget),
+                ExecStrategy::HashJoin,
+            )
+        };
+        // The FLWOR's tuples cost the same whoever reads them: the call
+        // and three bindings.
+        let tuples = 1 + 3;
+        for (query, per_row) in [(&xml, 1 + 2), (&text, 1 + 2 + 1 + 5)] {
+            let meter = QueryBudget::unlimited();
+            payload(query, &meter).unwrap();
+            assert_eq!(meter.fuel_consumed(), tuples + 3 * per_row, "{query}");
+            // One unit short starves the last row, inside the loop.
+            let whole = meter.fuel_consumed();
+            let starved = QueryBudget::unlimited().with_fuel(whole - 1);
+            assert_eq!(
+                payload(query, &starved).unwrap_err().budget_error(),
+                Some(BudgetError::FuelExhausted { limit: whole - 1 })
+            );
+            assert_eq!(
+                starved.sink_counts(),
+                (0, 0),
+                "a budget error is no fallback"
+            );
+            payload(query, &QueryBudget::unlimited().with_fuel(whole)).unwrap();
+            // The cap binds while the tuples expand, whoever reads them.
+            let capped = QueryBudget::unlimited().with_row_cap(2);
+            let naive = run_exec(query, &capped, ExecStrategy::NestedLoop).unwrap_err();
+            let sunk = payload(query, &QueryBudget::unlimited().with_row_cap(2)).unwrap_err();
+            assert_eq!(sunk, naive, "{query}");
+            assert_eq!(
+                sunk.budget_error(),
+                Some(BudgetError::RowCapExceeded { rows: 3, cap: 2 })
+            );
+            let cancelled = QueryBudget::unlimited();
+            cancelled.cancel();
+            assert_eq!(
+                payload(query, &cancelled).unwrap_err().budget_error(),
+                Some(BudgetError::Cancelled)
+            );
+        }
+        // The text sink's own count stands in for the wrapper's `for $t in
+        // $q/RECORD`: a row no `for` expanded still meets the cap there.
+        // An XML body has no such loop, on either strategy.
+        let unexpanded =
+            "<RECORDSET>{ let $x := 1 return <RECORD><A>{$x}</A></RECORD> }</RECORDSET>";
+        for (query, outcome) in [
+            (
+                wrapped(unexpanded),
+                Err(Some(BudgetError::RowCapExceeded { rows: 1, cap: 0 })),
+            ),
+            (unexpanded.to_string(), Ok(())),
+        ] {
+            let none = || QueryBudget::unlimited().with_row_cap(0);
+            let sunk = payload(&query, &none());
+            assert_eq!(sunk.map(drop).map_err(|e| e.budget_error()), outcome);
+            let naive = run_exec(&query, &none(), ExecStrategy::NestedLoop);
+            assert_eq!(naive.map(drop).map_err(|e| e.budget_error()), outcome);
+        }
+        // As items, the tree consumer charges the same rows.
+        let meter = QueryBudget::unlimited();
+        run_exec(&xml, &meter, ExecStrategy::HashJoin).unwrap();
+        assert_eq!(meter.fuel_consumed(), 2 + tuples + 3 * (1 + 2));
+    }
+
+    #[test]
+    fn an_error_in_a_cell_is_the_interpreters_error() {
+        // As a view, the FLWOR's return goes back to the interpreter; as a
+        // sink's body, the whole body does, and the fallback is counted.
+        let cells = "<A>{fn:data($v/CUSTOMERID)}</A><B>{xs:integer(fn:data($v/CUSTOMERNAME))}</B>";
+        let xml = recordset_of("CUSTOMERS", cells);
+        let text = wrapped(&recordset_of("CUSTOMERS", cells).replace(IMPORT, ""));
+        for query in [&xml, &text] {
+            let naive =
+                run_exec(query, &QueryBudget::unlimited(), ExecStrategy::NestedLoop).unwrap_err();
+            assert!(naive.message.contains("Joe"), "{naive}");
+            let program = parse_program(query).unwrap();
+            let budget = QueryBudget::unlimited();
+            let sunk = evaluate_program_to_payload(
+                &program,
+                &TestSource,
+                &[],
+                Some(&budget),
+                ExecStrategy::HashJoin,
+            )
+            .unwrap_err();
+            assert_eq!(sunk, naive);
+            assert_eq!(budget.sink_counts(), (0, 1));
+        }
+        let budget = QueryBudget::unlimited();
+        let tree = run_exec(&xml, &budget, ExecStrategy::HashJoin).unwrap_err();
+        assert_eq!(
+            tree,
+            run_exec(&xml, &QueryBudget::unlimited(), ExecStrategy::NestedLoop).unwrap_err()
+        );
+        assert_eq!(budget.sink_counts(), (0, 0));
     }
 
     #[test]

@@ -24,12 +24,23 @@
 //!   tuple when its key finds any.
 //! * [`Op::Let`] / [`Op::Filter`] — bind and residual-predicate
 //!   operators, fused into the same tuple flow.
-//! * [`TextSink`] — the last operator of a delimited-text statement: the
-//!   §4 wrapper `fn:string-join((let $q := V for $t in $q/RECORD return
-//!   (piece, …)), "")`, recognized by [`text_sink`] on the program body
-//!   and run by [`run_sink`], which writes each `RECORD` of `V` straight
-//!   into the payload string instead of interpreting a call chain per
-//!   cell and joining a sequence of every separator and value.
+//! * `Project` — the `return <RECORD>…</RECORD>` of every view stage 3
+//!   emits, recognized by `project` once per FLWOR evaluation: each
+//!   tuple's cells are read straight off the bound rows' children (one
+//!   cell reader, `Tuple::each_value`; one row loop, `project_rows`)
+//!   into one of three `Output`s — the element tree where the result has
+//!   to be a node, or a sink's payload.
+//! * `Sink` — the last operator of a statement, recognized by `sink`
+//!   on the program body and run by [`run_sink`]. [`TextSink`] is the §4
+//!   wrapper `fn:string-join((let $q := V for $t in $q/RECORD return
+//!   (piece, …)), "")`: each row goes straight into the payload string
+//!   instead of through a call chain per cell and a sequence of every
+//!   separator and value — from `V`'s tuples when `V` is a `Recordset`
+//!   (*fused*: no `<RECORDSET>`, `<RECORD>` or cell element is ever
+//!   built), else from the `RECORD`s of the evaluated view. The XML sink
+//!   is a body that is itself a `Recordset`, serialized while it is
+//!   evaluated, byte for byte what `aldsp_xml::serialize` makes of the
+//!   tree.
 //!
 //! ## Lowering conditions
 //!
@@ -61,6 +72,19 @@
 //! the anti-join `where fn:empty(SRC[..])`, NOT IN's `every` — declines,
 //! and the FLWOR runs on the naive interpreter unchanged.
 //!
+//! A FLWOR's `return` lowers to a `Project` when it is an element
+//! constructor without attributes whose content is only the two cell
+//! shapes of `stage3::record_element`: `<N>{VALUE}</N>` (a NOT NULL
+//! column: always one element, its atoms joined with a space) and `{ for
+//! $s in VALUE return <N>{$s}</N> }` (a nullable one: an element per
+//! atom). `VALUE = fn:data($v/CHILD)` is read without evaluating
+//! anything; any other `VALUE` is the interpreter's, and its atoms go
+//! through the same writer. A text sink fuses when `V` is an
+//! attribute-less constructor around exactly one FLWOR whose `return`
+//! lowers, `$q/RECORD` selects the projected rows, no two cells make one
+//! column's elements and every cell is some column's (`resolve`, at
+//! plan time).
+//!
 //! ## Hash as prefilter, `compare` as judge
 //!
 //! XQuery general-comparison equality is *not* transitive —
@@ -91,20 +115,27 @@
 //! [`aldsp_governor::QueryBudget`] hooks — one unit per scan binding, per
 //! build row, and per joined or let-bound match — and the row cap bounds
 //! what the pipeline actually materializes: the build tables and the
-//! output vector. The sink obeys the same rules: one unit per `RECORD`
-//! plus one per piece written, the row cap on the number of `RECORD`s (what
-//! the interpreter's `for $t` would hold as tuples), and any error but a
-//! budget's sends the whole wrapper back to the interpreter.
+//! output vector. The projection and the sinks obey the same rules: `1 +
+//! cells` units per projected row (a text sink's `1 + pieces` on top, or
+//! alone per `RECORD` of an evaluated view) charged before the row is
+//! written, the row cap on the rows of a delimited payload (what the
+//! wrapper's `for $t` would hold as tuples), and any error but a budget's
+//! sends the FLWOR's `return` — for a sink, the whole body — back to the
+//! interpreter. A cell value that holds a node is no error: that row alone
+//! is built by the interpreter and written as a built row.
 
-use crate::ast::{Clause, CompOp, Expr, Flwor, NodeTest, PathStart, Step};
-use crate::eval::{element_name_matches, Env, Evaluator, XqError};
+use crate::ast::{Clause, CompOp, Content, ElementCtor, Expr, Flwor, NodeTest, PathStart, Step};
+use crate::eval::{name_matches, Env, Evaluator, XqError};
 use crate::functions::data;
 use crate::visit::{free_vars, uses_context};
-use aldsp_xml::escape::escape_text_into;
-use aldsp_xml::{Atomic, Item, Sequence};
+use aldsp_xml::serialize::{
+    write_element, write_empty_tag, write_end_tag, write_start_tag, write_text,
+};
+use aldsp_xml::{Atomic, Element, Item, Node, QName, Sequence};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // AtomKey: the hashable key vocabulary
@@ -803,18 +834,487 @@ fn probe(table: &JoinTable, probe: &Sequence) -> Vec<usize> {
 }
 
 // ---------------------------------------------------------------------
-// The text sink
+// Project: `return <RECORD>…</RECORD>` as an operator
 // ---------------------------------------------------------------------
+
+/// The constructor `aldsp_core::stage3`'s `gen_record` emits as a FLWOR's
+/// `return`, lowered: an element without attributes whose content is only
+/// the two cell shapes of `record_element`. Recognized by [`project`], run
+/// by [`project_rows`] into one of three [`Output`]s. Borrows the
+/// expression it was recognized in.
+pub(crate) struct Project<'p> {
+    /// The constructor itself: what the interpreter builds of a row the
+    /// operator hands back.
+    ctor: &'p ElementCtor,
+    /// Its name, parsed once.
+    name: QName,
+    cells: Vec<Cell<'p>>,
+}
+
+struct Cell<'p> {
+    name: QName,
+    /// `{ for $s in VALUE return <N>{$s}</N> }`: an element per atom of
+    /// `VALUE`, none for the empty sequence (SQL NULL). Otherwise
+    /// `<N>{VALUE}</N>`: always one element, the atoms joined with a space.
+    nullable: bool,
+    value: Value<'p>,
+}
+
+/// A cell's `VALUE`.
+enum Value<'p> {
+    /// `fn:data($var/CHILD)` — one name step, no predicate: read off the
+    /// bound elements' children, no expression evaluated.
+    Child { var: &'p str, child: &'p str },
+    /// Anything else: the interpreter's, and every item must be an atom.
+    Expr(&'p Expr),
+}
+
+/// One value of a cell, before it is text.
+enum CellValue<'a> {
+    /// A matched source cell; its value is its string value.
+    Node(&'a Element),
+    /// An evaluated atom; its value is its lexical form.
+    Atom(&'a Atomic),
+}
+
+impl CellValue<'_> {
+    /// Appends the value as escaped text.
+    fn write_escaped(&self, out: &mut String) {
+        match self {
+            CellValue::Node(cell) => cell.each_text(&mut |text| write_text(out, text)),
+            CellValue::Atom(atom) => write_text(out, &atom.lexical_str()),
+        }
+    }
+
+    /// The value as a text node's content; a source cell that is one text
+    /// node shares it.
+    fn text(&self) -> Arc<str> {
+        match self {
+            CellValue::Node(cell) => match cell.children.as_slice() {
+                [Node::Text(text)] => Arc::clone(text),
+                _ => cell.string_value().into(),
+            },
+            CellValue::Atom(atom) => atom.lexical_str().into(),
+        }
+    }
+}
+
+/// Why a projected row stopped.
+enum Halt {
+    /// A value held a node, which a constructor copies in as a child: the
+    /// row is the interpreter's to build.
+    Interpret,
+    /// A dynamic or budget error, for [`crate::eval::interpret_on_error`].
+    Error(XqError),
+}
+
+impl From<XqError> for Halt {
+    fn from(e: XqError) -> Halt {
+        Halt::Error(e)
+    }
+}
+
+/// The sole enclosed expression of an attribute-less constructor: the
+/// `VALUE` of `<N>{VALUE}</N>`.
+fn sole_enclosed(ctor: &ElementCtor) -> Option<&Expr> {
+    match ctor.content.as_slice() {
+        [Content::Enclosed(value)] if ctor.attributes.is_empty() => Some(value),
+        _ => None,
+    }
+}
+
+/// The two shapes `record_element` writes, as `(name, nullable, VALUE)`.
+fn cell_shape(content: &Content) -> Option<(&str, bool, &Expr)> {
+    match content {
+        Content::Element(cell) => Some((&cell.name, false, sole_enclosed(cell)?)),
+        Content::Enclosed(Expr::Flwor(Flwor { clauses, ret })) => {
+            let [Clause::For { var, source }] = clauses.as_slice() else {
+                return None;
+            };
+            let Expr::Element(cell) = &**ret else {
+                return None;
+            };
+            match sole_enclosed(cell)? {
+                Expr::VarRef(v) if v == var => Some((&cell.name, true, source)),
+                _ => None,
+            }
+        }
+        _ => None,
+    }
+}
+
+/// Lowers a FLWOR's `return` (see [`Project`]), or `None` for anything
+/// else. `tests/exec.rs` holds this and `gen_record` together.
+// Every FLWOR evaluation under the pipeline strategy asks, the per-row
+// column loops this operator replaces included: out of line like
+// `hash_shaped`, and a `return` that is no constructor, or a column
+// loop's (`<N>{$s}</N>`, declined at its first piece of content), has
+// allocated nothing by the time it is declined.
+#[inline(never)]
+pub(crate) fn project(ret: &Expr) -> Option<Project<'_>> {
+    let Expr::Element(ctor) = ret else {
+        return None;
+    };
+    if !ctor.attributes.is_empty() {
+        return None;
+    }
+    let cells = ctor
+        .content
+        .iter()
+        .map(|content| {
+            let (name, nullable, value) = cell_shape(content)?;
+            Some(Cell {
+                name: QName::parse(name),
+                nullable,
+                value: match call_of(value, "fn:data").and_then(var_child) {
+                    Some((var, child)) => Value::Child { var, child },
+                    None => Value::Expr(value),
+                },
+            })
+        })
+        .collect::<Option<_>>()?;
+    Some(Project {
+        ctor,
+        name: QName::parse(&ctor.name),
+        cells,
+    })
+}
+
+/// One tuple of the FLWOR being projected: what a cell's value is read
+/// under.
+struct Tuple<'a> {
+    ev: &'a Evaluator<'a>,
+    env: &'a Env,
+    context: Option<&'a Item>,
+}
+
+impl Tuple<'_> {
+    /// The one cell reader: calls `f` on each value of `value`, in order.
+    fn each_value(
+        &self,
+        value: &Value<'_>,
+        f: &mut impl FnMut(CellValue<'_>) -> Result<(), XqError>,
+    ) -> Result<(), Halt> {
+        match value {
+            Value::Child { var, child } => {
+                let rows = self.env.value_of(var)?.iter();
+                let rows = rows.filter_map(Item::as_element);
+                Ok(each_child(rows.map(|row| &**row), child, f)?)
+            }
+            Value::Expr(expr) => {
+                for item in self.ev.eval(expr, self.env, self.context)?.iter() {
+                    match item {
+                        Item::Atomic(atom) => f(CellValue::Atom(atom))?,
+                        Item::Node(_) => return Err(Halt::Interpret),
+                    }
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// `fn:data(parents/NAME)`: calls `f` on each child element `name` tests,
+/// in document order.
+fn each_child<'a>(
+    parents: impl Iterator<Item = &'a Element>,
+    name: &str,
+    f: &mut impl FnMut(CellValue<'_>) -> Result<(), XqError>,
+) -> Result<(), XqError> {
+    for parent in parents {
+        for child in parent.child_elements() {
+            if name_matches(&child.name, name) {
+                f(CellValue::Node(child))?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Where projected rows go.
+enum Output<'o> {
+    /// Elements `==` to the interpreter's: a view, or an XML body that is
+    /// no sink's.
+    Tree(&'o mut Vec<Item>),
+    /// The delimited-text payload, a row's pieces at a time.
+    Text {
+        pieces: &'o [Piece<'o>],
+        /// Per piece of a fused sink, the projection's cell that makes
+        /// the column's elements; a column none does is always NULL.
+        cells: &'o [Option<usize>],
+        payload: &'o mut String,
+    },
+    /// The XML payload, as [`aldsp_xml::serialize`] writes the tree.
+    Xml(&'o mut String),
+}
+
+impl Output<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Output::Tree(items) => items.len(),
+            Output::Text { payload, .. } | Output::Xml(payload) => payload.len(),
+        }
+    }
+
+    /// Forgets what a row that stopped part-way wrote.
+    fn truncate(&mut self, len: usize) {
+        match self {
+            Output::Tree(items) => items.truncate(len),
+            Output::Text { payload, .. } | Output::Xml(payload) => payload.truncate(len),
+        }
+    }
+
+    /// One row off a tuple. What no, one and several values of a cell
+    /// write, per shape and per output, is DESIGN.md §17's parity table.
+    fn projected(&mut self, project: &Project<'_>, tuple: &Tuple<'_>) -> Result<(), Halt> {
+        match self {
+            Output::Tree(items) => {
+                let mut record = Element::new(project.name.clone());
+                record.children.reserve(project.cells.len());
+                for cell in &project.cells {
+                    let element = |text: Arc<str>| {
+                        let mut element = Element::new(cell.name.clone());
+                        element.children.push(Node::Text(text));
+                        element.into_node()
+                    };
+                    if cell.nullable {
+                        tuple.each_value(&cell.value, &mut |value| {
+                            record.children.push(element(value.text()));
+                            Ok(())
+                        })?;
+                    } else {
+                        let mut joined: Option<Arc<str>> = None;
+                        tuple.each_value(&cell.value, &mut |value| {
+                            joined = Some(match joined.take() {
+                                None => value.text(),
+                                Some(before) => format!("{before} {}", value.text()).into(),
+                            });
+                            Ok(())
+                        })?;
+                        record.children.push(match joined {
+                            Some(text) => element(text),
+                            None => Element::new(cell.name.clone()).into_node(),
+                        });
+                    }
+                }
+                items.push(Item::element(record));
+            }
+            Output::Text {
+                pieces,
+                cells,
+                payload,
+            } => {
+                for (piece, cell) in pieces.iter().zip(*cells) {
+                    match (piece, cell.map(|at| &project.cells[at])) {
+                        (Piece::Text(text), _) => payload.push_str(text),
+                        (Piece::Column { null, .. }, None) => payload.push_str(null),
+                        (Piece::Column { name, null }, Some(cell)) => {
+                            let mut column =
+                                Column::new(payload, name, cell.nullable.then_some(*null));
+                            tuple.each_value(&cell.value, &mut |value| column.value(value))?;
+                            column.end();
+                        }
+                    }
+                }
+            }
+            Output::Xml(payload) => {
+                let start = payload.len();
+                write_start_tag(payload, &project.name);
+                let opened = payload.len();
+                for cell in &project.cells {
+                    if cell.nullable {
+                        tuple.each_value(&cell.value, &mut |value| {
+                            write_start_tag(payload, &cell.name);
+                            value.write_escaped(payload);
+                            write_end_tag(payload, &cell.name);
+                            Ok(())
+                        })?;
+                    } else {
+                        let mut values = 0;
+                        tuple.each_value(&cell.value, &mut |value| {
+                            match values {
+                                0 => write_start_tag(payload, &cell.name),
+                                _ => payload.push(' '),
+                            }
+                            values += 1;
+                            value.write_escaped(payload);
+                            Ok(())
+                        })?;
+                        match values {
+                            0 => write_empty_tag(payload, &cell.name),
+                            _ => write_end_tag(payload, &cell.name),
+                        }
+                    }
+                }
+                close_element(payload, &project.name, start, opened);
+            }
+        }
+        Ok(())
+    }
+
+    /// One row that already is an element: the interpreter's, of a tuple
+    /// [`Output::projected`] handed back, or a `RECORD` of an evaluated
+    /// view.
+    fn built(&mut self, record: &Arc<Element>) -> Result<(), XqError> {
+        match self {
+            Output::Tree(items) => items.push(Item::Node(Node::Element(Arc::clone(record)))),
+            Output::Text {
+                pieces, payload, ..
+            } => {
+                for piece in *pieces {
+                    match piece {
+                        Piece::Text(text) => payload.push_str(text),
+                        Piece::Column { name, null } => {
+                            let mut column = Column::new(payload, name, Some(*null));
+                            let record = std::iter::once(&**record);
+                            each_child(record, name, &mut |value| column.value(value))?;
+                            column.end();
+                        }
+                    }
+                }
+            }
+            Output::Xml(payload) => write_element(payload, record),
+        }
+        Ok(())
+    }
+}
+
+/// One column of a delimited-text row: its values, escaped. With a NULL
+/// literal (`fn:data($t/NAME)` over a nullable cell's elements, or over a
+/// built row's) no value writes the literal and a second one is the error
+/// `fn-bea:serialize-atomic` raises in the interpreter; without (a NOT NULL
+/// cell, which is one element whatever it holds) the values join with a
+/// space, as they did in that element's text.
+struct Column<'a> {
+    payload: &'a mut String,
+    name: &'a str,
+    null: Option<&'a str>,
+    values: usize,
+}
+
+impl<'a> Column<'a> {
+    fn new(payload: &'a mut String, name: &'a str, null: Option<&'a str>) -> Column<'a> {
+        Column {
+            payload,
+            name,
+            null,
+            values: 0,
+        }
+    }
+
+    fn value(&mut self, value: CellValue<'_>) -> Result<(), XqError> {
+        if self.values > 0 {
+            if self.null.is_some() {
+                let name = self.name;
+                return Err(XqError::new(format!(
+                    "text sink: more than one {name} in a row"
+                )));
+            }
+            self.payload.push(' ');
+        }
+        self.values += 1;
+        value.write_escaped(self.payload);
+        Ok(())
+    }
+
+    fn end(self) {
+        if let (0, Some(null)) = (self.values, self.null) {
+            self.payload.push_str(null);
+        }
+    }
+}
+
+/// Ends the element whose start tag was written at `start..opened`: the
+/// end tag, or — nothing written since, so no children — the start tag
+/// taken back for `<name/>`.
+fn close_element(payload: &mut String, name: &QName, start: usize, opened: usize) {
+    if payload.len() == opened {
+        payload.truncate(start);
+        write_empty_tag(payload, name);
+    } else {
+        write_end_tag(payload, name);
+    }
+}
+
+/// The one row loop: each of `tuples` through `project` into `out`. Fuel
+/// is `fuel_per_row`, charged in one call before the row is written, so
+/// the deadline and cancellation poll stays inside the loop. The row cap
+/// holds the rows of a delimited payload, whose count stands in for the
+/// wrapper's `for $t in $q/RECORD`; a tree's or an XML body's rows are
+/// tuples the clause loop already counted, and the interpreter counts
+/// them no second time.
+fn project_rows(
+    ev: &Evaluator<'_>,
+    project: &Project<'_>,
+    tuples: &[Env],
+    context: Option<&Item>,
+    fuel_per_row: u64,
+    out: &mut Output<'_>,
+) -> Result<(), XqError> {
+    let capped = matches!(out, Output::Text { .. });
+    for (row, env) in tuples.iter().enumerate() {
+        ev.charge(fuel_per_row)?;
+        if capped {
+            ev.check_rows(row + 1)?;
+        }
+        let mark = out.len();
+        let tuple = Tuple { ev, env, context };
+        let built = match out.projected(project, &tuple) {
+            Ok(()) => continue,
+            Err(Halt::Error(e)) => return Err(e),
+            Err(Halt::Interpret) => Arc::new(ev.construct_element(project.ctor, env, context)?),
+        };
+        out.truncate(mark);
+        out.built(&built)?;
+    }
+    Ok(())
+}
+
+/// The tree consumer: `tuples` through `project` as the element items the
+/// interpreter's `return` would have built. Budget errors propagate; after
+/// any other the caller interprets the `return` instead.
+#[inline(never)]
+pub(crate) fn project_tree(
+    ev: &Evaluator<'_>,
+    project: &Project<'_>,
+    tuples: &[Env],
+    context: Option<&Item>,
+) -> Result<Sequence, XqError> {
+    let mut items = Vec::with_capacity(tuples.len());
+    let fuel_per_row = 1 + project.cells.len() as u64;
+    let mut out = Output::Tree(&mut items);
+    project_rows(ev, project, tuples, context, fuel_per_row, &mut out)?;
+    Ok(Sequence::from_items(items))
+}
+
+// ---------------------------------------------------------------------
+// The sinks
+// ---------------------------------------------------------------------
+
+/// A program body lowered to the operator that writes its payload.
+pub(crate) enum Sink<'p> {
+    /// A delimited-text statement.
+    Text(TextSink<'p>),
+    /// An XML statement.
+    Xml(Recordset<'p>),
+}
 
 /// The §4 wrapper, lowered: `V`'s `RECORD`s written piece by piece into
 /// one string. Borrows the program body it was recognized in.
 pub(crate) struct TextSink<'p> {
-    /// `V`, the statement proper; evaluated as any expression is.
+    /// `V`, the statement proper; evaluated as any expression is unless
+    /// `fused`.
     rows: &'p Expr,
     /// The name test of `$q/RECORD`.
     record: &'p str,
     /// What one row writes, in order.
     pieces: Vec<Piece<'p>>,
+    /// `V` as the rows' source when it is a [`Recordset`] whose rows
+    /// `record` tests and whose cells the columns could be resolved
+    /// against ([`resolve`]; one entry per piece): each tuple is then
+    /// written straight from its source cells and no element of `V` is
+    /// ever built.
+    fused: Option<(Recordset<'p>, Vec<Option<usize>>)>,
 }
 
 enum Piece<'p> {
@@ -823,6 +1323,30 @@ enum Piece<'p> {
     /// `fn-bea:if-empty(fn-bea:xml-escape(fn-bea:serialize-atomic(
     /// fn:data($t/NAME))), "null")`.
     Column { name: &'p str, null: &'p str },
+}
+
+/// `<RECORDSET>{ FLWOR return <RECORD>… }</RECORDSET>`: an attribute-less
+/// constructor around one FLWOR whose `return` lowers to a [`Project`] —
+/// what stage 3 emits for every statement that does not end in `order by`,
+/// DISTINCT or a set operation (those return `$var`).
+pub(crate) struct Recordset<'p> {
+    name: QName,
+    flwor: &'p Flwor,
+    project: Project<'p>,
+}
+
+fn recordset(expr: &Expr) -> Option<Recordset<'_>> {
+    let Expr::Element(ctor) = expr else {
+        return None;
+    };
+    let Expr::Flwor(flwor) = sole_enclosed(ctor)? else {
+        return None;
+    };
+    Some(Recordset {
+        name: QName::parse(&ctor.name),
+        flwor,
+        project: project(&flwor.ret)?,
+    })
 }
 
 /// The sole argument of a call of `name`.
@@ -836,19 +1360,31 @@ fn call_of<'p>(expr: &'p Expr, name: &str) -> Option<&'p Expr> {
     }
 }
 
-/// The name in `$var/NAME`: one step, no predicate.
-fn child_of<'p>(expr: &'p Expr, var: &str) -> Option<&'p str> {
+/// `$var/NAME` — one step, no predicate — as `(var, NAME)`.
+fn var_child(expr: &Expr) -> Option<(&str, &str)> {
     let Expr::Path { start, steps } = expr else {
         return None;
     };
     match (&**start, steps.as_slice()) {
         (
-            PathStart::Var(v),
+            PathStart::Var(var),
             [Step {
                 test: NodeTest::Name(name),
                 predicates,
             }],
-        ) if v == var && predicates.is_empty() => Some(name),
+        ) if predicates.is_empty() => Some((var, name)),
+        _ => None,
+    }
+}
+
+/// Lowers a program body to the sink that writes its payload, or `None`:
+/// the body is evaluated and the caller serializes the result. `xml` asks
+/// for the XML sink as well — the caller ships a payload; without it an
+/// XML body's value is wanted as items.
+pub(crate) fn sink(body: &Expr, xml: bool) -> Option<Sink<'_>> {
+    match body {
+        Expr::FunctionCall { .. } => text_sink(body).map(Sink::Text),
+        Expr::Element(_) if xml => recordset(body).map(Sink::Xml),
         _ => None,
     }
 }
@@ -859,7 +1395,7 @@ fn child_of<'p>(expr: &'p Expr, var: &str) -> Option<&'p str> {
 /// (piece, …)), "")`, every piece a string literal or the column chain of
 /// [`Piece::Column`] over `$t`. Anything else is `None` and is
 /// interpreted.
-pub(crate) fn text_sink(body: &Expr) -> Option<TextSink<'_>> {
+fn text_sink(body: &Expr) -> Option<TextSink<'_>> {
     let Expr::FunctionCall { name, args } = body else {
         return None;
     };
@@ -876,11 +1412,14 @@ pub(crate) fn text_sink(body: &Expr) -> Option<TextSink<'_>> {
     else {
         return None;
     };
-    let record = child_of(source, view)?;
+    let record = match var_child(source)? {
+        (var, record) if var == view => record,
+        _ => return None,
+    };
     let Expr::Sequence(pieces) = &*flwor.ret else {
         return None;
     };
-    let pieces = pieces
+    let pieces: Vec<Piece<'_>> = pieces
         .iter()
         .map(|piece| match piece {
             Expr::Literal(Atomic::String(text)) => Some(Piece::Text(text)),
@@ -890,69 +1429,146 @@ pub(crate) fn text_sink(body: &Expr) -> Option<TextSink<'_>> {
                 };
                 let value = call_of(value, "fn-bea:xml-escape")?;
                 let value = call_of(value, "fn-bea:serialize-atomic")?;
-                let name = child_of(call_of(value, "fn:data")?, row)?;
-                Some(Piece::Column { name, null })
+                match var_child(call_of(value, "fn:data")?)? {
+                    (var, name) if var == row => Some(Piece::Column { name, null }),
+                    _ => None,
+                }
             }
             _ => None,
         })
         .collect::<Option<_>>()?;
+    let fused = recordset(rows).and_then(|view| {
+        let cells = resolve(&pieces, record, &view.project)?;
+        Some((view, cells))
+    });
     Some(TextSink {
         rows,
         record,
         pieces,
+        fused,
     })
 }
 
-/// Runs the wrapper: `V` through the evaluator, then every `RECORD` child
-/// of its items, in document order, into one string. A column with no
-/// matching child writes its NULL literal, with one child that child's
-/// string value, escaped in place; with more than one,
-/// `fn-bea:serialize-atomic` fails in the interpreter, so the sink gives
-/// up. Budget errors propagate; after any other the caller interprets the
-/// wrapper instead (see the module docs).
-#[inline(never)]
-pub(crate) fn run_sink(
-    ev: &Evaluator<'_>,
-    sink: &TextSink<'_>,
-    env: &Env,
-) -> Result<String, XqError> {
-    let views = ev.eval(sink.rows, env, None)?;
-    let fuel_per_row = 1 + sink.pieces.len() as u64;
-    let mut out = String::new();
-    let mut rows = 0;
-    for view in views.iter().filter_map(Item::as_element) {
-        for record in view.child_elements() {
-            if !element_name_matches(record, sink.record) {
-                continue;
+/// Resolves the columns against `project`'s cells, at plan time: per
+/// piece, the cell whose elements the column reads. Declines — the view is
+/// then evaluated and read — when `$q/RECORD` would not select the
+/// projected rows, when two cells make one column's elements (one row
+/// could then hold two values, which only a built row shows), or when a
+/// cell is no column's: the interpreter evaluates it all the same, and its
+/// error must not go missing.
+fn resolve(
+    pieces: &[Piece<'_>],
+    record: &str,
+    project: &Project<'_>,
+) -> Option<Vec<Option<usize>>> {
+    if !name_matches(&project.name, record) {
+        return None;
+    }
+    let mut read = vec![false; project.cells.len()];
+    let cells = pieces
+        .iter()
+        .map(|piece| {
+            let Piece::Column { name, .. } = piece else {
+                return Some(None);
+            };
+            let mut made_by =
+                (0..project.cells.len()).filter(|&at| name_matches(&project.cells[at].name, name));
+            let cell = made_by.next();
+            if made_by.next().is_some() {
+                return None;
             }
-            ev.charge(fuel_per_row)?;
-            rows += 1;
-            ev.check_rows(rows)?;
-            for piece in &sink.pieces {
-                match piece {
-                    Piece::Text(text) => out.push_str(text),
-                    Piece::Column { name, null } => {
-                        let mut cells = record
-                            .child_elements()
-                            .filter(|cell| element_name_matches(cell, name));
-                        match (cells.next(), cells.next()) {
-                            (None, _) => out.push_str(null),
-                            (Some(cell), None) => {
-                                cell.each_text(&mut |text| escape_text_into(&mut out, text))
+            if let Some(at) = cell {
+                read[at] = true;
+            }
+            Some(cell)
+        })
+        .collect::<Option<Vec<_>>>()?;
+    read.iter().all(|&read| read).then_some(cells)
+}
+
+/// Which sink the pipeline strategy lowers a program body to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SinkKind {
+    /// The text sink, fed by the statement's tuples.
+    TextFused,
+    /// The text sink over the evaluated view.
+    TextOverView,
+    /// The XML sink.
+    Xml,
+}
+
+/// [`SinkKind`] of a program body, `None` for one that is interpreted.
+/// With [`is_projection`], for the tests that hold stage 3 and the
+/// recognizers here together: a sink that stopped fusing writes the same
+/// payload, only slower.
+pub fn sink_kind(body: &Expr) -> Option<SinkKind> {
+    Some(match sink(body, true)? {
+        Sink::Text(text) if text.fused.is_some() => SinkKind::TextFused,
+        Sink::Text(_) => SinkKind::TextOverView,
+        Sink::Xml(_) => SinkKind::Xml,
+    })
+}
+
+/// Whether a FLWOR's `return` lowers to the projection operator.
+pub fn is_projection(ret: &Expr) -> bool {
+    project(ret).is_some()
+}
+
+/// Runs a sink: the payload, as it crosses the boundary.
+///
+/// A fused text sink and the XML sink take the FLWOR's tuples and write
+/// each through [`project_rows`]. An unfused text sink evaluates `V` and
+/// writes every `RECORD` child of its items, in document order, as a built
+/// row. Either way a delimited column with no value writes its NULL
+/// literal and with one that value, escaped in place; a second one in a
+/// nullable column fails `fn-bea:serialize-atomic` in the interpreter, so
+/// the sink gives up. Budget errors propagate; after any other the caller
+/// interprets the body instead (see the module docs).
+#[inline(never)]
+pub(crate) fn run_sink(ev: &Evaluator<'_>, sink: &Sink<'_>, env: &Env) -> Result<String, XqError> {
+    let mut payload = String::new();
+    match sink {
+        Sink::Text(text) => {
+            let fuel_per_row = 1 + text.pieces.len() as u64;
+            let mut out = Output::Text {
+                pieces: &text.pieces,
+                cells: text.fused.as_ref().map_or(&[], |(_, cells)| cells),
+                payload: &mut payload,
+            };
+            match &text.fused {
+                Some((view, _)) => {
+                    let tuples = ev.flwor_tuples(view.flwor, env, None)?;
+                    let fuel_per_row = fuel_per_row + 1 + view.project.cells.len() as u64;
+                    project_rows(ev, &view.project, &tuples, None, fuel_per_row, &mut out)?;
+                }
+                None => {
+                    let views = ev.eval(text.rows, env, None)?;
+                    let mut rows = 0;
+                    for view in views.iter().filter_map(Item::as_element) {
+                        for record in view.child_elements() {
+                            if !name_matches(&record.name, text.record) {
+                                continue;
                             }
-                            (Some(_), Some(_)) => {
-                                return Err(XqError::new(format!(
-                                    "text sink: more than one {name} in a {}",
-                                    sink.record
-                                )))
-                            }
+                            ev.charge(fuel_per_row)?;
+                            rows += 1;
+                            ev.check_rows(rows)?;
+                            out.built(record)?;
                         }
                     }
                 }
             }
         }
+        Sink::Xml(body) => {
+            let tuples = ev.flwor_tuples(body.flwor, env, None)?;
+            write_start_tag(&mut payload, &body.name);
+            let opened = payload.len();
+            let fuel_per_row = 1 + body.project.cells.len() as u64;
+            let mut out = Output::Xml(&mut payload);
+            project_rows(ev, &body.project, &tuples, None, fuel_per_row, &mut out)?;
+            close_element(&mut payload, &body.name, 0, opened);
+        }
     }
-    Ok(out)
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -1243,6 +1859,52 @@ mod tests {
             "for $c in ns0:CUSTOMERS() let $kids := $c/KIDS \
              where $c/CUSTOMERID = $kids/ID return $c",
         );
+    }
+
+    #[test]
+    fn projects_the_two_cell_shapes_and_nothing_else() {
+        let lowers = |ret: &str| {
+            let flwor = flwor_of(&format!("for $v in ns0:T() return {ret}"));
+            is_projection(&flwor.ret)
+        };
+        assert!(lowers(
+            "<RECORD><T.A>{fn:data($v/A)}</T.A>{ for $s in fn:data($v/B) return <T.B>{$s}</T.B> }\
+             <E>{xs:integer(fn:data($v/A)) + 1}</E></RECORD>"
+        ));
+        assert!(lowers("<R/>"), "no cell is no obstacle");
+        for other in [
+            "$v",
+            "($v, $v)",
+            "<R k=\"v\"><A>{1}</A></R>",
+            "<R>text<A>{1}</A></R>",
+            "<R>{$v/A}</R>",
+            "<R><A>{1}{2}</A></R>",
+            "<R><A/></R>",
+            "<R><A k=\"v\">{1}</A></R>",
+            "<R><A><B>{1}</B></A></R>",
+            "<R>{ for $s in $v/A where $s > 1 return <A>{$s}</A> }</R>",
+            "<R>{ for $s in $v/A return <A>{$v}</A> }</R>",
+            "<R>{ for $s in $v/A return <A>{$s}</A>, 1 }</R>",
+            "<R>{ let $s := $v/A return <A>{$s}</A> }</R>",
+            // The column loops the operator replaces: asked, declined at
+            // the first piece of content.
+            "<A>{$v}</A>",
+        ] {
+            assert!(!lowers(other), "lowered: {other}");
+        }
+        // The fast cell is `fn:data` of one predicate-less name step off a
+        // variable; everything else is evaluated.
+        let flwor = flwor_of(
+            "for $v in ns0:T() return <R><A>{fn:data($v/A)}</A><B>{fn:data($v/A[1])}</B>\
+             <C>{fn:data($v/A/B)}</C><D>{fn:data($v/*)}</D><E>{fn:data(./A)}</E><F>{$v/A}</F></R>",
+        );
+        let fast: Vec<bool> = project(&flwor.ret)
+            .unwrap()
+            .cells
+            .iter()
+            .map(|cell| matches!(cell.value, Value::Child { .. }))
+            .collect();
+        assert_eq!(fast, [true, false, false, false, false, false]);
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub mod visit;
 pub use aldsp_governor::ExecStrategy;
 pub use ast::{Clause, Expr, Flwor, Program, SchemaImport};
 pub use eval::{
-    evaluate_program, evaluate_program_exec, EmptyFunctionSource, Env, Evaluator, FunctionSource,
-    XqError, XqErrorKind,
+    evaluate_program, evaluate_program_exec, evaluate_program_to_payload, EmptyFunctionSource, Env,
+    Evaluator, FunctionSource, XqError, XqErrorKind,
 };
 pub use exec::AtomKey;
 pub use parser::{parse_program, XqParseError, XqParseErrorKind, MAX_PARSE_DEPTH};

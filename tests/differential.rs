@@ -11,6 +11,7 @@
 
 mod common;
 
+use aldsp::core::Transport;
 use aldsp::driver::RetryPolicy;
 use aldsp::relational::SqlValue;
 use aldsp::workload::{
@@ -19,16 +20,14 @@ use aldsp::workload::{
 };
 
 /// `count_per_class` fuzzed statements per class on the plain and the
-/// production lanes, both transports.
-fn sweep(seed: u64, count_per_class: usize, scale: Scale) -> MatrixReport {
+/// production lanes, both transports. The production lanes' counters are
+/// checked as well when `production_ran` asks.
+fn sweep(seed: u64, count_per_class: usize, scale: Scale, production_ran: bool) -> MatrixReport {
     let mut lanes = Lane::both(Lane::plain);
     lanes.extend(common::production(scale));
-    let report = run_matrix(
-        &Universe::generated(scale, seed),
-        &fuzzed_corpus(seed, count_per_class),
-        &lanes,
-        None,
-    );
+    let universe = Universe::generated(scale, seed);
+    let corpus = fuzzed_corpus(seed, count_per_class);
+    let report = run_matrix(&universe, &corpus, &lanes, None);
     assert_eq!(
         report.rejected, 0,
         "seed {seed}: generator produced rejected queries"
@@ -39,21 +38,36 @@ fn sweep(seed: u64, count_per_class: usize, scale: Scale) -> MatrixReport {
         report.mismatches.len(),
         report.mismatches.first()
     );
+    if production_ran {
+        assert_production_ran(&report, &universe, &corpus, &lanes);
+    }
     report
 }
 
 /// The counters that prove a production lane ran the production
 /// configuration: plans were rewritten, hash operators ran and none fell
-/// back, warm executions were exact hits — and every delimited-text
-/// execution (cold and warm) ended in the text sink, none of which gave up.
-fn assert_production_ran(report: &MatrixReport) {
-    let executions = 2 * report.statements().1 as u64;
-    for (label, sinks) in [("text+production", executions), ("xml+production", 0)] {
+/// back, warm executions were exact hits — and every execution (cold and
+/// warm) whose body a sink can write ended in that sink, none of which
+/// gave up: every delimited-text one, and every XML one that is a
+/// `<RECORDSET>` of one FLWOR's `<RECORD>`s.
+fn assert_production_ran(
+    report: &MatrixReport,
+    universe: &Universe,
+    corpus: &[(String, String)],
+    lanes: &[Lane],
+) {
+    for production in lanes.iter().filter(|l| l.label.ends_with("+production")) {
+        let label = production.label.as_str();
+        let sinks = match production.options.transport {
+            Transport::DelimitedText => corpus.len() as u64,
+            Transport::Xml => common::xml_sink_bodies(universe, corpus, production),
+        };
+        assert!(sinks > 0, "{label}: no statement a sink could write");
         let lane = report.lane(label);
         assert_eq!(
             (lane.sinks, lane.sink_fallbacks),
-            (sinks, 0),
-            "{label}: one sink per text execution, no fallback"
+            (2 * sinks, 0),
+            "{label}: one sink per sink-shaped execution, no fallback"
         );
         assert!(lane.rewritten > 0, "{label}: no plan was rewritten");
         assert!(lane.hash_operators > 0, "{label}: no hash operator ran");
@@ -68,22 +82,22 @@ fn assert_production_ran(report: &MatrixReport) {
 
 #[test]
 fn differential_sweep_seed_1() {
-    assert_production_ran(&sweep(1, 12, Scale::small()));
+    sweep(1, 12, Scale::small(), true);
 }
 
 #[test]
 fn differential_sweep_seed_2_larger_data() {
-    sweep(2, 8, Scale::of(60));
+    sweep(2, 8, Scale::of(60), false);
 }
 
 #[test]
 fn differential_sweep_seed_3() {
-    sweep(3, 12, Scale::small());
+    sweep(3, 12, Scale::small(), false);
 }
 
 #[test]
 fn per_class_coverage_is_complete() {
-    let report = sweep(4, 4, Scale::small());
+    let report = sweep(4, 4, Scale::small(), true);
     // Every construct class must have been exercised and passed, on
     // every lane.
     for class in ConstructClass::all() {
@@ -91,7 +105,6 @@ fn per_class_coverage_is_complete() {
         assert_eq!(passed, total, "class {} not fully passing", class.label());
         assert_eq!(total, 4);
     }
-    assert_production_ran(&report);
 }
 
 /// A larger sweep for occasional deep runs: `cargo test -- --ignored`.
@@ -102,8 +115,7 @@ fn per_class_coverage_is_complete() {
 fn differential_deep_sweep() {
     let mut production_checks = 0;
     for seed in 10..16 {
-        let report = sweep(seed, 25, Scale::of(40));
-        assert_production_ran(&report);
+        let report = sweep(seed, 25, Scale::of(40), true);
         production_checks += 2 * report.statements().1 * 2;
     }
     assert!(production_checks >= 3_000, "only {production_checks}");
@@ -281,12 +293,9 @@ fn a_typed_error_on_one_lane_does_not_excuse_wrong_rows_on_another() {
 fn lane_counters_prove_each_lane_ran_its_own_configuration() {
     let mut statements = paper_corpus();
     statements.extend(golden_corpus());
-    let report = run_matrix(
-        &Universe::generated(Scale::small(), 41),
-        &statements,
-        &every_lane(Scale::small()),
-        None,
-    );
+    let universe = Universe::generated(Scale::small(), 41);
+    let lanes = every_lane(Scale::small());
+    let report = run_matrix(&universe, &statements, &lanes, None);
     assert!(report.is_clean(), "{:#?}", report.mismatches);
     for transport in ["text", "xml"] {
         let lane = |suffix: &str| report.lane(&format!("{transport}{suffix}"));
@@ -302,9 +311,11 @@ fn lane_counters_prove_each_lane_ran_its_own_configuration() {
             assert!(lane(hashed).hash_operators > 0, "{transport}{hashed}");
             assert_eq!(lane(hashed).join_fallbacks, 0, "{transport}{hashed}");
         }
-        // The text sink ends every delimited-text execution of the
-        // pipeline strategy (a cached lane executes twice) and nothing
-        // else; it never gives up on a statement that succeeds.
+        // A sink ends every execution of the pipeline strategy (a cached
+        // lane executes twice) whose body it can write — every
+        // delimited-text one, every XML `<RECORDSET>` of one FLWOR's
+        // `<RECORD>`s — and nothing else; it never gives up on a statement
+        // that succeeds.
         for (suffix, executions) in [
             ("", 0),
             ("+hash", 1),
@@ -312,13 +323,20 @@ fn lane_counters_prove_each_lane_ran_its_own_configuration() {
             ("+opt", 0),
             ("+production", 2),
         ] {
-            let sinks = match transport {
-                "text" => executions * statements.len() as u64,
-                _ => 0,
+            let sunk = match (transport, executions) {
+                (_, 0) => 0,
+                ("text", _) => statements.len() as u64,
+                _ => {
+                    let label = format!("{transport}{suffix}");
+                    let planned_as = lanes.iter().find(|l| l.label == label).unwrap();
+                    let shaped = common::xml_sink_bodies(&universe, &statements, planned_as);
+                    assert!(shaped > statements.len() as u64 / 2, "{label}: {shaped}");
+                    shaped
+                }
             };
             assert_eq!(
                 (lane(suffix).sinks, lane(suffix).sink_fallbacks),
-                (sinks, 0),
+                (executions * sunk, 0),
                 "{transport}{suffix}"
             );
         }

@@ -61,16 +61,22 @@ fn strategies_agree(
     assert!(report.is_clean(), "mismatches: {:#?}", report.mismatches);
     assert_eq!(report.passed, report.outcome_log.len());
     // No silent fallback: every delimited-text statement of the pipeline
-    // strategy ends in the text sink, and the interpreter lanes in none.
-    let lane = report.lane("text+hash");
-    assert_eq!(
-        (lane.sinks, lane.sink_fallbacks),
-        (corpus.len() as u64, 0),
-        "text+hash: one sink per statement"
-    );
-    for label in ["text", "xml", "xml+hash"] {
+    // strategy ends in the text sink, every XML one whose body is a
+    // `<RECORDSET>` of one FLWOR's `<RECORD>`s in the XML sink, and the
+    // interpreter lanes in none.
+    let xml_bodies = common::xml_sink_bodies(universe, corpus, &Lane::hash(Transport::Xml));
+    for (label, sinks) in [
+        ("text+hash", corpus.len() as u64),
+        ("xml+hash", xml_bodies),
+        ("text", 0),
+        ("xml", 0),
+    ] {
         let lane = report.lane(label);
-        assert_eq!((lane.sinks, lane.sink_fallbacks), (0, 0), "{label}");
+        assert_eq!(
+            (lane.sinks, lane.sink_fallbacks),
+            (sinks, 0),
+            "{label}: one sink per statement a sink can write"
+        );
     }
     report
 }
@@ -441,37 +447,28 @@ fn budgets_bind_on_probe_let_and_semi_join_tables() {
 fn every_delimited_program_the_translator_emits_lowers_to_a_sink() {
     let scale = Scale::small();
     let server = Universe::generated(scale, 53).server;
-    let conn = Connection::open(Arc::clone(&server));
-    let engine = common::engine(scale);
-    let mut corpus = paper_corpus();
-    corpus.extend(golden_corpus());
-    corpus.extend(fuzzed_corpus(53, 10));
-    let mut lowered = 0;
-    for (origin, sql) in &corpus {
-        for level in [OptimizeLevel::Off, OptimizeLevel::Full] {
-            let options = TranslationOptions::with_transport(Transport::DelimitedText)
-                .optimized(level)
-                .with_exec(ExecStrategy::HashJoin);
-            let full = conn
-                .translator()
-                .translate_full(sql, options)
-                .unwrap_or_else(|e| panic!("{origin}: `{sql}`: {e}"));
-            let xquery = engine
-                .optimize(&full.prepared, &full.translation.xquery, options)
-                .xquery;
-            let meter = QueryBudget::unlimited();
-            server
-                .execute_governed_with(&xquery, &[], Some(&meter), options.exec)
-                .unwrap_or_else(|e| panic!("{origin}: `{sql}`: {e}"));
-            assert_eq!(
-                meter.sink_counts(),
-                (1, 0),
-                "{origin} at {level:?}: `{sql}` did not end in a text sink:\n{xquery}"
-            );
-            lowered += 1;
-        }
+    let programs = emitted_programs(
+        &server,
+        scale,
+        &all_corpora(53, 10),
+        Transport::DelimitedText,
+    );
+    for (origin, sql, level, xquery) in &programs {
+        let meter = QueryBudget::unlimited();
+        server
+            .execute_governed_with(xquery, &[], Some(&meter), ExecStrategy::HashJoin)
+            .unwrap_or_else(|e| panic!("{origin}: `{sql}`: {e}"));
+        assert_eq!(
+            meter.sink_counts(),
+            (1, 0),
+            "{origin} at {level:?}: `{sql}` did not end in a text sink:\n{xquery}"
+        );
     }
-    assert!(lowered >= 2 * 100, "only {lowered} programs checked");
+    assert!(
+        programs.len() >= 2 * 100,
+        "only {} programs",
+        programs.len()
+    );
 }
 
 /// Whatever the statement proper evaluates to, the sink writes it: a
@@ -492,5 +489,255 @@ fn sink_writes_distinct_set_operation_and_derived_table_values() {
         "SELECT V, K FROM L WHERE K IS NULL OR V IS NULL",
     ] {
         check_keyed(sql);
+    }
+}
+
+/// Every program of `corpus` as the translator emits it and as the
+/// optimizer leaves it at `Full`, on `transport`: `(origin, sql, level,
+/// xquery)`.
+fn emitted_programs(
+    server: &Arc<DspServer>,
+    scale: Scale,
+    corpus: &[(String, String)],
+    transport: Transport,
+) -> Vec<(String, String, OptimizeLevel, String)> {
+    let conn = Connection::open(Arc::clone(server));
+    let engine = common::engine(scale);
+    let mut programs = Vec::new();
+    for (origin, sql) in corpus {
+        for level in [OptimizeLevel::Off, OptimizeLevel::Full] {
+            let options = TranslationOptions::with_transport(transport)
+                .optimized(level)
+                .with_exec(ExecStrategy::HashJoin);
+            let full = conn
+                .translator()
+                .translate_full(sql, options)
+                .unwrap_or_else(|e| panic!("{origin}: `{sql}`: {e}"));
+            let xquery = engine
+                .optimize(&full.prepared, &full.translation.xquery, options)
+                .xquery;
+            programs.push((origin.clone(), sql.clone(), level, xquery));
+        }
+    }
+    programs
+}
+
+fn all_corpora(seed: u64, per_class: usize) -> Vec<(String, String)> {
+    let mut corpus = paper_corpus();
+    corpus.extend(golden_corpus());
+    corpus.extend(fuzzed_corpus(seed, per_class));
+    corpus
+}
+
+/// `stage3::gen_record` and the projection's shape test are two halves of
+/// one format, like the wrapper and the sink above: over the paper, golden
+/// and fuzzed corpora, as generated and as optimized, every `<RECORD>`
+/// constructor that is a FLWOR's `return` lowers to the projection
+/// operator; every delimited program whose view is a `<RECORDSET>` of one
+/// FLWOR's `<RECORD>`s fuses; every XML program of that shape runs the XML
+/// sink. A stage-3 or rewrite-rule change that reshapes a cell fails here
+/// instead of switching the operator off.
+#[test]
+fn every_record_the_translator_emits_lowers_to_the_projection() {
+    use aldsp::xquery::ast::{Clause, Expr};
+    use aldsp::xquery::exec::{is_projection, sink_kind, SinkKind};
+    use aldsp::xquery::visit::each_expr;
+
+    let scale = Scale::small();
+    let server = Universe::generated(scale, 59).server;
+    let corpus = all_corpora(59, 10);
+    let (mut records, mut fused, mut over_view, mut xml_sunk, mut xml_built) = (0, 0, 0, 0, 0);
+    for transport in [Transport::DelimitedText, Transport::Xml] {
+        for (origin, sql, level, xquery) in emitted_programs(&server, scale, &corpus, transport) {
+            let at = format!("{origin} at {level:?}: `{sql}`:\n{xquery}");
+            let program = aldsp::xquery::parse_program(&xquery).expect("programs parse");
+            each_expr(&program.body, &mut |expr| {
+                let Expr::Flwor(flwor) = expr else { return };
+                if let Expr::Element(ctor) = &*flwor.ret {
+                    if ctor.name == "RECORD" {
+                        assert!(is_projection(&flwor.ret), "a RECORD is interpreted: {at}");
+                        records += 1;
+                    }
+                }
+            });
+            let kind = sink_kind(&program.body);
+            let (shaped, expected) = match transport {
+                Transport::Xml => {
+                    let shaped = common::is_recordset_of_records(&program.body);
+                    (shaped, shaped.then_some(SinkKind::Xml))
+                }
+                Transport::DelimitedText => {
+                    // `fn:string-join((let $actualQuery := V for …), "")`.
+                    let view = match &program.body {
+                        Expr::FunctionCall { args, .. } => match args.first() {
+                            Some(Expr::Flwor(wrapper)) => match wrapper.clauses.first() {
+                                Some(Clause::Let { value, .. }) => value,
+                                other => panic!("no view: {other:?}"),
+                            },
+                            other => panic!("no wrapper FLWOR: {other:?}"),
+                        },
+                        other => panic!("no wrapper: {other:?}"),
+                    };
+                    let shaped = common::is_recordset_of_records(view);
+                    let kind = if shaped {
+                        SinkKind::TextFused
+                    } else {
+                        SinkKind::TextOverView
+                    };
+                    (shaped, Some(kind))
+                }
+            };
+            assert_eq!(kind, expected, "{at}");
+            // What the plan says is what runs: one sink, no fallback.
+            let meter = QueryBudget::unlimited();
+            server
+                .execute_to_payload_governed_with(
+                    &xquery,
+                    &[],
+                    None,
+                    Some(&meter),
+                    ExecStrategy::HashJoin,
+                )
+                .unwrap_or_else(|e| panic!("{e}: {at}"));
+            assert_eq!(meter.sink_counts(), (u64::from(kind.is_some()), 0), "{at}");
+            match (transport, shaped) {
+                (Transport::DelimitedText, true) => fused += 1,
+                (Transport::DelimitedText, false) => over_view += 1,
+                (Transport::Xml, true) => xml_sunk += 1,
+                (Transport::Xml, false) => xml_built += 1,
+            }
+        }
+    }
+    // Both sides of every choice were exercised, and the sunk side is the
+    // larger: ORDER BY, DISTINCT and the set operations return `$var`.
+    assert!(records >= 4 * 100, "only {records} RECORD returns seen");
+    assert!(fused > over_view && over_view > 0, "{fused} / {over_view}");
+    assert!(
+        xml_sunk > xml_built && xml_built > 0,
+        "{xml_sunk} / {xml_built}"
+    );
+    assert_eq!(fused, xml_sunk, "one statement shape, two transports");
+}
+
+/// The strategy changes no byte and no node: for every program of the
+/// corpora, in both transports, the payload under the pipeline strategy —
+/// sinks and projection — is the interpreter's payload; and the items an
+/// XML program evaluates to (the views and the body the projection
+/// builds, where no sink runs) are `==` to the interpreter's elements,
+/// empty text nodes included.
+#[test]
+fn payloads_and_trees_are_strategy_invariant() {
+    let scale = Scale::small();
+    let server = Universe::generated(scale, 61).server;
+    let corpus = all_corpora(61, 6);
+    let mut compared = 0;
+    for transport in [Transport::DelimitedText, Transport::Xml] {
+        for (origin, sql, level, xquery) in emitted_programs(&server, scale, &corpus, transport) {
+            let at = format!("{origin} at {level:?}: `{sql}`");
+            let [naive, piped] = [ExecStrategy::NestedLoop, ExecStrategy::HashJoin].map(|exec| {
+                let payload = server
+                    .execute_to_payload_governed_with(&xquery, &[], None, None, exec)
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                let items = server
+                    .execute_governed_with(&xquery, &[], None, exec)
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                (payload, items)
+            });
+            assert_eq!(piped.0, naive.0, "payloads differ: {at}");
+            assert_eq!(piped.1, naive.1, "items differ: {at}");
+            compared += 1;
+        }
+    }
+    assert!(compared >= 4 * 90, "only {compared} programs compared");
+}
+
+/// Budgets bind inside the fused text sink's and the XML sink's row loops
+/// with the `BudgetError` the interpreter reports: a `SELECT … FROM ORDERS`
+/// at scale, fuel-starved one unit short of its last row (the tuples are
+/// long paid for by then), row-capped, cancelled, and past its deadline.
+/// An error in a cell's value is the interpreter's error, and counted as
+/// the sink's fallback.
+#[test]
+fn budgets_and_errors_inside_the_projected_sinks_match_the_interpreter() {
+    let scale = Scale::of(200);
+    let server = Universe::generated(scale, 67).server;
+    let conn = Connection::open(Arc::clone(&server));
+    let orders = server
+        .database()
+        .table("ORDERS")
+        .expect("ORDERS")
+        .rows
+        .len() as u64;
+    assert!(orders >= 400, "not at scale: {orders} orders");
+    for transport in [Transport::DelimitedText, Transport::Xml] {
+        let xquery_of = |sql: &str| {
+            let options = TranslationOptions::with_transport(transport);
+            conn.translator()
+                .translate_full(sql, options)
+                .unwrap()
+                .translation
+                .xquery
+        };
+        let xquery = xquery_of("SELECT ORDERID, CUSTID, AMOUNT, STATUS FROM ORDERS");
+        let run = |budget: &QueryBudget, exec: ExecStrategy| {
+            server.execute_to_payload_governed_with(&xquery, &[], None, Some(budget), exec)
+        };
+        let meter = QueryBudget::unlimited();
+        run(&meter, ExecStrategy::HashJoin).unwrap();
+        assert_eq!(meter.sink_counts(), (1, 0), "{transport:?}");
+        let whole = meter.fuel_consumed();
+        assert!(
+            whole > 5 * orders,
+            "{transport:?}: {whole} units for {orders} rows"
+        );
+        let cancelled = || {
+            let budget = QueryBudget::unlimited();
+            budget.cancel();
+            budget
+        };
+        // The deadline's message carries the time it was noticed at.
+        let limits: [(&str, &dyn Fn() -> QueryBudget); 4] = [
+            ("fuel", &|| QueryBudget::unlimited().with_fuel(whole - 1)),
+            ("row cap", &|| {
+                QueryBudget::unlimited().with_row_cap(orders - 1)
+            }),
+            ("cancellation", &cancelled),
+            ("deadline", &|| {
+                QueryBudget::unlimited().with_deadline(std::time::Duration::ZERO)
+            }),
+        ];
+        for (what, limited) in limits {
+            let piped_budget = limited();
+            let piped = run(&piped_budget, ExecStrategy::HashJoin).unwrap_err();
+            let naive = run(&limited(), ExecStrategy::NestedLoop).unwrap_err();
+            let at = format!("{transport:?} under a {what} limit: {piped} vs {naive}");
+            match (&piped, &naive) {
+                (DriverError::Timeout(_), DriverError::Timeout(_)) => assert_eq!(what, "deadline"),
+                (
+                    DriverError::BudgetExceeded(_) | DriverError::Cancelled(_),
+                    DriverError::BudgetExceeded(_) | DriverError::Cancelled(_),
+                ) => assert_eq!(piped.to_string(), naive.to_string(), "{at}"),
+                _ => panic!("{at}"),
+            }
+            // A limit is neither a sink run nor a fallback.
+            assert_eq!(piped_budget.sink_counts(), (0, 0), "{what}");
+        }
+        run(
+            &QueryBudget::unlimited().with_fuel(whole),
+            ExecStrategy::HashJoin,
+        )
+        .unwrap();
+
+        // STATUS is 'OPEN', 'SHIPPED', …: the cast fails on the first row.
+        let failing = xquery_of("SELECT ORDERID, CAST(STATUS AS INTEGER) FROM ORDERS");
+        let budget = QueryBudget::unlimited();
+        let run = |budget: &QueryBudget, exec: ExecStrategy| {
+            server.execute_to_payload_governed_with(&failing, &[], None, Some(budget), exec)
+        };
+        let piped = run(&budget, ExecStrategy::HashJoin).unwrap_err();
+        let naive = run(&QueryBudget::unlimited(), ExecStrategy::NestedLoop).unwrap_err();
+        assert!(matches!(naive, DriverError::Execution(_)), "{naive}");
+        assert_eq!(piped.to_string(), naive.to_string(), "{transport:?}");
+        assert_eq!(budget.sink_counts(), (0, 1), "{transport:?}");
     }
 }

@@ -29,6 +29,14 @@ const NASTY: &[&str] = &[
 ];
 
 fn server_with_nasty() -> Arc<DspServer> {
+    let mut values: Vec<Option<&str>> = NASTY.iter().copied().map(Some).collect();
+    values.push(None);
+    let ids = (0..NASTY.len() as i64).chain([999]);
+    server_with(ids.zip(values))
+}
+
+/// Table `T(ID INTEGER NOT NULL, VAL VARCHAR)` holding `rows`.
+fn server_with<'a>(rows: impl Iterator<Item = (i64, Option<&'a str>)>) -> Arc<DspServer> {
     let app = ApplicationBuilder::new("NASTY")
         .project("P")
         .data_service("T")
@@ -45,10 +53,10 @@ fn server_with_nasty() -> Arc<DspServer> {
     let mut db = Database::new();
     let schema = app.projects[0].data_services[0].functions[0].schema.clone();
     let mut table = Table::new(schema);
-    for (i, s) in NASTY.iter().enumerate() {
-        table.insert(vec![SqlValue::Int(i as i64), SqlValue::Str(s.to_string())]);
+    for (id, value) in rows {
+        let value = value.map_or(SqlValue::Null, |s| SqlValue::Str(s.to_string()));
+        table.insert(vec![SqlValue::Int(id), value]);
     }
-    table.insert(vec![SqlValue::Int(999), SqlValue::Null]);
     db.add_table(table);
     Arc::new(DspServer::new(app, db))
 }
@@ -429,6 +437,54 @@ fn integer_overflow_corners_are_answers_or_typed_errors() {
                     ),
                 }
             }
+        }
+    }
+}
+
+/// What each transport has to carry, byte for byte whichever strategy
+/// writes it — the interpreter's `fn-bea:xml-escape` and serializer, or the
+/// pipeline strategy's sinks writing cells straight into the payload
+/// (plain statements), its text sink over a view and its projection under
+/// the serializer (ORDER BY returns `$var`): `''` beside NULL, the
+/// separators and `&` alone and as an entity look-alike, the NULL marker
+/// and its neighbour, multi-byte text.
+#[test]
+fn payloads_are_byte_identical_under_both_strategies() {
+    let odd = [
+        Some(""),
+        None,
+        Some("<"),
+        Some(">"),
+        Some("a>b<c&d;"),
+        Some("&lt;"),
+        Some("\u{0}"),
+        Some("\u{1}"),
+        Some("é 🙂 >"),
+    ];
+    let nasty = NASTY.iter().copied().map(Some);
+    let server = server_with((0..).zip(odd.into_iter().chain(nasty)));
+    for transport in [Transport::DelimitedText, Transport::Xml] {
+        for sql in [
+            "SELECT ID, VAL FROM T",
+            "SELECT VAL, ID, VAL || '<' FROM T WHERE ID >= 0",
+            "SELECT ID, VAL FROM T ORDER BY ID",
+            "SELECT VAL, COUNT(*) FROM T GROUP BY VAL",
+        ] {
+            let options = TranslationOptions::with_transport(transport);
+            let conn = Connection::open_with(Arc::clone(&server), options, Default::default());
+            let xquery = conn.create_statement().explain(sql).unwrap().xquery;
+            let [naive, piped] = [ExecStrategy::NestedLoop, ExecStrategy::HashJoin].map(|exec| {
+                let budget = aldsp::governor::QueryBudget::unlimited();
+                let payload = server
+                    .execute_to_payload_governed_with(&xquery, &[], None, Some(&budget), exec)
+                    .unwrap_or_else(|e| panic!("{transport:?} `{sql}`: {e}"));
+                (payload, budget.sink_counts())
+            });
+            assert_eq!(piped.0, naive.0, "{transport:?} `{sql}`");
+            assert_eq!(naive.1, (0, 0));
+            // A sink wrote it, except the XML body that returns `$var`.
+            let sunk = transport == Transport::DelimitedText || !sql.contains("ORDER BY");
+            assert_eq!(piped.1, (u64::from(sunk), 0), "{transport:?} `{sql}`");
         }
     }
 }
