@@ -71,6 +71,7 @@ use aldsp_xml::{Atomic, Item, Sequence};
 use aldsp_xquery::{
     evaluate_program_exec, parse_program, ExecStrategy, FunctionSource, Program, XqError,
 };
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
@@ -1332,7 +1333,7 @@ fn decode_result(result: &Sequence, output: &[OutputColumn]) -> Result<Vec<Vec<S
                 .map(|row| {
                     row.into_iter()
                         .zip(output)
-                        .map(|(cell, col)| decode_cell(cell, col.sql_type))
+                        .map(|(cell, col)| decode_cell(cell.map(Cow::Owned), col.sql_type))
                         .collect::<Result<Vec<_>, _>>()
                 })
                 .collect()
@@ -1355,7 +1356,7 @@ fn decode_result(result: &Sequence, output: &[OutputColumn]) -> Result<Vec<Vec<S
                     let cell = record
                         .children_named(&col.name)
                         .next()
-                        .map(|e| e.string_value());
+                        .map(|e| e.string_value().into());
                     row.push(decode_cell(cell, col.sql_type)?);
                 }
                 rows.push(row);

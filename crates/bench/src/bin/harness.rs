@@ -1368,6 +1368,17 @@ fn e13_exec_engine(smoke: bool) {
                      none falling back: {lane:?}"
                 );
             }
+            for label in ["text+hash", "xml+hash", "text+production", "xml+production"] {
+                let lane = report.lane(label);
+                assert!(
+                    lane.cells_pruned > 0 && lane.view_fallbacks == 0,
+                    "acceptance: lane {label} must build its views by tail plans that prune, \
+                     none handed back: {} views, {} cells pruned, {} fallbacks",
+                    lane.views,
+                    lane.cells_pruned,
+                    lane.view_fallbacks
+                );
+            }
             report
         })
         .collect();
@@ -1384,6 +1395,9 @@ fn e13_exec_engine(smoke: bool) {
     let hash_joins: u64 = hash_lanes().map(|l| l.hash_operators).sum();
     let join_fallbacks: u64 = hash_lanes().map(|l| l.join_fallbacks).sum();
     let fast_path_fraction = hash_joins as f64 / (hash_joins + join_fallbacks).max(1) as f64;
+    let views: u64 = hash_lanes().map(|l| l.views).sum();
+    let cells_pruned: u64 = hash_lanes().map(|l| l.cells_pruned).sum();
+    let view_fallbacks: u64 = hash_lanes().map(|l| l.view_fallbacks).sum();
     println!(
         "{passed}/{total} queries agree (hash vs naive vs production vs oracle, both transports; \
          {} seed(s) x ({golden_total} golden / {} + {fuzzed_per_seed} fuzzed)): \
@@ -1393,7 +1407,8 @@ fn e13_exec_engine(smoke: bool) {
     );
     println!(
         "hashable FLWOR executions: {hash_joins} hash operators ran, {join_fallbacks} fell back \
-         (fast-path fraction {fast_path_fraction:.3})"
+         (fast-path fraction {fast_path_fraction:.3}); {views} views built by tail plans \
+         less {cells_pruned} cells"
     );
     assert!(
         fuzzed_per_seed >= 1_000,
@@ -1464,8 +1479,11 @@ fn e13_exec_engine(smoke: bool) {
         slice_report.is_clean(),
         "acceptance: the timed slice queries must return identical rows"
     );
-    let time_service = |service: &QueryService, sql: &str| -> f64 {
+    // The p50, and the last sample's `(views, cells pruned, view
+    // fallbacks)`.
+    let time_service = |service: &QueryService, sql: &str| -> (f64, (u64, u64, u64)) {
         let mut times = Vec::with_capacity(samples);
+        let mut views = (0, 0, 0);
         // One extra, untimed: warms the plan cache and the materialization.
         for sample in 0..=samples {
             let budget = QueryBudget::unlimited();
@@ -1478,27 +1496,42 @@ fn e13_exec_engine(smoke: bool) {
             if sample > 0 {
                 times.push(t.elapsed().as_secs_f64() * 1e6);
             }
+            views = budget.view_counts();
         }
-        percentile(&sorted_us(times), 0.5)
+        (percentile(&sorted_us(times), 0.5), views)
     };
     println!(
-        "{:>14} {:>14} {:>14} {:>9}",
-        "query", "naive_p50_us", "hash_p50_us", "speedup"
+        "{:>14} {:>14} {:>14} {:>9} {:>6} {:>12}",
+        "query", "naive_p50_us", "hash_p50_us", "speedup", "views", "cells_pruned"
     );
     let mut entries = Vec::new();
     let mut speedups = Vec::new();
     for (name, sql) in slice {
-        let naive_p50 = time_service(&naive_service, sql);
-        let hash_p50 = time_service(&hash_service, sql);
+        let (naive_p50, interpreted) = time_service(&naive_service, sql);
+        let (hash_p50, (views, cells_pruned, view_fallbacks)) = time_service(&hash_service, sql);
         let speedup = naive_p50 / hash_p50.max(1e-9);
-        println!("{name:>14} {naive_p50:>14.0} {hash_p50:>14.0} {speedup:>8.1}x");
+        println!(
+            "{name:>14} {naive_p50:>14.0} {hash_p50:>14.0} {speedup:>8.1}x {views:>6} \
+             {cells_pruned:>12}"
+        );
         assert!(
             !matches!(name, "outer_join" | "in_subquery") || speedup >= 5.0,
             "acceptance: `{name}` must be >= 5x faster hashed, got {speedup:.1}x"
         );
+        // A view that stopped pruning returns the same rows, only slower.
+        assert!(
+            !matches!(name, "grouped_join" | "outer_join") || cells_pruned > 0,
+            "acceptance: the view of `{name}` must be built without its unread cells"
+        );
+        assert_eq!(
+            (view_fallbacks, interpreted),
+            (0, (0, 0, 0)),
+            "acceptance: `{name}`: no view is handed back, and the interpreter plans none"
+        );
         entries.push(obj! {
             "query": name, "naive_p50_us": Json::Num(naive_p50, 1),
             "hash_p50_us": Json::Num(hash_p50, 1), "speedup": Json::Num(speedup, 2),
+            "views": views, "cells_pruned": cells_pruned,
         });
         speedups.push(speedup);
     }
@@ -1527,6 +1560,7 @@ fn e13_exec_engine(smoke: bool) {
             "passed": passed, "rejected": rejected, "mismatches": mismatches,
             "hash_joins": hash_joins, "join_fallbacks": join_fallbacks,
             "fast_path_fraction": Json::Num(fast_path_fraction, 4),
+            "views": views, "cells_pruned": cells_pruned, "view_fallbacks": view_fallbacks,
         },
         "perf": obj! {
             "scale_customers": customers, "samples_per_query": samples, "queries": entries,

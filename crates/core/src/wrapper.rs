@@ -22,6 +22,7 @@
 
 use crate::ir::PreparedQuery;
 use crate::stage3::Generated;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Column separator: precedes every column value.
@@ -57,14 +58,17 @@ pub fn wrap_delimited(generated: Generated, prepared: &PreparedQuery) -> String 
     out
 }
 
-/// Parses one delimited-text result payload back into rows of optional
-/// strings (`None` = SQL NULL). This is the driver-side inverse of
-/// [`wrap_delimited`]'s output format; it lives here so the format's two
-/// halves stay in one module.
-pub fn parse_delimited(
+/// Decodes one delimited-text result payload in one pass: `cell` gets each
+/// value where it lies in the payload — its column index and `None` for
+/// SQL NULL, a borrowed slice unless entities had to be expanded (a value
+/// that holds `&`) — and what it makes of them comes back as rows. This is
+/// the driver-side inverse of [`wrap_delimited`]'s output format; it lives
+/// here so the format's two halves stay in one module.
+pub fn decode_rows<T>(
     payload: &str,
     column_count: usize,
-) -> Result<Vec<Vec<Option<String>>>, String> {
+    mut cell: impl FnMut(usize, Option<Cow<'_, str>>) -> Result<T, String>,
+) -> Result<Vec<Vec<T>>, String> {
     let mut rows = Vec::new();
     let mut rest = payload;
     while !rest.is_empty() {
@@ -76,17 +80,21 @@ pub fn parse_delimited(
                     i + 1
                 ));
             };
-            rest = stripped;
-            let end = rest
+            let end = stripped
                 .find([COLUMN_SEPARATOR, ROW_SEPARATOR])
                 .ok_or_else(|| "malformed delimited payload: unterminated value".to_string())?;
-            let raw = &rest[..end];
-            rest = &rest[end..];
-            if raw == NULL_MARKER {
-                row.push(None);
-            } else {
-                row.push(Some(aldsp_xml::escape::unescape(raw)));
-            }
+            let raw = &stripped[..end];
+            rest = &stripped[end..];
+            row.push(cell(
+                i,
+                if raw == NULL_MARKER {
+                    None
+                } else if raw.contains('&') {
+                    Some(Cow::Owned(aldsp_xml::escape::unescape(raw)))
+                } else {
+                    Some(Cow::Borrowed(raw))
+                },
+            )?);
         }
         let Some(stripped) = rest.strip_prefix(ROW_SEPARATOR) else {
             return Err("malformed delimited payload: missing row separator".to_string());
@@ -95,6 +103,17 @@ pub fn parse_delimited(
         rows.push(row);
     }
     Ok(rows)
+}
+
+/// Parses one delimited-text result payload back into rows of optional
+/// strings (`None` = SQL NULL): [`decode_rows`], every cell kept as it is.
+pub fn parse_delimited(
+    payload: &str,
+    column_count: usize,
+) -> Result<Vec<Vec<Option<String>>>, String> {
+    decode_rows(payload, column_count, |_, cell| {
+        Ok(cell.map(Cow::into_owned))
+    })
 }
 
 #[cfg(test)]
@@ -131,5 +150,32 @@ mod tests {
         assert!(parse_delimited("55>Joe<", 2).is_err()); // missing leading sep
         assert!(parse_delimited(">55", 1).is_err()); // unterminated
         assert!(parse_delimited(">55>Joe", 2).is_err()); // no row separator
+        assert!(parse_delimited(">55<>", 1).is_err()); // a row cut short
+    }
+
+    #[test]
+    fn cells_are_borrowed_unless_they_hold_an_entity() {
+        let payload = format!(">55>a &amp; b<>{NULL_MARKER}><");
+        let mut seen = Vec::new();
+        let rows = decode_rows(&payload, 2, |column, cell| {
+            seen.push(match &cell {
+                None => "null",
+                Some(Cow::Borrowed(_)) => "borrowed",
+                Some(Cow::Owned(_)) => "owned",
+            });
+            Ok((column, cell.map(Cow::into_owned)))
+        })
+        .unwrap();
+        assert_eq!(seen, ["borrowed", "owned", "null", "borrowed"]);
+        assert_eq!(rows[0][1], (1, Some("a & b".to_string())));
+        assert_eq!(rows[1], [(0, None), (1, Some(String::new()))]);
+        // The cell's own error stops the pass, as a malformed payload does.
+        let failed = decode_rows(">1>x<>2", 2, |_, cell| match cell.as_deref() {
+            Some("x") => Err("no x".to_string()),
+            _ => Ok(()),
+        });
+        assert_eq!(failed, Err("no x".to_string()));
+        // A row of no columns is its separator.
+        assert_eq!(parse_delimited("<<", 0).unwrap(), [vec![], vec![]]);
     }
 }

@@ -5,6 +5,7 @@ use crate::DriverError;
 use aldsp_catalog::SqlColumnType;
 use aldsp_core::{wrapper, OutputColumn};
 use aldsp_relational::SqlValue;
+use std::borrow::Cow;
 
 /// Result-set metadata, the JDBC `ResultSetMetaData` analogue.
 #[derive(Debug, Clone)]
@@ -73,16 +74,11 @@ impl ResultSet {
         columns: Vec<OutputColumn>,
         payload: &str,
     ) -> Result<ResultSet, DriverError> {
-        let raw = wrapper::parse_delimited(payload, columns.len()).map_err(DriverError::Decode)?;
-        let rows = raw
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .zip(&columns)
-                    .map(|(cell, col)| decode_cell(cell, col.sql_type))
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        // One pass: each cell is decoded off the payload where it lies.
+        let rows = wrapper::decode_rows(payload, columns.len(), |column, cell| {
+            aldsp_relational::sqltype::decode_cell(cell, columns[column].sql_type)
+        })
+        .map_err(DriverError::Decode)?;
         Ok(ResultSet::from_rows(columns, rows))
     }
 
@@ -99,7 +95,7 @@ impl ResultSet {
                 let cell = record
                     .children_named(&col.name)
                     .next()
-                    .map(|e| e.string_value());
+                    .map(|e| e.string_value().into());
                 row.push(decode_cell(cell, col.sql_type)?);
             }
             rows.push(row);
@@ -252,7 +248,7 @@ impl ResultSet {
 /// lives at the relational level (`aldsp_relational::sqltype`), shared
 /// with the oracle; the driver only wraps its error.
 fn decode_cell(
-    cell: Option<String>,
+    cell: Option<Cow<'_, str>>,
     sql_type: Option<SqlColumnType>,
 ) -> Result<SqlValue, DriverError> {
     aldsp_relational::sqltype::decode_cell(cell, sql_type).map_err(DriverError::Decode)

@@ -176,6 +176,12 @@ struct BudgetInner {
     // above.
     sinks: AtomicU64,
     sink_fallbacks: AtomicU64,
+    // `let`-bound views a tail plan built, the cells those plans left out
+    // because nothing downstream reads them, and the views a plan
+    // abandoned to the interpreter.
+    views: AtomicU64,
+    cells_pruned: AtomicU64,
+    view_fallbacks: AtomicU64,
 }
 
 /// A per-query resource allowance, shared by translation, retries, and
@@ -211,6 +217,9 @@ impl QueryBudget {
                 join_fallbacks: AtomicU64::new(0),
                 sinks: AtomicU64::new(0),
                 sink_fallbacks: AtomicU64::new(0),
+                views: AtomicU64::new(0),
+                cells_pruned: AtomicU64::new(0),
+                view_fallbacks: AtomicU64::new(0),
             }),
         }
     }
@@ -230,6 +239,9 @@ impl QueryBudget {
             join_fallbacks: AtomicU64::new(inner.join_fallbacks.load(Ordering::Relaxed)),
             sinks: AtomicU64::new(inner.sinks.load(Ordering::Relaxed)),
             sink_fallbacks: AtomicU64::new(inner.sink_fallbacks.load(Ordering::Relaxed)),
+            views: AtomicU64::new(inner.views.load(Ordering::Relaxed)),
+            cells_pruned: AtomicU64::new(inner.cells_pruned.load(Ordering::Relaxed)),
+            view_fallbacks: AtomicU64::new(inner.view_fallbacks.load(Ordering::Relaxed)),
         };
         f(&mut next);
         QueryBudget {
@@ -351,6 +363,33 @@ impl QueryBudget {
         (
             self.inner.sinks.load(Ordering::Relaxed),
             self.inner.sink_fallbacks.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Records a `let`-bound view built by its tail plan, which left
+    /// `cells_pruned` cells of its row constructors out; `None` is a view
+    /// whose plan failed and the interpreter rebuilt.
+    pub fn record_view(&self, cells_pruned: Option<u64>) {
+        match cells_pruned {
+            Some(cells) => {
+                self.inner.views.fetch_add(1, Ordering::Relaxed);
+                self.inner.cells_pruned.fetch_add(cells, Ordering::Relaxed);
+            }
+            None => {
+                self.inner.view_fallbacks.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// `(views built by a tail plan, cells pruned, view fallbacks)` so
+    /// far. Like [`QueryBudget::sink_counts`], not drained by
+    /// [`QueryBudget::take_exec_counts`]. A view that stopped pruning
+    /// returns the same rows, only slower: this is how a test sees it.
+    pub fn view_counts(&self) -> (u64, u64, u64) {
+        (
+            self.inner.views.load(Ordering::Relaxed),
+            self.inner.cells_pruned.load(Ordering::Relaxed),
+            self.inner.view_fallbacks.load(Ordering::Relaxed),
         )
     }
 
@@ -965,14 +1004,18 @@ mod tests {
         let clone = budget.clone();
         clone.record_hash_join(1);
         assert_eq!(budget.hash_joins(), 3);
-        // The sink's pair rides the same way.
+        // The sink's pair and the views' triple ride the same way.
         clone.record_sink();
         clone.record_sink_fallback();
+        clone.record_view(Some(6));
+        clone.record_view(Some(0));
+        clone.record_view(None);
         let budget = budget.with_row_cap(9);
         // Draining yields deltas and resets — the hash operators' only.
         assert_eq!(budget.take_exec_counts(), (3, 1));
         assert_eq!(budget.take_exec_counts(), (0, 0));
         assert_eq!(budget.sink_counts(), (1, 1));
+        assert_eq!(budget.view_counts(), (2, 6, 1));
     }
 
     #[test]

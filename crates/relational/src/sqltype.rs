@@ -17,6 +17,7 @@
 use crate::value::SqlValue;
 use aldsp_catalog::SqlColumnType;
 use aldsp_sql::SqlTypeName;
+use std::borrow::Cow;
 
 /// Maps AST type names to catalog column types.
 pub fn type_name_to_column(t: SqlTypeName) -> SqlColumnType {
@@ -55,10 +56,11 @@ pub fn column_type_from_name(name: &str) -> Option<SqlColumnType> {
 
 /// Decodes one transported cell into a typed value. `None` is the absent
 /// cell (SQL NULL in both transports); text cells are interpreted per the
-/// declared column type, untyped columns stay strings. The error is a
-/// plain message; the driver wraps it in its own error type.
+/// declared column type, untyped columns stay strings. The cell may be a
+/// slice of the payload: only a string or date value copies it. The error
+/// is a plain message; the driver wraps it in its own error type.
 pub fn decode_cell(
-    cell: Option<String>,
+    cell: Option<Cow<'_, str>>,
     sql_type: Option<SqlColumnType>,
 ) -> Result<SqlValue, String> {
     let Some(text) = cell else {
@@ -66,7 +68,7 @@ pub fn decode_cell(
     };
     use SqlColumnType as T;
     let value = match sql_type {
-        None | Some(T::Char) | Some(T::Varchar) => SqlValue::Str(text),
+        None | Some(T::Char) | Some(T::Varchar) => SqlValue::Str(text.into_owned()),
         Some(T::Smallint) | Some(T::Integer) | Some(T::Bigint) => SqlValue::Int(
             text.trim()
                 .parse()
@@ -78,7 +80,7 @@ pub fn decode_cell(
                 .map_err(|_| format!("bad decimal `{text}`"))?,
         ),
         Some(T::Real) | Some(T::Double) => SqlValue::Double(parse_double(&text)?),
-        Some(T::Date) => SqlValue::Date(text),
+        Some(T::Date) => SqlValue::Date(text.into_owned()),
         Some(T::Boolean) => match text.trim() {
             "true" | "1" => SqlValue::Bool(true),
             "false" | "0" => SqlValue::Bool(false),

@@ -249,6 +249,12 @@ pub struct LaneReport {
     pub sinks: u64,
     /// Statement bodies a sink abandoned to the interpreter.
     pub sink_fallbacks: u64,
+    /// `let`-bound views the engine built by a tail plan.
+    pub views: u64,
+    /// Cells those plans left out: nothing after the `let` reads them.
+    pub cells_pruned: u64,
+    /// Views a tail plan abandoned to the interpreter.
+    pub view_fallbacks: u64,
     /// Final plan-cache counters of a cached lane.
     pub cache: Option<CacheStats>,
     /// Resident plans put through analyzer layers 1–3.
@@ -521,6 +527,10 @@ pub fn run_matrix(
                 let (sinks, sink_fallbacks) = meter.sink_counts();
                 stats.sinks += sinks;
                 stats.sink_fallbacks += sink_fallbacks;
+                let (views, cells_pruned, view_fallbacks) = meter.view_counts();
+                stats.views += views;
+                stats.cells_pruned += cells_pruned;
+                stats.view_fallbacks += view_fallbacks;
                 let tag = match result {
                     Ok(rs) => {
                         let claim = reference(k).and_then(|r| Some((r, rows_of[r].as_ref()?)));

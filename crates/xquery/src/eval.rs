@@ -339,6 +339,14 @@ impl<'a> Evaluator<'a> {
         }
     }
 
+    /// Counts a `let`-bound view: built by its tail plan less `pruned`
+    /// cells, or — `None` — handed back to the interpreter.
+    pub(crate) fn record_view(&self, pruned: Option<u64>) {
+        if let Some(budget) = self.budget {
+            budget.record_view(pruned);
+        }
+    }
+
     /// Evaluates `expr` in `env`, with an optional context item (set
     /// inside predicates).
     pub fn eval(
@@ -644,7 +652,7 @@ impl<'a> Evaluator<'a> {
                 }
             }
         }
-        for clause in &flwor.clauses[skip..] {
+        for (at, clause) in flwor.clauses.iter().enumerate().skip(skip) {
             match clause {
                 Clause::For { var, source } => {
                     let mut next = Vec::new();
@@ -665,14 +673,7 @@ impl<'a> Evaluator<'a> {
                     }
                     tuples = next;
                 }
-                Clause::Let { var, value } => {
-                    let mut next = Vec::with_capacity(tuples.len());
-                    for tuple in &tuples {
-                        let v = self.eval(value, tuple, context)?;
-                        next.push(tuple.bind(var.clone(), v));
-                    }
-                    tuples = next;
-                }
+                Clause::Let { .. } => tuples = self.let_clause(flwor, at, &tuples, context)?,
                 Clause::Where(predicate) => {
                     let mut next = Vec::new();
                     for tuple in tuples {
@@ -691,6 +692,48 @@ impl<'a> Evaluator<'a> {
             }
         }
         Ok(tuples)
+    }
+
+    /// Clause `at` of `flwor`, a `let`, over `tuples`. Under the pipeline
+    /// strategy a view ([`exec::view`]) is planned once and built by its
+    /// plan on every tuple — or, after any error of the plan's but a
+    /// budget's, by the interpreter.
+    // Out of line: the plan is a large value few FLWORs have, and the
+    // clause loop is every FLWOR's.
+    #[inline(never)]
+    fn let_clause(
+        &self,
+        flwor: &Flwor,
+        at: usize,
+        tuples: &[Env],
+        context: Option<&Item>,
+    ) -> Result<Vec<Env>, XqError> {
+        let Clause::Let { var, value } = &flwor.clauses[at] else {
+            unreachable!("the clause loop sends a `let`");
+        };
+        let view = match self.strategy {
+            ExecStrategy::HashJoin => exec::view(flwor, at),
+            ExecStrategy::NestedLoop => None,
+        };
+        let mut next = Vec::with_capacity(tuples.len());
+        for tuple in tuples {
+            let planned = match &view {
+                Some(view) => {
+                    let built = interpret_on_error(exec::run_view(self, view, tuple, context))?;
+                    if built.is_none() {
+                        self.record_view(None);
+                    }
+                    built
+                }
+                None => None,
+            };
+            let v = match planned {
+                Some(v) => v,
+                None => self.eval(value, tuple, context)?,
+            };
+            next.push(tuple.bind(var.clone(), v));
+        }
+        Ok(next)
     }
 
     /// The BEA group-by extension: partitions the tuple stream by the key
@@ -1937,24 +1980,26 @@ mod tests {
         .unwrap();
     }
 
+    /// Forty one-column RECORDs, and the query cancelled by the time they
+    /// are handed over.
+    struct CancelsOnCall(QueryBudget);
+
+    impl FunctionSource for CancelsOnCall {
+        fn call(&self, _: Option<&str>, _: &str, _: &[Sequence]) -> Result<Sequence, XqError> {
+            self.0.cancel();
+            Ok((0..40)
+                .map(|i| {
+                    Item::element(build_row(
+                        &QName::local("RECORD"),
+                        [("A", Some(Atomic::Integer(i)))],
+                    ))
+                })
+                .collect())
+        }
+    }
+
     #[test]
     fn cancellation_is_seen_inside_the_sinks_loop() {
-        /// Forty one-column RECORDs, and the query cancelled by the time
-        /// they are handed over.
-        struct CancelsOnCall(QueryBudget);
-        impl FunctionSource for CancelsOnCall {
-            fn call(&self, _: Option<&str>, _: &str, _: &[Sequence]) -> Result<Sequence, XqError> {
-                self.0.cancel();
-                Ok((0..40)
-                    .map(|i| {
-                        Item::element(build_row(
-                            &QName::local("RECORD"),
-                            [("A", Some(Atomic::Integer(i)))],
-                        ))
-                    })
-                    .collect())
-            }
-        }
         let rows = "<RECORDSET>{ for $r in ns0:ROWS() return \
                     <RECORD><A>{fn:data($r/A)}</A></RECORD> }</RECORDSET>";
         for (query, spent) in [
@@ -2316,6 +2361,332 @@ mod tests {
             run_exec(&xml, &QueryBudget::unlimited(), ExecStrategy::NestedLoop).unwrap_err()
         );
         assert_eq!(budget.sink_counts(), (0, 0));
+    }
+
+    /// Runs `query` under both strategies, as items and as a payload: one
+    /// outcome, value or error. Returns the pipeline's `(views built,
+    /// cells pruned, view fallbacks)`.
+    fn assert_views_agree(query: &str) -> (u64, u64, u64) {
+        let program = parse_program(query).unwrap_or_else(|e| panic!("{e}: {query}"));
+        let naive_budget = QueryBudget::unlimited();
+        let naive = run_exec(query, &naive_budget, ExecStrategy::NestedLoop);
+        assert_eq!(
+            naive_budget.view_counts(),
+            (0, 0, 0),
+            "the interpreter planned"
+        );
+        let budget = QueryBudget::unlimited();
+        let piped = run_exec(query, &budget, ExecStrategy::HashJoin);
+        assert_eq!(piped, naive, "items differ on: {query}");
+        let [naive, piped] = [ExecStrategy::NestedLoop, ExecStrategy::HashJoin]
+            .map(|exec| evaluate_program_to_payload(&program, &TestSource, &[], None, exec));
+        assert_eq!(piped, naive, "payloads differ on: {query}");
+        budget.view_counts()
+    }
+
+    /// `let $v :=` a view of CUSTOMERS with three cells — `ID`, the
+    /// nullable `NAME`, and `X` — in front of `consumer`.
+    fn customers_view(consumer: &str) -> String {
+        format!(
+            "{IMPORT} let $v := <RECORDSET>{{ for $c in ns0:CUSTOMERS() return \
+             <RECORD><ID>{{fn:data($c/CUSTOMERID)}}</ID>\
+             {{ for $s in fn:data($c/CUSTOMERNAME) return <NAME>{{$s}}</NAME> }}\
+             <X>{{fn:data($c/CUSTOMERID)}}</X></RECORD> }}</RECORDSET> {consumer}"
+        )
+    }
+
+    #[test]
+    fn a_view_builds_only_the_cells_its_consumer_names() {
+        for (consumer, pruned) in [
+            // A path off a row alias, off the view, off a `let`-bound alias.
+            ("for $r in $v/RECORD return <O>{fn:data($r/ID)}</O>", 2),
+            ("return fn:data($v/RECORD/NAME)", 2),
+            (
+                "let $rows := $v/RECORD return ($rows/X, fn:data($rows/ID))",
+                1,
+            ),
+            (
+                "for $r in $v/RECORD where $r/ID > 10 return fn:data($r/NAME/NOSUCH)",
+                1,
+            ),
+            // Counted rows name no cell; a predicate past the row step reads
+            // the cell it hangs off.
+            (
+                "return (fn:count($v/RECORD), fn:empty($v/RECORD), fn:exists($v/RECORD))",
+                3,
+            ),
+            ("for $r in $v/RECORD return fn:data($r/ID[. > 10])", 2),
+            // Through a partition, as a GROUP BY block reads its view, and
+            // through an alias of an alias.
+            (
+                "for $r in $v/RECORD group $r as $p by fn:data($r/NAME) as $k \
+                 return <G>{$k}<N>{fn:count($p)}</N>\
+                 {for $a in $p return xs:decimal(fn:data($a/X))}</G>",
+                1,
+            ),
+            ("for $r in $v/RECORD for $q in $r return fn:data($q/X)", 2),
+            // Two readers: the union of what they name.
+            (
+                "for $r in $v/RECORD for $q in $v/RECORD where $r/ID = $q/X \
+                 return <P>{fn:data($q/ID)}</P>",
+                1,
+            ),
+            // Every cell named: a plan all the same, whole.
+            ("for $r in $v/RECORD return ($r/ID, $r/NAME, $r/X)", 0),
+        ] {
+            assert_eq!(
+                assert_views_agree(&customers_view(consumer)),
+                (1, pruned, 0),
+                "{consumer}"
+            );
+        }
+    }
+
+    #[test]
+    fn escaped_rows_keep_every_cell() {
+        for consumer in [
+            "for $r in $v/RECORD return $r",
+            "for $r in $v/RECORD return fn:data($r/*)",
+            "for $r in $v/RECORD return fn:string($r)",
+            "for $r in fn-bea:distinct-records($v/RECORD) return fn:data($r/ID)",
+            "for $r in $v/RECORD[ID = 55] return fn:data($r/ID)",
+            "for $r in $v/RECORD[1] return fn:data($r/ID)",
+            "return fn:data($v/RECORD[2]/ID)",
+            "for $r in $v/* return fn:data($r/ID)",
+            "return (fn:count($v), fn:data($v/RECORD/ID))",
+            "return ($v, fn:data($v/RECORD/ID))",
+            "let $w := $v return fn:data($w/RECORD/ID)",
+            "return (fn:count($v/ROW), fn:data($v/RECORD/ID))",
+            "return ($v/RECORD/ID, some $q in $v/RECORD satisfies $q/NAME = \"Sue\")",
+            "for $r in $v/RECORD return fn:data(($r, $r)/ID)",
+            "for $r in $v/RECORD return fn:data($r[ID = 23]/NAME)",
+            "for $r in $v/RECORD order by xs:integer($r/ID) return $r",
+            "for $r in $v/RECORD group $r as $p by fn:data($r/ID) as $k return $p",
+            // Binders that take a row's or the view's name are not followed.
+            "for $r in $v/RECORD for $r in ns0:CUSTOMERS() return fn:data($r/CUSTOMERID)",
+            "for $r in $v/RECORD return (for $v in ns0:CUSTOMERS() return fn:data($r/ID))",
+            "for $r in $v/RECORD return (some $r in (1, 2) satisfies $r = 2)",
+            "for $r in $v/RECORD group $r as $p by fn:data($r/ID) as $v return fn:count($p)",
+        ] {
+            assert_eq!(
+                assert_views_agree(&customers_view(consumer)),
+                (1, 0, 0),
+                "{consumer}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_dead_cell_is_one_that_cannot_be_missed() {
+        let view = |body: &str, consumer: &str| {
+            format!("{IMPORT} let $v := <RECORDSET>{{ {body} }}</RECORDSET> {consumer}")
+        };
+        let ids = "return fn:data($v/RECORD/ID)";
+        // An unread cell that is evaluated is kept, and its error is the
+        // interpreter's: the plan gives up, nothing is swallowed.
+        let failing = view(
+            "for $c in ns0:CUSTOMERS() return <RECORD><ID>{fn:data($c/CUSTOMERID)}</ID>\
+             <BAD>{xs:integer(\"x\")}</BAD><X>{fn:data($c/CUSTOMERID)}</X></RECORD>",
+            ids,
+        );
+        assert_eq!(assert_views_agree(&failing), (0, 0, 1));
+        let naive = run_exec(
+            &failing,
+            &QueryBudget::unlimited(),
+            ExecStrategy::NestedLoop,
+        );
+        let naive = naive.unwrap_err();
+        assert!(naive.message.contains("cannot cast"), "{naive}");
+        // One that succeeds is evaluated and built all the same.
+        let fine = failing.replace("\"x\"", "\"7\"");
+        assert_eq!(assert_views_agree(&fine), (1, 1, 0));
+        // `fn:data($x/CHILD)` cannot raise only where the body binds `$x`:
+        // over an outer variable the cell is kept, over no variable at all
+        // it is the interpreter's error.
+        let outer = format!(
+            "{IMPORT} for $o in ns0:CUSTOMERS() let $v := <RECORDSET>{{ \
+             for $p in ns1:PAYMENTS() where $p/CUSTID = $o/CUSTOMERID return \
+             <RECORD><ID>{{fn:data($p/CUSTID)}}</ID><O>{{fn:data($o/CUSTOMERNAME)}}</O>\
+             <P>{{fn:data($p/PAYMENT)}}</P></RECORD> }}</RECORDSET> {ids}"
+        );
+        assert_eq!(assert_views_agree(&outer), (3, 3, 0));
+        let unbound = fine.replace("fn:data($c/CUSTOMERID)}</X>", "fn:data($nope/A)}</X>");
+        assert_eq!(assert_views_agree(&unbound), (0, 0, 1));
+        // A row that holds a column twice: dead or read, joined or
+        // repeated, as the interpreter builds it.
+        let twins = |consumer: &str| {
+            view(
+                "for $t in ns0:TWINS() return <RECORD><ID>{fn:data($t/ID)}</ID>\
+                 <J>{fn:data($t/X)}</J>{ for $s in fn:data($t/X) return <R>{$s}</R> }</RECORD>",
+                consumer,
+            )
+        };
+        assert_eq!(assert_views_agree(&twins(ids)), (1, 2, 0));
+        assert_eq!(
+            assert_views_agree(&twins(
+                "for $r in $v/RECORD return <O>{$r/R}{fn:data($r/J)}</O>"
+            )),
+            (1, 1, 0)
+        );
+        // Rows `$v/ROW` does not select lose nothing; they are not seen
+        // either way.
+        let misnamed = view(
+            "for $c in ns0:CUSTOMERS() return (<ROW><ID>{fn:data($c/CUSTOMERID)}</ID></ROW>, \
+             <RECORD><ID>{fn:data($c/CUSTOMERID)}</ID><X>{fn:data($c/CUSTOMERID)}</X></RECORD>)",
+            "return (fn:count($v/RECORD), fn:count($v/ROW/ID))",
+        );
+        assert_eq!(assert_views_agree(&misnamed), (1, 0, 0));
+        assert_eq!(
+            assert_views_agree(&misnamed.replace("fn:count($v/ROW/ID)", "fn:count($v/ROW)")),
+            (1, 0, 0)
+        );
+        assert_eq!(
+            assert_views_agree(&misnamed.replace("fn:count($v/ROW/ID)", "0")),
+            (1, 2, 0),
+            "a name test selects one constructor: its cells alone are dead"
+        );
+    }
+
+    #[test]
+    fn every_tail_of_a_views_body_is_planned() {
+        // Both arms of an outer join (paper Example 10), a sequence of
+        // tails and `()`: rows in the interpreter's order, dead cells gone
+        // from every constructor.
+        let outer_join = format!(
+            "{IMPORT} let $v := <RECORDSET>{{ for $c in ns0:CUSTOMERS() \
+             let $m := ns1:PAYMENTS()[($c/CUSTOMERID = CUSTID)] return \
+             if (fn:empty($m)) then <RECORD><ID>{{fn:data($c/CUSTOMERID)}}</ID>\
+             <NAME>{{fn:data($c/CUSTOMERNAME)}}</NAME></RECORD> \
+             else (for $p in $m return <RECORD><ID>{{fn:data($c/CUSTOMERID)}}</ID>\
+             <NAME>{{fn:data($c/CUSTOMERNAME)}}</NAME><PAY>{{fn:data($p/PAYMENT)}}</PAY>\
+             <CUSTID>{{fn:data($p/CUSTID)}}</CUSTID></RECORD>) }}</RECORDSET> \
+             for $r in $v/RECORD return <O>{{fn:data($r/ID)}}<P>{{fn:data($r/PAY)}}</P></O>"
+        );
+        assert_eq!(assert_views_agree(&outer_join), (1, 1 + 2, 0));
+        let sequence = customers_view("for $r in $v/RECORD return fn:data($r/ID)").replace(
+            "return <RECORD>",
+            "return (if ($c/CUSTOMERID = 23) then () else <RECORD><ID>{0}</ID><Z>{fn:data($c/CUSTOMERID)}</Z></RECORD>, \
+             (), <RECORD>",
+        );
+        let sequence = sequence.replace("</RECORD> }</RECORDSET>", "</RECORD>) }</RECORDSET>");
+        assert_eq!(assert_views_agree(&sequence), (1, 1 + 2, 0));
+        // A body whose tails are not all row constructors is the
+        // interpreter's, and no plan is counted.
+        for body in [
+            "for $c in ns0:CUSTOMERS() return $c",
+            "for $c in ns0:CUSTOMERS() return (<RECORD><ID>1</ID></RECORD>, 7)",
+            "fn-bea:distinct-records(for $c in ns0:CUSTOMERS() return <RECORD><ID>1</ID></RECORD>)",
+            "for $c in ns0:CUSTOMERS() return <RECORD k=\"v\"><ID>1</ID></RECORD>",
+        ] {
+            let query = format!(
+                "{IMPORT} let $v := <RECORDSET>{{ {body} }}</RECORDSET> \
+                 return fn:count($v/RECORD/ID)"
+            );
+            assert_eq!(assert_views_agree(&query), (0, 0, 0), "{body}");
+        }
+        // Nor is a constructor with an attribute, or around two expressions.
+        for ctor in ["<RECORDSET k=\"v\">{", "<RECORDSET>{()}{"] {
+            let query = customers_view("return fn:count($v/RECORD)").replace("<RECORDSET>{", ctor);
+            assert_eq!(assert_views_agree(&query), (0, 0, 0), "{ctor}");
+        }
+        // A view inside a view: each is planned against its own consumer.
+        let nested = format!(
+            "{IMPORT} let $outer := <RECORDSET>{{ \
+             let $inner := <RECORDSET>{{ for $c in ns0:CUSTOMERS() return \
+             <RECORD><A>{{fn:data($c/CUSTOMERID)}}</A><B>{{fn:data($c/CUSTOMERNAME)}}</B>\
+             <C>{{fn:data($c/CUSTOMERID)}}</C></RECORD> }}</RECORDSET> \
+             for $i in $inner/RECORD where $i/A > 10 return \
+             <RECORD><A2>{{fn:data($i/A)}}</A2><B2>{{fn:data($i/B)}}</B2></RECORD> }}</RECORDSET> \
+             for $o in $outer/RECORD return <O>{{fn:data($o/A2)}}</O>"
+        );
+        assert_eq!(assert_views_agree(&nested), (2, 1 + 1, 0));
+        // Inside a hash pipeline the `let` is an operator: the same plan.
+        let piped = customers_view(
+            "for $r in $v/RECORD for $p in ns1:PAYMENTS() where $r/ID = $p/CUSTID \
+             return <J>{fn:data($r/NAME)}{fn:data($p/PAYMENT)}</J>",
+        );
+        let budget = QueryBudget::unlimited();
+        run_exec(&piped, &budget, ExecStrategy::HashJoin).unwrap();
+        assert_eq!(budget.take_exec_counts(), (1, 0));
+        assert_eq!(assert_views_agree(&piped), (1, 1, 0));
+    }
+
+    #[test]
+    fn budgets_bind_inside_the_tail_plans_row_loop() {
+        // Three customers, two of three cells kept.
+        let query = customers_view("return ($v/RECORD/ID, $v/RECORD/NAME)");
+        let meter = QueryBudget::unlimited();
+        run_exec(&query, &meter, ExecStrategy::HashJoin).unwrap();
+        assert_eq!(meter.view_counts(), (1, 1, 0));
+        // The outer FLWOR; the view's constructor and its FLWOR, the call
+        // and three bindings; `1 + kept cells` a row; the `return`.
+        let rows_at = 1 + (1 + 1) + (1 + 3);
+        let whole = rows_at + 3 * (1 + 2) + 3;
+        assert_eq!(meter.fuel_consumed(), whole);
+        // Fuel falls by the dead cells and by nothing else.
+        let unpruned = QueryBudget::unlimited();
+        let all = customers_view("return ($v/RECORD/ID, $v/RECORD/NAME, $v/RECORD/X)");
+        run_exec(&all, &unpruned, ExecStrategy::HashJoin).unwrap();
+        assert_eq!(unpruned.fuel_consumed(), whole + 3 + 1);
+        // A row is charged whole, before it is built: with the fuel of two
+        // rows and all but one unit of the third, the third's charge fails.
+        let limit = rows_at + 3 * (1 + 2) - 1;
+        let starved = QueryBudget::unlimited().with_fuel(limit);
+        assert_eq!(
+            run_exec(&query, &starved, ExecStrategy::HashJoin)
+                .unwrap_err()
+                .budget_error(),
+            Some(BudgetError::FuelExhausted { limit })
+        );
+        assert_eq!(starved.fuel_spent(), limit + 1);
+        assert_eq!(
+            starved.view_counts(),
+            (0, 0, 0),
+            "a budget error is no fallback"
+        );
+        run_exec(
+            &query,
+            &QueryBudget::unlimited().with_fuel(whole),
+            ExecStrategy::HashJoin,
+        )
+        .unwrap();
+        // The cap binds while the body's tuples expand, as it does for the
+        // interpreter; the rows are those tuples, counted once.
+        let capped = || QueryBudget::unlimited().with_row_cap(2);
+        let piped = run_exec(&query, &capped(), ExecStrategy::HashJoin).unwrap_err();
+        assert_eq!(
+            piped,
+            run_exec(&query, &capped(), ExecStrategy::NestedLoop).unwrap_err()
+        );
+        assert_eq!(
+            piped.budget_error(),
+            Some(BudgetError::RowCapExceeded { rows: 3, cap: 2 })
+        );
+        run_exec(
+            &query,
+            &QueryBudget::unlimited().with_row_cap(3),
+            ExecStrategy::HashJoin,
+        )
+        .unwrap();
+        // Cancelled while the rows are handed over: the poll on crossing 64
+        // units is inside the row loop — the outer FLWOR, the constructor,
+        // the body's FLWOR, the call and forty bindings, then ten rows of
+        // `1 + 1` units.
+        let rows = "let $v := <RECORDSET>{ for $r in ns0:ROWS() return \
+                    <RECORD><A>{fn:data($r/A)}</A><B>{fn:data($r/A)}</B></RECORD> }</RECORDSET> \
+                    return fn:data($v/RECORD/A)";
+        let budget = QueryBudget::unlimited();
+        let err = evaluate_program_exec(
+            &parse_program(rows).unwrap(),
+            &CancelsOnCall(budget.clone()),
+            &[],
+            Some(&budget),
+            ExecStrategy::HashJoin,
+        )
+        .unwrap_err();
+        assert_eq!(err.budget_error(), Some(BudgetError::Cancelled));
+        assert_eq!(budget.fuel_spent(), 1 + 2 + 41 + 10 * 2);
+        assert_eq!(budget.view_counts(), (0, 0, 0));
     }
 
     #[test]

@@ -30,6 +30,12 @@
 //!   cell reader, `Tuple::each_value`; one row loop, `project_rows`)
 //!   into one of three `Output`s — the element tree where the result has
 //!   to be a node, or a sink's payload.
+//! * `View` — `let $v := <RECORDSET>{ … }</RECORDSET>`, planned by `view`
+//!   once per FLWOR evaluation against what the rest of the FLWOR reads
+//!   off `$v`'s rows: the row constructors in tail position of the body
+//!   go through `Project` into the view element, without the cells
+//!   nothing downstream names. The first operator whose plan depends on
+//!   its *consumer*.
 //! * `Sink` — the last operator of a statement, recognized by `sink`
 //!   on the program body and run by [`run_sink`]. [`TextSink`] is the §4
 //!   wrapper `fn:string-join((let $q := V for $t in $q/RECORD return
@@ -85,6 +91,45 @@
 //! column's elements and every cell is some column's (`resolve`, at
 //! plan time).
 //!
+//! ## Views and their read-sets
+//!
+//! Stage 3 is compositional (paper §3.5): a GROUP BY's `$inter` or an
+//! outer join's `$tempvar` view exposes every column of its FROM clause,
+//! and the block above names two or three. For `let $v := <V>{ BODY }</V>`
+//! (no attribute, one enclosed expression) `view` makes one pass over the
+//! clauses after the `let` and the `return` (`ReadSet`, a
+//! [`crate::visit::Visitor`]). *Row aliases* are variables whose items are
+//! rows of the view: bound by `for` / `let` over `$v/ROW` (one name step,
+//! no predicate, the same `ROW` at every use) or over an alias, or the
+//! partition of `group $alias as $p`. An alias may start a path whose
+//! first step is a name test — that name is *read* — be the argument of
+//! `fn:count` / `fn:empty` / `fn:exists`, and be the source of another
+//! alias; `$v/ROW/NAME…` reads `NAME`. Anything else that reaches a row or
+//! the view — `return $r`, `$r/*`, `fn:string($r)`, a predicate on the row
+//! step, `fn-bea:distinct-records($v/ROW)`, a binder that takes the name
+//! of `$v` or of an alias — lets the rows *escape*, and nothing is pruned.
+//!
+//! `BODY` is lowered in *tail position* (`tail`): a row constructor
+//! `project` recognizes, `if (C) then T else T`, a FLWOR whose `return`
+//! is a tail, a sequence of tails, `()`. Any other tail and the `let` is
+//! the interpreter's. A cell of a row constructor is *dead*, and dropped
+//! from the plan, when the rows did not escape, the constructor's name is
+//! what `$v/ROW` tests, no read name matches the cell's, and its value is
+//! `fn:data($x/CHILD)` over an `$x` that a clause of `BODY` binds — it
+//! cannot raise. A `Value::Expr` cell is always kept: an unread cell's
+//! error must not go missing (the rule `resolve` follows for the fused
+//! text sink). The plan is used whenever the tails lower, dead cells or
+//! not; the read-set decides only what it keeps.
+//!
+//! `run_view` charges what `eval` charges for the nodes it steps through
+//! (the constructor, each `if`, FLWOR and sequence) and the projection's
+//! `1 + kept cells` per row, so fuel falls by the dead cells (and by what
+//! an arm's `construct_element` cost over a projected row) and by nothing
+//! else. A budget error propagates; after any other the `let` is
+//! interpreted ([`aldsp_governor::QueryBudget::view_counts`] counts views
+//! built, cells pruned, and views handed back), and inside a pipeline the
+//! error abandons the pipeline first.
+//!
 //! ## Hash as prefilter, `compare` as judge
 //!
 //! XQuery general-comparison equality is *not* transitive —
@@ -127,7 +172,7 @@
 use crate::ast::{Clause, CompOp, Content, ElementCtor, Expr, Flwor, NodeTest, PathStart, Step};
 use crate::eval::{name_matches, Env, Evaluator, XqError};
 use crate::functions::data;
-use crate::visit::{free_vars, uses_context};
+use crate::visit::{free_vars, uses_context, walk_clause, walk_expr, walk_flwor, Visitor};
 use aldsp_xml::serialize::{
     write_element, write_empty_tag, write_end_tag, write_start_tag, write_text,
 };
@@ -238,6 +283,8 @@ pub(crate) enum Op<'p> {
         var: &'p str,
         /// Value expression.
         value: &'p Expr,
+        /// The value as a planned view, when it is one ([`view`]).
+        view: Option<View<'p>>,
     },
     /// A residual `where` conjunct.
     Filter(&'p Expr),
@@ -481,7 +528,11 @@ pub(crate) fn plan(flwor: &Flwor) -> Option<Plan<'_>> {
                     hash_ops += 1;
                     ops.push(op);
                 }
-                None => ops.push(Op::Let { var, value }),
+                None => ops.push(Op::Let {
+                    var,
+                    value,
+                    view: view(flwor, i),
+                }),
             },
             Clause::Where(_) => {
                 // A view variable is a `let` of this prefix that holds
@@ -677,8 +728,13 @@ fn drive(
                 drive(ev, ops, tables, i + 1, &next, context, out)?;
             }
         }
-        Op::Let { var, value } => {
-            let value = ev.eval(value, env, context)?;
+        Op::Let { var, value, view } => {
+            // A view's error abandons the pipeline like any other; the
+            // clause loop that re-runs the FLWOR interprets this `let`.
+            let value = match view {
+                Some(view) => run_view(ev, view, env, context)?,
+                None => ev.eval(value, env, context)?,
+            };
             let next = env.bind(*var, value);
             drive(ev, ops, tables, i + 1, &next, context, out)?;
         }
@@ -1285,6 +1341,345 @@ pub(crate) fn project_tree(
     let mut out = Output::Tree(&mut items);
     project_rows(ev, project, tuples, context, fuel_per_row, &mut out)?;
     Ok(Sequence::from_items(items))
+}
+
+// ---------------------------------------------------------------------
+// Views: `let $v := <RECORDSET>{ … }</RECORDSET>` and what reads it
+// ---------------------------------------------------------------------
+
+/// A `let`-bound view, planned: its body lowered to the row constructors in
+/// tail position, each without the cells nothing after the `let` reads
+/// (DESIGN.md §17, "Views and their read-sets"). Planned by [`view`] once
+/// per FLWOR evaluation, run by [`run_view`] once per tuple.
+pub(crate) struct View<'p> {
+    /// The view element's name, parsed once.
+    name: QName,
+    body: Tail<'p>,
+    /// How many cells the row constructors lost to the read-set.
+    pruned: u64,
+}
+
+/// An expression in tail position of a view's body: its items are the
+/// view's rows.
+enum Tail<'p> {
+    /// A row constructor, dead cells dropped.
+    Rows(Project<'p>),
+    /// `if (C) then T else T` — the arms of an outer join (paper Example
+    /// 10).
+    If {
+        cond: &'p Expr,
+        then: Box<Tail<'p>>,
+        els: Box<Tail<'p>>,
+    },
+    /// A FLWOR whose `return` is a tail.
+    Flwor {
+        flwor: &'p Flwor,
+        ret: Box<Tail<'p>>,
+    },
+    /// `(T, …)`; `()` is the empty one.
+    Sequence(Vec<Tail<'p>>),
+}
+
+/// What the clauses after a view's `let`, and the `return`, read of the
+/// view's rows. A row may be bound again, counted and grouped without a
+/// cell of it being named; anything else that reaches one *escapes*.
+struct ReadSet<'a> {
+    view: &'a str,
+    /// Variables in scope whose items are rows of the view.
+    aliases: Vec<String>,
+    /// The name test of `$view/ROW`, the same at every use.
+    row: Option<String>,
+    /// The cells read off a row: the name test that follows one.
+    cells: Vec<String>,
+    /// A row got somewhere that may look at all of it: no cell is dead.
+    escaped: bool,
+}
+
+impl ReadSet<'_> {
+    fn is_alias(&self, var: &str) -> bool {
+        self.aliases.iter().any(|alias| alias == var)
+    }
+
+    /// The step after `$view`: one name test without a predicate.
+    fn row_step(&mut self, step: Option<&Step>) {
+        match step {
+            Some(Step {
+                test: NodeTest::Name(row),
+                predicates,
+            }) if predicates.is_empty() && self.row.as_ref().is_none_or(|seen| seen == row) => {
+                self.row.get_or_insert_with(|| row.clone());
+            }
+            _ => self.escaped = true,
+        }
+    }
+
+    /// Whether `expr` is rows of the view and nothing else: an alias, or
+    /// `$view/ROW`.
+    fn rows(&mut self, expr: &Expr) -> bool {
+        match expr {
+            Expr::VarRef(var) => self.is_alias(var),
+            Expr::Path { start, steps } => match (&**start, steps.as_slice()) {
+                (PathStart::Var(var), [row]) if var == self.view => {
+                    self.row_step(Some(row));
+                    true
+                }
+                _ => false,
+            },
+            _ => false,
+        }
+    }
+
+    /// A binder: an alias when it binds `rows`. One that rebinds the view
+    /// or an alias is not followed.
+    fn bind(&mut self, var: &str, rows: bool) {
+        self.escaped |= var == self.view || self.is_alias(var);
+        if rows {
+            self.aliases.push(var.to_string());
+        }
+    }
+}
+
+impl Visitor for ReadSet<'_> {
+    fn visit_expr(&mut self, expr: &Expr) {
+        if self.escaped {
+            return;
+        }
+        match expr {
+            Expr::VarRef(var) => self.escaped = var == self.view || self.is_alias(var),
+            Expr::FunctionCall { name, args } => {
+                let counts = matches!(name.as_str(), "fn:count" | "fn:empty" | "fn:exists");
+                match args.as_slice() {
+                    [arg] if counts && self.rows(arg) => {}
+                    _ => walk_expr(self, expr),
+                }
+            }
+            Expr::Path { start, steps } => {
+                // `$view/ROW/CELL…` and `$alias/CELL…` read `CELL`.
+                if let PathStart::Var(var) = &**start {
+                    let from_view = var == self.view;
+                    if from_view {
+                        self.row_step(steps.first());
+                    }
+                    if from_view || self.is_alias(var) {
+                        match steps.get(usize::from(from_view)).map(|step| &step.test) {
+                            Some(NodeTest::Name(cell)) if self.cells.contains(cell) => {}
+                            Some(NodeTest::Name(cell)) => self.cells.push(cell.clone()),
+                            _ => self.escaped = true,
+                        }
+                    }
+                }
+                walk_expr(self, expr);
+            }
+            Expr::Flwor(flwor) => {
+                let scope = self.aliases.len();
+                walk_flwor(self, flwor);
+                self.aliases.truncate(scope);
+            }
+            Expr::Quantified { var, .. } => {
+                self.bind(var, false);
+                walk_expr(self, expr);
+            }
+            _ => walk_expr(self, expr),
+        }
+    }
+
+    fn visit_clause(&mut self, clause: &Clause) {
+        match clause {
+            Clause::For { var, source } | Clause::Let { var, value: source } => {
+                let rows = self.rows(source);
+                if !rows {
+                    self.visit_expr(source);
+                }
+                self.bind(var, rows);
+            }
+            Clause::GroupBy(group) => {
+                walk_clause(self, clause);
+                self.escaped |= group.source_var == self.view;
+                self.bind(&group.partition_var, self.is_alias(&group.source_var));
+                for (_, key) in &group.keys {
+                    self.bind(key, false);
+                }
+            }
+            Clause::Where(_) | Clause::OrderBy(_) => walk_clause(self, clause),
+        }
+    }
+}
+
+/// Plans clause `at` of `flwor` when it is `let $v := <V>{ BODY }</V>` — an
+/// attribute-less constructor around one expression — and every tail of
+/// `BODY` is a row constructor [`project`] lowers; `None` is the
+/// interpreter's `let`, as any other. The read-set decides only which cells
+/// the plan keeps: a view whose rows escape is planned all the same, whole.
+#[inline(never)]
+pub(crate) fn view(flwor: &Flwor, at: usize) -> Option<View<'_>> {
+    let Clause::Let {
+        var,
+        value: Expr::Element(ctor),
+    } = &flwor.clauses[at]
+    else {
+        return None;
+    };
+    let body = sole_enclosed(ctor)?;
+    let mut reads = ReadSet {
+        view: var,
+        aliases: Vec::new(),
+        row: None,
+        cells: Vec::new(),
+        escaped: false,
+    };
+    for clause in &flwor.clauses[at + 1..] {
+        reads.visit_clause(clause);
+    }
+    reads.visit_expr(&flwor.ret);
+    let mut pruned = 0;
+    let body = tail(body, &reads, &mut Vec::new(), &mut pruned)?;
+    Some(View {
+        name: QName::parse(&ctor.name),
+        body,
+        pruned,
+    })
+}
+
+/// Lowers an expression in tail position. `bound` holds the variables the
+/// body's own clauses bind around it.
+fn tail<'p>(
+    expr: &'p Expr,
+    reads: &ReadSet<'_>,
+    bound: &mut Vec<&'p str>,
+    pruned: &mut u64,
+) -> Option<Tail<'p>> {
+    Some(match expr {
+        Expr::Element(_) => {
+            let mut rows = project(expr)?;
+            let cells = rows.cells.len();
+            // Dead: a cell of a row `$view/ROW` selects that nothing reads,
+            // whose value cannot raise — `fn:data($x/CHILD)` over an `$x`
+            // the body binds. An unread `Value::Expr` is evaluated for its
+            // error, as `resolve` has it.
+            if let (false, Some(row)) = (reads.escaped, &reads.row) {
+                if name_matches(&rows.name, row) {
+                    rows.cells.retain(|cell| match cell.value {
+                        Value::Child { var, .. } if bound.contains(&var) => reads
+                            .cells
+                            .iter()
+                            .any(|read| name_matches(&cell.name, read)),
+                        _ => true,
+                    });
+                }
+            }
+            *pruned += (cells - rows.cells.len()) as u64;
+            Tail::Rows(rows)
+        }
+        Expr::If { cond, then, els } => Tail::If {
+            cond,
+            then: Box::new(tail(then, reads, bound, pruned)?),
+            els: Box::new(tail(els, reads, bound, pruned)?),
+        },
+        Expr::Flwor(flwor) => {
+            let scope = bound.len();
+            for clause in &flwor.clauses {
+                match clause {
+                    Clause::For { var, .. } | Clause::Let { var, .. } => bound.push(var),
+                    Clause::GroupBy(group) => {
+                        bound.push(&group.partition_var);
+                        bound.extend(group.keys.iter().map(|(_, key)| key.as_str()));
+                    }
+                    Clause::Where(_) | Clause::OrderBy(_) => {}
+                }
+            }
+            let ret = tail(&flwor.ret, reads, bound, pruned);
+            bound.truncate(scope);
+            Tail::Flwor {
+                flwor,
+                ret: Box::new(ret?),
+            }
+        }
+        Expr::Sequence(tails) => Tail::Sequence(
+            tails
+                .iter()
+                .map(|expr| tail(expr, reads, bound, pruned))
+                .collect::<Option<_>>()?,
+        ),
+        Expr::EmptySequence => Tail::Sequence(Vec::new()),
+        _ => return None,
+    })
+}
+
+/// The view's value on one tuple: the element the interpreter's `let`
+/// would bind, less the dead cells. Fuel is what `eval` charges for the
+/// nodes stepped through — the constructor here, one per `if`, FLWOR and
+/// sequence in [`run_tail`] — and [`project_tree`]'s `1 + cells` per row
+/// over the cells kept. Budget errors propagate; after any other the
+/// caller interprets the `let` instead.
+pub(crate) fn run_view(
+    ev: &Evaluator<'_>,
+    view: &View<'_>,
+    env: &Env,
+    context: Option<&Item>,
+) -> Result<Sequence, XqError> {
+    ev.charge(1)?;
+    let mut rows = Vec::new();
+    let mut out = Output::Tree(&mut rows);
+    run_tail(ev, &view.body, std::slice::from_ref(env), context, &mut out)?;
+    let mut element = Element::new(view.name.clone());
+    element.children = rows
+        .into_iter()
+        .map(|row| match row {
+            Item::Node(row) => row,
+            Item::Atomic(_) => unreachable!("every tail is a row constructor"),
+        })
+        .collect();
+    ev.record_view(Some(view.pruned));
+    Ok(Sequence::singleton(Item::element(element)))
+}
+
+/// `tail` over each of `tuples`, in order: rows through the one row loop,
+/// the rest as `eval` would step through it.
+fn run_tail(
+    ev: &Evaluator<'_>,
+    tail: &Tail<'_>,
+    tuples: &[Env],
+    context: Option<&Item>,
+    out: &mut Output<'_>,
+) -> Result<(), XqError> {
+    let one = std::slice::from_ref;
+    match tail {
+        Tail::Rows(rows) => {
+            let fuel_per_row = 1 + rows.cells.len() as u64;
+            project_rows(ev, rows, tuples, context, fuel_per_row, out)?;
+        }
+        Tail::If { cond, then, els } => {
+            for env in tuples {
+                ev.charge(1)?;
+                let holds = ev.eval(cond, env, context)?.effective_boolean();
+                run_tail(ev, if holds { then } else { els }, one(env), context, out)?;
+            }
+        }
+        Tail::Flwor { flwor, ret } => {
+            for env in tuples {
+                ev.charge(1)?;
+                let tuples = ev.flwor_tuples(flwor, env, context)?;
+                run_tail(ev, ret, &tuples, context, out)?;
+            }
+        }
+        Tail::Sequence(tails) => {
+            for env in tuples {
+                ev.charge(1)?;
+                for tail in tails {
+                    run_tail(ev, tail, one(env), context, out)?;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// How many cells the plan of `flwor`'s clause `at` prunes; `None` when
+/// that clause is no `let` of a view a tail plan builds. With
+/// [`sink_kind`], for the tests that hold stage 3 and the planner here
+/// together.
+pub fn view_cells_pruned(flwor: &Flwor, at: usize) -> Option<u64> {
+    view(flwor, at).map(|view| view.pruned)
 }
 
 // ---------------------------------------------------------------------

@@ -49,7 +49,8 @@ fn sweep(seed: u64, count_per_class: usize, scale: Scale, production_ran: bool) 
 /// back, warm executions were exact hits — and every execution (cold and
 /// warm) whose body a sink can write ended in that sink, none of which
 /// gave up: every delimited-text one, and every XML one that is a
-/// `<RECORDSET>` of one FLWOR's `<RECORD>`s.
+/// `<RECORDSET>` of one FLWOR's `<RECORD>`s. Its `let`-bound views were
+/// built by tail plans that dropped cells, and none gave up either.
 fn assert_production_ran(
     report: &MatrixReport,
     universe: &Universe,
@@ -75,6 +76,13 @@ fn assert_production_ran(
             lane.join_fallbacks, 0,
             "{label}: a hashable FLWOR fell back"
         );
+        assert!(
+            lane.views > 0 && lane.cells_pruned > 0,
+            "{label}: {} views pruned {} cells",
+            lane.views,
+            lane.cells_pruned
+        );
+        assert_eq!(lane.view_fallbacks, 0, "{label}: a view fell back");
         let cache = lane.cache.expect("the production lane has a plan cache");
         assert!(cache.exact_hits > 0, "{label}: warm executions never hit");
     }
@@ -301,15 +309,24 @@ fn lane_counters_prove_each_lane_ran_its_own_configuration() {
         let lane = |suffix: &str| report.lane(&format!("{transport}{suffix}"));
         let exact_hits = |suffix: &str| lane(suffix).cache.map(|c| c.exact_hits);
         for interpreted in ["", "+cache", "+opt"] {
+            let lane = lane(interpreted);
             assert_eq!(
-                lane(interpreted).hash_operators,
-                0,
+                (lane.hash_operators, lane.views, lane.cells_pruned),
+                (0, 0, 0),
                 "{transport}{interpreted}"
             );
         }
         for hashed in ["+hash", "+production"] {
-            assert!(lane(hashed).hash_operators > 0, "{transport}{hashed}");
-            assert_eq!(lane(hashed).join_fallbacks, 0, "{transport}{hashed}");
+            let lane = lane(hashed);
+            assert!(lane.hash_operators > 0, "{transport}{hashed}");
+            assert_eq!(lane.join_fallbacks, 0, "{transport}{hashed}");
+            // The views of the pipeline strategy are tail plans, less the
+            // cells their consumers never name; none is handed back.
+            assert!(
+                lane.views > 0 && lane.cells_pruned > 0,
+                "{transport}{hashed}"
+            );
+            assert_eq!(lane.view_fallbacks, 0, "{transport}{hashed}");
         }
         // A sink ends every execution of the pipeline strategy (a cached
         // lane executes twice) whose body it can write — every

@@ -77,6 +77,10 @@ fn strategies_agree(
             (sinks, 0),
             "{label}: one sink per statement a sink can write"
         );
+        assert_eq!(lane.view_fallbacks, 0, "{label}: a view fell back");
+        if !label.ends_with("+hash") {
+            assert_eq!(lane.views, 0, "{label}: the interpreter planned a view");
+        }
     }
     report
 }
@@ -619,6 +623,149 @@ fn every_record_the_translator_emits_lowers_to_the_projection() {
     assert_eq!(fused, xml_sunk, "one statement shape, two transports");
 }
 
+/// Stage 3's views and the view planner are two halves of one format as
+/// well: over the same corpora, levels and transports, every `let`-bound
+/// `<RECORDSET>` — the wrapper's own `$actualQuery` apart, which a sink
+/// runs, and a body that only passes another view's rows on — lowers to a
+/// tail plan; and a view that a `group` clause or an
+/// outer join's `if (fn:empty(..))` arms stand on loses at least one cell
+/// whenever one of its cells' names appears nowhere after the `let` (the
+/// test's own reading of "unreferenced", off the AST's name tests). What
+/// the plans say is what runs: views built, cells pruned, no view handed
+/// back.
+#[test]
+fn every_view_the_translator_emits_lowers_to_a_tail_plan() {
+    use aldsp::xquery::ast::{Clause, Content, Expr, NodeTest};
+    use aldsp::xquery::exec::view_cells_pruned;
+    use aldsp::xquery::visit::{each_clause_expr, each_expr};
+    use std::collections::BTreeSet;
+
+    /// The cell names of every row constructor below `body`.
+    fn cell_names(body: &Expr, names: &mut BTreeSet<String>) {
+        each_expr(body, &mut |expr| {
+            let Expr::Element(row) = expr else { return };
+            if row.name != "RECORD" {
+                return;
+            }
+            for content in &row.content {
+                match content {
+                    Content::Element(cell) => names.insert(cell.name.clone()),
+                    Content::Enclosed(Expr::Flwor(column)) => match &*column.ret {
+                        Expr::Element(cell) => names.insert(cell.name.clone()),
+                        _ => false,
+                    },
+                    _ => false,
+                };
+            }
+        });
+    }
+
+    let scale = Scale::small();
+    let server = Universe::generated(scale, 71).server;
+    let corpus = all_corpora(71, 10);
+    let (mut views, mut passed_on, mut grouped, mut outer, mut pruning) = (0, 0, 0, 0, 0);
+    for transport in [Transport::DelimitedText, Transport::Xml] {
+        for (origin, sql, level, xquery) in emitted_programs(&server, scale, &corpus, transport) {
+            let at = format!("{origin} at {level:?}: `{sql}`:\n{xquery}");
+            let program = aldsp::xquery::parse_program(&xquery).expect("programs parse");
+            let wrapper = match &program.body {
+                Expr::FunctionCall { args, .. } => args.first(),
+                _ => None,
+            };
+            let mut expected = 0;
+            each_expr(&program.body, &mut |expr| {
+                let Expr::Flwor(flwor) = expr else { return };
+                if wrapper == Some(expr) {
+                    return;
+                }
+                for (clause_at, clause) in flwor.clauses.iter().enumerate() {
+                    let Clause::Let {
+                        value: Expr::Element(view),
+                        ..
+                    } = clause
+                    else {
+                        continue;
+                    };
+                    assert_eq!(view.name, "RECORDSET", "{at}");
+                    let [Content::Enclosed(body)] = view.content.as_slice() else {
+                        panic!("{at}");
+                    };
+                    let Some(pruned) = view_cells_pruned(flwor, clause_at) else {
+                        // DISTINCT under ORDER BY: the body passes another
+                        // view's rows on (`return $var`) and builds none.
+                        let passes_on = matches!(
+                            body,
+                            Expr::Flwor(body) if matches!(&*body.ret, Expr::VarRef(_))
+                        );
+                        assert!(passes_on, "a view is interpreted: {at}");
+                        passed_on += 1;
+                        continue;
+                    };
+                    views += 1;
+                    expected += pruned;
+                    let is_grouped = flwor.clauses[clause_at..]
+                        .iter()
+                        .any(|c| matches!(c, Clause::GroupBy(_)));
+                    let is_outer = matches!(
+                        body,
+                        Expr::Flwor(body) if matches!(&*body.ret, Expr::If { .. })
+                    );
+                    grouped += usize::from(is_grouped);
+                    outer += usize::from(is_outer);
+                    if !(is_grouped || is_outer) {
+                        continue;
+                    }
+                    let mut cells = BTreeSet::new();
+                    cell_names(body, &mut cells);
+                    let mut named = BTreeSet::new();
+                    let mut note = |expr: &Expr| {
+                        if let Expr::Path { steps, .. } = expr {
+                            for step in steps {
+                                if let NodeTest::Name(name) = &step.test {
+                                    named.insert(name.clone());
+                                }
+                            }
+                        }
+                    };
+                    for clause in &flwor.clauses[clause_at + 1..] {
+                        each_clause_expr(clause, &mut note);
+                    }
+                    each_expr(&flwor.ret, &mut note);
+                    if cells.difference(&named).next().is_some() {
+                        assert!(pruned > 0, "an unreferenced cell is built: {at}");
+                        pruning += 1;
+                    }
+                }
+            });
+            let meter = QueryBudget::unlimited();
+            server
+                .execute_to_payload_governed_with(
+                    &xquery,
+                    &[],
+                    None,
+                    Some(&meter),
+                    ExecStrategy::HashJoin,
+                )
+                .unwrap_or_else(|e| panic!("{e}: {at}"));
+            let (built, cells_pruned, fallbacks) = meter.view_counts();
+            assert_eq!(fallbacks, 0, "{at}");
+            assert_eq!(
+                (built > 0, cells_pruned > 0),
+                (expected > 0 || built > 0, expected > 0),
+                "{at}"
+            );
+        }
+    }
+    assert!(
+        views >= 4 * 60 && passed_on < views / 10,
+        "{views} views planned, {passed_on} passed on"
+    );
+    assert!(
+        grouped >= 40 && outer >= 20 && pruning >= 60,
+        "{grouped} grouped, {outer} outer-joined, {pruning} pruning"
+    );
+}
+
 /// The strategy changes no byte and no node: for every program of the
 /// corpora, in both transports, the payload under the pipeline strategy —
 /// sinks and projection — is the interpreter's payload; and the items an
@@ -635,16 +782,29 @@ fn payloads_and_trees_are_strategy_invariant() {
         for (origin, sql, level, xquery) in emitted_programs(&server, scale, &corpus, transport) {
             let at = format!("{origin} at {level:?}: `{sql}`");
             let [naive, piped] = [ExecStrategy::NestedLoop, ExecStrategy::HashJoin].map(|exec| {
+                let meter = QueryBudget::unlimited();
                 let payload = server
-                    .execute_to_payload_governed_with(&xquery, &[], None, None, exec)
+                    .execute_to_payload_governed_with(&xquery, &[], None, Some(&meter), exec)
                     .unwrap_or_else(|e| panic!("{at}: {e}"));
                 let items = server
-                    .execute_governed_with(&xquery, &[], None, exec)
+                    .execute_governed_with(&xquery, &[], Some(&meter), exec)
                     .unwrap_or_else(|e| panic!("{at}: {e}"));
-                (payload, items)
+                (payload, items, meter)
             });
             assert_eq!(piped.0, naive.0, "payloads differ: {at}");
             assert_eq!(piped.1, naive.1, "items differ: {at}");
+            // Neither a sink nor a view was handed back to the interpreter
+            // — and the interpreter planned neither.
+            assert_eq!(
+                (piped.2.sink_counts().1, piped.2.view_counts().2),
+                (0, 0),
+                "{at}"
+            );
+            assert_eq!(
+                (naive.2.sink_counts(), naive.2.view_counts()),
+                ((0, 0), (0, 0, 0)),
+                "{at}"
+            );
             compared += 1;
         }
     }
