@@ -87,13 +87,7 @@ pub fn decode_rows<T>(
             rest = &stripped[end..];
             row.push(cell(
                 i,
-                if raw == NULL_MARKER {
-                    None
-                } else if raw.contains('&') {
-                    Some(Cow::Owned(aldsp_xml::escape::unescape(raw)))
-                } else {
-                    Some(Cow::Borrowed(raw))
-                },
+                (raw != NULL_MARKER).then(|| aldsp_xml::escape::unescape(raw)),
             )?);
         }
         let Some(stripped) = rest.strip_prefix(ROW_SEPARATOR) else {

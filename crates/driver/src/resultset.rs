@@ -5,6 +5,8 @@ use crate::DriverError;
 use aldsp_catalog::SqlColumnType;
 use aldsp_core::{wrapper, OutputColumn};
 use aldsp_relational::SqlValue;
+use aldsp_xml::parse::{Event, Reader};
+use aldsp_xml::QName;
 use std::borrow::Cow;
 
 /// Result-set metadata, the JDBC `ResultSetMetaData` analogue.
@@ -82,23 +84,74 @@ impl ResultSet {
         Ok(ResultSet::from_rows(columns, rows))
     }
 
-    /// Decodes a serialized-XML payload: parse the `<RECORDSET>` document,
-    /// extract `RECORD` rows, read each column's element (absent = NULL).
-    /// This is the materialize-and-parse path the paper found wasteful.
+    /// Decodes a serialized-XML payload: the second consumer of
+    /// [`aldsp_xml::parse::Reader`]'s events, which reads rows off the
+    /// `<RECORDSET>` text without building a tree. A row is a child of the
+    /// document element whose local name is `RECORD`; a column's cell is
+    /// the string value of the row's first child of that column's name
+    /// (absent = NULL). The payload is still materialized by the server
+    /// and parsed here — the paper's XML baseline — in one forward pass,
+    /// and read to its end: only a well-formed document is a result set.
     pub fn from_xml(columns: Vec<OutputColumn>, payload: &str) -> Result<ResultSet, DriverError> {
-        let document =
-            aldsp_xml::parse_document(payload).map_err(|e| DriverError::Decode(e.to_string()))?;
+        // Two columns of one name read the same child: the first's.
+        let source: Vec<usize> = columns
+            .iter()
+            .map(|col| columns.iter().position(|c| c.name == col.name))
+            .map(|first| first.expect("a column's own name is among them"))
+            .collect();
         let mut rows = Vec::new();
-        for record in document.children_named("RECORD") {
-            let mut row = Vec::with_capacity(columns.len());
-            for col in &columns {
-                let cell = record
-                    .children_named(&col.name)
-                    .next()
-                    .map(|e| e.string_value().into());
-                row.push(decode_cell(cell, col.sql_type)?);
+        // The open row's cells, by column; `None`: no child of that name yet.
+        let mut cells: Vec<Option<Cow<'_, str>>> = vec![None; columns.len()];
+        let mut depth = 0usize;
+        let mut in_row = false;
+        // The column whose cell the open child of the row is.
+        let mut cell: Option<usize> = None;
+        let mut reader = Reader::document(payload);
+        while let Some(event) = reader
+            .next()
+            .map_err(|e| DriverError::Decode(e.to_string()))?
+        {
+            match event {
+                Event::Start(name) => {
+                    depth += 1;
+                    if depth == 2 {
+                        in_row = QName::split_lexical(name).1 == "RECORD";
+                    } else if depth == 3 && in_row {
+                        let local = QName::split_lexical(name).1;
+                        cell = columns
+                            .iter()
+                            .position(|c| c.name == local)
+                            .filter(|&c| cells[c].is_none());
+                        if let Some(c) = cell {
+                            cells[c] = Some(Cow::Borrowed(""));
+                        }
+                    }
+                }
+                Event::Text(raw) => {
+                    if let Some(value) = cell.and_then(|c| cells[c].as_mut()) {
+                        let text = aldsp_xml::escape::unescape(raw);
+                        if value.is_empty() {
+                            *value = text;
+                        } else {
+                            value.to_mut().push_str(&text);
+                        }
+                    }
+                }
+                Event::End(_) => {
+                    if depth == 3 {
+                        cell = None;
+                    } else if depth == 2 && in_row {
+                        let mut row = Vec::with_capacity(columns.len());
+                        for (col, &first) in columns.iter().zip(&source) {
+                            let cell = cells[first].as_deref().map(Cow::Borrowed);
+                            row.push(decode_cell(cell, col.sql_type)?);
+                        }
+                        rows.push(row);
+                        cells.fill(None);
+                    }
+                    depth -= 1;
+                }
             }
-            rows.push(row);
         }
         Ok(ResultSet::from_rows(columns, rows))
     }
@@ -154,11 +207,10 @@ impl ResultSet {
     /// `getLong`/`getInt`: NULL reads as 0 with `was_null` set (JDBC
     /// semantics).
     pub fn get_i64(&mut self, index: usize) -> Result<i64, DriverError> {
-        let v = self.value(index)?.clone();
-        match v {
+        match self.value(index)? {
             SqlValue::Null => Ok(0),
-            SqlValue::Int(i) => Ok(i),
-            SqlValue::Decimal(d) | SqlValue::Double(d) => Ok(d as i64),
+            SqlValue::Int(i) => Ok(*i),
+            SqlValue::Decimal(d) | SqlValue::Double(d) => Ok(*d as i64),
             SqlValue::Str(s) => s
                 .trim()
                 .parse()
@@ -171,11 +223,10 @@ impl ResultSet {
 
     /// `getDouble`.
     pub fn get_f64(&mut self, index: usize) -> Result<f64, DriverError> {
-        let v = self.value(index)?.clone();
-        match v {
+        match self.value(index)? {
             SqlValue::Null => Ok(0.0),
-            SqlValue::Int(i) => Ok(i as f64),
-            SqlValue::Decimal(d) | SqlValue::Double(d) => Ok(d),
+            SqlValue::Int(i) => Ok(*i as f64),
+            SqlValue::Decimal(d) | SqlValue::Double(d) => Ok(*d),
             SqlValue::Str(s) => s
                 .trim()
                 .parse()
@@ -186,11 +237,10 @@ impl ResultSet {
 
     /// `getBoolean`.
     pub fn get_bool(&mut self, index: usize) -> Result<bool, DriverError> {
-        let v = self.value(index)?.clone();
-        match v {
+        match self.value(index)? {
             SqlValue::Null => Ok(false),
-            SqlValue::Bool(b) => Ok(b),
-            SqlValue::Int(i) => Ok(i != 0),
+            SqlValue::Bool(b) => Ok(*b),
+            SqlValue::Int(i) => Ok(*i != 0),
             other => Err(DriverError::Usage(format!(
                 "cannot read {other} as boolean"
             ))),
@@ -199,10 +249,9 @@ impl ResultSet {
 
     /// `getDate`: the ISO `YYYY-MM-DD` value, `None` for NULL.
     pub fn get_date(&mut self, index: usize) -> Result<Option<String>, DriverError> {
-        let v = self.value(index)?.clone();
-        match v {
+        match self.value(index)? {
             SqlValue::Null => Ok(None),
-            SqlValue::Date(d) => Ok(Some(d)),
+            SqlValue::Date(d) => Ok(Some(d.clone())),
             SqlValue::Str(s) if aldsp_xml::atomic::is_iso_date(s.trim()) => {
                 Ok(Some(s.trim().to_string()))
             }

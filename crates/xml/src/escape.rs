@@ -12,6 +12,8 @@
 //!    is shipped as `&lt;` — which is why the wrapper query pipes values
 //!    through `fn-bea:xml-escape` before `fn:string-join`.
 
+use std::borrow::Cow;
+
 /// Escapes text content for XML serialization (`&`, `<`, `>`).
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -58,10 +60,11 @@ fn escape_into(out: &mut String, s: &str, attr: bool) {
 }
 
 /// The inverse of [`escape_text`] / [`escape_attribute`]: expands the five
-/// predefined entities and decimal/hex character references.
-pub fn unescape(s: &str) -> String {
+/// predefined entities and decimal/hex character references. Text that
+/// holds no `&` comes back as it is, borrowed.
+pub fn unescape(s: &str) -> Cow<'_, str> {
     if !s.contains('&') {
-        return s.to_string();
+        return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
@@ -99,7 +102,7 @@ pub fn unescape(s: &str) -> String {
         }
     }
     out.push_str(rest);
-    out
+    Cow::Owned(out)
 }
 
 #[cfg(test)]

@@ -11,8 +11,9 @@
 //!   comparison rules the generated queries rely on.
 //! * [`Node`] / [`Element`] — ordered XML trees (elements, text).
 //! * [`Item`] and [`Sequence`] — the universal value type of the evaluator.
-//! * Serialization ([`serialize`]) and a small well-formed-XML parser
-//!   ([`parse`]) used by the driver's "materialize XML then parse" result
+//! * Serialization ([`serialize`]) and a small well-formed-XML pull
+//!   reader ([`parse`]) with its two consumers: the tree builder here and
+//!   the row decoder of the driver's "materialize XML then parse" result
 //!   transport mode.
 //! * Escaping utilities ([`escape`]) mirroring `fn-bea:xml-escape`.
 //!

@@ -44,9 +44,18 @@ impl QName {
     /// (`CUSTOMERS.CUSTOMERID`), so only the *first* colon separates the
     /// prefix.
     pub fn parse(lexical: &str) -> Self {
+        match QName::split_lexical(lexical) {
+            (Some(p), l) => QName::prefixed(p, l),
+            (None, l) => QName::local(l),
+        }
+    }
+
+    /// The prefix and the local part of a lexical name, as [`QName::parse`]
+    /// splits it — for a reader that compares names without building one.
+    pub fn split_lexical(lexical: &str) -> (Option<&str>, &str) {
         match lexical.split_once(':') {
-            Some((p, l)) => QName::prefixed(p, l),
-            None => QName::local(lexical),
+            Some((prefix, local)) => (Some(prefix), local),
+            None => (None, lexical),
         }
     }
 

@@ -267,7 +267,7 @@ impl<'a> Parser<'a> {
                         value.push(quote);
                         self.pos += 1;
                     } else {
-                        return Ok(unescape(&value));
+                        return Ok(unescape(&value).into_owned());
                     }
                 }
             }
@@ -866,7 +866,7 @@ impl<'a> Parser<'a> {
                     // Boundary whitespace in the generated dialect is
                     // formatting, not data: drop whitespace-only runs.
                     if !text.trim().is_empty() {
-                        content.push(Content::Text(text));
+                        content.push(Content::Text(text.into_owned()));
                     }
                 }
             }
@@ -887,14 +887,14 @@ impl<'a> Parser<'a> {
                 Some(c) if c == quote => {
                     self.pos += 1;
                     if !text.is_empty() {
-                        parts.push(AttrPart::Text(unescape(&text)));
+                        parts.push(AttrPart::Text(unescape(&text).into_owned()));
                     }
                     return Ok(parts);
                 }
                 Some('{') => {
                     self.pos += 1;
                     if !text.is_empty() {
-                        parts.push(AttrPart::Text(unescape(&text)));
+                        parts.push(AttrPart::Text(unescape(&text).into_owned()));
                         text = String::new();
                     }
                     let inner = self.parse_expr()?;

@@ -1,7 +1,7 @@
 //! Helpers shared by integration tests (`mod common;`): the production
-//! lane of the differential matrix. `aldsp-workload` cannot build the
+//! lane of the differential matrix — `aldsp-workload` cannot build the
 //! optimizer (it does not depend on the crate), so the lane's engine is
-//! made here.
+//! made here — and the byte-level mutator of decoder inputs.
 
 use aldsp::core::QueryOptimizer;
 use aldsp::driver::Connection;
@@ -10,6 +10,8 @@ use aldsp::plancache::PlanCache;
 use aldsp::workload::{stats_for, Engine, Lane, Scale, Universe};
 use aldsp::xquery::ast::{Content, Expr};
 use aldsp::xquery::parse_program;
+use rand::rngs::StdRng;
+use rand::Rng;
 use std::sync::Arc;
 
 /// The rewrite engine production runs at `scale`: seeded with the
@@ -67,4 +69,48 @@ pub fn xml_sink_bodies(universe: &Universe, corpus: &[(String, String)], lane: &
         is_recordset_of_records(&parse_program(&xquery).expect("plans parse").body)
     });
     shaped.count() as u64
+}
+
+/// Punctuation of all four grammars, NUL, and bytes that are not UTF-8.
+const ALPHABET: &[u8] = b"()[]{}<>&;,.'\"`$@:=!*/+-|%_?#~^\\ \t\n\0\x80\xbf\xc3\xe2\xf0\xff";
+
+/// One to four byte-level edits of `seed`: delete, insert, overwrite,
+/// truncate, duplicate a slice, splice in a slice of `other`.
+#[allow(dead_code)]
+pub fn mutate(rng: &mut StdRng, seed: &[u8], other: &[u8]) -> Vec<u8> {
+    let mut bytes = seed.to_vec();
+    for _ in 0..rng.gen_range(1..=4) {
+        let at = rng.gen_range(0..=bytes.len());
+        let span = |rng: &mut StdRng, from: &[u8]| {
+            let start = rng.gen_range(0..=from.len());
+            let end = (start + rng.gen_range(0..=24)).min(from.len());
+            from[start..end].to_vec()
+        };
+        match rng.gen_range(0..6) {
+            0 => {
+                let end = (at + rng.gen_range(1..=8)).min(bytes.len());
+                bytes.drain(at..end);
+            }
+            1 => {
+                for _ in 0..rng.gen_range(1..=4) {
+                    bytes.insert(at, ALPHABET[rng.gen_range(0..ALPHABET.len())]);
+                }
+            }
+            2 => {
+                if let Some(b) = bytes.get_mut(at) {
+                    *b = ALPHABET[rng.gen_range(0..ALPHABET.len())];
+                }
+            }
+            3 => bytes.truncate(at),
+            4 => {
+                let slice = span(rng, &bytes);
+                bytes.splice(at..at, slice);
+            }
+            _ => {
+                let slice = span(rng, other);
+                bytes.splice(at..at, slice);
+            }
+        }
+    }
+    bytes
 }

@@ -8,10 +8,12 @@
 //! production strategy, whose text sink escapes into the payload itself.
 
 use aldsp::catalog::{ApplicationBuilder, SqlColumnType};
-use aldsp::core::{ExecStrategy, TranslationOptions, Transport};
-use aldsp::driver::{Connection, DspServer};
+use aldsp::core::{ExecStrategy, OutputColumn, TranslationOptions, Transport};
+use aldsp::driver::{Connection, DriverError, DspServer, ResultSet};
 use aldsp::relational::{Database, SqlValue, Table};
 use std::sync::Arc;
+
+mod common;
 
 const NASTY: &[&str] = &[
     "plain",
@@ -256,10 +258,10 @@ fn corruption_is_survivable_with_retries() {
     assert!(conn.retry_stats().retries > 0);
 }
 
-/// The delimited payload of the full nasty table, shipped fault-free,
-/// plus its decoded column set.
-fn nasty_delimited_payload() -> (Vec<aldsp::core::OutputColumn>, String) {
-    let conn = connection(Transport::DelimitedText);
+/// The payload of the full nasty table over `transport`, shipped
+/// fault-free, plus its decoded column set.
+fn nasty_payload(transport: Transport) -> (Vec<OutputColumn>, String) {
+    let conn = connection(transport);
     let translation = conn
         .create_statement()
         .explain("SELECT ID, VAL FROM T ORDER BY ID")
@@ -269,6 +271,10 @@ fn nasty_delimited_payload() -> (Vec<aldsp::core::OutputColumn>, String) {
         .execute_to_payload_governed_with(&translation.xquery, &[], None, None, Default::default())
         .unwrap();
     (translation.columns, payload)
+}
+
+fn nasty_delimited_payload() -> (Vec<OutputColumn>, String) {
+    nasty_payload(Transport::DelimitedText)
 }
 
 #[test]
@@ -323,6 +329,38 @@ fn scripted_corruption_modes_are_detected() {
     );
     let empty_tail = corrupt_payload("", &mut ScriptedRng::new(vec![0]));
     assert!(ResultSet::from_delimited(columns, &empty_tail).is_err());
+}
+
+/// The XML transport's side of the two tests above: a document that
+/// stops early is never a shorter result set. The streaming decoder reads
+/// rows as they end, so only reading on to the end of the document tells
+/// a whole payload from a cut one.
+#[test]
+fn every_xml_truncation_and_appendix_is_detected() {
+    use aldsp::driver::fault::{corrupt_payload, ScriptedRng};
+
+    let (columns, payload) = nasty_payload(Transport::Xml);
+    let decode = |text: &str| ResultSet::from_xml(columns.clone(), text);
+    assert_eq!(decode(&payload).unwrap().row_count(), NASTY.len() + 1);
+    for needle in ["&lt;", "&gt;", "&amp;", "O'Brien"] {
+        assert!(payload.contains(needle), "{needle} is not in the payload");
+    }
+
+    let appended = [">", "<RECORDSET/>", "<RECORD><T.ID>1</T.ID></RECORD>", "x"];
+    let appended = appended.map(|tail| format!("{payload}{tail}"));
+    let scripts = [vec![0, 5], vec![1], vec![2]];
+    let scripted = scripts.map(|script| corrupt_payload(&payload, &mut ScriptedRng::new(script)));
+    let cuts = payload.char_indices().map(|(cut, _)| &payload[..cut]);
+    for damaged in cuts.chain(appended.iter().chain(&scripted).map(String::as_str)) {
+        match decode(damaged) {
+            Err(DriverError::Decode(_)) => {}
+            other => panic!(
+                "{} of {} bytes decoded as {other:?}",
+                damaged.len(),
+                payload.len()
+            ),
+        }
+    }
 }
 
 #[test]
@@ -487,4 +525,282 @@ fn payloads_are_byte_identical_under_both_strategies() {
             assert_eq!(piped.1, (u64::from(sunk), 0), "{transport:?} `{sql}`");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// XML rows, streaming vs tree: `ResultSet::from_xml` reads rows off the
+// reader's events; the reference below is the DOM walk it replaced. They
+// must agree on every document — the server's own, hand-written ones
+// that a foreign or future server could send, and damaged ones.
+// ---------------------------------------------------------------------
+
+/// The rows of an XML payload by the tree: parse the whole document, then
+/// navigate it.
+fn from_xml_by_tree(columns: &[OutputColumn], payload: &str) -> Result<Vec<Vec<SqlValue>>, String> {
+    let document = aldsp::xml::parse_document(payload).map_err(|e| e.to_string())?;
+    let mut rows = Vec::new();
+    for record in document.children_named("RECORD") {
+        let cells = columns.iter().map(|col| {
+            let cell = record.children_named(&col.name).next();
+            let cell = cell.map(|e| e.string_value().into());
+            aldsp::relational::sqltype::decode_cell(cell, col.sql_type)
+        });
+        rows.push(cells.collect::<Result<_, _>>()?);
+    }
+    Ok(rows)
+}
+
+/// The rows both decoders make of `payload`, `None` when both reject it;
+/// panics if they differ. Rows are compared as rendered: `NaN` is a value
+/// some payloads hold, and it is not `==` to itself.
+fn decoders_agree_on(columns: &[OutputColumn], payload: &str) -> Option<Vec<Vec<SqlValue>>> {
+    let streamed = ResultSet::from_xml(columns.to_vec(), payload).map(|rs| rs.rows().to_vec());
+    match (streamed, from_xml_by_tree(columns, payload)) {
+        (Ok(streamed), Ok(by_tree)) => {
+            let rendered = format!("{streamed:?}");
+            assert_eq!(rendered, format!("{by_tree:?}"), "rows of {payload:?}");
+            Some(streamed)
+        }
+        (Err(DriverError::Decode(_)), Err(_)) => None,
+        (streamed, by_tree) => {
+            panic!("streaming says {streamed:?}, the tree says {by_tree:?}, for {payload:?}")
+        }
+    }
+}
+
+fn varchar_columns<const N: usize>(names: [&str; N]) -> Vec<OutputColumn> {
+    let column = |name: &str| OutputColumn {
+        name: name.into(),
+        label: name.into(),
+        sql_type: Some(SqlColumnType::Varchar),
+        nullable: true,
+    };
+    names.map(column).to_vec()
+}
+
+#[test]
+fn xml_row_semantics_are_the_tree_walks() {
+    // One document per rule of what a row and a cell are; the expected
+    // rows are written out: `None` for NULL, no rows at all for a rejected
+    // payload.
+    type Rows = &'static [&'static [Option<&'static str>]];
+    let ab = || varchar_columns(["A", "B"]);
+    let table: Vec<(&str, Vec<OutputColumn>, &str, Option<Rows>)> = vec![
+        (
+            "the document element may have any name",
+            ab(),
+            "<ANY><RECORD><A>1</A><B>2</B></RECORD></ANY>",
+            Some(&[&[Some("1"), Some("2")]]),
+        ),
+        (
+            "a prefix on RECORD or on a cell is ignored",
+            ab(),
+            "<R><ns0:RECORD><x:A>1</x:A><B>2</B></ns0:RECORD></R>",
+            Some(&[&[Some("1"), Some("2")]]),
+        ),
+        (
+            "only the first colon ends the prefix",
+            varchar_columns(["A:B"]),
+            "<R><RECORD><p:A:B>1</p:A:B><A:B>2</A:B></RECORD></R>",
+            Some(&[&[Some("1")]]),
+        ),
+        (
+            "children of the root that are not RECORD are skipped",
+            ab(),
+            "<R><HEAD><A>no</A></HEAD><RECORD><A>1</A></RECORD><RECORDS><A>no</A></RECORDS></R>",
+            Some(&[&[Some("1"), None]]),
+        ),
+        (
+            "a RECORD nested deeper is not a row",
+            ab(),
+            "<R><W><RECORD><A>no</A></RECORD></W><RECORD><A>1</A><RECORD><B>no</B></RECORD></RECORD></R>",
+            Some(&[&[Some("1"), None]]),
+        ),
+        (
+            "a root that is itself RECORD is not a row",
+            ab(),
+            "<RECORD><A>no</A><RECORD><A>1</A></RECORD></RECORD>",
+            Some(&[&[Some("1"), None]]),
+        ),
+        (
+            "the first child of a name is the cell, later ones are ignored",
+            ab(),
+            "<R><RECORD><A>1</A><A>no</A><B>2</B><A/></RECORD></R>",
+            Some(&[&[Some("1"), Some("2")]]),
+        ),
+        (
+            "an empty first cell still shadows a later one",
+            ab(),
+            "<R><RECORD><A/><A>no</A></RECORD></R>",
+            Some(&[&[Some(""), None]]),
+        ),
+        (
+            "two columns of one name read the same child",
+            varchar_columns(["A", "B", "A"]),
+            "<R><RECORD><A>1 &amp; 1</A><B>2</B><A>no</A></RECORD><RECORD><B>3</B></RECORD></R>",
+            Some(&[
+                &[Some("1 & 1"), Some("2"), Some("1 & 1")],
+                &[None, Some("3"), None],
+            ]),
+        ),
+        (
+            "a child no column names is skipped, cells come in any order",
+            ab(),
+            "<R><RECORD><Z>no</Z><B>2</B><Y><A>no</A></Y><A>1</A></RECORD></R>",
+            Some(&[&[Some("1"), Some("2")]]),
+        ),
+        (
+            "the cell is the string value: nested elements and split runs",
+            ab(),
+            "<R><RECORD><A>x<I>y<J>z</J></I>w<!-- c -->v</A><B><!-- only --></B></RECORD></R>",
+            Some(&[&[Some("xyzwv"), Some("")]]),
+        ),
+        (
+            "a column's name inside its own cell is text, not a new cell",
+            ab(),
+            "<R><RECORD><A><A>in</A><B>side</B></A></RECORD></R>",
+            Some(&[&[Some("inside"), None]]),
+        ),
+        (
+            "references are expanded, an unknown entity is kept",
+            ab(),
+            "<R><RECORD><A>&amp;&lt;&gt;&quot;&apos;&#x41;&#66;</A><B>&bogus; &amp</B></RECORD></R>",
+            Some(&[&[Some("&<>\"'AB"), Some("&bogus; &amp")]]),
+        ),
+        (
+            "a reference split by a comment is two runs, not one reference",
+            ab(),
+            "<R><RECORD><A>&am<!-- -->p;</A></RECORD></R>",
+            Some(&[&[Some("&amp;"), None]]),
+        ),
+        (
+            "absent is NULL, empty is the empty string",
+            varchar_columns(["A", "B", "C"]),
+            "<R><RECORD><A/><B></B></RECORD><RECORD/><RECORD></RECORD></R>",
+            Some(&[&[Some(""), Some(""), None], &[None; 3], &[None; 3]]),
+        ),
+        (
+            "attributes are checked and ignored",
+            ab(),
+            "<R a='1'><RECORD A=\"no\" b = 'x'><A B='no'>1</A></RECORD></R>",
+            Some(&[&[Some("1"), None]]),
+        ),
+        (
+            "a bad attribute anywhere rejects the payload",
+            ab(),
+            "<R><RECORD><A>1</A><Z q=no/></RECORD></R>",
+            None,
+        ),
+        (
+            "declaration, comments and whitespace around the document",
+            ab(),
+            "<?xml version=\"1.0\"?>\n<!-- head --> <R><RECORD><A>1</A></RECORD></R>\n<!-- tail -->\n",
+            Some(&[&[Some("1"), None]]),
+        ),
+        (
+            "text between rows and between cells is ignored",
+            ab(),
+            "<R>\n  junk<RECORD>\n    <A>1</A> &amp; <B>2</B>\n  </RECORD>more\n</R>",
+            Some(&[&[Some("1"), Some("2")]]),
+        ),
+        (
+            "no rows",
+            ab(),
+            "<RECORDSET/>",
+            Some(&[]),
+        ),
+        (
+            "a mismatched tag after the last row rejects every row",
+            ab(),
+            "<R><RECORD><A>1</A></RECORD><X></Y></R>",
+            None,
+        ),
+        (
+            "a mismatched tag inside a skipped subtree rejects the payload",
+            ab(),
+            "<R><HEAD><X></Y></HEAD><RECORD><A>1</A></RECORD></R>",
+            None,
+        ),
+        (
+            "a second document element rejects the payload",
+            ab(),
+            "<R><RECORD><A>1</A></RECORD></R><R/>",
+            None,
+        ),
+        (
+            "an undecodable cell rejects the payload",
+            vec![OutputColumn {
+                sql_type: Some(SqlColumnType::Integer),
+                ..varchar_columns(["A"]).remove(0)
+            }],
+            "<R><RECORD><A>7</A></RECORD><RECORD><A>seven</A></RECORD></R>",
+            None,
+        ),
+    ];
+    for (rule, columns, document, expected) in table {
+        let expected = expected.map(|rows| {
+            let value =
+                |cell: &Option<&str>| cell.map_or(SqlValue::Null, |s| SqlValue::Str(s.into()));
+            let rows = rows.iter().map(|row| row.iter().map(value).collect());
+            rows.collect::<Vec<Vec<SqlValue>>>()
+        });
+        assert_eq!(decoders_agree_on(&columns, document), expected, "{rule}");
+    }
+}
+
+#[test]
+fn streaming_and_tree_decoders_agree_on_shipped_and_damaged_payloads() {
+    use aldsp::workload::{fuzzed_corpus, golden_corpus, Scale, Universe};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    // Every golden and generated statement's XML payload, as the server
+    // ships it under the production strategy.
+    let universe = Universe::generated(Scale::small(), 7);
+    let options = TranslationOptions::with_transport(Transport::Xml);
+    let conn = Connection::open_with(Arc::clone(&universe.server), options, Default::default());
+    let mut shipped = Vec::new();
+    for (origin, sql) in golden_corpus().into_iter().chain(fuzzed_corpus(7, 6)) {
+        let translation = conn
+            .create_statement()
+            .explain(&sql)
+            .unwrap_or_else(|e| panic!("{origin}: `{sql}`: {e}"));
+        let payload = universe
+            .server
+            .execute_to_payload_governed_with(
+                &translation.xquery,
+                &[],
+                None,
+                None,
+                ExecStrategy::HashJoin,
+            )
+            .unwrap_or_else(|e| panic!("{origin}: `{sql}`: {e}"));
+        shipped.push((translation.columns, payload));
+    }
+    assert!(shipped.len() >= 80, "only {} payloads", shipped.len());
+    let mut rows = 0;
+    for (columns, payload) in &shipped {
+        rows += decoders_agree_on(columns, payload)
+            .expect("a shipped payload decodes")
+            .len();
+    }
+    assert!(rows >= 1_000, "the corpus ships only {rows} rows");
+
+    // Seeded damage: most of it is rejected, some of it still decodes —
+    // to the same rows either way.
+    let mut rng = StdRng::seed_from_u64(23);
+    let (mut accepted, mut rejected) = (0, 0);
+    for round in 0..4_000 {
+        let (columns, payload) = &shipped[round % shipped.len()];
+        let other = &shipped[rng.gen_range(0..shipped.len())].1;
+        let damaged = common::mutate(&mut rng, payload.as_bytes(), other.as_bytes());
+        let damaged = String::from_utf8_lossy(&damaged);
+        match decoders_agree_on(columns, &damaged) {
+            Some(_) => accepted += 1,
+            None => rejected += 1,
+        }
+    }
+    assert!(
+        accepted >= 50 && rejected >= 1_000,
+        "{accepted} / {rejected}"
+    );
 }

@@ -1,9 +1,11 @@
 //! Totality: nothing reachable from outside input may panic.
 //!
 //! The four decoders that read text from outside the process — the SQL
-//! parser, the XQuery parser, the XML parser and the §4 delimited-payload
-//! decoder — are fed random bytes and byte-level mutations of real inputs
-//! (golden SQL, the XQuery generated for it, the `<RECORDSET>` documents
+//! parser, the XQuery parser, the XML reader (under both its consumers,
+//! the tree builder and the driver's row decoder) and the §4
+//! delimited-payload decoder — are fed random bytes and byte-level
+//! mutations of real inputs (golden SQL, the XQuery generated for it, the
+//! `<RECORDSET>` documents
 //! and delimited payloads it returns). The XQuery evaluator is fed random
 //! expressions over boundary atoms (`i64::MIN`/`MAX`, `-0.0`, `NaN`,
 //! `INF`, `()`, untyped text, dates) under every arithmetic and comparison
@@ -15,6 +17,7 @@ use aldsp::core::{wrapper, OutputColumn, TranslationOptions, Transport};
 use aldsp::driver::{Connection, DspServer, ResultSet};
 use aldsp::governor::QueryBudget;
 use aldsp::workload::{build_application, populate_database, Scale};
+use aldsp::xml::parse::Reader;
 use aldsp::xquery::functions::BUILTIN_NAMES;
 use aldsp::xquery::{evaluate_program_exec, parse_program, EmptyFunctionSource, ExecStrategy};
 use rand::rngs::StdRng;
@@ -22,6 +25,9 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+
+mod common;
+use common::mutate;
 
 /// Runs `case` on every input, returning the distinct panic messages.
 fn panics_over<T>(inputs: impl IntoIterator<Item = T>, case: impl Fn(&T)) -> BTreeSet<String> {
@@ -45,7 +51,7 @@ fn panics_over<T>(inputs: impl IntoIterator<Item = T>, case: impl Fn(&T)) -> BTr
 struct Corpus {
     sql: Vec<String>,
     xquery: Vec<String>,
-    recordsets: Vec<String>,
+    recordsets: Vec<(Vec<OutputColumn>, String)>,
     delimited: Vec<(Vec<OutputColumn>, String)>,
 }
 
@@ -78,60 +84,16 @@ fn corpus() -> Corpus {
                     )
                     .unwrap();
                 match transport {
-                    Transport::Xml => corpus.recordsets.push(payload),
-                    Transport::DelimitedText => {
-                        corpus.delimited.push((translation.columns, payload))
-                    }
+                    Transport::Xml => &mut corpus.recordsets,
+                    Transport::DelimitedText => &mut corpus.delimited,
                 }
+                .push((translation.columns, payload));
             }
             corpus.xquery.push(translation.xquery);
         }
     }
     assert!(corpus.sql.len() >= 20 && corpus.recordsets.len() >= 20);
     corpus
-}
-
-/// Punctuation of all four grammars, NUL, and bytes that are not UTF-8.
-const ALPHABET: &[u8] = b"()[]{}<>&;,.'\"`$@:=!*/+-|%_?#~^\\ \t\n\0\x80\xbf\xc3\xe2\xf0\xff";
-
-/// One to four byte-level edits of `seed`: delete, insert, overwrite,
-/// truncate, duplicate a slice, splice in a slice of `other`.
-fn mutate(rng: &mut StdRng, seed: &[u8], other: &[u8]) -> Vec<u8> {
-    let mut bytes = seed.to_vec();
-    for _ in 0..rng.gen_range(1..=4) {
-        let at = rng.gen_range(0..=bytes.len());
-        let span = |rng: &mut StdRng, from: &[u8]| {
-            let start = rng.gen_range(0..=from.len());
-            let end = (start + rng.gen_range(0..=24)).min(from.len());
-            from[start..end].to_vec()
-        };
-        match rng.gen_range(0..6) {
-            0 => {
-                let end = (at + rng.gen_range(1..=8)).min(bytes.len());
-                bytes.drain(at..end);
-            }
-            1 => {
-                for _ in 0..rng.gen_range(1..=4) {
-                    bytes.insert(at, ALPHABET[rng.gen_range(0..ALPHABET.len())]);
-                }
-            }
-            2 => {
-                if let Some(b) = bytes.get_mut(at) {
-                    *b = ALPHABET[rng.gen_range(0..ALPHABET.len())];
-                }
-            }
-            3 => bytes.truncate(at),
-            4 => {
-                let slice = span(rng, &bytes);
-                bytes.splice(at..at, slice);
-            }
-            _ => {
-                let slice = span(rng, other);
-                bytes.splice(at..at, slice);
-            }
-        }
-    }
-    bytes
 }
 
 /// `count` inputs for one decoder: mostly mutations of its real inputs,
@@ -159,6 +121,13 @@ fn refs(texts: &[String]) -> Vec<&str> {
     texts.iter().map(String::as_str).collect()
 }
 
+fn payloads(shipped: &[(Vec<OutputColumn>, String)]) -> Vec<&str> {
+    shipped
+        .iter()
+        .map(|(_, payload)| payload.as_str())
+        .collect()
+}
+
 #[test]
 fn parsers_and_decoders_never_panic_on_hostile_input() {
     const PER_DECODER: usize = 3_000;
@@ -174,12 +143,19 @@ fn parsers_and_decoders_never_panic_on_hostile_input() {
         |(_, text)| drop(parse_program(text)),
     ));
     panics.extend(panics_over(
-        hostile_inputs(3, &refs(&corpus.recordsets), PER_DECODER),
-        |(_, text)| drop(aldsp::xml::parse_document(text)),
+        hostile_inputs(3, &payloads(&corpus.recordsets), PER_DECODER),
+        |(which, text)| {
+            drop(aldsp::xml::parse_document(text));
+            let mut reader = Reader::document(text);
+            while let Ok(Some(_)) = reader.next() {}
+            drop(ResultSet::from_xml(
+                corpus.recordsets[*which].0.clone(),
+                text,
+            ));
+        },
     ));
-    let payloads: Vec<&str> = corpus.delimited.iter().map(|(_, p)| p.as_str()).collect();
     panics.extend(panics_over(
-        hostile_inputs(4, &payloads, PER_DECODER),
+        hostile_inputs(4, &payloads(&corpus.delimited), PER_DECODER),
         |(which, text)| {
             let columns = &corpus.delimited[*which].0;
             drop(wrapper::parse_delimited(text, columns.len()));
