@@ -12,10 +12,10 @@ use aldsp_catalog::{shared_locator, Application, SharedLocator, TableLocator};
 use aldsp_governor::{ExecStrategy, QueryBudget};
 pub use aldsp_relational::sql_value_to_sequence;
 use aldsp_relational::Database;
-use aldsp_xml::Sequence;
+use aldsp_xml::{Item, Sequence};
 use aldsp_xquery::{
     evaluate_program, evaluate_program_exec, evaluate_program_to_payload, parse_program,
-    FunctionSource, Program, XqError,
+    FunctionSource, JoinTable, Program, XqError,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
@@ -57,9 +57,9 @@ pub struct DspServer {
     epoch: Arc<AtomicU64>,
     database: RwLock<Database>,
     application: RwLock<Application>,
-    /// Materialized function results, keyed by function name. Items are
-    /// `Arc`-backed, so cached sequences are cheap to clone per query.
-    materialized: RwLock<HashMap<String, Sequence>>,
+    /// Materialized function results, keyed by function name, each with
+    /// the join indexes built over it.
+    materialized: RwLock<HashMap<String, Materialized>>,
     /// Logical functions currently being evaluated, tracked per thread
     /// (cycle detection must not trip when two threads evaluate the same
     /// logical service concurrently).
@@ -71,6 +71,29 @@ pub struct DspServer {
     bytes_shipped: AtomicU64,
     /// Optional fault injector exercising the driver boundary.
     fault: RwLock<Option<Arc<FaultInjector>>>,
+}
+
+/// One function's rows as every `call` hands them out until the next
+/// write, and the join indexes over them by the child that keys a row
+/// ([`FunctionSource::join_index`]) — the stand-in for the relational
+/// source's own index on `ORDERS.CUSTID`. An index lives in the entry it
+/// was built from and dies with it, and there are at most as many as the
+/// catalog has columns, so nothing is ever evicted.
+struct Materialized {
+    rows: Sequence,
+    indexes: HashMap<String, Arc<JoinTable>>,
+}
+
+impl Materialized {
+    /// Whether `rows` are these rows: element for element the same
+    /// allocation, not merely equal — what a kept index may be served for.
+    fn holds(&self, rows: &Sequence) -> bool {
+        let same = |(mine, theirs): (&Item, &Item)| match (mine.as_element(), theirs.as_element()) {
+            (Some(mine), Some(theirs)) => Arc::ptr_eq(mine, theirs),
+            _ => false,
+        };
+        self.rows.len() == rows.len() && self.rows.iter().zip(rows.iter()).all(same)
+    }
 }
 
 impl DspServer {
@@ -255,7 +278,7 @@ impl DspServer {
         // write has landed since.
         let epoch = self.epoch();
         if let Some(cached) = self.materialized.read().get(name) {
-            return Ok(cached.clone());
+            return Ok(cached.rows.clone());
         }
         // Logical data services execute their XQuery body, which calls
         // lower-level data-service functions (paper §3.1: "The body of
@@ -328,7 +351,11 @@ impl DspServer {
     fn store_materialized(&self, name: &str, rows: &Sequence, epoch: u64) {
         let mut materialized = self.materialized.write();
         if self.epoch() == epoch {
-            materialized.insert(name.to_string(), rows.clone());
+            let fresh = Materialized {
+                rows: rows.clone(),
+                indexes: HashMap::new(),
+            };
+            materialized.insert(name.to_string(), fresh);
         }
     }
 }
@@ -379,6 +406,32 @@ impl FunctionSource for DspServer {
             filtered.push(item.clone());
         }
         Ok(filtered)
+    }
+
+    /// Kept in the function's `materialized` entry, and only ever for the
+    /// rows of that entry: a request holding other rows — an epoch's, or a
+    /// racing materialization's, that the entry no longer has — builds and
+    /// keeps nothing. No lock is held while `build` runs, so statements
+    /// that miss together all build.
+    fn join_index(
+        &self,
+        local: &str,
+        child: &str,
+        rows: &Sequence,
+        build: &dyn Fn() -> Result<Arc<JoinTable>, XqError>,
+    ) -> Result<Arc<JoinTable>, XqError> {
+        if let Some(of) = self.materialized.read().get(local) {
+            if let Some(index) = of.indexes.get(child).filter(|_| of.holds(rows)) {
+                return Ok(Arc::clone(index));
+            }
+        }
+        let index = build()?;
+        if let Some(of) = self.materialized.write().get_mut(local) {
+            if of.holds(rows) {
+                of.indexes.insert(child.to_string(), Arc::clone(&index));
+            }
+        }
+        Ok(index)
     }
 }
 

@@ -171,6 +171,13 @@ struct BudgetInner {
     // evaluation layer.
     hash_joins: AtomicU64,
     join_fallbacks: AtomicU64,
+    // The fallbacks whose pipeline was planned, ran and raised.
+    join_abandons: AtomicU64,
+    // Join-index requests (a hash operator's build side over a
+    // data-service function's rows) that built their table, and those a
+    // function source answered with one it had kept.
+    indexes_built: AtomicU64,
+    index_hits: AtomicU64,
     // Statement bodies a sink (text or XML) wrote, and those it abandoned
     // to the interpreter. Not hash operators: they stay out of the two
     // above.
@@ -215,6 +222,9 @@ impl QueryBudget {
                 token: CancellationToken::new(),
                 hash_joins: AtomicU64::new(0),
                 join_fallbacks: AtomicU64::new(0),
+                join_abandons: AtomicU64::new(0),
+                indexes_built: AtomicU64::new(0),
+                index_hits: AtomicU64::new(0),
                 sinks: AtomicU64::new(0),
                 sink_fallbacks: AtomicU64::new(0),
                 views: AtomicU64::new(0),
@@ -237,6 +247,9 @@ impl QueryBudget {
             token: inner.token.clone(),
             hash_joins: AtomicU64::new(inner.hash_joins.load(Ordering::Relaxed)),
             join_fallbacks: AtomicU64::new(inner.join_fallbacks.load(Ordering::Relaxed)),
+            join_abandons: AtomicU64::new(inner.join_abandons.load(Ordering::Relaxed)),
+            indexes_built: AtomicU64::new(inner.indexes_built.load(Ordering::Relaxed)),
+            index_hits: AtomicU64::new(inner.index_hits.load(Ordering::Relaxed)),
             sinks: AtomicU64::new(inner.sinks.load(Ordering::Relaxed)),
             sink_fallbacks: AtomicU64::new(inner.sink_fallbacks.load(Ordering::Relaxed)),
             views: AtomicU64::new(inner.views.load(Ordering::Relaxed)),
@@ -321,6 +334,46 @@ impl QueryBudget {
     /// interpreter.
     pub fn record_join_fallback(&self) {
         self.inner.join_fallbacks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a join-shaped FLWOR whose pipeline was planned, ran and
+    /// raised, so the interpreter re-ran it: a fallback
+    /// ([`QueryBudget::join_fallbacks`] counts it too) that is not a
+    /// declined lowering. The interpreter raises the same error or the
+    /// pipeline has diverged from it.
+    pub fn record_join_abandon(&self) {
+        self.record_join_fallback();
+        self.inner.join_abandons.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Pipelines that ran and raised so far: the part of
+    /// [`QueryBudget::join_fallbacks`] that is not a declined lowering.
+    /// Not drained by [`QueryBudget::take_exec_counts`].
+    pub fn join_abandons(&self) -> u64 {
+        self.inner.join_abandons.load(Ordering::Relaxed)
+    }
+
+    /// Records a join-index request: `built` when the hash operator keyed
+    /// the function's rows itself, otherwise the function source handed
+    /// back the table an earlier statement built.
+    pub fn record_index(&self, built: bool) {
+        let counter = if built {
+            &self.inner.indexes_built
+        } else {
+            &self.inner.index_hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `(join indexes built, join indexes reused)` so far. A hash operator
+    /// whose build side is no bare data-service function keyed by one
+    /// child asks for no index and counts in neither. Not drained by
+    /// [`QueryBudget::take_exec_counts`].
+    pub fn index_counts(&self) -> (u64, u64) {
+        (
+            self.inner.indexes_built.load(Ordering::Relaxed),
+            self.inner.index_hits.load(Ordering::Relaxed),
+        )
     }
 
     /// FLWOR prefixes executed through the hash-join pipeline so far.
@@ -1004,7 +1057,12 @@ mod tests {
         let clone = budget.clone();
         clone.record_hash_join(1);
         assert_eq!(budget.hash_joins(), 3);
-        // The sink's pair and the views' triple ride the same way.
+        // The sink's pair, the views' triple, the abandoned pipelines (a
+        // fallback each) and the index pair ride the same way.
+        clone.record_join_abandon();
+        clone.record_index(true);
+        clone.record_index(false);
+        clone.record_index(false);
         clone.record_sink();
         clone.record_sink_fallback();
         clone.record_view(Some(6));
@@ -1012,8 +1070,11 @@ mod tests {
         clone.record_view(None);
         let budget = budget.with_row_cap(9);
         // Draining yields deltas and resets — the hash operators' only.
-        assert_eq!(budget.take_exec_counts(), (3, 1));
+        assert_eq!(budget.join_fallbacks(), 2);
+        assert_eq!(budget.take_exec_counts(), (3, 2));
         assert_eq!(budget.take_exec_counts(), (0, 0));
+        assert_eq!(budget.join_abandons(), 1);
+        assert_eq!(budget.index_counts(), (1, 2));
         assert_eq!(budget.sink_counts(), (1, 1));
         assert_eq!(budget.view_counts(), (2, 6, 1));
     }

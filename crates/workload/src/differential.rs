@@ -69,6 +69,17 @@ impl Universe {
         let database = populate_database(&application, scale, seed);
         Universe::new(application, database)
     }
+
+    /// How many join indexes one epoch of the server can hold: one per
+    /// column of every data-service function. What a fault-free matrix
+    /// run, which never writes, may build over all its lanes together.
+    pub fn index_bound(&self) -> u64 {
+        let application = self.server.application();
+        let columns = application
+            .functions()
+            .map(|(_, _, f)| f.schema.columns.len() as u64);
+        columns.sum()
+    }
 }
 
 /// The rewrite engine a lane runs, handed in by callers that have the
@@ -242,6 +253,15 @@ pub struct LaneReport {
     pub hash_operators: u64,
     /// Hashable FLWORs that fell back to the interpreter.
     pub join_fallbacks: u64,
+    /// Those of them whose pipeline was planned, ran and raised: 0 on a
+    /// fault-free run, or a pipeline diverged from the interpreter.
+    pub join_abandons: u64,
+    /// Join-index requests that built their table: at most one per
+    /// (data-service function, key column) per epoch of a server that
+    /// keeps them, whichever lane asked first.
+    pub indexes_built: u64,
+    /// Join-index requests the server answered with a table it had kept.
+    pub index_hits: u64,
     /// Statement bodies a sink wrote. Under the pipeline strategy, on a
     /// delimited-text lane: one per execution that reached evaluation; on
     /// an XML lane: one per such execution whose body is a `<RECORDSET>`
@@ -311,6 +331,11 @@ impl MatrixReport {
             .iter()
             .find(|l| l.label == label)
             .unwrap_or_else(|| panic!("no lane labelled `{label}` in this run"))
+    }
+
+    /// Join indexes built across all lanes (they share one server).
+    pub fn indexes_built(&self) -> u64 {
+        self.lanes.iter().map(|l| l.indexes_built).sum()
     }
 
     /// Transient retries across all lanes.
@@ -524,6 +549,10 @@ pub fn run_matrix(
                 stats.fuel[index] = meter.fuel_consumed();
                 stats.hash_operators += meter.hash_joins();
                 stats.join_fallbacks += meter.join_fallbacks();
+                stats.join_abandons += meter.join_abandons();
+                let (indexes_built, index_hits) = meter.index_counts();
+                stats.indexes_built += indexes_built;
+                stats.index_hits += index_hits;
                 let (sinks, sink_fallbacks) = meter.sink_counts();
                 stats.sinks += sinks;
                 stats.sink_fallbacks += sink_fallbacks;
@@ -641,21 +670,28 @@ mod tests {
     fn small_exec_differential_run_is_clean() {
         let mut corpus = paper_corpus();
         corpus.extend(fuzzed_corpus(13, 2));
-        let report = run_matrix(
-            &Universe::generated(Scale::small(), 13),
-            &corpus,
-            &lanes(&[Lane::plain, Lane::hash]),
-            None,
-        );
+        let universe = Universe::generated(Scale::small(), 13);
+        let report = run_matrix(&universe, &corpus, &lanes(&[Lane::plain, Lane::hash]), None);
         assert!(report.is_clean(), "mismatches: {:#?}", report.mismatches);
         assert_eq!(report.passed, 4 * corpus.len());
-        assert_eq!(report.lane("text").hash_operators, 0);
+        let plain = report.lane("text");
+        assert_eq!(plain.hash_operators, 0);
+        assert_eq!((plain.indexes_built, plain.index_hits), (0, 0));
         for label in ["text+hash", "xml+hash"] {
             let lane = report.lane(label);
             assert!(
                 lane.hash_operators > 0,
                 "{label}: join classes should exercise the hash path"
             );
+            assert_eq!(lane.join_abandons, 0, "{label}: a pipeline ran and raised");
+            assert!(lane.index_hits > 0, "{label}: no join index was reused");
         }
+        // One server, one epoch: what the first lane to ask built, every
+        // later request found.
+        assert!(
+            report.indexes_built() <= universe.index_bound(),
+            "{} indexes over one epoch",
+            report.indexes_built()
+        );
     }
 }

@@ -22,10 +22,11 @@
 //! one.)
 
 use crate::ast::*;
-use crate::exec::{self, AtomKey};
+use crate::exec::{self, AtomKey, JoinTable};
 use crate::functions::{call_builtin, coerce_numeric, data};
 use aldsp_governor::{BudgetError, ExecStrategy, QueryBudget};
 use aldsp_xml::{Atomic, Element, Item, Node, QName, Sequence};
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -100,6 +101,28 @@ pub trait FunctionSource {
         local: &str,
         args: &[Sequence],
     ) -> Result<Sequence, XqError>;
+
+    /// The join index over `rows` keyed by the atoms of each row's `child`
+    /// children — what a hash operator of [`crate::exec`] asks for when
+    /// its build side is every row of the function `local`, where `rows`
+    /// is what the statement's own `call` of it returned. `build` makes
+    /// the table from those rows; the default builds and keeps nothing, so
+    /// every statement keys the rows itself. A source that hands out the
+    /// same row elements call after call may keep what `build` returned
+    /// beside them and answer a later request with it — but only a request
+    /// whose `rows` are, element for element, the ones the kept table was
+    /// built from: a table is a snapshot of one `call`, the statement's.
+    /// No lock should be held while `build` runs (it keys every row); an
+    /// error of `build` is the request's, and nothing is kept.
+    fn join_index(
+        &self,
+        _local: &str,
+        _child: &str,
+        _rows: &Sequence,
+        build: &dyn Fn() -> Result<Arc<JoinTable>, XqError>,
+    ) -> Result<Arc<JoinTable>, XqError> {
+        build()
+    }
 }
 
 /// A source with no functions — parse-and-evaluate tests over pure
@@ -345,6 +368,29 @@ impl<'a> Evaluator<'a> {
         if let Some(budget) = self.budget {
             budget.record_view(pruned);
         }
+    }
+
+    /// The table over `rows`, an indexable build side, through the function
+    /// source ([`FunctionSource::join_index`]), and whether the source
+    /// *found* it — `build` did not run.
+    pub(crate) fn join_index(
+        &self,
+        index: &exec::Indexed<'_>,
+        rows: &Sequence,
+        build: &dyn Fn() -> Result<JoinTable, XqError>,
+    ) -> Result<(Arc<JoinTable>, bool), XqError> {
+        let built = Cell::new(false);
+        let counted = || {
+            built.set(true);
+            build().map(Arc::new)
+        };
+        let table = self
+            .functions
+            .join_index(index.function, index.child, rows, &counted)?;
+        if let Some(budget) = self.budget {
+            budget.record_index(built.get());
+        }
+        Ok((table, !built.get()))
     }
 
     /// Evaluates `expr` in `env`, with an optional context item (set
@@ -645,9 +691,12 @@ impl<'a> Evaluator<'a> {
                 // counts only where `hash_shaped` saw a hashable shape, so
                 // the telemetry's fast-path fraction is over those rather
                 // than all FLWORs. The naive run below answers.
-                _ => {
+                (plan, _) => {
                     if let Some(budget) = self.budget {
-                        budget.record_join_fallback();
+                        match plan {
+                            Some(_) => budget.record_join_abandon(),
+                            None => budget.record_join_fallback(),
+                        }
                     }
                 }
             }

@@ -12,14 +12,22 @@
 //! * [`Op::For`] — scan: expands one `for` clause, pushing each binding
 //!   down the pipeline immediately.
 //! * [`Op::HashJoin`] — build/probe: the build-side source is evaluated
-//!   once (lazily, on the first tuple to arrive, so an upstream filter
-//!   that empties the stream skips the build entirely — exactly when the
-//!   naive interpreter would also never evaluate it) into a hash table
-//!   keyed by [`AtomKey`] projections of the join key; each probe tuple
-//!   then binds only its matching build items.
+//!   once per run (lazily, on the first tuple to arrive, so an upstream
+//!   filter that empties the stream skips the build entirely — exactly
+//!   when the naive interpreter would also never evaluate it) into a hash
+//!   table keyed by [`AtomKey`] projections of the join key; each probe
+//!   tuple then binds only its matching build items. Where the build side
+//!   is *indexable* — every row of a data-service function, keyed by one
+//!   child (`Indexed`) — the rows are keyed once **per epoch**: the table
+//!   over them is asked of the function source
+//!   ([`crate::FunctionSource::join_index`]), which may keep it beside the
+//!   rows it indexes and hand it to every later statement that holds the
+//!   same rows; the statement is charged the build's fuel and row cap all
+//!   the same.
 //! * [`Op::ProbeLet`] — the same table over a `let`'s filtered source:
 //!   binds the variable to the probe tuple's matches (possibly none —
-//!   the `if (fn:empty(..))` padding stays the interpreter's).
+//!   the `if (fn:empty(..))` padding stays the interpreter's). Indexable
+//!   on the same condition, and then the same index as the hash join's.
 //! * [`Op::SemiJoin`] — the same table over a view's atoms: passes a
 //!   tuple when its key finds any.
 //! * [`Op::Let`] / [`Op::Filter`] — bind and residual-predicate
@@ -160,8 +168,12 @@
 //! [`aldsp_governor::QueryBudget`] hooks — one unit per scan binding, per
 //! build row, and per joined or let-bound match — and the row cap bounds
 //! what the pipeline actually materializes: the build tables and the
-//! output vector. The projection and the sinks obey the same rules: `1 +
-//! cells` units per projected row (a text sink's `1 + pieces` on top, or
+//! output vector. A build table found on the function source charges the
+//! statement what keying its rows would have (per entry one unit and the
+//! key's nodes, then the row-cap check): a budget bounds a statement's
+//! logical work, whoever ran before it. The
+//! projection and the sinks obey the same rules: `1 + cells` units per
+//! projected row (a text sink's `1 + pieces` on top, or
 //! alone per `RECORD` of an evaluated view) charged before the row is
 //! written, the row cap on the rows of a delimited payload (what the
 //! wrapper's `for $t` would hold as tuples), and any error but a budget's
@@ -171,8 +183,10 @@
 
 use crate::ast::{Clause, CompOp, Content, ElementCtor, Expr, Flwor, NodeTest, PathStart, Step};
 use crate::eval::{name_matches, Env, Evaluator, XqError};
-use crate::functions::data;
-use crate::visit::{free_vars, uses_context, walk_clause, walk_expr, walk_flwor, Visitor};
+use crate::functions::{data, is_builtin};
+use crate::visit::{
+    each_expr, free_vars, uses_context, walk_clause, walk_expr, walk_flwor, Visitor,
+};
 use aldsp_xml::serialize::{
     write_element, write_empty_tag, write_end_tag, write_start_tag, write_text,
 };
@@ -298,6 +312,9 @@ pub(crate) enum Op<'p> {
         probe_key: &'p Expr,
         /// Key over `var`, evaluated per build item.
         build_key: &'p Expr,
+        /// The build side as a function source's join index, when it is
+        /// one ([`Indexed`]).
+        index: Option<Indexed<'p>>,
     },
     /// Probe-let replacing `let $var := SRC[(A = B) and rest…]` — the
     /// matched arm of an outer join (paper Example 10).
@@ -313,6 +330,8 @@ pub(crate) enum Op<'p> {
         build_key: &'p Expr,
         /// The predicate's other conjuncts, checked per hashed match.
         rest: Vec<&'p Expr>,
+        /// As [`Op::HashJoin`]'s.
+        index: Option<Indexed<'p>>,
     },
     /// Semi-join filter replacing the `where` conjunct `L = R` with a
     /// stream-invariant view on the right — `IN (SELECT …)`.
@@ -334,6 +353,63 @@ pub(crate) struct Plan<'p> {
     /// How many hash operators ([`Op::HashJoin`], [`Op::ProbeLet`],
     /// [`Op::SemiJoin`]) the plan contains; never zero.
     pub joins: usize,
+}
+
+/// An *indexable* build side: every row of a zero-argument data-service
+/// function, keyed by the atoms of one child. The table over it depends on
+/// nothing of the statement but the rows its call returned, so the
+/// evaluator asks the function source for it
+/// ([`crate::FunctionSource::join_index`]), and a source that hands out the
+/// same rows statement after statement builds it once per epoch of its
+/// data instead of once per statement.
+pub(crate) struct Indexed<'p> {
+    /// The function's local name (`ORDERS` of `ns1:ORDERS`).
+    pub function: &'p str,
+    /// The child whose atoms key a row.
+    pub child: &'p str,
+    /// What [`build_table`] charges per row: one unit for the entry, and
+    /// one per node of the key expression.
+    row_fuel: u64,
+}
+
+/// Recognizes an indexable build side (see [`Indexed`]): `source` is a
+/// call of a data-service function without arguments, or names a `let` of
+/// `before` — the prefix's clauses ahead of the operator — whose value is
+/// exactly that; `key` is `ROW/NAME` or `fn:data(ROW/NAME)`, one name step
+/// without predicate, where `ROW` is the build variable `var` or, for a
+/// probe-let (`None`), the context item. Both modes key a row by the atoms
+/// of its `NAME` children, so they share one index.
+fn indexed<'p>(
+    before: &'p [Clause],
+    source: &'p Expr,
+    key: &'p Expr,
+    var: Option<&str>,
+) -> Option<Indexed<'p>> {
+    let called = match source {
+        Expr::VarRef(held) => before.iter().find_map(|clause| match clause {
+            Clause::Let { var, value } if var == held => Some(value),
+            _ => None,
+        })?,
+        written => written,
+    };
+    let Expr::FunctionCall { name, args } = called else {
+        return None;
+    };
+    let (row, child) = one_step(call_of(key, "fn:data").unwrap_or(key))?;
+    let keys_the_row = match (row, var) {
+        (PathStart::Var(v), Some(var)) => v == var,
+        (PathStart::Context, None) => true,
+        _ => false,
+    };
+    // The evaluator charges one unit per expression it evaluates, and a
+    // key of this shape has no node evaluated more or less than once.
+    let mut row_fuel = 1;
+    each_expr(key, &mut |_| row_fuel += 1);
+    (keys_the_row && args.is_empty() && !is_builtin(name)).then_some(Indexed {
+        function: name.split_once(':').map_or(name, |(_, local)| local),
+        child,
+        row_fuel,
+    })
 }
 
 /// The `for`/`let`/`where` clauses a pipeline can cover: everything
@@ -519,21 +595,24 @@ pub(crate) fn plan(flwor: &Flwor) -> Option<Plan<'_>> {
                         source,
                         probe_key,
                         build_key,
+                        index: indexed(&prefix[..i], source, build_key, Some(var)),
                     });
                 }
                 None => ops.push(Op::For { var, source }),
             },
-            Clause::Let { var, value } => match probe_let(var, value, &|v| varying(i, v)) {
-                Some(op) => {
-                    hash_ops += 1;
-                    ops.push(op);
+            Clause::Let { var, value } => {
+                match probe_let(&prefix[..i], var, value, &|v| varying(i, v)) {
+                    Some(op) => {
+                        hash_ops += 1;
+                        ops.push(op);
+                    }
+                    None => ops.push(Op::Let {
+                        var,
+                        value,
+                        view: view(flwor, i),
+                    }),
                 }
-                None => ops.push(Op::Let {
-                    var,
-                    value,
-                    view: view(flwor, i),
-                }),
-            },
+            }
             Clause::Where(_) => {
                 // A view variable is a `let` of this prefix that holds
                 // the same value on every tuple.
@@ -622,7 +701,12 @@ fn filter_predicate(value: &Expr) -> Option<&Expr> {
 /// item only and the other over tuple-varying bindings only. A predicate
 /// with such a conjunct is an `and` tree or a comparison, so it is never
 /// positional.
-fn probe_let<'p>(var: &'p str, value: &'p Expr, varying: &dyn Fn(&str) -> bool) -> Option<Op<'p>> {
+fn probe_let<'p>(
+    before: &'p [Clause],
+    var: &'p str,
+    value: &'p Expr,
+    varying: &dyn Fn(&str) -> bool,
+) -> Option<Op<'p>> {
     let predicate = filter_predicate(value)?;
     let source = match value {
         Expr::Filter { base, .. } => Cow::Borrowed(&**base),
@@ -668,12 +752,19 @@ fn probe_let<'p>(var: &'p str, value: &'p Expr, varying: &dyn Fn(&str) -> bool) 
         }
     })?;
     rest.remove(at);
+    // Only a filter's base can be the call or the `let` variable itself; a
+    // cut-out path has a step.
+    let index = match &source {
+        Cow::Borrowed(source) => indexed(before, source, build_key, None),
+        Cow::Owned(_) => None,
+    };
     Some(Op::ProbeLet {
         var,
         source,
         probe_key,
         build_key,
         rest,
+        index,
     })
 }
 
@@ -682,10 +773,21 @@ fn probe_let<'p>(var: &'p str, value: &'p Expr, varying: &dyn Fn(&str) -> bool) 
 // ---------------------------------------------------------------------
 
 /// A materialized build side: items in source order, each with its
-/// atomized key, plus the projection buckets over them.
-struct JoinTable {
+/// atomized key, plus the projection buckets over them. Opaque outside
+/// this module: a [`crate::FunctionSource`] that keeps join indexes holds
+/// it as it was handed it.
+pub struct JoinTable {
     entries: Vec<(Item, Vec<Atomic>)>,
     buckets: HashMap<AtomKey, Vec<usize>>,
+}
+
+/// One operator's state over a run: a hash operator's table — its own, or
+/// the function source's ([`Indexed`]) — and the buffers its probes reuse.
+#[derive(Default)]
+struct Slot {
+    table: Option<Arc<JoinTable>>,
+    candidates: Vec<usize>,
+    projections: Vec<AtomKey>,
 }
 
 /// Runs the pipeline over the incoming environment, returning the
@@ -699,23 +801,24 @@ pub(crate) fn run(
     env: &Env,
     context: Option<&Item>,
 ) -> Result<Vec<Env>, XqError> {
-    let mut tables: Vec<Option<JoinTable>> = Vec::new();
-    tables.resize_with(plan.ops.len(), || None);
+    let mut slots: Vec<Slot> = Vec::new();
+    slots.resize_with(plan.ops.len(), Slot::default);
     let mut out = Vec::new();
-    drive(ev, &plan.ops, &mut tables, 0, env, context, &mut out)?;
+    drive(ev, &plan.ops, &mut slots, env, context, &mut out)?;
     Ok(out)
 }
 
+/// Sends the tuple `env` through `ops`, whose states are `slots`.
 fn drive(
     ev: &Evaluator<'_>,
     ops: &[Op<'_>],
-    tables: &mut [Option<JoinTable>],
-    i: usize,
+    slots: &mut [Slot],
     env: &Env,
     context: Option<&Item>,
     out: &mut Vec<Env>,
 ) -> Result<(), XqError> {
-    let Some(op) = ops.get(i) else {
+    let (Some((op, ops)), Some((slot, slots))) = (ops.split_first(), slots.split_first_mut())
+    else {
         out.push(env.clone());
         return ev.check_rows(out.len());
     };
@@ -725,7 +828,7 @@ fn drive(
             for item in seq.into_items() {
                 ev.charge(1)?;
                 let next = env.bind(*var, Sequence::singleton(item));
-                drive(ev, ops, tables, i + 1, &next, context, out)?;
+                drive(ev, ops, slots, &next, context, out)?;
             }
         }
         Op::Let { var, value, view } => {
@@ -736,11 +839,11 @@ fn drive(
                 None => ev.eval(value, env, context)?,
             };
             let next = env.bind(*var, value);
-            drive(ev, ops, tables, i + 1, &next, context, out)?;
+            drive(ev, ops, slots, &next, context, out)?;
         }
         Op::Filter(predicate) => {
             if ev.eval(predicate, env, context)?.effective_boolean() {
-                drive(ev, ops, tables, i + 1, env, context, out)?;
+                drive(ev, ops, slots, env, context, out)?;
             }
         }
         Op::HashJoin {
@@ -748,25 +851,21 @@ fn drive(
             source,
             probe_key,
             build_key,
+            index,
         } => {
             // Built on first arrival: the source and build key are
             // stream-invariant, so this tuple's environment values them
             // identically to every other tuple's.
-            let table = built(&mut tables[i], || {
-                let items = ev.eval(source, env, context)?;
-                build_table(ev, items, |item| {
-                    let bound = env.bind(*var, Sequence::singleton(item.clone()));
-                    ev.eval(build_key, &bound, context)
-                })
+            let rows = || ev.eval(source, env, context);
+            slot.build(ev, index.as_ref(), rows, |item| {
+                let bound = env.bind(*var, Sequence::singleton(item.clone()));
+                ev.eval(build_key, &bound, context)
             })?;
-            let matched: Vec<Item> = probe(table, &data(&ev.eval(probe_key, env, context)?))
-                .into_iter()
-                .map(|idx| table.entries[idx].0.clone())
-                .collect();
-            for item in matched {
+            let (table, matched) = slot.probe(&data(&ev.eval(probe_key, env, context)?));
+            for &idx in matched {
                 ev.charge(1)?;
-                let next = env.bind(*var, Sequence::singleton(item));
-                drive(ev, ops, tables, i + 1, &next, context, out)?;
+                let next = env.bind(*var, Sequence::singleton(table.entries[idx].0.clone()));
+                drive(ev, ops, slots, &next, context, out)?;
             }
         }
         Op::ProbeLet {
@@ -775,15 +874,17 @@ fn drive(
             probe_key,
             build_key,
             rest,
+            index,
         } => {
             // The build key reads each item as its context, the way the
             // predicate it came from did.
-            let table = built(&mut tables[i], || {
-                let items = ev.eval(source, env, context)?;
-                build_table(ev, items, |item| ev.eval(build_key, env, Some(item)))
+            let rows = || ev.eval(source, env, context);
+            slot.build(ev, index.as_ref(), rows, |item| {
+                ev.eval(build_key, env, Some(item))
             })?;
+            let (table, candidates) = slot.probe(&data(&ev.eval(probe_key, env, context)?));
             let mut matched = Sequence::empty();
-            'candidates: for idx in probe(table, &data(&ev.eval(probe_key, env, context)?)) {
+            'candidates: for &idx in candidates {
                 let item = &table.entries[idx].0;
                 // The predicate's other conjuncts, left to right and
                 // short-circuiting like the `and` they were cut from.
@@ -796,31 +897,94 @@ fn drive(
                 matched.push(item.clone());
             }
             let next = env.bind(*var, matched);
-            drive(ev, ops, tables, i + 1, &next, context, out)?;
+            drive(ev, ops, slots, &next, context, out)?;
         }
         Op::SemiJoin { probe_key, source } => {
             // Every atom of the view is a build row and its own key.
-            let table = built(&mut tables[i], || {
-                let atoms = data(&ev.eval(source, env, context)?);
-                build_table(ev, atoms, |atom| Ok(Sequence::singleton(atom.clone())))
+            let atoms = || Ok(data(&ev.eval(source, env, context)?));
+            slot.build(ev, None, atoms, |atom| {
+                Ok(Sequence::singleton(atom.clone()))
             })?;
-            if !probe(table, &data(&ev.eval(probe_key, env, context)?)).is_empty() {
-                drive(ev, ops, tables, i + 1, env, context, out)?;
+            let (_, matched) = slot.probe(&data(&ev.eval(probe_key, env, context)?));
+            if !matched.is_empty() {
+                drive(ev, ops, slots, env, context, out)?;
             }
         }
     }
     Ok(())
 }
 
-/// The table in `slot`, built on first use: a dead stream never builds.
-fn built(
-    slot: &mut Option<JoinTable>,
-    build: impl FnOnce() -> Result<JoinTable, XqError>,
-) -> Result<&JoinTable, XqError> {
-    if slot.is_none() {
-        *slot = Some(build()?);
+impl Slot {
+    /// Obtains the table over `rows` keyed by `key` on first use: a dead
+    /// stream evaluates neither. An indexable build side goes through the
+    /// function source, which may answer with the table an earlier
+    /// statement built over the same rows; any other is this run's own.
+    fn build(
+        &mut self,
+        ev: &Evaluator<'_>,
+        index: Option<&Indexed<'_>>,
+        rows: impl FnOnce() -> Result<Sequence, XqError>,
+        key: impl Fn(&Item) -> Result<Sequence, XqError>,
+    ) -> Result<(), XqError> {
+        if self.table.is_some() {
+            return Ok(());
+        }
+        let rows = rows()?;
+        self.table = Some(match index {
+            Some(index) => {
+                let build = || build_table(ev, rows.clone(), &key);
+                let (table, found) = ev.join_index(index, &rows, &build)?;
+                if found {
+                    // A statement is charged for its logical work, whoever
+                    // ran before it: row for row what `build_table` would
+                    // have, so the same budget fails at the same row.
+                    for row in 1..=table.entries.len() {
+                        ev.charge(index.row_fuel)?;
+                        ev.check_rows(row)?;
+                    }
+                }
+                table
+            }
+            None => Arc::new(build_table(ev, rows, key)?),
+        });
+        Ok(())
     }
-    Ok(slot.as_ref().expect("built above"))
+
+    /// The table, and the build rows some atom of `probe` equals as indices
+    /// in source order: candidates come from the projection buckets, and
+    /// every one is verified with [`Atomic::compare`]. An empty key gathers
+    /// nothing. The buffers are kept across the operator's probes.
+    fn probe(&mut self, probe: &Sequence) -> (&JoinTable, &[usize]) {
+        let Slot {
+            table,
+            candidates,
+            projections,
+        } = self;
+        let table: &JoinTable = table.as_ref().expect("built before it is probed");
+        candidates.clear();
+        for item in probe.iter() {
+            let Item::Atomic(a) = item else { continue };
+            projections.clear();
+            AtomKey::join_projections(a, projections);
+            for key in projections.iter() {
+                if let Some(bucket) = table.buckets.get(key) {
+                    candidates.extend(bucket);
+                }
+            }
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+        candidates.retain(|&idx| {
+            let (_, build_atoms) = &table.entries[idx];
+            probe.iter().any(|p| {
+                let Item::Atomic(p) = p else { return false };
+                build_atoms
+                    .iter()
+                    .any(|b| p.compare(b) == Some(Ordering::Equal))
+            })
+        });
+        (table, candidates)
+    }
 }
 
 /// Materializes a build side from `items`, keying each by `key`. One fuel
@@ -857,36 +1021,6 @@ fn build_table(
         ev.check_rows(table.entries.len())?;
     }
     Ok(table)
-}
-
-/// The build rows some atom of `probe` equals, as indices in source
-/// order: candidates come from the projection buckets, and every one is
-/// verified with [`Atomic::compare`]. An empty key gathers nothing.
-fn probe(table: &JoinTable, probe: &Sequence) -> Vec<usize> {
-    let mut candidates: Vec<usize> = Vec::new();
-    let mut projections = Vec::new();
-    for item in probe.iter() {
-        let Item::Atomic(a) = item else { continue };
-        projections.clear();
-        AtomKey::join_projections(a, &mut projections);
-        for key in &projections {
-            if let Some(bucket) = table.buckets.get(key) {
-                candidates.extend(bucket);
-            }
-        }
-    }
-    candidates.sort_unstable();
-    candidates.dedup();
-    candidates.retain(|&idx| {
-        let (_, build_atoms) = &table.entries[idx];
-        probe.iter().any(|p| {
-            let Item::Atomic(p) = p else { return false };
-            build_atoms
-                .iter()
-                .any(|b| p.compare(b) == Some(Ordering::Equal))
-        })
-    });
-    candidates
 }
 
 // ---------------------------------------------------------------------
@@ -1755,19 +1889,24 @@ fn call_of<'p>(expr: &'p Expr, name: &str) -> Option<&'p Expr> {
     }
 }
 
-/// `$var/NAME` — one step, no predicate — as `(var, NAME)`.
-fn var_child(expr: &Expr) -> Option<(&str, &str)> {
+/// `START/NAME` — one name step, no predicate — as `(START, NAME)`.
+fn one_step(expr: &Expr) -> Option<(&PathStart, &str)> {
     let Expr::Path { start, steps } = expr else {
         return None;
     };
-    match (&**start, steps.as_slice()) {
-        (
-            PathStart::Var(var),
-            [Step {
-                test: NodeTest::Name(name),
-                predicates,
-            }],
-        ) if predicates.is_empty() => Some((var, name)),
+    match steps.as_slice() {
+        [Step {
+            test: NodeTest::Name(name),
+            predicates,
+        }] if predicates.is_empty() => Some((start, name)),
+        _ => None,
+    }
+}
+
+/// `$var/NAME` — one step, no predicate — as `(var, NAME)`.
+fn var_child(expr: &Expr) -> Option<(&str, &str)> {
+    match one_step(expr)? {
+        (PathStart::Var(var), name) => Some((var, name)),
         _ => None,
     }
 }
@@ -2086,11 +2225,13 @@ mod tests {
             probe_key,
             build_key,
             rest,
+            index,
         } = &plan.ops[1]
         else {
             unreachable!()
         };
         assert_eq!(*var, "m");
+        assert!(index.is_some(), "a bare function keyed by one child");
         assert!(matches!(&**source, Expr::FunctionCall { name, .. } if name == "ns1:PAYMENTS"));
         assert_eq!(**probe_key, Expr::var_path("c", &["CUSTOMERID"]));
         assert!(uses_context(build_key));
@@ -2146,6 +2287,141 @@ mod tests {
         let plan = super::plan(&both).unwrap();
         assert_eq!(kinds(&plan), ["let", "for", "join", "semi-join"]);
         assert_eq!(plan.joins, 2);
+    }
+
+    /// Per hash operator of `query`'s plan, its index request as
+    /// `(function, child)`; `None` for one that keeps its table to
+    /// itself.
+    fn requests(query: &str) -> Vec<Option<(String, String)>> {
+        let flwor = flwor_of(query);
+        let plan = plan(&flwor).expect("should lower");
+        let asked = plan.ops.iter().filter_map(|op| match op {
+            Op::HashJoin { index, .. } | Op::ProbeLet { index, .. } => Some(
+                index
+                    .as_ref()
+                    .map(|i| (i.function.to_string(), i.child.to_string())),
+            ),
+            Op::SemiJoin { .. } => Some(None),
+            _ => None,
+        });
+        asked.collect()
+    }
+
+    fn request(function: &str, child: &str) -> Option<(String, String)> {
+        Some((function.to_string(), child.to_string()))
+    }
+
+    #[test]
+    fn marks_a_bare_function_keyed_by_one_child_indexable() {
+        // The optimizer's hoisted shape: through a `let` of the prefix.
+        assert_eq!(
+            requests(
+                "let $var0HX1 := ns1:ORDERS() for $a in ns0:CUSTOMERS() for $b in $var0HX1 \
+                 where $a/CUSTOMERID = $b/CUSTID return $a"
+            ),
+            [request("ORDERS", "CUSTID")]
+        );
+        // Stage 3's own: the call written where it is scanned, the key on
+        // either side of the `=`, atomized or not.
+        assert_eq!(
+            requests(
+                "for $a in ns0:CUSTOMERS() for $b in ns1:ORDERS() \
+                 where fn:data($b/CUSTID) = $a/CUSTOMERID return $a"
+            ),
+            [request("ORDERS", "CUSTID")]
+        );
+        // A three-way join's two builds.
+        assert_eq!(
+            requests(
+                "let $o := ns1:ORDERS() let $p := ns2:PAYMENTS() \
+                 for $a in ns0:CUSTOMERS() for $b in $o for $c in $p \
+                 where ($a/CUSTOMERID = $b/CUSTID) and ($a/CUSTOMERID = $c/CUSTID) return $a"
+            ),
+            [request("ORDERS", "CUSTID"), request("PAYMENTS", "CUSTID")]
+        );
+        // The probe-let's cut-out base keys the context item's child — the
+        // same rows by the same atoms, so the same index.
+        assert_eq!(requests(OUTER_ARM), [request("PAYMENTS", "CUSTID")]);
+        assert_eq!(
+            requests(
+                "let $p := ns1:PAYMENTS() for $c in ns0:CUSTOMERS() \
+                 let $m := $p[(fn:data(CUSTID)=$c/CUSTOMERID)] return $m"
+            ),
+            [request("PAYMENTS", "CUSTID")]
+        );
+        // What building charges per row: the entry and the key's one node.
+        let flwor = flwor_of(OUTER_ARM);
+        let plan = plan(&flwor).unwrap();
+        let Op::ProbeLet {
+            index: Some(index), ..
+        } = &plan.ops[1]
+        else {
+            unreachable!()
+        };
+        assert_eq!(index.row_fuel, 2);
+    }
+
+    #[test]
+    fn keeps_every_other_build_side_to_the_statement() {
+        let join = |source: &str, key: &str| {
+            format!(
+                "for $a in ns0:CUSTOMERS() for $b in {source} where $a/CUSTOMERID = {key} return $a"
+            )
+        };
+        for (source, key) in [
+            // A function with arguments, a builtin, a filtered or stepped
+            // source: not every row of a function.
+            ("ns1:ORDERS_BY_STATUS($sqlParam1)", "$b/CUSTID"),
+            ("fn:reverse(ns1:ORDERS())", "$b/CUSTID"),
+            ("ns1:ORDERS()[AMOUNT > 5]", "$b/CUSTID"),
+            ("<V>{ns1:ORDERS()}</V>/ORDERS", "$b/CUSTID"),
+            // Not one predicate-less name step off the row.
+            ("ns1:ORDERS()", "$b/A/B"),
+            ("ns1:ORDERS()", "$b/*"),
+            ("ns1:ORDERS()", "$b/CUSTID[1]"),
+            ("ns1:ORDERS()", "xs:integer($b/CUSTID)"),
+            ("ns1:ORDERS()", "fn:data($b)"),
+        ] {
+            assert_eq!(requests(&join(source, key)), [None], "{source} by {key}");
+        }
+        // A key that names another variable as well as the row.
+        assert_eq!(
+            requests(
+                "let $k := 1 for $a in ns0:CUSTOMERS() for $b in ns1:ORDERS() \
+                 where $a/CUSTOMERID = ($b/CUSTID, $k) return $a"
+            ),
+            [None]
+        );
+        // A `let` whose value is more than the call, and a variable no
+        // `let` of this prefix binds (an enclosing FLWOR's).
+        assert_eq!(
+            requests(
+                "let $o := ns1:ORDERS()[AMOUNT > 5] for $a in ns0:CUSTOMERS() for $b in $o \
+                 where $a/CUSTOMERID = $b/CUSTID return $a"
+            ),
+            [None]
+        );
+        assert_eq!(
+            requests(
+                "for $a in ns0:CUSTOMERS() for $b in $outer where $a/CUSTOMERID = $b/CUSTID return $a"
+            ),
+            [None]
+        );
+        // A probe-let over a view's rows, and a semi-join.
+        assert_eq!(
+            requests(
+                "let $v := <RECORDSET>{for $x in ns1:PAYMENTS() return $x}</RECORDSET> \
+                 for $c in ns0:CUSTOMERS() let $m := $v/RECORD[(CUSTID=$c/CUSTOMERID)] return $m"
+            ),
+            [None]
+        );
+        assert_eq!(
+            requests(
+                "let $v := <V>{ns1:ORDERS()}</V> for $a in ns0:CUSTOMERS() \
+                 where $a/CUSTOMERID = $v/ORDERS/CUSTID return $a"
+            ),
+            [None]
+        );
     }
 
     /// Shaped, so a fallback is counted, but not lowered.

@@ -41,6 +41,6 @@ pub use eval::{
     evaluate_program, evaluate_program_exec, evaluate_program_to_payload, EmptyFunctionSource, Env,
     Evaluator, FunctionSource, XqError, XqErrorKind,
 };
-pub use exec::AtomKey;
+pub use exec::{AtomKey, JoinTable};
 pub use parser::{parse_program, XqParseError, XqParseErrorKind, MAX_PARSE_DEPTH};
 pub use unparse::{unparse_expr, unparse_program};

@@ -73,9 +73,11 @@ fn assert_production_ran(
         assert!(lane.rewritten > 0, "{label}: no plan was rewritten");
         assert!(lane.hash_operators > 0, "{label}: no hash operator ran");
         assert_eq!(
-            lane.join_fallbacks, 0,
+            (lane.join_fallbacks, lane.join_abandons),
+            (0, 0),
             "{label}: a hashable FLWOR fell back"
         );
+        assert!(lane.index_hits > 0, "{label}: no join index was reused");
         assert!(
             lane.views > 0 && lane.cells_pruned > 0,
             "{label}: {} views pruned {} cells",
@@ -85,6 +87,18 @@ fn assert_production_ran(
         assert_eq!(lane.view_fallbacks, 0, "{label}: a view fell back");
         let cache = lane.cache.expect("the production lane has a plan cache");
         assert!(cache.exact_hits > 0, "{label}: warm executions never hit");
+    }
+    // A fault-free matrix never writes: one epoch, so at most one build per
+    // function and key column, whichever lane asked first — and the
+    // interpreter's lanes ask for nothing.
+    assert!(
+        report.indexes_built() <= universe.index_bound(),
+        "{} join indexes built over one epoch",
+        report.indexes_built()
+    );
+    for plain in ["text", "xml"] {
+        let lane = report.lane(plain);
+        assert_eq!((lane.indexes_built, lane.index_hits), (0, 0), "{plain}");
     }
 }
 
@@ -315,11 +329,21 @@ fn lane_counters_prove_each_lane_ran_its_own_configuration() {
                 (0, 0, 0),
                 "{transport}{interpreted}"
             );
+            assert_eq!(
+                (lane.indexes_built, lane.index_hits),
+                (0, 0),
+                "{transport}{interpreted}"
+            );
         }
         for hashed in ["+hash", "+production"] {
             let lane = lane(hashed);
             assert!(lane.hash_operators > 0, "{transport}{hashed}");
             assert_eq!(lane.join_fallbacks, 0, "{transport}{hashed}");
+            assert_eq!(lane.join_abandons, 0, "{transport}{hashed}");
+            // Ten lanes share one server and nothing writes to it: every
+            // build side that is a bare function keyed by one column was
+            // keyed once, by whichever lane came first.
+            assert!(lane.index_hits > 0, "{transport}{hashed}");
             // The views of the pipeline strategy are tail plans, less the
             // cells their consumers never name; none is handed back.
             assert!(
@@ -380,4 +404,9 @@ fn lane_counters_prove_each_lane_ran_its_own_configuration() {
         assert!(fuel("+opt") < fuel(""), "{transport}+opt saved no fuel");
         assert!(fuel("+hash") < fuel(""), "{transport}+hash saved no fuel");
     }
+    assert!(
+        report.indexes_built() <= universe.index_bound(),
+        "{} join indexes built over one epoch",
+        report.indexes_built()
+    );
 }

@@ -18,11 +18,15 @@ use aldsp::catalog::{ApplicationBuilder, SqlColumnType};
 use aldsp::core::{ExecStrategy, OptimizeLevel, TranslationOptions, Transport};
 use aldsp::driver::{Connection, DriverError, DspServer, QueryService};
 use aldsp::governor::QueryBudget;
-use aldsp::relational::{Database, SqlValue, Table};
+use aldsp::relational::{execute_query, Database, SqlValue, Table};
+use aldsp::sql::parse_select;
 use aldsp::workload::{
-    build_application, fuzzed_corpus, golden_corpus, paper_corpus, paper_queries,
+    build_application, compare_results, fuzzed_corpus, golden_corpus, paper_corpus, paper_queries,
     populate_database, run_matrix, Lane, MatrixReport, Scale, Universe,
 };
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 fn server(seed: u64) -> Arc<DspServer> {
@@ -80,8 +84,23 @@ fn strategies_agree(
         assert_eq!(lane.view_fallbacks, 0, "{label}: a view fell back");
         if !label.ends_with("+hash") {
             assert_eq!(lane.views, 0, "{label}: the interpreter planned a view");
+            assert_eq!(
+                (lane.indexes_built, lane.index_hits),
+                (0, 0),
+                "{label}: the interpreter asked for a join index"
+            );
         }
     }
+    // No pipeline ran and raised, and over the one epoch of a run that
+    // never writes no build side was keyed twice.
+    for lane in &report.lanes {
+        assert_eq!(lane.join_abandons, 0, "{}: a pipeline raised", lane.label);
+    }
+    assert!(
+        report.indexes_built() <= universe.index_bound(),
+        "{} join indexes built over one epoch",
+        report.indexes_built()
+    );
     report
 }
 
@@ -116,6 +135,7 @@ fn exec_differential_is_clean_and_covers_the_fast_path() {
             lane.hash_operators,
             lane.join_fallbacks
         );
+        assert!(lane.index_hits > 0, "{label}: no join index was reused");
     }
 }
 
@@ -438,6 +458,151 @@ fn budgets_bind_on_probe_let_and_semi_join_tables() {
             fuel(&hash) < fuel(&naive),
             "`{sql}` should cost less fuel hashed"
         );
+    }
+}
+
+/// A join index is where a build table lives, never what a statement is
+/// limited by: R's 12 rows trip a row cap of 9 on the execution that builds
+/// the index over `R.K` and on one that finds it, a build that fails leaves
+/// nothing behind, and both the inner join's scan and the outer join's
+/// probe-let ask for the one index.
+#[test]
+fn a_row_cap_binds_on_a_join_index_built_or_found() {
+    let server = keyed_universe().server;
+    let hash = service(&server, Transport::DelimitedText, ExecStrategy::HashJoin);
+    let inner = "SELECT L.V, R.W FROM L INNER JOIN R ON L.K = R.K";
+    let outer = "SELECT L.V, R.W FROM L LEFT OUTER JOIN R ON L.K = R.K";
+    let capped = |sql: &str| {
+        let budget = QueryBudget::unlimited().with_row_cap(9);
+        match hash.execute_with_budget(sql, &[], Some(&budget)) {
+            Err(DriverError::BudgetExceeded(m)) if m.contains("row cap exceeded") => {}
+            other => panic!("`{sql}`: the cap must trip on R's table, got {other:?}"),
+        }
+        budget.index_counts()
+    };
+    let unlimited = |sql: &str| {
+        let budget = QueryBudget::unlimited();
+        hash.execute_with_budget(sql, &[], Some(&budget)).unwrap();
+        budget.index_counts()
+    };
+    // Building: the cap trips inside the build, which keeps nothing ...
+    assert_eq!(capped(inner), (0, 0));
+    // ... so the next statement builds, and this time the server keeps it.
+    assert_eq!(unlimited(outer), (1, 0));
+    assert_eq!(unlimited(inner), (0, 1));
+    // Reusing: the table is found, and is as much over the cap as it was.
+    assert_eq!(capped(inner), (0, 1));
+    assert_eq!(capped(outer), (0, 1));
+}
+
+/// Text and integer keys that equal, or only look like, one another.
+const NASTY_TEXT: [Option<&str>; 12] = [
+    None,
+    Some(""),
+    Some("5"),
+    Some(" 5"),
+    Some("5 "),
+    Some("5.0"),
+    Some("05"),
+    Some("true"),
+    Some("1"),
+    Some("0"),
+    Some("a"),
+    Some("A"),
+];
+const NASTY_INT: [Option<i64>; 6] = [None, Some(0), Some(1), Some(5), Some(-5), Some(50)];
+
+/// Two tables `L` and `R` of `(ID, K integer, T varchar)`, keys drawn from
+/// the nasty pools — duplicates and NULLs on both sides.
+fn nasty_universe(rng: &mut StdRng) -> Universe {
+    let columns = |t: aldsp::catalog::builder::TableSchemaBuilder| {
+        t.column("ID", SqlColumnType::Integer, false)
+            .column("K", SqlColumnType::Integer, true)
+            .column("T", SqlColumnType::Varchar, true)
+    };
+    let app = ApplicationBuilder::new("NASTY")
+        .project("P")
+        .data_service("L")
+        .physical_table("L", columns)
+        .finish_service()
+        .data_service("R")
+        .physical_table("R", columns)
+        .finish_service()
+        .finish_project()
+        .build();
+    let mut db = Database::new();
+    for (name, rows) in [("L", rng.gen_range(0..9)), ("R", rng.gen_range(0..14))] {
+        let (_, _, function) = app.functions().find(|(_, _, f)| f.name == name).unwrap();
+        let mut table = Table::new(function.schema.clone());
+        for id in 0..rows {
+            let k = NASTY_INT[rng.gen_range(0..NASTY_INT.len())];
+            let t = NASTY_TEXT[rng.gen_range(0..NASTY_TEXT.len())];
+            table.insert(vec![
+                SqlValue::Int(id),
+                k.map_or(SqlValue::Null, SqlValue::Int),
+                t.map_or(SqlValue::Null, |t| SqlValue::Str(t.into())),
+            ]);
+        }
+        db.add_table(table);
+    }
+    Universe::new(app, db)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The rows of a join do not depend on where its build table came
+    /// from: built by this statement, found on the server, built on a
+    /// fresh server, or never built at all (the interpreter) — four equal
+    /// row lists in equal order, and (where it answers) the oracle's rows.
+    #[test]
+    fn a_found_join_index_answers_like_a_built_one(seed in 0u64..100_000) {
+        let universe = nasty_universe(&mut StdRng::seed_from_u64(seed));
+        let fresh = Universe::new(
+            universe.server.application().clone(),
+            universe.oracle.clone(),
+        );
+        let transport = Transport::DelimitedText;
+        let hash = service(&universe.server, transport, ExecStrategy::HashJoin);
+        let naive = service(&universe.server, transport, ExecStrategy::NestedLoop);
+        let elsewhere = service(&fresh.server, transport, ExecStrategy::HashJoin);
+        for (join, left, right) in [
+            ("INNER", "K", "K"),
+            ("INNER", "T", "T"),
+            ("INNER", "K", "T"),
+            ("LEFT OUTER", "K", "K"),
+            ("LEFT OUTER", "T", "T"),
+            ("LEFT OUTER", "T", "K"),
+            ("RIGHT OUTER", "T", "T"),
+        ] {
+            let sql = format!("SELECT L.ID, R.ID FROM L {join} JOIN R ON L.{left} = R.{right}");
+            let metered = |service: &QueryService| {
+                let meter = QueryBudget::unlimited();
+                let rs = service
+                    .execute_with_budget(&sql, &[], Some(&meter))
+                    .unwrap_or_else(|e| panic!("seed {seed}: `{sql}`: {e}"));
+                (rs.rows().to_vec(), meter.index_counts(), meter.fuel_consumed())
+            };
+            let (built, first, fuel) = metered(&hash);
+            let (found, second, fuel_found) = metered(&hash);
+            // An empty probe side asks for nothing; otherwise one request,
+            // built the first time its column is joined on and found since.
+            prop_assert_eq!(second, (0, first.0 + first.1), "seed {}: `{}`", seed, sql);
+            prop_assert_eq!(fuel, fuel_found, "seed {}: `{}`", seed, sql);
+            prop_assert_eq!(&built, &found, "seed {}: `{}`", seed, sql);
+            prop_assert_eq!(&built, &metered(&elsewhere).0, "seed {}: `{}`", seed, sql);
+            prop_assert_eq!(&built, &rows(&naive, &sql), "seed {}: `{}`", seed, sql);
+            // The oracle does not compare an integer with text; the engine
+            // does (untyped `"05"` equals `5`), the same four times over.
+            if left == right {
+                let oracle = execute_query(&universe.oracle, &parse_select(&sql).unwrap(), &[]);
+                prop_assert_eq!(
+                    compare_results(&built, &oracle.unwrap(), false),
+                    Ok(()),
+                    "seed {}: `{}`", seed, sql
+                );
+            }
+        }
     }
 }
 

@@ -260,3 +260,132 @@ fn overload_mix_holds_under_the_production_lane() {
         assert!(report.cache.hits() > 0, "the plan cache never hit");
     }
 }
+
+/// The five `join_report` statements with an indexable build side, and how
+/// many they ask for.
+const INDEXED_SHAPES: [(&str, u64, &str); 5] = [
+    (
+        "inner_join",
+        1,
+        "SELECT CUSTOMERS.CUSTOMERNAME, ORDERS.AMOUNT FROM CUSTOMERS \
+         INNER JOIN ORDERS ON CUSTOMERS.CUSTOMERID = ORDERS.CUSTID",
+    ),
+    (
+        "join_residual",
+        1,
+        "SELECT CUSTOMERS.CUSTOMERNAME, ORDERS.AMOUNT FROM CUSTOMERS \
+         INNER JOIN ORDERS ON CUSTOMERS.CUSTOMERID = ORDERS.CUSTID \
+         WHERE ORDERS.AMOUNT > 100",
+    ),
+    (
+        "three_way_join",
+        2,
+        "SELECT CUSTOMERS.CUSTOMERID, ORDERS.ORDERID, PAYMENTS.PAYMENT \
+         FROM CUSTOMERS INNER JOIN ORDERS ON CUSTOMERS.CUSTOMERID = ORDERS.CUSTID \
+         INNER JOIN PAYMENTS ON CUSTOMERS.CUSTOMERID = PAYMENTS.CUSTID \
+         WHERE ORDERS.ORDERID < 100",
+    ),
+    (
+        "grouped_join",
+        1,
+        "SELECT CUSTOMERS.CUSTOMERID, COUNT(ORDERS.ORDERID), SUM(ORDERS.AMOUNT) \
+         FROM CUSTOMERS INNER JOIN ORDERS ON CUSTOMERS.CUSTOMERID = ORDERS.CUSTID \
+         GROUP BY CUSTOMERS.CUSTOMERID ORDER BY CUSTOMERS.CUSTOMERID",
+    ),
+    (
+        "outer_join",
+        1,
+        "SELECT CUSTOMERS.CUSTOMERID, PAYMENTS.PAYMENT FROM CUSTOMERS \
+         LEFT OUTER JOIN PAYMENTS ON CUSTOMERS.CUSTOMERID = PAYMENTS.CUSTID",
+    ),
+];
+
+/// A budget bounds a statement's logical work, so it cannot depend on who
+/// ran before it: on the production lane, the execution that builds a join
+/// index and the one that finds it spend the same fuel to the unit, a limit
+/// one unit below that fails both, and so does a server's very first
+/// execution on another server.
+#[test]
+fn a_statement_is_charged_for_its_join_index_whoever_built_it() {
+    let scale = Scale::small();
+    let lane = Lane::production(Transport::DelimitedText, common::engine(scale));
+    for (class, asks, sql) in INDEXED_SHAPES {
+        let service = lane.service(server(scale, 5));
+        let run = |service: &QueryService, budget: QueryBudget| {
+            let outcome = service.execute_with_budget(sql, &[], Some(&budget));
+            (outcome.map(|rs| rs.rows().to_vec()), budget)
+        };
+        let (built_rows, building) = run(&service, QueryBudget::unlimited());
+        let (found_rows, reusing) = run(&service, QueryBudget::unlimited());
+        assert_eq!(building.index_counts(), (asks, 0), "{class}");
+        assert_eq!(reusing.index_counts(), (0, asks), "{class}");
+        assert_eq!(built_rows.unwrap(), found_rows.unwrap(), "{class}");
+        let fuel = building.fuel_consumed();
+        assert_eq!(
+            reusing.fuel_consumed(),
+            fuel,
+            "{class}: a found index is free"
+        );
+
+        let starved = || QueryBudget::unlimited().with_fuel(fuel - 1);
+        let elsewhere = lane.service(server(scale, 5));
+        for (service, what) in [(&service, "reusing"), (&elsewhere, "building")] {
+            match run(service, starved()).0 {
+                Err(DriverError::BudgetExceeded(m)) if m.contains("fuel exhausted") => {}
+                other => panic!("{class}, {what}: one unit short must fail, got {other:?}"),
+            }
+        }
+        let (_, exact) = run(&elsewhere, QueryBudget::unlimited().with_fuel(fuel));
+        assert_eq!(
+            exact.fuel_consumed(),
+            fuel,
+            "{class}: the exact limit passes"
+        );
+    }
+}
+
+/// The statements of the end-to-end benchmark's `warm_point`,
+/// `reload_churn` and `bulk_export` workloads — point lookups by key and
+/// full scans — have no hash operator: the production lane asks for no
+/// join index on any of them, so the index cannot move those workloads.
+#[test]
+fn point_lookups_and_exports_ask_for_no_join_index() {
+    let scale = Scale::small();
+    let lane = Lane::production(Transport::DelimitedText, common::engine(scale));
+    let service = lane.service(server(scale, 5));
+    let by_key = [SqlValue::Int(3)];
+    for (sql, params) in [
+        (
+            "SELECT CUSTOMERID, CUSTOMERNAME, REGION FROM CUSTOMERS WHERE CUSTOMERID = ?",
+            &by_key[..],
+        ),
+        (
+            "SELECT ORDERID, AMOUNT, STATUS FROM ORDERS WHERE CUSTID = ?",
+            &by_key[..],
+        ),
+        (
+            "SELECT PAYMENTID, PAYMENT, METHOD FROM PAYMENTS WHERE CUSTID = ?",
+            &by_key[..],
+        ),
+        (
+            "SELECT CUSTOMERID, CUSTOMERNAME, CREDIT FROM CUSTOMERS WHERE CUSTOMERID = 3",
+            &[][..],
+        ),
+        (
+            "SELECT CUSTOMERID, CUSTOMERNAME, REGION, CREDIT, SIGNUP FROM CUSTOMERS",
+            &[][..],
+        ),
+        (
+            "SELECT ORDERID, CUSTID, AMOUNT, STATUS FROM ORDERS",
+            &[][..],
+        ),
+    ] {
+        for _ in 0..2 {
+            let meter = QueryBudget::unlimited();
+            service
+                .execute_with_budget(sql, params, Some(&meter))
+                .unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+            assert_eq!(meter.index_counts(), (0, 0), "`{sql}`");
+        }
+    }
+}
