@@ -1327,11 +1327,13 @@ fn e12_optimizer(smoke: bool) {
 ///   lane must match the relational oracle and the hash lanes the
 ///   interpreter's rows exactly (ordered). The per-lane meter reports what
 ///   fraction of hashable FLWORs (two `for`s, a filtered `let`, a
-///   comparison against a view) actually took the hash path.
+///   comparison against a view) actually took the hash path, and that
+///   every grouped FLWOR ran as the aggregate (none declined or abandoned).
 /// * **Performance** — the join-heavy slice at scale >= 200 customers
-///   (200 x 500 orders: 100k-pair naive cross products), p50 wall clock
-///   per strategy; the slice's median speedup must reach 5x, and so
-///   must the outer-join and IN-subquery rows on their own. The
+///   (200 x 500 orders: 100k-pair naive cross products) and the grouped
+///   `group_having`, p50 wall clock per strategy; the slice's median
+///   speedup must reach 5x, and so must the outer-join and IN-subquery
+///   rows on their own; the two grouped rows must have run the aggregate. The
 ///   three-way join stays in the correctness half only — its naive
 ///   cross product at this scale (200 x 500 x 300 = 30M tuples) is
 ///   exactly the blow-up the streaming engine exists to avoid timing.
@@ -1382,6 +1384,28 @@ fn e13_exec_engine(smoke: bool) {
                     lane.index_hits > 0,
                     "acceptance: lane {label} must find join indexes the server kept"
                 );
+                assert!(
+                    lane.aggregates_lowered > 0
+                        && (lane.aggregates_declined, lane.aggregates_abandoned) == (0, 0),
+                    "acceptance: lane {label} must run every grouped FLWOR as the aggregate: \
+                     {} ran, {} declined, {} abandoned",
+                    lane.aggregates_lowered,
+                    lane.aggregates_declined,
+                    lane.aggregates_abandoned
+                );
+            }
+            for label in ["text", "xml"] {
+                let lane = report.lane(label);
+                let aggregates = (
+                    lane.aggregates_lowered,
+                    lane.aggregates_declined,
+                    lane.aggregates_abandoned,
+                );
+                assert_eq!(
+                    aggregates,
+                    (0, 0, 0),
+                    "acceptance: the interpreter lane {label} ran an aggregate"
+                );
             }
             // No pipeline may run and raise, and the six lanes share one
             // server that nothing writes to: each (function, key column) is
@@ -1422,6 +1446,9 @@ fn e13_exec_engine(smoke: bool) {
     let join_abandons: u64 = all_lanes().map(|l| l.join_abandons).sum();
     let indexes_built: u64 = all_lanes().map(|l| l.indexes_built).sum();
     let index_hits: u64 = all_lanes().map(|l| l.index_hits).sum();
+    let aggregates_lowered: u64 = hash_lanes().map(|l| l.aggregates_lowered).sum();
+    let aggregates_declined: u64 = all_lanes().map(|l| l.aggregates_declined).sum();
+    let aggregates_abandoned: u64 = all_lanes().map(|l| l.aggregates_abandoned).sum();
     println!(
         "{passed}/{total} queries agree (hash vs naive vs production vs oracle, both transports; \
          {} seed(s) x ({golden_total} golden / {} + {fuzzed_per_seed} fuzzed)): \
@@ -1433,7 +1460,8 @@ fn e13_exec_engine(smoke: bool) {
         "hashable FLWOR executions: {hash_joins} hash operators ran, {join_fallbacks} fell back \
          (fast-path fraction {fast_path_fraction:.3}); {views} views built by tail plans \
          less {cells_pruned} cells; {indexes_built} join indexes built, found {index_hits} times \
-         (all lanes)"
+         (all lanes); {aggregates_lowered} grouped FLWORs aggregated, {aggregates_declined} \
+         declined, {aggregates_abandoned} abandoned"
     );
     assert!(
         fuzzed_per_seed >= 1_000,
@@ -1479,6 +1507,13 @@ fn e13_exec_engine(smoke: bool) {
              GROUP BY CUSTOMERS.CUSTOMERID \
              ORDER BY CUSTOMERS.CUSTOMERID",
         ),
+        // The end-to-end benchmark's other grouped statement: no join, the
+        // aggregate alone.
+        (
+            "group_having",
+            "SELECT CUSTID, COUNT(*) AS N, SUM(PAYMENT) AS TOTAL FROM PAYMENTS \
+             GROUP BY CUSTID HAVING COUNT(*) >= 2",
+        ),
         // The end-to-end benchmark's `join_report` texts for the
         // probe-let and the semi-join; each must reach the bar alone.
         (
@@ -1505,11 +1540,13 @@ fn e13_exec_engine(smoke: bool) {
         "acceptance: the timed slice queries must return identical rows"
     );
     // The p50, and the last sample's `(views, cells pruned, view
-    // fallbacks)`. The server has run the statement before (the matrix
-    // above): every join index a sample asks for is found.
-    let time_service = |service: &QueryService, sql: &str| -> (f64, (u64, u64, u64)) {
+    // fallbacks)` and `(aggregates run, declined, abandoned)`. The server
+    // has run the statement before (the matrix above): every join index a
+    // sample asks for is found.
+    type Counts = (u64, u64, u64);
+    let time_service = |service: &QueryService, sql: &str| -> (f64, Counts, Counts) {
         let mut times = Vec::with_capacity(samples);
-        let mut views = (0, 0, 0);
+        let (mut views, mut aggregates) = ((0, 0, 0), (0, 0, 0));
         // One extra, untimed: warms the plan cache and the materialization.
         for sample in 0..=samples {
             let budget = QueryBudget::unlimited();
@@ -1523,13 +1560,14 @@ fn e13_exec_engine(smoke: bool) {
                 times.push(t.elapsed().as_secs_f64() * 1e6);
             }
             views = budget.view_counts();
+            aggregates = budget.aggregate_counts();
             assert_eq!(
                 (budget.index_counts().0, budget.join_abandons()),
                 (0, 0),
                 "acceptance: `{sql}`: a warm execution builds no index and abandons no pipeline"
             );
         }
-        (percentile(&sorted_us(times), 0.5), views)
+        (percentile(&sorted_us(times), 0.5), views, aggregates)
     };
     // The hash lane's *cold* execution: the first on a server that has
     // joined nothing yet. The plan is an exact cache hit (one cache over
@@ -1582,8 +1620,9 @@ fn e13_exec_engine(smoke: bool) {
     let mut entries = Vec::new();
     let mut speedups = Vec::new();
     for (name, sql) in slice {
-        let (naive_p50, interpreted) = time_service(&naive_service, sql);
-        let (hash_p50, (views, cells_pruned, view_fallbacks)) = time_service(&hash_service, sql);
+        let (naive_p50, interpreted, naive_aggregates) = time_service(&naive_service, sql);
+        let (hash_p50, (views, cells_pruned, view_fallbacks), (aggregates, declined, abandoned)) =
+            time_service(&hash_service, sql);
         let (hash_cold, indexes_built) = time_cold(sql);
         let speedup = naive_p50 / hash_p50.max(1e-9);
         let operator_speedup = naive_p50 / hash_cold.max(1e-9);
@@ -1595,9 +1634,11 @@ fn e13_exec_engine(smoke: bool) {
             !matches!(name, "outer_join" | "in_subquery") || speedup >= 5.0,
             "acceptance: `{name}` must be >= 5x faster hashed, got {speedup:.1}x"
         );
-        // A view that stopped pruning returns the same rows, only slower.
+        // A view that stopped pruning returns the same rows, only slower —
+        // and so does a grouped statement the aggregate stopped running.
+        let grouped = matches!(name, "grouped_join" | "group_having");
         assert!(
-            !matches!(name, "grouped_join" | "outer_join") || cells_pruned > 0,
+            !(grouped || name == "outer_join") || cells_pruned > 0,
             "acceptance: the view of `{name}` must be built without its unread cells"
         );
         assert_eq!(
@@ -1605,11 +1646,16 @@ fn e13_exec_engine(smoke: bool) {
             (0, (0, 0, 0)),
             "acceptance: `{name}`: no view is handed back, and the interpreter plans none"
         );
+        assert_eq!(
+            ((aggregates, declined, abandoned), naive_aggregates),
+            ((u64::from(grouped), 0, 0), (0, 0, 0)),
+            "acceptance: `{name}`: its groups are the aggregate's, and the interpreter's none"
+        );
         // The semi-join's build side is a view over a parameter: its table
-        // stays the statement's own. Every other row keys a bare function.
+        // stays the statement's own. Every other join keys a bare function.
         assert_eq!(
             indexes_built,
-            u64::from(name != "in_subquery"),
+            u64::from(!matches!(name, "in_subquery" | "group_having")),
             "acceptance: `{name}`: join indexes its cold execution builds"
         );
         entries.push(obj! {
@@ -1619,6 +1665,7 @@ fn e13_exec_engine(smoke: bool) {
             "operator_speedup": Json::Num(operator_speedup, 2),
             "speedup": Json::Num(speedup, 2),
             "views": views, "cells_pruned": cells_pruned, "indexes_built": indexes_built,
+            "aggregates": aggregates,
         });
         speedups.push(speedup);
     }
@@ -1649,6 +1696,8 @@ fn e13_exec_engine(smoke: bool) {
             "fast_path_fraction": Json::Num(fast_path_fraction, 4),
             "views": views, "cells_pruned": cells_pruned, "view_fallbacks": view_fallbacks,
             "join_abandons": join_abandons, "indexes_built": indexes_built, "index_hits": index_hits,
+            "aggregates_lowered": aggregates_lowered, "aggregates_declined": aggregates_declined,
+            "aggregates_abandoned": aggregates_abandoned,
         },
         "perf": obj! {
             "scale_customers": customers, "samples_per_query": samples, "queries": entries,

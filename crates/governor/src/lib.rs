@@ -189,6 +189,21 @@ struct BudgetInner {
     views: AtomicU64,
     cells_pruned: AtomicU64,
     view_fallbacks: AtomicU64,
+    // Grouped FLWORs the aggregate operator ran, declined, and ran but
+    // abandoned to the interpreter.
+    aggregates: [AtomicU64; 3],
+}
+
+/// What became of a grouped FLWOR the aggregate operator was asked to run
+/// ([`QueryBudget::record_aggregate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AggregateOutcome {
+    /// The operator ran it.
+    Lowered,
+    /// The operator does not read its shape: the interpreter ran it.
+    Declined,
+    /// The operator ran and raised: the interpreter re-ran it.
+    Abandoned,
 }
 
 /// A per-query resource allowance, shared by translation, retries, and
@@ -230,6 +245,7 @@ impl QueryBudget {
                 views: AtomicU64::new(0),
                 cells_pruned: AtomicU64::new(0),
                 view_fallbacks: AtomicU64::new(0),
+                aggregates: Default::default(),
             }),
         }
     }
@@ -255,6 +271,10 @@ impl QueryBudget {
             views: AtomicU64::new(inner.views.load(Ordering::Relaxed)),
             cells_pruned: AtomicU64::new(inner.cells_pruned.load(Ordering::Relaxed)),
             view_fallbacks: AtomicU64::new(inner.view_fallbacks.load(Ordering::Relaxed)),
+            aggregates: inner
+                .aggregates
+                .each_ref()
+                .map(|count| AtomicU64::new(count.load(Ordering::Relaxed))),
         };
         f(&mut next);
         QueryBudget {
@@ -444,6 +464,22 @@ impl QueryBudget {
             self.inner.cells_pruned.load(Ordering::Relaxed),
             self.inner.view_fallbacks.load(Ordering::Relaxed),
         )
+    }
+
+    /// Records what became of a grouped FLWOR the aggregate operator was
+    /// asked to run.
+    pub fn record_aggregate(&self, outcome: AggregateOutcome) {
+        self.inner.aggregates[outcome as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `(grouped FLWORs the aggregate operator ran, declined, abandoned)`
+    /// so far. Like [`QueryBudget::view_counts`], not drained by
+    /// [`QueryBudget::take_exec_counts`]: a grouped statement the operator
+    /// declines returns the same rows, only slower.
+    pub fn aggregate_counts(&self) -> (u64, u64, u64) {
+        let [lowered, declined, abandoned] = &self.inner.aggregates;
+        let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        (count(lowered), count(declined), count(abandoned))
     }
 
     /// Checks cancellation and the deadline. Call at coarse boundaries
@@ -1068,6 +1104,9 @@ mod tests {
         clone.record_view(Some(6));
         clone.record_view(Some(0));
         clone.record_view(None);
+        clone.record_aggregate(AggregateOutcome::Lowered);
+        clone.record_aggregate(AggregateOutcome::Lowered);
+        clone.record_aggregate(AggregateOutcome::Abandoned);
         let budget = budget.with_row_cap(9);
         // Draining yields deltas and resets — the hash operators' only.
         assert_eq!(budget.join_fallbacks(), 2);
@@ -1077,6 +1116,7 @@ mod tests {
         assert_eq!(budget.index_counts(), (1, 2));
         assert_eq!(budget.sink_counts(), (1, 1));
         assert_eq!(budget.view_counts(), (2, 6, 1));
+        assert_eq!(budget.aggregate_counts(), (2, 0, 1));
     }
 
     #[test]

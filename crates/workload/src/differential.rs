@@ -275,6 +275,13 @@ pub struct LaneReport {
     pub cells_pruned: u64,
     /// Views a tail plan abandoned to the interpreter.
     pub view_fallbacks: u64,
+    /// Grouped FLWORs the aggregate operator ran.
+    pub aggregates_lowered: u64,
+    /// Grouped FLWORs it declined: shapes it does not read.
+    pub aggregates_declined: u64,
+    /// Grouped FLWORs it ran and abandoned to the interpreter: 0 on a
+    /// fault-free run, or the operator diverged from the interpreter.
+    pub aggregates_abandoned: u64,
     /// Final plan-cache counters of a cached lane.
     pub cache: Option<CacheStats>,
     /// Resident plans put through analyzer layers 1–3.
@@ -560,6 +567,10 @@ pub fn run_matrix(
                 stats.views += views;
                 stats.cells_pruned += cells_pruned;
                 stats.view_fallbacks += view_fallbacks;
+                let (lowered, declined, abandoned) = meter.aggregate_counts();
+                stats.aggregates_lowered += lowered;
+                stats.aggregates_declined += declined;
+                stats.aggregates_abandoned += abandoned;
                 let tag = match result {
                     Ok(rs) => {
                         let claim = reference(k).and_then(|r| Some((r, rows_of[r].as_ref()?)));

@@ -24,7 +24,7 @@
 use crate::ast::*;
 use crate::exec::{self, AtomKey, JoinTable};
 use crate::functions::{call_builtin, coerce_numeric, data};
-use aldsp_governor::{BudgetError, ExecStrategy, QueryBudget};
+use aldsp_governor::{AggregateOutcome, BudgetError, ExecStrategy, QueryBudget};
 use aldsp_xml::{Atomic, Element, Item, Node, QName, Sequence};
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -646,9 +646,10 @@ impl<'a> Evaluator<'a> {
         env: &Env,
         context: Option<&Item>,
     ) -> Result<Sequence, XqError> {
-        let tuples = self.flwor_tuples(flwor, env, context)?;
+        let (tuples, grouped) = self.flwor_tuples(flwor, env, context)?;
+        let ret = grouped.as_ref().unwrap_or(&flwor.ret);
         if self.strategy == ExecStrategy::HashJoin {
-            if let Some(project) = exec::project(&flwor.ret) {
+            if let Some(project) = exec::project(ret) {
                 let rows = exec::project_tree(self, &project, &tuples, context);
                 if let Some(rows) = interpret_on_error(rows)? {
                     return Ok(rows);
@@ -657,20 +658,30 @@ impl<'a> Evaluator<'a> {
         }
         let mut out = Sequence::empty();
         for tuple in &tuples {
-            out.extend(self.eval(&flwor.ret, tuple, context)?);
+            out.extend(self.eval(ret, tuple, context)?);
         }
         Ok(out)
     }
 
     /// The tuple stream of `flwor`, every clause applied: what its
     /// `return` is evaluated over — by [`Evaluator::eval_flwor`], or by a
-    /// sink of [`crate::exec`] that writes the rows itself.
+    /// sink or a view's tail plan of [`crate::exec`] that writes the rows
+    /// itself. Where the aggregate operator ran the FLWOR, one tuple per
+    /// group, and beside them the `return` rewritten to read its variables.
     pub(crate) fn flwor_tuples(
         &self,
         flwor: &Flwor,
         env: &Env,
         context: Option<&Item>,
-    ) -> Result<Vec<Env>, XqError> {
+    ) -> Result<(Vec<Env>, Option<Expr>), XqError> {
+        // Stage 3's grouped FLWORs open with `let $inter`: no other FLWOR
+        // calls out of line, or touches the operator's code.
+        let grouped = matches!(flwor.clauses.as_slice(), [Clause::Let { .. }, _, ..]);
+        if self.strategy == ExecStrategy::HashJoin && grouped {
+            if let Some((groups, ret)) = self.aggregate(flwor, env, context)? {
+                return Ok((groups, Some(ret)));
+            }
+        }
         let mut skip = 0;
         let mut tuples: Vec<Env> = vec![env.clone()];
         if self.strategy == ExecStrategy::HashJoin && exec::hash_shaped(flwor) {
@@ -740,7 +751,38 @@ impl<'a> Evaluator<'a> {
                 }
             }
         }
-        Ok(tuples)
+        Ok((tuples, None))
+    }
+
+    /// A grouped FLWOR through the aggregate operator ([`exec::aggregate`]):
+    /// one tuple per group, and the rewritten `return`. `None`, and the
+    /// clause loop runs the FLWOR, for any other FLWOR, a declined one, and
+    /// one whose operator raised anything but a budget error.
+    // Out of line, and asked only of a FLWOR that opens with a `let`: the
+    // clause loop is every FLWOR's, this a few of them. Checked inline at
+    // the head of `eval_flwor`, the recognizer cost the warm point lookups
+    // 2-client throughput on the end-to-end benchmark.
+    #[inline(never)]
+    fn aggregate(
+        &self,
+        flwor: &Flwor,
+        env: &Env,
+        context: Option<&Item>,
+    ) -> Result<Option<(Vec<Env>, Expr)>, XqError> {
+        let Some(planned) = exec::aggregate(flwor) else {
+            return Ok(None);
+        };
+        let (outcome, grouped) = match planned {
+            None => (AggregateOutcome::Declined, None),
+            Some(agg) => match interpret_on_error(exec::run_aggregate(self, &agg, env, context))? {
+                Some(groups) => (AggregateOutcome::Lowered, Some((groups, agg.ret))),
+                None => (AggregateOutcome::Abandoned, None),
+            },
+        };
+        if let Some(budget) = self.budget {
+            budget.record_aggregate(outcome);
+        }
+        Ok(grouped)
     }
 
     /// Clause `at` of `flwor`, a `let`, over `tuples`. Under the pipeline
@@ -2736,6 +2778,168 @@ mod tests {
         assert_eq!(err.budget_error(), Some(BudgetError::Cancelled));
         assert_eq!(budget.fuel_spent(), 1 + 2 + 41 + 10 * 2);
         assert_eq!(budget.view_counts(), (0, 0, 0));
+    }
+
+    /// A statement as `gen_select_grouped` writes it over `table`: `$inter`
+    /// holds `cells` per row of `body` (clauses over `$x`), then `group`,
+    /// then `return ret`.
+    fn grouped_statement(table: &str, body: &str, cells: &str, group: &str, ret: &str) -> String {
+        format!(
+            "{IMPORT} <RECORDSET>{{ let $inter1 := <RECORDSET>{{ for $x in ns0:{table}() {body} \
+             return <RECORD>{cells}</RECORD> }}</RECORDSET> {group} return {ret} }}</RECORDSET>"
+        )
+    }
+
+    /// Runs `query` under both strategies, as items and as a payload: one
+    /// outcome, value or error. Returns the pipeline's aggregate counts.
+    fn assert_aggregates_agree(query: &str) -> (u64, u64, u64) {
+        let naive = QueryBudget::unlimited();
+        let budget = QueryBudget::unlimited();
+        let piped = run_exec(query, &budget, ExecStrategy::HashJoin);
+        assert_eq!(
+            piped,
+            run_exec(query, &naive, ExecStrategy::NestedLoop),
+            "items differ on: {query}"
+        );
+        assert_eq!(naive.aggregate_counts(), (0, 0, 0));
+        if piped.is_ok() {
+            assert!(budget.fuel_consumed() <= naive.fuel_consumed(), "{query}");
+        }
+        let program = parse_program(query).unwrap();
+        let [naive, piped] = [ExecStrategy::NestedLoop, ExecStrategy::HashJoin]
+            .map(|exec| evaluate_program_to_payload(&program, &TestSource, &[], None, exec));
+        assert_eq!(piped, naive, "payloads differ on: {query}");
+        budget.aggregate_counts()
+    }
+
+    #[test]
+    fn the_aggregate_answers_like_the_interpreter() {
+        // NULLABLEPAY: CUSTID 55, NULL, 55, 99; PAYMENT 10, 20, 30, 40.
+        let pay = "{ for $s in fn:data($x/CUSTID) return <P.C>{$s}</P.C> }\
+                   { for $s in fn:data($x/PAYMENT) return <P.P>{$s}</P.P> }";
+        let by_cust = "for $r in $inter1/RECORD \
+                       group $r as $p by xs:integer(fn:data($r/P.C)) as $g";
+        let values = "for $a in $p return xs:decimal(fn:data($a/P.P))";
+        let every = format!(
+            "<RECORD><K>{{$g}}</K><N>{{fn:count($p)}}</N>\
+             {{ for $v in (let $t := ({values}) return if (fn:empty($t)) then () \
+             else fn:sum($t)) return <S>{{$v}}</S> }}\
+             {{ for $v in fn:avg(({values})) return <A>{{$v}}</A> }}\
+             <M>{{fn:min(({values}))}}</M><X>{{fn:max(({values}))}}</X>\
+             <D>{{fn:count((fn:distinct-values(({values}))))}}</D></RECORD>"
+        );
+        let by_both = format!("{by_cust}, xs:decimal(fn:data($r/P.P)) as $h");
+        let having = format!("{by_cust} where (fn:count($p) >= 2)");
+        let none = "where ($x/PAYMENT > 100)";
+        let one_group = "let $p := $inter1/RECORD";
+        let without_keys = every.replace("<K>{$g}</K>", "");
+        let (every, without_keys) = (every.as_str(), without_keys.as_str());
+        for (body, group, ret) in [
+            ("", by_cust, every),
+            ("", by_both.as_str(), every),
+            ("", having.as_str(), every),
+            (none, by_cust, every),
+            ("", one_group, without_keys),
+            (none, one_group, without_keys),
+        ] {
+            let query = grouped_statement("NULLABLEPAY", body, pay, group, ret);
+            assert_eq!(assert_aggregates_agree(&query), (1, 0, 0), "{query}");
+        }
+        // A NULL key is a group of its own; no row is no group with GROUP
+        // BY and one without.
+        let query = grouped_statement("NULLABLEPAY", "", pay, by_cust, every);
+        let rows = run_exec(&query, &QueryBudget::unlimited(), ExecStrategy::HashJoin).unwrap();
+        assert_eq!(
+            serialize_sequence(&rows),
+            "<RECORDSET><RECORD><K>55</K><N>2</N><S>40</S><A>20</A><M>10</M><X>30</X><D>2</D>\
+             </RECORD><RECORD><K/><N>1</N><S>20</S><A>20</A><M>20</M><X>20</X><D>1</D>\
+             </RECORD><RECORD><K>99</K><N>1</N><S>40</S><A>40</A><M>40</M><X>40</X><D>1</D>\
+             </RECORD></RECORDSET>"
+        );
+        let empty = grouped_statement("NULLABLEPAY", none, pay, one_group, without_keys);
+        let rows = run_exec(&empty, &QueryBudget::unlimited(), ExecStrategy::HashJoin).unwrap();
+        assert_eq!(
+            serialize_sequence(&rows),
+            "<RECORDSET><RECORD><N>0</N><M/><X/><D>0</D></RECORD></RECORDSET>"
+        );
+
+        // TWINS holds X twice in one row: a NOT NULL cell joins the values,
+        // a nullable one repeats its element — and a key or a cast over two
+        // values is the interpreter's error, the operator abandoned.
+        let twins = "<T.ID>{fn:data($x/ID)}</T.ID><T.J>{fn:data($x/X)}</T.J>\
+                     { for $s in fn:data($x/X) return <T.R>{$s}</T.R> }";
+        let by_id = "for $r in $inter1/RECORD group $r as $p by xs:integer(fn:data($r/T.ID)) as $g";
+        let ret = "<RECORD><K>{$g}</K><J>{fn:min((for $a in $p return fn:data($a/T.J)))}</J>\
+                   <R>{fn:count((for $a in $p return fn:data($a/T.R)))}</R></RECORD>";
+        let query = grouped_statement("TWINS", "", twins, by_id, ret);
+        assert_eq!(assert_aggregates_agree(&query), (1, 0, 0));
+        let rows = run_exec(&query, &QueryBudget::unlimited(), ExecStrategy::HashJoin).unwrap();
+        assert_eq!(
+            serialize_sequence(&rows),
+            "<RECORDSET><RECORD><K>1</K><J>a b&lt;</J><R>2</R></RECORD>\
+             <RECORD><K>2</K><J>c</J><R>1</R></RECORD>\
+             <RECORD><K>3</K><J></J><R>0</R></RECORD></RECORDSET>"
+        );
+        let by_r = "for $r in $inter1/RECORD group $r as $p by fn:data($r/T.R) as $g";
+        let cast = ret.replace("fn:data($a/T.J)", "xs:integer(fn:data($a/T.J))");
+        for query in [
+            grouped_statement("TWINS", "", twins, by_r, ret),
+            grouped_statement("TWINS", "", twins, by_id, &cast),
+        ] {
+            assert_eq!(assert_aggregates_agree(&query), (0, 0, 1), "{query}");
+        }
+    }
+
+    #[test]
+    fn the_aggregate_is_charged_its_rows_and_groups() {
+        // PAYMENTS: two rows, two groups; `P.P` is read by nothing.
+        let query = grouped_statement(
+            "PAYMENTS",
+            "",
+            "<P.C>{fn:data($x/CUSTID)}</P.C><P.P>{fn:data($x/PAYMENT)}</P.P>",
+            "for $r in $inter1/RECORD group $r as $p by xs:integer(fn:data($r/P.C)) as $g",
+            "<RECORD><K>{$g}</K><N>{fn:count($p)}</N></RECORD>",
+        );
+        let meter = QueryBudget::unlimited();
+        run_exec(&query, &meter, ExecStrategy::HashJoin).unwrap();
+        assert_eq!(meter.aggregate_counts(), (1, 0, 0));
+        assert_eq!(meter.view_counts(), (1, 1, 0), "`$inter` counts as a view");
+        // The body and the outer FLWOR; `$inter`'s constructor, its FLWOR,
+        // the call and two bindings; per row one unit and the key's three
+        // nodes; per group one unit; per projected group `1 + 2` and the two
+        // variables its cells read.
+        let whole = 2 + (1 + 1 + 1 + 2) + 2 * (1 + 3) + 2 + 2 * (3 + 2);
+        assert_eq!(meter.fuel_consumed(), whole);
+        run_exec(
+            &query,
+            &QueryBudget::unlimited().with_fuel(whole),
+            ExecStrategy::HashJoin,
+        )
+        .unwrap();
+        let starved = QueryBudget::unlimited().with_fuel(whole - 1);
+        assert_eq!(
+            run_exec(&query, &starved, ExecStrategy::HashJoin)
+                .unwrap_err()
+                .budget_error(),
+            Some(BudgetError::FuelExhausted { limit: whole - 1 })
+        );
+        // The last unit is the `return`'s: the operator ran, and a limit is
+        // never an abandon.
+        assert_eq!(starved.aggregate_counts(), (1, 0, 0));
+        let early = QueryBudget::unlimited().with_fuel(whole - 12);
+        run_exec(&query, &early, ExecStrategy::HashJoin).unwrap_err();
+        assert_eq!(early.aggregate_counts(), (0, 0, 0));
+        // The row cap holds `$inter`'s rows under either strategy.
+        let capped = || QueryBudget::unlimited().with_row_cap(1);
+        let piped = run_exec(&query, &capped(), ExecStrategy::HashJoin).unwrap_err();
+        assert_eq!(
+            piped.budget_error(),
+            Some(BudgetError::RowCapExceeded { rows: 2, cap: 1 })
+        );
+        assert_eq!(
+            piped,
+            run_exec(&query, &capped(), ExecStrategy::NestedLoop).unwrap_err()
+        );
     }
 
     #[test]

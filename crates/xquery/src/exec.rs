@@ -44,6 +44,12 @@
 //!   go through `Project` into the view element, without the cells
 //!   nothing downstream names. The first operator whose plan depends on
 //!   its *consumer*.
+//! * `Aggregate` — BEA `group … by` over stage 3's `$inter` view, and the
+//!   implicit group of aggregates without GROUP BY, recognized by
+//!   `aggregate` once per FLWOR evaluation: one pass over the view body's
+//!   tuples reads each row's keys and arguments into hash groups without
+//!   building the row, and each group is a tuple for the rewritten
+//!   `return`. See "The aggregate" below.
 //! * `Sink` — the last operator of a statement, recognized by `sink`
 //!   on the program body and run by [`run_sink`]. [`TextSink`] is the §4
 //!   wrapper `fn:string-join((let $q := V for $t in $q/RECORD return
@@ -59,8 +65,9 @@
 //! ## Lowering conditions
 //!
 //! [`plan`] lowers the longest prefix of `for`/`let`/`where` clauses
-//! (group-by and order-by terminate it; they run through the interpreter
-//! on the pipeline's output). An expression is *stream-invariant* when
+//! (group-by and order-by terminate it: a grouped FLWOR of stage 3's is the
+//! aggregate's whole, an order-by runs through the interpreter on the
+//! pipeline's output). An expression is *stream-invariant* when
 //! no free variable of it is bound by an earlier tuple-varying prefix
 //! clause (`let`s whose values are themselves stream-invariant are fine —
 //! the translator's let-bound `<RECORDSET>` views of paper Example 8
@@ -138,6 +145,31 @@
 //! built, cells pruned, and views handed back), and inside a pipeline the
 //! error abandons the pipeline first.
 //!
+//! ## The aggregate
+//!
+//! `gen_select_grouped` writes `let $inter := <V>{ BODY return <ROW>…</ROW>
+//! }</V>`, then `for $r in $inter/ROW group $r as $P by K₁ as $g₁, …` or
+//! (no GROUP BY) `let $P := $inter/ROW`, then `where H`s and `return R`.
+//! [`aggregate`] plans `$inter` as a view, takes each key as a read
+//! `CAST?(fn:data($r/CELL))` of the cell of `ROW` that makes `CELL`, and
+//! clones `H` and `R` with every aggregate shape of `gen_aggregate` —
+//! `fn:count($P)`, `F((for $a in $P return READ))` under
+//! `fn:distinct-values` or not, SUM's empty guard — replaced by a variable.
+//! [`run_aggregate`] takes `BODY`'s tuples from `flwor_tuples` (the
+//! pipeline's, where it lowers) and per tuple reads the keys and arguments
+//! through the cell reader of the row constructor that would have built
+//! the row ([`Tuple::each_value`]); [`AtomKey::group`] finds the group,
+//! which keeps a row count and each argument's atoms in row order. Per
+//! group each variable is what the interpreter's builtin ([`call_builtin`])
+//! returns over those atoms, so promotion, overflow and error text stay the
+//! interpreter's. It declines — the interpreter runs the FLWOR — when
+//! `$P`, `$r` or `$inter` is still free after the rewrite, a key or
+//! argument is no read of a cell of the row variable, a read names two
+//! cells, or `$inter` has a cell that is evaluated (an unread cell's error
+//! must not go missing). Fuel: one unit and the reads' nodes per row, one
+//! per group, and what `H` and the consumer's projection of `R` charge;
+//! the row cap holds the rows.
+//!
 //! ## Hash as prefilter, `compare` as judge
 //!
 //! XQuery general-comparison equality is *not* transitive —
@@ -183,14 +215,14 @@
 
 use crate::ast::{Clause, CompOp, Content, ElementCtor, Expr, Flwor, NodeTest, PathStart, Step};
 use crate::eval::{name_matches, Env, Evaluator, XqError};
-use crate::functions::{data, is_builtin};
+use crate::functions::{call_builtin, data, is_builtin};
 use crate::visit::{
-    each_expr, free_vars, uses_context, walk_clause, walk_expr, walk_flwor, Visitor,
+    each_expr, free_vars, uses_context, walk_clause, walk_expr, walk_expr_mut, walk_flwor, Visitor,
 };
 use aldsp_xml::serialize::{
     write_element, write_empty_tag, write_end_tag, write_start_tag, write_text,
 };
-use aldsp_xml::{Atomic, Element, Item, Node, QName, Sequence};
+use aldsp_xml::{Atomic, Element, Item, Node, QName, Sequence, XsType};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -1792,7 +1824,11 @@ fn run_tail(
         Tail::Flwor { flwor, ret } => {
             for env in tuples {
                 ev.charge(1)?;
-                let tuples = ev.flwor_tuples(flwor, env, context)?;
+                let (tuples, grouped) = ev.flwor_tuples(flwor, env, context)?;
+                // The aggregate's rewritten row reads group variables, not
+                // cells a read-set could have pruned: planned whole.
+                let grouped = regrouped(grouped.as_ref())?.map(Tail::Rows);
+                let ret = grouped.as_ref().unwrap_or(&**ret);
                 run_tail(ev, ret, &tuples, context, out)?;
             }
         }
@@ -1814,6 +1850,369 @@ fn run_tail(
 /// together.
 pub fn view_cells_pruned(flwor: &Flwor, at: usize) -> Option<u64> {
     view(flwor, at).map(|view| view.pruned)
+}
+
+// ---------------------------------------------------------------------
+// Aggregate: `group … by` over `$inter` in one pass, no row built
+// ---------------------------------------------------------------------
+
+/// A grouped FLWOR as `aldsp_core::stage3`'s `gen_select_grouped` writes it
+/// (paper Example 12), lowered: `let $inter := <V>{ BODY return <ROW>…</ROW>
+/// }</V>`, then `for $r in $inter/ROW group $r as $P by K₁ as $g₁, …` — or,
+/// without GROUP BY, the one group `let $P := $inter/ROW` — then `where H`s
+/// and `return R`. Every key is a [`Read`] of `$r`; `H` and `R` are cloned
+/// with every aggregate of `gen_aggregate` a variable ([`agg_shape`]).
+/// Planned by [`aggregate`] once per FLWOR evaluation, run by
+/// [`run_aggregate`].
+pub(crate) struct Aggregate<'p> {
+    /// `BODY`: its tuples are the input.
+    body: &'p Flwor,
+    /// `$inter`'s row constructor as its view plans it — less the `pruned`
+    /// cells nothing reads — read off the tuples, never built.
+    row: Project<'p>,
+    pruned: u64,
+    /// Per key, its read and its variable; none is the implicit group.
+    keys: Vec<(Read, &'p str)>,
+    /// The aggregates; the `k`th is bound to `#k`, a name no program can
+    /// write.
+    aggs: Vec<Agg>,
+    /// The `where`s, rewritten.
+    having: Vec<Expr>,
+    /// The `return`, rewritten: what the consumer projects over the groups.
+    pub(crate) ret: Expr,
+    /// What a row is charged: one unit for the `for $r` binding it
+    /// replaces, and the nodes of every key and argument.
+    row_fuel: u64,
+}
+
+/// `CAST?(fn:data($r/CELL))`: the cell of `$inter`'s row constructor that
+/// makes `CELL`, read off the tuple that would have built it.
+struct Read {
+    cell: usize,
+    cast: Option<XsType>,
+    /// The expression's nodes: what evaluating it charged.
+    fuel: u64,
+}
+
+/// An aggregate of `gen_aggregate`'s: `func` — `fn:count`, `fn:sum`,
+/// `fn:avg`, `fn:min` or `fn:max` — over `arg` (`None` is `fn:count($P)`),
+/// after `fn:distinct-values` when `distinct`, and with SUM's empty guard
+/// when `guarded`: no value is `()`, not `fn:sum(())`'s 0.
+struct Agg {
+    func: &'static str,
+    arg: Option<Read>,
+    distinct: bool,
+    guarded: bool,
+}
+
+/// Recognizes the two grouped shapes (see [`Aggregate`]) and plans the
+/// operator: `None` for any other FLWOR — nothing asked, nothing counted —
+/// and `Some(None)` for one it declines (see the module docs).
+#[inline(never)]
+pub(crate) fn aggregate(flwor: &Flwor) -> Option<Option<Box<Aggregate<'_>>>> {
+    // `view` asks the first clause to be `let $inter := <V>{ … }</V>`.
+    let [Clause::Let { var: inter, .. }, second, rest @ ..] = flwor.clauses.as_slice() else {
+        return None;
+    };
+    let (rows, partition, group, rest) = match (second, rest) {
+        (Clause::For { var, source }, [Clause::GroupBy(group), rest @ ..])
+            if group.source_var == *var =>
+        {
+            (source, &group.partition_var, Some(group), rest)
+        }
+        (Clause::Let { var, value }, rest) => (value, var, None, rest),
+        _ => return None,
+    };
+    let wheres = rest.iter().map(|clause| match clause {
+        Clause::Where(predicate) => Some(predicate),
+        _ => None,
+    });
+    let (wheres, (over, row)) = (wheres.collect::<Option<Vec<_>>>()?, var_child(rows)?);
+    (over == inter).then(|| lower(flwor, [inter, row, partition], group, &wheres).map(Box::new))
+}
+
+fn lower<'p>(
+    flwor: &'p Flwor,
+    [inter, row, partition]: [&str; 3],
+    group: Option<&'p crate::ast::GroupClause>,
+    wheres: &[&Expr],
+) -> Option<Aggregate<'p>> {
+    let view = view(flwor, 0)?;
+    let (Tail::Flwor { flwor: body, ret }, pruned) = (view.body, view.pruned) else {
+        return None;
+    };
+    // Rows `$inter/ROW` selects, every cell read off a bound row: no cell
+    // can raise, so an unread one's error cannot go missing.
+    let Tail::Rows(project) = *ret else {
+        return None;
+    };
+    let read_off = |cell: &Cell<'_>| matches!(cell.value, Value::Child { .. });
+    if !name_matches(&project.name, row) || !project.cells.iter().all(read_off) {
+        return None;
+    }
+    let (source, keys) = group.map_or((partition, &[][..]), |g| (&*g.source_var, &*g.keys));
+    let key = |(key, var): &'p (Expr, String)| Some((read_of(key, source, &project)?, &**var));
+    let keys = keys.iter().map(key).collect::<Option<Vec<_>>>()?;
+    let mut aggs = Vec::new();
+    let mut rewrite = |expr: &Expr| {
+        let mut expr = expr.clone();
+        substitute(&mut expr, &mut |e| {
+            aggs.push(agg_shape(e, partition, &project)?);
+            Some(Expr::VarRef(format!("#{}", aggs.len() - 1)))
+        });
+        expr
+    };
+    let having: Vec<Expr> = wheres.iter().map(|predicate| rewrite(predicate)).collect();
+    let ret = rewrite(&flwor.ret);
+    // Past the rewrite nothing may see a row, the partition or the view.
+    let hidden = [inter, partition, source];
+    let sees = |expr: &Expr| free_vars(expr).iter().any(|v| hidden.contains(&&**v));
+    if having.iter().chain([&ret]).any(sees) {
+        return None;
+    }
+    let args = aggs.iter().filter_map(|agg| agg.arg.as_ref());
+    let reads = keys.iter().map(|(read, _)| read).chain(args);
+    let row_fuel = 1 + reads.map(|read| read.fuel).sum::<u64>();
+    Some(Aggregate {
+        body,
+        row: project,
+        pruned,
+        keys,
+        aggs,
+        having,
+        ret,
+        row_fuel,
+    })
+}
+
+/// `expr` as a [`Read`] of `$var`, whose name makes exactly one of `row`'s
+/// cells.
+fn read_of(expr: &Expr, var: &str, row: &Project<'_>) -> Option<Read> {
+    let (cast, data) = match expr {
+        Expr::FunctionCall { name, args } => match (XsType::from_xs_name(name), args.as_slice()) {
+            (Some(cast), [arg]) => (Some(cast), arg),
+            _ => (None, expr),
+        },
+        _ => (None, expr),
+    };
+    let (of, name) = var_child(call_of(data, "fn:data")?)?;
+    let mut cells = (0..row.cells.len()).filter(|&at| name_matches(&row.cells[at].name, name));
+    let (Some(cell), None) = (cells.next(), cells.next()) else {
+        return None;
+    };
+    let mut fuel = 0;
+    each_expr(expr, &mut |_| fuel += 1);
+    (of == var).then_some(Read { cell, cast, fuel })
+}
+
+/// The aggregate `gen_aggregate` writes over the partition `$p`:
+/// `fn:count($p)`; `F((VALUES))` for `F` one of `fn:count`, `fn:avg`,
+/// `fn:min`, `fn:max`; or SUM's `(let $s := (VALUES) return if
+/// (fn:empty($s)) then () else fn:sum($s))` — where `VALUES` is `for $a in
+/// $p return READ`, possibly under `fn:distinct-values`.
+fn agg_shape(expr: &Expr, p: &str, row: &Project<'_>) -> Option<Agg> {
+    let (func, values, guarded) = match expr {
+        Expr::FunctionCall { name, .. } => {
+            let funcs = ["fn:count", "fn:avg", "fn:min", "fn:max"];
+            let func = funcs.into_iter().find(|&func| func == name)?;
+            (func, call_of(expr, func)?, false)
+        }
+        Expr::Flwor(Flwor { clauses, ret }) => {
+            let ([Clause::Let { var, value }], Expr::If { cond, then, els }) =
+                (clauses.as_slice(), &**ret)
+            else {
+                return None;
+            };
+            let held = Expr::var(var);
+            let guarded = call_of(cond, "fn:empty") == Some(&held)
+                && call_of(els, "fn:sum") == Some(&held)
+                && **then == Expr::EmptySequence;
+            (guarded.then_some("fn:sum")?, value, true)
+        }
+        _ => return None,
+    };
+    let distinct = call_of(values, "fn:distinct-values");
+    let arg = match distinct.unwrap_or(values) {
+        Expr::VarRef(v) if v == p && distinct.is_none() => None,
+        Expr::Flwor(Flwor { clauses, ret }) => match clauses.as_slice() {
+            [Clause::For { var, source }] if *source == Expr::var(p) => {
+                Some(read_of(ret, var, row)?)
+            }
+            _ => return None,
+        },
+        _ => return None,
+    };
+    let distinct = distinct.is_some();
+    let agg = Agg {
+        func,
+        arg,
+        distinct,
+        guarded,
+    };
+    (agg.arg.is_some() || func == "fn:count").then_some(agg)
+}
+
+/// Replaces, top-down, every expression `f` has a replacement for; a
+/// replacement is not descended into.
+fn substitute(expr: &mut Expr, f: &mut dyn FnMut(&Expr) -> Option<Expr>) {
+    match f(expr) {
+        Some(replacement) => *expr = replacement,
+        None => walk_expr_mut(expr, &mut |child| substitute(child, f)),
+    }
+}
+
+impl Aggregate<'_> {
+    /// Appends what `read` makes of one tuple: what `fn:data` reads off the
+    /// cell elements the row constructor would build — an untyped atom per
+    /// value of a nullable cell, one of the values joined with a space for
+    /// a NOT NULL one — cast through [`Atomic::cast_to`], as the
+    /// interpreter's casts are.
+    fn read(&self, read: &Read, tuple: &Tuple<'_>, out: &mut Vec<Atomic>) -> Result<(), XqError> {
+        let (cell, start) = (&self.row.cells[read.cell], out.len());
+        let mut joined: Option<String> = None;
+        let values = tuple.each_value(&cell.value, &mut |value| {
+            match (&mut joined, cell.nullable) {
+                (Some(text), false) => text.extend([" ", &*value.text()]),
+                (None, false) => joined = Some(value.text().to_string()),
+                (_, true) => out.push(Atomic::Untyped(value.text().to_string())),
+            }
+            Ok(())
+        });
+        // A `Value::Child` never hands its row back to the interpreter.
+        if let Err(Halt::Error(e)) = values {
+            return Err(e);
+        }
+        if !cell.nullable {
+            out.push(Atomic::Untyped(joined.unwrap_or_default()));
+        }
+        if let Some(cast) = read.cast {
+            match &mut out[start..] {
+                [] => {}
+                [atom] => *atom = atom.cast_to(cast).map_err(|e| XqError::new(e.message))?,
+                _ => return Err(XqError::new("cast requires a singleton operand")),
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Agg {
+    /// The aggregate over a group of `rows` rows that gathered `atoms`: the
+    /// interpreter's builtin over them — after `fn:distinct-values`, for
+    /// DISTINCT. `fn:count($P)` is the rows.
+    fn value(&self, rows: u64, atoms: Vec<Atomic>) -> Result<Sequence, XqError> {
+        if self.arg.is_none() {
+            return Ok(Sequence::singleton(Atomic::Integer(rows as i64)));
+        }
+        let mut value: Sequence = atoms.into_iter().map(Item::Atomic).collect();
+        let distinct = self.distinct.then_some("fn:distinct-values");
+        for name in distinct.into_iter().chain([self.func]) {
+            if name == self.func && self.guarded && value.is_empty() {
+                break;
+            }
+            value = call_builtin(name, &[value])?.expect("an aggregate is a builtin");
+        }
+        Ok(value)
+    }
+}
+
+/// One group: its keys' values, its rows, and per aggregate the atoms its
+/// argument gathered, in row order.
+struct Group {
+    keys: Vec<Option<Atomic>>,
+    rows: u64,
+    gathered: Vec<Vec<Atomic>>,
+}
+
+/// Runs `agg` on the incoming tuple: one pass over `BODY`'s tuples reads
+/// each row's keys and arguments (nothing is built) into hash groups, and
+/// each group, in order of first appearance, becomes one tuple binding the
+/// key variables and the aggregates' — kept when every `where` holds. With
+/// GROUP BY, no row is no group; without, there is one group all the same.
+/// **Fuel:** `$inter`'s constructor and FLWOR, as [`run_view`] charges
+/// them; [`Aggregate::row_fuel`] per row; one unit per group; and what the
+/// `where`s charge (the consumer's `return` charges its own). The row cap
+/// holds the rows, as it held the `for $r` tuples. Budget errors propagate;
+/// after any other the caller interprets the FLWOR.
+#[inline(never)]
+pub(crate) fn run_aggregate(
+    ev: &Evaluator<'_>,
+    agg: &Aggregate<'_>,
+    env: &Env,
+    context: Option<&Item>,
+) -> Result<Vec<Env>, XqError> {
+    ev.charge(2)?;
+    let (rows, _) = ev.flwor_tuples(agg.body, env, context)?;
+    let fresh = |keys| Group {
+        keys,
+        rows: 0,
+        gathered: vec![Vec::new(); agg.aggs.len()],
+    };
+    let group_key = |value: &Option<Atomic>| value.as_ref().map_or(AtomKey::Empty, AtomKey::group);
+    let (mut index, mut groups) = (HashMap::new(), Vec::new());
+    let (mut key, mut values, mut atoms) = (Vec::new(), Vec::new(), Vec::new());
+    for (at, env) in rows.iter().enumerate() {
+        ev.charge(agg.row_fuel)?;
+        ev.check_rows(at + 1)?;
+        let tuple = Tuple { ev, env, context };
+        for (read, _) in &agg.keys {
+            agg.read(read, &tuple, &mut atoms)?;
+            if atoms.len() > 1 {
+                return Err(XqError::new("aggregate: a key of several values"));
+            }
+            values.push(atoms.pop());
+        }
+        key.clear();
+        key.extend(values.iter().map(group_key));
+        let at = match index.get(key.as_slice()) {
+            Some(&at) => at,
+            None => {
+                index.insert(key.clone(), groups.len());
+                groups.push(fresh(values.clone()));
+                groups.len() - 1
+            }
+        };
+        values.clear();
+        let group = &mut groups[at];
+        group.rows += 1;
+        for (a, gathered) in agg.aggs.iter().zip(&mut group.gathered) {
+            if let Some(read) = &a.arg {
+                agg.read(read, &tuple, gathered)?;
+            }
+        }
+    }
+    if agg.keys.is_empty() && groups.is_empty() {
+        groups.push(fresh(Vec::new()));
+    }
+    let mut tuples = Vec::with_capacity(groups.len());
+    'groups: for group in groups {
+        ev.charge(1)?;
+        let mut tuple = env.clone();
+        for ((_, var), value) in agg.keys.iter().zip(group.keys) {
+            tuple = tuple.bind(*var, value.into_iter().map(Item::Atomic).collect());
+        }
+        for (k, (a, atoms)) in agg.aggs.iter().zip(group.gathered).enumerate() {
+            tuple = tuple.bind(format!("#{k}"), a.value(group.rows, atoms)?);
+        }
+        for having in &agg.having {
+            if !ev.eval(having, &tuple, context)?.effective_boolean() {
+                continue 'groups;
+            }
+        }
+        tuples.push(tuple);
+    }
+    ev.record_view(Some(agg.pruned));
+    Ok(tuples)
+}
+
+/// The projection of an aggregate's rewritten `return`, when the aggregate
+/// ran the FLWOR ([`Evaluator::flwor_tuples`]): what a consumer that planned
+/// the FLWOR's own projects through instead. The rewrite keeps every cell's
+/// shape and place, so it lowers wherever the FLWOR's did.
+fn regrouped(grouped: Option<&Expr>) -> Result<Option<Project<'_>>, XqError> {
+    let unlowered = || XqError::new("aggregate: the rewritten return does not lower");
+    let lowered = grouped.map(|ret| project(ret).ok_or_else(unlowered));
+    lowered.transpose()
 }
 
 // ---------------------------------------------------------------------
@@ -2048,6 +2447,12 @@ pub fn is_projection(ret: &Expr) -> bool {
     project(ret).is_some()
 }
 
+/// Whether the aggregate operator runs `flwor`: `None` for a FLWOR that is
+/// not one of stage 3's grouped ones, `Some(false)` for one it declines.
+pub fn lowers_to_aggregate(flwor: &Flwor) -> Option<bool> {
+    aggregate(flwor).map(|planned| planned.is_some())
+}
+
 /// Runs a sink: the payload, as it crosses the boundary.
 ///
 /// A fused text sink and the XML sink take the FLWOR's tuples and write
@@ -2071,9 +2476,11 @@ pub(crate) fn run_sink(ev: &Evaluator<'_>, sink: &Sink<'_>, env: &Env) -> Result
             };
             match &text.fused {
                 Some((view, _)) => {
-                    let tuples = ev.flwor_tuples(view.flwor, env, None)?;
-                    let fuel_per_row = fuel_per_row + 1 + view.project.cells.len() as u64;
-                    project_rows(ev, &view.project, &tuples, None, fuel_per_row, &mut out)?;
+                    let (tuples, grouped) = ev.flwor_tuples(view.flwor, env, None)?;
+                    let grouped = regrouped(grouped.as_ref())?;
+                    let project = grouped.as_ref().unwrap_or(&view.project);
+                    let fuel_per_row = fuel_per_row + 1 + project.cells.len() as u64;
+                    project_rows(ev, project, &tuples, None, fuel_per_row, &mut out)?;
                 }
                 None => {
                     let views = ev.eval(text.rows, env, None)?;
@@ -2093,12 +2500,14 @@ pub(crate) fn run_sink(ev: &Evaluator<'_>, sink: &Sink<'_>, env: &Env) -> Result
             }
         }
         Sink::Xml(body) => {
-            let tuples = ev.flwor_tuples(body.flwor, env, None)?;
+            let (tuples, grouped) = ev.flwor_tuples(body.flwor, env, None)?;
+            let grouped = regrouped(grouped.as_ref())?;
+            let project = grouped.as_ref().unwrap_or(&body.project);
             write_start_tag(&mut payload, &body.name);
             let opened = payload.len();
-            let fuel_per_row = 1 + body.project.cells.len() as u64;
+            let fuel_per_row = 1 + project.cells.len() as u64;
             let mut out = Output::Xml(&mut payload);
-            project_rows(ev, &body.project, &tuples, None, fuel_per_row, &mut out)?;
+            project_rows(ev, project, &tuples, None, fuel_per_row, &mut out)?;
             close_element(&mut payload, &body.name, 0, opened);
         }
     }
@@ -2576,6 +2985,129 @@ mod tests {
             .map(|cell| matches!(cell.value, Value::Child { .. }))
             .collect();
         assert_eq!(fast, [true, false, false, false, false, false]);
+    }
+
+    /// A grouped FLWOR as `gen_select_grouped` writes it, with `cells` for
+    /// `$inter`'s row, `group` for the clauses between the view and the
+    /// `where`, and `ret` for the `return`.
+    fn grouped(cells: &str, group: &str, ret: &str) -> String {
+        format!(
+            "let $inter1 := <RECORDSET>{{ for $x in ns0:T() return <RECORD>{cells}</RECORD> }}</RECORDSET> \
+             {group} return {ret}"
+        )
+    }
+
+    const CELLS: &str = "<T.K>{fn:data($x/K)}</T.K>\
+         { for $s in fn:data($x/V) return <T.V>{$s}</T.V> }<T.W>{fn:data($x/W)}</T.W>";
+    const BY_K: &str = "for $r in $inter1/RECORD \
+         group $r as $p by xs:integer(fn:data($r/T.K)) as $g where (fn:count($p) >= 2)";
+    const ONE_GROUP: &str = "let $p := $inter1/RECORD";
+
+    fn grouping(query: &str) -> &'static str {
+        match lowers_to_aggregate(&flwor_of(query)) {
+            None => "other",
+            Some(false) => "declined",
+            Some(true) => "lowered",
+        }
+    }
+
+    #[test]
+    fn lowers_both_grouped_shapes_with_every_aggregate_a_variable() {
+        // COUNT(*) twice (HAVING and SELECT), COUNT(V) and SUM(DISTINCT V):
+        // a variable each, in the order the rewrite meets them.
+        let ret = "<RECORD><K>{$g}</K><N>{fn:count($p)}</N>\
+             <C>{fn:count((for $a in $p return xs:decimal(fn:data($a/T.V))))}</C>\
+             { for $v in (let $t := (fn:distinct-values((for $b in $p return \
+             xs:decimal(fn:data($b/T.V))))) return if (fn:empty($t)) then () else fn:sum($t)) \
+             return <S>{$v}</S> }</RECORD>";
+        let flwor = flwor_of(&grouped(CELLS, BY_K, ret));
+        let Some(Some(agg)) = aggregate(&flwor) else {
+            panic!("the GROUP BY shape should lower");
+        };
+        assert_eq!(
+            (agg.keys.len(), agg.aggs.len(), agg.having.len()),
+            (1, 4, 1)
+        );
+        let shapes: Vec<_> = agg.aggs.iter().map(|a| (a.func, a.arg.is_some())).collect();
+        assert_eq!(
+            shapes,
+            [
+                ("fn:count", false),
+                ("fn:count", false),
+                ("fn:count", true),
+                ("fn:sum", true)
+            ]
+        );
+        let sum = &agg.aggs[3];
+        assert_eq!((sum.distinct, sum.guarded), (true, true));
+        // The view's plan keeps the two cells read, `T.W` is dead.
+        assert_eq!(agg.pruned, 1);
+        // One unit for the row, three nodes for the key and each argument.
+        assert_eq!(agg.row_fuel, 10);
+        let free = free_vars(&agg.ret);
+        assert!(free.contains("g") && free.contains("#1") && !free.contains("p"));
+
+        // No GROUP BY: the one group, MIN and AVG over untyped cells.
+        let ret = "<RECORD><M>{fn:min((for $a in $p return fn:data($a/T.W)))}</M>\
+             <A>{fn:avg((for $a in $p return xs:decimal(fn:data($a/T.V))))}</A></RECORD>";
+        let flwor = flwor_of(&grouped(CELLS, ONE_GROUP, ret));
+        let Some(Some(agg)) = aggregate(&flwor) else {
+            panic!("the implicit group should lower");
+        };
+        assert_eq!((agg.keys.len(), agg.aggs.len(), agg.row_fuel), (0, 2, 6));
+    }
+
+    #[test]
+    fn declines_what_it_does_not_read_and_ignores_what_is_not_grouped() {
+        let n = "<RECORD><N>{fn:count($p)}</N></RECORD>";
+        assert_eq!(grouping(&grouped(CELLS, BY_K, n)), "lowered");
+        // The partition, a row or the view still free after the rewrite:
+        // `fn:sum` without its guard, a bare partition, the group source,
+        // an aggregate over no cell read.
+        for ret in [
+            "<RECORD><S>{fn:sum((for $a in $p return fn:data($a/T.V)))}</S></RECORD>",
+            "<RECORD>{$p}</RECORD>",
+            "<RECORD><K>{fn:data($r/T.K)}</K></RECORD>",
+            "<RECORD><N>{fn:count($inter1/RECORD)}</N></RECORD>",
+            "<RECORD><C>{fn:count((for $a in $p return $a/T.V))}</C></RECORD>",
+        ] {
+            assert_eq!(grouping(&grouped(CELLS, BY_K, ret)), "declined", "{ret}");
+        }
+        // A key that is not a cell read of the row variable.
+        for key in [
+            "fn:string($r)",
+            "xs:integer(fn:data($r/T.K)) + 1",
+            "fn:data($r/T.K/X)",
+            "fn:data($inter1/RECORD/T.K)",
+        ] {
+            let group = format!("for $r in $inter1/RECORD group $r as $p by {key} as $g");
+            assert_eq!(grouping(&grouped(CELLS, &group, n)), "declined", "{key}");
+        }
+        // Two cells of one name where a key reads it, and a cell whose value
+        // is evaluated — an unread cell's error must not go missing.
+        let twice = "<T.K>{fn:data($x/K)}</T.K><T.K>{fn:data($x/W)}</T.K>";
+        assert_eq!(grouping(&grouped(twice, BY_K, n)), "declined");
+        let evaluated = "<T.K>{fn:data($x/K)}</T.K><E>{xs:integer(fn:data($x/W)) + 1}</E>";
+        assert_eq!(grouping(&grouped(evaluated, BY_K, n)), "declined");
+        assert_eq!(grouping(&grouped(evaluated, ONE_GROUP, n)), "declined");
+        // Rows `$inter/ROW` does not select.
+        let other_row = BY_K.replace("$inter1/RECORD", "$inter1/ROW");
+        assert_eq!(grouping(&grouped(CELLS, &other_row, n)), "declined");
+
+        // Not the grouped shape: nothing asked.
+        for group in [
+            "for $r in $inter1/RECORD",
+            "for $r in $inter1/RECORD order by fn:data($r/T.K)",
+            "let $p := $inter1/RECORD for $q in $p",
+            "let $p := $other/RECORD",
+            "for $r in $inter1/RECORD group $r as $p by fn:data($r/T.K) as $g order by $g",
+        ] {
+            assert_eq!(grouping(&grouped(CELLS, group, n)), "other", "{group}");
+        }
+        assert_eq!(
+            lowers_to_aggregate(&flwor_of("for $x in ns0:T() return $x")),
+            None
+        );
     }
 
     #[test]

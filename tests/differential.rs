@@ -85,6 +85,15 @@ fn assert_production_ran(
             lane.cells_pruned
         );
         assert_eq!(lane.view_fallbacks, 0, "{label}: a view fell back");
+        // Every grouped FLWOR stage 3 and the optimizer emit runs as the
+        // aggregate operator, which never gives up on a statement that
+        // succeeds.
+        assert!(lane.aggregates_lowered > 0, "{label}: no aggregate ran");
+        assert_eq!(
+            (lane.aggregates_declined, lane.aggregates_abandoned),
+            (0, 0),
+            "{label}: a grouped FLWOR was interpreted"
+        );
         let cache = lane.cache.expect("the production lane has a plan cache");
         assert!(cache.exact_hits > 0, "{label}: warm executions never hit");
     }
@@ -99,6 +108,12 @@ fn assert_production_ran(
     for plain in ["text", "xml"] {
         let lane = report.lane(plain);
         assert_eq!((lane.indexes_built, lane.index_hits), (0, 0), "{plain}");
+        let aggregates = (
+            lane.aggregates_lowered,
+            lane.aggregates_declined,
+            lane.aggregates_abandoned,
+        );
+        assert_eq!(aggregates, (0, 0, 0), "{plain}");
     }
 }
 
@@ -334,6 +349,12 @@ fn lane_counters_prove_each_lane_ran_its_own_configuration() {
                 (0, 0),
                 "{transport}{interpreted}"
             );
+            let aggregates = (
+                lane.aggregates_lowered,
+                lane.aggregates_declined,
+                lane.aggregates_abandoned,
+            );
+            assert_eq!(aggregates, (0, 0, 0), "{transport}{interpreted}");
         }
         for hashed in ["+hash", "+production"] {
             let lane = lane(hashed);
@@ -351,6 +372,13 @@ fn lane_counters_prove_each_lane_ran_its_own_configuration() {
                 "{transport}{hashed}"
             );
             assert_eq!(lane.view_fallbacks, 0, "{transport}{hashed}");
+            // Every GROUP BY and implicit group runs as the aggregate.
+            assert!(lane.aggregates_lowered > 0, "{transport}{hashed}");
+            assert_eq!(
+                (lane.aggregates_declined, lane.aggregates_abandoned),
+                (0, 0),
+                "{transport}{hashed}"
+            );
         }
         // A sink ends every execution of the pipeline strategy (a cached
         // lane executes twice) whose body it can write — every

@@ -82,8 +82,17 @@ fn strategies_agree(
             "{label}: one sink per statement a sink can write"
         );
         assert_eq!(lane.view_fallbacks, 0, "{label}: a view fell back");
+        assert_eq!(
+            (lane.aggregates_declined, lane.aggregates_abandoned),
+            (0, 0),
+            "{label}: a grouped FLWOR was interpreted"
+        );
         if !label.ends_with("+hash") {
             assert_eq!(lane.views, 0, "{label}: the interpreter planned a view");
+            assert_eq!(
+                lane.aggregates_lowered, 0,
+                "{label}: the interpreter aggregated"
+            );
             assert_eq!(
                 (lane.indexes_built, lane.index_hits),
                 (0, 0),
@@ -136,6 +145,12 @@ fn exec_differential_is_clean_and_covers_the_fast_path() {
             lane.join_fallbacks
         );
         assert!(lane.index_hits > 0, "{label}: no join index was reused");
+        assert!(lane.aggregates_lowered > 0, "{label}: no aggregate ran");
+        assert_eq!(
+            (lane.aggregates_declined, lane.aggregates_abandoned),
+            (0, 0),
+            "{label}"
+        );
     }
 }
 
@@ -606,6 +621,160 @@ proptest! {
     }
 }
 
+/// Decimals whose sum depends on the order they are added in.
+const ORDER_SENSITIVE: [f64; 6] = [1e16, 1.0, -1e16, 0.1, 0.2, 0.3];
+/// Integers two of which overflow a SUM.
+const HUGE: [i64; 3] = [i64::MAX - 1, i64::MAX / 2 + 1, -7];
+/// Text a decimal cast reads, and text it refuses.
+const DECIMAL_TEXT: [&str; 4] = ["1.5", " 2 ", "-0", "x1"];
+
+/// Two tables `G` and `H` of `(K, N integer, D decimal, T varchar)`, every
+/// column nullable and drawn from the pools above: NULL keys and values,
+/// duplicate rows, possibly no row at all.
+fn grouping_universe(rng: &mut StdRng) -> Universe {
+    let columns = |t: aldsp::catalog::builder::TableSchemaBuilder| {
+        t.column("K", SqlColumnType::Integer, true)
+            .column("N", SqlColumnType::Integer, true)
+            .column("D", SqlColumnType::Decimal, true)
+            .column("T", SqlColumnType::Varchar, true)
+    };
+    let app = ApplicationBuilder::new("GROUPING")
+        .project("P")
+        .data_service("G")
+        .physical_table("G", columns)
+        .finish_service()
+        .data_service("H")
+        .physical_table("H", columns)
+        .finish_service()
+        .finish_project()
+        .build();
+    let mut db = Database::new();
+    for name in ["G", "H"] {
+        let (_, _, function) = app.functions().find(|(_, _, f)| f.name == name).unwrap();
+        let mut table = Table::new(function.schema.clone());
+        let mut row = Vec::new();
+        for _ in 0..rng.gen_range(0..10) {
+            // One row in three repeats the one before it.
+            if row.is_empty() || rng.gen_range(0..3) > 0 {
+                let pick = |present: bool, value: SqlValue| match present {
+                    true => value,
+                    false => SqlValue::Null,
+                };
+                row = vec![
+                    pick(rng.gen_bool(0.8), SqlValue::Int(rng.gen_range(1..4))),
+                    pick(rng.gen_bool(0.7), SqlValue::Int(HUGE[rng.gen_range(0..3)])),
+                    pick(
+                        rng.gen_bool(0.8),
+                        SqlValue::Decimal(ORDER_SENSITIVE[rng.gen_range(0..6)]),
+                    ),
+                    pick(
+                        rng.gen_bool(0.8),
+                        SqlValue::Str(DECIMAL_TEXT[rng.gen_range(0..4)].into()),
+                    ),
+                ];
+            }
+            table.insert(row.clone());
+        }
+        db.add_table(table);
+    }
+    Universe::new(app, db)
+}
+
+/// Grouped statements over the universe above, each with the statement
+/// that counts its `$inter` rows.
+const GROUPED_OVER_G: [(&str, &str); 6] = [
+    (
+        "SELECT K, COUNT(*), COUNT(D), SUM(D), AVG(D), MIN(T), MAX(D) FROM G GROUP BY K",
+        "SELECT COUNT(*) FROM G",
+    ),
+    (
+        "SELECT K, T, COUNT(*), SUM(DISTINCT D), COUNT(DISTINCT N) FROM G GROUP BY K, T \
+         HAVING COUNT(*) >= 2",
+        "SELECT COUNT(*) FROM G",
+    ),
+    (
+        "SELECT COUNT(*), SUM(N), AVG(N), MIN(N) FROM G",
+        "SELECT COUNT(*) FROM G",
+    ),
+    (
+        "SELECT T, SUM(CAST(T AS DECIMAL)) FROM G GROUP BY T",
+        "SELECT COUNT(*) FROM G",
+    ),
+    (
+        "SELECT G.K, COUNT(*), SUM(H.D), MAX(H.N) FROM G INNER JOIN H ON G.K = H.K GROUP BY G.K",
+        "SELECT COUNT(*) FROM G INNER JOIN H ON G.K = H.K",
+    ),
+    (
+        "SELECT COUNT(*), SUM(D) FROM H WHERE K > 2",
+        "SELECT COUNT(*) FROM H WHERE K > 2",
+    ),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A grouped statement answers the same under the aggregate and the
+    /// interpreter: equal rows in equal order, or the interpreter's error
+    /// (a SUM past `i64::MAX`, text a decimal cast refuses) on both. The
+    /// aggregate never costs more fuel than the interpreter; a row cap one
+    /// below `$inter`'s rows fails both; and the aggregate's own fuel is
+    /// exactly what it needs — one unit less fails it.
+    #[test]
+    fn the_aggregate_answers_like_the_interpreter_on_random_universes(seed in 0u64..100_000) {
+        let universe = grouping_universe(&mut StdRng::seed_from_u64(seed));
+        for transport in [Transport::DelimitedText, Transport::Xml] {
+            let hash = service(&universe.server, transport, ExecStrategy::HashJoin);
+            let naive = service(&universe.server, transport, ExecStrategy::NestedLoop);
+            for (sql, inter) in GROUPED_OVER_G {
+                let at = format!("seed {seed}, {transport:?}: `{sql}`");
+                let run = |service: &QueryService, budget: QueryBudget| {
+                    let outcome = service.execute_with_budget(sql, &[], Some(&budget));
+                    (outcome.map(|rs| rs.rows().to_vec()), budget)
+                };
+                let (hashed, hash_meter) = run(&hash, QueryBudget::unlimited());
+                let (interpreted, naive_meter) = run(&naive, QueryBudget::unlimited());
+                prop_assert_eq!(naive_meter.aggregate_counts(), (0, 0, 0), "{}", at);
+                match (&hashed, &interpreted) {
+                    (Ok(hashed), Ok(interpreted)) => {
+                        prop_assert_eq!(hashed, interpreted, "{}", at);
+                        prop_assert_eq!(hash_meter.aggregate_counts(), (1, 0, 0), "{}", at);
+                        let fuel = hash_meter.fuel_consumed();
+                        prop_assert!(fuel <= naive_meter.fuel_consumed(), "{}", at);
+                        prop_assert!(run(&hash, QueryBudget::unlimited().with_fuel(fuel)).0.is_ok());
+                        match run(&hash, QueryBudget::unlimited().with_fuel(fuel - 1)).0 {
+                            Err(DriverError::BudgetExceeded(m)) if m.contains("fuel exhausted") => {}
+                            other => prop_assert!(false, "{}: one unit short: {:?}", at, other),
+                        }
+                    }
+                    (Err(hashed), Err(interpreted)) => {
+                        prop_assert!(matches!(interpreted, DriverError::Execution(_)), "{}", at);
+                        prop_assert_eq!(hashed.to_string(), interpreted.to_string(), "{}", at);
+                        // Every attempt of the fallback chain ran the
+                        // operator and handed the FLWOR back.
+                        let (lowered, declined, abandoned) = hash_meter.aggregate_counts();
+                        prop_assert!(abandoned > 0 && declined == 0, "{}", at);
+                        prop_assert_eq!(lowered, 0, "{}", at);
+                    }
+                    _ => prop_assert!(false, "{}: {:?} vs {:?}", at, hashed, interpreted),
+                }
+                let rows = match rows(&naive, inter)[0][0] {
+                    SqlValue::Int(rows) => rows as u64,
+                    ref other => panic!("{at}: {other:?} rows"),
+                };
+                if rows == 0 {
+                    continue;
+                }
+                for service in [&hash, &naive] {
+                    match run(service, QueryBudget::unlimited().with_row_cap(rows - 1)).0 {
+                        Err(DriverError::BudgetExceeded(m)) if m.contains("row cap exceeded") => {}
+                        other => prop_assert!(false, "{}: capped at {}: {:?}", at, rows - 1, other),
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// `wrap_delimited` and the sink's shape test are two halves of one
 /// format: every delimited-text program the translator emits — as
 /// generated, and as the optimizer leaves it at `Full` — must lower to a
@@ -928,6 +1097,106 @@ fn every_view_the_translator_emits_lowers_to_a_tail_plan() {
     assert!(
         grouped >= 40 && outer >= 20 && pruning >= 60,
         "{grouped} grouped, {outer} outer-joined, {pruning} pruning"
+    );
+}
+
+/// Every aggregate stage 3 writes — COUNT(*), COUNT(x), COUNT(DISTINCT x),
+/// SUM, SUM(DISTINCT x), AVG, MIN, MAX — over one key and two, a nullable
+/// key (its NULL group), HAVING, no GROUP BY (over rows and over none), a
+/// join, an outer join, a derived table and a scalar subquery.
+const GROUPED: [&str; 12] = [
+    "SELECT COUNT(*) FROM ORDERS",
+    "SELECT COUNT(AMOUNT), COUNT(DISTINCT CUSTID), SUM(AMOUNT), SUM(DISTINCT AMOUNT), \
+     AVG(AMOUNT), MIN(STATUS), MAX(ORDERID) FROM ORDERS",
+    "SELECT COUNT(*), SUM(AMOUNT), AVG(AMOUNT) FROM ORDERS WHERE ORDERID < 0",
+    "SELECT STATUS, COUNT(*), SUM(DISTINCT AMOUNT), MIN(AMOUNT) FROM ORDERS GROUP BY STATUS",
+    "SELECT CUSTID, STATUS, COUNT(*), MAX(AMOUNT) FROM ORDERS GROUP BY CUSTID, STATUS",
+    "SELECT CUSTOMERNAME, COUNT(*), AVG(CREDIT), COUNT(DISTINCT REGION) FROM CUSTOMERS \
+     GROUP BY CUSTOMERNAME",
+    "SELECT REGION, COUNT(CUSTOMERNAME) FROM CUSTOMERS GROUP BY REGION HAVING SUM(CREDIT) > 100",
+    "SELECT COUNT(*), MAX(PAYMENT) FROM PAYMENTS HAVING COUNT(*) > 1",
+    "SELECT CUSTOMERS.REGION, COUNT(*), SUM(ORDERS.AMOUNT) FROM CUSTOMERS INNER JOIN ORDERS \
+     ON CUSTOMERS.CUSTOMERID = ORDERS.CUSTID GROUP BY CUSTOMERS.REGION ORDER BY CUSTOMERS.REGION",
+    "SELECT CUSTOMERS.CUSTOMERID, COUNT(PAYMENTS.PAYMENTID) FROM CUSTOMERS LEFT OUTER JOIN \
+     PAYMENTS ON CUSTOMERS.CUSTOMERID = PAYMENTS.CUSTID GROUP BY CUSTOMERS.CUSTOMERID",
+    "SELECT V.N FROM (SELECT STATUS, COUNT(*) AS N FROM ORDERS GROUP BY STATUS) AS V",
+    "SELECT PAYMENTID FROM PAYMENTS WHERE PAYMENT > (SELECT AVG(PAYMENT) FROM PAYMENTS)",
+];
+
+fn grouped_corpus() -> Vec<(String, String)> {
+    let statements = GROUPED.iter().enumerate();
+    let corpus = statements.map(|(i, sql)| (format!("grouped:{i}"), sql.to_string()));
+    corpus.collect()
+}
+
+/// `stage3::gen_select_grouped` / `gen_aggregate` and the aggregate's
+/// recognizer are two halves of one format as well: over the statements
+/// above and the paper, golden and fuzzed corpora, as generated and as
+/// optimized, in both transports, every FLWOR with a `group` clause or the
+/// implicit group's `let $p := $inter/RECORD` (the test's own reading, off
+/// the AST) lowers to the aggregate, and no other FLWOR is taken for one.
+/// What the plans say is what runs: groups aggregated, none declined or
+/// abandoned, and none by the interpreter. The statements above also go
+/// through the matrix: the oracle's rows, the interpreter's in its order.
+#[test]
+fn every_grouped_flwor_the_translator_emits_lowers_to_the_aggregate() {
+    use aldsp::xquery::ast::{Clause, Expr, PathStart};
+    use aldsp::xquery::exec::lowers_to_aggregate;
+    use aldsp::xquery::visit::each_expr;
+
+    let scale = Scale::small();
+    let universe = Universe::generated(scale, 73);
+    strategies_agree(&universe, &grouped_corpus(), common::production(scale));
+    let mut corpus = grouped_corpus();
+    corpus.extend(all_corpora(73, 10));
+    let (mut by, mut implicit) = (0, 0);
+    for transport in [Transport::DelimitedText, Transport::Xml] {
+        let programs = emitted_programs(&universe.server, scale, &corpus, transport);
+        for (origin, sql, level, xquery) in programs {
+            let at = format!("{origin} at {level:?}: `{sql}`:\n{xquery}");
+            let program = aldsp::xquery::parse_program(&xquery).expect("programs parse");
+            let mut grouped = 0;
+            each_expr(&program.body, &mut |expr| {
+                let Expr::Flwor(flwor) = expr else { return };
+                let has_group = flwor
+                    .clauses
+                    .iter()
+                    .any(|c| matches!(c, Clause::GroupBy(_)));
+                let one_group = match flwor.clauses.as_slice() {
+                    [Clause::Let {
+                        var: view,
+                        value: Expr::Element(_),
+                    }, Clause::Let {
+                        value: Expr::Path { start, .. },
+                        ..
+                    }, ..] => matches!(&**start, PathStart::Var(v) if v == view),
+                    _ => false,
+                };
+                let expected = (has_group || one_group).then_some(true);
+                assert_eq!(lowers_to_aggregate(flwor), expected, "{at}");
+                grouped += usize::from(has_group || one_group);
+                by += usize::from(has_group);
+                implicit += usize::from(one_group);
+            });
+            for exec in [ExecStrategy::HashJoin, ExecStrategy::NestedLoop] {
+                let meter = QueryBudget::unlimited();
+                universe
+                    .server
+                    .execute_to_payload_governed_with(&xquery, &[], None, Some(&meter), exec)
+                    .unwrap_or_else(|e| panic!("{e}: {at}"));
+                let (lowered, declined, abandoned) = meter.aggregate_counts();
+                let ran = exec == ExecStrategy::HashJoin && grouped > 0;
+                assert_eq!(
+                    (lowered > 0, declined, abandoned),
+                    (ran, 0, 0),
+                    "{exec:?}: {at}"
+                );
+            }
+        }
+    }
+    assert!(
+        by >= 4 * 30 && implicit >= 4 * 8,
+        "{by} grouped, {implicit} implicit"
     );
 }
 

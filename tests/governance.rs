@@ -344,10 +344,75 @@ fn a_statement_is_charged_for_its_join_index_whoever_built_it() {
     }
 }
 
+/// The end-to-end benchmark's two grouped `join_report` statements, each
+/// with the statement that counts its `$inter` rows.
+const GROUPED_SHAPES: [(&str, &str, &str); 2] = [
+    (
+        "grouped_join",
+        "SELECT CUSTOMERS.CUSTOMERID, COUNT(ORDERS.ORDERID), SUM(ORDERS.AMOUNT) \
+         FROM CUSTOMERS INNER JOIN ORDERS ON CUSTOMERS.CUSTOMERID = ORDERS.CUSTID \
+         GROUP BY CUSTOMERS.CUSTOMERID ORDER BY CUSTOMERS.CUSTOMERID",
+        "SELECT COUNT(*) FROM CUSTOMERS INNER JOIN ORDERS \
+         ON CUSTOMERS.CUSTOMERID = ORDERS.CUSTID",
+    ),
+    (
+        "group_having",
+        "SELECT CUSTID, COUNT(*) AS N, SUM(PAYMENT) AS TOTAL FROM PAYMENTS \
+         GROUP BY CUSTID HAVING COUNT(*) >= 2",
+        "SELECT COUNT(*) FROM PAYMENTS",
+    ),
+];
+
+/// A grouped statement's budget is its logical work under the aggregate
+/// too: on the production lane it costs no more fuel than on the
+/// interpreter, the fuel it spent passes and one unit less fails, and a row
+/// cap one below its `$inter` rows fails it on both lanes.
+#[test]
+fn a_grouped_statement_is_charged_its_fuel_and_capped_at_its_rows() {
+    let scale = Scale::small();
+    let production = Lane::production(Transport::DelimitedText, common::engine(scale));
+    for (class, sql, inter) in GROUPED_SHAPES {
+        let service = production.service(server(scale, 5));
+        let naive = Lane::plain(Transport::DelimitedText).service(server(scale, 5));
+        let run = |service: &QueryService, budget: QueryBudget| {
+            let outcome = service.execute_with_budget(sql, &[], Some(&budget));
+            (outcome.map(|rs| rs.rows().to_vec()), budget)
+        };
+        let (rows, meter) = run(&service, QueryBudget::unlimited());
+        let (naive_rows, naive_meter) = run(&naive, QueryBudget::unlimited());
+        assert_eq!(rows.unwrap().len(), naive_rows.unwrap().len(), "{class}");
+        assert_eq!(meter.aggregate_counts(), (1, 0, 0), "{class}");
+        let fuel = meter.fuel_consumed();
+        assert!(fuel < naive_meter.fuel_consumed(), "{class}");
+        let (_, exact) = run(&service, QueryBudget::unlimited().with_fuel(fuel));
+        assert_eq!(
+            exact.fuel_consumed(),
+            fuel,
+            "{class}: the exact limit passes"
+        );
+        match run(&service, QueryBudget::unlimited().with_fuel(fuel - 1)).0 {
+            Err(DriverError::BudgetExceeded(m)) if m.contains("fuel exhausted") => {}
+            other => panic!("{class}: one unit short must fail, got {other:?}"),
+        }
+        let counted = naive.execute(inter, &[]).unwrap();
+        let SqlValue::Int(inter_rows) = counted.rows()[0][0] else {
+            panic!("{class}: no count");
+        };
+        let cap = inter_rows as u64 - 1;
+        for (lane, service) in [("production", &service), ("interpreter", &naive)] {
+            match run(service, QueryBudget::unlimited().with_row_cap(cap)).0 {
+                Err(DriverError::BudgetExceeded(m)) if m.contains("row cap exceeded") => {}
+                other => panic!("{class}, {lane}: a cap of {cap} must fail, got {other:?}"),
+            }
+        }
+    }
+}
+
 /// The statements of the end-to-end benchmark's `warm_point`,
 /// `reload_churn` and `bulk_export` workloads — point lookups by key and
-/// full scans — have no hash operator: the production lane asks for no
-/// join index on any of them, so the index cannot move those workloads.
+/// full scans — have no hash operator and no group: the production lane
+/// asks for no join index on any of them and runs no aggregate, so neither
+/// can move those workloads.
 #[test]
 fn point_lookups_and_exports_ask_for_no_join_index() {
     let scale = Scale::small();
@@ -386,6 +451,7 @@ fn point_lookups_and_exports_ask_for_no_join_index() {
                 .execute_with_budget(sql, params, Some(&meter))
                 .unwrap_or_else(|e| panic!("`{sql}`: {e}"));
             assert_eq!(meter.index_counts(), (0, 0), "`{sql}`");
+            assert_eq!(meter.aggregate_counts(), (0, 0, 0), "`{sql}`");
         }
     }
 }
