@@ -12,7 +12,7 @@ use aldsp_bench::{
 use aldsp_catalog::{CachedMetadataApi, InProcessMetadataApi, TableLocator};
 use aldsp_core::{TranslationOptions, Translator, Transport};
 use aldsp_driver::{Connection, DspServer, QueryService, ResultSet};
-use aldsp_governor::QueryBudget;
+use aldsp_governor::{Lowering, QueryBudget};
 use aldsp_plancache::PlanCache;
 use aldsp_relational::{execute_query, SqlValue};
 use aldsp_sql::parse_select;
@@ -1384,28 +1384,22 @@ fn e13_exec_engine(smoke: bool) {
                     lane.index_hits > 0,
                     "acceptance: lane {label} must find join indexes the server kept"
                 );
-                assert!(
-                    lane.aggregates_lowered > 0
-                        && (lane.aggregates_declined, lane.aggregates_abandoned) == (0, 0),
-                    "acceptance: lane {label} must run every grouped FLWOR as the aggregate: \
-                     {} ran, {} declined, {} abandoned",
-                    lane.aggregates_lowered,
-                    lane.aggregates_declined,
-                    lane.aggregates_abandoned
-                );
+                for (kind, (lowered, declined, abandoned)) in lane.lowerings() {
+                    assert!(
+                        lowered > 0 && (declined, abandoned) == (0, 0),
+                        "acceptance: lane {label} must run every {kind:?} lowering's FLWOR as \
+                         its operator: {lowered} ran, {declined} declined, {abandoned} abandoned"
+                    );
+                }
             }
             for label in ["text", "xml"] {
-                let lane = report.lane(label);
-                let aggregates = (
-                    lane.aggregates_lowered,
-                    lane.aggregates_declined,
-                    lane.aggregates_abandoned,
-                );
-                assert_eq!(
-                    aggregates,
-                    (0, 0, 0),
-                    "acceptance: the interpreter lane {label} ran an aggregate"
-                );
+                for (kind, counts) in report.lane(label).lowerings() {
+                    assert_eq!(
+                        counts,
+                        (0, 0, 0),
+                        "acceptance: the interpreter lane {label} ran a {kind:?} lowering"
+                    );
+                }
             }
             // No pipeline may run and raise, and the six lanes share one
             // server that nothing writes to: each (function, key column) is
@@ -1446,9 +1440,13 @@ fn e13_exec_engine(smoke: bool) {
     let join_abandons: u64 = all_lanes().map(|l| l.join_abandons).sum();
     let indexes_built: u64 = all_lanes().map(|l| l.indexes_built).sum();
     let index_hits: u64 = all_lanes().map(|l| l.index_hits).sum();
-    let aggregates_lowered: u64 = hash_lanes().map(|l| l.aggregates_lowered).sum();
-    let aggregates_declined: u64 = all_lanes().map(|l| l.aggregates_declined).sum();
-    let aggregates_abandoned: u64 = all_lanes().map(|l| l.aggregates_abandoned).sum();
+    // Per lowering: lowered on the hash lanes, declined and abandoned on all.
+    let mut totals = [(0, 0, 0); 3];
+    for (at, total) in totals.iter_mut().enumerate() {
+        total.0 = hash_lanes().map(|lane| lane.lowerings()[at].1 .0).sum();
+        total.1 = all_lanes().map(|lane| lane.lowerings()[at].1 .1).sum();
+        total.2 = all_lanes().map(|lane| lane.lowerings()[at].1 .2).sum();
+    }
     println!(
         "{passed}/{total} queries agree (hash vs naive vs production vs oracle, both transports; \
          {} seed(s) x ({golden_total} golden / {} + {fuzzed_per_seed} fuzzed)): \
@@ -1456,12 +1454,20 @@ fn e13_exec_engine(smoke: bool) {
         seeds.len(),
         seeds.len().max(1),
     );
+    let kinds = [Lowering::Aggregate, Lowering::Sort, Lowering::Set];
+    let lowered_line: Vec<String> = kinds
+        .iter()
+        .zip(totals)
+        .map(|(kind, (lowered, declined, abandoned))| {
+            format!("{kind:?}: {lowered} lowered, {declined} declined, {abandoned} abandoned")
+        })
+        .collect();
     println!(
         "hashable FLWOR executions: {hash_joins} hash operators ran, {join_fallbacks} fell back \
          (fast-path fraction {fast_path_fraction:.3}); {views} views built by tail plans \
          less {cells_pruned} cells; {indexes_built} join indexes built, found {index_hits} times \
-         (all lanes); {aggregates_lowered} grouped FLWORs aggregated, {aggregates_declined} \
-         declined, {aggregates_abandoned} abandoned"
+         (all lanes); {}",
+        lowered_line.join("; ")
     );
     assert!(
         fuzzed_per_seed >= 1_000,
@@ -1526,6 +1532,17 @@ fn e13_exec_engine(smoke: bool) {
             "SELECT CUSTOMERID, REGION FROM CUSTOMERS WHERE CUSTOMERID IN \
              (SELECT CUSTID FROM ORDERS WHERE AMOUNT > 250)",
         ),
+        // The end-to-end benchmark's sort and set statements: the rows
+        // operator, no join — timed, with no speedup bar.
+        (
+            "order_by",
+            "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS ORDER BY CUSTOMERID DESC",
+        ),
+        ("distinct", "SELECT DISTINCT CUSTID FROM PAYMENTS"),
+        (
+            "union",
+            "SELECT CUSTID FROM PAYMENTS UNION SELECT CUSTID FROM ORDERS",
+        ),
     ];
     // The timed queries return identical rows under both strategies at
     // this scale too.
@@ -1540,13 +1557,13 @@ fn e13_exec_engine(smoke: bool) {
         "acceptance: the timed slice queries must return identical rows"
     );
     // The p50, and the last sample's `(views, cells pruned, view
-    // fallbacks)` and `(aggregates run, declined, abandoned)`. The server
-    // has run the statement before (the matrix above): every join index a
-    // sample asks for is found.
+    // fallbacks)` and, per `Lowering`, `(run, declined, abandoned)`. The
+    // server has run the statement before (the matrix above): every join
+    // index a sample asks for is found.
     type Counts = (u64, u64, u64);
-    let time_service = |service: &QueryService, sql: &str| -> (f64, Counts, Counts) {
+    let time_service = |service: &QueryService, sql: &str| -> (f64, Counts, [Counts; 3]) {
         let mut times = Vec::with_capacity(samples);
-        let (mut views, mut aggregates) = ((0, 0, 0), (0, 0, 0));
+        let (mut views, mut lowered) = ((0, 0, 0), [(0, 0, 0); 3]);
         // One extra, untimed: warms the plan cache and the materialization.
         for sample in 0..=samples {
             let budget = QueryBudget::unlimited();
@@ -1560,14 +1577,14 @@ fn e13_exec_engine(smoke: bool) {
                 times.push(t.elapsed().as_secs_f64() * 1e6);
             }
             views = budget.view_counts();
-            aggregates = budget.aggregate_counts();
+            lowered = kinds.map(|kind| budget.lowering_counts(kind));
             assert_eq!(
                 (budget.index_counts().0, budget.join_abandons()),
                 (0, 0),
                 "acceptance: `{sql}`: a warm execution builds no index and abandons no pipeline"
             );
         }
-        (percentile(&sorted_us(times), 0.5), views, aggregates)
+        (percentile(&sorted_us(times), 0.5), views, lowered)
     };
     // The hash lane's *cold* execution: the first on a server that has
     // joined nothing yet. The plan is an exact cache hit (one cache over
@@ -1620,8 +1637,8 @@ fn e13_exec_engine(smoke: bool) {
     let mut entries = Vec::new();
     let mut speedups = Vec::new();
     for (name, sql) in slice {
-        let (naive_p50, interpreted, naive_aggregates) = time_service(&naive_service, sql);
-        let (hash_p50, (views, cells_pruned, view_fallbacks), (aggregates, declined, abandoned)) =
+        let (naive_p50, interpreted, naive_lowered) = time_service(&naive_service, sql);
+        let (hash_p50, (views, cells_pruned, view_fallbacks), lowered) =
             time_service(&hash_service, sql);
         let (hash_cold, indexes_built) = time_cold(sql);
         let speedup = naive_p50 / hash_p50.max(1e-9);
@@ -1635,8 +1652,10 @@ fn e13_exec_engine(smoke: bool) {
             "acceptance: `{name}` must be >= 5x faster hashed, got {speedup:.1}x"
         );
         // A view that stopped pruning returns the same rows, only slower —
-        // and so does a grouped statement the aggregate stopped running.
+        // and so does a statement an operator stopped running.
         let grouped = matches!(name, "grouped_join" | "group_having");
+        let sorted = matches!(name, "grouped_join" | "order_by");
+        let set = matches!(name, "distinct" | "union");
         assert!(
             !(grouped || name == "outer_join") || cells_pruned > 0,
             "acceptance: the view of `{name}` must be built without its unread cells"
@@ -1647,15 +1666,27 @@ fn e13_exec_engine(smoke: bool) {
             "acceptance: `{name}`: no view is handed back, and the interpreter plans none"
         );
         assert_eq!(
-            ((aggregates, declined, abandoned), naive_aggregates),
-            ((u64::from(grouped), 0, 0), (0, 0, 0)),
-            "acceptance: `{name}`: its groups are the aggregate's, and the interpreter's none"
+            (lowered, naive_lowered),
+            (
+                [grouped, sorted, set].map(|ran| (u64::from(ran), 0, 0)),
+                [(0, 0, 0); 3]
+            ),
+            "acceptance: `{name}`: its groups, sort and set operation are the operators', \
+             and the interpreter's none"
         );
         // The semi-join's build side is a view over a parameter: its table
         // stays the statement's own. Every other join keys a bare function.
+        let unjoined = [
+            "in_subquery",
+            "group_having",
+            "order_by",
+            "distinct",
+            "union",
+        ];
+        let joins = !unjoined.contains(&name);
         assert_eq!(
             indexes_built,
-            u64::from(!matches!(name, "in_subquery" | "group_having")),
+            u64::from(joins),
             "acceptance: `{name}`: join indexes its cold execution builds"
         );
         entries.push(obj! {
@@ -1665,9 +1696,12 @@ fn e13_exec_engine(smoke: bool) {
             "operator_speedup": Json::Num(operator_speedup, 2),
             "speedup": Json::Num(speedup, 2),
             "views": views, "cells_pruned": cells_pruned, "indexes_built": indexes_built,
-            "aggregates": aggregates,
+            "aggregates": lowered[0].0, "sorts": lowered[1].0, "sets": lowered[2].0,
         });
-        speedups.push(speedup);
+        // The slice's bar is the joins' and the aggregate's.
+        if !matches!(name, "order_by" | "distinct" | "union") {
+            speedups.push(speedup);
+        }
     }
     let slice_p50 = percentile(&sorted_us(speedups.clone()), 0.5);
     let slice_stats = hash_service.governor_stats();
@@ -1696,8 +1730,11 @@ fn e13_exec_engine(smoke: bool) {
             "fast_path_fraction": Json::Num(fast_path_fraction, 4),
             "views": views, "cells_pruned": cells_pruned, "view_fallbacks": view_fallbacks,
             "join_abandons": join_abandons, "indexes_built": indexes_built, "index_hits": index_hits,
-            "aggregates_lowered": aggregates_lowered, "aggregates_declined": aggregates_declined,
-            "aggregates_abandoned": aggregates_abandoned,
+            "aggregates_lowered": totals[0].0, "aggregates_declined": totals[0].1,
+            "aggregates_abandoned": totals[0].2, "sorts_lowered": totals[1].0,
+            "sorts_declined": totals[1].1, "sorts_abandoned": totals[1].2,
+            "sets_lowered": totals[2].0, "sets_declined": totals[2].1,
+            "sets_abandoned": totals[2].2,
         },
         "perf": obj! {
             "scale_customers": customers, "samples_per_query": samples, "queries": entries,

@@ -189,15 +189,26 @@ struct BudgetInner {
     views: AtomicU64,
     cells_pruned: AtomicU64,
     view_fallbacks: AtomicU64,
-    // Grouped FLWORs the aggregate operator ran, declined, and ran but
+    // Per `Lowering`, the FLWORs its operator ran, declined, and ran but
     // abandoned to the interpreter.
-    aggregates: [AtomicU64; 3],
+    lowerings: [[AtomicU64; 3]; 3],
 }
 
-/// What became of a grouped FLWOR the aggregate operator was asked to run
-/// ([`QueryBudget::record_aggregate`]).
+/// An operator that runs a whole FLWOR of stage 3's in place of the
+/// interpreter's clause loop ([`QueryBudget::record_lowering`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggregateOutcome {
+pub enum Lowering {
+    /// A grouped FLWOR, as a hash aggregate.
+    Aggregate,
+    /// An ORDER BY wrapper, as a stable sort.
+    Sort,
+    /// A DISTINCT or set-operation wrapper, as a hash set operation.
+    Set,
+}
+
+/// What became of a FLWOR a [`Lowering`]'s operator was asked to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LoweringOutcome {
     /// The operator ran it.
     Lowered,
     /// The operator does not read its shape: the interpreter ran it.
@@ -245,7 +256,7 @@ impl QueryBudget {
                 views: AtomicU64::new(0),
                 cells_pruned: AtomicU64::new(0),
                 view_fallbacks: AtomicU64::new(0),
-                aggregates: Default::default(),
+                lowerings: Default::default(),
             }),
         }
     }
@@ -271,10 +282,11 @@ impl QueryBudget {
             views: AtomicU64::new(inner.views.load(Ordering::Relaxed)),
             cells_pruned: AtomicU64::new(inner.cells_pruned.load(Ordering::Relaxed)),
             view_fallbacks: AtomicU64::new(inner.view_fallbacks.load(Ordering::Relaxed)),
-            aggregates: inner
-                .aggregates
-                .each_ref()
-                .map(|count| AtomicU64::new(count.load(Ordering::Relaxed))),
+            lowerings: inner.lowerings.each_ref().map(|counts| {
+                counts
+                    .each_ref()
+                    .map(|count| AtomicU64::new(count.load(Ordering::Relaxed)))
+            }),
         };
         f(&mut next);
         QueryBudget {
@@ -466,18 +478,17 @@ impl QueryBudget {
         )
     }
 
-    /// Records what became of a grouped FLWOR the aggregate operator was
-    /// asked to run.
-    pub fn record_aggregate(&self, outcome: AggregateOutcome) {
-        self.inner.aggregates[outcome as usize].fetch_add(1, Ordering::Relaxed);
+    /// Records what became of a FLWOR `kind`'s operator was asked to run.
+    pub fn record_lowering(&self, kind: Lowering, outcome: LoweringOutcome) {
+        self.inner.lowerings[kind as usize][outcome as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// `(grouped FLWORs the aggregate operator ran, declined, abandoned)`
-    /// so far. Like [`QueryBudget::view_counts`], not drained by
-    /// [`QueryBudget::take_exec_counts`]: a grouped statement the operator
-    /// declines returns the same rows, only slower.
-    pub fn aggregate_counts(&self) -> (u64, u64, u64) {
-        let [lowered, declined, abandoned] = &self.inner.aggregates;
+    /// `(FLWORs kind's operator ran, declined, abandoned)` so far. Like
+    /// [`QueryBudget::view_counts`], not drained by
+    /// [`QueryBudget::take_exec_counts`]: a statement an operator declines
+    /// returns the same rows, only slower.
+    pub fn lowering_counts(&self, kind: Lowering) -> (u64, u64, u64) {
+        let [lowered, declined, abandoned] = &self.inner.lowerings[kind as usize];
         let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         (count(lowered), count(declined), count(abandoned))
     }
@@ -1104,9 +1115,11 @@ mod tests {
         clone.record_view(Some(6));
         clone.record_view(Some(0));
         clone.record_view(None);
-        clone.record_aggregate(AggregateOutcome::Lowered);
-        clone.record_aggregate(AggregateOutcome::Lowered);
-        clone.record_aggregate(AggregateOutcome::Abandoned);
+        clone.record_lowering(Lowering::Aggregate, LoweringOutcome::Lowered);
+        clone.record_lowering(Lowering::Aggregate, LoweringOutcome::Lowered);
+        clone.record_lowering(Lowering::Aggregate, LoweringOutcome::Abandoned);
+        clone.record_lowering(Lowering::Sort, LoweringOutcome::Declined);
+        clone.record_lowering(Lowering::Set, LoweringOutcome::Lowered);
         let budget = budget.with_row_cap(9);
         // Draining yields deltas and resets — the hash operators' only.
         assert_eq!(budget.join_fallbacks(), 2);
@@ -1116,7 +1129,9 @@ mod tests {
         assert_eq!(budget.index_counts(), (1, 2));
         assert_eq!(budget.sink_counts(), (1, 1));
         assert_eq!(budget.view_counts(), (2, 6, 1));
-        assert_eq!(budget.aggregate_counts(), (2, 0, 1));
+        assert_eq!(budget.lowering_counts(Lowering::Aggregate), (2, 0, 1));
+        assert_eq!(budget.lowering_counts(Lowering::Sort), (0, 1, 0));
+        assert_eq!(budget.lowering_counts(Lowering::Set), (1, 0, 0));
     }
 
     #[test]

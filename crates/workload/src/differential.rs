@@ -35,7 +35,7 @@ use aldsp_core::{
 use aldsp_driver::{
     Connection, DriverError, DspServer, FaultConfig, FaultInjector, FaultStats, QueryService,
 };
-use aldsp_governor::QueryBudget;
+use aldsp_governor::{Lowering, QueryBudget};
 use aldsp_plancache::{CacheStats, PlanCache};
 use aldsp_relational::{execute_query, Database, Relation, SqlValue};
 use aldsp_sql::parse_select;
@@ -265,7 +265,8 @@ pub struct LaneReport {
     /// Statement bodies a sink wrote. Under the pipeline strategy, on a
     /// delimited-text lane: one per execution that reached evaluation; on
     /// an XML lane: one per such execution whose body is a `<RECORDSET>`
-    /// of one FLWOR's `<RECORD>`s.
+    /// of one FLWOR's `<RECORD>`s, or of a sort or set wrapper the rows
+    /// operator runs.
     pub sinks: u64,
     /// Statement bodies a sink abandoned to the interpreter.
     pub sink_fallbacks: u64,
@@ -282,6 +283,20 @@ pub struct LaneReport {
     /// Grouped FLWORs it ran and abandoned to the interpreter: 0 on a
     /// fault-free run, or the operator diverged from the interpreter.
     pub aggregates_abandoned: u64,
+    /// ORDER BY wrappers the rows operator sorted, declined and abandoned,
+    /// as the aggregate's three above.
+    pub sorts_lowered: u64,
+    /// See [`LaneReport::sorts_lowered`].
+    pub sorts_declined: u64,
+    /// See [`LaneReport::sorts_lowered`].
+    pub sorts_abandoned: u64,
+    /// DISTINCT and set-operation wrappers the rows operator ran, declined
+    /// and abandoned; INTERSECT and EXCEPT without ALL are not asked.
+    pub sets_lowered: u64,
+    /// See [`LaneReport::sets_lowered`].
+    pub sets_declined: u64,
+    /// See [`LaneReport::sets_lowered`].
+    pub sets_abandoned: u64,
     /// Final plan-cache counters of a cached lane.
     pub cache: Option<CacheStats>,
     /// Resident plans put through analyzer layers 1–3.
@@ -317,6 +332,35 @@ pub struct MatrixReport {
     pub outcome_log: Vec<String>,
     /// What the injector did (all zero without a fault plan).
     pub fault_stats: FaultStats,
+}
+
+impl LaneReport {
+    /// Per [`Lowering`] — the aggregate, the sort, the set operations —
+    /// `(lowered, declined, abandoned)`.
+    pub fn lowerings(&self) -> [(Lowering, (u64, u64, u64)); 3] {
+        [
+            (
+                Lowering::Aggregate,
+                (
+                    self.aggregates_lowered,
+                    self.aggregates_declined,
+                    self.aggregates_abandoned,
+                ),
+            ),
+            (
+                Lowering::Sort,
+                (
+                    self.sorts_lowered,
+                    self.sorts_declined,
+                    self.sorts_abandoned,
+                ),
+            ),
+            (
+                Lowering::Set,
+                (self.sets_lowered, self.sets_declined, self.sets_abandoned),
+            ),
+        ]
+    }
 }
 
 impl MatrixReport {
@@ -567,10 +611,18 @@ pub fn run_matrix(
                 stats.views += views;
                 stats.cells_pruned += cells_pruned;
                 stats.view_fallbacks += view_fallbacks;
-                let (lowered, declined, abandoned) = meter.aggregate_counts();
+                let (lowered, declined, abandoned) = meter.lowering_counts(Lowering::Aggregate);
                 stats.aggregates_lowered += lowered;
                 stats.aggregates_declined += declined;
                 stats.aggregates_abandoned += abandoned;
+                let (lowered, declined, abandoned) = meter.lowering_counts(Lowering::Sort);
+                stats.sorts_lowered += lowered;
+                stats.sorts_declined += declined;
+                stats.sorts_abandoned += abandoned;
+                let (lowered, declined, abandoned) = meter.lowering_counts(Lowering::Set);
+                stats.sets_lowered += lowered;
+                stats.sets_declined += declined;
+                stats.sets_abandoned += abandoned;
                 let tag = match result {
                     Ok(rs) => {
                         let claim = reference(k).and_then(|r| Some((r, rows_of[r].as_ref()?)));

@@ -13,8 +13,9 @@
 //! every operator falls back to (`interpret_on_error`). And it is the
 //! **engine**'s front door: under [`ExecStrategy::HashJoin`] the same
 //! walk hands what [`crate::exec`] recognizes to its operators — a FLWOR's
-//! join-shaped clause prefix (`Evaluator::flwor_tuples`), its `return
-//! <RECORD>…</RECORD>` (`eval_flwor`), a program body that is a sink's
+//! join-shaped clause prefix, a whole grouped FLWOR or sort or set wrapper
+//! (`Evaluator::flwor_tuples`), its `return <RECORD>…</RECORD>`
+//! (`eval_flwor`), a program body that is a sink's
 //! ([`evaluate_program_exec`], [`evaluate_program_to_payload`]) — and
 //! interprets the rest. (The paper leaves optimization to the server's
 //! compiler, §3.2; `exec` is this repository's share of that compiler's
@@ -22,9 +23,9 @@
 //! one.)
 
 use crate::ast::*;
-use crate::exec::{self, AtomKey, JoinTable};
+use crate::exec::{self, AtomKey, JoinTable, Tuples};
 use crate::functions::{call_builtin, coerce_numeric, data};
-use aldsp_governor::{AggregateOutcome, BudgetError, ExecStrategy, QueryBudget};
+use aldsp_governor::{BudgetError, ExecStrategy, Lowering, LoweringOutcome, QueryBudget};
 use aldsp_xml::{Atomic, Element, Item, Node, QName, Sequence};
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -646,19 +647,20 @@ impl<'a> Evaluator<'a> {
         env: &Env,
         context: Option<&Item>,
     ) -> Result<Sequence, XqError> {
-        let (tuples, grouped) = self.flwor_tuples(flwor, env, context)?;
-        let ret = grouped.as_ref().unwrap_or(&flwor.ret);
+        let mut tuples = self.flwor_tuples(flwor, env, context)?;
         if self.strategy == ExecStrategy::HashJoin {
-            if let Some(project) = exec::project(ret) {
-                let rows = exec::project_tree(self, &project, &tuples, context);
-                if let Some(rows) = interpret_on_error(rows)? {
-                    return Ok(rows);
-                }
+            let rows = exec::project_tree(self, &flwor.ret, &tuples, context);
+            match interpret_on_error(rows)? {
+                Some(Some(rows)) => return Ok(rows),
+                // An operator's tuples have no `return` to interpret: the
+                // clause loop runs the FLWOR.
+                None if tuples.lowered() => tuples = self.clause_loop(flwor, env, context)?.into(),
+                _ => {}
             }
         }
         let mut out = Sequence::empty();
-        for tuple in &tuples {
-            out.extend(self.eval(ret, tuple, context)?);
+        for tuple in &tuples.envs {
+            out.extend(self.eval(&flwor.ret, tuple, context)?);
         }
         Ok(out)
     }
@@ -666,22 +668,35 @@ impl<'a> Evaluator<'a> {
     /// The tuple stream of `flwor`, every clause applied: what its
     /// `return` is evaluated over — by [`Evaluator::eval_flwor`], or by a
     /// sink or a view's tail plan of [`crate::exec`] that writes the rows
-    /// itself. Where the aggregate operator ran the FLWOR, one tuple per
-    /// group, and beside them the `return` rewritten to read its variables.
-    pub(crate) fn flwor_tuples(
+    /// itself. Where an operator ran the whole FLWOR — the aggregate, one
+    /// tuple per group; the rows operator, the rows of a sort or set
+    /// wrapper — each tuple is tagged with the branch that projects it.
+    pub(crate) fn flwor_tuples<'p>(
+        &self,
+        flwor: &'p Flwor,
+        env: &Env,
+        context: Option<&Item>,
+    ) -> Result<Tuples<'p>, XqError> {
+        // Stage 3's grouped FLWORs and sort and set wrappers open with a
+        // `let`: no other FLWOR calls out of line, or touches the
+        // operators' code.
+        let lowerable = matches!(flwor.clauses.as_slice(), [Clause::Let { .. }, _, ..]);
+        if self.strategy == ExecStrategy::HashJoin && lowerable {
+            if let Some(tuples) = self.lowered(flwor, env, context)? {
+                return Ok(tuples);
+            }
+        }
+        self.clause_loop(flwor, env, context).map(Tuples::from)
+    }
+
+    /// [`Evaluator::flwor_tuples`] through the clause loop: each clause
+    /// over the tuple stream, a join-shaped prefix through the pipeline.
+    fn clause_loop(
         &self,
         flwor: &Flwor,
         env: &Env,
         context: Option<&Item>,
-    ) -> Result<(Vec<Env>, Option<Expr>), XqError> {
-        // Stage 3's grouped FLWORs open with `let $inter`: no other FLWOR
-        // calls out of line, or touches the operator's code.
-        let grouped = matches!(flwor.clauses.as_slice(), [Clause::Let { .. }, _, ..]);
-        if self.strategy == ExecStrategy::HashJoin && grouped {
-            if let Some((groups, ret)) = self.aggregate(flwor, env, context)? {
-                return Ok((groups, Some(ret)));
-            }
-        }
+    ) -> Result<Vec<Env>, XqError> {
         let mut skip = 0;
         let mut tuples: Vec<Env> = vec![env.clone()];
         if self.strategy == ExecStrategy::HashJoin && exec::hash_shaped(flwor) {
@@ -751,38 +766,52 @@ impl<'a> Evaluator<'a> {
                 }
             }
         }
-        Ok((tuples, None))
+        Ok(tuples)
     }
 
-    /// A grouped FLWOR through the aggregate operator ([`exec::aggregate`]):
-    /// one tuple per group, and the rewritten `return`. `None`, and the
-    /// clause loop runs the FLWOR, for any other FLWOR, a declined one, and
-    /// one whose operator raised anything but a budget error.
+    /// A FLWOR an operator runs whole: a sort or set wrapper, which returns
+    /// its row variable, through the rows operator ([`exec::rows`]); a
+    /// grouped FLWOR through the aggregate ([`exec::aggregate`]). `None`,
+    /// and the clause loop runs the FLWOR, for any other FLWOR, a declined
+    /// one, and one whose operator raised anything but a budget error.
     // Out of line, and asked only of a FLWOR that opens with a `let`: the
     // clause loop is every FLWOR's, this a few of them. Checked inline at
     // the head of `eval_flwor`, the recognizer cost the warm point lookups
     // 2-client throughput on the end-to-end benchmark.
     #[inline(never)]
-    fn aggregate(
+    fn lowered<'p>(
         &self,
-        flwor: &Flwor,
+        flwor: &'p Flwor,
         env: &Env,
         context: Option<&Item>,
-    ) -> Result<Option<(Vec<Env>, Expr)>, XqError> {
-        let Some(planned) = exec::aggregate(flwor) else {
-            return Ok(None);
+    ) -> Result<Option<Tuples<'p>>, XqError> {
+        let (kind, ran) = match &*flwor.ret {
+            Expr::VarRef(_) => {
+                let Some((kind, planned)) = exec::rows(flwor) else {
+                    return Ok(None);
+                };
+                (
+                    kind,
+                    planned.map(|rows| exec::run_rows(self, &rows, env, context)),
+                )
+            }
+            _ => {
+                let Some(planned) = exec::aggregate(flwor) else {
+                    return Ok(None);
+                };
+                let ran = planned.map(|agg| exec::run_aggregate(self, agg, env, context));
+                (Lowering::Aggregate, ran)
+            }
         };
-        let (outcome, grouped) = match planned {
-            None => (AggregateOutcome::Declined, None),
-            Some(agg) => match interpret_on_error(exec::run_aggregate(self, &agg, env, context))? {
-                Some(groups) => (AggregateOutcome::Lowered, Some((groups, agg.ret))),
-                None => (AggregateOutcome::Abandoned, None),
-            },
+        let (outcome, tuples) = match ran.map(interpret_on_error).transpose()? {
+            None => (LoweringOutcome::Declined, None),
+            Some(None) => (LoweringOutcome::Abandoned, None),
+            Some(tuples) => (LoweringOutcome::Lowered, tuples),
         };
         if let Some(budget) = self.budget {
-            budget.record_aggregate(outcome);
+            budget.record_lowering(kind, outcome);
         }
-        Ok(grouped)
+        Ok(tuples)
     }
 
     /// Clause `at` of `flwor`, a `let`, over `tuples`. Under the pipeline
@@ -915,16 +944,7 @@ impl<'a> Evaluator<'a> {
             }
             keyed.push((keys, tuple));
         }
-        keyed.sort_by(|(ka, _), (kb, _)| {
-            for (i, spec) in specs.iter().enumerate() {
-                let ord = order_key_cmp(&ka[i], &kb[i], spec.empty_greatest);
-                let ord = if spec.descending { ord.reverse() } else { ord };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
-        });
+        keyed.sort_by(|(ka, _), (kb, _)| order_cmp(specs, ka, kb));
         Ok(keyed.into_iter().map(|(_, t)| t).collect())
     }
 
@@ -1020,6 +1040,23 @@ fn comp_matches(op: CompOp, ord: Ordering) -> bool {
         CompOp::Gt => ord == Ordering::Greater,
         CompOp::Ge => ord != Ordering::Less,
     }
+}
+
+/// Two tuples' `order by` keys, one per spec, compared in spec order: the
+/// interpreter's and the rows operator's one comparison.
+pub(crate) fn order_cmp(
+    specs: &[OrderSpec],
+    a: &[Option<Atomic>],
+    b: &[Option<Atomic>],
+) -> Ordering {
+    for (spec, (a, b)) in specs.iter().zip(a.iter().zip(b)) {
+        let ord = order_key_cmp(a, b, spec.empty_greatest);
+        let ord = if spec.descending { ord.reverse() } else { ord };
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    Ordering::Equal
 }
 
 /// `order by` comparison: empty sorts least by default (`empty greatest`
@@ -2535,8 +2572,10 @@ mod tests {
 
     #[test]
     fn escaped_rows_keep_every_cell() {
+        // (`for $r in $v/RECORD [order by …] return $r` is a wrapper the
+        // rows operator runs: no view is built at all.)
         for consumer in [
-            "for $r in $v/RECORD return $r",
+            "for $r in $v/RECORD where fn:true() return $r",
             "for $r in $v/RECORD return fn:data($r/*)",
             "for $r in $v/RECORD return fn:string($r)",
             "for $r in fn-bea:distinct-records($v/RECORD) return fn:data($r/ID)",
@@ -2551,7 +2590,7 @@ mod tests {
             "return ($v/RECORD/ID, some $q in $v/RECORD satisfies $q/NAME = \"Sue\")",
             "for $r in $v/RECORD return fn:data(($r, $r)/ID)",
             "for $r in $v/RECORD return fn:data($r[ID = 23]/NAME)",
-            "for $r in $v/RECORD order by xs:integer($r/ID) return $r",
+            "for $r in $v/RECORD order by xs:integer($r/ID) return <O>{$r}</O>",
             "for $r in $v/RECORD group $r as $p by fn:data($r/ID) as $k return $p",
             // Binders that take a row's or the view's name are not followed.
             "for $r in $v/RECORD for $r in ns0:CUSTOMERS() return fn:data($r/CUSTOMERID)",
@@ -2801,7 +2840,7 @@ mod tests {
             run_exec(query, &naive, ExecStrategy::NestedLoop),
             "items differ on: {query}"
         );
-        assert_eq!(naive.aggregate_counts(), (0, 0, 0));
+        assert_eq!(naive.lowering_counts(Lowering::Aggregate), (0, 0, 0));
         if piped.is_ok() {
             assert!(budget.fuel_consumed() <= naive.fuel_consumed(), "{query}");
         }
@@ -2809,7 +2848,7 @@ mod tests {
         let [naive, piped] = [ExecStrategy::NestedLoop, ExecStrategy::HashJoin]
             .map(|exec| evaluate_program_to_payload(&program, &TestSource, &[], None, exec));
         assert_eq!(piped, naive, "payloads differ on: {query}");
-        budget.aggregate_counts()
+        budget.lowering_counts(Lowering::Aggregate)
     }
 
     #[test]
@@ -2902,7 +2941,7 @@ mod tests {
         );
         let meter = QueryBudget::unlimited();
         run_exec(&query, &meter, ExecStrategy::HashJoin).unwrap();
-        assert_eq!(meter.aggregate_counts(), (1, 0, 0));
+        assert_eq!(meter.lowering_counts(Lowering::Aggregate), (1, 0, 0));
         assert_eq!(meter.view_counts(), (1, 1, 0), "`$inter` counts as a view");
         // The body and the outer FLWOR; `$inter`'s constructor, its FLWOR,
         // the call and two bindings; per row one unit and the key's three
@@ -2925,10 +2964,10 @@ mod tests {
         );
         // The last unit is the `return`'s: the operator ran, and a limit is
         // never an abandon.
-        assert_eq!(starved.aggregate_counts(), (1, 0, 0));
+        assert_eq!(starved.lowering_counts(Lowering::Aggregate), (1, 0, 0));
         let early = QueryBudget::unlimited().with_fuel(whole - 12);
         run_exec(&query, &early, ExecStrategy::HashJoin).unwrap_err();
-        assert_eq!(early.aggregate_counts(), (0, 0, 0));
+        assert_eq!(early.lowering_counts(Lowering::Aggregate), (0, 0, 0));
         // The row cap holds `$inter`'s rows under either strategy.
         let capped = || QueryBudget::unlimited().with_row_cap(1);
         let piped = run_exec(&query, &capped(), ExecStrategy::HashJoin).unwrap_err();
@@ -2940,6 +2979,205 @@ mod tests {
             piped,
             run_exec(&query, &capped(), ExecStrategy::NestedLoop).unwrap_err()
         );
+    }
+
+    /// Runs `query` under both strategies, as items and as a payload: one
+    /// outcome, value or error. Returns the pipeline's sort and set
+    /// lowering counts.
+    fn assert_rows_agree(query: &str) -> [(u64, u64, u64); 2] {
+        let (naive, budget) = (QueryBudget::unlimited(), QueryBudget::unlimited());
+        let piped = run_exec(query, &budget, ExecStrategy::HashJoin);
+        let interpreted = run_exec(query, &naive, ExecStrategy::NestedLoop);
+        assert_eq!(piped, interpreted, "items differ on: {query}");
+        if piped.is_ok() {
+            assert!(budget.fuel_consumed() <= naive.fuel_consumed(), "{query}");
+        }
+        let kinds = [Lowering::Sort, Lowering::Set];
+        assert_eq!(
+            kinds.map(|kind| naive.lowering_counts(kind)),
+            [(0, 0, 0); 2]
+        );
+        let program = parse_program(query).unwrap();
+        let [naive, piped] = [ExecStrategy::NestedLoop, ExecStrategy::HashJoin]
+            .map(|exec| evaluate_program_to_payload(&program, &TestSource, &[], None, exec));
+        assert_eq!(piped, naive, "payloads differ on: {query}");
+        kinds.map(|kind| budget.lowering_counts(kind))
+    }
+
+    /// A wrapper as stage 3 writes one: `views`, then `for $r in SRC` and
+    /// `order`, returning `$r`, inside the statement's `<RECORDSET>`.
+    fn wrapper(views: &[(&str, &str, &str)], src: &str, order: &str) -> String {
+        let views: String = views
+            .iter()
+            .map(|(var, table, cells)| {
+                format!(
+                    "let ${var} := <RECORDSET>{{ for $x in ns0:{table}() return \
+                     <RECORD>{cells}</RECORD> }}</RECORDSET> "
+                )
+            })
+            .collect();
+        format!("{IMPORT} <RECORDSET>{{ {views}for $r in {src} {order} return $r }}</RECORDSET>")
+    }
+
+    /// NULLABLEPAY's CUSTID (55, NULL, 55, 99) and PAYMENT (10, 20, 30, 40).
+    const PAY: (&str, &str, &str) = (
+        "p",
+        "NULLABLEPAY",
+        "{ for $s in fn:data($x/CUSTID) return <C>{$s}</C> }<P>{fn:data($x/PAYMENT)}</P>",
+    );
+
+    #[test]
+    fn the_rows_operator_answers_like_the_interpreter() {
+        let sort = [(1, 0, 0), (0, 0, 0)];
+        let row = |c: &str, p: &str| match c {
+            "" => format!("<RECORD><P>{p}</P></RECORD>"),
+            c => format!("<RECORD><C>{c}</C><P>{p}</P></RECORD>"),
+        };
+        // NULL sorts least, unless `empty greatest`; ties keep input order;
+        // `descending` reverses each key, the tie's order included.
+        for (order, expected) in [
+            (
+                "order by xs:integer($r/C)",
+                [("", 20), ("55", 10), ("55", 30), ("99", 40)],
+            ),
+            (
+                "order by xs:integer($r/C) empty greatest",
+                [("55", 10), ("55", 30), ("99", 40), ("", 20)],
+            ),
+            (
+                "order by $r/C descending, xs:decimal(fn:data($r/P)) descending",
+                [("99", 40), ("55", 30), ("55", 10), ("", 20)],
+            ),
+        ] {
+            let query = wrapper(&[PAY], "$p/RECORD", order);
+            assert_eq!(assert_rows_agree(&query), sort, "{order}");
+            let rows: String = expected
+                .iter()
+                .map(|(c, p)| row(c, &p.to_string()))
+                .collect();
+            assert_eq!(
+                run_text(&query),
+                format!("<RECORDSET>{rows}</RECORDSET>"),
+                "{order}"
+            );
+        }
+        // DISTINCT keeps first occurrences; the NULL row is a row of its own.
+        let custid = (
+            "p",
+            "NULLABLEPAY",
+            "{ for $s in fn:data($x/CUSTID) return <C>{$s}</C> }",
+        );
+        let query = wrapper(&[custid], "fn-bea:distinct-records($p/RECORD)", "");
+        assert_eq!(assert_rows_agree(&query), [(0, 0, 0), (1, 0, 0)]);
+        assert_eq!(
+            run_text(&query),
+            "<RECORDSET><RECORD><C>55</C></RECORD><RECORD/><RECORD><C>99</C></RECORD></RECORDSET>"
+        );
+        // UNION over a renamed right side; INTERSECT ALL and EXCEPT ALL take
+        // multiplicities from the right (PAYMENTS' 55 and 23).
+        let pays = ("q", "PAYMENTS", "<K>{fn:data($x/CUSTID)}</K>");
+        let renamed = "let $n := <RECORDSET>{ for $y in $q/RECORD return \
+             <RECORD>{ for $s in fn:data($y/K) return <C>{$s}</C> }</RECORD> }</RECORDSET> ";
+        let setop = |src: &str| {
+            wrapper(&[custid, pays], src, "").replace("for $r in", &format!("{renamed}for $r in"))
+        };
+        for (src, expected) in [
+            (
+                "fn-bea:distinct-records(($p/RECORD, $n/RECORD))",
+                "55,,99,23",
+            ),
+            ("($p/RECORD, $n/RECORD)", "55,,55,99,55,23"),
+            ("fn-bea:intersect-all-records($p/RECORD, $n/RECORD)", "55"),
+            ("fn-bea:except-all-records($p/RECORD, $n/RECORD)", ",55,99"),
+        ] {
+            let query = setop(src);
+            assert_eq!(assert_rows_agree(&query), [(0, 0, 0), (1, 0, 0)], "{src}");
+            let rows: Vec<String> = expected
+                .split(',')
+                .map(|c| match c {
+                    "" => "<RECORD/>".to_string(),
+                    c => format!("<RECORD><C>{c}</C></RECORD>"),
+                })
+                .collect();
+            assert_eq!(
+                run_text(&query),
+                format!("<RECORDSET>{}</RECORDSET>", rows.concat())
+            );
+        }
+        // A key of two values and a cast that fails are the interpreter's
+        // errors: the operator ran and handed the FLWOR back.
+        let twins = (
+            "t",
+            "TWINS",
+            "{ for $s in fn:data($x/X) return <X>{$s}</X> }",
+        );
+        let names = ("c", "CUSTOMERS", "<N>{fn:data($x/CUSTOMERNAME)}</N>");
+        for query in [
+            wrapper(&[twins], "$t/RECORD", "order by $r/X"),
+            wrapper(&[names], "$c/RECORD", "order by xs:integer($r/N)"),
+        ] {
+            assert!(run_exec(&query, &QueryBudget::unlimited(), ExecStrategy::NestedLoop).is_err());
+            assert_eq!(assert_rows_agree(&query), [(0, 0, 1), (0, 0, 0)], "{query}");
+        }
+    }
+
+    #[test]
+    fn the_rows_operator_is_charged_its_rows() {
+        // PAYMENTS: two rows. The statement and its FLWOR; the view's
+        // constructor and FLWOR, the call and two bindings; `$t/RECORD`; per
+        // row the `for $r` binding and the key's two nodes; per projected row
+        // `1 + 1`.
+        let query = wrapper(
+            &[("t", "PAYMENTS", "<C>{fn:data($x/CUSTID)}</C>")],
+            "$t/RECORD",
+            "order by xs:integer($r/C) descending",
+        );
+        let meter = QueryBudget::unlimited();
+        run_exec(&query, &meter, ExecStrategy::HashJoin).unwrap();
+        assert_eq!(meter.lowering_counts(Lowering::Sort), (1, 0, 0));
+        assert_eq!(meter.view_counts(), (0, 0, 0), "no view is built");
+        let whole = 2 + (2 + 1 + 2) + 1 + 2 * (1 + 2) + 2 * 2;
+        assert_eq!(meter.fuel_consumed(), whole);
+        run_exec(
+            &query,
+            &QueryBudget::unlimited().with_fuel(whole),
+            ExecStrategy::HashJoin,
+        )
+        .unwrap();
+        let starved = QueryBudget::unlimited().with_fuel(whole - 1);
+        assert_eq!(
+            run_exec(&query, &starved, ExecStrategy::HashJoin)
+                .unwrap_err()
+                .budget_error(),
+            Some(BudgetError::FuelExhausted { limit: whole - 1 })
+        );
+        // The row cap holds the rows under either strategy: the view's, and
+        // then UNION ALL's `for $r` over both operands.
+        for (query, cap) in [
+            (query.as_str(), 1),
+            (
+                &*wrapper(
+                    &[
+                        ("t", "PAYMENTS", "<C>{fn:data($x/CUSTID)}</C>"),
+                        ("u", "PAYMENTS", "<C>{fn:data($x/CUSTID)}</C>"),
+                    ],
+                    "($t/RECORD, $u/RECORD)",
+                    "",
+                ),
+                3,
+            ),
+        ] {
+            let capped = || QueryBudget::unlimited().with_row_cap(cap);
+            let piped = run_exec(query, &capped(), ExecStrategy::HashJoin).unwrap_err();
+            assert_eq!(
+                piped.budget_error(),
+                Some(BudgetError::RowCapExceeded { rows: cap + 1, cap })
+            );
+            assert_eq!(
+                piped,
+                run_exec(query, &capped(), ExecStrategy::NestedLoop).unwrap_err()
+            );
+        }
     }
 
     #[test]

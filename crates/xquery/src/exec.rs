@@ -50,24 +50,31 @@
 //!   tuples reads each row's keys and arguments into hash groups without
 //!   building the row, and each group is a tuple for the rewritten
 //!   `return`. See "The aggregate" below.
+//! * `Rows` — stage 3's ORDER BY, DISTINCT and set-operation wrappers,
+//!   `let $v := <RECORDSET>{ … }</RECORDSET>`s then `for $r in SRC [order
+//!   by …] return $r`, recognized by `rows` once per FLWOR evaluation: the
+//!   views' tuples are sorted, deduplicated or counted where they are, each
+//!   tagged with the row constructor that would have built its row, and no
+//!   view row is ever built. See "Sort and set operators" below.
 //! * `Sink` — the last operator of a statement, recognized by `sink`
 //!   on the program body and run by [`run_sink`]. [`TextSink`] is the §4
 //!   wrapper `fn:string-join((let $q := V for $t in $q/RECORD return
 //!   (piece, …)), "")`: each row goes straight into the payload string
 //!   instead of through a call chain per cell and a sequence of every
-//!   separator and value — from `V`'s tuples when `V` is a `Recordset`
-//!   (*fused*: no `<RECORDSET>`, `<RECORD>` or cell element is ever
-//!   built), else from the `RECORD`s of the evaluated view. The XML sink
-//!   is a body that is itself a `Recordset`, serialized while it is
-//!   evaluated, byte for byte what `aldsp_xml::serialize` makes of the
-//!   tree.
+//!   separator and value — from `V`'s tuples when `V` is a `Recordset`, a
+//!   FLWOR's rows or a wrapper's (*fused*: no `<RECORDSET>`, `<RECORD>` or
+//!   cell element is ever built), else from the `RECORD`s of the evaluated
+//!   view. The XML sink is a body that is itself a `Recordset`, serialized
+//!   while it is evaluated, byte for byte what `aldsp_xml::serialize` makes
+//!   of the tree.
 //!
 //! ## Lowering conditions
 //!
 //! [`plan`] lowers the longest prefix of `for`/`let`/`where` clauses
 //! (group-by and order-by terminate it: a grouped FLWOR of stage 3's is the
-//! aggregate's whole, an order-by runs through the interpreter on the
-//! pipeline's output). An expression is *stream-invariant* when
+//! aggregate's whole, and its `order by` wrappers are the rows operator's;
+//! any other `order by` runs through the interpreter on the pipeline's
+//! output). An expression is *stream-invariant* when
 //! no free variable of it is bound by an earlier tuple-varying prefix
 //! clause (`let`s whose values are themselves stream-invariant are fine —
 //! the translator's let-bound `<RECORDSET>` views of paper Example 8
@@ -170,6 +177,46 @@
 //! per group, and what `H` and the consumer's projection of `R` charge;
 //! the row cap holds the rows.
 //!
+//! ## Sort and set operators
+//!
+//! `gen_query` wraps ORDER BY, `gen_select` DISTINCT and `gen_setop` every
+//! set operation around materialized `<RECORDSET>`s: `let $v := <V>{ BODY
+//! }</V>`s, then `for $r in SRC [order by K…] return $r`, where `SRC` is
+//! `$v/ROW`, UNION ALL's `($a/ROW, $b/ROW)`, `fn-bea:distinct-records` of
+//! either, or `fn-bea:intersect-all-records` / `fn-bea:except-all-records`
+//! of `$a/ROW, $b/ROW`. [`rows`] plans the wrapper; [`run_rows`] takes each
+//! operand's tuples from `flwor_tuples` — `BODY`'s pipeline, the aggregate,
+//! or a nested wrapper such as DISTINCT under ORDER BY — as *handles*: the
+//! tuple, and the branch whose row constructor's [`Project`] makes its row.
+//! `gen_setop`'s renaming view, `for $y in $w/ROW return <ROW>{fn:data($y/C)}
+//! …</ROW>`, is no branch of its own: each of `$w`'s branches, its cells
+//! read through the source's ([`renamed`]). DISTINCT, INTERSECT ALL and
+//! EXCEPT ALL key each row by exactly the string the builtins'
+//! [`record_key`] writes, off the cell reads the projection makes: DISTINCT
+//! keeps first occurrences in branch order, the other two take their
+//! multiplicities from counts over the right operand. ORDER BY is a stable
+//! sort on keys `CAST?(fn:data?($r/CELL))` read off every cell of the name
+//! — as `$r/CELL` reads the built row — and compared by the interpreter's
+//! `order_cmp`: ties keep input order, NULL sorts least unless `empty
+//! greatest`, `descending` reverses each key. The surviving handles go, in
+//! order, to the consumer, which projects each through its branch
+//! ([`Tuples`]): the tree consumer, a view's tail plan, and both sinks, so
+//! a sorted or set-operated statement fuses like any other.
+//!
+//! It declines — the interpreter runs the FLWOR — when a view is not read
+//! exactly once (as an operand, or by the one rename over it), a key is
+//! no cell read of `$r`, a `let` is no view or a body reads another view, a
+//! rename reads anything but one cell per cell or leaves an evaluated
+//! source cell unread, a rename is over a rename or a nested wrapper, or a
+//! row constructor is not one `ROW` selects. INTERSECT and EXCEPT without
+//! ALL filter with a `where` (`some … satisfies`): they are not asked.
+//! **Fuel:** per view its constructor and FLWOR, as [`run_view`] charges
+//! them; `SRC`'s nodes; per surviving row one unit for the `for $r` binding
+//! and the keys' nodes. The row cap holds the surviving rows, as it held
+//! the `for $r` tuples. A key of several values, a failing cast or any other
+//! error that is not a budget's abandons the wrapper to the interpreter;
+//! so does an error in projecting its rows, the whole FLWOR re-run.
+//!
 //! ## Hash as prefilter, `compare` as judge
 //!
 //! XQuery general-comparison equality is *not* transitive —
@@ -213,12 +260,15 @@
 //! interpreter. A cell value that holds a node is no error: that row alone
 //! is built by the interpreter and written as a built row.
 
-use crate::ast::{Clause, CompOp, Content, ElementCtor, Expr, Flwor, NodeTest, PathStart, Step};
-use crate::eval::{name_matches, Env, Evaluator, XqError};
-use crate::functions::{call_builtin, data, is_builtin};
+use crate::ast::{
+    Clause, CompOp, Content, ElementCtor, Expr, Flwor, NodeTest, OrderSpec, PathStart, Step,
+};
+use crate::eval::{name_matches, order_cmp, Env, Evaluator, XqError};
+use crate::functions::{call_builtin, data, is_builtin, record_key};
 use crate::visit::{
     each_expr, free_vars, uses_context, walk_clause, walk_expr, walk_expr_mut, walk_flwor, Visitor,
 };
+use aldsp_governor::Lowering;
 use aldsp_xml::serialize::{
     write_element, write_empty_tag, write_end_tag, write_start_tag, write_text,
 };
@@ -1064,6 +1114,7 @@ fn build_table(
 /// the two cell shapes of `record_element`. Recognized by [`project`], run
 /// by [`project_rows`] into one of three [`Output`]s. Borrows the
 /// expression it was recognized in.
+#[derive(Clone)]
 pub(crate) struct Project<'p> {
     /// The constructor itself: what the interpreter builds of a row the
     /// operator hands back.
@@ -1071,18 +1122,26 @@ pub(crate) struct Project<'p> {
     /// Its name, parsed once.
     name: QName,
     cells: Vec<Cell<'p>>,
+    /// A rename's ([`renamed`]): `ctor` reads, as `$var`, the row its
+    /// source constructor builds of the tuple.
+    source: Option<(&'p str, &'p ElementCtor)>,
 }
 
+#[derive(Clone)]
 struct Cell<'p> {
     name: QName,
     /// `{ for $s in VALUE return <N>{$s}</N> }`: an element per atom of
     /// `VALUE`, none for the empty sequence (SQL NULL). Otherwise
     /// `<N>{VALUE}</N>`: always one element, the atoms joined with a space.
     nullable: bool,
+    /// A rename's read of a NOT NULL source cell: `VALUE`'s values are the
+    /// one element's, joined with a space — one value, whatever it holds.
+    joined: bool,
     value: Value<'p>,
 }
 
 /// A cell's `VALUE`.
+#[derive(Clone, Copy)]
 enum Value<'p> {
     /// `fn:data($var/CHILD)` — one name step, no predicate: read off the
     /// bound elements' children, no expression evaluated.
@@ -1105,6 +1164,14 @@ impl CellValue<'_> {
         match self {
             CellValue::Node(cell) => cell.each_text(&mut |text| write_text(out, text)),
             CellValue::Atom(atom) => write_text(out, &atom.lexical_str()),
+        }
+    }
+
+    /// Appends the value as it is.
+    fn write(&self, out: &mut String) {
+        match self {
+            CellValue::Node(cell) => cell.each_text(&mut |text| out.push_str(text)),
+            CellValue::Atom(atom) => out.push_str(&atom.lexical_str()),
         }
     }
 
@@ -1133,6 +1200,17 @@ enum Halt {
 impl From<XqError> for Halt {
     fn from(e: XqError) -> Halt {
         Halt::Error(e)
+    }
+}
+
+impl Halt {
+    /// The error of a read that has no row to hand back: a value that holds
+    /// a node is one, as only the built row would show it.
+    fn into_error(self) -> XqError {
+        match self {
+            Halt::Error(e) => e,
+            Halt::Interpret => XqError::new("a cell's value holds a node"),
+        }
     }
 }
 
@@ -1188,6 +1266,7 @@ pub(crate) fn project(ret: &Expr) -> Option<Project<'_>> {
             Some(Cell {
                 name: QName::parse(name),
                 nullable,
+                joined: false,
                 value: match call_of(value, "fn:data").and_then(var_child) {
                     Some((var, child)) => Value::Child { var, child },
                     None => Value::Expr(value),
@@ -1199,7 +1278,71 @@ pub(crate) fn project(ret: &Expr) -> Option<Project<'_>> {
         ctor,
         name: QName::parse(&ctor.name),
         cells,
+        source: None,
     })
+}
+
+/// `gen_setop`'s renaming view, `for $var in $w/ROW return CTOR`, composed
+/// over the row constructor `source` of `$w`'s rows: `CTOR`'s cells, each
+/// `fn:data($var/C)` read through the one cell of `source` that makes `C`
+/// — as `fn:data` reads it off the built cell, joined where the cell is NOT
+/// NULL — so no source row is built. `None` when a cell reads anything
+/// else or names no cell or two, or when `source` has an evaluated cell
+/// that no cell reads: the interpreter builds the source row whole, and
+/// that cell's error must not go missing.
+fn renamed<'a>(source: Project<'a>, var: &'a str, ctor: &'a Expr) -> Option<Project<'a>> {
+    let rename = project(ctor)?;
+    let mut read = vec![false; source.cells.len()];
+    let cells = rename.cells.into_iter().map(|cell| {
+        let Value::Child { var: of, child } = cell.value else {
+            return None;
+        };
+        let at = cell_named(&source, child)??;
+        read[at] = true;
+        let (value, joined) = (source.cells[at].value, !source.cells[at].nullable);
+        (of == var).then_some(Cell {
+            value,
+            joined,
+            ..cell
+        })
+    });
+    let cells = cells.collect::<Option<Vec<_>>>()?;
+    let unread = |(cell, read): (&Cell<'_>, &bool)| !read && matches!(cell.value, Value::Expr(_));
+    if source.cells.iter().zip(&read).any(unread) {
+        return None;
+    }
+    Some(Project {
+        cells,
+        source: Some((var, source.ctor)),
+        ..rename
+    })
+}
+
+/// The cell of `row` whose elements a name test `name` selects: `Some(None)`
+/// for none, `None` for two or more.
+fn cell_named(row: &Project<'_>, name: &str) -> Option<Option<usize>> {
+    let mut cells = (0..row.cells.len()).filter(|&at| name_matches(&row.cells[at].name, name));
+    match (cells.next(), cells.next()) {
+        (cell, None) => Some(cell),
+        _ => None,
+    }
+}
+
+impl Project<'_> {
+    /// The row the interpreter builds of `env`: the constructor's element —
+    /// a rename's, over the row its source constructor builds.
+    fn build(
+        &self,
+        ev: &Evaluator<'_>,
+        env: &Env,
+        context: Option<&Item>,
+    ) -> Result<Element, XqError> {
+        let Some((var, source)) = self.source else {
+            return ev.construct_element(self.ctor, env, context);
+        };
+        let row = Item::element(ev.construct_element(source, env, context)?);
+        ev.construct_element(self.ctor, &env.bind(var, Sequence::singleton(row)), context)
+    }
 }
 
 /// One tuple of the FLWOR being projected: what a cell's value is read
@@ -1211,8 +1354,27 @@ struct Tuple<'a> {
 }
 
 impl Tuple<'_> {
-    /// The one cell reader: calls `f` on each value of `value`, in order.
+    /// The one cell reader: calls `f` on each value of `cell`, in order —
+    /// on the one value of a joined cell, its values joined with a space.
     fn each_value(
+        &self,
+        cell: &Cell<'_>,
+        f: &mut impl FnMut(CellValue<'_>) -> Result<(), XqError>,
+    ) -> Result<(), Halt> {
+        if !cell.joined {
+            return self.values(&cell.value, f);
+        }
+        let (mut joined, mut values) = (String::new(), 0);
+        self.values(&cell.value, &mut |value| {
+            joined.extend((values > 0).then_some(' '));
+            values += 1;
+            value.write(&mut joined);
+            Ok(())
+        })?;
+        Ok(f(CellValue::Atom(&Atomic::Untyped(joined)))?)
+    }
+
+    fn values(
         &self,
         value: &Value<'_>,
         f: &mut impl FnMut(CellValue<'_>) -> Result<(), XqError>,
@@ -1261,9 +1423,11 @@ enum Output<'o> {
     /// The delimited-text payload, a row's pieces at a time.
     Text {
         pieces: &'o [Piece<'o>],
-        /// Per piece of a fused sink, the projection's cell that makes
-        /// the column's elements; a column none does is always NULL.
-        cells: &'o [Option<usize>],
+        /// Per projection of a fused sink, and per piece, the cell that
+        /// makes the column's elements ([`resolve`]); a column none does is
+        /// always NULL. A projection that does not resolve writes its rows
+        /// built.
+        cells: &'o [Option<Vec<Option<usize>>>],
         payload: &'o mut String,
     },
     /// The XML payload, as [`aldsp_xml::serialize`] writes the tree.
@@ -1286,9 +1450,15 @@ impl Output<'_> {
         }
     }
 
-    /// One row off a tuple. What no, one and several values of a cell
-    /// write, per shape and per output, is DESIGN.md §17's parity table.
-    fn projected(&mut self, project: &Project<'_>, tuple: &Tuple<'_>) -> Result<(), Halt> {
+    /// One row off a tuple, through `project`, the projection of the
+    /// tuples' `branch`. What no, one and several values of a cell write,
+    /// per shape and per output, is DESIGN.md §17's parity table.
+    fn projected(
+        &mut self,
+        project: &Project<'_>,
+        branch: usize,
+        tuple: &Tuple<'_>,
+    ) -> Result<(), Halt> {
         match self {
             Output::Tree(items) => {
                 let mut record = Element::new(project.name.clone());
@@ -1300,13 +1470,13 @@ impl Output<'_> {
                         element.into_node()
                     };
                     if cell.nullable {
-                        tuple.each_value(&cell.value, &mut |value| {
+                        tuple.each_value(cell, &mut |value| {
                             record.children.push(element(value.text()));
                             Ok(())
                         })?;
                     } else {
                         let mut joined: Option<Arc<str>> = None;
-                        tuple.each_value(&cell.value, &mut |value| {
+                        tuple.each_value(cell, &mut |value| {
                             joined = Some(match joined.take() {
                                 None => value.text(),
                                 Some(before) => format!("{before} {}", value.text()).into(),
@@ -1326,14 +1496,17 @@ impl Output<'_> {
                 cells,
                 payload,
             } => {
-                for (piece, cell) in pieces.iter().zip(*cells) {
+                let Some(cells) = &cells[branch] else {
+                    return Err(Halt::Interpret);
+                };
+                for (piece, cell) in pieces.iter().zip(cells) {
                     match (piece, cell.map(|at| &project.cells[at])) {
                         (Piece::Text(text), _) => payload.push_str(text),
                         (Piece::Column { null, .. }, None) => payload.push_str(null),
                         (Piece::Column { name, null }, Some(cell)) => {
                             let mut column =
                                 Column::new(payload, name, cell.nullable.then_some(*null));
-                            tuple.each_value(&cell.value, &mut |value| column.value(value))?;
+                            tuple.each_value(cell, &mut |value| column.value(value))?;
                             column.end();
                         }
                     }
@@ -1345,7 +1518,7 @@ impl Output<'_> {
                 let opened = payload.len();
                 for cell in &project.cells {
                     if cell.nullable {
-                        tuple.each_value(&cell.value, &mut |value| {
+                        tuple.each_value(cell, &mut |value| {
                             write_start_tag(payload, &cell.name);
                             value.write_escaped(payload);
                             write_end_tag(payload, &cell.name);
@@ -1353,7 +1526,7 @@ impl Output<'_> {
                         })?;
                     } else {
                         let mut values = 0;
-                        tuple.each_value(&cell.value, &mut |value| {
+                        tuple.each_value(cell, &mut |value| {
                             match values {
                                 0 => write_start_tag(payload, &cell.name),
                                 _ => payload.push(' '),
@@ -1458,33 +1631,36 @@ fn close_element(payload: &mut String, name: &QName, start: usize, opened: usize
     }
 }
 
-/// The one row loop: each of `tuples` through `project` into `out`. Fuel
-/// is `fuel_per_row`, charged in one call before the row is written, so
-/// the deadline and cancellation poll stays inside the loop. The row cap
-/// holds the rows of a delimited payload, whose count stands in for the
-/// wrapper's `for $t in $q/RECORD`; a tree's or an XML body's rows are
-/// tuples the clause loop already counted, and the interpreter counts
-/// them no second time.
+/// The one row loop: each of `envs` through the projection of its branch
+/// (`projects[tags[row]]`; with no tags, `projects[0]`) into `out`. Fuel is
+/// `fuel` and the projection's `1 + cells` per row, charged in one call
+/// before the row is written, so the deadline and cancellation poll stays
+/// inside the loop. The row cap holds the rows of a delimited payload,
+/// whose count stands in for the wrapper's `for $t in $q/RECORD`; a tree's
+/// or an XML body's rows are tuples the clause loop already counted, and
+/// the interpreter counts them no second time.
 fn project_rows(
     ev: &Evaluator<'_>,
-    project: &Project<'_>,
-    tuples: &[Env],
+    projects: &[Project<'_>],
+    (envs, tags): (&[Env], &[usize]),
     context: Option<&Item>,
-    fuel_per_row: u64,
+    fuel: u64,
     out: &mut Output<'_>,
 ) -> Result<(), XqError> {
     let capped = matches!(out, Output::Text { .. });
-    for (row, env) in tuples.iter().enumerate() {
-        ev.charge(fuel_per_row)?;
+    for (row, env) in envs.iter().enumerate() {
+        let branch = tags.get(row).copied().unwrap_or(0);
+        let project = &projects[branch];
+        ev.charge(fuel + 1 + project.cells.len() as u64)?;
         if capped {
             ev.check_rows(row + 1)?;
         }
         let mark = out.len();
         let tuple = Tuple { ev, env, context };
-        let built = match out.projected(project, &tuple) {
+        let built = match out.projected(project, branch, &tuple) {
             Ok(()) => continue,
             Err(Halt::Error(e)) => return Err(e),
-            Err(Halt::Interpret) => Arc::new(ev.construct_element(project.ctor, env, context)?),
+            Err(Halt::Interpret) => Arc::new(project.build(ev, env, context)?),
         };
         out.truncate(mark);
         out.built(&built)?;
@@ -1492,21 +1668,118 @@ fn project_rows(
     Ok(())
 }
 
-/// The tree consumer: `tuples` through `project` as the element items the
-/// interpreter's `return` would have built. Budget errors propagate; after
-/// any other the caller interprets the `return` instead.
+/// The tree consumer: `tuples` through their projections ([`projections`];
+/// with no operator's, `ret` lowered) as the element items the
+/// interpreter's `return` would have built; `None` where `ret` does not
+/// lower. Budget errors propagate; after any other the caller interprets
+/// `ret` instead, or — the tuples an operator's — the whole FLWOR.
 #[inline(never)]
 pub(crate) fn project_tree(
     ev: &Evaluator<'_>,
-    project: &Project<'_>,
-    tuples: &[Env],
+    ret: &Expr,
+    tuples: &Tuples<'_>,
     context: Option<&Item>,
-) -> Result<Sequence, XqError> {
-    let mut items = Vec::with_capacity(tuples.len());
-    let fuel_per_row = 1 + project.cells.len() as u64;
+) -> Result<Option<Sequence>, XqError> {
+    let own = match tuples.lowered() {
+        true => None,
+        false => match project(ret) {
+            None => return Ok(None),
+            own => own,
+        },
+    };
+    let projects = projections(tuples, own.as_ref())?;
+    let mut items = Vec::with_capacity(tuples.envs.len());
     let mut out = Output::Tree(&mut items);
-    project_rows(ev, project, tuples, context, fuel_per_row, &mut out)?;
-    Ok(Sequence::from_items(items))
+    project_rows(ev, &projects, tuples.rows(), context, 0, &mut out)?;
+    Ok(Some(Sequence::from_items(items)))
+}
+
+/// What [`Evaluator::flwor_tuples`] hands a FLWOR's consumer: the tuples,
+/// and — where an operator ran the FLWOR (the aggregate, the rows operator)
+/// — per tuple the branch whose row constructor makes its row. A sort over
+/// a UNION interleaves branches, so each tuple carries its own.
+#[derive(Default)]
+pub(crate) struct Tuples<'p> {
+    pub(crate) envs: Vec<Env>,
+    /// None: every tuple's row is the FLWOR's own `return`'s.
+    branches: Vec<Branch<'p>>,
+    /// Per tuple, its branch; empty exactly when `branches` is.
+    tags: Vec<usize>,
+}
+
+/// A row constructor an operator's tuples are projected through.
+pub(crate) struct Branch<'p> {
+    /// The constructor: in the program, or the aggregate's rewritten
+    /// `return`.
+    ret: Cow<'p, Expr>,
+    /// A rename over its rows ([`renamed`]).
+    rename: Option<Rename<'p>>,
+}
+
+/// `gen_setop`'s renaming view, `for $var in … return CTOR`, as `(var,
+/// CTOR)`.
+type Rename<'p> = (&'p str, &'p Expr);
+
+impl Branch<'_> {
+    fn project(&self) -> Result<Project<'_>, XqError> {
+        let lowered = project(&self.ret).and_then(|source| match self.rename {
+            None => Some(source),
+            Some((var, ctor)) => renamed(source, var, ctor),
+        });
+        lowered.ok_or_else(|| XqError::new("a branch's row constructor does not lower"))
+    }
+}
+
+impl<'p> Tuples<'p> {
+    /// Whether an operator ran the FLWOR: its tuples are projected through
+    /// their branches, and there is no `return` to evaluate over them.
+    pub(crate) fn lowered(&self) -> bool {
+        !self.branches.is_empty()
+    }
+
+    /// Every tuple a row of one branch, `ret`.
+    fn one_branch(envs: Vec<Env>, ret: Cow<'p, Expr>) -> Tuples<'p> {
+        Tuples {
+            tags: vec![0; envs.len()],
+            envs,
+            branches: vec![Branch { ret, rename: None }],
+        }
+    }
+
+    fn rows(&self) -> (&[Env], &[usize]) {
+        (&self.envs, &self.tags)
+    }
+
+    /// Appends `other`'s tuples and branches.
+    fn append(&mut self, other: Tuples<'p>) {
+        let offset = self.branches.len();
+        self.tags.extend(other.tags.iter().map(|tag| tag + offset));
+        self.branches.extend(other.branches);
+        self.envs.extend(other.envs);
+    }
+}
+
+impl From<Vec<Env>> for Tuples<'_> {
+    fn from(envs: Vec<Env>) -> Self {
+        Tuples {
+            envs,
+            ..Tuples::default()
+        }
+    }
+}
+
+/// The projections `tuples` are written through: each branch's, or — no
+/// operator ran the FLWOR — `own`.
+fn projections<'a>(
+    tuples: &'a Tuples<'_>,
+    own: Option<&'a Project<'a>>,
+) -> Result<Cow<'a, [Project<'a>]>, XqError> {
+    if tuples.lowered() {
+        let projects = tuples.branches.iter().map(Branch::project);
+        return projects.collect::<Result<Vec<_>, _>>().map(Cow::Owned);
+    }
+    let own = own.ok_or_else(|| XqError::new("the FLWOR's return does not lower"))?;
+    Ok(Cow::Borrowed(std::slice::from_ref(own)))
 }
 
 // ---------------------------------------------------------------------
@@ -1811,8 +2084,8 @@ fn run_tail(
     let one = std::slice::from_ref;
     match tail {
         Tail::Rows(rows) => {
-            let fuel_per_row = 1 + rows.cells.len() as u64;
-            project_rows(ev, rows, tuples, context, fuel_per_row, out)?;
+            let rows = std::slice::from_ref(rows);
+            project_rows(ev, rows, (tuples, &[]), context, 0, out)?;
         }
         Tail::If { cond, then, els } => {
             for env in tuples {
@@ -1824,12 +2097,16 @@ fn run_tail(
         Tail::Flwor { flwor, ret } => {
             for env in tuples {
                 ev.charge(1)?;
-                let (tuples, grouped) = ev.flwor_tuples(flwor, env, context)?;
-                // The aggregate's rewritten row reads group variables, not
-                // cells a read-set could have pruned: planned whole.
-                let grouped = regrouped(grouped.as_ref())?.map(Tail::Rows);
-                let ret = grouped.as_ref().unwrap_or(&**ret);
-                run_tail(ev, ret, &tuples, context, out)?;
+                let tuples = ev.flwor_tuples(flwor, env, context)?;
+                if !tuples.lowered() {
+                    run_tail(ev, ret, &tuples.envs, context, out)?;
+                    continue;
+                }
+                // An operator's rows are its branches' — the aggregate's
+                // rewritten one reads group variables, not cells a read-set
+                // could have pruned: planned whole.
+                let projects = projections(&tuples, None)?;
+                project_rows(ev, &projects, tuples.rows(), context, 0, out)?;
             }
         }
         Tail::Sequence(tails) => {
@@ -1879,7 +2156,7 @@ pub(crate) struct Aggregate<'p> {
     /// The `where`s, rewritten.
     having: Vec<Expr>,
     /// The `return`, rewritten: what the consumer projects over the groups.
-    pub(crate) ret: Expr,
+    ret: Expr,
     /// What a row is charged: one unit for the `for $r` binding it
     /// replaces, and the nodes of every key and argument.
     row_fuel: u64,
@@ -1964,10 +2241,11 @@ fn lower<'p>(
     };
     let having: Vec<Expr> = wheres.iter().map(|predicate| rewrite(predicate)).collect();
     let ret = rewrite(&flwor.ret);
-    // Past the rewrite nothing may see a row, the partition or the view.
+    // Past the rewrite nothing may see a row, the partition or the view; and
+    // the groups' rows are the rewritten `return`'s, projected.
     let hidden = [inter, partition, source];
     let sees = |expr: &Expr| free_vars(expr).iter().any(|v| hidden.contains(&&**v));
-    if having.iter().chain([&ret]).any(sees) {
+    if having.iter().chain([&ret]).any(sees) || !is_projection(&ret) {
         return None;
     }
     let args = aggs.iter().filter_map(|agg| agg.arg.as_ref());
@@ -1988,6 +2266,15 @@ fn lower<'p>(
 /// `expr` as a [`Read`] of `$var`, whose name makes exactly one of `row`'s
 /// cells.
 fn read_of(expr: &Expr, var: &str, row: &Project<'_>) -> Option<Read> {
+    let (of, name, cast, fuel) = cell_read(expr, false)?;
+    let cell = cell_named(row, name)??;
+    (of == var).then_some(Read { cell, cast, fuel })
+}
+
+/// `CAST?(fn:data($var/CELL))` as `(var, CELL, cast, the expression's
+/// nodes)`; `fn:data` may be left out where the value is `atomized` anyway
+/// (an `order by` key).
+fn cell_read(expr: &Expr, atomized: bool) -> Option<(&str, &str, Option<XsType>, u64)> {
     let (cast, data) = match expr {
         Expr::FunctionCall { name, args } => match (XsType::from_xs_name(name), args.as_slice()) {
             (Some(cast), [arg]) => (Some(cast), arg),
@@ -1995,14 +2282,15 @@ fn read_of(expr: &Expr, var: &str, row: &Project<'_>) -> Option<Read> {
         },
         _ => (None, expr),
     };
-    let (of, name) = var_child(call_of(data, "fn:data")?)?;
-    let mut cells = (0..row.cells.len()).filter(|&at| name_matches(&row.cells[at].name, name));
-    let (Some(cell), None) = (cells.next(), cells.next()) else {
-        return None;
+    let path = match call_of(data, "fn:data") {
+        Some(path) => path,
+        None if atomized => data,
+        None => return None,
     };
+    let (var, name) = var_child(path)?;
     let mut fuel = 0;
     each_expr(expr, &mut |_| fuel += 1);
-    (of == var).then_some(Read { cell, cast, fuel })
+    Some((var, name, cast, fuel))
 }
 
 /// The aggregate `gen_aggregate` writes over the partition `$p`:
@@ -2061,16 +2349,22 @@ fn substitute(expr: &mut Expr, f: &mut dyn FnMut(&Expr) -> Option<Expr>) {
     }
 }
 
-impl Aggregate<'_> {
-    /// Appends what `read` makes of one tuple: what `fn:data` reads off the
-    /// cell elements the row constructor would build — an untyped atom per
-    /// value of a nullable cell, one of the values joined with a space for
-    /// a NOT NULL one — cast through [`Atomic::cast_to`], as the
-    /// interpreter's casts are.
-    fn read(&self, read: &Read, tuple: &Tuple<'_>, out: &mut Vec<Atomic>) -> Result<(), XqError> {
-        let (cell, start) = (&self.row.cells[read.cell], out.len());
+/// The cell reader of the aggregate, the sort and the set operations:
+/// appends what `CAST?(fn:data($r/CELL))` makes of `cells` — those of a row
+/// constructor that make `CELL` — on one tuple: what `fn:data` reads off the
+/// cell elements the constructor would build, an untyped atom per value of
+/// a nullable cell, one of the values joined with a space for a NOT NULL
+/// one — cast through [`Atomic::cast_to`], as the interpreter's casts are.
+fn read_cells<'c>(
+    cells: impl IntoIterator<Item = &'c Cell<'c>>,
+    cast: Option<XsType>,
+    tuple: &Tuple<'_>,
+    out: &mut Vec<Atomic>,
+) -> Result<(), XqError> {
+    let start = out.len();
+    for cell in cells {
         let mut joined: Option<String> = None;
-        let values = tuple.each_value(&cell.value, &mut |value| {
+        let values = tuple.each_value(cell, &mut |value| {
             match (&mut joined, cell.nullable) {
                 (Some(text), false) => text.extend([" ", &*value.text()]),
                 (None, false) => joined = Some(value.text().to_string()),
@@ -2078,22 +2372,19 @@ impl Aggregate<'_> {
             }
             Ok(())
         });
-        // A `Value::Child` never hands its row back to the interpreter.
-        if let Err(Halt::Error(e)) = values {
-            return Err(e);
-        }
+        values.map_err(Halt::into_error)?;
         if !cell.nullable {
             out.push(Atomic::Untyped(joined.unwrap_or_default()));
         }
-        if let Some(cast) = read.cast {
-            match &mut out[start..] {
-                [] => {}
-                [atom] => *atom = atom.cast_to(cast).map_err(|e| XqError::new(e.message))?,
-                _ => return Err(XqError::new("cast requires a singleton operand")),
-            }
-        }
-        Ok(())
     }
+    if let Some(cast) = cast {
+        match &mut out[start..] {
+            [] => {}
+            [atom] => *atom = atom.cast_to(cast).map_err(|e| XqError::new(e.message))?,
+            _ => return Err(XqError::new("cast requires a singleton operand")),
+        }
+    }
+    Ok(())
 }
 
 impl Agg {
@@ -2135,14 +2426,14 @@ struct Group {
 /// holds the rows, as it held the `for $r` tuples. Budget errors propagate;
 /// after any other the caller interprets the FLWOR.
 #[inline(never)]
-pub(crate) fn run_aggregate(
+pub(crate) fn run_aggregate<'p>(
     ev: &Evaluator<'_>,
-    agg: &Aggregate<'_>,
+    agg: Box<Aggregate<'p>>,
     env: &Env,
     context: Option<&Item>,
-) -> Result<Vec<Env>, XqError> {
+) -> Result<Tuples<'p>, XqError> {
     ev.charge(2)?;
-    let (rows, _) = ev.flwor_tuples(agg.body, env, context)?;
+    let rows = ev.flwor_tuples(agg.body, env, context)?.envs;
     let fresh = |keys| Group {
         keys,
         rows: 0,
@@ -2156,7 +2447,7 @@ pub(crate) fn run_aggregate(
         ev.check_rows(at + 1)?;
         let tuple = Tuple { ev, env, context };
         for (read, _) in &agg.keys {
-            agg.read(read, &tuple, &mut atoms)?;
+            read_cells([&agg.row.cells[read.cell]], read.cast, &tuple, &mut atoms)?;
             if atoms.len() > 1 {
                 return Err(XqError::new("aggregate: a key of several values"));
             }
@@ -2177,7 +2468,7 @@ pub(crate) fn run_aggregate(
         group.rows += 1;
         for (a, gathered) in agg.aggs.iter().zip(&mut group.gathered) {
             if let Some(read) = &a.arg {
-                agg.read(read, &tuple, gathered)?;
+                read_cells([&agg.row.cells[read.cell]], read.cast, &tuple, gathered)?;
             }
         }
     }
@@ -2202,17 +2493,313 @@ pub(crate) fn run_aggregate(
         tuples.push(tuple);
     }
     ev.record_view(Some(agg.pruned));
-    Ok(tuples)
+    // The rewrite keeps every cell's shape and place: the rewritten `return`
+    // lowers wherever the FLWOR's did.
+    Ok(Tuples::one_branch(tuples, Cow::Owned(agg.ret)))
 }
 
-/// The projection of an aggregate's rewritten `return`, when the aggregate
-/// ran the FLWOR ([`Evaluator::flwor_tuples`]): what a consumer that planned
-/// the FLWOR's own projects through instead. The rewrite keeps every cell's
-/// shape and place, so it lowers wherever the FLWOR's did.
-fn regrouped(grouped: Option<&Expr>) -> Result<Option<Project<'_>>, XqError> {
-    let unlowered = || XqError::new("aggregate: the rewritten return does not lower");
-    let lowered = grouped.map(|ret| project(ret).ok_or_else(unlowered));
-    lowered.transpose()
+// ---------------------------------------------------------------------
+// Rows: ORDER BY, DISTINCT and the set operations over views' tuples
+// ---------------------------------------------------------------------
+
+/// A sort or set wrapper as `gen_query`, `gen_select` and `gen_setop` write
+/// it, lowered: `let $v := <V>{ BODY }</V>`s, then `for $r in SRC [order by
+/// K…] return $r`. Each operand `$v/ROW` of `SRC` is a view's `BODY`, whose
+/// tuples each its branch projects — or, for `gen_setop`'s renaming view
+/// `<V>{ for $y in $w/ROW return CTOR }</V>`, view `w`'s `BODY`, each branch
+/// [`renamed`] by `CTOR`. Planned by [`rows`] once per FLWOR evaluation, run
+/// by [`run_rows`].
+pub(crate) struct Rows<'p> {
+    /// Per operand of `SRC`, in order: the `BODY` and the rename over it.
+    operands: Vec<(&'p Flwor, Option<Rename<'p>>)>,
+    /// What `SRC` makes of its operands' rows.
+    set: Set,
+    /// `SRC`'s nodes: what evaluating it charged.
+    fuel: u64,
+    /// The name test of every `$v/ROW` of the wrapper.
+    row: &'p str,
+    /// The `order by`: the interpreter's specs, and per spec its key's
+    /// `(CELL, cast, nodes)`.
+    order: &'p [OrderSpec],
+    keys: Vec<(&'p str, Option<XsType>, u64)>,
+}
+
+/// What `SRC` is: `$v/ROW` or UNION ALL's `($a/ROW, $b/ROW)`, either under
+/// `fn-bea:distinct-records`, or `fn-bea:intersect-all-records` /
+/// `fn-bea:except-all-records` of `$a/ROW, $b/ROW`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Set {
+    Concat,
+    Distinct,
+    Intersect,
+    Except,
+}
+
+/// Recognizes a sort or set wrapper (see [`Rows`]): `None` for any other
+/// FLWOR — nothing asked, nothing counted — and otherwise the lowering it
+/// counts as (`Sort` with an `order by`), with `None` for one it declines.
+// Out of line, and asked only of a FLWOR that opens with a `let` and
+// returns a bare variable, like the aggregate's recognizer.
+#[inline(never)]
+pub(crate) fn rows(flwor: &Flwor) -> Option<(Lowering, Option<Rows<'_>>)> {
+    let Expr::VarRef(returned) = &*flwor.ret else {
+        return None;
+    };
+    let lets = flwor.clauses.iter();
+    let lets = lets.take_while(|c| matches!(c, Clause::Let { .. })).count();
+    let (source, order) = match &flwor.clauses[lets..] {
+        [Clause::For { var, source }] if var == returned => (source, &[][..]),
+        [Clause::For { var, source }, Clause::OrderBy(order)] if var == returned => {
+            (source, &order[..])
+        }
+        _ => return None,
+    };
+    let kind = [Lowering::Set, Lowering::Sort][usize::from(!order.is_empty())];
+    let planned = || plan_rows(&flwor.clauses[..lets], source, order, returned);
+    (lets > 0).then(|| (kind, planned()))
+}
+
+fn plan_rows<'p>(
+    lets: &'p [Clause],
+    source: &'p Expr,
+    order: &'p [OrderSpec],
+    var: &str,
+) -> Option<Rows<'p>> {
+    // Per view: its name, the `BODY` whose tuples are its rows, the rename
+    // over them, and how often it is read.
+    let mut views: Vec<(&str, &'p Flwor, Option<Rename<'p>>, u32)> = Vec::new();
+    let mut row = None;
+    // `$v/ROW` for a view `$v` of `views`, read once more, the same `ROW`
+    // throughout.
+    let mut read = |views: &mut [(&str, _, _, u32)], expr: &'p Expr| {
+        let (view, test) = var_child(expr)?;
+        let at = views.iter().position(|(name, ..)| *name == view)?;
+        views[at].3 += 1;
+        (*row.get_or_insert(test) == test).then_some(at)
+    };
+    let is_view = |v: &String| {
+        lets.iter()
+            .any(|c| matches!(c, Clause::Let { var, .. } if var == v))
+    };
+    for clause in lets {
+        let Clause::Let {
+            var: name,
+            value: Expr::Element(view),
+        } = clause
+        else {
+            return None;
+        };
+        let body = sole_enclosed(view)?;
+        let Expr::Flwor(flwor) = body else {
+            return None;
+        };
+        let renames = match flwor.clauses.as_slice() {
+            [Clause::For { var, source }] => read(&mut views, source).map(|at| (var, at)),
+            _ => None,
+        };
+        views.push(match renames {
+            // A rename over a rename reads a view the operator never binds.
+            Some((var, at)) => match views[at] {
+                (_, body, None, _) => (name, body, Some((&**var, &*flwor.ret)), 0),
+                _ => return None,
+            },
+            // Any other body reads no view of the wrapper's: the operator
+            // runs it where none is bound.
+            None if free_vars(body).iter().any(is_view) => return None,
+            None => (name, flwor, None, 0),
+        });
+    }
+    let two = |set, args: &'p [Expr]| (args.len() == 2).then(|| (set, args.iter().collect()));
+    let (set, operands): (_, Vec<_>) = match source {
+        Expr::FunctionCall { name, args } if name == "fn-bea:intersect-all-records" => {
+            two(Set::Intersect, args)?
+        }
+        Expr::FunctionCall { name, args } if name == "fn-bea:except-all-records" => {
+            two(Set::Except, args)?
+        }
+        _ => match call_of(source, "fn-bea:distinct-records") {
+            Some(rows) => (Set::Distinct, concatenated(rows)),
+            None => (Set::Concat, concatenated(source)),
+        },
+    };
+    let operands = operands.into_iter().map(|operand| {
+        let at = read(&mut views, operand)?;
+        Some((views[at].1, views[at].2))
+    });
+    let operands = operands.collect::<Option<Vec<_>>>()?;
+    let keys = order.iter().map(|spec| match cell_read(&spec.key, true)? {
+        (of, cell, cast, fuel) if of == var => Some((cell, cast, fuel)),
+        _ => None,
+    });
+    let (keys, row) = (keys.collect::<Option<_>>()?, row?);
+    // A nested wrapper lowers over the same `ROW`, unrenamed; a row
+    // constructor — and a rename's source — to a projection `ROW` selects.
+    let lowers = |&(body, rename): &(&'p Flwor, Option<Rename<'p>>)| match rows(body) {
+        Some((_, Some(nested))) => rename.is_none() && nested.row == row,
+        _ => [None, rename].into_iter().all(|rename| {
+            let branch = Branch {
+                ret: Cow::Borrowed(&body.ret),
+                rename,
+            };
+            branch.project().is_ok_and(|p| name_matches(&p.name, row))
+        }),
+    };
+    // Every view is read once: as an operand, or by the one rename over it.
+    if views.iter().any(|view| view.3 != 1) || !operands.iter().all(lowers) {
+        return None;
+    }
+    let mut fuel = 0;
+    each_expr(source, &mut |_| fuel += 1);
+    Some(Rows {
+        operands,
+        set,
+        fuel,
+        row,
+        order,
+        keys,
+    })
+}
+
+/// The operands of UNION ALL's `(A, B)`, or the one operand `A`.
+fn concatenated(expr: &Expr) -> Vec<&Expr> {
+    match expr {
+        Expr::Sequence(operands) => operands.iter().collect(),
+        operand => vec![operand],
+    }
+}
+
+/// Runs a wrapper on the incoming tuple, in the interpreter's order: each
+/// operand's tuples from [`Evaluator::flwor_tuples`], concatenated in order
+/// — a rename's through its branches renamed — then, keyed by
+/// [`record_key`] off the cell reads the projection makes, DISTINCT keeping
+/// each row's first occurrence, INTERSECT ALL and EXCEPT ALL taking their
+/// multiplicities from counts over the right operand, then the `order by`
+/// as a stable sort on keys read by [`read_cells`] — off every cell of the
+/// name, as `$r/CELL` reads the built row — and compared by the
+/// interpreter's [`order_cmp`]. No view row is built; the consumer projects
+/// each surviving tuple through its branch. **Fuel:** per view its
+/// constructor and FLWOR, as [`run_view`] charges them (and a rename's
+/// `$w/ROW`); `SRC`'s nodes; per surviving row one unit for the `for $r`
+/// binding it replaces and the keys' nodes — and what the reads evaluate.
+/// The row cap holds the surviving rows, as it held the `for $r` tuples.
+/// Budget errors propagate; after any other the caller interprets the FLWOR.
+#[inline(never)]
+pub(crate) fn run_rows<'p>(
+    ev: &Evaluator<'_>,
+    rows: &Rows<'p>,
+    env: &Env,
+    context: Option<&Item>,
+) -> Result<Tuples<'p>, XqError> {
+    let (mut all, mut right) = (Tuples::default(), 0);
+    for &(body, rename) in &rows.operands {
+        ev.charge(2 + 3 * u64::from(rename.is_some()))?;
+        let mut tuples = match ev.flwor_tuples(body, env, context)? {
+            tuples if tuples.lowered() => tuples,
+            tuples => Tuples::one_branch(tuples.envs, Cow::Borrowed(&body.ret)),
+        };
+        for branch in tuples.branches.iter_mut().filter(|_| rename.is_some()) {
+            branch.rename = rename;
+        }
+        right = all.envs.len();
+        all.append(tuples);
+    }
+    ev.charge(rows.fuel)?;
+    let projects = projections(&all, None)?;
+    let tuple = |row: usize| Tuple {
+        ev,
+        env: &all.envs[row],
+        context,
+    };
+    let (mut atoms, mut key, mut value) = (Vec::new(), String::new(), String::new());
+    let mut key_of = |row: usize| {
+        key.clear();
+        row_key(&projects[all.tags[row]], &tuple(row), &mut key, &mut value)?;
+        Ok::<_, XqError>(key.clone())
+    };
+    // The right operand's rows counted, the rest kept or not in order.
+    let left = match rows.set {
+        Set::Intersect | Set::Except => right,
+        Set::Concat | Set::Distinct => all.envs.len(),
+    };
+    let mut counts: HashMap<String, usize> = HashMap::new();
+    for row in left..all.envs.len() {
+        *counts.entry(key_of(row)?).or_default() += 1;
+    }
+    let mut kept = Vec::with_capacity(left);
+    for row in 0..left {
+        let keep = match rows.set {
+            Set::Concat => true,
+            Set::Distinct => counts.insert(key_of(row)?, 1).is_none(),
+            set => {
+                let count = counts.get_mut(&key_of(row)?).filter(|n| **n > 0);
+                count.map(|n| *n -= 1).is_some() == (set == Set::Intersect)
+            }
+        };
+        if keep {
+            kept.push(row);
+            ev.charge(1)?;
+            ev.check_rows(kept.len())?;
+        }
+    }
+    if !rows.keys.is_empty() {
+        let mut keyed = Vec::with_capacity(kept.len());
+        for row in kept {
+            let mut values = Vec::with_capacity(rows.keys.len());
+            for &(name, cast, fuel) in &rows.keys {
+                ev.charge(fuel)?;
+                let cells = projects[all.tags[row]].cells.iter();
+                let cells = cells.filter(|cell| name_matches(&cell.name, name));
+                read_cells(cells, cast, &tuple(row), &mut atoms)?;
+                if atoms.len() > 1 {
+                    return Err(XqError::new("order-by key of several values"));
+                }
+                values.push(atoms.pop());
+            }
+            keyed.push((values, row));
+        }
+        keyed.sort_by(|(a, _), (b, _)| order_cmp(rows.order, a, b));
+        kept = keyed.into_iter().map(|(_, row)| row).collect();
+    }
+    let envs = kept.iter().map(|&row| all.envs[row].clone()).collect();
+    let tags = kept.iter().map(|&row| all.tags[row]).collect();
+    let branches = all.branches;
+    Ok(Tuples {
+        envs,
+        tags,
+        branches,
+    })
+}
+
+/// Writes into `key` the key `fn-bea:distinct-records` gives the row
+/// `project` makes of `tuple`: [`record_key`] of each cell's values, read
+/// as the projection reads them (`value` is scratch).
+fn row_key(
+    project: &Project<'_>,
+    tuple: &Tuple<'_>,
+    key: &mut String,
+    value: &mut String,
+) -> Result<(), XqError> {
+    for cell in &project.cells {
+        let (name, mut values) = (cell.name.local_part(), 0);
+        value.clear();
+        let read = tuple.each_value(cell, &mut |read| {
+            if cell.nullable {
+                value.clear();
+            }
+            value.extend((values > 0 && !cell.nullable).then_some(' '));
+            values += 1;
+            read.write(value);
+            if cell.nullable {
+                record_key(key, name, value);
+            }
+            Ok(())
+        });
+        read.map_err(Halt::into_error)?;
+        if !cell.nullable {
+            record_key(key, name, value);
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -2239,10 +2826,10 @@ pub(crate) struct TextSink<'p> {
     pieces: Vec<Piece<'p>>,
     /// `V` as the rows' source when it is a [`Recordset`] whose rows
     /// `record` tests and whose cells the columns could be resolved
-    /// against ([`resolve`]; one entry per piece): each tuple is then
-    /// written straight from its source cells and no element of `V` is
-    /// ever built.
-    fused: Option<(Recordset<'p>, Vec<Option<usize>>)>,
+    /// against ([`resolve`]; one entry per piece — a wrapper's branches
+    /// are resolved as they run): each tuple is then written straight from
+    /// its source cells and no element of `V` is ever built.
+    fused: Option<(Recordset<'p>, Option<Vec<Option<usize>>>)>,
 }
 
 enum Piece<'p> {
@@ -2253,14 +2840,18 @@ enum Piece<'p> {
     Column { name: &'p str, null: &'p str },
 }
 
-/// `<RECORDSET>{ FLWOR return <RECORD>… }</RECORDSET>`: an attribute-less
-/// constructor around one FLWOR whose `return` lowers to a [`Project`] —
-/// what stage 3 emits for every statement that does not end in `order by`,
-/// DISTINCT or a set operation (those return `$var`).
+/// `<RECORDSET>{ FLWOR }</RECORDSET>`: an attribute-less constructor around
+/// one FLWOR whose `return` lowers to a [`Project`], or that is a sort or
+/// set wrapper the rows operator runs ([`rows`]) — what stage 3 emits for
+/// every statement but INTERSECT and EXCEPT without ALL.
 pub(crate) struct Recordset<'p> {
     name: QName,
     flwor: &'p Flwor,
-    project: Project<'p>,
+    /// The `return`, lowered; `None` for a wrapper, whose tuples carry
+    /// their branches' projections.
+    project: Option<Project<'p>>,
+    /// A wrapper's: the name test its rows pass ([`Rows::row`]).
+    row: Option<&'p str>,
 }
 
 fn recordset(expr: &Expr) -> Option<Recordset<'_>> {
@@ -2270,10 +2861,15 @@ fn recordset(expr: &Expr) -> Option<Recordset<'_>> {
     let Expr::Flwor(flwor) = sole_enclosed(ctor)? else {
         return None;
     };
+    let (project, row) = match project(&flwor.ret) {
+        Some(project) => (Some(project), None),
+        None => (None, Some(rows(flwor)?.1?.row)),
+    };
     Some(Recordset {
         name: QName::parse(&ctor.name),
         flwor,
-        project: project(&flwor.ret)?,
+        project,
+        row,
     })
 }
 
@@ -2371,7 +2967,13 @@ fn text_sink(body: &Expr) -> Option<TextSink<'_>> {
         })
         .collect::<Option<_>>()?;
     let fused = recordset(rows).and_then(|view| {
-        let cells = resolve(&pieces, record, &view.project)?;
+        let cells = match &view.project {
+            Some(project) => Some(resolve(&pieces, record, project)?),
+            // A wrapper's branches resolve as they run, over rows that
+            // `$q/RECORD` selects.
+            None if view.row == Some(record) => None,
+            None => return None,
+        };
         Some((view, cells))
     });
     Some(TextSink {
@@ -2453,6 +3055,13 @@ pub fn lowers_to_aggregate(flwor: &Flwor) -> Option<bool> {
     aggregate(flwor).map(|planned| planned.is_some())
 }
 
+/// Whether the rows operator runs `flwor`: `None` for a FLWOR that is not
+/// one of stage 3's sort or set wrappers, `Some(false)` for one it
+/// declines.
+pub fn lowers_to_rows(flwor: &Flwor) -> Option<bool> {
+    rows(flwor).map(|(_, planned)| planned.is_some())
+}
+
 /// Runs a sink: the payload, as it crosses the boundary.
 ///
 /// A fused text sink and the XML sink take the FLWOR's tuples and write
@@ -2469,20 +3078,32 @@ pub(crate) fn run_sink(ev: &Evaluator<'_>, sink: &Sink<'_>, env: &Env) -> Result
     match sink {
         Sink::Text(text) => {
             let fuel_per_row = 1 + text.pieces.len() as u64;
-            let mut out = Output::Text {
-                pieces: &text.pieces,
-                cells: text.fused.as_ref().map_or(&[], |(_, cells)| cells),
-                payload: &mut payload,
-            };
             match &text.fused {
-                Some((view, _)) => {
-                    let (tuples, grouped) = ev.flwor_tuples(view.flwor, env, None)?;
-                    let grouped = regrouped(grouped.as_ref())?;
-                    let project = grouped.as_ref().unwrap_or(&view.project);
-                    let fuel_per_row = fuel_per_row + 1 + project.cells.len() as u64;
-                    project_rows(ev, project, &tuples, None, fuel_per_row, &mut out)?;
+                Some((view, cells)) => {
+                    let tuples = ev.flwor_tuples(view.flwor, env, None)?;
+                    let projects = projections(&tuples, view.project.as_ref())?;
+                    let resolved: Vec<_>;
+                    let cells = match tuples.lowered() {
+                        false => std::slice::from_ref(cells),
+                        true => {
+                            let resolve = |project| resolve(&text.pieces, text.record, project);
+                            resolved = projects.iter().map(resolve).collect();
+                            &resolved
+                        }
+                    };
+                    let mut out = Output::Text {
+                        pieces: &text.pieces,
+                        cells,
+                        payload: &mut payload,
+                    };
+                    project_rows(ev, &projects, tuples.rows(), None, fuel_per_row, &mut out)?;
                 }
                 None => {
+                    let mut out = Output::Text {
+                        pieces: &text.pieces,
+                        cells: &[],
+                        payload: &mut payload,
+                    };
                     let views = ev.eval(text.rows, env, None)?;
                     let mut rows = 0;
                     for view in views.iter().filter_map(Item::as_element) {
@@ -2500,14 +3121,12 @@ pub(crate) fn run_sink(ev: &Evaluator<'_>, sink: &Sink<'_>, env: &Env) -> Result
             }
         }
         Sink::Xml(body) => {
-            let (tuples, grouped) = ev.flwor_tuples(body.flwor, env, None)?;
-            let grouped = regrouped(grouped.as_ref())?;
-            let project = grouped.as_ref().unwrap_or(&body.project);
+            let tuples = ev.flwor_tuples(body.flwor, env, None)?;
+            let projects = projections(&tuples, body.project.as_ref())?;
             write_start_tag(&mut payload, &body.name);
             let opened = payload.len();
-            let fuel_per_row = 1 + project.cells.len() as u64;
             let mut out = Output::Xml(&mut payload);
-            project_rows(ev, project, &tuples, None, fuel_per_row, &mut out)?;
+            project_rows(ev, &projects, tuples.rows(), None, 0, &mut out)?;
             close_element(&mut payload, &body.name, 0, opened);
         }
     }
@@ -3108,6 +3727,138 @@ mod tests {
             lowers_to_aggregate(&flwor_of("for $x in ns0:T() return $x")),
             None
         );
+    }
+
+    /// `let $l := VIEW(cells) [let $r := VIEW(cells)] …` for [`rows_of`].
+    fn view(var: &str, table: &str, cells: &str) -> String {
+        format!(
+            "let ${var} := <RECORDSET>{{ for $x in ns0:{table}() return \
+             <RECORD>{cells}</RECORD> }}</RECORDSET> "
+        )
+    }
+
+    const A: &str = "<A>{fn:data($x/A)}</A>{ for $s in fn:data($x/B) return <B>{$s}</B> }";
+
+    /// What the rows operator makes of a FLWOR: `(lowering, planned)`.
+    fn rows_of(query: &str) -> Option<(Lowering, bool)> {
+        rows(&flwor_of(query)).map(|(kind, planned)| (kind, planned.is_some()))
+    }
+
+    #[test]
+    fn lowers_every_wrapper_stage_3_writes() {
+        let (l, r) = (view("l", "T", A), view("r", "U", A));
+        let rename = "let $n := <RECORDSET>{ for $y in $r/RECORD return <RECORD>\
+             <A>{fn:data($y/A)}</A>{ for $s in fn:data($y/B) return <B>{$s}</B> }\
+             </RECORD> }</RECORDSET> ";
+        let set = Some((Lowering::Set, true));
+        for query in [
+            format!("{l}for $z in $l/RECORD return $z"),
+            format!("{l}for $z in fn-bea:distinct-records($l/RECORD) return $z"),
+            format!("{l}{r}for $z in ($l/RECORD, $r/RECORD) return $z"),
+            format!(
+                "{l}{r}{rename}for $z in fn-bea:distinct-records(($l/RECORD, $n/RECORD)) return $z"
+            ),
+            format!("{l}{r}for $z in fn-bea:intersect-all-records($l/RECORD, $r/RECORD) return $z"),
+            format!(
+                "{l}{r}{rename}for $z in fn-bea:except-all-records($l/RECORD, $n/RECORD) return $z"
+            ),
+        ] {
+            assert_eq!(rows_of(&query), set, "{query}");
+        }
+        // ORDER BY's keys, with a cast, `fn:data` or neither, over a view,
+        // a DISTINCT wrapper and a grouped select.
+        let sort = Some((Lowering::Sort, true));
+        let distinct = format!(
+            "let $o := <RECORDSET>{{ {l}for $z in fn-bea:distinct-records($l/RECORD) return $z \
+             }}</RECORDSET> "
+        );
+        let grouped = "let $o := <RECORDSET>{ let $inter1 := <RECORDSET>{ for $x in ns0:T() \
+             return <RECORD><T.A>{fn:data($x/A)}</T.A></RECORD> }</RECORDSET> \
+             for $g in $inter1/RECORD group $g as $p by fn:data($g/T.A) as $k \
+             return <RECORD><A>{$k}</A><N>{fn:count($p)}</N></RECORD> }</RECORDSET> ";
+        for (views, key) in [
+            (
+                l.replace("$l", "$o"),
+                "xs:integer($z/A) descending, fn:data($z/B)",
+            ),
+            (distinct, "$z/B empty greatest"),
+            (grouped.to_string(), "xs:integer(fn:data($z/N)), $z/A"),
+        ] {
+            let query = format!("{views}for $z in $o/RECORD order by {key} return $z");
+            assert_eq!(rows_of(&query), sort, "{query}");
+        }
+    }
+
+    #[test]
+    fn declines_what_it_cannot_read_and_asks_nothing_of_the_rest() {
+        let (l, r) = (view("l", "T", A), view("r", "U", A));
+        let declined = |query: String| {
+            let lowered = rows_of(&query).map(|(_, planned)| planned);
+            assert_eq!(lowered, Some(false), "{query}");
+        };
+        // A view read twice, or not at all: its rows and its error count.
+        declined(format!("{l}for $z in ($l/RECORD, $l/RECORD) return $z"));
+        declined(format!("{l}{r}for $z in $l/RECORD return $z"));
+        // A key that is no cell read of the row variable.
+        for key in [
+            "xs:integer($z/A) + 1",
+            "fn:string($z)",
+            "$z/A/X",
+            "$z/A[1]",
+            "$l/RECORD/A",
+        ] {
+            declined(format!("{l}for $z in $l/RECORD order by {key} return $z"));
+        }
+        // Two cells of the name a key reads are read both, as `$z/A` reads
+        // the built row: lowered.
+        let twice = view("l", "T", "<A>{fn:data($x/A)}</A><A>{fn:data($x/B)}</A>");
+        let query = format!("{twice}for $z in $l/RECORD order by $z/A return $z");
+        assert_eq!(rows_of(&query), Some((Lowering::Sort, true)));
+        // A rename that leaves an evaluated source cell unread, reads a
+        // name no cell or two make, or reads anything but a cell.
+        let evaluated = view(
+            "r",
+            "U",
+            "<A>{fn:data($x/A)}</A><E>{xs:integer(fn:data($x/B))}</E>",
+        );
+        for (source, cells) in [
+            (evaluated.as_str(), "<A>{fn:data($y/A)}</A>"),
+            (r.as_str(), "<A>{fn:data($y/C)}</A>"),
+            (twice.replace("$l", "$r").as_str(), "<A>{fn:data($y/A)}</A>"),
+            (r.as_str(), "<A>{fn:data($y/A) + 1}</A>"),
+        ] {
+            declined(format!(
+                "{l}{source}let $n := <RECORDSET>{{ for $y in $r/RECORD return \
+                 <RECORD>{cells}</RECORD> }}</RECORDSET> \
+                 for $z in ($l/RECORD, $n/RECORD) return $z"
+            ));
+        }
+        // A `let` that is no view, a body that reads another view, an
+        // operand with a predicate, rows `$v/RECORD` does not select, two
+        // row tests, an intersection of three.
+        for query in [
+            "let $l := ns0:T() for $z in $l/RECORD return $z".to_string(),
+            format!("{l}let $r := <RECORDSET>{{ for $x in $l/RECORD where $x/A > 1 return $x }}</RECORDSET> for $z in $r/RECORD return $z"),
+            format!("{l}for $z in $l/RECORD[A > 1] return $z"),
+            format!("{l}for $z in $l/ROW return $z"),
+            format!("{l}{}for $z in ($l/RECORD, $r/ROW) return $z", r.replace("RECORD>", "ROW>")),
+            format!("{l}{r}for $z in fn-bea:intersect-all-records($l/RECORD, $r/RECORD, $r/RECORD) return $z"),
+        ] {
+            declined(query);
+        }
+        // Not a wrapper: INTERSECT and EXCEPT without ALL filter with a
+        // `where`; a `return` that is no row variable; no `let`.
+        for query in [
+            format!(
+                "{l}{r}for $z in fn-bea:distinct-records($l/RECORD) \
+                 where (some $y in $r/RECORD satisfies ($z/A = $y/A)) return $z"
+            ),
+            format!("{l}for $z in $l/RECORD return $l"),
+            format!("{l}for $z in $l/RECORD return <R>{{$z}}</R>"),
+            "for $z in ns0:T() return $z".to_string(),
+        ] {
+            assert_eq!(rows_of(&query), None, "{query}");
+        }
     }
 
     #[test]

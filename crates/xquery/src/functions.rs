@@ -217,7 +217,7 @@ pub fn call_builtin(name: &str, args: &[Sequence]) -> Result<Option<Sequence>, X
             let mut seen = std::collections::HashSet::new();
             let mut out = Sequence::empty();
             for item in args[0].iter() {
-                match record_key(item) {
+                match row_key(item) {
                     Some(key) => {
                         if seen.insert(key) {
                             out.push(item.clone());
@@ -233,7 +233,7 @@ pub fn call_builtin(name: &str, args: &[Sequence]) -> Result<Option<Sequence>, X
             let mut counts = record_counts(&args[1]);
             let mut out = Sequence::empty();
             for item in args[0].iter() {
-                if let Some(key) = record_key(item) {
+                if let Some(key) = row_key(item) {
                     if let Some(n) = counts.get_mut(&key) {
                         if *n > 0 {
                             *n -= 1;
@@ -248,12 +248,12 @@ pub fn call_builtin(name: &str, args: &[Sequence]) -> Result<Option<Sequence>, X
             require_arity(name, args, 2)?;
             let mut counts = record_counts(&args[1]);
             let mut out = Sequence::empty();
+            // An item that is no row cannot occur on the right: it stays,
+            // as `distinct-records` passes it through.
             for item in args[0].iter() {
-                if let Some(key) = record_key(item) {
-                    match counts.get_mut(&key) {
-                        Some(n) if *n > 0 => *n -= 1,
-                        _ => out.push(item.clone()),
-                    }
+                match row_key(item).and_then(|key| counts.get_mut(&key)) {
+                    Some(n) if *n > 0 => *n -= 1,
+                    _ => out.push(item.clone()),
                 }
             }
             out
@@ -715,18 +715,27 @@ fn sql_like(text: &str, pattern: &str, escape: Option<char>) -> Result<bool, XqE
     Ok(matches(&chars, 0, &tokens, 0))
 }
 
-/// Canonical duplicate-elimination key for a row element: child element
-/// names and string values in document order. Absent columns (SQL NULL)
-/// and empty-string columns produce different keys because NULL columns
-/// are omitted from generated row elements.
-fn record_key(item: &Item) -> Option<String> {
+/// Appends one cell to a row's canonical duplicate-elimination key: the
+/// cell's local name and its string value. A row's key is its cells', in
+/// document order. Absent columns (SQL NULL) and empty-string columns
+/// produce different keys because NULL columns are omitted from generated
+/// row elements. The one key writer: the builtins below key built rows
+/// with it, and the sort and set operators of [`crate::exec`] the rows
+/// they never build, off the cell reads that would have built them.
+pub(crate) fn record_key(key: &mut String, name: &str, value: &str) {
+    key.push_str(name);
+    key.push('\u{1}');
+    key.push_str(value);
+    key.push('\u{2}');
+}
+
+/// The key of a row element: [`record_key`] of each child. `None` for an
+/// item that is no element.
+fn row_key(item: &Item) -> Option<String> {
     let element = item.as_element()?;
     let mut key = String::new();
     for child in element.child_elements() {
-        key.push_str(child.name.local_part());
-        key.push('\u{1}');
-        key.push_str(&child.string_value());
-        key.push('\u{2}');
+        record_key(&mut key, child.name.local_part(), &child.string_value());
     }
     Some(key)
 }
@@ -734,7 +743,7 @@ fn record_key(item: &Item) -> Option<String> {
 fn record_counts(seq: &Sequence) -> std::collections::HashMap<String, usize> {
     let mut counts = std::collections::HashMap::new();
     for item in seq.iter() {
-        if let Some(key) = record_key(item) {
+        if let Some(key) = row_key(item) {
             *counts.entry(key).or_insert(0) += 1;
         }
     }
@@ -990,6 +999,31 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!(call("fn-bea:distinct-records", &[rows]).len(), 2);
+    }
+
+    #[test]
+    fn except_all_records_keeps_what_is_no_row() {
+        // An atom beside the rows: no key, so nothing on the right can
+        // remove it — kept in place, as `distinct-records` keeps it.
+        let atom = Item::Atomic(Atomic::Integer(7));
+        let left: Sequence = vec![
+            record(&[("A", Some("1"))]),
+            atom.clone(),
+            record(&[("A", Some("2"))]),
+        ]
+        .into_iter()
+        .collect();
+        let right: Sequence = vec![record(&[("A", Some("1"))]), atom.clone()]
+            .into_iter()
+            .collect();
+        let except = call("fn-bea:except-all-records", &[left.clone(), right]);
+        assert_eq!(
+            except,
+            vec![atom.clone(), record(&[("A", Some("2"))])]
+                .into_iter()
+                .collect()
+        );
+        assert_eq!(call("fn-bea:distinct-records", &[left]).len(), 3);
     }
 
     #[test]

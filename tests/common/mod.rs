@@ -8,7 +8,7 @@ use aldsp::driver::Connection;
 use aldsp::optimizer::Optimizer;
 use aldsp::plancache::PlanCache;
 use aldsp::workload::{stats_for, Engine, Lane, Scale, Universe};
-use aldsp::xquery::ast::{Content, Expr};
+use aldsp::xquery::ast::{Clause, Content, Expr};
 use aldsp::xquery::parse_program;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -46,9 +46,29 @@ pub fn is_recordset_of_records(body: &Expr) -> bool {
     }
 }
 
-/// How many statements of `corpus` are, as `lane` plans them, programs of
-/// that shape — the executions of an XML lane under the pipeline strategy
-/// that must end in the XML sink.
+/// Whether `body` is a sink's: [`is_recordset_of_records`], or a
+/// `<RECORDSET>` around a sort or set wrapper — one FLWOR that returns its
+/// row variable — that keeps every row its `SRC` yields. What stage 3 emits
+/// for every statement but INTERSECT and EXCEPT without ALL, whose wrapper
+/// filters its rows with a `where`. Read off the AST here too.
+#[allow(dead_code)]
+pub fn is_sunk_body(body: &Expr) -> bool {
+    let Expr::Element(ctor) = body else {
+        return false;
+    };
+    let wrapper = match ctor.content.as_slice() {
+        [Content::Enclosed(Expr::Flwor(flwor))] if ctor.attributes.is_empty() => {
+            let filters = flwor.clauses.iter().any(|c| matches!(c, Clause::Where(_)));
+            matches!(&*flwor.ret, Expr::VarRef(_)) && !filters
+        }
+        _ => false,
+    };
+    wrapper || is_recordset_of_records(body)
+}
+
+/// How many statements of `corpus` are, as `lane` plans them, programs a
+/// sink writes ([`is_sunk_body`]) — the executions of an XML lane under the
+/// pipeline strategy that must end in the XML sink.
 #[allow(dead_code)]
 pub fn xml_sink_bodies(universe: &Universe, corpus: &[(String, String)], lane: &Lane) -> u64 {
     let conn = Connection::open(Arc::clone(&universe.server));
@@ -66,7 +86,7 @@ pub fn xml_sink_bodies(universe: &Universe, corpus: &[(String, String)], lane: &
                 .map(|full| full.translation.xquery)
         };
         let xquery = planned.unwrap_or_else(|e| panic!("{origin}: `{sql}`: {e}"));
-        is_recordset_of_records(&parse_program(&xquery).expect("plans parse").body)
+        is_sunk_body(&parse_program(&xquery).expect("plans parse").body)
     });
     shaped.count() as u64
 }

@@ -49,8 +49,10 @@ fn sweep(seed: u64, count_per_class: usize, scale: Scale, production_ran: bool) 
 /// back, warm executions were exact hits — and every execution (cold and
 /// warm) whose body a sink can write ended in that sink, none of which
 /// gave up: every delimited-text one, and every XML one that is a
-/// `<RECORDSET>` of one FLWOR's `<RECORD>`s. Its `let`-bound views were
-/// built by tail plans that dropped cells, and none gave up either.
+/// `<RECORDSET>` of one FLWOR's `<RECORD>`s or of a sort or set wrapper.
+/// Its `let`-bound views were built by tail plans that dropped cells, and
+/// none gave up either; its grouped FLWORs and its sort and set wrappers
+/// ran as their operators.
 fn assert_production_ran(
     report: &MatrixReport,
     universe: &Universe,
@@ -85,15 +87,18 @@ fn assert_production_ran(
             lane.cells_pruned
         );
         assert_eq!(lane.view_fallbacks, 0, "{label}: a view fell back");
-        // Every grouped FLWOR stage 3 and the optimizer emit runs as the
-        // aggregate operator, which never gives up on a statement that
-        // succeeds.
-        assert!(lane.aggregates_lowered > 0, "{label}: no aggregate ran");
-        assert_eq!(
-            (lane.aggregates_declined, lane.aggregates_abandoned),
-            (0, 0),
-            "{label}: a grouped FLWOR was interpreted"
-        );
+        // Every grouped FLWOR, ORDER BY, DISTINCT and set-operation wrapper
+        // stage 3 and the optimizer emit runs as its operator (INTERSECT
+        // and EXCEPT without ALL are not asked), which never gives up on a
+        // statement that succeeds.
+        for (kind, (lowered, declined, abandoned)) in lane.lowerings() {
+            assert!(lowered > 0, "{label}: no {kind:?} lowering ran");
+            assert_eq!(
+                (declined, abandoned),
+                (0, 0),
+                "{label}: a {kind:?} lowering's FLWOR was interpreted"
+            );
+        }
         let cache = lane.cache.expect("the production lane has a plan cache");
         assert!(cache.exact_hits > 0, "{label}: warm executions never hit");
     }
@@ -108,12 +113,9 @@ fn assert_production_ran(
     for plain in ["text", "xml"] {
         let lane = report.lane(plain);
         assert_eq!((lane.indexes_built, lane.index_hits), (0, 0), "{plain}");
-        let aggregates = (
-            lane.aggregates_lowered,
-            lane.aggregates_declined,
-            lane.aggregates_abandoned,
-        );
-        assert_eq!(aggregates, (0, 0, 0), "{plain}");
+        for (kind, counts) in lane.lowerings() {
+            assert_eq!(counts, (0, 0, 0), "{plain}: {kind:?}");
+        }
     }
 }
 
@@ -349,12 +351,9 @@ fn lane_counters_prove_each_lane_ran_its_own_configuration() {
                 (0, 0),
                 "{transport}{interpreted}"
             );
-            let aggregates = (
-                lane.aggregates_lowered,
-                lane.aggregates_declined,
-                lane.aggregates_abandoned,
-            );
-            assert_eq!(aggregates, (0, 0, 0), "{transport}{interpreted}");
+            for (kind, counts) in lane.lowerings() {
+                assert_eq!(counts, (0, 0, 0), "{transport}{interpreted}: {kind:?}");
+            }
         }
         for hashed in ["+hash", "+production"] {
             let lane = lane(hashed);
@@ -372,19 +371,23 @@ fn lane_counters_prove_each_lane_ran_its_own_configuration() {
                 "{transport}{hashed}"
             );
             assert_eq!(lane.view_fallbacks, 0, "{transport}{hashed}");
-            // Every GROUP BY and implicit group runs as the aggregate.
-            assert!(lane.aggregates_lowered > 0, "{transport}{hashed}");
-            assert_eq!(
-                (lane.aggregates_declined, lane.aggregates_abandoned),
-                (0, 0),
-                "{transport}{hashed}"
-            );
+            // Every GROUP BY and implicit group runs as the aggregate, every
+            // ORDER BY as the sort, every DISTINCT, UNION [ALL], INTERSECT
+            // ALL and EXCEPT ALL as the set operation.
+            for (kind, (lowered, declined, abandoned)) in lane.lowerings() {
+                assert!(lowered > 0, "{transport}{hashed}: {kind:?}");
+                assert_eq!(
+                    (declined, abandoned),
+                    (0, 0),
+                    "{transport}{hashed}: {kind:?}"
+                );
+            }
         }
         // A sink ends every execution of the pipeline strategy (a cached
         // lane executes twice) whose body it can write — every
         // delimited-text one, every XML `<RECORDSET>` of one FLWOR's
-        // `<RECORD>`s — and nothing else; it never gives up on a statement
-        // that succeeds.
+        // `<RECORD>`s or of a sort or set wrapper — and nothing else; it
+        // never gives up on a statement that succeeds.
         for (suffix, executions) in [
             ("", 0),
             ("+hash", 1),

@@ -10,6 +10,7 @@ use aldsp::driver::{
     BreakerConfig, BreakerState, Connection, DriverError, DspServer, FaultConfig, FaultInjector,
     GovernorConfig, QueryBudget, QueryService, RetryPolicy,
 };
+use aldsp::governor::Lowering;
 use aldsp::relational::SqlValue;
 use aldsp::workload::{
     build_application, populate_database, run_overload, Lane, OverloadConfig, Scale,
@@ -381,7 +382,11 @@ fn a_grouped_statement_is_charged_its_fuel_and_capped_at_its_rows() {
         let (rows, meter) = run(&service, QueryBudget::unlimited());
         let (naive_rows, naive_meter) = run(&naive, QueryBudget::unlimited());
         assert_eq!(rows.unwrap().len(), naive_rows.unwrap().len(), "{class}");
-        assert_eq!(meter.aggregate_counts(), (1, 0, 0), "{class}");
+        assert_eq!(
+            meter.lowering_counts(Lowering::Aggregate),
+            (1, 0, 0),
+            "{class}"
+        );
         let fuel = meter.fuel_consumed();
         assert!(fuel < naive_meter.fuel_consumed(), "{class}");
         let (_, exact) = run(&service, QueryBudget::unlimited().with_fuel(fuel));
@@ -410,9 +415,9 @@ fn a_grouped_statement_is_charged_its_fuel_and_capped_at_its_rows() {
 
 /// The statements of the end-to-end benchmark's `warm_point`,
 /// `reload_churn` and `bulk_export` workloads — point lookups by key and
-/// full scans — have no hash operator and no group: the production lane
-/// asks for no join index on any of them and runs no aggregate, so neither
-/// can move those workloads.
+/// full scans — have no hash operator, no group, no sort and no set
+/// operation: the production lane asks for no join index on any of them and
+/// asks no operator to run a whole FLWOR, so none can move those workloads.
 #[test]
 fn point_lookups_and_exports_ask_for_no_join_index() {
     let scale = Scale::small();
@@ -451,7 +456,9 @@ fn point_lookups_and_exports_ask_for_no_join_index() {
                 .execute_with_budget(sql, params, Some(&meter))
                 .unwrap_or_else(|e| panic!("`{sql}`: {e}"));
             assert_eq!(meter.index_counts(), (0, 0), "`{sql}`");
-            assert_eq!(meter.aggregate_counts(), (0, 0, 0), "`{sql}`");
+            for kind in [Lowering::Aggregate, Lowering::Sort, Lowering::Set] {
+                assert_eq!(meter.lowering_counts(kind), (0, 0, 0), "{kind:?}: `{sql}`");
+            }
         }
     }
 }

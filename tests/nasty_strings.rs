@@ -481,11 +481,10 @@ fn integer_overflow_corners_are_answers_or_typed_errors() {
 
 /// What each transport has to carry, byte for byte whichever strategy
 /// writes it — the interpreter's `fn-bea:xml-escape` and serializer, or the
-/// pipeline strategy's sinks writing cells straight into the payload
-/// (plain statements), its text sink over a view and its projection under
-/// the serializer (ORDER BY returns `$var`): `''` beside NULL, the
-/// separators and `&` alone and as an entity look-alike, the NULL marker
-/// and its neighbour, multi-byte text.
+/// pipeline strategy's sinks writing cells straight into the payload —
+/// plain statements, and ORDER BY's rows as the sort hands them over:
+/// `''` beside NULL, the separators and `&` alone and as an entity
+/// look-alike, the NULL marker and its neighbour, multi-byte text.
 #[test]
 fn payloads_are_byte_identical_under_both_strategies() {
     let odd = [
@@ -520,9 +519,8 @@ fn payloads_are_byte_identical_under_both_strategies() {
             });
             assert_eq!(piped.0, naive.0, "{transport:?} `{sql}`");
             assert_eq!(naive.1, (0, 0));
-            // A sink wrote it, except the XML body that returns `$var`.
-            let sunk = transport == Transport::DelimitedText || !sql.contains("ORDER BY");
-            assert_eq!(piped.1, (u64::from(sunk), 0), "{transport:?} `{sql}`");
+            // A sink wrote it.
+            assert_eq!(piped.1, (1, 0), "{transport:?} `{sql}`");
         }
     }
 }
