@@ -218,7 +218,7 @@ impl Linter {
     }
 }
 
-impl Visitor for Linter {
+impl Visitor<'_> for Linter {
     fn visit_expr(&mut self, expr: &Expr) {
         match expr {
             Expr::VarRef(name) => self.use_var(name),

@@ -421,7 +421,7 @@ fn binder_vars(clause: &Clause) -> Vec<&str> {
 /// eligibility; scopes are ignored, generated names are unique).
 struct VarRefs<'a>(&'a mut Vec<String>);
 
-impl Visitor for VarRefs<'_> {
+impl Visitor<'_> for VarRefs<'_> {
     fn visit_expr(&mut self, expr: &Expr) {
         match expr {
             Expr::VarRef(name) => self.0.push(name.clone()),

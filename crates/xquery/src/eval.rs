@@ -11,21 +11,21 @@
 //! its job is fidelity, not speed; it is what the `+hash` lanes of the
 //! differential matrix and analyzer layer 5 compare against, and what
 //! every operator falls back to (`interpret_on_error`). And it is the
-//! **engine**'s front door: under [`ExecStrategy::HashJoin`] the same
-//! walk hands what [`crate::exec`] recognizes to its operators — a FLWOR's
-//! join-shaped clause prefix, a whole grouped FLWOR or sort or set wrapper
-//! (`Evaluator::flwor_tuples`), its `return <RECORD>…</RECORD>`
-//! (`eval_flwor`), a program body that is a sink's
-//! ([`evaluate_program_exec`], [`evaluate_program_to_payload`]) — and
-//! interprets the rest. (The paper leaves optimization to the server's
+//! **engine**'s front door: under [`ExecStrategy::HashJoin`] the statement
+//! is planned once ([`PhysicalPlan`]) and the same walk hands what the plan
+//! holds to its operators — a FLWOR's join-shaped clause prefix, a whole
+//! grouped FLWOR or sort or set wrapper (`Evaluator::flwor_tuples`), its
+//! `return <RECORD>…</RECORD>` (`eval_flwor`), a program body that is a
+//! sink's ([`evaluate_program_exec`], [`evaluate_program_to_payload`]) —
+//! and interprets the rest. (The paper leaves optimization to the server's
 //! compiler, §3.2; `exec` is this repository's share of that compiler's
 //! physical side, the rewrite engine in `aldsp-optimizer` its logical
 //! one.)
 
 use crate::ast::*;
-use crate::exec::{self, AtomKey, JoinTable, Tuples};
+use crate::exec::{self, AtomKey, JoinTable, PhysicalPlan, Tuples};
 use crate::functions::{call_builtin, coerce_numeric, data};
-use aldsp_governor::{BudgetError, ExecStrategy, Lowering, LoweringOutcome, QueryBudget};
+use aldsp_governor::{BudgetError, ExecStrategy, LoweringOutcome, QueryBudget};
 use aldsp_xml::{Atomic, Element, Item, Node, QName, Sequence};
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -196,7 +196,8 @@ pub struct Evaluator<'a> {
     functions: &'a dyn FunctionSource,
     prefixes: HashMap<String, String>,
     budget: Option<&'a QueryBudget>,
-    strategy: ExecStrategy,
+    /// What runs each FLWOR and the body: planned once per evaluation.
+    plan: &'a PhysicalPlan<'a>,
 }
 
 /// Evaluates a parsed program against a function source: no external
@@ -232,12 +233,7 @@ pub fn evaluate_program_exec(
     budget: Option<&QueryBudget>,
     strategy: ExecStrategy,
 ) -> Result<Sequence, XqError> {
-    Ok(
-        match evaluate(program, functions, vars, budget, strategy, false)? {
-            Evaluated::Payload(text) => Sequence::singleton(Atomic::String(text)),
-            Evaluated::Items(items) => items,
-        },
-    )
+    evaluate(program, functions, vars, budget, strategy, false)
 }
 
 /// [`evaluate_program_exec`] for a caller that ships the result: evaluates
@@ -254,28 +250,15 @@ pub fn evaluate_program_to_payload(
     budget: Option<&QueryBudget>,
     strategy: ExecStrategy,
 ) -> Result<String, XqError> {
-    Ok(
-        match evaluate(program, functions, vars, budget, strategy, true)? {
-            Evaluated::Payload(payload) => payload,
-            Evaluated::Items(items) => {
-                let mut items = items.into_items();
-                match items.as_mut_slice() {
-                    [Item::Atomic(Atomic::String(text))] => std::mem::take(text),
-                    _ => aldsp_xml::serialize_sequence(&Sequence::from_items(items)),
-                }
-            }
-        },
-    )
+    let mut items = evaluate(program, functions, vars, budget, strategy, true)?.into_items();
+    Ok(match items.as_mut_slice() {
+        [Item::Atomic(Atomic::String(text))] => std::mem::take(text),
+        _ => aldsp_xml::serialize_sequence(&Sequence::from_items(items)),
+    })
 }
 
-/// What a program body came to: the payload a sink wrote, or the items
-/// the evaluator built.
-enum Evaluated {
-    Payload(String),
-    Items(Sequence),
-}
-
-/// The one entry behind both public ones. `xml_sink` says the caller wants
+/// The one entry behind both public ones: `program` planned for `strategy`
+/// — the one place it is read — and run. `xml_sink` says the caller wants
 /// a payload, so an XML body may be sunk as well as a delimited one.
 fn evaluate(
     program: &Program,
@@ -284,7 +267,20 @@ fn evaluate(
     budget: Option<&QueryBudget>,
     strategy: ExecStrategy,
     xml_sink: bool,
-) -> Result<Evaluated, XqError> {
+) -> Result<Sequence, XqError> {
+    let plan = PhysicalPlan::new(program, strategy, xml_sink);
+    run(program, &plan, functions, vars, budget)
+}
+
+/// Runs `program` as `plan` says: the items the body came to, or — where
+/// a sink wrote it — the payload, one string.
+fn run(
+    program: &Program,
+    plan: &PhysicalPlan<'_>,
+    functions: &dyn FunctionSource,
+    vars: &[(String, Sequence)],
+    budget: Option<&QueryBudget>,
+) -> Result<Sequence, XqError> {
     if let Some(budget) = budget {
         budget.check().map_err(XqError::budget)?;
     }
@@ -296,37 +292,33 @@ fn evaluate(
             .map(|i| (i.prefix.clone(), i.namespace.clone()))
             .collect(),
         budget,
-        strategy,
+        plan,
     };
     let mut env = Env::new();
     for (name, value) in vars {
         env = env.bind(name.clone(), value.clone());
     }
-    if strategy == ExecStrategy::HashJoin {
-        if let Some(sink) = exec::sink(&program.body, xml_sink) {
-            let written = interpret_on_error(exec::run_sink(&evaluator, &sink, &env))?;
-            if let Some(budget) = budget {
-                match written {
-                    Some(_) => budget.record_sink(),
-                    None => budget.record_sink_fallback(),
-                }
+    if let Some(sink) = plan.sink() {
+        let written = interpret_on_error(exec::run_sink(&evaluator, sink, &env))?;
+        if let Some(budget) = budget {
+            match written {
+                Some(_) => budget.record_sink(),
+                None => budget.record_sink_fallback(),
             }
-            if let Some(payload) = written {
-                return Ok(Evaluated::Payload(payload));
-            }
-            // No silent fallback: a sink gives up only on what the
-            // interpreter fails on too.
-            let interpreted = evaluator.eval(&program.body, &env, None);
-            debug_assert!(
-                interpreted.is_err(),
-                "a sink failed on a body the interpreter evaluates"
-            );
-            return interpreted.map(Evaluated::Items);
         }
+        if let Some(payload) = written {
+            return Ok(Sequence::singleton(Atomic::String(payload)));
+        }
+        // No silent fallback: a sink gives up only on what the
+        // interpreter fails on too.
+        let interpreted = evaluator.eval(&program.body, &env, None);
+        debug_assert!(
+            interpreted.is_err(),
+            "a sink failed on a body the interpreter evaluates"
+        );
+        return interpreted;
     }
-    evaluator
-        .eval(&program.body, &env, None)
-        .map(Evaluated::Items)
+    evaluator.eval(&program.body, &env, None)
 }
 
 /// What a pipeline operator's error means (DESIGN.md §17, "Fallback and
@@ -419,6 +411,9 @@ impl<'a> Evaluator<'a> {
                 None => Err(XqError::new("no context item")),
             },
             Expr::FunctionCall { name, args } => {
+                if let Some(value) = self.aggregated(expr, env) {
+                    return Ok(value);
+                }
                 let mut values = Vec::with_capacity(args.len());
                 for a in args {
                     values.push(self.eval(a, env, context)?);
@@ -434,20 +429,7 @@ impl<'a> Evaluator<'a> {
                 let namespace = prefix.and_then(|p| self.prefixes.get(p).map(|s| s.as_str()));
                 self.functions.call(namespace, local, &values)
             }
-            Expr::Path { start, steps } => {
-                let mut current = match &**start {
-                    PathStart::Var(v) => env.value_of(v)?.clone(),
-                    PathStart::Expr(e) => self.eval(e, env, context)?,
-                    PathStart::Context => match context {
-                        Some(item) => Sequence::singleton(item.clone()),
-                        None => return Err(XqError::new("relative path without context item")),
-                    },
-                };
-                for step in steps {
-                    current = self.apply_step(&current, step, env)?;
-                }
-                Ok(current)
-            }
+            Expr::Path { start, steps } => self.path(start, steps, env, context, true),
             Expr::Filter { base, predicates } => {
                 let mut current = self.eval(base, env, context)?;
                 for predicate in predicates {
@@ -455,7 +437,10 @@ impl<'a> Evaluator<'a> {
                 }
                 Ok(current)
             }
-            Expr::Flwor(flwor) => self.eval_flwor(flwor, env, context),
+            Expr::Flwor(flwor) => match self.aggregated(expr, env) {
+                Some(value) => Ok(value),
+                None => self.eval_flwor(flwor, env, context),
+            },
             Expr::If { cond, then, els } => {
                 let c = self.eval(cond, env, context)?;
                 if c.effective_boolean() {
@@ -575,14 +560,54 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn apply_step(&self, input: &Sequence, step: &Step, env: &Env) -> Result<Sequence, XqError> {
+    /// What the aggregate operator made of `expr`, an aggregate it runs, in
+    /// the group whose tuple `env` is; `None` anywhere else.
+    fn aggregated(&self, expr: &Expr, env: &Env) -> Option<Sequence> {
+        env.lookup(self.plan.aggregate(expr)?).cloned()
+    }
+
+    /// `start/steps…`, the last step's predicates applied only when `last`
+    /// (a probe-let's source is its `let` cut short of them).
+    pub(crate) fn path(
+        &self,
+        start: &PathStart,
+        steps: &[Step],
+        env: &Env,
+        context: Option<&Item>,
+        last: bool,
+    ) -> Result<Sequence, XqError> {
+        let mut current = match start {
+            PathStart::Var(v) => env.value_of(v)?.clone(),
+            PathStart::Expr(e) => self.eval(e, env, context)?,
+            PathStart::Context => match context {
+                Some(item) => Sequence::singleton(item.clone()),
+                None => return Err(XqError::new("relative path without context item")),
+            },
+        };
+        for (at, step) in steps.iter().enumerate() {
+            let predicates = match last || at + 1 < steps.len() {
+                true => &step.predicates[..],
+                false => &[],
+            };
+            current = self.apply_step(&current, &step.test, predicates, env)?;
+        }
+        Ok(current)
+    }
+
+    fn apply_step(
+        &self,
+        input: &Sequence,
+        test: &NodeTest,
+        predicates: &[Expr],
+        env: &Env,
+    ) -> Result<Sequence, XqError> {
         let mut out = Sequence::empty();
         for item in input.iter() {
             let Some(element) = item.as_element() else {
                 continue;
             };
             for child in element.child_elements() {
-                let matches = match &step.test {
+                let matches = match test {
                     NodeTest::Wildcard => true,
                     NodeTest::Name(name) => name_matches(&child.name, name),
                 };
@@ -591,7 +616,7 @@ impl<'a> Evaluator<'a> {
                 }
             }
         }
-        for predicate in &step.predicates {
+        for predicate in predicates {
             out = self.apply_predicate(out, predicate, env)?;
         }
         Ok(out)
@@ -648,14 +673,15 @@ impl<'a> Evaluator<'a> {
         context: Option<&Item>,
     ) -> Result<Sequence, XqError> {
         let mut tuples = self.flwor_tuples(flwor, env, context)?;
-        if self.strategy == ExecStrategy::HashJoin {
-            let rows = exec::project_tree(self, &flwor.ret, &tuples, context);
-            match interpret_on_error(rows)? {
-                Some(Some(rows)) => return Ok(rows),
+        if tuples.projected() {
+            match interpret_on_error(exec::project_tree(self, &tuples, context))? {
+                Some(rows) => return Ok(rows),
                 // An operator's tuples have no `return` to interpret: the
                 // clause loop runs the FLWOR.
-                None if tuples.lowered() => tuples = self.clause_loop(flwor, env, context)?.into(),
-                _ => {}
+                None if tuples.lowered() => {
+                    tuples.envs = self.clause_loop(flwor, self.plan.node(flwor), env, context)?
+                }
+                None => {}
             }
         }
         let mut out = Sequence::empty();
@@ -668,44 +694,54 @@ impl<'a> Evaluator<'a> {
     /// The tuple stream of `flwor`, every clause applied: what its
     /// `return` is evaluated over — by [`Evaluator::eval_flwor`], or by a
     /// sink or a view's tail plan of [`crate::exec`] that writes the rows
-    /// itself. Where an operator ran the whole FLWOR — the aggregate, one
-    /// tuple per group; the rows operator, the rows of a sort or set
-    /// wrapper — each tuple is tagged with the branch that projects it.
-    pub(crate) fn flwor_tuples<'p>(
+    /// itself. Where the plan has an operator run the whole FLWOR — the
+    /// aggregate, one tuple per group; the rows operator, the rows of a sort
+    /// or set wrapper — each tuple is tagged with the branch that projects
+    /// it; where it declines, or raises anything but a budget error, the
+    /// clause loop runs the FLWOR.
+    pub(crate) fn flwor_tuples(
         &self,
-        flwor: &'p Flwor,
+        flwor: &Flwor,
         env: &Env,
         context: Option<&Item>,
-    ) -> Result<Tuples<'p>, XqError> {
-        // Stage 3's grouped FLWORs and sort and set wrappers open with a
-        // `let`: no other FLWOR calls out of line, or touches the
-        // operators' code.
-        let lowerable = matches!(flwor.clauses.as_slice(), [Clause::Let { .. }, _, ..]);
-        if self.strategy == ExecStrategy::HashJoin && lowerable {
-            if let Some(tuples) = self.lowered(flwor, env, context)? {
+    ) -> Result<Tuples<'a>, XqError> {
+        let node = self.plan.node(flwor);
+        if let Some((node, (kind, _))) = node.and_then(|node| Some((node, node.whole.as_ref()?))) {
+            let ran = node.run(self, env, context).map(interpret_on_error);
+            let (outcome, tuples) = match ran.transpose()? {
+                None => (LoweringOutcome::Declined, None),
+                Some(None) => (LoweringOutcome::Abandoned, None),
+                Some(tuples) => (LoweringOutcome::Lowered, tuples),
+            };
+            if let Some(budget) = self.budget {
+                budget.record_lowering(*kind, outcome);
+            }
+            if let Some(tuples) = tuples {
                 return Ok(tuples);
             }
         }
-        self.clause_loop(flwor, env, context).map(Tuples::from)
+        let envs = self.clause_loop(flwor, node, env, context)?;
+        Ok(Tuples::new(envs, node))
     }
 
     /// [`Evaluator::flwor_tuples`] through the clause loop: each clause
-    /// over the tuple stream, a join-shaped prefix through the pipeline.
+    /// over the tuple stream, a join-shaped prefix through the pipeline and
+    /// each `let` of a view through its plan, where `node` has them.
     fn clause_loop(
         &self,
         flwor: &Flwor,
+        node: Option<&exec::FlworPlan<'_>>,
         env: &Env,
         context: Option<&Item>,
     ) -> Result<Vec<Env>, XqError> {
         let mut skip = 0;
         let mut tuples: Vec<Env> = vec![env.clone()];
-        if self.strategy == ExecStrategy::HashJoin && exec::hash_shaped(flwor) {
-            let plan = exec::plan(flwor);
-            let streamed = match &plan {
+        if let Some(pipeline) = node.and_then(|node| node.pipeline.as_ref()) {
+            let streamed = match pipeline {
                 Some(plan) => interpret_on_error(exec::run(self, plan, env, context))?,
                 None => None,
             };
-            match (plan, streamed) {
+            match (pipeline, streamed) {
                 (Some(plan), Some(streamed)) => {
                     if let Some(budget) = self.budget {
                         budget.record_hash_join(plan.joins as u64);
@@ -714,9 +750,9 @@ impl<'a> Evaluator<'a> {
                     skip = plan.consumed;
                 }
                 // An abandoned pipeline, or a declined lowering — which
-                // counts only where `hash_shaped` saw a hashable shape, so
-                // the telemetry's fast-path fraction is over those rather
-                // than all FLWORs. The naive run below answers.
+                // counts only where the prefix is hash-shaped, so the
+                // telemetry's fast-path fraction is over those rather than
+                // all FLWORs. The naive run below answers.
                 (plan, _) => {
                     if let Some(budget) = self.budget {
                         match plan {
@@ -748,7 +784,10 @@ impl<'a> Evaluator<'a> {
                     }
                     tuples = next;
                 }
-                Clause::Let { .. } => tuples = self.let_clause(flwor, at, &tuples, context)?,
+                Clause::Let { var, value } => {
+                    let view = node.and_then(|node| node.view(at));
+                    tuples = self.let_clause(var, value, view, &tuples, context)?;
+                }
                 Clause::Where(predicate) => {
                     let mut next = Vec::new();
                     for tuple in tuples {
@@ -769,75 +808,20 @@ impl<'a> Evaluator<'a> {
         Ok(tuples)
     }
 
-    /// A FLWOR an operator runs whole: a sort or set wrapper, which returns
-    /// its row variable, through the rows operator ([`exec::rows`]); a
-    /// grouped FLWOR through the aggregate ([`exec::aggregate`]). `None`,
-    /// and the clause loop runs the FLWOR, for any other FLWOR, a declined
-    /// one, and one whose operator raised anything but a budget error.
-    // Out of line, and asked only of a FLWOR that opens with a `let`: the
-    // clause loop is every FLWOR's, this a few of them. Checked inline at
-    // the head of `eval_flwor`, the recognizer cost the warm point lookups
-    // 2-client throughput on the end-to-end benchmark.
-    #[inline(never)]
-    fn lowered<'p>(
-        &self,
-        flwor: &'p Flwor,
-        env: &Env,
-        context: Option<&Item>,
-    ) -> Result<Option<Tuples<'p>>, XqError> {
-        let (kind, ran) = match &*flwor.ret {
-            Expr::VarRef(_) => {
-                let Some((kind, planned)) = exec::rows(flwor) else {
-                    return Ok(None);
-                };
-                (
-                    kind,
-                    planned.map(|rows| exec::run_rows(self, &rows, env, context)),
-                )
-            }
-            _ => {
-                let Some(planned) = exec::aggregate(flwor) else {
-                    return Ok(None);
-                };
-                let ran = planned.map(|agg| exec::run_aggregate(self, agg, env, context));
-                (Lowering::Aggregate, ran)
-            }
-        };
-        let (outcome, tuples) = match ran.map(interpret_on_error).transpose()? {
-            None => (LoweringOutcome::Declined, None),
-            Some(None) => (LoweringOutcome::Abandoned, None),
-            Some(tuples) => (LoweringOutcome::Lowered, tuples),
-        };
-        if let Some(budget) = self.budget {
-            budget.record_lowering(kind, outcome);
-        }
-        Ok(tuples)
-    }
-
-    /// Clause `at` of `flwor`, a `let`, over `tuples`. Under the pipeline
-    /// strategy a view ([`exec::view`]) is planned once and built by its
-    /// plan on every tuple — or, after any error of the plan's but a
-    /// budget's, by the interpreter.
-    // Out of line: the plan is a large value few FLWORs have, and the
-    // clause loop is every FLWOR's.
-    #[inline(never)]
+    /// `let $var := value` over `tuples`: a view with a plan is built by it
+    /// on every tuple — or, after any error of the plan's but a budget's,
+    /// by the interpreter.
     fn let_clause(
         &self,
-        flwor: &Flwor,
-        at: usize,
+        var: &str,
+        value: &Expr,
+        view: Option<&exec::View<'_>>,
         tuples: &[Env],
         context: Option<&Item>,
     ) -> Result<Vec<Env>, XqError> {
-        let Clause::Let { var, value } = &flwor.clauses[at] else {
-            unreachable!("the clause loop sends a `let`");
-        };
-        let view = match self.strategy {
-            ExecStrategy::HashJoin => exec::view(flwor, at),
-            ExecStrategy::NestedLoop => None,
-        };
         let mut next = Vec::with_capacity(tuples.len());
         for tuple in tuples {
-            let planned = match &view {
+            let planned = match view {
                 Some(view) => {
                     let built = interpret_on_error(exec::run_view(self, view, tuple, context))?;
                     if built.is_none() {
@@ -851,7 +835,7 @@ impl<'a> Evaluator<'a> {
                 Some(v) => v,
                 None => self.eval(value, tuple, context)?,
             };
-            next.push(tuple.bind(var.clone(), v));
+            next.push(tuple.bind(var, v));
         }
         Ok(next)
     }
@@ -1172,6 +1156,7 @@ fn arith(op: ArithOp, a: &Atomic, b: &Atomic) -> Result<Atomic, XqError> {
 mod tests {
     use super::*;
     use crate::parser::parse_program;
+    use aldsp_governor::Lowering;
     use aldsp_xml::flat::build_row;
     use aldsp_xml::serialize_sequence;
 
@@ -2154,18 +2139,21 @@ mod tests {
         }
     }
 
+    /// What the pipeline strategy's plan runs for `query`'s body, a payload
+    /// asked for.
+    fn lowered(query: &str) -> exec::Lowered {
+        let program = parse_program(query).unwrap_or_else(|e| panic!("{e}"));
+        PhysicalPlan::new(&program, ExecStrategy::HashJoin, true).lowered(&program.body)
+    }
+
     /// Runs a program whose body is an XML sink's on the interpreter and
     /// through [`evaluate_program_to_payload`] — where the sink must have
     /// run, once, without falling back — and as items under the pipeline
     /// strategy, where [`exec::project_tree`] builds the rows: one payload,
     /// and trees `==` to the interpreter's.
     fn assert_projection_matches_the_interpreter(query: &str) -> String {
-        let program = parse_program(query).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(
-            exec::sink_kind(&program.body),
-            Some(exec::SinkKind::Xml),
-            "{query}"
-        );
+        assert_eq!(lowered(query), exec::Lowered::XmlSink, "{query}");
+        let program = parse_program(query).unwrap();
         let naive = run_exec(query, &QueryBudget::unlimited(), ExecStrategy::NestedLoop)
             .unwrap_or_else(|e| panic!("naive: {e}"));
         let tree_budget = QueryBudget::unlimited();
@@ -2285,11 +2273,7 @@ mod tests {
             ">1>a b&lt;<>2>c<>3><"
         );
         let repeated = wrapped(&view("{ for $s in fn:data($v/X) return <B>{$s}</B> }"));
-        let program = parse_program(&repeated).unwrap();
-        assert_eq!(
-            exec::sink_kind(&program.body),
-            Some(exec::SinkKind::TextFused)
-        );
+        assert_eq!(lowered(&repeated), exec::Lowered::TextSink { fused: true });
         let budget = QueryBudget::unlimited();
         let sunk = run_exec(&repeated, &budget, ExecStrategy::HashJoin).unwrap_err();
         let naive = run_exec(
@@ -2329,10 +2313,7 @@ mod tests {
 
     #[test]
     fn the_text_sink_fuses_only_what_it_can_resolve() {
-        let fused = |view: &str| {
-            let program = parse_program(&wrapped(view)).unwrap();
-            exec::sink_kind(&program.body) == Some(exec::SinkKind::TextFused)
-        };
+        let fused = |view: &str| lowered(&wrapped(view)) == exec::Lowered::TextSink { fused: true };
         let rows = |cells: &str| {
             format!(
                 "<RECORDSET>{{ for $v in ns0:CUSTOMERS() return <RECORD>{cells}</RECORD> }}</RECORDSET>"
@@ -3245,5 +3226,98 @@ mod tests {
                 AtomKey::group(&Atomic::String("b".into())),
             ]
         );
+    }
+
+    /// A plan holds nothing of a run: one plan evaluated under one binding
+    /// of `$sqlParam1`, then another, then the first again answers each
+    /// exactly as a plan built for it does — payload, fuel and every
+    /// counter — over a join, a grouped join under ORDER BY, a UNION, an
+    /// outer join and an IN subquery, on both transports. Keeping a
+    /// statement's plan across its executions relies on this.
+    #[test]
+    fn a_plan_holds_nothing_of_a_run() {
+        let join = "for $c in ns0:CUSTOMERS() for $p in ns1:PAYMENTS() \
+             where ($c/CUSTOMERID = $p/CUSTID) and ($p/PAYMENT > $sqlParam1)";
+        let shapes = [
+            format!(
+                "<RECORDSET>{{ {join} return <RECORD><A>{{fn:data($c/CUSTOMERNAME)}}</A>\
+                 <B>{{fn:data($p/PAYMENT)}}</B></RECORD> }}</RECORDSET>"
+            ),
+            format!(
+                "<RECORDSET>{{ let $o := <RECORDSET>{{ let $inter := <RECORDSET>{{ {join} \
+                 return <RECORD><C.ID>{{fn:data($c/CUSTOMERID)}}</C.ID><P.P>{{fn:data($p/PAYMENT)}}\
+                 </P.P></RECORD> }}</RECORDSET> for $r in $inter/RECORD \
+                 group $r as $g by fn:data($r/C.ID) as $k \
+                 return <RECORD><A>{{$k}}</A><B>{{fn:count($g)}}</B></RECORD> }}</RECORDSET> \
+                 for $z in $o/RECORD order by xs:integer(fn:data($z/A)) descending return $z \
+                 }}</RECORDSET>"
+            ),
+            "<RECORDSET>{ let $l := <RECORDSET>{ for $c in ns0:CUSTOMERS() \
+             where ($c/CUSTOMERID > $sqlParam1) return <RECORD><A>{fn:data($c/CUSTOMERID)}</A>\
+             <B>{fn:data($c/CUSTOMERNAME)}</B></RECORD> }</RECORDSET> \
+             let $r := <RECORDSET>{ for $p in ns1:PAYMENTS() return <RECORD>\
+             <X>{fn:data($p/CUSTID)}</X><Y>{fn:data($p/PAYMENT)}</Y></RECORD> }</RECORDSET> \
+             let $n := <RECORDSET>{ for $y in $r/RECORD return <RECORD><A>{fn:data($y/X)}</A>\
+             <B>{fn:data($y/Y)}</B></RECORD> }</RECORDSET> \
+             for $z in fn-bea:distinct-records(($l/RECORD, $n/RECORD)) return $z }</RECORDSET>"
+                .to_string(),
+            "<RECORDSET>{ let $t := <RECORDSET>{ for $c in ns0:CUSTOMERS() \
+             let $m := ns1:PAYMENTS()[(($c/CUSTOMERID = CUSTID) and (PAYMENT > $sqlParam1))] \
+             return if (fn:empty($m)) then <RECORD><C.N>{fn:data($c/CUSTOMERNAME)}</C.N>\
+             { for $s in () return <P.P>{$s}</P.P> }<C.ID>{fn:data($c/CUSTOMERID)}</C.ID></RECORD> \
+             else (for $p in $m return <RECORD><C.N>{fn:data($c/CUSTOMERNAME)}</C.N>\
+             { for $s in fn:data($p/PAYMENT) return <P.P>{$s}</P.P> }\
+             <C.ID>{fn:data($c/CUSTOMERID)}</C.ID></RECORD>) }</RECORDSET> \
+             for $r in $t/RECORD return <RECORD><A>{fn:data($r/C.N)}</A>\
+             { for $s in fn:data($r/P.P) return <B>{$s}</B> }</RECORD> }</RECORDSET>"
+                .to_string(),
+            "<RECORDSET>{ for $c in ns0:CUSTOMERS() where ($c/CUSTOMERID = <RECORDSET>{ \
+             for $p in ns1:PAYMENTS() where ($p/PAYMENT > $sqlParam1) \
+             return <RECORD><K>{fn:data($p/CUSTID)}</K></RECORD> }</RECORDSET>/RECORD/K) \
+             return <RECORD><A>{fn:data($c/CUSTOMERID)}</A><B>{fn:data($c/CUSTOMERNAME)}</B>\
+             </RECORD> }</RECORDSET>"
+                .to_string(),
+        ];
+        let observe = |program: &Program, plan: &PhysicalPlan<'_>, param: i64| {
+            let budget = QueryBudget::unlimited();
+            let param = Sequence::singleton(Atomic::Integer(param));
+            let vars = [("sqlParam1".to_string(), param)];
+            let ran = super::run(program, plan, &TestSource, &vars, Some(&budget));
+            let payload = serialize_sequence(&ran.unwrap_or_else(|e| panic!("{e}")));
+            let kinds = [Lowering::Aggregate, Lowering::Sort, Lowering::Set];
+            let counts = (
+                kinds.map(|kind| budget.lowering_counts(kind)),
+                budget.view_counts(),
+                budget.index_counts(),
+                budget.take_exec_counts(),
+                budget.sink_counts(),
+            );
+            (payload, budget.fuel_consumed(), counts)
+        };
+        let (mut operators, mut sunk, mut differed) = ([0; 5], 0, 0);
+        for shape in &shapes {
+            for query in [format!("{IMPORT}{shape}"), wrapped(shape)] {
+                let program = parse_program(&query).unwrap_or_else(|e| panic!("{e}"));
+                let kept = PhysicalPlan::new(&program, ExecStrategy::HashJoin, true);
+                let runs = [0, 75, 0].map(|param| {
+                    let fresh = PhysicalPlan::new(&program, ExecStrategy::HashJoin, true);
+                    let ran = observe(&program, &kept, param);
+                    assert_eq!(ran, observe(&program, &fresh, param), "{param}: {query}");
+                    ran
+                });
+                differed += usize::from(runs[0].0 != runs[1].0);
+                let ([aggregates, sorts, sets], views, _, (joins, _), sinks) = runs[0].2;
+                let ran = [aggregates.0, sorts.0, sets.0, views.0, joins];
+                operators
+                    .iter_mut()
+                    .zip(ran)
+                    .for_each(|(seen, ran)| *seen += ran);
+                sunk += usize::from(sinks == (1, 0));
+            }
+        }
+        // Aggregates, sorts, set operations, views and hash joins ran, every
+        // statement through its sink, and the bindings answered differently.
+        assert!(operators.iter().all(|&ran| ran > 0), "{operators:?}");
+        assert_eq!((sunk, differed), (10, 10));
     }
 }

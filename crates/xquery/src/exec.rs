@@ -33,40 +33,49 @@
 //! * [`Op::Let`] / [`Op::Filter`] — bind and residual-predicate
 //!   operators, fused into the same tuple flow.
 //! * `Project` — the `return <RECORD>…</RECORD>` of every view stage 3
-//!   emits, recognized by `project` once per FLWOR evaluation: each
+//!   emits, recognized by `project` once per statement, in the plan: each
 //!   tuple's cells are read straight off the bound rows' children (one
 //!   cell reader, `Tuple::each_value`; one row loop, `project_rows`)
 //!   into one of three `Output`s — the element tree where the result has
 //!   to be a node, or a sink's payload.
 //! * `View` — `let $v := <RECORDSET>{ … }</RECORDSET>`, planned by `view`
-//!   once per FLWOR evaluation against what the rest of the FLWOR reads
-//!   off `$v`'s rows: the row constructors in tail position of the body
-//!   go through `Project` into the view element, without the cells
+//!   once per statement, in the plan, against what the rest of the FLWOR
+//!   reads off `$v`'s rows: the row constructors in tail position of the
+//!   body go through `Project` into the view element, without the cells
 //!   nothing downstream names. The first operator whose plan depends on
 //!   its *consumer*.
 //! * `Aggregate` — BEA `group … by` over stage 3's `$inter` view, and the
 //!   implicit group of aggregates without GROUP BY, recognized by
-//!   `aggregate` once per FLWOR evaluation: one pass over the view body's
-//!   tuples reads each row's keys and arguments into hash groups without
-//!   building the row, and each group is a tuple for the rewritten
-//!   `return`. See "The aggregate" below.
+//!   `aggregate` once per statement, in the plan: one pass over the view
+//!   body's tuples reads each row's keys and arguments into hash groups
+//!   without building the row, and each group is a tuple for the
+//!   `return`, its aggregates' values bound. See "The aggregate" below.
 //! * `Rows` — stage 3's ORDER BY, DISTINCT and set-operation wrappers,
 //!   `let $v := <RECORDSET>{ … }</RECORDSET>`s then `for $r in SRC [order
-//!   by …] return $r`, recognized by `rows` once per FLWOR evaluation: the
-//!   views' tuples are sorted, deduplicated or counted where they are, each
-//!   tagged with the row constructor that would have built its row, and no
-//!   view row is ever built. See "Sort and set operators" below.
-//! * `Sink` — the last operator of a statement, recognized by `sink`
-//!   on the program body and run by [`run_sink`]. [`TextSink`] is the §4
-//!   wrapper `fn:string-join((let $q := V for $t in $q/RECORD return
-//!   (piece, …)), "")`: each row goes straight into the payload string
-//!   instead of through a call chain per cell and a sequence of every
-//!   separator and value — from `V`'s tuples when `V` is a `Recordset`, a
-//!   FLWOR's rows or a wrapper's (*fused*: no `<RECORDSET>`, `<RECORD>` or
-//!   cell element is ever built), else from the `RECORD`s of the evaluated
-//!   view. The XML sink is a body that is itself a `Recordset`, serialized
+//!   by …] return $r`, recognized by `rows` once per statement, in the
+//!   plan: the views' tuples are sorted, deduplicated or counted where
+//!   they are, each tagged with the row constructor that would have built
+//!   its row, and no view row is ever built. See "Sort and set operators"
+//!   below.
+//! * `Sink` — the last operator of a statement, recognized on the program
+//!   body by `text_sink` and [`PhysicalPlan`]'s `recordset`, and run by
+//!   [`run_sink`]. [`TextSink`] is the §4 wrapper `fn:string-join((let $q
+//!   := V for $t in $q/RECORD return (piece, …)), "")`: each row goes
+//!   straight into the payload string instead of through a call chain per
+//!   cell and a sequence of every separator and value — from `V`'s tuples
+//!   when `V` is a `Recordset`, a FLWOR's rows or a wrapper's (*fused*: no
+//!   `<RECORDSET>`, `<RECORD>` or cell element is ever built), else from
+//!   the `RECORD`s of the evaluated view. The XML sink is a body that is itself a `Recordset`, serialized
 //!   while it is evaluated, byte for byte what `aldsp_xml::serialize` makes
 //!   of the tree.
+//!
+//! [`PhysicalPlan::new`] plans a statement once, in one walk over its
+//! program: per FLWOR that plans to anything a node (its pipeline, the
+//! views of its `let`s, the operator that runs it whole, its `return`'s
+//! projection), found by the FLWOR's address, and the body's sink. The
+//! evaluator runs what the plan holds and asks no recognizer; under
+//! [`ExecStrategy::NestedLoop`] the plan is empty. A plan holds nothing of
+//! a run, so one plan runs its statement under any bindings.
 //!
 //! ## Lowering conditions
 //!
@@ -159,9 +168,11 @@
 //! (no GROUP BY) `let $P := $inter/ROW`, then `where H`s and `return R`.
 //! [`aggregate`] plans `$inter` as a view, takes each key as a read
 //! `CAST?(fn:data($r/CELL))` of the cell of `ROW` that makes `CELL`, and
-//! clones `H` and `R` with every aggregate shape of `gen_aggregate` —
+//! binds every aggregate shape of `gen_aggregate` in `H` and `R` —
 //! `fn:count($P)`, `F((for $a in $P return READ))` under
-//! `fn:distinct-values` or not, SUM's empty guard — replaced by a variable.
+//! `fn:distinct-values` or not, SUM's empty guard — to a variable of the
+//! group's, which the evaluator reads where it would have evaluated the
+//! aggregate; nothing is cloned.
 //! [`run_aggregate`] takes `BODY`'s tuples from `flwor_tuples` (the
 //! pipeline's, where it lowers) and per tuple reads the keys and arguments
 //! through the cell reader of the row constructor that would have built
@@ -170,7 +181,7 @@
 //! group each variable is what the interpreter's builtin ([`call_builtin`])
 //! returns over those atoms, so promotion, overflow and error text stay the
 //! interpreter's. It declines — the interpreter runs the FLWOR — when
-//! `$P`, `$r` or `$inter` is still free after the rewrite, a key or
+//! `$P`, `$r` or `$inter` is free outside the aggregates, a key or
 //! argument is no read of a cell of the row variable, a read names two
 //! cells, or `$inter` has a cell that is evaluated (an unread cell's error
 //! must not go missing). Fuel: one unit and the reads' nodes per row, one
@@ -261,19 +272,20 @@
 //! is built by the interpreter and written as a built row.
 
 use crate::ast::{
-    Clause, CompOp, Content, ElementCtor, Expr, Flwor, NodeTest, OrderSpec, PathStart, Step,
+    Clause, CompOp, Content, ElementCtor, Expr, Flwor, NodeTest, OrderSpec, PathStart, Program,
+    Step,
 };
 use crate::eval::{name_matches, order_cmp, Env, Evaluator, XqError};
 use crate::functions::{call_builtin, data, is_builtin, record_key};
 use crate::visit::{
-    each_expr, free_vars, uses_context, walk_clause, walk_expr, walk_expr_mut, walk_flwor, Visitor,
+    each_expr, free_vars, free_vars_except, uses_context, walk_clause, walk_expr, walk_flwor,
+    Visitor,
 };
-use aldsp_governor::Lowering;
+use aldsp_governor::{ExecStrategy, Lowering};
 use aldsp_xml::serialize::{
     write_element, write_empty_tag, write_end_tag, write_start_tag, write_text,
 };
 use aldsp_xml::{Atomic, Element, Item, Node, QName, Sequence, XsType};
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -403,9 +415,10 @@ pub(crate) enum Op<'p> {
     ProbeLet {
         /// The `let` variable, bound to the matches in source order.
         var: &'p str,
-        /// `SRC`: stream-invariant; owned when it had to be cut out of a
-        /// path whose last step carries the predicate.
-        source: Cow<'p, Expr>,
+        /// `SRC`: stream-invariant; the path itself, its last step read
+        /// without the predicate, when `cut`.
+        source: &'p Expr,
+        cut: bool,
         /// The side of the `=` over earlier bindings.
         probe_key: &'p Expr,
         /// The side of the `=` over the context item.
@@ -510,19 +523,16 @@ fn prefix_of(flwor: &Flwor) -> &[Clause] {
     &flwor.clauses[..len]
 }
 
-/// The syntactic early-out in front of [`plan`]: whether the prefix holds
-/// anything a hash operator could come from — a second `for`, a `let`
-/// over a filter, or a `where` conjunct equating something with a view.
-/// One pass, no allocation, so the translator's many single-`for`
-/// FLWORs (`for $v in fn:data(..) return <COL>`) pay nothing for the
-/// planner; and a FLWOR that passes but then lowers nothing is what
-/// [`aldsp_governor::GovernorStats`] counts as a fallback, so the
-/// fast-path fraction is over hashable shapes rather than all FLWORs.
-// Out of line, like `plan` and `run`: inlined into `eval_flwor` they
-// make every FLWOR evaluation dearer — about 2 % of a warm point lookup,
-// measured on the end-to-end benchmark's `warm_point` floor.
-#[inline(never)]
-pub(crate) fn hash_shaped(flwor: &Flwor) -> bool {
+/// Plans the streamable prefix of `flwor` (see the module docs for the
+/// conditions): `None` when the prefix holds nothing a hash operator could
+/// come from — a second `for`, a `let` over a filter, or a `where` conjunct
+/// equating something with a view — and `Some(None)` when it does but
+/// nothing qualifies, which [`aldsp_governor::GovernorStats`] counts as a
+/// fallback, so the fast-path fraction is over hashable shapes rather than
+/// all FLWORs. The translator's many single-`for` FLWORs (`for $v in
+/// fn:data(..) return <COL>`) are answered by the first, allocation-free
+/// pass.
+fn plan(flwor: &Flwor) -> Option<Option<Plan<'_>>> {
     let prefix = prefix_of(flwor);
     let let_bound = |v: &str| {
         prefix
@@ -530,7 +540,7 @@ pub(crate) fn hash_shaped(flwor: &Flwor) -> bool {
             .any(|c| matches!(c, Clause::Let { var, .. } if var == v))
     };
     let mut fors = 0;
-    prefix.iter().any(|clause| match clause {
+    let shaped = prefix.iter().any(|clause| match clause {
         Clause::For { .. } => {
             fors += 1;
             fors == 2
@@ -545,16 +555,11 @@ pub(crate) fn hash_shaped(flwor: &Flwor) -> bool {
             _ => false,
         }),
         Clause::GroupBy(_) | Clause::OrderBy(_) => false,
-    })
+    });
+    shaped.then(|| pipeline(flwor, prefix))
 }
 
-/// Plans the streamable prefix of `flwor`, or `None` when nothing in it
-/// qualifies for a hash operator (see the module docs for the
-/// conditions).
-#[inline(never)]
-pub(crate) fn plan(flwor: &Flwor) -> Option<Plan<'_>> {
-    let prefix = prefix_of(flwor);
-
+fn pipeline<'p>(flwor: &'p Flwor, prefix: &'p [Clause]) -> Option<Plan<'p>> {
     // Binder names in clause order; shadowing (which the translator
     // never emits) would make the free-variable analysis lie, so decline.
     let mut binders: Vec<&str> = Vec::new();
@@ -790,23 +795,12 @@ fn probe_let<'p>(
     varying: &dyn Fn(&str) -> bool,
 ) -> Option<Op<'p>> {
     let predicate = filter_predicate(value)?;
-    let source = match value {
-        Expr::Filter { base, .. } => Cow::Borrowed(&**base),
-        Expr::Path { start, steps } => {
-            let (last, before) = steps.split_last()?;
-            let mut steps = before.to_vec();
-            steps.push(Step {
-                test: last.test.clone(),
-                predicates: Vec::new(),
-            });
-            Cow::Owned(Expr::Path {
-                start: start.clone(),
-                steps,
-            })
-        }
-        _ => return None,
+    let (source, cut) = match value {
+        Expr::Filter { base, .. } => (&**base, false),
+        _ => (value, true),
     };
-    if !invariant(&source, varying) {
+    let frees = free_vars_except(source, &mut |e| std::ptr::eq(e, predicate));
+    if frees.iter().any(|v| varying(v)) {
         return None;
     }
     let mut rest = Vec::new();
@@ -836,17 +830,15 @@ fn probe_let<'p>(
     rest.remove(at);
     // Only a filter's base can be the call or the `let` variable itself; a
     // cut-out path has a step.
-    let index = match &source {
-        Cow::Borrowed(source) => indexed(before, source, build_key, None),
-        Cow::Owned(_) => None,
-    };
+    let index = (!cut).then(|| indexed(before, source, build_key, None));
     Some(Op::ProbeLet {
         var,
         source,
+        cut,
         probe_key,
         build_key,
         rest,
-        index,
+        index: index.flatten(),
     })
 }
 
@@ -876,7 +868,6 @@ struct Slot {
 /// surviving tuple environments in interpreter order. Budget errors
 /// propagate; any other error means the caller must re-run the FLWOR
 /// naively (see the module docs).
-#[inline(never)]
 pub(crate) fn run(
     ev: &Evaluator<'_>,
     plan: &Plan<'_>,
@@ -953,6 +944,7 @@ fn drive(
         Op::ProbeLet {
             var,
             source,
+            cut,
             probe_key,
             build_key,
             rest,
@@ -960,7 +952,13 @@ fn drive(
         } => {
             // The build key reads each item as its context, the way the
             // predicate it came from did.
-            let rows = || ev.eval(source, env, context);
+            let rows = || match source {
+                Expr::Path { start, steps } if *cut => {
+                    ev.charge(1)?;
+                    ev.path(start, steps, env, context, false)
+                }
+                _ => ev.eval(source, env, context),
+            };
             slot.build(ev, index.as_ref(), rows, |item| {
                 ev.eval(build_key, env, Some(item))
             })?;
@@ -1125,6 +1123,11 @@ pub(crate) struct Project<'p> {
     /// A rename's ([`renamed`]): `ctor` reads, as `$var`, the row its
     /// source constructor builds of the tuple.
     source: Option<(&'p str, &'p ElementCtor)>,
+    /// Per piece of the statement's text sink, the cell that makes the
+    /// column's elements ([`resolve`]; a column none does is always NULL),
+    /// where the columns resolve: the sink writes the rows straight off the
+    /// cells then, and builds them otherwise.
+    text: Option<Vec<Option<usize>>>,
 }
 
 #[derive(Clone)]
@@ -1245,13 +1248,7 @@ fn cell_shape(content: &Content) -> Option<(&str, bool, &Expr)> {
 
 /// Lowers a FLWOR's `return` (see [`Project`]), or `None` for anything
 /// else. `tests/exec.rs` holds this and `gen_record` together.
-// Every FLWOR evaluation under the pipeline strategy asks, the per-row
-// column loops this operator replaces included: out of line like
-// `hash_shaped`, and a `return` that is no constructor, or a column
-// loop's (`<N>{$s}</N>`, declined at its first piece of content), has
-// allocated nothing by the time it is declined.
-#[inline(never)]
-pub(crate) fn project(ret: &Expr) -> Option<Project<'_>> {
+fn project(ret: &Expr) -> Option<Project<'_>> {
     let Expr::Element(ctor) = ret else {
         return None;
     };
@@ -1279,6 +1276,7 @@ pub(crate) fn project(ret: &Expr) -> Option<Project<'_>> {
         name: QName::parse(&ctor.name),
         cells,
         source: None,
+        text: None,
     })
 }
 
@@ -1329,6 +1327,13 @@ fn cell_named(row: &Project<'_>, name: &str) -> Option<Option<usize>> {
 }
 
 impl Project<'_> {
+    /// The projection, its columns resolved against `text`, the statement's
+    /// text sink.
+    fn resolved(mut self, text: Option<&TextSink<'_>>) -> Self {
+        self.text = text.and_then(|text| resolve(&text.pieces, text.record, &self));
+        self
+    }
+
     /// The row the interpreter builds of `env`: the constructor's element —
     /// a rename's, over the row its source constructor builds.
     fn build(
@@ -1420,14 +1425,11 @@ enum Output<'o> {
     /// Elements `==` to the interpreter's: a view, or an XML body that is
     /// no sink's.
     Tree(&'o mut Vec<Item>),
-    /// The delimited-text payload, a row's pieces at a time.
+    /// The delimited-text payload, a row's pieces at a time: off the cells
+    /// where the projection's columns resolve ([`Project::text`]), else
+    /// built.
     Text {
         pieces: &'o [Piece<'o>],
-        /// Per projection of a fused sink, and per piece, the cell that
-        /// makes the column's elements ([`resolve`]); a column none does is
-        /// always NULL. A projection that does not resolve writes its rows
-        /// built.
-        cells: &'o [Option<Vec<Option<usize>>>],
         payload: &'o mut String,
     },
     /// The XML payload, as [`aldsp_xml::serialize`] writes the tree.
@@ -1450,15 +1452,10 @@ impl Output<'_> {
         }
     }
 
-    /// One row off a tuple, through `project`, the projection of the
-    /// tuples' `branch`. What no, one and several values of a cell write,
-    /// per shape and per output, is DESIGN.md §17's parity table.
-    fn projected(
-        &mut self,
-        project: &Project<'_>,
-        branch: usize,
-        tuple: &Tuple<'_>,
-    ) -> Result<(), Halt> {
+    /// One row off a tuple, through `project`. What no, one and several
+    /// values of a cell write, per shape and per output, is DESIGN.md §17's
+    /// parity table.
+    fn projected(&mut self, project: &Project<'_>, tuple: &Tuple<'_>) -> Result<(), Halt> {
         match self {
             Output::Tree(items) => {
                 let mut record = Element::new(project.name.clone());
@@ -1491,12 +1488,8 @@ impl Output<'_> {
                 }
                 items.push(Item::element(record));
             }
-            Output::Text {
-                pieces,
-                cells,
-                payload,
-            } => {
-                let Some(cells) = &cells[branch] else {
+            Output::Text { pieces, payload } => {
+                let Some(cells) = &project.text else {
                     return Err(Halt::Interpret);
                 };
                 for (piece, cell) in pieces.iter().zip(cells) {
@@ -1553,9 +1546,7 @@ impl Output<'_> {
     fn built(&mut self, record: &Arc<Element>) -> Result<(), XqError> {
         match self {
             Output::Tree(items) => items.push(Item::Node(Node::Element(Arc::clone(record)))),
-            Output::Text {
-                pieces, payload, ..
-            } => {
+            Output::Text { pieces, payload } => {
                 for piece in *pieces {
                     match piece {
                         Piece::Text(text) => payload.push_str(text),
@@ -1631,33 +1622,32 @@ fn close_element(payload: &mut String, name: &QName, start: usize, opened: usize
     }
 }
 
-/// The one row loop: each of `envs` through the projection of its branch
-/// (`projects[tags[row]]`; with no tags, `projects[0]`) into `out`. Fuel is
-/// `fuel` and the projection's `1 + cells` per row, charged in one call
-/// before the row is written, so the deadline and cancellation poll stays
-/// inside the loop. The row cap holds the rows of a delimited payload,
-/// whose count stands in for the wrapper's `for $t in $q/RECORD`; a tree's
-/// or an XML body's rows are tuples the clause loop already counted, and
-/// the interpreter counts them no second time.
-fn project_rows(
+/// The one row loop: each of `envs` through `branch(row)`, the projection
+/// of its row, into `out`. Fuel is `fuel` and the projection's `1 + cells`
+/// per row, charged in one call before the row is written, so the deadline
+/// and cancellation poll stays inside the loop. The row cap holds the rows
+/// of a delimited payload, whose count stands in for the wrapper's `for $t
+/// in $q/RECORD`; a tree's or an XML body's rows are tuples the clause loop
+/// already counted, and the interpreter counts them no second time.
+fn project_rows<'a>(
     ev: &Evaluator<'_>,
-    projects: &[Project<'_>],
-    (envs, tags): (&[Env], &[usize]),
+    envs: &[Env],
+    branch: impl Fn(usize) -> Option<&'a Project<'a>>,
     context: Option<&Item>,
     fuel: u64,
     out: &mut Output<'_>,
 ) -> Result<(), XqError> {
     let capped = matches!(out, Output::Text { .. });
     for (row, env) in envs.iter().enumerate() {
-        let branch = tags.get(row).copied().unwrap_or(0);
-        let project = &projects[branch];
+        let project =
+            branch(row).ok_or_else(|| XqError::new("a row's constructor does not lower"))?;
         ev.charge(fuel + 1 + project.cells.len() as u64)?;
         if capped {
             ev.check_rows(row + 1)?;
         }
         let mark = out.len();
         let tuple = Tuple { ev, env, context };
-        let built = match out.projected(project, branch, &tuple) {
+        let built = match out.projected(project, &tuple) {
             Ok(()) => continue,
             Err(Halt::Error(e)) => return Err(e),
             Err(Halt::Interpret) => Arc::new(project.build(ev, env, context)?),
@@ -1668,118 +1658,70 @@ fn project_rows(
     Ok(())
 }
 
-/// The tree consumer: `tuples` through their projections ([`projections`];
-/// with no operator's, `ret` lowered) as the element items the
-/// interpreter's `return` would have built; `None` where `ret` does not
-/// lower. Budget errors propagate; after any other the caller interprets
-/// `ret` instead, or — the tuples an operator's — the whole FLWOR.
-#[inline(never)]
+/// The tree consumer: `tuples` through their projections, as the element
+/// items the interpreter's `return` would have built. Budget errors
+/// propagate; after any other the caller interprets the `return` instead,
+/// or — the tuples an operator's — the whole FLWOR.
 pub(crate) fn project_tree(
     ev: &Evaluator<'_>,
-    ret: &Expr,
     tuples: &Tuples<'_>,
     context: Option<&Item>,
-) -> Result<Option<Sequence>, XqError> {
-    let own = match tuples.lowered() {
-        true => None,
-        false => match project(ret) {
-            None => return Ok(None),
-            own => own,
-        },
-    };
-    let projects = projections(tuples, own.as_ref())?;
+) -> Result<Sequence, XqError> {
     let mut items = Vec::with_capacity(tuples.envs.len());
-    let mut out = Output::Tree(&mut items);
-    project_rows(ev, &projects, tuples.rows(), context, 0, &mut out)?;
-    Ok(Some(Sequence::from_items(items)))
+    tuples.project(ev, context, 0, &mut Output::Tree(&mut items))?;
+    Ok(Sequence::from_items(items))
 }
 
 /// What [`Evaluator::flwor_tuples`] hands a FLWOR's consumer: the tuples,
-/// and — where an operator ran the FLWOR (the aggregate, the rows operator)
-/// — per tuple the branch whose row constructor makes its row. A sort over
-/// a UNION interleaves branches, so each tuple carries its own.
-#[derive(Default)]
-pub(crate) struct Tuples<'p> {
+/// and the projection of each one's row — where an operator ran the FLWOR
+/// (the aggregate, the rows operator), per tuple its branch's, as a sort
+/// over a UNION interleaves branches; else the FLWOR's own `return`'s.
+pub(crate) struct Tuples<'a> {
     pub(crate) envs: Vec<Env>,
-    /// None: every tuple's row is the FLWOR's own `return`'s.
-    branches: Vec<Branch<'p>>,
-    /// Per tuple, its branch; empty exactly when `branches` is.
-    tags: Vec<usize>,
-}
-
-/// A row constructor an operator's tuples are projected through.
-pub(crate) struct Branch<'p> {
-    /// The constructor: in the program, or the aggregate's rewritten
-    /// `return`.
-    ret: Cow<'p, Expr>,
-    /// A rename over its rows ([`renamed`]).
-    rename: Option<Rename<'p>>,
-}
-
-/// `gen_setop`'s renaming view, `for $var in … return CTOR`, as `(var,
-/// CTOR)`.
-type Rename<'p> = (&'p str, &'p Expr);
-
-impl Branch<'_> {
-    fn project(&self) -> Result<Project<'_>, XqError> {
-        let lowered = project(&self.ret).and_then(|source| match self.rename {
-            None => Some(source),
-            Some((var, ctor)) => renamed(source, var, ctor),
-        });
-        lowered.ok_or_else(|| XqError::new("a branch's row constructor does not lower"))
-    }
-}
-
-impl<'p> Tuples<'p> {
-    /// Whether an operator ran the FLWOR: its tuples are projected through
-    /// their branches, and there is no `return` to evaluate over them.
-    pub(crate) fn lowered(&self) -> bool {
-        !self.branches.is_empty()
-    }
-
-    /// Every tuple a row of one branch, `ret`.
-    fn one_branch(envs: Vec<Env>, ret: Cow<'p, Expr>) -> Tuples<'p> {
-        Tuples {
-            tags: vec![0; envs.len()],
-            envs,
-            branches: vec![Branch { ret, rename: None }],
-        }
-    }
-
-    fn rows(&self) -> (&[Env], &[usize]) {
-        (&self.envs, &self.tags)
-    }
-
-    /// Appends `other`'s tuples and branches.
-    fn append(&mut self, other: Tuples<'p>) {
-        let offset = self.branches.len();
-        self.tags.extend(other.tags.iter().map(|tag| tag + offset));
-        self.branches.extend(other.branches);
-        self.envs.extend(other.envs);
-    }
-}
-
-impl From<Vec<Env>> for Tuples<'_> {
-    fn from(envs: Vec<Env>) -> Self {
-        Tuples {
-            envs,
-            ..Tuples::default()
-        }
-    }
-}
-
-/// The projections `tuples` are written through: each branch's, or — no
-/// operator ran the FLWOR — `own`.
-fn projections<'a>(
-    tuples: &'a Tuples<'_>,
+    /// Where an operator ran the FLWOR, per tuple the projection of its
+    /// row — none where it is `own` (an aggregate's).
+    each: Option<Vec<&'a Project<'a>>>,
+    /// The FLWOR's own `return`, lowered.
     own: Option<&'a Project<'a>>,
-) -> Result<Cow<'a, [Project<'a>]>, XqError> {
-    if tuples.lowered() {
-        let projects = tuples.branches.iter().map(Branch::project);
-        return projects.collect::<Result<Vec<_>, _>>().map(Cow::Owned);
+}
+
+impl<'a> Tuples<'a> {
+    /// The clause loop's `envs`, and the `return` of `node`'s FLWOR.
+    pub(crate) fn new(envs: Vec<Env>, node: Option<&'a FlworPlan<'a>>) -> Self {
+        let own = node.and_then(|node| node.project.as_ref());
+        Tuples {
+            envs,
+            each: None,
+            own,
+        }
     }
-    let own = own.ok_or_else(|| XqError::new("the FLWOR's return does not lower"))?;
-    Ok(Cow::Borrowed(std::slice::from_ref(own)))
+
+    /// Whether an operator ran the FLWOR: there is no `return` to evaluate
+    /// over its tuples.
+    pub(crate) fn lowered(&self) -> bool {
+        self.each.is_some()
+    }
+
+    /// Whether a projection makes the rows.
+    pub(crate) fn projected(&self) -> bool {
+        self.lowered() || self.own.is_some()
+    }
+
+    /// Each tuple through its projection into `out` ([`project_rows`]).
+    fn project(
+        &self,
+        ev: &Evaluator<'_>,
+        context: Option<&Item>,
+        fuel: u64,
+        out: &mut Output<'_>,
+    ) -> Result<(), XqError> {
+        project_rows(ev, &self.envs, |row| self.branch(row), context, fuel, out)
+    }
+
+    fn branch(&self, row: usize) -> Option<&'a Project<'a>> {
+        let each = self.each.as_ref().and_then(|each| each.get(row).copied());
+        each.or(self.own)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1789,7 +1731,7 @@ fn projections<'a>(
 /// A `let`-bound view, planned: its body lowered to the row constructors in
 /// tail position, each without the cells nothing after the `let` reads
 /// (DESIGN.md §17, "Views and their read-sets"). Planned by [`view`] once
-/// per FLWOR evaluation, run by [`run_view`] once per tuple.
+/// per statement, in the plan; run by [`run_view`] once per tuple.
 pub(crate) struct View<'p> {
     /// The view element's name, parsed once.
     name: QName,
@@ -1825,28 +1767,28 @@ enum Tail<'p> {
 struct ReadSet<'a> {
     view: &'a str,
     /// Variables in scope whose items are rows of the view.
-    aliases: Vec<String>,
+    aliases: Vec<&'a str>,
     /// The name test of `$view/ROW`, the same at every use.
-    row: Option<String>,
+    row: Option<&'a str>,
     /// The cells read off a row: the name test that follows one.
-    cells: Vec<String>,
+    cells: Vec<&'a str>,
     /// A row got somewhere that may look at all of it: no cell is dead.
     escaped: bool,
 }
 
-impl ReadSet<'_> {
+impl<'a> ReadSet<'a> {
     fn is_alias(&self, var: &str) -> bool {
-        self.aliases.iter().any(|alias| alias == var)
+        self.aliases.contains(&var)
     }
 
     /// The step after `$view`: one name test without a predicate.
-    fn row_step(&mut self, step: Option<&Step>) {
+    fn row_step(&mut self, step: Option<&'a Step>) {
         match step {
             Some(Step {
                 test: NodeTest::Name(row),
                 predicates,
-            }) if predicates.is_empty() && self.row.as_ref().is_none_or(|seen| seen == row) => {
-                self.row.get_or_insert_with(|| row.clone());
+            }) if predicates.is_empty() && self.row.is_none_or(|seen| seen == row) => {
+                self.row.get_or_insert(row);
             }
             _ => self.escaped = true,
         }
@@ -1854,7 +1796,7 @@ impl ReadSet<'_> {
 
     /// Whether `expr` is rows of the view and nothing else: an alias, or
     /// `$view/ROW`.
-    fn rows(&mut self, expr: &Expr) -> bool {
+    fn rows(&mut self, expr: &'a Expr) -> bool {
         match expr {
             Expr::VarRef(var) => self.is_alias(var),
             Expr::Path { start, steps } => match (&**start, steps.as_slice()) {
@@ -1870,16 +1812,16 @@ impl ReadSet<'_> {
 
     /// A binder: an alias when it binds `rows`. One that rebinds the view
     /// or an alias is not followed.
-    fn bind(&mut self, var: &str, rows: bool) {
+    fn bind(&mut self, var: &'a str, rows: bool) {
         self.escaped |= var == self.view || self.is_alias(var);
         if rows {
-            self.aliases.push(var.to_string());
+            self.aliases.push(var);
         }
     }
 }
 
-impl Visitor for ReadSet<'_> {
-    fn visit_expr(&mut self, expr: &Expr) {
+impl<'a> Visitor<'a> for ReadSet<'a> {
+    fn visit_expr(&mut self, expr: &'a Expr) {
         if self.escaped {
             return;
         }
@@ -1901,8 +1843,8 @@ impl Visitor for ReadSet<'_> {
                     }
                     if from_view || self.is_alias(var) {
                         match steps.get(usize::from(from_view)).map(|step| &step.test) {
-                            Some(NodeTest::Name(cell)) if self.cells.contains(cell) => {}
-                            Some(NodeTest::Name(cell)) => self.cells.push(cell.clone()),
+                            Some(NodeTest::Name(cell)) if self.cells.contains(&&**cell) => {}
+                            Some(NodeTest::Name(cell)) => self.cells.push(cell),
                             _ => self.escaped = true,
                         }
                     }
@@ -1922,7 +1864,7 @@ impl Visitor for ReadSet<'_> {
         }
     }
 
-    fn visit_clause(&mut self, clause: &Clause) {
+    fn visit_clause(&mut self, clause: &'a Clause) {
         match clause {
             Clause::For { var, source } | Clause::Let { var, value: source } => {
                 let rows = self.rows(source);
@@ -1949,8 +1891,7 @@ impl Visitor for ReadSet<'_> {
 /// `BODY` is a row constructor [`project`] lowers; `None` is the
 /// interpreter's `let`, as any other. The read-set decides only which cells
 /// the plan keeps: a view whose rows escape is planned all the same, whole.
-#[inline(never)]
-pub(crate) fn view(flwor: &Flwor, at: usize) -> Option<View<'_>> {
+fn view(flwor: &Flwor, at: usize) -> Option<View<'_>> {
     let Clause::Let {
         var,
         value: Expr::Element(ctor),
@@ -2083,10 +2024,7 @@ fn run_tail(
 ) -> Result<(), XqError> {
     let one = std::slice::from_ref;
     match tail {
-        Tail::Rows(rows) => {
-            let rows = std::slice::from_ref(rows);
-            project_rows(ev, rows, (tuples, &[]), context, 0, out)?;
-        }
+        Tail::Rows(rows) => project_rows(ev, tuples, |_| Some(rows), context, 0, out)?,
         Tail::If { cond, then, els } => {
             for env in tuples {
                 ev.charge(1)?;
@@ -2103,10 +2041,9 @@ fn run_tail(
                     continue;
                 }
                 // An operator's rows are its branches' — the aggregate's
-                // rewritten one reads group variables, not cells a read-set
-                // could have pruned: planned whole.
-                let projects = projections(&tuples, None)?;
-                project_rows(ev, &projects, tuples.rows(), context, 0, out)?;
+                // reads group variables, not cells a read-set could have
+                // pruned: planned whole.
+                tuples.project(ev, context, 0, out)?;
             }
         }
         Tail::Sequence(tails) => {
@@ -2121,14 +2058,6 @@ fn run_tail(
     Ok(())
 }
 
-/// How many cells the plan of `flwor`'s clause `at` prunes; `None` when
-/// that clause is no `let` of a view a tail plan builds. With
-/// [`sink_kind`], for the tests that hold stage 3 and the planner here
-/// together.
-pub fn view_cells_pruned(flwor: &Flwor, at: usize) -> Option<u64> {
-    view(flwor, at).map(|view| view.pruned)
-}
-
 // ---------------------------------------------------------------------
 // Aggregate: `group … by` over `$inter` in one pass, no row built
 // ---------------------------------------------------------------------
@@ -2137,9 +2066,10 @@ pub fn view_cells_pruned(flwor: &Flwor, at: usize) -> Option<u64> {
 /// (paper Example 12), lowered: `let $inter := <V>{ BODY return <ROW>…</ROW>
 /// }</V>`, then `for $r in $inter/ROW group $r as $P by K₁ as $g₁, …` — or,
 /// without GROUP BY, the one group `let $P := $inter/ROW` — then `where H`s
-/// and `return R`. Every key is a [`Read`] of `$r`; `H` and `R` are cloned
-/// with every aggregate of `gen_aggregate` a variable ([`agg_shape`]).
-/// Planned by [`aggregate`] once per FLWOR evaluation, run by
+/// and `return R`. Every key is a [`Read`] of `$r`, and every aggregate of
+/// `gen_aggregate` in `H` and `R` ([`agg_shape`]) a value of the group's,
+/// which the evaluator reads where the interpreter would compute it.
+/// Planned by [`aggregate`] once per statement, in the plan; run by
 /// [`run_aggregate`].
 pub(crate) struct Aggregate<'p> {
     /// `BODY`: its tuples are the input.
@@ -2150,13 +2080,12 @@ pub(crate) struct Aggregate<'p> {
     pruned: u64,
     /// Per key, its read and its variable; none is the implicit group.
     keys: Vec<(Read, &'p str)>,
-    /// The aggregates; the `k`th is bound to `#k`, a name no program can
-    /// write.
-    aggs: Vec<Agg>,
-    /// The `where`s, rewritten.
-    having: Vec<Expr>,
-    /// The `return`, rewritten: what the consumer projects over the groups.
-    ret: Expr,
+    /// The aggregates, each with the variable a group binds its value to:
+    /// `#` and the address of the expression it stands for, a name no
+    /// program can write.
+    aggs: Vec<(usize, String, Agg)>,
+    /// The `where`s, kept when every one holds on a group.
+    having: Vec<&'p Expr>,
     /// What a row is charged: one unit for the `for $r` binding it
     /// replaces, and the nodes of every key and argument.
     row_fuel: u64,
@@ -2183,11 +2112,10 @@ struct Agg {
 }
 
 /// Recognizes the two grouped shapes (see [`Aggregate`]) and plans the
-/// operator: `None` for any other FLWOR — nothing asked, nothing counted —
-/// and `Some(None)` for one it declines (see the module docs).
-#[inline(never)]
-pub(crate) fn aggregate(flwor: &Flwor) -> Option<Option<Box<Aggregate<'_>>>> {
-    // `view` asks the first clause to be `let $inter := <V>{ … }</V>`.
+/// operator over `view`, the plan of `$inter`'s `let`: `None` for any other
+/// FLWOR — nothing asked, nothing counted — and `Some(None)` for one it
+/// declines (see the module docs).
+fn aggregate<'p>(flwor: &'p Flwor, view: Option<&View<'p>>) -> Option<Option<Box<Aggregate<'p>>>> {
     let [Clause::Let { var: inter, .. }, second, rest @ ..] = flwor.clauses.as_slice() else {
         return None;
     };
@@ -2205,60 +2133,62 @@ pub(crate) fn aggregate(flwor: &Flwor) -> Option<Option<Box<Aggregate<'_>>>> {
         _ => None,
     });
     let (wheres, (over, row)) = (wheres.collect::<Option<Vec<_>>>()?, var_child(rows)?);
-    (over == inter).then(|| lower(flwor, [inter, row, partition], group, &wheres).map(Box::new))
+    (over == inter)
+        .then(|| lower(flwor, [inter, row, partition], group, wheres, view).map(Box::new))
 }
 
 fn lower<'p>(
     flwor: &'p Flwor,
-    [inter, row, partition]: [&str; 3],
+    [inter, row_test, partition]: [&str; 3],
     group: Option<&'p crate::ast::GroupClause>,
-    wheres: &[&Expr],
+    having: Vec<&'p Expr>,
+    view: Option<&View<'p>>,
 ) -> Option<Aggregate<'p>> {
-    let view = view(flwor, 0)?;
-    let (Tail::Flwor { flwor: body, ret }, pruned) = (view.body, view.pruned) else {
+    let view = view?;
+    let Tail::Flwor { flwor: body, ret } = &view.body else {
         return None;
     };
     // Rows `$inter/ROW` selects, every cell read off a bound row: no cell
     // can raise, so an unread one's error cannot go missing.
-    let Tail::Rows(project) = *ret else {
+    let Tail::Rows(row) = &**ret else {
         return None;
     };
     let read_off = |cell: &Cell<'_>| matches!(cell.value, Value::Child { .. });
-    if !name_matches(&project.name, row) || !project.cells.iter().all(read_off) {
+    if !name_matches(&row.name, row_test) || !row.cells.iter().all(read_off) {
         return None;
     }
     let (source, keys) = group.map_or((partition, &[][..]), |g| (&*g.source_var, &*g.keys));
-    let key = |(key, var): &'p (Expr, String)| Some((read_of(key, source, &project)?, &**var));
+    let key = |(key, var): &'p (Expr, String)| Some((read_of(key, source, row)?, &**var));
     let keys = keys.iter().map(key).collect::<Option<Vec<_>>>()?;
+    // Past the aggregates nothing may see a row, the partition or the view;
+    // and the groups' rows are the `return`'s, projected.
     let mut aggs = Vec::new();
-    let mut rewrite = |expr: &Expr| {
-        let mut expr = expr.clone();
-        substitute(&mut expr, &mut |e| {
-            aggs.push(agg_shape(e, partition, &project)?);
-            Some(Expr::VarRef(format!("#{}", aggs.len() - 1)))
-        });
-        expr
+    let mut agg = |expr: &Expr| match agg_shape(expr, partition, row) {
+        Some(agg) => {
+            let at = address(expr);
+            aggs.push((at, format!("#{at}"), agg));
+            true
+        }
+        None => false,
     };
-    let having: Vec<Expr> = wheres.iter().map(|predicate| rewrite(predicate)).collect();
-    let ret = rewrite(&flwor.ret);
-    // Past the rewrite nothing may see a row, the partition or the view; and
-    // the groups' rows are the rewritten `return`'s, projected.
     let hidden = [inter, partition, source];
-    let sees = |expr: &Expr| free_vars(expr).iter().any(|v| hidden.contains(&&**v));
-    if having.iter().chain([&ret]).any(sees) || !is_projection(&ret) {
+    let mut sees = having.iter().copied().chain([&*flwor.ret]).map(|expr| {
+        let free = free_vars_except(expr, &mut agg);
+        free.iter().any(|v| hidden.contains(&&**v))
+    });
+    if sees.any(|sees| sees) || project(&flwor.ret).is_none() {
         return None;
     }
-    let args = aggs.iter().filter_map(|agg| agg.arg.as_ref());
+    let args = aggs.iter().filter_map(|(_, _, agg)| agg.arg.as_ref());
     let reads = keys.iter().map(|(read, _)| read).chain(args);
     let row_fuel = 1 + reads.map(|read| read.fuel).sum::<u64>();
     Some(Aggregate {
         body,
-        row: project,
-        pruned,
+        row: row.clone(),
+        pruned: view.pruned,
         keys,
         aggs,
         having,
-        ret,
         row_fuel,
     })
 }
@@ -2340,15 +2270,6 @@ fn agg_shape(expr: &Expr, p: &str, row: &Project<'_>) -> Option<Agg> {
     (agg.arg.is_some() || func == "fn:count").then_some(agg)
 }
 
-/// Replaces, top-down, every expression `f` has a replacement for; a
-/// replacement is not descended into.
-fn substitute(expr: &mut Expr, f: &mut dyn FnMut(&Expr) -> Option<Expr>) {
-    match f(expr) {
-        Some(replacement) => *expr = replacement,
-        None => walk_expr_mut(expr, &mut |child| substitute(child, f)),
-    }
-}
-
 /// The cell reader of the aggregate, the sort and the set operations:
 /// appends what `CAST?(fn:data($r/CELL))` makes of `cells` — those of a row
 /// constructor that make `CELL` — on one tuple: what `fn:data` reads off the
@@ -2425,13 +2346,12 @@ struct Group {
 /// `where`s charge (the consumer's `return` charges its own). The row cap
 /// holds the rows, as it held the `for $r` tuples. Budget errors propagate;
 /// after any other the caller interprets the FLWOR.
-#[inline(never)]
-pub(crate) fn run_aggregate<'p>(
+fn run_aggregate(
     ev: &Evaluator<'_>,
-    agg: Box<Aggregate<'p>>,
+    agg: &Aggregate<'_>,
     env: &Env,
     context: Option<&Item>,
-) -> Result<Tuples<'p>, XqError> {
+) -> Result<Vec<Env>, XqError> {
     ev.charge(2)?;
     let rows = ev.flwor_tuples(agg.body, env, context)?.envs;
     let fresh = |keys| Group {
@@ -2466,7 +2386,7 @@ pub(crate) fn run_aggregate<'p>(
         values.clear();
         let group = &mut groups[at];
         group.rows += 1;
-        for (a, gathered) in agg.aggs.iter().zip(&mut group.gathered) {
+        for ((_, _, a), gathered) in agg.aggs.iter().zip(&mut group.gathered) {
             if let Some(read) = &a.arg {
                 read_cells([&agg.row.cells[read.cell]], read.cast, &tuple, gathered)?;
             }
@@ -2482,8 +2402,8 @@ pub(crate) fn run_aggregate<'p>(
         for ((_, var), value) in agg.keys.iter().zip(group.keys) {
             tuple = tuple.bind(*var, value.into_iter().map(Item::Atomic).collect());
         }
-        for (k, (a, atoms)) in agg.aggs.iter().zip(group.gathered).enumerate() {
-            tuple = tuple.bind(format!("#{k}"), a.value(group.rows, atoms)?);
+        for ((_, name, a), atoms) in agg.aggs.iter().zip(group.gathered) {
+            tuple = tuple.bind(name.clone(), a.value(group.rows, atoms)?);
         }
         for having in &agg.having {
             if !ev.eval(having, &tuple, context)?.effective_boolean() {
@@ -2493,9 +2413,7 @@ pub(crate) fn run_aggregate<'p>(
         tuples.push(tuple);
     }
     ev.record_view(Some(agg.pruned));
-    // The rewrite keeps every cell's shape and place: the rewritten `return`
-    // lowers wherever the FLWOR's did.
-    Ok(Tuples::one_branch(tuples, Cow::Owned(agg.ret)))
+    Ok(tuples)
 }
 
 // ---------------------------------------------------------------------
@@ -2507,11 +2425,11 @@ pub(crate) fn run_aggregate<'p>(
 /// K…] return $r`. Each operand `$v/ROW` of `SRC` is a view's `BODY`, whose
 /// tuples each its branch projects — or, for `gen_setop`'s renaming view
 /// `<V>{ for $y in $w/ROW return CTOR }</V>`, view `w`'s `BODY`, each branch
-/// [`renamed`] by `CTOR`. Planned by [`rows`] once per FLWOR evaluation, run
-/// by [`run_rows`].
+/// [`renamed`] by `CTOR`. Planned by [`rows`] once per statement, in the
+/// plan; run by [`run_rows`].
 pub(crate) struct Rows<'p> {
     /// Per operand of `SRC`, in order: the `BODY` and the rename over it.
-    operands: Vec<(&'p Flwor, Option<Rename<'p>>)>,
+    operands: Vec<Operand<'p>>,
     /// What `SRC` makes of its operands' rows.
     set: Set,
     /// `SRC`'s nodes: what evaluating it charged.
@@ -2524,6 +2442,17 @@ pub(crate) struct Rows<'p> {
     keys: Vec<(&'p str, Option<XsType>, u64)>,
 }
 
+/// An operand's `BODY`, and a rename over its rows composed over the
+/// projection of `BODY`'s `return`, which makes them.
+struct Operand<'p> {
+    body: &'p Flwor,
+    rename: Option<Project<'p>>,
+}
+
+/// `gen_setop`'s renaming view, `for $var in … return CTOR`, as `(var,
+/// CTOR)`.
+type Rename<'p> = (&'p str, &'p Expr);
+
 /// What `SRC` is: `$v/ROW` or UNION ALL's `($a/ROW, $b/ROW)`, either under
 /// `fn-bea:distinct-records`, or `fn-bea:intersect-all-records` /
 /// `fn-bea:except-all-records` of `$a/ROW, $b/ROW`.
@@ -2535,13 +2464,15 @@ enum Set {
     Except,
 }
 
-/// Recognizes a sort or set wrapper (see [`Rows`]): `None` for any other
-/// FLWOR — nothing asked, nothing counted — and otherwise the lowering it
-/// counts as (`Sort` with an `order by`), with `None` for one it declines.
-// Out of line, and asked only of a FLWOR that opens with a `let` and
-// returns a bare variable, like the aggregate's recognizer.
-#[inline(never)]
-pub(crate) fn rows(flwor: &Flwor) -> Option<(Lowering, Option<Rows<'_>>)> {
+/// Recognizes a sort or set wrapper (see [`Rows`]) over the FLWORs of
+/// `planned`, its operands' among them: `None` for any other FLWOR —
+/// nothing asked, nothing counted — and otherwise the lowering it counts
+/// as (`Sort` with an `order by`), with `None` for one it declines.
+fn rows<'p>(
+    flwor: &'p Flwor,
+    planned: &[FlworPlan<'p>],
+    text: Option<&TextSink<'_>>,
+) -> Option<(Lowering, Option<Rows<'p>>)> {
     let Expr::VarRef(returned) = &*flwor.ret else {
         return None;
     };
@@ -2555,7 +2486,16 @@ pub(crate) fn rows(flwor: &Flwor) -> Option<(Lowering, Option<Rows<'_>>)> {
         _ => return None,
     };
     let kind = [Lowering::Set, Lowering::Sort][usize::from(!order.is_empty())];
-    let planned = || plan_rows(&flwor.clauses[..lets], source, order, returned);
+    let planned = || {
+        plan_rows(
+            &flwor.clauses[..lets],
+            source,
+            order,
+            returned,
+            planned,
+            text,
+        )
+    };
     (lets > 0).then(|| (kind, planned()))
 }
 
@@ -2564,6 +2504,8 @@ fn plan_rows<'p>(
     source: &'p Expr,
     order: &'p [OrderSpec],
     var: &str,
+    planned: &[FlworPlan<'p>],
+    text: Option<&TextSink<'_>>,
 ) -> Option<Rows<'p>> {
     // Per view: its name, the `BODY` whose tuples are its rows, the rename
     // over them, and how often it is read.
@@ -2632,22 +2574,34 @@ fn plan_rows<'p>(
         _ => None,
     });
     let (keys, row) = (keys.collect::<Option<_>>()?, row?);
-    // A nested wrapper lowers over the same `ROW`, unrenamed; a row
-    // constructor — and a rename's source — to a projection `ROW` selects.
-    let lowers = |&(body, rename): &(&'p Flwor, Option<Rename<'p>>)| match rows(body) {
-        Some((_, Some(nested))) => rename.is_none() && nested.row == row,
-        _ => [None, rename].into_iter().all(|rename| {
-            let branch = Branch {
-                ret: Cow::Borrowed(&body.ret),
-                rename,
-            };
-            branch.project().is_ok_and(|p| name_matches(&p.name, row))
-        }),
-    };
     // Every view is read once: as an operand, or by the one rename over it.
-    if views.iter().any(|view| view.3 != 1) || !operands.iter().all(lowers) {
+    if views.iter().any(|view| view.3 != 1) {
         return None;
     }
+    // A nested wrapper lowers over the same `ROW`, unrenamed; a row
+    // constructor — and a rename's composition over it — to a projection
+    // `ROW` selects.
+    let selected = |project: Option<Project<'p>>| project.filter(|p| name_matches(&p.name, row));
+    let operand = |(body, rename): (&'p Flwor, Option<Rename<'p>>)| {
+        let node = planned.iter().find(|node| std::ptr::eq(node.flwor, body))?;
+        if let Some((_, Some(Whole::Rows(nested)))) = &node.whole {
+            return (rename.is_none() && nested.row == row)
+                .then_some(Operand { body, rename: None });
+        }
+        let own = selected(node.project.clone())?;
+        let Some((var, ctor)) = rename else {
+            return Some(Operand { body, rename: None });
+        };
+        let rename = selected(renamed(own, var, ctor))?.resolved(text);
+        Some(Operand {
+            body,
+            rename: Some(rename),
+        })
+    };
+    let operands = operands
+        .into_iter()
+        .map(operand)
+        .collect::<Option<Vec<_>>>()?;
     let mut fuel = 0;
     each_expr(source, &mut |_| fuel += 1);
     Some(Rows {
@@ -2683,46 +2637,43 @@ fn concatenated(expr: &Expr) -> Vec<&Expr> {
 /// binding it replaces and the keys' nodes — and what the reads evaluate.
 /// The row cap holds the surviving rows, as it held the `for $r` tuples.
 /// Budget errors propagate; after any other the caller interprets the FLWOR.
-#[inline(never)]
-pub(crate) fn run_rows<'p>(
-    ev: &Evaluator<'_>,
-    rows: &Rows<'p>,
+fn run_rows<'a>(
+    ev: &Evaluator<'a>,
+    rows: &'a Rows<'a>,
     env: &Env,
     context: Option<&Item>,
-) -> Result<Tuples<'p>, XqError> {
-    let (mut all, mut right) = (Tuples::default(), 0);
-    for &(body, rename) in &rows.operands {
-        ev.charge(2 + 3 * u64::from(rename.is_some()))?;
-        let mut tuples = match ev.flwor_tuples(body, env, context)? {
-            tuples if tuples.lowered() => tuples,
-            tuples => Tuples::one_branch(tuples.envs, Cow::Borrowed(&body.ret)),
-        };
-        for branch in tuples.branches.iter_mut().filter(|_| rename.is_some()) {
-            branch.rename = rename;
-        }
-        right = all.envs.len();
-        all.append(tuples);
+) -> Result<Tuples<'a>, XqError> {
+    let (mut all, mut right): (Vec<(Env, &Project<'_>)>, _) = (Vec::new(), 0);
+    for operand in &rows.operands {
+        ev.charge(2 + 3 * u64::from(operand.rename.is_some()))?;
+        let tuples = ev.flwor_tuples(operand.body, env, context)?;
+        let branch = |row| operand.rename.as_ref().or(tuples.branch(row));
+        let branches = (0..tuples.envs.len())
+            .map(branch)
+            .collect::<Option<Vec<_>>>();
+        let branches = branches.ok_or_else(|| XqError::new("a branch does not lower"))?;
+        right = all.len();
+        all.extend(tuples.envs.into_iter().zip(branches));
     }
     ev.charge(rows.fuel)?;
-    let projects = projections(&all, None)?;
     let tuple = |row: usize| Tuple {
         ev,
-        env: &all.envs[row],
+        env: &all[row].0,
         context,
     };
     let (mut atoms, mut key, mut value) = (Vec::new(), String::new(), String::new());
     let mut key_of = |row: usize| {
         key.clear();
-        row_key(&projects[all.tags[row]], &tuple(row), &mut key, &mut value)?;
+        row_key(all[row].1, &tuple(row), &mut key, &mut value)?;
         Ok::<_, XqError>(key.clone())
     };
     // The right operand's rows counted, the rest kept or not in order.
     let left = match rows.set {
         Set::Intersect | Set::Except => right,
-        Set::Concat | Set::Distinct => all.envs.len(),
+        Set::Concat | Set::Distinct => all.len(),
     };
     let mut counts: HashMap<String, usize> = HashMap::new();
-    for row in left..all.envs.len() {
+    for row in left..all.len() {
         *counts.entry(key_of(row)?).or_default() += 1;
     }
     let mut kept = Vec::with_capacity(left);
@@ -2747,7 +2698,7 @@ pub(crate) fn run_rows<'p>(
             let mut values = Vec::with_capacity(rows.keys.len());
             for &(name, cast, fuel) in &rows.keys {
                 ev.charge(fuel)?;
-                let cells = projects[all.tags[row]].cells.iter();
+                let cells = all[row].1.cells.iter();
                 let cells = cells.filter(|cell| name_matches(&cell.name, name));
                 read_cells(cells, cast, &tuple(row), &mut atoms)?;
                 if atoms.len() > 1 {
@@ -2760,13 +2711,12 @@ pub(crate) fn run_rows<'p>(
         keyed.sort_by(|(a, _), (b, _)| order_cmp(rows.order, a, b));
         kept = keyed.into_iter().map(|(_, row)| row).collect();
     }
-    let envs = kept.iter().map(|&row| all.envs[row].clone()).collect();
-    let tags = kept.iter().map(|&row| all.tags[row]).collect();
-    let branches = all.branches;
+    let envs = kept.iter().map(|&row| all[row].0.clone()).collect();
+    let each = Some(kept.iter().map(|&row| all[row].1).collect());
     Ok(Tuples {
         envs,
-        tags,
-        branches,
+        each,
+        own: None,
     })
 }
 
@@ -2825,11 +2775,11 @@ pub(crate) struct TextSink<'p> {
     /// What one row writes, in order.
     pieces: Vec<Piece<'p>>,
     /// `V` as the rows' source when it is a [`Recordset`] whose rows
-    /// `record` tests and whose cells the columns could be resolved
-    /// against ([`resolve`]; one entry per piece — a wrapper's branches
-    /// are resolved as they run): each tuple is then written straight from
-    /// its source cells and no element of `V` is ever built.
-    fused: Option<(Recordset<'p>, Option<Vec<Option<usize>>>)>,
+    /// `record` tests — a FLWOR whose own projection's columns resolve
+    /// ([`Project::text`]), or a wrapper over rows `record` tests: each
+    /// tuple is then written straight from its source cells and no element
+    /// of `V` is ever built.
+    fused: Option<Recordset<'p>>,
 }
 
 enum Piece<'p> {
@@ -2847,30 +2797,6 @@ enum Piece<'p> {
 pub(crate) struct Recordset<'p> {
     name: QName,
     flwor: &'p Flwor,
-    /// The `return`, lowered; `None` for a wrapper, whose tuples carry
-    /// their branches' projections.
-    project: Option<Project<'p>>,
-    /// A wrapper's: the name test its rows pass ([`Rows::row`]).
-    row: Option<&'p str>,
-}
-
-fn recordset(expr: &Expr) -> Option<Recordset<'_>> {
-    let Expr::Element(ctor) = expr else {
-        return None;
-    };
-    let Expr::Flwor(flwor) = sole_enclosed(ctor)? else {
-        return None;
-    };
-    let (project, row) = match project(&flwor.ret) {
-        Some(project) => (Some(project), None),
-        None => (None, Some(rows(flwor)?.1?.row)),
-    };
-    Some(Recordset {
-        name: QName::parse(&ctor.name),
-        flwor,
-        project,
-        row,
-    })
 }
 
 /// The sole argument of a call of `name`.
@@ -2902,18 +2828,6 @@ fn one_step(expr: &Expr) -> Option<(&PathStart, &str)> {
 fn var_child(expr: &Expr) -> Option<(&str, &str)> {
     match one_step(expr)? {
         (PathStart::Var(var), name) => Some((var, name)),
-        _ => None,
-    }
-}
-
-/// Lowers a program body to the sink that writes its payload, or `None`:
-/// the body is evaluated and the caller serializes the result. `xml` asks
-/// for the XML sink as well — the caller ships a payload; without it an
-/// XML body's value is wanted as items.
-pub(crate) fn sink(body: &Expr, xml: bool) -> Option<Sink<'_>> {
-    match body {
-        Expr::FunctionCall { .. } => text_sink(body).map(Sink::Text),
-        Expr::Element(_) if xml => recordset(body).map(Sink::Xml),
         _ => None,
     }
 }
@@ -2966,27 +2880,17 @@ fn text_sink(body: &Expr) -> Option<TextSink<'_>> {
             _ => None,
         })
         .collect::<Option<_>>()?;
-    let fused = recordset(rows).and_then(|view| {
-        let cells = match &view.project {
-            Some(project) => Some(resolve(&pieces, record, project)?),
-            // A wrapper's branches resolve as they run, over rows that
-            // `$q/RECORD` selects.
-            None if view.row == Some(record) => None,
-            None => return None,
-        };
-        Some((view, cells))
-    });
     Some(TextSink {
         rows,
         record,
         pieces,
-        fused,
+        fused: None,
     })
 }
 
 /// Resolves the columns against `project`'s cells, at plan time: per
-/// piece, the cell whose elements the column reads. Declines — the view is
-/// then evaluated and read — when `$q/RECORD` would not select the
+/// piece, the cell whose elements the column reads. Declines — the rows are
+/// then built and read — when `$q/RECORD` would not select the
 /// projected rows, when two cells make one column's elements (one row
 /// could then hold two values, which only a built row shows), or when a
 /// cell is no column's: the interpreter evaluates it all the same, and its
@@ -2996,70 +2900,18 @@ fn resolve(
     record: &str,
     project: &Project<'_>,
 ) -> Option<Vec<Option<usize>>> {
-    if !name_matches(&project.name, record) {
-        return None;
-    }
     let mut read = vec![false; project.cells.len()];
-    let cells = pieces
-        .iter()
-        .map(|piece| {
-            let Piece::Column { name, .. } = piece else {
-                return Some(None);
-            };
-            let mut made_by =
-                (0..project.cells.len()).filter(|&at| name_matches(&project.cells[at].name, name));
-            let cell = made_by.next();
-            if made_by.next().is_some() {
-                return None;
-            }
-            if let Some(at) = cell {
-                read[at] = true;
-            }
-            Some(cell)
-        })
-        .collect::<Option<Vec<_>>>()?;
-    read.iter().all(|&read| read).then_some(cells)
-}
-
-/// Which sink the pipeline strategy lowers a program body to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SinkKind {
-    /// The text sink, fed by the statement's tuples.
-    TextFused,
-    /// The text sink over the evaluated view.
-    TextOverView,
-    /// The XML sink.
-    Xml,
-}
-
-/// [`SinkKind`] of a program body, `None` for one that is interpreted.
-/// With [`is_projection`], for the tests that hold stage 3 and the
-/// recognizers here together: a sink that stopped fusing writes the same
-/// payload, only slower.
-pub fn sink_kind(body: &Expr) -> Option<SinkKind> {
-    Some(match sink(body, true)? {
-        Sink::Text(text) if text.fused.is_some() => SinkKind::TextFused,
-        Sink::Text(_) => SinkKind::TextOverView,
-        Sink::Xml(_) => SinkKind::Xml,
-    })
-}
-
-/// Whether a FLWOR's `return` lowers to the projection operator.
-pub fn is_projection(ret: &Expr) -> bool {
-    project(ret).is_some()
-}
-
-/// Whether the aggregate operator runs `flwor`: `None` for a FLWOR that is
-/// not one of stage 3's grouped ones, `Some(false)` for one it declines.
-pub fn lowers_to_aggregate(flwor: &Flwor) -> Option<bool> {
-    aggregate(flwor).map(|planned| planned.is_some())
-}
-
-/// Whether the rows operator runs `flwor`: `None` for a FLWOR that is not
-/// one of stage 3's sort or set wrappers, `Some(false)` for one it
-/// declines.
-pub fn lowers_to_rows(flwor: &Flwor) -> Option<bool> {
-    rows(flwor).map(|(_, planned)| planned.is_some())
+    let mut cell = |piece: &Piece<'_>| match piece {
+        Piece::Text(_) => Some(None),
+        Piece::Column { name, .. } => {
+            let at = cell_named(project, name)?;
+            at.inspect(|&at| read[at] = true);
+            Some(at)
+        }
+    };
+    let cells = pieces.iter().map(&mut cell).collect::<Option<Vec<_>>>()?;
+    let selected = name_matches(&project.name, record);
+    (selected && read.iter().all(|&read| read)).then_some(cells)
 }
 
 /// Runs a sink: the payload, as it crosses the boundary.
@@ -3072,38 +2924,21 @@ pub fn lowers_to_rows(flwor: &Flwor) -> Option<bool> {
 /// nullable column fails `fn-bea:serialize-atomic` in the interpreter, so
 /// the sink gives up. Budget errors propagate; after any other the caller
 /// interprets the body instead (see the module docs).
-#[inline(never)]
 pub(crate) fn run_sink(ev: &Evaluator<'_>, sink: &Sink<'_>, env: &Env) -> Result<String, XqError> {
     let mut payload = String::new();
     match sink {
         Sink::Text(text) => {
             let fuel_per_row = 1 + text.pieces.len() as u64;
+            let mut out = Output::Text {
+                pieces: &text.pieces,
+                payload: &mut payload,
+            };
             match &text.fused {
-                Some((view, cells)) => {
+                Some(view) => {
                     let tuples = ev.flwor_tuples(view.flwor, env, None)?;
-                    let projects = projections(&tuples, view.project.as_ref())?;
-                    let resolved: Vec<_>;
-                    let cells = match tuples.lowered() {
-                        false => std::slice::from_ref(cells),
-                        true => {
-                            let resolve = |project| resolve(&text.pieces, text.record, project);
-                            resolved = projects.iter().map(resolve).collect();
-                            &resolved
-                        }
-                    };
-                    let mut out = Output::Text {
-                        pieces: &text.pieces,
-                        cells,
-                        payload: &mut payload,
-                    };
-                    project_rows(ev, &projects, tuples.rows(), None, fuel_per_row, &mut out)?;
+                    tuples.project(ev, None, fuel_per_row, &mut out)?;
                 }
                 None => {
-                    let mut out = Output::Text {
-                        pieces: &text.pieces,
-                        cells: &[],
-                        payload: &mut payload,
-                    };
                     let views = ev.eval(text.rows, env, None)?;
                     let mut rows = 0;
                     for view in views.iter().filter_map(Item::as_element) {
@@ -3122,15 +2957,281 @@ pub(crate) fn run_sink(ev: &Evaluator<'_>, sink: &Sink<'_>, env: &Env) -> Result
         }
         Sink::Xml(body) => {
             let tuples = ev.flwor_tuples(body.flwor, env, None)?;
-            let projects = projections(&tuples, body.project.as_ref())?;
             write_start_tag(&mut payload, &body.name);
             let opened = payload.len();
-            let mut out = Output::Xml(&mut payload);
-            project_rows(ev, &projects, tuples.rows(), None, 0, &mut out)?;
+            tuples.project(ev, None, 0, &mut Output::Xml(&mut payload))?;
             close_element(&mut payload, &body.name, 0, opened);
         }
     }
     Ok(payload)
+}
+
+// ---------------------------------------------------------------------
+// The physical plan: one per statement
+// ---------------------------------------------------------------------
+
+/// A program's physical plan: every FLWOR's operators and the body's sink,
+/// planned in one walk before the program runs (DESIGN.md §17, "One plan
+/// per statement"). It holds nothing of a run — no tuple, table or count —
+/// so one plan runs its statement under any bindings. Under
+/// [`ExecStrategy::NestedLoop`] it is empty: every FLWOR is the
+/// interpreter's.
+pub struct PhysicalPlan<'p> {
+    body: &'p Expr,
+    /// Per FLWOR that plans to anything, found by its address: the
+    /// programs stage 3 emits hold 3 to 11 FLWORs.
+    nodes: Vec<FlworPlan<'p>>,
+    /// Per aggregate an aggregate operator runs, by the address of its
+    /// expression, the variable its value is bound to in a group.
+    aggregates: Vec<(usize, String)>,
+    sink: Option<Sink<'p>>,
+}
+
+/// One FLWOR's plan.
+pub(crate) struct FlworPlan<'p> {
+    flwor: &'p Flwor,
+    /// The join pipeline over the clause prefix, where the prefix is
+    /// hash-shaped ([`plan`]); `None` inside, one the planner declined.
+    pub(crate) pipeline: Option<Option<Plan<'p>>>,
+    /// Per `let` of a view, its clause and plan: the clause loop's.
+    views: Vec<(usize, View<'p>)>,
+    /// The operator that runs the FLWOR whole, as the lowering it counts
+    /// as; `None` inside, one it declined.
+    pub(crate) whole: Option<(Lowering, Option<Whole<'p>>)>,
+    /// The `return`, lowered.
+    project: Option<Project<'p>>,
+}
+
+/// An operator that runs a FLWOR whole.
+pub(crate) enum Whole<'p> {
+    Aggregate(Box<Aggregate<'p>>),
+    Rows(Rows<'p>),
+}
+
+/// The address a plan finds a FLWOR or an aggregate by.
+fn address<T>(at: &T) -> usize {
+    at as *const T as usize
+}
+
+impl<'p> FlworPlan<'p> {
+    /// Plans `flwor`, whose nested FLWORs `planned` holds already; `None`
+    /// where nothing of it is an operator's.
+    fn plan(
+        flwor: &'p Flwor,
+        planned: &[FlworPlan<'p>],
+        text: Option<&TextSink<'_>>,
+    ) -> Option<Self> {
+        let at = 0..flwor.clauses.len();
+        let views: Vec<_> = at.filter_map(|at| Some((at, view(flwor, at)?))).collect();
+        let whole = match &*flwor.ret {
+            Expr::VarRef(_) => {
+                rows(flwor, planned, text).map(|(kind, rows)| (kind, rows.map(Whole::Rows)))
+            }
+            _ => {
+                let inter = views
+                    .first()
+                    .filter(|(at, _)| *at == 0)
+                    .map(|(_, view)| view);
+                let agg = aggregate(flwor, inter);
+                agg.map(|agg| (Lowering::Aggregate, agg.map(Whole::Aggregate)))
+            }
+        };
+        let project = project(&flwor.ret).map(|project| project.resolved(text));
+        let pipeline = plan(flwor);
+        let plans = pipeline.is_some() || !views.is_empty() || whole.is_some() || project.is_some();
+        plans.then_some(FlworPlan {
+            flwor,
+            pipeline,
+            views,
+            whole,
+            project,
+        })
+    }
+
+    /// The plan of clause `at`, a `let` of a view.
+    pub(crate) fn view(&self, at: usize) -> Option<&View<'p>> {
+        self.views
+            .iter()
+            .find(|(of, _)| *of == at)
+            .map(|(_, view)| view)
+    }
+
+    /// Runs the operator that runs the FLWOR whole: its tuples, each tagged
+    /// with its branch — an aggregate's are all the `return`'s. `None` where
+    /// the plan declined it.
+    pub(crate) fn run(
+        &'p self,
+        ev: &Evaluator<'p>,
+        env: &Env,
+        context: Option<&Item>,
+    ) -> Option<Result<Tuples<'p>, XqError>> {
+        Some(match self.whole.as_ref()?.1.as_ref()? {
+            Whole::Rows(rows) => run_rows(ev, rows, env, context),
+            Whole::Aggregate(agg) => run_aggregate(ev, agg, env, context).map(|envs| Tuples {
+                envs,
+                each: Some(Vec::new()),
+                own: self.project.as_ref(),
+            }),
+        })
+    }
+}
+
+/// What a [`PhysicalPlan`] runs for one expression of its program — the
+/// body, or a FLWOR — read-only: for the tests that hold stage 3 and the
+/// planner together, as a plan that stopped lowering something answers the
+/// same rows, only slower.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Lowered {
+    /// Nothing: the interpreter's.
+    Interpreted,
+    /// A body as the delimited-text sink, `fused` when it is fed by the
+    /// statement's tuples rather than by the `RECORD`s of the evaluated
+    /// view.
+    TextSink { fused: bool },
+    /// A body as the XML sink.
+    XmlSink,
+    /// A FLWOR's operators.
+    Flwor {
+        /// Per `let` of a view a tail plan builds, its clause and the
+        /// cells the plan prunes.
+        views: Vec<(usize, u64)>,
+        /// The aggregate: `None` for a FLWOR that is not one of stage 3's
+        /// grouped ones, `Some(false)` for one it declines.
+        aggregate: Option<bool>,
+        /// The rows operator, likewise for stage 3's sort and set
+        /// wrappers.
+        rows: Option<bool>,
+        /// Whether its `return` lowers to the projection operator.
+        projection: bool,
+    },
+}
+
+impl<'p> PhysicalPlan<'p> {
+    /// Plans `program` for `strategy`: the one planner walk, over every
+    /// FLWOR of the body, nested ones first, then the sink. `payload` says
+    /// the caller ships a payload, so an XML body may be sunk as well as a
+    /// delimited one; without it an XML body's value is wanted as items.
+    pub fn new(program: &'p Program, strategy: ExecStrategy, payload: bool) -> Self {
+        let body = &program.body;
+        let (nodes, aggregates, sink) = (Vec::new(), Vec::new(), None);
+        let mut plan = PhysicalPlan {
+            body,
+            nodes,
+            aggregates,
+            sink,
+        };
+        if strategy == ExecStrategy::NestedLoop {
+            return plan;
+        }
+        let text = match body {
+            Expr::FunctionCall { .. } => text_sink(body),
+            _ => None,
+        };
+        // The text sink's own FLWOR, `let $q := V for $t in $q/RECORD
+        // return (…)`, is the sink's to run: where the sink gives up, the
+        // interpreter evaluates it as written (its FLWORs through the plan).
+        let wrapper = match (&text, body) {
+            (Some(_), Expr::FunctionCall { args, .. }) => args.first(),
+            _ => None,
+        };
+        let mut flwors = Vec::new();
+        each_expr(body, &mut |expr| match expr {
+            Expr::Flwor(flwor) if !wrapper.is_some_and(|w| std::ptr::eq(w, expr)) => {
+                flwors.push(flwor)
+            }
+            _ => {}
+        });
+        // Pre-order, reversed: a FLWOR after every FLWOR inside it.
+        for flwor in flwors.into_iter().rev() {
+            let node = FlworPlan::plan(flwor, &plan.nodes, text.as_ref());
+            if let Some(Some((_, Some(Whole::Aggregate(agg))))) = node.as_ref().map(|n| &n.whole) {
+                let names = agg.aggs.iter().map(|(at, name, _)| (*at, name.clone()));
+                plan.aggregates.extend(names);
+            }
+            plan.nodes.extend(node);
+        }
+        plan.sink = match text {
+            Some(mut text) => {
+                let rows = plan.recordset(text.rows);
+                let fused = rows.filter(|(_, node)| match (&node.project, &node.whole) {
+                    (Some(project), _) => project.text.is_some(),
+                    (None, Some((_, Some(Whole::Rows(rows))))) => rows.row == text.record,
+                    _ => false,
+                });
+                text.fused = fused.map(|(view, _)| view);
+                Some(Sink::Text(text))
+            }
+            None if payload => plan.recordset(body).map(|(view, _)| Sink::Xml(view)),
+            None => None,
+        };
+        plan
+    }
+
+    /// The node of `flwor`, which nothing of the plan runs without.
+    pub(crate) fn node(&self, flwor: &Flwor) -> Option<&FlworPlan<'p>> {
+        self.nodes
+            .iter()
+            .find(|node| std::ptr::eq(node.flwor, flwor))
+    }
+
+    /// The variable an aggregate operator binds `expr`'s value to.
+    pub(crate) fn aggregate(&self, expr: &Expr) -> Option<&str> {
+        let mut aggregates = self.aggregates.iter();
+        aggregates
+            .find(|(at, _)| *at == address(expr))
+            .map(|(_, name)| &**name)
+    }
+
+    pub(crate) fn sink(&self) -> Option<&Sink<'p>> {
+        self.sink.as_ref()
+    }
+
+    /// `expr` as a [`Recordset`] the plan runs, and its FLWOR's node.
+    fn recordset(&self, expr: &'p Expr) -> Option<(Recordset<'p>, &FlworPlan<'p>)> {
+        let Expr::Element(ctor) = expr else {
+            return None;
+        };
+        let Expr::Flwor(flwor) = sole_enclosed(ctor)? else {
+            return None;
+        };
+        let node = self.node(flwor)?;
+        let rows = matches!(node.whole, Some((_, Some(Whole::Rows(_)))));
+        let name = QName::parse(&ctor.name);
+        (rows || node.project.is_some()).then_some((Recordset { name, flwor }, node))
+    }
+
+    /// What the plan runs for `expr`, the program's body or one of its
+    /// FLWORs (see [`Lowered`]).
+    pub fn lowered(&self, expr: &Expr) -> Lowered {
+        let body = std::ptr::eq(expr, self.body);
+        let node = match (&self.sink, expr) {
+            (Some(Sink::Text(text)), _) if body => {
+                return Lowered::TextSink {
+                    fused: text.fused.is_some(),
+                }
+            }
+            (Some(Sink::Xml(_)), _) if body => return Lowered::XmlSink,
+            (_, Expr::Flwor(flwor)) => self.node(flwor),
+            _ => None,
+        };
+        let Some(node) = node else {
+            return Lowered::Interpreted;
+        };
+        let whole = |kinds: &[Lowering]| match &node.whole {
+            Some((kind, whole)) if kinds.contains(kind) => Some(whole.is_some()),
+            _ => None,
+        };
+        Lowered::Flwor {
+            views: node
+                .views
+                .iter()
+                .map(|(at, view)| (*at, view.pruned))
+                .collect(),
+            aggregate: whole(&[Lowering::Aggregate]),
+            rows: whole(&[Lowering::Sort, Lowering::Set]),
+            projection: node.project.is_some(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -3144,6 +3245,35 @@ mod tests {
             panic!("expected a FLWOR body, got {:?}", program.body);
         };
         flwor
+    }
+
+    /// `f` over the plan of `query`, whose body is a FLWOR, and that
+    /// FLWOR's node.
+    fn planned<R>(
+        query: &str,
+        f: impl FnOnce(&PhysicalPlan<'_>, Option<&FlworPlan<'_>>) -> R,
+    ) -> R {
+        let program = parse_program(query).unwrap_or_else(|e| panic!("{e}"));
+        let Expr::Flwor(flwor) = &program.body else {
+            panic!("expected a FLWOR body, got {:?}", program.body);
+        };
+        let plan = PhysicalPlan::new(&program, ExecStrategy::HashJoin, true);
+        f(&plan, plan.node(flwor))
+    }
+
+    /// `f` over the join pipeline of `query`'s FLWOR body: `None` where the
+    /// prefix is not hash-shaped, `Some(None)` where it is and the planner
+    /// declined it.
+    fn pipeline<R>(query: &str, f: impl FnOnce(Option<Option<&Plan<'_>>>) -> R) -> R {
+        planned(query, |_, node| {
+            f(node
+                .and_then(|node| node.pipeline.as_ref())
+                .map(Option::as_ref))
+        })
+    }
+
+    fn lowers(query: &str) -> bool {
+        pipeline(query, |plan| plan.flatten().is_some())
     }
 
     fn kinds(plan: &Plan<'_>) -> Vec<&'static str> {
@@ -3162,76 +3292,57 @@ mod tests {
 
     #[test]
     fn plans_the_translator_join_shape() {
-        let flwor = flwor_of(
-            "for $a in ns0:CUSTOMERS() for $b in ns1:ORDERS() \
+        let query = "for $a in ns0:CUSTOMERS() for $b in ns1:ORDERS() \
              where ($a/CUSTOMERID = $b/CUSTID) and ($b/AMOUNT > xs:integer(10)) \
-             return $a",
-        );
-        let plan = plan(&flwor).expect("join shape should lower");
-        assert_eq!(plan.consumed, 3);
-        assert_eq!(plan.joins, 1);
-        assert_eq!(kinds(&plan), ["for", "join", "filter"]);
+             return $a";
+        pipeline(query, |plan| {
+            let plan = plan.flatten().expect("join shape should lower");
+            assert_eq!(plan.consumed, 3);
+            assert_eq!(plan.joins, 1);
+            assert_eq!(kinds(plan), ["for", "join", "filter"]);
+        });
     }
 
     #[test]
     fn plans_three_way_join_as_two_hash_joins() {
-        let flwor = flwor_of(
-            "for $a in ns0:CUSTOMERS() for $b in ns1:ORDERS() for $c in ns2:PAYMENTS() \
+        let query = "for $a in ns0:CUSTOMERS() for $b in ns1:ORDERS() for $c in ns2:PAYMENTS() \
              where ($a/CUSTOMERID = $b/CUSTID) and ($a/CUSTOMERID = $c/CUSTID) \
-             return $a",
-        );
-        let plan = plan(&flwor).expect("three-way join should lower");
-        assert_eq!(plan.joins, 2);
+             return $a";
+        let joins = pipeline(query, |plan| plan.flatten().map(|plan| plan.joins));
+        assert_eq!(joins, Some(2), "three-way join should lower");
     }
 
     #[test]
     fn plans_join_over_invariant_let_views() {
         // Paper Example 8's let-bound view shape, joined.
-        let flwor = flwor_of(
-            "let $t1 := <RECORDSET>{for $x in ns0:CUSTOMERS() return $x}</RECORDSET> \
+        let query = "let $t1 := <RECORDSET>{for $x in ns0:CUSTOMERS() return $x}</RECORDSET> \
              let $t2 := <RECORDSET>{for $y in ns1:ORDERS() return $y}</RECORDSET> \
              for $a in $t1/RECORD for $b in $t2/RECORD \
              where $a/CUSTOMERID = $b/CUSTID \
-             return $a",
-        );
-        let plan = plan(&flwor).expect("let-view join should lower");
-        assert_eq!(plan.joins, 1);
-        assert_eq!(plan.consumed, 5);
+             return $a";
+        let lowered = pipeline(query, |plan| plan.flatten().map(|p| (p.joins, p.consumed)));
+        assert_eq!(lowered, Some((1, 5)), "let-view join should lower");
     }
 
     #[test]
     fn declines_unjoinable_shapes() {
-        // Single for clause.
-        assert!(plan(&flwor_of(
-            "for $a in ns0:CUSTOMERS() where $a/ID = 1 return $a"
-        ))
-        .is_none());
-        // Correlated build source.
-        assert!(plan(&flwor_of(
-            "for $a in ns0:CUSTOMERS() for $b in $a/ORDERS where $a/ID = $b/ID return $a"
-        ))
-        .is_none());
-        // No equality conjunct between the two streams.
-        assert!(plan(&flwor_of(
-            "for $a in ns0:CUSTOMERS() for $b in ns1:ORDERS() where $a/ID < $b/ID return $a"
-        ))
-        .is_none());
-        // Value comparison stays on the interpreter.
-        assert!(plan(&flwor_of(
-            "for $a in ns0:CUSTOMERS() for $b in ns1:ORDERS() where $a/ID eq $b/ID return $a"
-        ))
-        .is_none());
-        // Both sides on the build variable: a filter, not a join.
-        assert!(plan(&flwor_of(
-            "for $a in ns0:CUSTOMERS() for $b in ns1:ORDERS() where $b/A = $b/B return $a"
-        ))
-        .is_none());
-        // A probe key that references only stream-constant bindings.
-        assert!(plan(&flwor_of(
+        for query in [
+            // Single for clause.
+            "for $a in ns0:CUSTOMERS() where $a/ID = 1 return $a",
+            // Correlated build source.
+            "for $a in ns0:CUSTOMERS() for $b in $a/ORDERS where $a/ID = $b/ID return $a",
+            // No equality conjunct between the two streams.
+            "for $a in ns0:CUSTOMERS() for $b in ns1:ORDERS() where $a/ID < $b/ID return $a",
+            // Value comparison stays on the interpreter.
+            "for $a in ns0:CUSTOMERS() for $b in ns1:ORDERS() where $a/ID eq $b/ID return $a",
+            // Both sides on the build variable: a filter, not a join.
+            "for $a in ns0:CUSTOMERS() for $b in ns1:ORDERS() where $b/A = $b/B return $a",
+            // A probe key that references only stream-constant bindings.
             "let $k := 5 for $a in ns0:CUSTOMERS() for $b in ns1:ORDERS() \
-             where $k = $b/CUSTID return $a"
-        ))
-        .is_none());
+             where $k = $b/CUSTID return $a",
+        ] {
+            assert!(!lowers(query), "{query}");
+        }
     }
 
     /// The outer-join arm as `gen_left_outer` writes it, with the ON's
@@ -3242,97 +3353,102 @@ mod tests {
 
     #[test]
     fn plans_the_outer_join_let_filter_as_a_probe_let() {
-        let flwor = flwor_of(OUTER_ARM);
-        assert!(hash_shaped(&flwor));
-        let plan = plan(&flwor).expect("outer-join arm should lower");
-        assert_eq!(kinds(&plan), ["for", "probe-let"]);
-        assert_eq!((plan.consumed, plan.joins), (2, 1));
-        let Op::ProbeLet {
-            var,
-            source,
-            probe_key,
-            build_key,
-            rest,
-            index,
-        } = &plan.ops[1]
-        else {
-            unreachable!()
-        };
-        assert_eq!(*var, "m");
-        assert!(index.is_some(), "a bare function keyed by one child");
-        assert!(matches!(&**source, Expr::FunctionCall { name, .. } if name == "ns1:PAYMENTS"));
-        assert_eq!(**probe_key, Expr::var_path("c", &["CUSTOMERID"]));
-        assert!(uses_context(build_key));
-        assert_eq!(rest.len(), 1, "the other ON conjunct stays a residual");
+        pipeline(OUTER_ARM, |plan| {
+            let plan = plan.expect("shaped").expect("outer-join arm should lower");
+            assert_eq!(kinds(plan), ["for", "probe-let"]);
+            assert_eq!((plan.consumed, plan.joins), (2, 1));
+            let Op::ProbeLet {
+                var,
+                source,
+                cut: false,
+                probe_key,
+                build_key,
+                rest,
+                index,
+            } = &plan.ops[1]
+            else {
+                unreachable!()
+            };
+            assert_eq!(*var, "m");
+            assert!(index.is_some(), "a bare function keyed by one child");
+            assert!(matches!(source, Expr::FunctionCall { name, .. } if name == "ns1:PAYMENTS"));
+            assert_eq!(**probe_key, Expr::var_path("c", &["CUSTOMERID"]));
+            assert!(uses_context(build_key));
+            assert_eq!(rest.len(), 1, "the other ON conjunct stays a residual");
+        });
 
         // RIGHT OUTER writes the context side first; a derived right side
         // hangs the predicate off the last step of a path over a view.
-        let mirrored = flwor_of(
-            "let $v := <RECORDSET>{for $x in ns1:PAYMENTS() return $x}</RECORDSET> \
+        let mirrored = "let $v := <RECORDSET>{for $x in ns1:PAYMENTS() return $x}</RECORDSET> \
              for $c in ns0:CUSTOMERS() \
-             let $m := $v/RECORD[(CUSTID=$c/CUSTOMERID)] return $m",
-        );
-        let plan = super::plan(&mirrored).expect("path-form let-filter should lower");
-        assert_eq!(kinds(&plan), ["let", "for", "probe-let"]);
-        let Op::ProbeLet { source, rest, .. } = &plan.ops[2] else {
-            unreachable!()
-        };
-        assert_eq!(*source.as_ref(), Expr::var_path("v", &["RECORD"]));
-        assert!(rest.is_empty());
+             let $m := $v/RECORD[(CUSTID=$c/CUSTOMERID)] return $m";
+        pipeline(mirrored, |plan| {
+            let plan = plan.flatten().expect("path-form let-filter should lower");
+            assert_eq!(kinds(plan), ["let", "for", "probe-let"]);
+            let Op::ProbeLet {
+                source, cut, rest, ..
+            } = &plan.ops[2]
+            else {
+                unreachable!()
+            };
+            // The source is the path, read without its predicate.
+            assert!(*cut && matches!(source, Expr::Path { steps, .. } if steps.len() == 1));
+            assert!(rest.is_empty());
+        });
     }
 
     #[test]
     fn plans_a_view_comparison_as_a_semi_join() {
         // Positive IN as stage 3 writes it ...
-        let inline = flwor_of(
-            "for $c in ns0:CUSTOMERS() \
+        let inline = "for $c in ns0:CUSTOMERS() \
              where ($c/CUSTOMERID = <RECORDSET>{ for $o in ns1:ORDERS() \
                where ($o/AMOUNT>$sqlParam1) return <RECORD><K>{fn:data($o/CUSTID)}</K></RECORD> \
-             }</RECORDSET>/RECORD/K) and ($c/REGION = $sqlParam2) return $c",
-        );
-        assert!(hash_shaped(&inline));
-        let plan = plan(&inline).expect("view comparison should lower");
-        assert_eq!(kinds(&plan), ["for", "semi-join", "filter"]);
-        assert_eq!((plan.consumed, plan.joins), (2, 1));
+             }</RECORDSET>/RECORD/K) and ($c/REGION = $sqlParam2) return $c";
+        pipeline(inline, |plan| {
+            let plan = plan.expect("shaped").expect("view comparison should lower");
+            assert_eq!(kinds(plan), ["for", "semi-join", "filter"]);
+            assert_eq!((plan.consumed, plan.joins), (2, 1));
+        });
 
         // ... and with the view hoisted to a stream-invariant let.
-        let hoisted = flwor_of(
+        let hoisted =
             "let $v := (<RECORDSET>{for $o in ns1:ORDERS() return $o}</RECORDSET>)/RECORD \
-             for $c in ns0:CUSTOMERS() where $c/CUSTOMERID = $v/CUSTID return $c",
-        );
-        assert!(hash_shaped(&hoisted));
-        assert_eq!(
-            kinds(&super::plan(&hoisted).expect("let-view comparison should lower")),
-            ["let", "for", "semi-join"]
-        );
+             for $c in ns0:CUSTOMERS() where $c/CUSTOMERID = $v/CUSTID return $c";
+        pipeline(hoisted, |plan| {
+            let plan = plan
+                .expect("shaped")
+                .expect("let-view comparison should lower");
+            assert_eq!(kinds(plan), ["let", "for", "semi-join"]);
+        });
 
         // Beside an ordinary hash join, each conjunct keys one operator.
-        let both = flwor_of(
-            "let $v := <V>{ns1:ORDERS()}</V> \
+        let both = "let $v := <V>{ns1:ORDERS()}</V> \
              for $a in ns0:CUSTOMERS() for $b in ns1:PAYMENTS() \
-             where ($a/CUSTOMERID = $b/CUSTID) and ($a/CUSTOMERID = $v/ORDERS/CUSTID) return $a",
-        );
-        let plan = super::plan(&both).unwrap();
-        assert_eq!(kinds(&plan), ["let", "for", "join", "semi-join"]);
-        assert_eq!(plan.joins, 2);
+             where ($a/CUSTOMERID = $b/CUSTID) and ($a/CUSTOMERID = $v/ORDERS/CUSTID) return $a";
+        pipeline(both, |plan| {
+            let plan = plan.flatten().unwrap();
+            assert_eq!(kinds(plan), ["let", "for", "join", "semi-join"]);
+            assert_eq!(plan.joins, 2);
+        });
     }
 
     /// Per hash operator of `query`'s plan, its index request as
     /// `(function, child)`; `None` for one that keeps its table to
     /// itself.
     fn requests(query: &str) -> Vec<Option<(String, String)>> {
-        let flwor = flwor_of(query);
-        let plan = plan(&flwor).expect("should lower");
-        let asked = plan.ops.iter().filter_map(|op| match op {
-            Op::HashJoin { index, .. } | Op::ProbeLet { index, .. } => Some(
-                index
-                    .as_ref()
-                    .map(|i| (i.function.to_string(), i.child.to_string())),
-            ),
-            Op::SemiJoin { .. } => Some(None),
-            _ => None,
-        });
-        asked.collect()
+        pipeline(query, |plan| {
+            let plan = plan.flatten().expect("should lower");
+            let asked = plan.ops.iter().filter_map(|op| match op {
+                Op::HashJoin { index, .. } | Op::ProbeLet { index, .. } => Some(
+                    index
+                        .as_ref()
+                        .map(|i| (i.function.to_string(), i.child.to_string())),
+                ),
+                Op::SemiJoin { .. } => Some(None),
+                _ => None,
+            });
+            asked.collect()
+        })
     }
 
     fn request(function: &str, child: &str) -> Option<(String, String)> {
@@ -3378,15 +3494,15 @@ mod tests {
             [request("PAYMENTS", "CUSTID")]
         );
         // What building charges per row: the entry and the key's one node.
-        let flwor = flwor_of(OUTER_ARM);
-        let plan = plan(&flwor).unwrap();
-        let Op::ProbeLet {
-            index: Some(index), ..
-        } = &plan.ops[1]
-        else {
-            unreachable!()
-        };
-        assert_eq!(index.row_fuel, 2);
+        pipeline(OUTER_ARM, |plan| {
+            let Op::ProbeLet {
+                index: Some(index), ..
+            } = &plan.flatten().unwrap().ops[1]
+            else {
+                unreachable!()
+            };
+            assert_eq!(index.row_fuel, 2);
+        });
     }
 
     #[test]
@@ -3454,16 +3570,14 @@ mod tests {
 
     /// Shaped, so a fallback is counted, but not lowered.
     fn assert_declined(query: &str) {
-        let flwor = flwor_of(query);
-        assert!(hash_shaped(&flwor), "should look hashable: {query}");
-        assert!(plan(&flwor).is_none(), "should decline: {query}");
+        let declined = pipeline(query, |plan| matches!(plan, Some(None)));
+        assert!(declined, "should look hashable and decline: {query}");
     }
 
     /// Not even shaped: the early-out answers, nothing is counted.
     fn assert_not_shaped(query: &str) {
-        let flwor = flwor_of(query);
-        assert!(!hash_shaped(&flwor), "should not look hashable: {query}");
-        assert!(plan(&flwor).is_none(), "should decline: {query}");
+        let shaped = pipeline(query, |plan| plan.is_some());
+        assert!(!shaped, "should not look hashable: {query}");
     }
 
     #[test]
@@ -3564,7 +3678,7 @@ mod tests {
     fn projects_the_two_cell_shapes_and_nothing_else() {
         let lowers = |ret: &str| {
             let flwor = flwor_of(&format!("for $v in ns0:T() return {ret}"));
-            is_projection(&flwor.ret)
+            project(&flwor.ret).is_some()
         };
         assert!(lowers(
             "<RECORD><T.A>{fn:data($v/A)}</T.A>{ for $s in fn:data($v/B) return <T.B>{$s}</T.B> }\
@@ -3623,64 +3737,83 @@ mod tests {
     const ONE_GROUP: &str = "let $p := $inter1/RECORD";
 
     fn grouping(query: &str) -> &'static str {
-        match lowers_to_aggregate(&flwor_of(query)) {
+        let aggregate = planned(query, |_, node| {
+            match node.and_then(|node| node.whole.as_ref()) {
+                Some((Lowering::Aggregate, agg)) => Some(agg.is_some()),
+                _ => None,
+            }
+        });
+        match aggregate {
             None => "other",
             Some(false) => "declined",
             Some(true) => "lowered",
         }
     }
 
+    /// `f` over the aggregate `query`'s FLWOR body lowers to.
+    fn with_aggregate<R>(query: &str, f: impl FnOnce(&Aggregate<'_>) -> R) -> R {
+        planned(query, |_, node| {
+            match node.and_then(|node| node.whole.as_ref()) {
+                Some((_, Some(Whole::Aggregate(agg)))) => f(agg),
+                _ => panic!("the grouped shape should lower: {query}"),
+            }
+        })
+    }
+
     #[test]
     fn lowers_both_grouped_shapes_with_every_aggregate_a_variable() {
         // COUNT(*) twice (HAVING and SELECT), COUNT(V) and SUM(DISTINCT V):
-        // a variable each, in the order the rewrite meets them.
+        // a variable each, outermost first.
         let ret = "<RECORD><K>{$g}</K><N>{fn:count($p)}</N>\
              <C>{fn:count((for $a in $p return xs:decimal(fn:data($a/T.V))))}</C>\
              { for $v in (let $t := (fn:distinct-values((for $b in $p return \
              xs:decimal(fn:data($b/T.V))))) return if (fn:empty($t)) then () else fn:sum($t)) \
              return <S>{$v}</S> }</RECORD>";
-        let flwor = flwor_of(&grouped(CELLS, BY_K, ret));
-        let Some(Some(agg)) = aggregate(&flwor) else {
-            panic!("the GROUP BY shape should lower");
-        };
-        assert_eq!(
-            (agg.keys.len(), agg.aggs.len(), agg.having.len()),
-            (1, 4, 1)
-        );
-        let shapes: Vec<_> = agg.aggs.iter().map(|a| (a.func, a.arg.is_some())).collect();
-        assert_eq!(
-            shapes,
-            [
-                ("fn:count", false),
-                ("fn:count", false),
-                ("fn:count", true),
-                ("fn:sum", true)
-            ]
-        );
-        let sum = &agg.aggs[3];
-        assert_eq!((sum.distinct, sum.guarded), (true, true));
-        // The view's plan keeps the two cells read, `T.W` is dead.
-        assert_eq!(agg.pruned, 1);
-        // One unit for the row, three nodes for the key and each argument.
-        assert_eq!(agg.row_fuel, 10);
-        let free = free_vars(&agg.ret);
-        assert!(free.contains("g") && free.contains("#1") && !free.contains("p"));
+        with_aggregate(&grouped(CELLS, BY_K, ret), |agg| {
+            assert_eq!(
+                (agg.keys.len(), agg.aggs.len(), agg.having.len()),
+                (1, 4, 1)
+            );
+            let shapes: Vec<_> = agg
+                .aggs
+                .iter()
+                .map(|(_, _, a)| (a.func, a.arg.is_some()))
+                .collect();
+            assert_eq!(
+                shapes,
+                [
+                    ("fn:count", false),
+                    ("fn:count", false),
+                    ("fn:count", true),
+                    ("fn:sum", true)
+                ]
+            );
+            let (_, _, sum) = &agg.aggs[3];
+            assert_eq!((sum.distinct, sum.guarded), (true, true));
+            // The view's plan keeps the two cells read, `T.W` is dead.
+            assert_eq!(agg.pruned, 1);
+            // One unit for the row, three nodes for the key and each argument.
+            assert_eq!(agg.row_fuel, 10);
+            // Each a variable of the group's, named by its expression.
+            let names: BTreeSet<_> = agg.aggs.iter().map(|(at, name, _)| (at, name)).collect();
+            assert_eq!(names.len(), 4);
+            assert!(names.iter().all(|(at, name)| **name == format!("#{at}")));
+        });
 
         // No GROUP BY: the one group, MIN and AVG over untyped cells.
         let ret = "<RECORD><M>{fn:min((for $a in $p return fn:data($a/T.W)))}</M>\
              <A>{fn:avg((for $a in $p return xs:decimal(fn:data($a/T.V))))}</A></RECORD>";
-        let flwor = flwor_of(&grouped(CELLS, ONE_GROUP, ret));
-        let Some(Some(agg)) = aggregate(&flwor) else {
-            panic!("the implicit group should lower");
-        };
-        assert_eq!((agg.keys.len(), agg.aggs.len(), agg.row_fuel), (0, 2, 6));
+        let shape = with_aggregate(&grouped(CELLS, ONE_GROUP, ret), |agg| {
+            (agg.keys.len(), agg.aggs.len(), agg.row_fuel)
+        });
+        assert_eq!(shape, (0, 2, 6));
     }
 
     #[test]
     fn declines_what_it_does_not_read_and_ignores_what_is_not_grouped() {
         let n = "<RECORD><N>{fn:count($p)}</N></RECORD>";
         assert_eq!(grouping(&grouped(CELLS, BY_K, n)), "lowered");
-        // The partition, a row or the view still free after the rewrite:
+        // The partition, a row or the view free outside the aggregates:
         // `fn:sum` without its guard, a bare partition, the group source,
         // an aggregate over no cell read.
         for ret in [
@@ -3723,10 +3856,7 @@ mod tests {
         ] {
             assert_eq!(grouping(&grouped(CELLS, group, n)), "other", "{group}");
         }
-        assert_eq!(
-            lowers_to_aggregate(&flwor_of("for $x in ns0:T() return $x")),
-            None
-        );
+        assert_eq!(grouping("for $x in ns0:T() return $x"), "other");
     }
 
     /// `let $l := VIEW(cells) [let $r := VIEW(cells)] …` for [`rows_of`].
@@ -3741,7 +3871,14 @@ mod tests {
 
     /// What the rows operator makes of a FLWOR: `(lowering, planned)`.
     fn rows_of(query: &str) -> Option<(Lowering, bool)> {
-        rows(&flwor_of(query)).map(|(kind, planned)| (kind, planned.is_some()))
+        planned(query, |_, node| {
+            match node.and_then(|node| node.whole.as_ref()) {
+                Some((kind @ (Lowering::Sort | Lowering::Set), rows)) => {
+                    Some((*kind, rows.is_some()))
+                }
+                _ => None,
+            }
+        })
     }
 
     #[test]

@@ -56,9 +56,9 @@ impl BindingKind {
 /// analyses typically override [`Visitor::visit_expr`] (to intercept
 /// `VarRef` and FLWOR/quantifier scoping) and call the `walk_*` functions
 /// for the parts they do not handle themselves.
-pub trait Visitor {
+pub trait Visitor<'a> {
     /// Visits one expression (default: recurse).
-    fn visit_expr(&mut self, expr: &Expr)
+    fn visit_expr(&mut self, expr: &'a Expr)
     where
         Self: Sized,
     {
@@ -66,7 +66,7 @@ pub trait Visitor {
     }
 
     /// Visits one FLWOR clause (default: recurse into its expressions).
-    fn visit_clause(&mut self, clause: &Clause)
+    fn visit_clause(&mut self, clause: &'a Clause)
     where
         Self: Sized,
     {
@@ -76,7 +76,7 @@ pub trait Visitor {
 
 /// Recurses into every sub-expression of `expr`, calling
 /// `v.visit_expr` on each.
-pub fn walk_expr<V: Visitor>(v: &mut V, expr: &Expr) {
+pub fn walk_expr<'a, V: Visitor<'a>>(v: &mut V, expr: &'a Expr) {
     match expr {
         Expr::Literal(_) | Expr::EmptySequence | Expr::VarRef(_) | Expr::ContextItem => {}
         Expr::Sequence(items) => {
@@ -133,7 +133,7 @@ pub fn walk_expr<V: Visitor>(v: &mut V, expr: &Expr) {
 }
 
 /// Recurses into a FLWOR's clauses and return expression.
-pub fn walk_flwor<V: Visitor>(v: &mut V, flwor: &Flwor) {
+pub fn walk_flwor<'a, V: Visitor<'a>>(v: &mut V, flwor: &'a Flwor) {
     for clause in &flwor.clauses {
         v.visit_clause(clause);
     }
@@ -141,7 +141,7 @@ pub fn walk_flwor<V: Visitor>(v: &mut V, flwor: &Flwor) {
 }
 
 /// Recurses into the expressions of one clause.
-pub fn walk_clause<V: Visitor>(v: &mut V, clause: &Clause) {
+pub fn walk_clause<'a, V: Visitor<'a>>(v: &mut V, clause: &'a Clause) {
     match clause {
         Clause::For { source, .. } => v.visit_expr(source),
         Clause::Let { value, .. } => v.visit_expr(value),
@@ -160,7 +160,7 @@ pub fn walk_clause<V: Visitor>(v: &mut V, clause: &Clause) {
 }
 
 /// Recurses into an element constructor's attributes and content.
-pub fn walk_element<V: Visitor>(v: &mut V, ctor: &ElementCtor) {
+pub fn walk_element<'a, V: Visitor<'a>>(v: &mut V, ctor: &'a ElementCtor) {
     for (_, parts) in &ctor.attributes {
         for part in parts {
             if let AttrPart::Enclosed(e) = part {
@@ -265,8 +265,8 @@ fn walk_element_mut(ctor: &mut ElementCtor, f: &mut dyn FnMut(&mut Expr)) {
 /// A closure as a [`Visitor`]: sees every expression, parents first.
 struct PreOrder<F>(F);
 
-impl<F: FnMut(&Expr)> Visitor for PreOrder<F> {
-    fn visit_expr(&mut self, expr: &Expr) {
+impl<'a, F: FnMut(&'a Expr)> Visitor<'a> for PreOrder<F> {
+    fn visit_expr(&mut self, expr: &'a Expr) {
         (self.0)(expr);
         walk_expr(self, expr);
     }
@@ -274,12 +274,12 @@ impl<F: FnMut(&Expr)> Visitor for PreOrder<F> {
 
 /// Pre-order walk: calls `f` on `expr` and on every expression below it,
 /// FLWOR clause bodies and constructor content included.
-pub fn each_expr(expr: &Expr, f: &mut impl FnMut(&Expr)) {
+pub fn each_expr<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
     PreOrder(f).visit_expr(expr);
 }
 
 /// [`each_expr`] over the expressions of one clause.
-pub fn each_clause_expr(clause: &Clause, f: &mut impl FnMut(&Expr)) {
+pub fn each_clause_expr<'a>(clause: &'a Clause, f: &mut impl FnMut(&'a Expr)) {
     PreOrder(f).visit_clause(clause);
 }
 
@@ -296,7 +296,7 @@ pub fn each_expr_mut(expr: &mut Expr, f: &mut dyn FnMut(&mut Expr)) {
 /// by naming-discipline checks that do not need full scope tracking.
 pub fn for_each_binding(program: &Program, mut f: impl FnMut(&str, BindingKind)) {
     struct B<F>(F);
-    impl<F: FnMut(&str, BindingKind)> Visitor for B<F> {
+    impl<F: FnMut(&str, BindingKind)> Visitor<'_> for B<F> {
         fn visit_expr(&mut self, expr: &Expr) {
             if let Expr::Quantified { var, .. } = expr {
                 (self.0)(var, BindingKind::Quantifier);
@@ -330,7 +330,7 @@ pub fn for_each_binding(program: &Program, mut f: impl FnMut(&str, BindingKind))
 /// (must not).
 pub fn uses_context(expr: &Expr) -> bool {
     struct Finder(bool);
-    impl Visitor for Finder {
+    impl Visitor<'_> for Finder {
         fn visit_expr(&mut self, expr: &Expr) {
             match expr {
                 Expr::ContextItem => self.0 = true,
@@ -357,19 +357,30 @@ pub fn uses_context(expr: &Expr) -> bool {
 /// missing a use is not, so everything that neither binds nor uses a
 /// name goes through [`walk_expr`].
 pub fn free_vars(expr: &Expr) -> BTreeSet<String> {
-    struct Free {
+    free_vars_except(expr, &mut |_| false)
+}
+
+/// [`free_vars`] of `expr` as if every expression `skip` answers true for
+/// were a leaf that reads nothing. `skip` sees expressions parents first,
+/// and none below one it answered true for.
+pub fn free_vars_except(expr: &Expr, skip: &mut dyn FnMut(&Expr) -> bool) -> BTreeSet<String> {
+    struct Free<'s> {
         bound: Vec<String>,
         free: BTreeSet<String>,
+        skip: &'s mut dyn FnMut(&Expr) -> bool,
     }
-    impl Free {
+    impl Free<'_> {
         fn note_use(&mut self, name: &str) {
             if !self.bound.iter().any(|b| b == name) {
                 self.free.insert(name.to_string());
             }
         }
     }
-    impl Visitor for Free {
+    impl Visitor<'_> for Free<'_> {
         fn visit_expr(&mut self, expr: &Expr) {
+            if (self.skip)(expr) {
+                return;
+            }
             match expr {
                 Expr::VarRef(name) => self.note_use(name),
                 Expr::Path { start, .. } => {
@@ -418,6 +429,7 @@ pub fn free_vars(expr: &Expr) -> BTreeSet<String> {
     let mut v = Free {
         bound: Vec::new(),
         free: BTreeSet::new(),
+        skip,
     };
     v.visit_expr(expr);
     v.free
@@ -480,7 +492,7 @@ mod tests {
         let program =
             parse_program("<R a=\"{$x}\">{ for $y in $x[$z > 1] return <C>{$y}</C> }</R>").unwrap();
         struct Count(usize);
-        impl Visitor for Count {
+        impl Visitor<'_> for Count {
             fn visit_expr(&mut self, expr: &Expr) {
                 if matches!(expr, Expr::VarRef(_)) {
                     self.0 += 1;

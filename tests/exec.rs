@@ -882,7 +882,7 @@ fn all_corpora(seed: u64, per_class: usize) -> Vec<(String, String)> {
 #[test]
 fn every_record_the_translator_emits_lowers_to_the_projection() {
     use aldsp::xquery::ast::{Clause, Expr};
-    use aldsp::xquery::exec::{is_projection, sink_kind, SinkKind};
+    use aldsp::xquery::exec::{Lowered, PhysicalPlan};
     use aldsp::xquery::visit::each_expr;
 
     let scale = Scale::small();
@@ -893,20 +893,36 @@ fn every_record_the_translator_emits_lowers_to_the_projection() {
         for (origin, sql, level, xquery) in emitted_programs(&server, scale, &corpus, transport) {
             let at = format!("{origin} at {level:?}: `{sql}`:\n{xquery}");
             let program = aldsp::xquery::parse_program(&xquery).expect("programs parse");
-            each_expr(&program.body, &mut |expr| {
-                let Expr::Flwor(flwor) = expr else { return };
-                if let Expr::Element(ctor) = &*flwor.ret {
-                    if ctor.name == "RECORD" {
-                        assert!(is_projection(&flwor.ret), "a RECORD is interpreted: {at}");
-                        records += 1;
+            let kind = {
+                let plan = PhysicalPlan::new(&program, ExecStrategy::HashJoin, true);
+                each_expr(&program.body, &mut |expr| {
+                    let Expr::Flwor(flwor) = expr else { return };
+                    if let Expr::Element(ctor) = &*flwor.ret {
+                        if ctor.name == "RECORD" {
+                            let lowered = plan.lowered(expr);
+                            let projected = matches!(
+                                lowered,
+                                Lowered::Flwor {
+                                    projection: true,
+                                    ..
+                                }
+                            );
+                            assert!(projected, "a RECORD is interpreted: {at}");
+                            records += 1;
+                        }
                     }
-                }
-            });
-            let kind = sink_kind(&program.body);
+                });
+                plan.lowered(&program.body)
+            };
             let (shaped, expected) = match transport {
                 Transport::Xml => {
                     let shaped = common::is_sunk_body(&program.body);
-                    (shaped, shaped.then_some(SinkKind::Xml))
+                    let sink = if shaped {
+                        Lowered::XmlSink
+                    } else {
+                        Lowered::Interpreted
+                    };
+                    (shaped, sink)
                 }
                 Transport::DelimitedText => {
                     // `fn:string-join((let $actualQuery := V for …), "")`.
@@ -921,12 +937,7 @@ fn every_record_the_translator_emits_lowers_to_the_projection() {
                         other => panic!("no wrapper: {other:?}"),
                     };
                     let shaped = common::is_sunk_body(view);
-                    let kind = if shaped {
-                        SinkKind::TextFused
-                    } else {
-                        SinkKind::TextOverView
-                    };
-                    (shaped, Some(kind))
+                    (shaped, Lowered::TextSink { fused: shaped })
                 }
             };
             assert_eq!(kind, expected, "{at}");
@@ -941,7 +952,8 @@ fn every_record_the_translator_emits_lowers_to_the_projection() {
                     ExecStrategy::HashJoin,
                 )
                 .unwrap_or_else(|e| panic!("{e}: {at}"));
-            assert_eq!(meter.sink_counts(), (u64::from(kind.is_some()), 0), "{at}");
+            let sunk = kind != Lowered::Interpreted;
+            assert_eq!(meter.sink_counts(), (u64::from(sunk), 0), "{at}");
             match (transport, shaped) {
                 (Transport::DelimitedText, true) => fused += 1,
                 (Transport::DelimitedText, false) => over_view += 1,
@@ -974,7 +986,7 @@ fn every_record_the_translator_emits_lowers_to_the_projection() {
 #[test]
 fn every_view_the_translator_emits_lowers_to_a_tail_plan() {
     use aldsp::xquery::ast::{Clause, Content, Expr, NodeTest};
-    use aldsp::xquery::exec::view_cells_pruned;
+    use aldsp::xquery::exec::{Lowered, PhysicalPlan};
     use aldsp::xquery::visit::{each_clause_expr, each_expr};
     use std::collections::BTreeSet;
 
@@ -1011,70 +1023,78 @@ fn every_view_the_translator_emits_lowers_to_a_tail_plan() {
                 _ => None,
             };
             let mut expected = 0;
-            each_expr(&program.body, &mut |expr| {
-                let Expr::Flwor(flwor) = expr else { return };
-                if wrapper == Some(expr) {
-                    return;
-                }
-                for (clause_at, clause) in flwor.clauses.iter().enumerate() {
-                    let Clause::Let {
-                        value: Expr::Element(view),
-                        ..
-                    } = clause
-                    else {
-                        continue;
-                    };
-                    assert_eq!(view.name, "RECORDSET", "{at}");
-                    let [Content::Enclosed(body)] = view.content.as_slice() else {
-                        panic!("{at}");
-                    };
-                    let Some(pruned) = view_cells_pruned(flwor, clause_at) else {
-                        // DISTINCT under ORDER BY: the body passes another
-                        // view's rows on (`return $var`) and builds none.
-                        let passes_on = matches!(
-                            body,
-                            Expr::Flwor(body) if matches!(&*body.ret, Expr::VarRef(_))
-                        );
-                        assert!(passes_on, "a view is interpreted: {at}");
-                        passed_on += 1;
-                        continue;
-                    };
-                    views += 1;
-                    expected += pruned;
-                    let is_grouped = flwor.clauses[clause_at..]
-                        .iter()
-                        .any(|c| matches!(c, Clause::GroupBy(_)));
-                    let is_outer = matches!(
-                        body,
-                        Expr::Flwor(body) if matches!(&*body.ret, Expr::If { .. })
-                    );
-                    grouped += usize::from(is_grouped);
-                    outer += usize::from(is_outer);
-                    if !(is_grouped || is_outer) {
-                        continue;
+            {
+                let plan = PhysicalPlan::new(&program, ExecStrategy::HashJoin, true);
+                each_expr(&program.body, &mut |expr| {
+                    let Expr::Flwor(flwor) = expr else { return };
+                    if wrapper == Some(expr) {
+                        return;
                     }
-                    let mut cells = BTreeSet::new();
-                    cell_names(body, &mut cells);
-                    let mut named = BTreeSet::new();
-                    let mut note = |expr: &Expr| {
-                        if let Expr::Path { steps, .. } = expr {
-                            for step in steps {
-                                if let NodeTest::Name(name) = &step.test {
-                                    named.insert(name.clone());
+                    let planned = match plan.lowered(expr) {
+                        Lowered::Flwor { views, .. } => views,
+                        _ => Vec::new(),
+                    };
+                    for (clause_at, clause) in flwor.clauses.iter().enumerate() {
+                        let Clause::Let {
+                            value: Expr::Element(view),
+                            ..
+                        } = clause
+                        else {
+                            continue;
+                        };
+                        assert_eq!(view.name, "RECORDSET", "{at}");
+                        let [Content::Enclosed(body)] = view.content.as_slice() else {
+                            panic!("{at}");
+                        };
+                        let pruned = planned.iter().find(|(at, _)| *at == clause_at);
+                        let Some(&(_, pruned)) = pruned else {
+                            // DISTINCT under ORDER BY: the body passes another
+                            // view's rows on (`return $var`) and builds none.
+                            let passes_on = matches!(
+                                body,
+                                Expr::Flwor(body) if matches!(&*body.ret, Expr::VarRef(_))
+                            );
+                            assert!(passes_on, "a view is interpreted: {at}");
+                            passed_on += 1;
+                            continue;
+                        };
+                        views += 1;
+                        expected += pruned;
+                        let is_grouped = flwor.clauses[clause_at..]
+                            .iter()
+                            .any(|c| matches!(c, Clause::GroupBy(_)));
+                        let is_outer = matches!(
+                            body,
+                            Expr::Flwor(body) if matches!(&*body.ret, Expr::If { .. })
+                        );
+                        grouped += usize::from(is_grouped);
+                        outer += usize::from(is_outer);
+                        if !(is_grouped || is_outer) {
+                            continue;
+                        }
+                        let mut cells = BTreeSet::new();
+                        cell_names(body, &mut cells);
+                        let mut named = BTreeSet::new();
+                        let mut note = |expr: &Expr| {
+                            if let Expr::Path { steps, .. } = expr {
+                                for step in steps {
+                                    if let NodeTest::Name(name) = &step.test {
+                                        named.insert(name.clone());
+                                    }
                                 }
                             }
+                        };
+                        for clause in &flwor.clauses[clause_at + 1..] {
+                            each_clause_expr(clause, &mut note);
                         }
-                    };
-                    for clause in &flwor.clauses[clause_at + 1..] {
-                        each_clause_expr(clause, &mut note);
+                        each_expr(&flwor.ret, &mut note);
+                        if cells.difference(&named).next().is_some() {
+                            assert!(pruned > 0, "an unreferenced cell is built: {at}");
+                            pruning += 1;
+                        }
                     }
-                    each_expr(&flwor.ret, &mut note);
-                    if cells.difference(&named).next().is_some() {
-                        assert!(pruned > 0, "an unreferenced cell is built: {at}");
-                        pruning += 1;
-                    }
-                }
-            });
+                })
+            };
             let meter = QueryBudget::unlimited();
             server
                 .execute_to_payload_governed_with(
@@ -1145,7 +1165,7 @@ fn grouped_corpus() -> Vec<(String, String)> {
 #[test]
 fn every_grouped_flwor_the_translator_emits_lowers_to_the_aggregate() {
     use aldsp::xquery::ast::{Clause, Expr, PathStart};
-    use aldsp::xquery::exec::lowers_to_aggregate;
+    use aldsp::xquery::exec::{Lowered, PhysicalPlan};
     use aldsp::xquery::visit::each_expr;
 
     let scale = Scale::small();
@@ -1160,28 +1180,35 @@ fn every_grouped_flwor_the_translator_emits_lowers_to_the_aggregate() {
             let at = format!("{origin} at {level:?}: `{sql}`:\n{xquery}");
             let program = aldsp::xquery::parse_program(&xquery).expect("programs parse");
             let mut grouped = 0;
-            each_expr(&program.body, &mut |expr| {
-                let Expr::Flwor(flwor) = expr else { return };
-                let has_group = flwor
-                    .clauses
-                    .iter()
-                    .any(|c| matches!(c, Clause::GroupBy(_)));
-                let one_group = match flwor.clauses.as_slice() {
-                    [Clause::Let {
-                        var: view,
-                        value: Expr::Element(_),
-                    }, Clause::Let {
-                        value: Expr::Path { start, .. },
-                        ..
-                    }, ..] => matches!(&**start, PathStart::Var(v) if v == view),
-                    _ => false,
-                };
-                let expected = (has_group || one_group).then_some(true);
-                assert_eq!(lowers_to_aggregate(flwor), expected, "{at}");
-                grouped += usize::from(has_group || one_group);
-                by += usize::from(has_group);
-                implicit += usize::from(one_group);
-            });
+            {
+                let plan = PhysicalPlan::new(&program, ExecStrategy::HashJoin, true);
+                each_expr(&program.body, &mut |expr| {
+                    let Expr::Flwor(flwor) = expr else { return };
+                    let has_group = flwor
+                        .clauses
+                        .iter()
+                        .any(|c| matches!(c, Clause::GroupBy(_)));
+                    let one_group = match flwor.clauses.as_slice() {
+                        [Clause::Let {
+                            var: view,
+                            value: Expr::Element(_),
+                        }, Clause::Let {
+                            value: Expr::Path { start, .. },
+                            ..
+                        }, ..] => matches!(&**start, PathStart::Var(v) if v == view),
+                        _ => false,
+                    };
+                    let expected = (has_group || one_group).then_some(true);
+                    let aggregate = match plan.lowered(expr) {
+                        Lowered::Flwor { aggregate, .. } => aggregate,
+                        _ => None,
+                    };
+                    assert_eq!(aggregate, expected, "{at}");
+                    grouped += usize::from(has_group || one_group);
+                    by += usize::from(has_group);
+                    implicit += usize::from(one_group);
+                })
+            };
             for exec in [ExecStrategy::HashJoin, ExecStrategy::NestedLoop] {
                 let meter = QueryBudget::unlimited();
                 universe
@@ -1246,7 +1273,7 @@ fn sorted_and_set_corpus() -> Vec<(String, String)> {
 #[test]
 fn every_sort_and_set_wrapper_the_translator_emits_lowers() {
     use aldsp::xquery::ast::{Clause, Expr};
-    use aldsp::xquery::exec::lowers_to_rows;
+    use aldsp::xquery::exec::{Lowered, PhysicalPlan};
     use aldsp::xquery::visit::each_expr;
 
     let scale = Scale::small();
@@ -1265,19 +1292,26 @@ fn every_sort_and_set_wrapper_the_translator_emits_lowers() {
             let at = format!("{origin} at {level:?}: `{sql}`:\n{xquery}");
             let program = aldsp::xquery::parse_program(&xquery).expect("programs parse");
             let (mut sorted, mut set) = (0, 0);
-            each_expr(&program.body, &mut |expr| {
-                let Expr::Flwor(flwor) = expr else { return };
-                let has = |clause: fn(&Clause) -> bool| flwor.clauses.iter().any(clause);
-                let wrapper = matches!(flwor.clauses.first(), Some(Clause::Let { .. }))
-                    && matches!(&*flwor.ret, Expr::VarRef(_));
-                let filters = has(|c| matches!(c, Clause::Where(_)));
-                let expected = (wrapper && !filters).then_some(true);
-                assert_eq!(lowers_to_rows(flwor), expected, "{at}");
-                let ordered = has(|c| matches!(c, Clause::OrderBy(_)));
-                sorted += usize::from(expected.is_some() && ordered);
-                set += usize::from(expected.is_some() && !ordered);
-                filtered += usize::from(wrapper && filters);
-            });
+            {
+                let plan = PhysicalPlan::new(&program, ExecStrategy::HashJoin, true);
+                each_expr(&program.body, &mut |expr| {
+                    let Expr::Flwor(flwor) = expr else { return };
+                    let has = |clause: fn(&Clause) -> bool| flwor.clauses.iter().any(clause);
+                    let wrapper = matches!(flwor.clauses.first(), Some(Clause::Let { .. }))
+                        && matches!(&*flwor.ret, Expr::VarRef(_));
+                    let filters = has(|c| matches!(c, Clause::Where(_)));
+                    let expected = (wrapper && !filters).then_some(true);
+                    let rows = match plan.lowered(expr) {
+                        Lowered::Flwor { rows, .. } => rows,
+                        _ => None,
+                    };
+                    assert_eq!(rows, expected, "{at}");
+                    let ordered = has(|c| matches!(c, Clause::OrderBy(_)));
+                    sorted += usize::from(expected.is_some() && ordered);
+                    set += usize::from(expected.is_some() && !ordered);
+                    filtered += usize::from(wrapper && filters);
+                })
+            };
             sorts += sorted;
             sets += set;
             for exec in [ExecStrategy::HashJoin, ExecStrategy::NestedLoop] {

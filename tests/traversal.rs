@@ -89,7 +89,7 @@ fn translate_corpus() -> Vec<Case> {
 /// The direct children the shared enumeration yields, by address.
 struct Children(Vec<*const Expr>);
 
-impl Visitor for Children {
+impl Visitor<'_> for Children {
     fn visit_expr(&mut self, expr: &Expr) {
         self.0.push(expr);
     }
