@@ -1598,7 +1598,7 @@ fn e13_exec_engine(smoke: bool) {
         let mut times = Vec::with_capacity(samples);
         let mut built = 0;
         for sample in 0..=samples {
-            let fresh = DspServer::new(server.application().clone(), universe.oracle.clone());
+            let fresh = DspServer::new((*server.application()).clone(), universe.oracle.clone());
             let conn =
                 Connection::open_with_cache(Arc::new(fresh), hash_options, Arc::clone(&cold_plans));
             for table in ["CUSTOMERS", "ORDERS", "PAYMENTS"] {

@@ -8,26 +8,21 @@
 
 use crate::fault::FaultInjector;
 use crate::DriverError;
-use aldsp_catalog::{shared_locator, Application, SharedLocator, TableLocator};
+use aldsp_catalog::{
+    shared_locator, Application, DataServiceFunction, FunctionKind, SharedLocator, TableLocator,
+};
 use aldsp_governor::{ExecStrategy, QueryBudget};
 pub use aldsp_relational::sql_value_to_sequence;
 use aldsp_relational::Database;
-use aldsp_xml::{Item, Sequence};
+use aldsp_xml::Sequence;
 use aldsp_xquery::{
     evaluate_program, evaluate_program_exec, evaluate_program_to_payload, parse_program,
     FunctionSource, JoinTable, Program, XqError,
 };
-use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use parking_lot::RwLock;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::ThreadId;
-
-/// A read guard over the server's application artifacts.
-pub type ApplicationRef<'a> = std::sync::RwLockReadGuard<'a, Application>;
-
-/// A read guard over the server's backing database.
-pub type DatabaseRef<'a> = std::sync::RwLockReadGuard<'a, Database>;
 
 /// Execution statistics (bytes shipped, calls made) for the E1/E4
 /// experiments.
@@ -43,27 +38,24 @@ pub struct ServerStats {
 
 /// The server: artifacts + data + an XQuery engine.
 ///
-/// The catalog side is mutable at runtime ([`DspServer::reload`],
-/// [`DspServer::mutate_database`]); every change bumps a *metadata epoch*
-/// that open connections observe through the shared locator's metadata
-/// API, and that executions carry so the server can reject translations
-/// prepared against an older catalog ([`DriverError::StaleMetadata`])
-/// instead of running them against changed metadata.
+/// The catalog and the data are one *snapshot*, which a statement takes
+/// once and answers every `call` from — a logical body's nested calls too —
+/// so no statement joins two epochs' rows. A change ([`DspServer::reload`],
+/// [`DspServer::mutate_database`]) builds the next snapshot and swaps it
+/// in; what was materialized of the old one dies with it. Every change
+/// bumps a *metadata epoch* that open connections observe through the
+/// shared locator's metadata API, and that executions carry so the server
+/// can reject translations prepared against an older catalog
+/// ([`DriverError::StaleMetadata`]) instead of running them against
+/// changed metadata — checked against the snapshot the statement runs on.
 pub struct DspServer {
     /// Shared with every connection's metadata API, so catalog reloads
     /// are visible without reopening connections.
     locator: SharedLocator,
-    /// The metadata generation; bumped on every catalog/data change.
+    /// The current snapshot's epoch, for the connections' metadata API.
     epoch: Arc<AtomicU64>,
-    database: RwLock<Database>,
-    application: RwLock<Application>,
-    /// Materialized function results, keyed by function name, each with
-    /// the join indexes built over it.
-    materialized: RwLock<HashMap<String, Materialized>>,
-    /// Logical functions currently being evaluated, tracked per thread
-    /// (cycle detection must not trip when two threads evaluate the same
-    /// logical service concurrently).
-    logical_in_flight: Mutex<HashMap<ThreadId, HashSet<String>>>,
+    /// The catalog and data every statement starting now runs on.
+    snapshot: RwLock<Arc<Snapshot>>,
     /// [`ServerStats`], one counter per field: bumped on every query and
     /// every data-service call, so they must not serialize the workers.
     queries: AtomicU64,
@@ -73,26 +65,38 @@ pub struct DspServer {
     fault: RwLock<Option<Arc<FaultInjector>>>,
 }
 
-/// One function's rows as every `call` hands them out until the next
-/// write, and the join indexes over them by the child that keys a row
+/// One epoch of the server: its catalog, its data, and the function
+/// results materialized from them. Never changed but for the memo, which
+/// only ever grows.
+struct Snapshot {
+    epoch: u64,
+    application: Arc<Application>,
+    database: Database,
+    /// Each function's first materialization in this snapshot, keyed by
+    /// its name: every later call of it is handed the same elements.
+    materialized: RwLock<HashMap<String, Materialized>>,
+}
+
+/// One function's rows as every `call` of its snapshot hands them out,
+/// and the join indexes over them by the child that keys a row
 /// ([`FunctionSource::join_index`]) — the stand-in for the relational
 /// source's own index on `ORDERS.CUSTID`. An index lives in the entry it
-/// was built from and dies with it, and there are at most as many as the
-/// catalog has columns, so nothing is ever evicted.
+/// was built from and dies with its snapshot, and there are at most as
+/// many as the catalog has columns, so nothing is ever evicted.
 struct Materialized {
     rows: Sequence,
     indexes: HashMap<String, Arc<JoinTable>>,
 }
 
-impl Materialized {
-    /// Whether `rows` are these rows: element for element the same
-    /// allocation, not merely equal — what a kept index may be served for.
-    fn holds(&self, rows: &Sequence) -> bool {
-        let same = |(mine, theirs): (&Item, &Item)| match (mine.as_element(), theirs.as_element()) {
-            (Some(mine), Some(theirs)) => Arc::ptr_eq(mine, theirs),
-            _ => false,
-        };
-        self.rows.len() == rows.len() && self.rows.iter().zip(rows.iter()).all(same)
+impl Snapshot {
+    fn new(epoch: u64, application: Arc<Application>, database: Database) -> Arc<Snapshot> {
+        let materialized = RwLock::new(HashMap::new());
+        Arc::new(Snapshot {
+            epoch,
+            application,
+            database,
+            materialized,
+        })
     }
 }
 
@@ -102,10 +106,7 @@ impl DspServer {
         DspServer {
             locator: shared_locator(TableLocator::for_application(&application)),
             epoch: Arc::new(AtomicU64::new(0)),
-            database: RwLock::new(database),
-            application: RwLock::new(application),
-            materialized: RwLock::new(HashMap::new()),
-            logical_in_flight: Mutex::new(HashMap::new()),
+            snapshot: RwLock::new(Snapshot::new(0, Arc::new(application), database)),
             queries: AtomicU64::new(0),
             function_calls: AtomicU64::new(0),
             bytes_shipped: AtomicU64::new(0),
@@ -113,9 +114,25 @@ impl DspServer {
         }
     }
 
+    /// The snapshot a statement starting now runs on.
+    fn snapshot(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.snapshot.read())
+    }
+
+    /// Swaps in the next epoch's snapshot, whose catalog and data `next`
+    /// makes from the current one's. Writers take turns, so none builds
+    /// on a snapshot another has already replaced.
+    fn advance(&self, next: impl FnOnce(&Snapshot) -> (Arc<Application>, Database)) {
+        let mut current = self.snapshot.write();
+        let (application, database) = next(&current);
+        let epoch = current.epoch + 1;
+        *current = Snapshot::new(epoch, application, database);
+        self.epoch.store(epoch, Ordering::Release);
+    }
+
     /// The application's artifacts.
-    pub fn application(&self) -> ApplicationRef<'_> {
-        self.application.read()
+    pub fn application(&self) -> Arc<Application> {
+        Arc::clone(&self.snapshot().application)
     }
 
     /// The table locator handle (shared with the driver's metadata API).
@@ -133,17 +150,17 @@ impl DspServer {
         Arc::clone(&self.epoch)
     }
 
-    fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        self.materialized.write().clear();
-    }
-
     /// Mutates the backing database through a shared handle (the driver
-    /// holds servers in `Arc`). Counts as a metadata/data change:
-    /// materialized results are dropped and the epoch moves.
+    /// holds servers in `Arc`). Counts as a metadata/data change: the
+    /// epoch moves, and statements from now on see the new data with
+    /// nothing materialized. `f` changes a copy that shares every table
+    /// but the ones it writes.
     pub fn mutate_database(&self, f: impl FnOnce(&mut Database)) {
-        f(&mut self.database.write());
-        self.bump_epoch();
+        self.advance(|current| {
+            let mut database = current.database.clone();
+            f(&mut database);
+            (Arc::clone(&current.application), database)
+        });
     }
 
     /// Replaces the application and its data wholesale — a catalog
@@ -152,9 +169,7 @@ impl DspServer {
     /// makes their caches and prepared translations detectably stale.
     pub fn reload(&self, application: Application, database: Database) {
         *self.locator.write() = TableLocator::for_application(&application);
-        *self.application.write() = application;
-        *self.database.write() = database;
-        self.bump_epoch();
+        self.advance(|_| (Arc::new(application), database));
     }
 
     /// Installs (or, with `None`, removes) a fault injector on the
@@ -169,9 +184,9 @@ impl DspServer {
         self.fault.read().clone()
     }
 
-    /// The backing database (read access).
-    pub fn database(&self) -> DatabaseRef<'_> {
-        self.database.read()
+    /// The backing database: a copy sharing the current snapshot's tables.
+    pub fn database(&self) -> Database {
+        self.snapshot().database.clone()
     }
 
     /// Statistics so far.
@@ -206,25 +221,34 @@ impl DspServer {
         budget: Option<&QueryBudget>,
         strategy: ExecStrategy,
     ) -> Result<Sequence, DriverError> {
-        self.compile_and(xquery, |program| {
-            evaluate_program_exec(program, self, params, budget, strategy)
+        self.compile_and(xquery, None, |program, reader| {
+            evaluate_program_exec(program, reader, params, budget, strategy)
         })
     }
 
-    /// One execution: the fault hook, compilation, the query count, then
-    /// `evaluate` with its errors mapped onto the driver's.
+    /// One execution on one snapshot: the epoch check, the fault hook,
+    /// compilation, the query count, then `evaluate` through the
+    /// statement's [`Reader`], with its errors mapped onto the driver's.
     fn compile_and<T>(
         &self,
         xquery: &str,
-        evaluate: impl FnOnce(&Program) -> Result<T, XqError>,
+        client_epoch: Option<u64>,
+        evaluate: impl FnOnce(&Program, &Reader<'_>) -> Result<T, XqError>,
     ) -> Result<T, DriverError> {
+        let snapshot = self.snapshot();
+        if let Some(client_epoch) = client_epoch.filter(|&epoch| epoch != snapshot.epoch) {
+            return Err(DriverError::StaleMetadata {
+                client_epoch,
+                server_epoch: snapshot.epoch,
+            });
+        }
         if let Some(injector) = self.fault_injector() {
             injector.on_execute()?;
         }
         let program = parse_program(xquery)
             .map_err(|e| DriverError::Execution(format!("XQuery compilation failed: {e}")))?;
         self.queries.fetch_add(1, Ordering::Relaxed);
-        evaluate(&program).map_err(|e| match e.budget_error() {
+        evaluate(&program, &Reader::new(self, &snapshot)).map_err(|e| match e.budget_error() {
             Some(b) => DriverError::from_budget(b),
             None => DriverError::Execution(e.message),
         })
@@ -238,8 +262,8 @@ impl DspServer {
     /// [`ExecStrategy::HashJoin`] a statement whose body has a sink's shape
     /// is serialized while it is evaluated.
     ///
-    /// When `client_epoch` is given and differs from the server's current
-    /// metadata epoch, the query is rejected with
+    /// When `client_epoch` is given and differs from the epoch of the
+    /// snapshot the statement would run on, the query is rejected with
     /// [`DriverError::StaleMetadata`] before evaluation — executing a
     /// translation against metadata it was not prepared for could
     /// otherwise return silently wrong rows. `budget` and `strategy` are
@@ -252,17 +276,8 @@ impl DspServer {
         budget: Option<&QueryBudget>,
         strategy: ExecStrategy,
     ) -> Result<String, DriverError> {
-        if let Some(client_epoch) = client_epoch {
-            let server_epoch = self.epoch();
-            if client_epoch != server_epoch {
-                return Err(DriverError::StaleMetadata {
-                    client_epoch,
-                    server_epoch,
-                });
-            }
-        }
-        let mut payload = self.compile_and(xquery, |program| {
-            evaluate_program_to_payload(program, self, params, budget, strategy)
+        let mut payload = self.compile_and(xquery, client_epoch, |program, reader| {
+            evaluate_program_to_payload(program, reader, params, budget, strategy)
         })?;
         if let Some(injector) = self.fault_injector() {
             payload = injector.on_transport(payload)?;
@@ -271,13 +286,47 @@ impl DspServer {
             .fetch_add(payload.len() as u64, Ordering::Relaxed);
         Ok(payload)
     }
+}
 
-    fn rows_for_function(&self, name: &str) -> Result<Sequence, XqError> {
-        // Read before any data is: the rows built below are at least as
-        // new as this epoch, so `store_materialized` can tell whether a
-        // write has landed since.
-        let epoch = self.epoch();
-        if let Some(cached) = self.materialized.read().get(name) {
+/// Outside a statement: each call is a statement of its own on the
+/// current snapshot. `join_index` is the trait's default — build, keep
+/// nothing — because a caller here cannot show that the rows it holds are
+/// a snapshot's.
+impl FunctionSource for DspServer {
+    fn call(
+        &self,
+        namespace: Option<&str>,
+        local: &str,
+        args: &[Sequence],
+    ) -> Result<Sequence, XqError> {
+        Reader::new(self, &self.snapshot()).call(namespace, local, args)
+    }
+}
+
+/// A statement's function source: every `call` answered from one
+/// snapshot, a logical body's nested calls included.
+struct Reader<'a> {
+    server: &'a DspServer,
+    snapshot: &'a Snapshot,
+    /// The logical services whose bodies this source is evaluating,
+    /// outermost first: a call of one of them is a cycle.
+    calling: Vec<String>,
+}
+
+impl<'a> Reader<'a> {
+    fn new(server: &'a DspServer, snapshot: &'a Snapshot) -> Reader<'a> {
+        Reader {
+            server,
+            snapshot,
+            calling: Vec::new(),
+        }
+    }
+
+    /// The function's rows: the snapshot's materialization of it, made
+    /// here on the first call. Two statements that miss together both
+    /// build, and both are handed the rows stored first.
+    fn rows(&self, name: &str) -> Result<Sequence, XqError> {
+        if let Some(cached) = self.snapshot.materialized.read().get(name) {
             return Ok(cached.rows.clone());
         }
         // Logical data services execute their XQuery body, which calls
@@ -285,102 +334,62 @@ impl DspServer {
         // each data service function for a logical data service is an
         // XQuery written in terms of one or more lower-level data service
         // function calls").
-        let logical_body = {
-            let application = self.application.read();
-            let body = application.functions().find_map(|(_, _, f)| {
-                if f.name == name {
-                    match &f.kind {
-                        aldsp_catalog::FunctionKind::Logical { body } => Some(body.clone()),
-                        aldsp_catalog::FunctionKind::Physical => None,
-                    }
-                } else {
-                    None
-                }
-            });
-            body
-        };
-        let rows = match logical_body {
-            Some(body) => {
-                // Re-entrancy guard: a logical function calling itself
-                // (directly or through a cycle) must fail, not recurse
-                // forever.
-                {
-                    let mut in_flight = self.logical_in_flight.lock();
-                    let mine = in_flight.entry(std::thread::current().id()).or_default();
-                    if !mine.insert(name.to_string()) {
-                        return Err(XqError::new(format!(
-                            "cyclic logical data service definition involving {name}"
-                        )));
-                    }
-                }
-                let result = (|| {
-                    let program = aldsp_xquery::parse_program(&body).map_err(|e| {
-                        XqError::new(format!("logical service {name} failed to compile: {e}"))
-                    })?;
-                    evaluate_program(&program, self)
-                })();
-                {
-                    let mut in_flight = self.logical_in_flight.lock();
-                    let id = std::thread::current().id();
-                    if let Some(mine) = in_flight.get_mut(&id) {
-                        mine.remove(name);
-                        if mine.is_empty() {
-                            in_flight.remove(&id);
-                        }
-                    }
-                }
-                result?
+        let rows = match self.function(name).map(|f| &f.kind) {
+            // A logical function calling itself (directly or through a
+            // cycle) must fail, not recurse forever.
+            Some(FunctionKind::Logical { .. }) if self.calling.iter().any(|c| c == name) => {
+                return Err(XqError::new(format!(
+                    "cyclic logical data service definition involving {name}"
+                )))
             }
-            None => {
-                let database = self.database.read();
-                let table = database.table(name).ok_or_else(|| {
+            Some(FunctionKind::Logical { body }) => {
+                let program = parse_program(body).map_err(|e| {
+                    XqError::new(format!("logical service {name} failed to compile: {e}"))
+                })?;
+                let mut inner = Reader::new(self.server, self.snapshot);
+                inner.calling = self.calling.clone();
+                inner.calling.push(name.to_string());
+                evaluate_program(&program, &inner)?
+            }
+            _ => {
+                let table = self.snapshot.database.table(name).ok_or_else(|| {
                     XqError::new(format!("no data behind data-service function {name}"))
                 })?;
                 table.row_elements()
             }
         };
-        self.store_materialized(name, &rows, epoch);
-        Ok(rows)
+        let mut materialized = self.snapshot.materialized.write();
+        let fresh = Materialized {
+            rows,
+            indexes: HashMap::new(),
+        };
+        let kept = materialized.entry(name.to_string()).or_insert(fresh);
+        Ok(kept.rows.clone())
     }
 
-    /// Caches `rows`, built from data read at `epoch` or later — unless
-    /// the epoch has moved since. `bump_epoch` moves the epoch first and
-    /// clears the map second, so a check under the map's write lock
-    /// either sees the new epoch (and keeps the stale rows out) or runs
-    /// before the clear (which then drops them).
-    fn store_materialized(&self, name: &str, rows: &Sequence, epoch: u64) {
-        let mut materialized = self.materialized.write();
-        if self.epoch() == epoch {
-            let fresh = Materialized {
-                rows: rows.clone(),
-                indexes: HashMap::new(),
-            };
-            materialized.insert(name.to_string(), fresh);
-        }
+    fn function(&self, name: &str) -> Option<&DataServiceFunction> {
+        let functions = self.snapshot.application.functions();
+        functions.map(|(_, _, f)| f).find(|f| f.name == name)
     }
 }
 
-impl FunctionSource for DspServer {
+impl FunctionSource for Reader<'_> {
     fn call(
         &self,
         _namespace: Option<&str>,
         local: &str,
         args: &[Sequence],
     ) -> Result<Sequence, XqError> {
-        self.function_calls.fetch_add(1, Ordering::Relaxed);
-        let rows = self.rows_for_function(local)?;
+        self.server.function_calls.fetch_add(1, Ordering::Relaxed);
+        let rows = self.rows(local)?;
         if args.is_empty() {
             return Ok(rows);
         }
         // Functions with parameters (SQL stored procedures, Figure 2
         // (iii)): parameters filter by the function's declared parameter
         // names, matched against row columns.
-        let application = self.application.read();
-        let function = application
-            .functions()
-            .map(|(_, _, f)| f)
-            .find(|f| f.name == local)
-            .ok_or_else(|| XqError::new(format!("unknown data-service function {local}")))?;
+        let unknown = || XqError::new(format!("unknown data-service function {local}"));
+        let function = self.function(local).ok_or_else(unknown)?;
         if args.len() != function.parameters.len() {
             return Err(XqError::new(format!(
                 "{local} expects {} argument(s), got {}",
@@ -408,28 +417,27 @@ impl FunctionSource for DspServer {
         Ok(filtered)
     }
 
-    /// Kept in the function's `materialized` entry, and only ever for the
-    /// rows of that entry: a request holding other rows — an epoch's, or a
-    /// racing materialization's, that the entry no longer has — builds and
-    /// keeps nothing. No lock is held while `build` runs, so statements
+    /// Kept in the function's entry of the snapshot. The rows a request
+    /// holds are that entry's by construction — every call of the
+    /// statement was answered from this snapshot, which hands out its
+    /// first materialization only — so the index is served without
+    /// looking at them. No lock is held while `build` runs, so statements
     /// that miss together all build.
     fn join_index(
         &self,
         local: &str,
         child: &str,
-        rows: &Sequence,
+        _rows: &Sequence,
         build: &dyn Fn() -> Result<Arc<JoinTable>, XqError>,
     ) -> Result<Arc<JoinTable>, XqError> {
-        if let Some(of) = self.materialized.read().get(local) {
-            if let Some(index) = of.indexes.get(child).filter(|_| of.holds(rows)) {
-                return Ok(Arc::clone(index));
-            }
+        let materialized = &self.snapshot.materialized;
+        let kept = |of: &Materialized| of.indexes.get(child).cloned();
+        if let Some(index) = materialized.read().get(local).and_then(kept) {
+            return Ok(index);
         }
         let index = build()?;
-        if let Some(of) = self.materialized.write().get_mut(local) {
-            if of.holds(rows) {
-                of.indexes.insert(child.to_string(), Arc::clone(&index));
-            }
+        if let Some(of) = materialized.write().get_mut(local) {
+            of.indexes.insert(child.to_string(), Arc::clone(&index));
         }
         Ok(index)
     }
@@ -640,25 +648,24 @@ mod tests {
 
     #[test]
     fn rows_built_before_a_write_are_not_cached_after_it() {
-        // The interleaving `rows_for_function` can lose: it reads the
-        // epoch and builds T's rows, a write bumps the epoch and clears
-        // the map, and only then does it reach the store.
+        // A statement that took its snapshot before a write materializes
+        // T after it: the old data's rows stay with the old snapshot.
         let s = server();
-        let epoch = s.epoch();
-        let stale = s.database().table("T").unwrap().row_elements();
+        let before = s.snapshot();
         s.mutate_database(|db| {
             db.table_mut("T")
                 .unwrap()
                 .insert(vec![SqlValue::Int(3), SqlValue::Str("c".into())])
         });
-        s.store_materialized("T", &stale, epoch);
+        let stale = Reader::new(&s, &before).call(None, "T", &[]).unwrap();
+        assert_eq!(stale.len(), 2);
         assert!(
-            s.materialized.read().is_empty(),
+            s.snapshot().materialized.read().is_empty(),
             "rows of the old data were cached at the new epoch"
         );
         assert_eq!(s.call(None, "T", &[]).unwrap().len(), 3);
         // Rows built at the current epoch do get cached.
-        assert_eq!(s.materialized.read().len(), 1);
+        assert_eq!(s.snapshot().materialized.read().len(), 1);
     }
 
     #[test]
@@ -667,6 +674,75 @@ mod tests {
         s.call(None, "T", &[]).unwrap();
         s.call(None, "T", &[]).unwrap();
         assert_eq!(s.stats().function_calls, 2);
-        assert_eq!(s.materialized.read().len(), 1);
+        assert_eq!(s.snapshot().materialized.read().len(), 1);
+    }
+
+    /// `server_with_logical`'s data with one more row of T, `ID` 4.
+    fn written(db: &mut Database) {
+        let row = vec![SqlValue::Int(4), SqlValue::Str("d".into())];
+        db.table_mut("T").unwrap().insert(row);
+    }
+
+    #[test]
+    fn one_statement_reads_one_snapshot() {
+        for change in ["a write", "a reload"] {
+            let s = server_with_logical();
+            let land = |s: &DspServer| match change {
+                "a write" => s.mutate_database(written),
+                _ => {
+                    let mut database = s.database();
+                    written(&mut database);
+                    s.reload((*s.application()).clone(), database)
+                }
+            };
+            let snapshot = s.snapshot();
+            // One statement calls T before the change; another has made
+            // no call yet, so BIG_T's body reads T only after it.
+            let (called, idle) = (Reader::new(&s, &snapshot), Reader::new(&s, &snapshot));
+            assert_eq!(called.call(None, "T", &[]).unwrap().len(), 3, "{change}");
+            land(&s);
+            for statement in [&called, &idle] {
+                assert_eq!(statement.call(None, "T", &[]).unwrap().len(), 3, "{change}");
+                assert_eq!(
+                    statement.call(None, "BIG_T", &[]).unwrap().len(),
+                    2,
+                    "{change}"
+                );
+            }
+            // A statement that starts now sees the change.
+            assert_eq!(s.call(None, "T", &[]).unwrap().len(), 4, "{change}");
+            assert_eq!(s.call(None, "BIG_T", &[]).unwrap().len(), 3, "{change}");
+        }
+    }
+
+    #[test]
+    fn concurrent_first_materializations_share_one() {
+        // Eight statements on one snapshot call a logical service at once:
+        // none is taken for a cycle of another's, and all are handed the
+        // elements of the one materialization the snapshot kept.
+        const STATEMENTS: usize = 8;
+        let s = server_with_logical();
+        let snapshot = s.snapshot();
+        let start = std::sync::Barrier::new(STATEMENTS);
+        let answers: Vec<Sequence> = std::thread::scope(|scope| {
+            let statements: Vec<_> = (0..STATEMENTS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        Reader::new(&s, &snapshot).call(None, "BIG_T", &[])
+                    })
+                })
+                .collect();
+            let answers = statements.into_iter().map(|t| t.join().unwrap());
+            answers.collect::<Result<_, _>>().unwrap()
+        });
+        let element = |item: &aldsp_xml::Item| Arc::clone(item.as_element().unwrap());
+        let first: Vec<_> = answers[0].iter().map(element).collect();
+        assert_eq!(first.len(), 2);
+        for answer in &answers {
+            let rows: Vec<_> = answer.iter().map(element).collect();
+            assert_eq!(rows.len(), first.len());
+            assert!(rows.iter().zip(&first).all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
     }
 }

@@ -5,6 +5,7 @@ use crate::value::SqlValue;
 use aldsp_catalog::TableSchema;
 use aldsp_xml::{flat::build_row, Item, QName, Sequence};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A stored table: its schema plus rows.
 #[derive(Debug, Clone)]
@@ -84,10 +85,12 @@ impl Table {
 }
 
 /// A collection of named tables. Lookup is by bare table name — the
-/// catalog layer resolves qualified SQL names down to these.
+/// catalog layer resolves qualified SQL names down to these. Clones share
+/// their tables: a clone is cheap, and a write through
+/// [`Database::table_mut`] copies the one table it changes.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    tables: HashMap<String, Table>,
+    tables: HashMap<String, Arc<Table>>,
 }
 
 impl Database {
@@ -98,17 +101,18 @@ impl Database {
 
     /// Adds (or replaces) a table.
     pub fn add_table(&mut self, table: Table) {
-        self.tables.insert(table.schema.table_name.clone(), table);
+        self.tables
+            .insert(table.schema.table_name.clone(), Arc::new(table));
     }
 
     /// Looks up a table.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name)
+        self.tables.get(name).map(Arc::as_ref)
     }
 
-    /// Mutable lookup (data loading).
+    /// Mutable lookup (data loading); unshares the table first.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
-        self.tables.get_mut(name)
+        self.tables.get_mut(name).map(Arc::make_mut)
     }
 
     /// Table names (unordered).

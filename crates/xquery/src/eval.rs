@@ -113,6 +113,9 @@ pub trait FunctionSource {
     /// beside them and answer a later request with it — but only a request
     /// whose `rows` are, element for element, the ones the kept table was
     /// built from: a table is a snapshot of one `call`, the statement's.
+    /// (The driver's server meets this by construction: a statement's
+    /// source answers every `call` from one snapshot, which hands out one
+    /// materialization per function and keeps the table beside it.)
     /// No lock should be held while `build` runs (it keys every row); an
     /// error of `build` is the request's, and nothing is kept.
     fn join_index(

@@ -576,7 +576,7 @@ proptest! {
     fn a_found_join_index_answers_like_a_built_one(seed in 0u64..100_000) {
         let universe = nasty_universe(&mut StdRng::seed_from_u64(seed));
         let fresh = Universe::new(
-            universe.server.application().clone(),
+            (*universe.server.application()).clone(),
             universe.oracle.clone(),
         );
         let transport = Transport::DelimitedText;
