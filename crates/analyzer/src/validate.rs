@@ -98,8 +98,8 @@ pub struct ValidateOptions {
     /// equivalence relative to these integrity constraints*. Empty by
     /// default — plain validation quantifies over unconstrained
     /// databases. The optimizer seeds this from its catalog statistics
-    /// so uniqueness-keyed rewrites (DISTINCT elimination, ORDER BY key
-    /// pruning) are judged only on databases that can actually occur.
+    /// so its rewrites are judged only on databases that can actually
+    /// occur.
     pub key_columns: Vec<(String, String)>,
 }
 

@@ -83,12 +83,9 @@ pub enum OptimizeLevel {
     /// No rewriting: execute the stage-three program verbatim.
     #[default]
     Off,
-    /// Order-preserving rules only (predicate pushdown, let inlining,
-    /// dead-let elimination, DISTINCT elimination, ORDER BY key pruning,
-    /// loop-invariant hoisting).
-    Basic,
-    /// Adds join reordering of independent `for` clauses — sound only up
-    /// to row order, so it is restricted to queries without ORDER BY.
+    /// Run the rewrite engine (loop-invariant hoisting, behind its safety
+    /// gate). The rewrite preserves row order, so an optimized plan
+    /// emits the naive plan's rows in the naive order.
     Full,
 }
 
@@ -134,9 +131,9 @@ impl TranslationOptions {
 /// One rule application (or refusal) in an optimizer's rewrite trace.
 #[derive(Debug, Clone)]
 pub struct RewriteStep {
-    /// Rule name (`predicate_pushdown`, `let_inline`, ...).
+    /// Rule name (`invariant_hoist`).
     pub rule: &'static str,
-    /// The layer-4 performance lint the rule discharges (`P002`, ...).
+    /// The layer-4 performance lint the rule discharges (`P008`).
     pub lint: &'static str,
     /// Estimated evaluator fuel before the rule ran.
     pub cost_before: f64,

@@ -1,18 +1,20 @@
-//! # aldsp-optimizer — cost-driven FLWOR rewrite engine
+//! # aldsp-optimizer — cost-gated FLWOR rewrite engine
 //!
 //! The paper's stage-three generator is deliberately naive and
 //! compositional (§3.5): every query-block zone becomes its own nested
 //! `for`/`let`, predicates stay where SQL put them, and DISTINCT / ORDER
 //! BY translate structurally whether or not they do anything. The layer-4
-//! cost analyzer *diagnoses* the resulting waste (`P001`–`P008`); this
-//! crate closes the loop and *fixes* it, the way mediator-style XQuery
-//! engines recover performance from a naive algebraic translation.
+//! cost analyzer *diagnoses* the resulting waste (`P001`–`P008`). Most of
+//! it the XQuery engine underneath cleans up by itself — it plans joins,
+//! views, aggregates, sorts and set operations per statement — so this
+//! crate fixes the one pattern the engine does not: a loop-invariant
+//! source re-evaluated per tuple (`P008`), which the `invariant_hoist`
+//! rule moves into one `let`.
 //!
 //! The engine parses the generated program back to the `aldsp-xquery`
-//! AST, runs the rule pipeline of [`rules::PIPELINE`] — each rule keyed
-//! to the lint it discharges — and prices every candidate with the same
-//! fuel model the analyzer calibrated against the evaluator
-//! (`estimate_program_fuel`). A rewrite is kept only when it passes the
+//! AST, applies the rule, and prices the candidate with the same fuel
+//! model the analyzer calibrated against the evaluator
+//! (`estimate_program_fuel`). The rewrite is kept only when it passes the
 //! **safety gate**:
 //!
 //! 1. it must not raise the program's estimated fuel;
@@ -23,17 +25,15 @@
 //!    its `quick()` budget.
 //!
 //! Gates 2 and 3 judge a fresh parse of the candidate's *text* — what
-//! ships — against facts a [`Gate`] works out once per `optimize` call,
-//! when the first candidate reaches it.
+//! ships — against facts a [`Gate`] works out once per query.
 //!
-//! A rule instance that fails any gate is *refused*: recorded in the
-//! rewrite trace with `applied: false`, and the program reverts to the
-//! last accepted state. A diverging rewrite is therefore never silently
-//! executed — the worst case is the naive program the generator already
-//! produced.
+//! A rewrite that fails any gate is *refused*: recorded in the rewrite
+//! trace with `applied: false`, and the naive program runs instead. A
+//! diverging rewrite is therefore never silently executed. The hoist
+//! keeps every binding's value and every tuple's order, so an optimized
+//! program emits the naive program's rows in the naive order.
 
-pub mod rules;
-pub mod support;
+mod rules;
 
 use aldsp_analyzer::cost::estimate_program_fuel;
 use aldsp_analyzer::{QueryFacts, ValidateOptions, Witnesses};
@@ -43,7 +43,6 @@ use aldsp_core::{
     TranslationOptions,
 };
 use aldsp_xquery::{parse_program, unparse_program, Program, XqParseError};
-use rules::RuleContext;
 
 /// Which layer of the safety gate refused a rewrite.
 #[derive(Debug, Clone)]
@@ -61,8 +60,7 @@ impl std::fmt::Display for GateRefusal {
 }
 
 /// The rewrite engine. Construct with the statistics snapshot the plans
-/// will execute under; cardinality-keyed rules (join reordering, DISTINCT
-/// elimination, ORDER BY pruning) answer from it.
+/// will execute under; the fuel estimates of the cost gate answer from it.
 pub struct Optimizer {
     stats: CatalogStats,
     validate: bool,
@@ -73,10 +71,9 @@ impl Optimizer {
     /// An optimizer over `stats`. Layer-5 validation of every rewrite is
     /// on; [`Optimizer::with_validation`] turns it off (the analyzer
     /// layers 1–3 and the fuel gate still run). The validation budget
-    /// defaults to
-    /// [`ValidateOptions::quick`] with the stats' declared-unique columns
-    /// as key constraints, so uniqueness-keyed rewrites are judged
-    /// relative to the integrity constraints they rely on.
+    /// defaults to [`ValidateOptions::quick`] with the stats' declared-unique
+    /// columns as key constraints, so the witness databases respect the
+    /// integrity constraints the data declares.
     pub fn new(stats: CatalogStats) -> Optimizer {
         let validate_options = ValidateOptions::quick().with_key_columns(stats.unique_columns());
         Optimizer {
@@ -203,76 +200,48 @@ impl QueryOptimizer for Optimizer {
         if options.optimize == OptimizeLevel::Off {
             return unchanged(Vec::new(), 0.0);
         }
-        let Ok(mut program) = parse_program(xquery) else {
+        let Ok(program) = parse_program(xquery) else {
             // Unparsable output is layer 2's A100 finding, not ours;
             // execute the program verbatim.
             return unchanged(Vec::new(), 0.0);
         };
-        let cost_start = estimate_program_fuel(prepared, &program, &self.stats);
-        // Opened by the first candidate that gets past the cost gate:
-        // until one is accepted `program` is still the baseline.
-        let mut gate: Option<Gate<'_>> = None;
-        let cx = RuleContext {
-            prepared,
-            stats: &self.stats,
-            level: options.optimize,
+        let cost_before = estimate_program_fuel(prepared, &program, &self.stats);
+        let mut candidate = program.clone();
+        let Some(note) = rules::invariant_hoist(&mut candidate) else {
+            return unchanged(Vec::new(), cost_before);
         };
-        let mut current_text = xquery.to_string();
-        let mut current_cost = cost_start;
-        let mut steps: Vec<RewriteStep> = Vec::new();
-        for rule in rules::PIPELINE {
-            let mut candidate = program.clone();
-            let Some(note) = (rule.apply)(&mut candidate, &cx) else {
-                continue;
-            };
-            let candidate_text = unparse_program(&candidate);
-            if candidate_text == current_text {
-                continue;
-            }
-            let candidate_cost = estimate_program_fuel(prepared, &candidate, &self.stats);
-            if candidate_cost > current_cost * (1.0 + 1e-9) {
-                steps.push(RewriteStep {
-                    rule: rule.name,
-                    lint: rule.lint,
-                    cost_before: current_cost,
-                    cost_after: current_cost,
-                    applied: false,
-                    note: format!(
-                        "cost gate: estimated fuel {candidate_cost:.0} exceeds {current_cost:.0} ({note})"
-                    ),
-                });
-                continue;
-            }
-            let gate = gate.get_or_insert_with(|| self.open_gate(prepared, Ok(&program)));
-            if let Err(refusal) = gate.admit(&candidate_text) {
-                steps.push(RewriteStep {
-                    rule: rule.name,
-                    lint: rule.lint,
-                    cost_before: current_cost,
-                    cost_after: current_cost,
-                    applied: false,
-                    note: format!("{refusal} ({note})"),
-                });
-                continue;
-            }
-            steps.push(RewriteStep {
-                rule: rule.name,
-                lint: rule.lint,
-                cost_before: current_cost,
-                cost_after: candidate_cost,
-                applied: true,
-                note,
-            });
-            program = candidate;
-            current_text = candidate_text;
-            current_cost = candidate_cost;
+        let candidate_text = unparse_program(&candidate);
+        if candidate_text == xquery {
+            return unchanged(Vec::new(), cost_before);
+        }
+        let step = |applied: bool, cost_after: f64, note: String| RewriteStep {
+            rule: "invariant_hoist",
+            lint: "P008",
+            cost_before,
+            cost_after,
+            applied,
+            note,
+        };
+        let candidate_cost = estimate_program_fuel(prepared, &candidate, &self.stats);
+        if candidate_cost > cost_before * (1.0 + 1e-9) {
+            let note = format!(
+                "cost gate: estimated fuel {candidate_cost:.0} exceeds {cost_before:.0} ({note})"
+            );
+            return unchanged(vec![step(false, cost_before, note)], cost_before);
+        }
+        if let Err(refusal) = self
+            .open_gate(prepared, Ok(&program))
+            .admit(&candidate_text)
+        {
+            let note = format!("{refusal} ({note})");
+            return unchanged(vec![step(false, cost_before, note)], cost_before);
         }
         OptimizeOutcome {
-            xquery: current_text,
+            xquery: candidate_text,
             trace: RewriteTrace {
-                cost_before: cost_start,
-                cost_after: current_cost,
-                steps,
+                cost_before,
+                cost_after: candidate_cost,
+                steps: vec![step(true, candidate_cost, note)],
             },
         }
     }

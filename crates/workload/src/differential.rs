@@ -12,8 +12,8 @@
 //! ORDER BY, as multisets otherwise, numeric values compared by value (the
 //! transports serialize decimals canonically). A lane may also claim its
 //! rows are *identical, in emission order,* to an earlier lane's (hash
-//! joins vs the interpreter, cached vs fresh); an optimized lane claims
-//! nothing, join reorder being only bag-preserving.
+//! joins vs the interpreter, cached vs fresh, optimized vs naive): every
+//! lane but the plain ones claims its transport's plain lane.
 //!
 //! Faults are a property of the run, not a second runner: with a
 //! [`ChaosConfig`] the injector goes onto the server, every lane retries
@@ -152,13 +152,14 @@ impl Lane {
     }
 
     /// `OptimizeLevel::Full` through `optimizer` on the interpreter
-    /// (`text+opt`). Claims no identity: join reorder keeps the bag, not
-    /// the order.
+    /// (`text+opt`), claiming the naive plan's emission order (`text+opt`
+    /// ≡ `text`): the optimizer's rewrite keeps the tuple order.
     pub fn optimized(transport: Transport, optimizer: Engine) -> Lane {
         let options = TranslationOptions::with_transport(transport).optimized(OptimizeLevel::Full);
         Lane {
             cache: true,
             optimizer: Some(optimizer),
+            identical_to: Some(transport_label(transport).to_string()),
             ..Lane::on("+opt", options)
         }
     }
@@ -166,7 +167,8 @@ impl Lane {
     /// What production and the end-to-end benchmark run
     /// (`e2e/src/sut.rs::Sut::open`): `OptimizeLevel::Full` through
     /// `optimizer` (built with the validation gate on), hash-join
-    /// execution, a plan cache. Labelled `text+production`.
+    /// execution, a plan cache. Labelled `text+production`, claiming the
+    /// plain lane's emission order (`text+production` ≡ `text`).
     pub fn production(transport: Transport, optimizer: Engine) -> Lane {
         let options = TranslationOptions::with_transport(transport)
             .optimized(OptimizeLevel::Full)
@@ -174,6 +176,7 @@ impl Lane {
         Lane {
             cache: true,
             optimizer: Some(optimizer),
+            identical_to: Some(transport_label(transport).to_string()),
             ..Lane::on("+production", options)
         }
     }

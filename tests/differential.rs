@@ -11,13 +11,20 @@
 
 mod common;
 
-use aldsp::core::Transport;
+use aldsp::core::{
+    OptimizeOutcome, PreparedQuery, QueryOptimizer, RewriteStep, RewriteTrace, TranslationOptions,
+    Transport,
+};
 use aldsp::driver::RetryPolicy;
 use aldsp::relational::SqlValue;
 use aldsp::workload::{
     fuzzed_corpus, golden_corpus, paper_corpus, run_matrix, ChaosConfig, ConstructClass, Lane,
     MatrixReport, Scale, Universe,
 };
+use aldsp::xquery::ast::{Clause, Expr};
+use aldsp::xquery::visit::each_expr_mut;
+use aldsp::xquery::{parse_program, unparse_program};
+use std::sync::Arc;
 
 /// `count_per_class` fuzzed statements per class on the plain and the
 /// production lanes, both transports. The production lanes' counters are
@@ -245,10 +252,50 @@ fn one_row_of_difference_is_a_mismatch_on_every_lane() {
     assert_eq!(report.statements(), (3, 7));
 }
 
-/// (b) The identity claim is stronger than the oracle comparison: join
-/// reorder returns the same bag in another order, so an optimized lane
-/// passes as a bag and fails the moment it claims the plain lane's
-/// emission order.
+/// A rewrite that keeps the bag and changes the order: the first FLWOR
+/// that leads with two `for` clauses swaps them, so the other table
+/// drives the loop.
+struct SwapLeadingFors;
+
+impl QueryOptimizer for SwapLeadingFors {
+    fn optimize(&self, _: &PreparedQuery, xquery: &str, _: TranslationOptions) -> OptimizeOutcome {
+        let mut program = parse_program(xquery).expect("the translation parses");
+        let mut swapped = false;
+        each_expr_mut(&mut program.body, &mut |e| {
+            if let Expr::Flwor(flwor) = e {
+                if !swapped
+                    && matches!(
+                        flwor.clauses[..],
+                        [Clause::For { .. }, Clause::For { .. }, ..]
+                    )
+                {
+                    flwor.clauses.swap(0, 1);
+                    swapped = true;
+                }
+            }
+        });
+        assert!(swapped, "no FLWOR leads with two `for` clauses:\n{xquery}");
+        let step = RewriteStep {
+            rule: "swap_leading_fors",
+            lint: "",
+            cost_before: 0.0,
+            cost_after: 0.0,
+            applied: true,
+            note: String::new(),
+        };
+        OptimizeOutcome {
+            xquery: unparse_program(&program),
+            trace: RewriteTrace {
+                steps: vec![step],
+                ..RewriteTrace::default()
+            },
+        }
+    }
+}
+
+/// (b) The identity claim is stronger than the oracle comparison: a
+/// rewrite that returns the same bag in another order passes as a bag and
+/// fails the moment its lane claims the plain lane's emission order.
 #[test]
 fn identity_claim_rejects_the_same_bag_in_another_order() {
     let universe = Universe::generated(Scale::small(), 23);
@@ -257,15 +304,17 @@ fn identity_claim_rejects_the_same_bag_in_another_order() {
          INNER JOIN CUSTOMERS ON ORDERS.CUSTID = CUSTOMERS.CUSTOMERID"],
     );
     let xml = aldsp::core::Transport::Xml;
-    let optimized = Lane::optimized(xml, common::engine(Scale::small()));
-    let as_bag = [Lane::plain(xml), optimized.clone()];
+    let optimized = Lane::optimized(xml, Arc::new(SwapLeadingFors));
+    let as_bag = [
+        Lane::plain(xml),
+        Lane {
+            identical_to: None,
+            ..optimized.clone()
+        },
+    ];
     let report = run_matrix(&universe, &reorderable, &as_bag, None);
     assert!(report.is_clean(), "{:#?}", report.mismatches);
-    assert_eq!(
-        report.lane("xml+opt").rewritten,
-        1,
-        "join reorder must fire"
-    );
+    assert_eq!(report.lane("xml+opt").rewritten, 1, "the swap must fire");
 
     let claiming = [
         Lane::plain(xml),

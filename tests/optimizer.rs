@@ -1,4 +1,4 @@
-//! Optimizer integration tests: per-rule behavior on real translations,
+//! Optimizer integration tests: the hoist rule on a real translation,
 //! golden-corpus cleanliness through all five analyzer layers, the
 //! validator gate's kill rate against rewrite-shaped miscompilations,
 //! and end-to-end result equality on the optimized lanes of the
@@ -26,11 +26,11 @@ fn optimizer() -> Optimizer {
     Optimizer::new(stats_for(Scale::small())).with_validation(true)
 }
 
-/// Translates `sql` and runs the optimizer at `level` with the layer-5
+/// Translates `sql` and runs the optimizer at `Full` with the layer-5
 /// gate on; returns (naive text, outcome).
-fn optimize(sql: &str, level: OptimizeLevel) -> (String, aldsp::core::OptimizeOutcome) {
+fn optimize(sql: &str) -> (String, aldsp::core::OptimizeOutcome) {
     let translator = translator();
-    let options = TranslationOptions::with_transport(Transport::Xml).optimized(level);
+    let options = TranslationOptions::with_transport(Transport::Xml).optimized(OptimizeLevel::Full);
     let full = translator.translate_full(sql, options).expect("translates");
     let outcome = optimizer().optimize(&full.prepared, &full.translation.xquery, options);
     (full.translation.xquery, outcome)
@@ -46,122 +46,34 @@ fn applied_rules(outcome: &aldsp::core::OptimizeOutcome) -> Vec<&'static str> {
         .collect()
 }
 
-/// The first `for` clause line of a program — the source that drives the
-/// outermost loop nest.
-fn first_for_source(text: &str) -> String {
-    text.lines()
-        .find(|l| l.trim_start().starts_with("for "))
-        .expect("program has a for clause")
-        .to_string()
-}
-
+/// The one rule: a join's second data-service scan, re-evaluated per
+/// tuple of the first, moves into one `let` in the hoist zone, and the
+/// estimated fuel falls.
 #[test]
-fn pushdown_anchors_filter_before_join_expansion() {
+fn hoist_moves_a_join_source_into_one_let() {
     let (naive, outcome) = optimize(
         "SELECT CUSTOMERS.CUSTOMERNAME, ORDERS.AMOUNT FROM CUSTOMERS \
-         INNER JOIN ORDERS ON CUSTOMERS.CUSTOMERID = ORDERS.CUSTID \
-         WHERE CUSTOMERS.REGION = 'WEST'",
-        OptimizeLevel::Basic,
+         INNER JOIN ORDERS ON CUSTOMERS.CUSTOMERID = ORDERS.CUSTID",
     );
-    assert!(
-        applied_rules(&outcome).contains(&"predicate_pushdown"),
+    assert_eq!(
+        applied_rules(&outcome),
+        ["invariant_hoist"],
         "trace: {:?}",
         outcome.trace.steps
     );
-    assert_ne!(outcome.xquery, naive);
+    assert!(!naive.contains("var0HX1"), "{naive}");
+    assert!(
+        outcome.xquery.contains("let $var0HX1"),
+        "{}",
+        outcome.xquery
+    );
     assert!(
         outcome.trace.cost_after < outcome.trace.cost_before,
-        "pushdown must lower estimated fuel: {} -> {}",
+        "the hoist must lower estimated fuel: {} -> {}",
         outcome.trace.cost_before,
         outcome.trace.cost_after
     );
     parse_program(&outcome.xquery).expect("optimized text parses");
-}
-
-#[test]
-fn join_reorder_puts_smaller_source_first_at_full_only() {
-    // ORDERS (60 rows) drives the loop, CUSTOMERS (25) re-scans per
-    // tuple: Full level reorders, Basic must not (order sensitivity).
-    let sql = "SELECT ORDERS.ORDERID, CUSTOMERS.CUSTOMERNAME FROM ORDERS \
-               INNER JOIN CUSTOMERS ON ORDERS.CUSTID = CUSTOMERS.CUSTOMERID";
-    let (_, full) = optimize(sql, OptimizeLevel::Full);
-    assert!(
-        applied_rules(&full).contains(&"join_reorder"),
-        "trace: {:?}",
-        full.trace.steps
-    );
-    // Inspect the first `for` clause (later sources may also be hoisted
-    // into `let` bindings above it, so raw text positions don't reflect
-    // loop order): the smaller CUSTOMERS source must drive the loop.
-    assert!(
-        first_for_source(&full.xquery).contains("CUSTOMERS()"),
-        "smaller source must drive the loop nest:\n{}",
-        full.xquery
-    );
-    let (_, basic) = optimize(sql, OptimizeLevel::Basic);
-    assert!(!applied_rules(&basic).contains(&"join_reorder"));
-}
-
-#[test]
-fn join_reorder_refuses_ordered_queries() {
-    let (naive, outcome) = optimize(
-        "SELECT ORDERS.ORDERID, CUSTOMERS.CUSTOMERNAME FROM ORDERS \
-         INNER JOIN CUSTOMERS ON ORDERS.CUSTID = CUSTOMERS.CUSTOMERID \
-         ORDER BY ORDERS.ORDERID, CUSTOMERS.CUSTOMERNAME",
-        OptimizeLevel::Full,
-    );
-    assert!(!applied_rules(&outcome).contains(&"join_reorder"));
-    // The naive driving source is preserved: the first `for` clause
-    // still ranges over ORDERS.
-    assert!(first_for_source(&naive).contains("ORDERS()"));
-    assert!(
-        first_for_source(&outcome.xquery).contains("ORDERS()"),
-        "ordered query must keep its loop order:\n{}",
-        outcome.xquery
-    );
-}
-
-#[test]
-fn distinct_eliminated_only_under_declared_uniqueness() {
-    let (naive, outcome) = optimize(
-        "SELECT DISTINCT CUSTOMERID FROM CUSTOMERS",
-        OptimizeLevel::Basic,
-    );
-    assert!(naive.contains("fn-bea:distinct-records"));
-    assert!(
-        applied_rules(&outcome).contains(&"distinct_elimination"),
-        "trace: {:?}",
-        outcome.trace.steps
-    );
-    assert!(!outcome.xquery.contains("fn-bea:distinct-records"));
-
-    // REGION has 4 distinct values over 25 rows: de-dup is load-bearing.
-    let (_, kept) = optimize(
-        "SELECT DISTINCT REGION FROM CUSTOMERS",
-        OptimizeLevel::Basic,
-    );
-    assert!(kept.xquery.contains("fn-bea:distinct-records"));
-}
-
-#[test]
-fn orderby_pruned_after_unique_leading_key() {
-    let (naive, outcome) = optimize(
-        "SELECT CUSTOMERID, CUSTOMERNAME, REGION FROM CUSTOMERS \
-         ORDER BY CUSTOMERID, CUSTOMERNAME, REGION",
-        OptimizeLevel::Basic,
-    );
-    assert!(
-        applied_rules(&outcome).contains(&"orderby_prune"),
-        "trace: {:?}",
-        outcome.trace.steps
-    );
-    let keys = |text: &str| {
-        let tail = &text[text.find("order by").expect("order by survives")..];
-        let line = tail.lines().next().unwrap_or(tail);
-        line.matches(',').count() + 1
-    };
-    assert!(keys(&naive) > 1);
-    assert_eq!(keys(&outcome.xquery), 1, "{}", outcome.xquery);
 }
 
 #[test]
@@ -175,7 +87,7 @@ fn every_step_reruns_the_gate_and_never_raises_cost() {
          WHERE CUSTOMERS.REGION = 'EAST' AND ORDERS.STATUS = 'OPEN'",
     ];
     for sql in queries {
-        let (_, outcome) = optimize(sql, OptimizeLevel::Full);
+        let (_, outcome) = optimize(sql);
         for pair in outcome.trace.steps.windows(2) {
             assert!(
                 pair[1].cost_before <= pair[0].cost_after + 1e-6,
@@ -206,8 +118,8 @@ fn golden_corpus_optimizes_clean_through_all_layers() {
             .unwrap_or_else(|e| panic!("golden `{sql}` must translate: {e}"));
         let outcome = engine.optimize(&full.prepared, &full.translation.xquery, options);
         // Optimized programs are equivalent *relative to the declared
-        // key constraints* (DISTINCT elimination relies on them): the
-        // engine's budget enumerates constraint-respecting witnesses.
+        // key constraints*: the engine's budget enumerates
+        // constraint-respecting witnesses.
         if let Err(refusal) = engine.gate(&full.prepared, &full.translation.xquery, &outcome.xquery)
         {
             panic!("golden `{sql}` optimized dirty: {refusal}");
@@ -333,10 +245,8 @@ fn gate_refuses_unparsable_text_at_the_analyzer_layer() {
 }
 
 /// The layer-5 gate only ever refuses: with it on and off the engine
-/// tries the same rules in the same order and, wherever layer 5 refused
-/// nothing, produces the same text and the same trace — so the gate's
-/// per-query facts, filled by the first candidate that reaches it, are
-/// the ones every later candidate is judged against.
+/// tries the same rewrite and, wherever layer 5 refused nothing, produces
+/// the same text and the same trace.
 #[test]
 fn validation_gate_changes_nothing_it_does_not_refuse() {
     let translator = translator();
@@ -388,8 +298,8 @@ fn validation_gate_changes_nothing_it_does_not_refuse() {
 /// End to end: the lanes that optimize at `Full` — on the interpreter and
 /// in the production configuration — agree with the oracle on both
 /// transports for a mixed workload (ordered queries compared
-/// positionally, unordered as bags; neither lane claims the naive
-/// emission order, join reorder keeps only the bag).
+/// positionally, unordered as bags), and each emits its plain lane's rows
+/// in the plain lane's order.
 #[test]
 fn optimized_service_matches_naive_service() {
     let queries = [
@@ -402,6 +312,8 @@ fn optimized_service_matches_naive_service() {
         "SELECT CUSTOMERS.CUSTOMERID, PAYMENTS.PAYMENT FROM CUSTOMERS \
          LEFT OUTER JOIN PAYMENTS ON CUSTOMERS.CUSTOMERID = PAYMENTS.CUSTID \
          WHERE PAYMENTS.PAYMENT > 50",
+        "SELECT CUSTOMERS.CUSTOMERNAME, PAYMENTS.PAYMENT FROM CUSTOMERS \
+         INNER JOIN PAYMENTS ON CUSTOMERS.CUSTOMERID = PAYMENTS.CUSTID",
     ];
     let corpus: Vec<(String, String)> = queries
         .iter()

@@ -254,9 +254,9 @@ fn optimized_plans_reoptimize_once_on_epoch_invalidation() {
         Arc::clone(&optimizer) as Arc<dyn QueryOptimizer + Send + Sync>
     ));
 
-    // Build once: the plan is optimized at build time (DISTINCT over the
-    // declared-unique ID is eliminated), then hits reuse it untouched.
-    let sql = "SELECT DISTINCT ID FROM CUSTOMERS";
+    // Build once: the plan is optimized at build time (the self-join's
+    // second scan is hoisted into a `let`), then hits reuse it untouched.
+    let sql = "SELECT A.ID FROM CUSTOMERS A INNER JOIN CUSTOMERS B ON A.ID = B.ID";
     assert_eq!(conn.execute_cached(sql, &[]).unwrap().row_count(), 2);
     assert_eq!(optimizer.calls.load(Ordering::SeqCst), 1);
     assert_eq!(conn.execute_cached(sql, &[]).unwrap().row_count(), 2);
