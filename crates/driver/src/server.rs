@@ -14,7 +14,7 @@ use aldsp_catalog::{
 use aldsp_governor::{ExecStrategy, QueryBudget};
 pub use aldsp_relational::sql_value_to_sequence;
 use aldsp_relational::Database;
-use aldsp_xml::Sequence;
+use aldsp_xml::{Item, Sequence};
 use aldsp_xquery::{
     evaluate_program, evaluate_program_exec, evaluate_program_to_payload, parse_program,
     FunctionSource, JoinTable, Program, XqError,
@@ -397,18 +397,23 @@ impl FunctionSource for Reader<'_> {
                 args.len()
             )));
         }
+        // Each parameter's wanted text, once per call: an argument that is
+        // no singleton (NULL) wants a row without the column.
+        let wanted: Vec<Option<String>> = args
+            .iter()
+            .map(|arg| arg.as_singleton().map(Item::string_value))
+            .collect();
         let mut filtered = Sequence::empty();
         'rows: for item in rows.iter() {
             let Some(element) = item.as_element() else {
                 continue;
             };
-            for ((param_name, _), arg) in function.parameters.iter().zip(args) {
+            for ((param_name, _), wanted) in function.parameters.iter().zip(&wanted) {
                 let value = element
                     .children_named(param_name)
                     .next()
                     .map(|e| e.string_value());
-                let wanted = arg.as_singleton().map(|i| i.string_value());
-                if value != wanted {
+                if value != *wanted {
                     continue 'rows;
                 }
             }
@@ -469,6 +474,15 @@ mod tests {
                         .column("NAME", SqlColumnType::Varchar, true)
                 },
             )
+            .physical_procedure(
+                "T_BY_NAME",
+                vec![("NAME".into(), SqlColumnType::Varchar)],
+                |t| {
+                    t.row_element("T")
+                        .column("ID", SqlColumnType::Integer, false)
+                        .column("NAME", SqlColumnType::Varchar, true)
+                },
+            )
             .finish_service()
             .finish_project()
             .build();
@@ -478,10 +492,12 @@ mod tests {
         table.insert(vec![SqlValue::Int(1), SqlValue::Str("a".into())]);
         table.insert(vec![SqlValue::Int(2), SqlValue::Null]);
         db.add_table(table);
-        // The procedure shares the same backing table.
-        let mut by_id = db.table("T").unwrap().clone();
-        by_id.schema.table_name = "T_BY_ID".into();
-        db.add_table(by_id);
+        // The procedures share the same backing table.
+        for procedure in ["T_BY_ID", "T_BY_NAME"] {
+            let mut rows = db.table("T").unwrap().clone();
+            rows.schema.table_name = procedure.into();
+            db.add_table(rows);
+        }
         DspServer::new(app, db)
     }
 
@@ -531,15 +547,40 @@ mod tests {
 
     #[test]
     fn procedures_filter_by_parameters() {
+        use aldsp_xml::Atomic;
         let s = server();
-        let rows = s
-            .call(
-                None,
-                "T_BY_ID",
-                &[Sequence::singleton(aldsp_xml::Atomic::Integer(2))],
-            )
-            .unwrap();
-        assert_eq!(rows.len(), 1);
+        // The IDs of the rows `procedure(arg)` returns.
+        let ids = |procedure: &str, arg: Sequence| -> Vec<String> {
+            let rows = s.call(None, procedure, &[arg]).unwrap();
+            let id = |row: &Item| {
+                row.as_element()
+                    .unwrap()
+                    .children_named("ID")
+                    .next()
+                    .cloned()
+            };
+            rows.iter()
+                .map(|row| id(row).unwrap().string_value())
+                .collect()
+        };
+        assert_eq!(
+            ids("T_BY_ID", Sequence::singleton(Atomic::Integer(2))),
+            ["2"]
+        );
+        assert!(ids("T_BY_ID", Sequence::singleton(Atomic::Integer(9))).is_empty());
+        assert_eq!(
+            ids("T_BY_NAME", Sequence::singleton(Atomic::String("a".into()))),
+            ["1"]
+        );
+        assert!(ids(
+            "T_BY_NAME",
+            Sequence::singleton(Atomic::String("zz".into()))
+        )
+        .is_empty());
+        // A NULL argument matches the row whose column is NULL, and a
+        // prefix of a value is no match.
+        assert_eq!(ids("T_BY_NAME", Sequence::empty()), ["2"]);
+        assert!(ids("T_BY_NAME", Sequence::singleton(Atomic::String("".into()))).is_empty());
     }
 
     #[test]

@@ -97,107 +97,174 @@ impl From<Node> for Item {
 
 /// An ordered, flat sequence of items.
 ///
-/// Sequences are the working currency of the evaluator; most are tiny
-/// (singleton column values), some are large (a whole view). The inner
-/// vector is not reference counted: large sequences get bound to variables
-/// exactly once in the generated dialect, and items themselves are cheap to
-/// clone (Arc-backed nodes).
-#[derive(Clone, PartialEq, Default)]
-pub struct Sequence(Vec<Item>);
+/// Sequences are the working currency of the evaluator; most are tiny —
+/// a column value, a variable binding, a comparison's boolean — and some
+/// are large (a whole view). The empty sequence and a singleton are held
+/// inline, without a vector: every `for` binding, literal and comparison
+/// result is one of them, and a vector each would be a heap allocation per
+/// tuple. Only a sequence of two or more items owns a `Vec`. The vector
+/// is not reference counted: large sequences get bound to variables
+/// exactly once in the generated dialect, and items themselves are cheap
+/// to clone (Arc-backed nodes).
+#[derive(Clone, Default)]
+pub struct Sequence(Repr);
+
+/// A sequence's items: none and one inline, two or more in a vector —
+/// never a `Many` of fewer than two, so each length has one form.
+#[derive(Clone, Default)]
+enum Repr {
+    #[default]
+    Empty,
+    One(Item),
+    Many(Vec<Item>),
+}
 
 impl Sequence {
     /// The empty sequence — XQuery's NULL analogue.
     pub fn empty() -> Sequence {
-        Sequence(Vec::new())
+        Sequence(Repr::Empty)
     }
 
     /// A singleton sequence.
     pub fn singleton(item: impl Into<Item>) -> Sequence {
-        Sequence(vec![item.into()])
+        Sequence(Repr::One(item.into()))
     }
 
     /// Builds from items, flattening nothing (items are already flat).
-    pub fn from_items(items: Vec<Item>) -> Sequence {
-        Sequence(items)
+    pub fn from_items(mut items: Vec<Item>) -> Sequence {
+        Sequence(match items.len() {
+            0 => Repr::Empty,
+            1 => Repr::One(items.pop().expect("one item")),
+            _ => Repr::Many(items),
+        })
     }
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.items().len()
     }
 
     /// True when empty (`fn:empty`).
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        matches!(self.0, Repr::Empty)
     }
 
     /// Items as a slice.
     pub fn items(&self) -> &[Item] {
-        &self.0
+        match &self.0 {
+            Repr::Empty => &[],
+            Repr::One(item) => std::slice::from_ref(item),
+            Repr::Many(items) => items,
+        }
     }
 
-    /// Consumes into the underlying vector.
+    /// Consumes into a vector of the items — for a caller that needs one;
+    /// iterating the sequence itself allocates nothing for a singleton.
     pub fn into_items(self) -> Vec<Item> {
-        self.0
+        match self.0 {
+            Repr::Empty => Vec::new(),
+            Repr::One(item) => vec![item],
+            Repr::Many(items) => items,
+        }
     }
 
     /// Appends another sequence (comma operator: sequences flatten).
     pub fn extend(&mut self, other: Sequence) {
-        self.0.extend(other.0);
+        match (&mut self.0, other.0) {
+            (_, Repr::Empty) => {}
+            (Repr::Empty, other) => self.0 = other,
+            (Repr::Many(items), Repr::One(item)) => items.push(item),
+            (Repr::Many(items), Repr::Many(more)) => items.extend(more),
+            (held @ Repr::One(_), other) => {
+                let Repr::One(first) = std::mem::take(held) else {
+                    unreachable!("matched a singleton")
+                };
+                let other = Sequence(other);
+                let mut items = Vec::with_capacity(4.max(1 + other.len()));
+                items.push(first);
+                items.extend(other);
+                *held = Repr::Many(items);
+            }
+        }
     }
 
     /// Appends one item.
     pub fn push(&mut self, item: impl Into<Item>) {
-        self.0.push(item.into());
+        self.extend(Sequence::singleton(item));
     }
 
     /// The single item of a singleton; `None` otherwise.
     pub fn as_singleton(&self) -> Option<&Item> {
-        if self.0.len() == 1 {
-            Some(&self.0[0])
-        } else {
-            None
+        match &self.0 {
+            Repr::One(item) => Some(item),
+            _ => None,
         }
     }
 
     /// Atomizes every item (`fn:data` over a sequence).
     pub fn atomize(&self, hint: Option<XsType>) -> Vec<Atomic> {
-        self.0.iter().filter_map(|i| i.atomize(hint)).collect()
+        self.iter().filter_map(|i| i.atomize(hint)).collect()
     }
 
     /// The *effective boolean value* (XQuery 1.0 §2.4.3): empty → false;
     /// first item a node → true; singleton atomic → its EBV.
     pub fn effective_boolean(&self) -> bool {
-        match self.0.first() {
-            None => false,
-            Some(Item::Node(_)) => true,
-            Some(Item::Atomic(a)) => self.0.len() == 1 && a.effective_boolean(),
+        match self.items() {
+            [] => false,
+            [Item::Node(_), ..] => true,
+            [Item::Atomic(a)] => a.effective_boolean(),
+            [Item::Atomic(_), ..] => false,
         }
     }
 
     /// Iterates over the items.
-    pub fn iter(&self) -> impl Iterator<Item = &Item> {
-        self.0.iter()
+    pub fn iter(&self) -> std::slice::Iter<'_, Item> {
+        self.items().iter()
+    }
+}
+
+impl PartialEq for Sequence {
+    fn eq(&self, other: &Sequence) -> bool {
+        self.items() == other.items()
     }
 }
 
 impl fmt::Debug for Sequence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.0.iter()).finish()
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
 impl FromIterator<Item> for Sequence {
     fn from_iter<T: IntoIterator<Item = Item>>(iter: T) -> Sequence {
-        Sequence(iter.into_iter().collect())
+        let mut iter = iter.into_iter();
+        let Some(first) = iter.next() else {
+            return Sequence::empty();
+        };
+        let Some(second) = iter.next() else {
+            return Sequence::singleton(first);
+        };
+        let mut items = Vec::with_capacity(2 + iter.size_hint().0);
+        items.push(first);
+        items.push(second);
+        items.extend(iter);
+        Sequence(Repr::Many(items))
     }
 }
 
 impl IntoIterator for Sequence {
     type Item = Item;
-    type IntoIter = std::vec::IntoIter<Item>;
+    /// A singleton's item is yielded from where it was held: the vector
+    /// half is then empty, and an empty vector allocates nothing.
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Item>, std::vec::IntoIter<Item>>;
+
     fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter()
+        let (one, many) = match self.0 {
+            Repr::Empty => (None, Vec::new()),
+            Repr::One(item) => (Some(item), Vec::new()),
+            Repr::Many(items) => (None, items),
+        };
+        one.into_iter().chain(many)
     }
 }
 
@@ -230,6 +297,23 @@ mod tests {
             Atomic::Integer(3).into(),
         ]));
         assert_eq!(a.len(), 3);
+    }
+
+    #[test]
+    fn extend_joins_every_representation() {
+        let int = |i: i64| Item::from(Atomic::Integer(i));
+        let mut one = Sequence::singleton(int(1));
+        one.extend(Sequence::singleton(int(2)));
+        assert_eq!(one.items(), [int(1), int(2)]);
+
+        let mut empty = Sequence::empty();
+        empty.extend(Sequence::from_items(vec![int(1), int(2), int(3)]));
+        assert_eq!(empty.items(), [int(1), int(2), int(3)]);
+
+        let mut many = Sequence::from_items(vec![int(1), int(2)]);
+        many.extend(Sequence::empty());
+        assert_eq!(many.items(), [int(1), int(2)]);
+        assert_eq!(many, Sequence::from_items(vec![int(1), int(2)]));
     }
 
     #[test]

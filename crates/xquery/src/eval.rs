@@ -149,25 +149,30 @@ impl FunctionSource for EmptyFunctionSource {
 
 /// Persistent variable environment: a shared-tail linked list, so binding
 /// inside a FLWOR tuple is O(1) and tuples share their common prefix.
+///
+/// A binding borrows its name: `'a` is the evaluation's, and every name
+/// bound outlives it — a binder of the program's AST, an external
+/// variable of the caller's `vars`, a variable the statement's
+/// [`PhysicalPlan`] introduces. A bind allocates its node and nothing else.
 #[derive(Clone, Default)]
-pub struct Env(Option<Arc<EnvNode>>);
+pub struct Env<'a>(Option<Arc<EnvNode<'a>>>);
 
-struct EnvNode {
-    name: String,
+struct EnvNode<'a> {
+    name: &'a str,
     value: Sequence,
-    parent: Env,
+    parent: Env<'a>,
 }
 
-impl Env {
+impl<'a> Env<'a> {
     /// The empty environment.
-    pub fn new() -> Env {
+    pub fn new() -> Env<'a> {
         Env(None)
     }
 
     /// Returns a new environment with `name` bound to `value`.
-    pub fn bind(&self, name: impl Into<String>, value: Sequence) -> Env {
+    pub fn bind(&self, name: &'a str, value: Sequence) -> Env<'a> {
         Env(Some(Arc::new(EnvNode {
-            name: name.into(),
+            name,
             value,
             parent: self.clone(),
         })))
@@ -299,7 +304,7 @@ fn run(
     };
     let mut env = Env::new();
     for (name, value) in vars {
-        env = env.bind(name.clone(), value.clone());
+        env = env.bind(name, value.clone());
     }
     if let Some(sink) = plan.sink() {
         let written = interpret_on_error(exec::run_sink(&evaluator, sink, &env))?;
@@ -393,8 +398,8 @@ impl<'a> Evaluator<'a> {
     /// inside predicates).
     pub fn eval(
         &self,
-        expr: &Expr,
-        env: &Env,
+        expr: &'a Expr,
+        env: &Env<'a>,
         context: Option<&Item>,
     ) -> Result<Sequence, XqError> {
         self.charge(1)?;
@@ -528,8 +533,8 @@ impl<'a> Evaluator<'a> {
                 satisfies,
             } => {
                 let items = self.eval(source, env, context)?;
-                for item in items.into_items() {
-                    let bound = env.bind(var.clone(), Sequence::singleton(item));
+                for item in items {
+                    let bound = env.bind(var, Sequence::singleton(item));
                     let holds = self.eval(satisfies, &bound, context)?.effective_boolean();
                     if *every && !holds {
                         return Ok(Sequence::singleton(Atomic::Boolean(false)));
@@ -549,8 +554,8 @@ impl<'a> Evaluator<'a> {
 
     fn eval_numeric_operand(
         &self,
-        expr: &Expr,
-        env: &Env,
+        expr: &'a Expr,
+        env: &Env<'a>,
         context: Option<&Item>,
     ) -> Result<Option<Atomic>, XqError> {
         let seq = data(&self.eval(expr, env, context)?);
@@ -573,9 +578,9 @@ impl<'a> Evaluator<'a> {
     /// (a probe-let's source is its `let` cut short of them).
     pub(crate) fn path(
         &self,
-        start: &PathStart,
-        steps: &[Step],
-        env: &Env,
+        start: &'a PathStart,
+        steps: &'a [Step],
+        env: &Env<'a>,
         context: Option<&Item>,
         last: bool,
     ) -> Result<Sequence, XqError> {
@@ -601,8 +606,8 @@ impl<'a> Evaluator<'a> {
         &self,
         input: &Sequence,
         test: &NodeTest,
-        predicates: &[Expr],
-        env: &Env,
+        predicates: &'a [Expr],
+        env: &Env<'a>,
     ) -> Result<Sequence, XqError> {
         let mut out = Sequence::empty();
         for item in input.iter() {
@@ -631,8 +636,8 @@ impl<'a> Evaluator<'a> {
     fn apply_predicate(
         &self,
         input: Sequence,
-        predicate: &Expr,
-        env: &Env,
+        predicate: &'a Expr,
+        env: &Env<'a>,
     ) -> Result<Sequence, XqError> {
         // Constant positional predicate (`[2]`): index directly instead
         // of evaluating the literal once per candidate item.
@@ -643,7 +648,6 @@ impl<'a> Evaluator<'a> {
                 if let Some(pos) = a.as_f64() {
                     if pos >= 1.0 && pos.fract() == 0.0 && pos <= input.len() as f64 {
                         let item = input
-                            .into_items()
                             .into_iter()
                             .nth(pos as usize - 1)
                             .expect("position checked against length");
@@ -654,7 +658,7 @@ impl<'a> Evaluator<'a> {
             }
         }
         let mut out = Sequence::empty();
-        for (index, item) in input.into_items().into_iter().enumerate() {
+        for (index, item) in input.into_iter().enumerate() {
             let result = self.eval(predicate, env, Some(&item))?;
             let keep = match result.as_singleton() {
                 Some(Item::Atomic(a)) if a.xs_type().is_numeric() => {
@@ -671,8 +675,8 @@ impl<'a> Evaluator<'a> {
 
     fn eval_flwor(
         &self,
-        flwor: &Flwor,
-        env: &Env,
+        flwor: &'a Flwor,
+        env: &Env<'a>,
         context: Option<&Item>,
     ) -> Result<Sequence, XqError> {
         let mut tuples = self.flwor_tuples(flwor, env, context)?;
@@ -704,8 +708,8 @@ impl<'a> Evaluator<'a> {
     /// clause loop runs the FLWOR.
     pub(crate) fn flwor_tuples(
         &self,
-        flwor: &Flwor,
-        env: &Env,
+        flwor: &'a Flwor,
+        env: &Env<'a>,
         context: Option<&Item>,
     ) -> Result<Tuples<'a>, XqError> {
         let node = self.plan.node(flwor);
@@ -732,13 +736,13 @@ impl<'a> Evaluator<'a> {
     /// each `let` of a view through its plan, where `node` has them.
     fn clause_loop(
         &self,
-        flwor: &Flwor,
-        node: Option<&exec::FlworPlan<'_>>,
-        env: &Env,
+        flwor: &'a Flwor,
+        node: Option<&exec::FlworPlan<'a>>,
+        env: &Env<'a>,
         context: Option<&Item>,
-    ) -> Result<Vec<Env>, XqError> {
+    ) -> Result<Vec<Env<'a>>, XqError> {
         let mut skip = 0;
-        let mut tuples: Vec<Env> = vec![env.clone()];
+        let mut tuples: Vec<Env<'a>> = vec![env.clone()];
         if let Some(pipeline) = node.and_then(|node| node.pipeline.as_ref()) {
             let streamed = match pipeline {
                 Some(plan) => interpret_on_error(exec::run(self, plan, env, context))?,
@@ -772,12 +776,12 @@ impl<'a> Evaluator<'a> {
                     let mut next = Vec::new();
                     for tuple in &tuples {
                         let seq = self.eval(source, tuple, context)?;
-                        for item in seq.into_items() {
+                        for item in seq {
                             // Charge inside the expansion so a cartesian
                             // product hits its fuel/row limits before the
                             // tuple vector swallows memory.
                             self.charge(1)?;
-                            next.push(tuple.bind(var.clone(), Sequence::singleton(item)));
+                            next.push(tuple.bind(var, Sequence::singleton(item)));
                             if let Some(budget) = self.budget {
                                 budget
                                     .check_rows(next.len() as u64)
@@ -816,12 +820,12 @@ impl<'a> Evaluator<'a> {
     /// by the interpreter.
     fn let_clause(
         &self,
-        var: &str,
-        value: &Expr,
+        var: &'a str,
+        value: &'a Expr,
         view: Option<&exec::View<'_>>,
-        tuples: &[Env],
+        tuples: &[Env<'a>],
         context: Option<&Item>,
-    ) -> Result<Vec<Env>, XqError> {
+    ) -> Result<Vec<Env<'a>>, XqError> {
         let mut next = Vec::with_capacity(tuples.len());
         for tuple in tuples {
             let planned = match view {
@@ -848,16 +852,16 @@ impl<'a> Evaluator<'a> {
     /// concatenated source sequences and each key variable to its value.
     fn apply_group_by(
         &self,
-        group: &GroupClause,
-        tuples: Vec<Env>,
+        group: &'a GroupClause,
+        tuples: Vec<Env<'a>>,
         context: Option<&Item>,
-    ) -> Result<Vec<Env>, XqError> {
-        struct Partition {
-            representative: Env,
+    ) -> Result<Vec<Env<'a>>, XqError> {
+        struct Partition<'a> {
+            representative: Env<'a>,
             keys: Vec<Sequence>,
             partition: Sequence,
         }
-        let mut partitions: Vec<Partition> = Vec::new();
+        let mut partitions: Vec<Partition<'_>> = Vec::new();
         // One AtomKey per key expression — a structured map key, so key
         // values can never collide with a neighboring key's encoding the
         // way delimiter-joined strings could.
@@ -896,11 +900,9 @@ impl<'a> Evaluator<'a> {
         Ok(partitions
             .into_iter()
             .map(|p| {
-                let mut env = p
-                    .representative
-                    .bind(group.partition_var.clone(), p.partition);
+                let mut env = p.representative.bind(&group.partition_var, p.partition);
                 for ((_, key_var), value) in group.keys.iter().zip(p.keys) {
-                    env = env.bind(key_var.clone(), value);
+                    env = env.bind(key_var, value);
                 }
                 env
             })
@@ -909,10 +911,10 @@ impl<'a> Evaluator<'a> {
 
     fn apply_order_by(
         &self,
-        specs: &[OrderSpec],
-        tuples: Vec<Env>,
+        specs: &'a [OrderSpec],
+        tuples: Vec<Env<'a>>,
         context: Option<&Item>,
-    ) -> Result<Vec<Env>, XqError> {
+    ) -> Result<Vec<Env<'a>>, XqError> {
         let mut keyed: Vec<(Vec<Option<Atomic>>, Env)> = Vec::with_capacity(tuples.len());
         for tuple in tuples {
             let mut keys = Vec::with_capacity(specs.len());
@@ -937,8 +939,8 @@ impl<'a> Evaluator<'a> {
 
     pub(crate) fn construct_element(
         &self,
-        ctor: &ElementCtor,
-        env: &Env,
+        ctor: &'a ElementCtor,
+        env: &Env<'a>,
         context: Option<&Item>,
     ) -> Result<Element, XqError> {
         let mut element = Element::new(QName::parse(&ctor.name));
@@ -970,7 +972,7 @@ impl<'a> Evaluator<'a> {
                     // with single spaces into one text node; nodes are
                     // copied in as children.
                     let mut pending_text: Option<String> = None;
-                    for item in seq.into_items() {
+                    for item in seq {
                         match item {
                             Item::Atomic(a) => {
                                 let lex = a.lexical();

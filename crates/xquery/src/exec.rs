@@ -15,7 +15,7 @@
 //!   once per run (lazily, on the first tuple to arrive, so an upstream
 //!   filter that empties the stream skips the build entirely — exactly
 //!   when the naive interpreter would also never evaluate it) into a hash
-//!   table keyed by [`AtomKey`] projections of the join key; each probe
+//!   table keyed by the hashes of the join key's projections; each probe
 //!   tuple then binds only its matching build items. Where the build side
 //!   is *indexable* — every row of a data-service function, keyed by one
 //!   child (`Indexed`) — the rows are keyed once **per epoch**: the table
@@ -233,16 +233,19 @@
 //! XQuery general-comparison equality is *not* transitive —
 //! `xs:untypedAtomic("5")` equals both `5` and `"5"`, which differ from
 //! each other — so no single hash key can partition atoms into equality
-//! classes. Instead every atom is inserted under each [`AtomKey`]
-//! *projection* it could match through (its numeric magnitude, its raw
-//! text, its trimmed text when that differs, its boolean reading), the
-//! probe gathers candidates through its own projections, and every
-//! candidate pair is verified with the real [`Atomic::compare`]. The
-//! projections are complete (two atoms that compare equal always share a
-//! bucket — see the pairwise test below) but deliberately over-inclusive;
-//! verification keeps the join exactly as selective as the interpreter's
-//! existential `=`. An empty key sequence projects nothing and probes
-//! nothing: SQL NULL never joins.
+//! classes. Instead every atom is inserted into a bucket per *projection*
+//! it could match through (its numeric magnitude, its raw text, its
+//! trimmed text when that differs, its boolean reading), the probe gathers
+//! candidates through its own projections, and every candidate pair is
+//! verified with the real [`Atomic::compare`]. A bucket is keyed by the
+//! projection's hash, taken over text borrowed from the atom, so neither
+//! a build row nor a probe allocates a key. The projections are complete
+//! (two atoms that compare equal always share a hash — see the pairwise
+//! test below) but deliberately over-inclusive, and so is a hash: two
+//! projections that collide share a bucket, which adds candidates and
+//! nothing else. Verification keeps the join exactly as selective as the
+//! interpreter's existential `=`. An empty key sequence projects nothing
+//! and probes nothing: SQL NULL never joins.
 //!
 //! ## Ordering, errors, budgets
 //!
@@ -287,18 +290,21 @@ use aldsp_xml::serialize::{
 };
 use aldsp_xml::{Atomic, Element, Item, Node, QName, Sequence, XsType};
 use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
-// AtomKey: the hashable key vocabulary
+// Keys: a group's AtomKey, a join bucket's projection hashes
 // ---------------------------------------------------------------------
 
-/// A hashable canonical form of one atomized key value, shared by the
-/// hash-join build tables and the group-by partitioner (which formerly
-/// concatenated `String` keys with control-character delimiters — an
-/// allocation per tuple and a collision hazard when key values contain
-/// the delimiter; a `Vec<AtomKey>` map key has neither problem).
+/// A hashable canonical form of one atomized key value: what the group-by
+/// partitioner, the aggregate operator and `fn:distinct-values` group by
+/// (the partitioner formerly concatenated `String` keys with
+/// control-character delimiters — an allocation per tuple and a collision
+/// hazard when key values contain the delimiter; a `Vec<AtomKey>` map key
+/// has neither problem).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AtomKey {
     /// The empty sequence (SQL NULL) — group-by gives NULL its own group.
@@ -317,56 +323,70 @@ pub enum AtomKey {
     Date(String),
 }
 
-impl AtomKey {
-    fn num(d: f64) -> AtomKey {
-        let d = if d == 0.0 { 0.0 } else { d };
-        AtomKey::Num(if d.is_nan() {
-            f64::NAN.to_bits()
-        } else {
-            d.to_bits()
-        })
+/// The bits of [`AtomKey::Num`], which a join's numeric projection hashes
+/// too.
+fn num_bits(d: f64) -> u64 {
+    let d = if d == 0.0 { 0.0 } else { d };
+    if d.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        d.to_bits()
     }
+}
 
+impl AtomKey {
     /// The canonical grouping key of one atomic: numeric types of equal
     /// magnitude collapse, untyped keys group as strings.
     pub fn group(a: &Atomic) -> AtomKey {
         match a {
-            Atomic::Integer(i) => AtomKey::num(*i as f64),
-            Atomic::Decimal(d) | Atomic::Double(d) => AtomKey::num(*d),
+            Atomic::Integer(i) => AtomKey::Num(num_bits(*i as f64)),
+            Atomic::Decimal(d) | Atomic::Double(d) => AtomKey::Num(num_bits(*d)),
             Atomic::String(s) | Atomic::Untyped(s) => AtomKey::Str(s.clone()),
             Atomic::Boolean(b) => AtomKey::Bool(*b),
             Atomic::Date(d) => AtomKey::Date(d.clone()),
         }
     }
+}
 
-    /// Appends every bucket this atom could share with an atom it
-    /// compares equal to under [`Atomic::compare`]'s general-comparison
-    /// rules. Typed atoms have one projection; untyped text projects
-    /// into every type it can be coerced to (numeric via `f64` parse,
-    /// boolean via the `xs:boolean` lexical forms, and its trimmed text
-    /// when trimming changes it — date casts trim). Dates project as
-    /// their text because date-vs-string comparison is lexical.
-    fn join_projections(a: &Atomic, out: &mut Vec<AtomKey>) {
-        match a {
-            Atomic::Integer(i) => out.push(AtomKey::num(*i as f64)),
-            Atomic::Decimal(d) | Atomic::Double(d) => out.push(AtomKey::num(*d)),
-            Atomic::Boolean(b) => out.push(AtomKey::Bool(*b)),
-            Atomic::String(s) => out.push(AtomKey::Str(s.clone())),
-            Atomic::Date(d) => out.push(AtomKey::Str(d.clone())),
-            Atomic::Untyped(s) => {
-                out.push(AtomKey::Str(s.clone()));
-                let trimmed = s.trim();
-                if let Ok(v) = trimmed.parse::<f64>() {
-                    out.push(AtomKey::num(v));
-                }
-                match trimmed {
-                    "true" | "1" => out.push(AtomKey::Bool(true)),
-                    "false" | "0" => out.push(AtomKey::Bool(false)),
-                    _ => {}
-                }
-                if trimmed != s {
-                    out.push(AtomKey::Str(trimmed.to_string()));
-                }
+/// One reading of a join key atom, borrowed from it: what a join table's
+/// bucket is the hash of ([`join_projections`]).
+#[derive(Hash)]
+enum Projection<'a> {
+    /// A numeric magnitude, as [`num_bits`].
+    Num(u64),
+    /// Text: a string's, an untyped atom's raw or trimmed, a date's.
+    Str(&'a str),
+    /// A boolean reading.
+    Bool(bool),
+}
+
+/// Pushes onto `out` the hash, under `hasher`, of every projection by
+/// which `a` could share a bucket with an atom it compares equal to under
+/// [`Atomic::compare`]'s general-comparison rules. Typed atoms have one
+/// projection; untyped text projects into every type it can be coerced to
+/// (numeric via `f64` parse, boolean via the `xs:boolean` lexical forms,
+/// and its trimmed text when trimming changes it — date casts trim). Dates
+/// project as their text because date-vs-string comparison is lexical.
+fn join_projections(a: &Atomic, hasher: &RandomState, out: &mut Vec<u64>) {
+    let mut push = |projection: Projection<'_>| out.push(hasher.hash_one(projection));
+    match a {
+        Atomic::Integer(i) => push(Projection::Num(num_bits(*i as f64))),
+        Atomic::Decimal(d) | Atomic::Double(d) => push(Projection::Num(num_bits(*d))),
+        Atomic::Boolean(b) => push(Projection::Bool(*b)),
+        Atomic::String(s) | Atomic::Date(s) => push(Projection::Str(s)),
+        Atomic::Untyped(s) => {
+            push(Projection::Str(s));
+            let trimmed = s.trim();
+            if let Ok(v) = trimmed.parse::<f64>() {
+                push(Projection::Num(num_bits(v)));
+            }
+            match trimmed {
+                "true" | "1" => push(Projection::Bool(true)),
+                "false" | "0" => push(Projection::Bool(false)),
+                _ => {}
+            }
+            if trimmed != s {
+                push(Projection::Str(trimmed));
             }
         }
     }
@@ -847,12 +867,15 @@ fn probe_let<'p>(
 // ---------------------------------------------------------------------
 
 /// A materialized build side: items in source order, each with its
-/// atomized key, plus the projection buckets over them. Opaque outside
-/// this module: a [`crate::FunctionSource`] that keeps join indexes holds
-/// it as it was handed it.
+/// atomized key, plus the buckets over them, keyed by the hash of each
+/// projection of a key (`join_projections`) under the bucket map's own
+/// hasher — random per table, fixed for its life, so no key set can be
+/// written to collide and a kept table hashes a later probe as it hashed
+/// its rows. Opaque outside this module: a [`crate::FunctionSource`] that
+/// keeps join indexes holds it as it was handed it.
 pub struct JoinTable {
     entries: Vec<(Item, Vec<Atomic>)>,
-    buckets: HashMap<AtomKey, Vec<usize>>,
+    buckets: HashMap<u64, Vec<usize>>,
 }
 
 /// One operator's state over a run: a hash operator's table — its own, or
@@ -861,19 +884,19 @@ pub struct JoinTable {
 struct Slot {
     table: Option<Arc<JoinTable>>,
     candidates: Vec<usize>,
-    projections: Vec<AtomKey>,
+    projections: Vec<u64>,
 }
 
 /// Runs the pipeline over the incoming environment, returning the
 /// surviving tuple environments in interpreter order. Budget errors
 /// propagate; any other error means the caller must re-run the FLWOR
 /// naively (see the module docs).
-pub(crate) fn run(
-    ev: &Evaluator<'_>,
-    plan: &Plan<'_>,
-    env: &Env,
+pub(crate) fn run<'a>(
+    ev: &Evaluator<'a>,
+    plan: &Plan<'a>,
+    env: &Env<'a>,
     context: Option<&Item>,
-) -> Result<Vec<Env>, XqError> {
+) -> Result<Vec<Env<'a>>, XqError> {
     let mut slots: Vec<Slot> = Vec::new();
     slots.resize_with(plan.ops.len(), Slot::default);
     let mut out = Vec::new();
@@ -882,13 +905,13 @@ pub(crate) fn run(
 }
 
 /// Sends the tuple `env` through `ops`, whose states are `slots`.
-fn drive(
-    ev: &Evaluator<'_>,
-    ops: &[Op<'_>],
+fn drive<'a>(
+    ev: &Evaluator<'a>,
+    ops: &[Op<'a>],
     slots: &mut [Slot],
-    env: &Env,
+    env: &Env<'a>,
     context: Option<&Item>,
-    out: &mut Vec<Env>,
+    out: &mut Vec<Env<'a>>,
 ) -> Result<(), XqError> {
     let (Some((op, ops)), Some((slot, slots))) = (ops.split_first(), slots.split_first_mut())
     else {
@@ -898,9 +921,9 @@ fn drive(
     match op {
         Op::For { var, source } => {
             let seq = ev.eval(source, env, context)?;
-            for item in seq.into_items() {
+            for item in seq {
                 ev.charge(1)?;
-                let next = env.bind(*var, Sequence::singleton(item));
+                let next = env.bind(var, Sequence::singleton(item));
                 drive(ev, ops, slots, &next, context, out)?;
             }
         }
@@ -911,7 +934,7 @@ fn drive(
                 Some(view) => run_view(ev, view, env, context)?,
                 None => ev.eval(value, env, context)?,
             };
-            let next = env.bind(*var, value);
+            let next = env.bind(var, value);
             drive(ev, ops, slots, &next, context, out)?;
         }
         Op::Filter(predicate) => {
@@ -931,13 +954,13 @@ fn drive(
             // identically to every other tuple's.
             let rows = || ev.eval(source, env, context);
             slot.build(ev, index.as_ref(), rows, |item| {
-                let bound = env.bind(*var, Sequence::singleton(item.clone()));
+                let bound = env.bind(var, Sequence::singleton(item.clone()));
                 ev.eval(build_key, &bound, context)
             })?;
             let (table, matched) = slot.probe(&data(&ev.eval(probe_key, env, context)?));
             for &idx in matched {
                 ev.charge(1)?;
-                let next = env.bind(*var, Sequence::singleton(table.entries[idx].0.clone()));
+                let next = env.bind(var, Sequence::singleton(table.entries[idx].0.clone()));
                 drive(ev, ops, slots, &next, context, out)?;
             }
         }
@@ -976,7 +999,7 @@ fn drive(
                 ev.charge(1)?;
                 matched.push(item.clone());
             }
-            let next = env.bind(*var, matched);
+            let next = env.bind(var, matched);
             drive(ev, ops, slots, &next, context, out)?;
         }
         Op::SemiJoin { probe_key, source } => {
@@ -1045,9 +1068,9 @@ impl Slot {
         for item in probe.iter() {
             let Item::Atomic(a) = item else { continue };
             projections.clear();
-            AtomKey::join_projections(a, projections);
-            for key in projections.iter() {
-                if let Some(bucket) = table.buckets.get(key) {
+            join_projections(a, table.buckets.hasher(), projections);
+            for hash in projections.iter() {
+                if let Some(bucket) = table.buckets.get(hash) {
                     candidates.extend(bucket);
                 }
             }
@@ -1080,17 +1103,17 @@ fn build_table(
         buckets: HashMap::new(),
     };
     let mut projections = Vec::new();
-    for item in items.into_items() {
+    for item in items {
         ev.charge(1)?;
         let keyed = data(&key(&item)?);
         let idx = table.entries.len();
         let mut atoms = Vec::new();
-        for key_item in keyed.into_items() {
+        for key_item in keyed {
             let Item::Atomic(a) = key_item else { continue };
             projections.clear();
-            AtomKey::join_projections(&a, &mut projections);
-            for key in projections.drain(..) {
-                let bucket = table.buckets.entry(key).or_default();
+            join_projections(&a, table.buckets.hasher(), &mut projections);
+            for hash in projections.drain(..) {
+                let bucket = table.buckets.entry(hash).or_default();
                 if bucket.last() != Some(&idx) {
                     bucket.push(idx);
                 }
@@ -1326,7 +1349,7 @@ fn cell_named(row: &Project<'_>, name: &str) -> Option<Option<usize>> {
     }
 }
 
-impl Project<'_> {
+impl<'p> Project<'p> {
     /// The projection, its columns resolved against `text`, the statement's
     /// text sink.
     fn resolved(mut self, text: Option<&TextSink<'_>>) -> Self {
@@ -1338,8 +1361,8 @@ impl Project<'_> {
     /// a rename's, over the row its source constructor builds.
     fn build(
         &self,
-        ev: &Evaluator<'_>,
-        env: &Env,
+        ev: &Evaluator<'p>,
+        env: &Env<'p>,
         context: Option<&Item>,
     ) -> Result<Element, XqError> {
         let Some((var, source)) = self.source else {
@@ -1354,16 +1377,16 @@ impl Project<'_> {
 /// under.
 struct Tuple<'a> {
     ev: &'a Evaluator<'a>,
-    env: &'a Env,
+    env: &'a Env<'a>,
     context: Option<&'a Item>,
 }
 
-impl Tuple<'_> {
+impl<'a> Tuple<'a> {
     /// The one cell reader: calls `f` on each value of `cell`, in order —
     /// on the one value of a joined cell, its values joined with a space.
     fn each_value(
         &self,
-        cell: &Cell<'_>,
+        cell: &Cell<'a>,
         f: &mut impl FnMut(CellValue<'_>) -> Result<(), XqError>,
     ) -> Result<(), Halt> {
         if !cell.joined {
@@ -1381,7 +1404,7 @@ impl Tuple<'_> {
 
     fn values(
         &self,
-        value: &Value<'_>,
+        value: &Value<'a>,
         f: &mut impl FnMut(CellValue<'_>) -> Result<(), XqError>,
     ) -> Result<(), Halt> {
         match value {
@@ -1630,8 +1653,8 @@ fn close_element(payload: &mut String, name: &QName, start: usize, opened: usize
 /// in $q/RECORD`; a tree's or an XML body's rows are tuples the clause loop
 /// already counted, and the interpreter counts them no second time.
 fn project_rows<'a>(
-    ev: &Evaluator<'_>,
-    envs: &[Env],
+    ev: &Evaluator<'a>,
+    envs: &[Env<'a>],
     branch: impl Fn(usize) -> Option<&'a Project<'a>>,
     context: Option<&Item>,
     fuel: u64,
@@ -1662,9 +1685,9 @@ fn project_rows<'a>(
 /// items the interpreter's `return` would have built. Budget errors
 /// propagate; after any other the caller interprets the `return` instead,
 /// or — the tuples an operator's — the whole FLWOR.
-pub(crate) fn project_tree(
-    ev: &Evaluator<'_>,
-    tuples: &Tuples<'_>,
+pub(crate) fn project_tree<'a>(
+    ev: &Evaluator<'a>,
+    tuples: &Tuples<'a>,
     context: Option<&Item>,
 ) -> Result<Sequence, XqError> {
     let mut items = Vec::with_capacity(tuples.envs.len());
@@ -1677,7 +1700,7 @@ pub(crate) fn project_tree(
 /// (the aggregate, the rows operator), per tuple its branch's, as a sort
 /// over a UNION interleaves branches; else the FLWOR's own `return`'s.
 pub(crate) struct Tuples<'a> {
-    pub(crate) envs: Vec<Env>,
+    pub(crate) envs: Vec<Env<'a>>,
     /// Where an operator ran the FLWOR, per tuple the projection of its
     /// row — none where it is `own` (an aggregate's).
     each: Option<Vec<&'a Project<'a>>>,
@@ -1687,7 +1710,7 @@ pub(crate) struct Tuples<'a> {
 
 impl<'a> Tuples<'a> {
     /// The clause loop's `envs`, and the `return` of `node`'s FLWOR.
-    pub(crate) fn new(envs: Vec<Env>, node: Option<&'a FlworPlan<'a>>) -> Self {
+    pub(crate) fn new(envs: Vec<Env<'a>>, node: Option<&'a FlworPlan<'a>>) -> Self {
         let own = node.and_then(|node| node.project.as_ref());
         Tuples {
             envs,
@@ -1710,7 +1733,7 @@ impl<'a> Tuples<'a> {
     /// Each tuple through its projection into `out` ([`project_rows`]).
     fn project(
         &self,
-        ev: &Evaluator<'_>,
+        ev: &Evaluator<'a>,
         context: Option<&Item>,
         fuel: u64,
         out: &mut Output<'_>,
@@ -1991,10 +2014,10 @@ fn tail<'p>(
 /// sequence in [`run_tail`] — and [`project_tree`]'s `1 + cells` per row
 /// over the cells kept. Budget errors propagate; after any other the
 /// caller interprets the `let` instead.
-pub(crate) fn run_view(
-    ev: &Evaluator<'_>,
-    view: &View<'_>,
-    env: &Env,
+pub(crate) fn run_view<'a>(
+    ev: &Evaluator<'a>,
+    view: &View<'a>,
+    env: &Env<'a>,
     context: Option<&Item>,
 ) -> Result<Sequence, XqError> {
     ev.charge(1)?;
@@ -2015,10 +2038,10 @@ pub(crate) fn run_view(
 
 /// `tail` over each of `tuples`, in order: rows through the one row loop,
 /// the rest as `eval` would step through it.
-fn run_tail(
-    ev: &Evaluator<'_>,
-    tail: &Tail<'_>,
-    tuples: &[Env],
+fn run_tail<'a>(
+    ev: &Evaluator<'a>,
+    tail: &Tail<'a>,
+    tuples: &[Env<'a>],
     context: Option<&Item>,
     out: &mut Output<'_>,
 ) -> Result<(), XqError> {
@@ -2346,12 +2369,12 @@ struct Group {
 /// `where`s charge (the consumer's `return` charges its own). The row cap
 /// holds the rows, as it held the `for $r` tuples. Budget errors propagate;
 /// after any other the caller interprets the FLWOR.
-fn run_aggregate(
-    ev: &Evaluator<'_>,
-    agg: &Aggregate<'_>,
-    env: &Env,
+fn run_aggregate<'a>(
+    ev: &Evaluator<'a>,
+    agg: &'a Aggregate<'a>,
+    env: &Env<'a>,
     context: Option<&Item>,
-) -> Result<Vec<Env>, XqError> {
+) -> Result<Vec<Env<'a>>, XqError> {
     ev.charge(2)?;
     let rows = ev.flwor_tuples(agg.body, env, context)?.envs;
     let fresh = |keys| Group {
@@ -2400,10 +2423,10 @@ fn run_aggregate(
         ev.charge(1)?;
         let mut tuple = env.clone();
         for ((_, var), value) in agg.keys.iter().zip(group.keys) {
-            tuple = tuple.bind(*var, value.into_iter().map(Item::Atomic).collect());
+            tuple = tuple.bind(var, value.into_iter().map(Item::Atomic).collect());
         }
         for ((_, name, a), atoms) in agg.aggs.iter().zip(group.gathered) {
-            tuple = tuple.bind(name.clone(), a.value(group.rows, atoms)?);
+            tuple = tuple.bind(name, a.value(group.rows, atoms)?);
         }
         for having in &agg.having {
             if !ev.eval(having, &tuple, context)?.effective_boolean() {
@@ -2640,10 +2663,10 @@ fn concatenated(expr: &Expr) -> Vec<&Expr> {
 fn run_rows<'a>(
     ev: &Evaluator<'a>,
     rows: &'a Rows<'a>,
-    env: &Env,
+    env: &Env<'a>,
     context: Option<&Item>,
 ) -> Result<Tuples<'a>, XqError> {
-    let (mut all, mut right): (Vec<(Env, &Project<'_>)>, _) = (Vec::new(), 0);
+    let (mut all, mut right): (Vec<(Env<'a>, &Project<'a>)>, _) = (Vec::new(), 0);
     for operand in &rows.operands {
         ev.charge(2 + 3 * u64::from(operand.rename.is_some()))?;
         let tuples = ev.flwor_tuples(operand.body, env, context)?;
@@ -2723,9 +2746,9 @@ fn run_rows<'a>(
 /// Writes into `key` the key `fn-bea:distinct-records` gives the row
 /// `project` makes of `tuple`: [`record_key`] of each cell's values, read
 /// as the projection reads them (`value` is scratch).
-fn row_key(
-    project: &Project<'_>,
-    tuple: &Tuple<'_>,
+fn row_key<'a>(
+    project: &Project<'a>,
+    tuple: &Tuple<'a>,
     key: &mut String,
     value: &mut String,
 ) -> Result<(), XqError> {
@@ -2924,7 +2947,11 @@ fn resolve(
 /// nullable column fails `fn-bea:serialize-atomic` in the interpreter, so
 /// the sink gives up. Budget errors propagate; after any other the caller
 /// interprets the body instead (see the module docs).
-pub(crate) fn run_sink(ev: &Evaluator<'_>, sink: &Sink<'_>, env: &Env) -> Result<String, XqError> {
+pub(crate) fn run_sink<'a>(
+    ev: &Evaluator<'a>,
+    sink: &Sink<'a>,
+    env: &Env<'a>,
+) -> Result<String, XqError> {
     let mut payload = String::new();
     match sink {
         Sink::Text(text) => {
@@ -3062,7 +3089,7 @@ impl<'p> FlworPlan<'p> {
     pub(crate) fn run(
         &'p self,
         ev: &Evaluator<'p>,
-        env: &Env,
+        env: &Env<'p>,
         context: Option<&Item>,
     ) -> Option<Result<Tuples<'p>, XqError>> {
         Some(match self.whole.as_ref()?.1.as_ref()? {
@@ -4056,19 +4083,81 @@ mod tests {
             Atomic::Date("2020-01-01".into()),
             Atomic::Date("1999-12-31".into()),
         ];
+        let hasher = RandomState::new();
         for a in &corpus {
             for b in &corpus {
                 if a.compare(b) != Some(Ordering::Equal) {
                     continue;
                 }
                 let (mut pa, mut pb) = (Vec::new(), Vec::new());
-                AtomKey::join_projections(a, &mut pa);
-                AtomKey::join_projections(b, &mut pb);
+                join_projections(a, &hasher, &mut pa);
+                join_projections(b, &hasher, &mut pb);
                 assert!(
                     pa.iter().any(|k| pb.contains(k)),
-                    "{a:?} equals {b:?} but shares no projection ({pa:?} vs {pb:?})"
+                    "{a:?} equals {b:?} but shares no projection hash ({pa:?} vs {pb:?})"
                 );
             }
         }
+    }
+
+    /// Rows `<L><K>key</K><N>n</N></L>` of `L()` and `R()`, and a join index
+    /// whose every bucket holds every row — as if each key's projections
+    /// hashed alike — so a probe's candidates are the whole table.
+    struct Colliding;
+
+    impl crate::FunctionSource for Colliding {
+        fn call(&self, _: Option<&str>, local: &str, _: &[Sequence]) -> Result<Sequence, XqError> {
+            let keys: &[&str] = match local {
+                "L" => &["1", "2", "x", "2"],
+                "R" => &["2", " 1", "y", "2.0", "x", "1", "2"],
+                _ => return Err(XqError::new(format!("unknown function {local}"))),
+            };
+            let row = |(n, key): (usize, &&str)| {
+                let cell = |name: &str, text: String| Element::new(name).with_text(text);
+                let row = Element::new(local).with_child(cell("K", key.to_string()));
+                Item::element(row.with_child(cell("N", n.to_string())))
+            };
+            Ok(keys.iter().enumerate().map(row).collect())
+        }
+
+        fn join_index(
+            &self,
+            _: &str,
+            _: &str,
+            _: &Sequence,
+            build: &dyn Fn() -> Result<Arc<JoinTable>, XqError>,
+        ) -> Result<Arc<JoinTable>, XqError> {
+            let mut table = build()?;
+            let held = Arc::get_mut(&mut table).expect("a table just built is held once");
+            let every: Vec<usize> = (0..held.entries.len()).collect();
+            for bucket in held.buckets.values_mut() {
+                bucket.clone_from(&every);
+            }
+            Ok(table)
+        }
+    }
+
+    #[test]
+    fn colliding_buckets_still_join_only_equal_keys_in_build_order() {
+        use crate::eval::evaluate_program_exec;
+        use aldsp_governor::QueryBudget;
+        let program = parse_program(
+            "for $l in ns0:L() for $r in ns0:R() where $l/K = $r/K \
+             return <P>{fn:data($l/N)}:{fn:data($r/N)}</P>",
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        let run = |strategy| {
+            let budget = QueryBudget::unlimited();
+            let out = evaluate_program_exec(&program, &Colliding, &[], Some(&budget), strategy);
+            let out = out.unwrap_or_else(|e| panic!("{e}"));
+            (aldsp_xml::serialize_sequence(&out), budget.index_counts())
+        };
+        let (hashed, built) = run(ExecStrategy::HashJoin);
+        // Untyped keys compare as text: " 1" and "2.0" match nothing; each
+        // `L` row meets its equals among `R`'s in `R`'s order.
+        let expected = "<P>0:5</P><P>1:0</P><P>1:6</P><P>2:4</P><P>3:0</P><P>3:6</P>";
+        assert_eq!(hashed, expected);
+        assert_eq!(built, (1, 0), "the join went through the colliding index");
+        assert_eq!(run(ExecStrategy::NestedLoop).0, expected);
     }
 }

@@ -190,7 +190,7 @@ pub fn call_builtin(name: &str, args: &[Sequence]) -> Result<Option<Sequence>, X
             require_arity(name, args, 1)?;
             let mut seen = std::collections::HashSet::new();
             let mut out = Sequence::empty();
-            for a in data(&args[0]).into_items() {
+            for a in data(&args[0]) {
                 let Item::Atomic(a) = a else { continue };
                 if seen.insert(crate::exec::AtomKey::group(&a)) {
                     out.push(a);
@@ -607,7 +607,7 @@ fn aggregate_numeric(name: &str, seq: &Sequence, agg: NumericAgg) -> Result<Sequ
 
 fn min_max(seq: &Sequence, want_min: bool) -> Result<Sequence, XqError> {
     let mut best: Option<Atomic> = None;
-    for item in data(seq).into_items() {
+    for item in data(seq) {
         let Item::Atomic(a) = item else { continue };
         best = Some(match best {
             None => a,

@@ -11,6 +11,7 @@ use aldsp::core::{TranslationOptions, Translator, Transport};
 use aldsp::driver::{Connection, DspServer};
 use aldsp::relational::{Database, SqlValue, Table};
 use aldsp::workload::{build_application, ConstructClass, QueryGenerator};
+use aldsp::xml::{Atomic, Element, Item, Sequence};
 use aldsp::xquery::parse_program;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -347,4 +348,83 @@ fn aggregates_skip_nulls_and_having_drops_unknown_groups() {
             "[{t:?}]"
         );
     });
+}
+
+/// Items of every kind a sequence holds: atomics, including ones whose
+/// effective boolean value is false, and a node.
+fn item(at: usize) -> Item {
+    match at % 6 {
+        0 => Atomic::Integer(at as i64 / 6).into(),
+        1 => Atomic::String(String::new()).into(),
+        2 => Atomic::Untyped("x".into()).into(),
+        3 => Atomic::Boolean(at % 4 == 3).into(),
+        4 => Atomic::Double(0.5).into(),
+        _ => Item::element(Element::new("ROW").with_text("5")),
+    }
+}
+
+/// `len` items starting at `from`.
+fn items(from: usize, len: usize) -> Vec<Item> {
+    (from..from + len).map(item).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Sequence` holds zero and one item inline and more in a vector;
+    /// whatever the route to a value, it reads as the `Vec<Item>` model.
+    #[test]
+    fn sequence_agrees_with_a_vec_model(
+        ops in proptest::collection::vec((0usize..5, 0usize..4, 0usize..12), 1..12),
+    ) {
+        let (mut seq, mut model) = (Sequence::empty(), Vec::<Item>::new());
+        for (op, len, from) in ops {
+            match op {
+                0 => {
+                    seq.push(item(from));
+                    model.push(item(from));
+                }
+                1 => {
+                    seq.extend(Sequence::from_items(items(from, len)));
+                    model.extend(items(from, len));
+                }
+                2 => {
+                    seq = Sequence::from_items(items(from, len));
+                    model = items(from, len);
+                }
+                3 => {
+                    seq = items(from, len).into_iter().collect();
+                    model = items(from, len);
+                }
+                _ => {
+                    let drained: Vec<Item> = seq.into_iter().collect();
+                    prop_assert_eq!(&drained, &model);
+                    seq = drained.into_iter().collect();
+                }
+            }
+            prop_assert_eq!(seq.items(), model.as_slice());
+            prop_assert_eq!(seq.len(), model.len());
+            prop_assert_eq!(seq.is_empty(), model.is_empty());
+            prop_assert_eq!(seq.as_singleton(), (model.len() == 1).then(|| &model[0]));
+            let ebv = match model.as_slice() {
+                [] => false,
+                [Item::Node(_), ..] => true,
+                [Item::Atomic(a)] => a.effective_boolean(),
+                [Item::Atomic(_), ..] => false,
+            };
+            prop_assert_eq!(seq.effective_boolean(), ebv);
+            let atoms: Vec<Atomic> = model.iter().filter_map(|i| i.atomize(None)).collect();
+            prop_assert_eq!(seq.atomize(None), atoms);
+            prop_assert_eq!(&seq, &Sequence::from_items(model.clone()));
+            if let [only] = model.as_slice() {
+                let mut pushed = Sequence::empty();
+                pushed.push(only.clone());
+                let mut extended = Sequence::empty();
+                extended.extend(Sequence::singleton(only.clone()));
+                prop_assert_eq!(&seq, &Sequence::singleton(only.clone()));
+                prop_assert_eq!(&seq, &pushed);
+                prop_assert_eq!(&seq, &extended);
+            }
+        }
+    }
 }
