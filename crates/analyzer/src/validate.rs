@@ -92,15 +92,6 @@ pub struct ValidateOptions {
     /// small `COUNT(*)` thresholds observable while keeping enumeration
     /// tiny).
     pub max_rows_per_table: usize,
-    /// `(table, column)` pairs declared unique keys: witness databases
-    /// whose named column repeats a value (NULL included — key, not
-    /// `UNIQUE`, semantics) are skipped, making the verdict *bounded
-    /// equivalence relative to these integrity constraints*. Empty by
-    /// default — plain validation quantifies over unconstrained
-    /// databases. The optimizer seeds this from its catalog statistics
-    /// so its rewrites are judged only on databases that can actually
-    /// occur.
-    pub key_columns: Vec<(String, String)>,
 }
 
 impl Default for ValidateOptions {
@@ -109,28 +100,19 @@ impl Default for ValidateOptions {
             max_databases: 1024,
             candidate_rows: 4,
             max_rows_per_table: 3,
-            key_columns: Vec::new(),
         }
     }
 }
 
 impl ValidateOptions {
-    /// A reduced budget for where the validator runs per statement or
-    /// per rewrite: the optimizer's safety gate and the matrix's lint.
+    /// A reduced budget for where the validator runs per statement: the
+    /// matrix's lint.
     pub fn quick() -> ValidateOptions {
         ValidateOptions {
             max_databases: 6,
             candidate_rows: 3,
             max_rows_per_table: 2,
-            key_columns: Vec::new(),
         }
-    }
-
-    /// Declares unique-key constraints the witness enumerator must
-    /// respect (see [`ValidateOptions::key_columns`]).
-    pub fn with_key_columns(mut self, keys: Vec<(String, String)>) -> ValidateOptions {
-        self.key_columns = keys;
-        self
     }
 }
 
@@ -1222,36 +1204,11 @@ impl QueryShape {
                     }
                     db.add_table(table);
                 }
-                if !respects_keys(&db, &options.key_columns) {
-                    continue;
-                }
                 databases.push(db);
             }
         }
         databases
     }
-}
-
-/// Whether `db` satisfies the declared key constraints: within each
-/// constrained table the key column's values are pairwise distinct,
-/// counting NULL as a value (key semantics — at most one NULL-keyed
-/// row), so `SELECT DISTINCT` over a projection containing the key can
-/// never collapse two rows of these witnesses.
-fn respects_keys(db: &Database, keys: &[(String, String)]) -> bool {
-    for (table_name, column) in keys {
-        let Some(table) = db.table(table_name) else {
-            continue;
-        };
-        let Some(ci) = table.schema.columns.iter().position(|c| c.name == *column) else {
-            continue;
-        };
-        for (i, row) in table.rows.iter().enumerate() {
-            if table.rows[..i].iter().any(|other| other[ci] == row[ci]) {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 fn pinned_value(t: SqlColumnType) -> SqlValue {

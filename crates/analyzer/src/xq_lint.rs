@@ -267,7 +267,6 @@ fn is_external(name: &str) -> bool {
 /// | `var<ctx>ST<n>`            | `for` or quantifier |
 /// | `var<ctx>AG<n>`            | `for` or `let`      |
 /// | `var<ctx>GD/CS<n>`         | `let`               |
-/// | `var<ctx>HX<n>`            | `let` (optimizer-hoisted invariant) |
 /// | `var<ctx>SQ<n>`            | quantifier          |
 /// | `var<ctx>GB<n>`            | group key           |
 /// | `var<ctx>Partition<n>`     | group partition or `let` (implicit group) |
@@ -286,10 +285,6 @@ fn expected_kinds(name: &str) -> Option<&'static [BindingKind]> {
         ("AG", &[For, Let]),
         ("GD", &[Let]),
         ("CS", &[Let]),
-        // The optimizer's hoisted-invariant zone: `aldsp-optimizer` moves
-        // loop-invariant sources into position-0 `let` bindings named
-        // `var0HX<n>`, and its safety gate re-runs this lint.
-        ("HX", &[Let]),
         ("SQ", &[Quantifier]),
         ("GB", &[GroupKey]),
         ("Partition", &[GroupPartition, Let]),
@@ -353,7 +348,6 @@ mod tests {
         use BindingKind::*;
         assert_eq!(expected_kinds("var1FR2"), Some(&[For] as &[_]));
         assert_eq!(expected_kinds("var0GD3"), Some(&[Let] as &[_]));
-        assert_eq!(expected_kinds("var0HX1"), Some(&[Let] as &[_]));
         assert_eq!(expected_kinds("var12GB4"), Some(&[GroupKey] as &[_]));
         assert_eq!(
             expected_kinds("var1Partition1"),

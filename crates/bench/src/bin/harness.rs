@@ -27,7 +27,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "smoke");
     // Name, the name of the report it writes (also accepted), entry point.
-    let experiments: [(&str, &str, &dyn Fn()); 12] = [
+    let experiments: [(&str, &str, &dyn Fn()); 11] = [
         ("e1", "", &|| e1_result_transport(smoke)),
         ("e2", "", &e2_translation_latency),
         ("e3", "", &e3_metadata_cache),
@@ -38,7 +38,6 @@ fn main() {
         ("e9", "overload", &|| e9_overload(smoke)),
         ("e10", "cost", &|| e10_cost_model(smoke)),
         ("e11", "validation", &|| e11_validation(smoke)),
-        ("e12", "optimizer", &|| e12_optimizer(smoke)),
         ("e13", "exec", &|| e13_exec_engine(smoke)),
     ];
     for (name, report, run) in experiments {
@@ -1066,255 +1065,6 @@ fn e11_validation(smoke: bool) {
     println!();
 }
 
-/// E12: optimizer effectiveness and safety. The differential matrix runs
-/// one fuzzed workload on the naive lanes, on the lanes optimizing at
-/// `Full` and on the production lanes of both transports, every lane
-/// against the oracle and every lane but the plain ones against its plain
-/// lane's emission order, metering fuel per query. Bars: every golden statement
-/// comes out of the optimizer clean through all five analyzer layers,
-/// the >= 1000 fuzzed queries produce 0 result mismatches and 0
-/// validator-detected miscompilations, and the median measured-fuel
-/// reduction over the P-dirty rewritten slice is >= 2x. Emits
-/// `BENCH_optimizer.json`.
-fn e12_optimizer(smoke: bool) {
-    use aldsp_analyzer::{analyze_sql_with, CostOptions, DiagCode, ValidateOptions};
-    use aldsp_core::{OptimizeLevel, QueryOptimizer};
-    use aldsp_optimizer::Optimizer;
-    use aldsp_workload::{stats_for, QueryGenerator};
-    use std::collections::BTreeMap;
-
-    println!("== E12: cost-driven rewrite engine, gated by the validator ==");
-    // The bars hold at any scale; smoke trims the per-transport fuzz
-    // oversample (total stays >= the 1000-query bar) and the data scale,
-    // never the acceptance thresholds.
-    let customers = if smoke { 25 } else { 40 };
-    let per_transport = if smoke { 500 } else { 1_000 };
-    let scale = Scale::of(customers);
-    let stats = stats_for(scale);
-    let engine = Optimizer::new(stats.clone()).with_validation(true);
-    let metadata = demo_metadata();
-    let translator = Translator::new(demo_metadata());
-    // Final-program audit: the engine's own gate — would it accept the
-    // optimized text as a rewrite of the naive one? — under the E11
-    // witness budget, enumerating only databases that respect the
-    // declared keys: optimized plans are equivalent *relative to those
-    // integrity constraints*.
-    let auditor = Optimizer::new(stats.clone())
-        .with_validate_options(ValidateOptions::default().with_key_columns(stats.unique_columns()));
-
-    // -- golden corpus: optimizer-clean through all five layers --------
-    let golden = golden_statements();
-    let mut golden_count = 0usize;
-    let mut golden_rewritten = 0usize;
-    for transport in [Transport::Xml, Transport::DelimitedText] {
-        let options = TranslationOptions::with_transport(transport).optimized(OptimizeLevel::Full);
-        for sql in &golden {
-            golden_count += 1;
-            let full = translator
-                .translate_full(sql, options)
-                .unwrap_or_else(|e| panic!("E12: golden `{sql}` failed to translate: {e}"));
-            let outcome = engine.optimize(&full.prepared, &full.translation.xquery, options);
-            if let Err(refusal) =
-                auditor.gate(&full.prepared, &full.translation.xquery, &outcome.xquery)
-            {
-                panic!("acceptance: golden `{sql}` optimized dirty on {transport:?}: {refusal}");
-            }
-            if outcome.trace.applied() > 0 {
-                golden_rewritten += 1;
-            }
-        }
-    }
-
-    // -- fuzzed workload: result equality, fuel, validator audit ------
-    // Classification profile for the P-dirty slice: stats-seeded, with
-    // the P008 work threshold zeroed so per-row subquery re-evaluation
-    // is flagged *structurally* — at benchmark scale the default 1e8
-    // threshold would hide every instance of the pattern the hoist rule
-    // exists to fix.
-    let cost_options = CostOptions {
-        stats: stats.clone(),
-        subquery_work: 0.0,
-        ..CostOptions::default()
-    };
-    // End to end first: the matrix runs every query on the naive lanes
-    // (uncached and cached), on the lanes optimizing at `Full` and on the
-    // production lanes, every lane against the oracle, and meters each
-    // lane's fuel per query. The fuel baseline of `+opt` is `+cache`: both
-    // run the normalized plan, so the rewrites are the only difference.
-    let mut generator = QueryGenerator::new(77);
-    let corpus: Vec<(String, String)> = (0..per_transport)
-        .map(|_| {
-            let (class, sql) = generator.generate_any();
-            (class.label().to_string(), sql)
-        })
-        .collect();
-    let opt_lane = |t| Lane::optimized(t, aldsp_bench::production_engine(scale));
-    let mut lanes = Lane::both(Lane::plain);
-    lanes.extend(Lane::both(Lane::cached));
-    lanes.extend(Lane::both(opt_lane));
-    lanes.extend(production_lanes(scale));
-    let matrix = run_matrix(&Universe::generated(scale, 42), &corpus, &lanes, None);
-    print_mismatches(&matrix);
-
-    let mut queries = 0usize;
-    let mut rewritten = 0usize;
-    let mut miscompilations: Vec<String> = Vec::new();
-    let mut by_rule: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
-    let mut dirty_ratios: Vec<f64> = Vec::new();
-    let mut all_ratios: Vec<f64> = Vec::new();
-    for (transport, naive, optimized) in [
-        (Transport::Xml, "xml+cache", "xml+opt"),
-        (Transport::DelimitedText, "text+cache", "text+opt"),
-    ] {
-        let options = TranslationOptions::with_transport(transport).optimized(OptimizeLevel::Full);
-        let (naive_fuel, opt_fuel) = (&matrix.lane(naive).fuel, &matrix.lane(optimized).fuel);
-        for (i, (_, sql)) in corpus.iter().enumerate() {
-            queries += 1;
-
-            // The optimized program, produced the same way the lane's
-            // plan cache builds it, audited against the prepared IR.
-            let full = translator
-                .translate_full(sql, options)
-                .unwrap_or_else(|e| panic!("E12: `{sql}` failed to translate: {e}"));
-            let outcome = engine.optimize(&full.prepared, &full.translation.xquery, options);
-            for step in &outcome.trace.steps {
-                let entry = by_rule.entry(step.rule).or_insert((0, 0));
-                entry.0 += 1;
-                if step.applied {
-                    entry.1 += 1;
-                }
-            }
-            let ratio = naive_fuel[i] as f64 / (opt_fuel[i] as f64).max(1.0);
-            all_ratios.push(ratio);
-            if outcome.trace.applied() == 0 {
-                continue;
-            }
-            rewritten += 1;
-            if let Err(refusal) =
-                auditor.gate(&full.prepared, &full.translation.xquery, &outcome.xquery)
-            {
-                if miscompilations.len() < 8 {
-                    miscompilations.push(format!("{transport:?} `{sql}`: {refusal}"));
-                }
-            }
-            // The P-dirty rewritten slice: the layer-4 analyzer flagged
-            // the naive plan with P008 (loop-invariant subquery
-            // re-evaluated per tuple) and the engine applied the rewrite
-            // keyed to that lint, the hoist. This is the population the
-            // >= 2x measured-fuel bar is claimed on.
-            let discharged: Vec<&str> = outcome
-                .trace
-                .steps
-                .iter()
-                .filter(|s| s.applied)
-                .map(|s| s.lint)
-                .collect();
-            let analysis = analyze_sql_with(
-                sql,
-                &metadata,
-                TranslationOptions::with_transport(transport),
-                &cost_options,
-                None,
-            )
-            .unwrap_or_else(|e| panic!("E12: `{sql}` failed to analyze: {e}"));
-            let flagged = |code: DiagCode| {
-                analysis
-                    .report
-                    .cost
-                    .diagnostics
-                    .iter()
-                    .any(|d| d.code == code)
-            };
-            if flagged(DiagCode::P008) && discharged.contains(&"P008") {
-                dirty_ratios.push(ratio);
-            }
-        }
-    }
-
-    let median_all = percentile(&sorted_us(all_ratios.clone()), 0.50);
-    let dirty_sorted = sorted_us(dirty_ratios.clone());
-    let median_dirty = percentile(&dirty_sorted, 0.50);
-    let p90_dirty = percentile(&dirty_sorted, 0.90);
-
-    println!(
-        "{:>22} {:>10} {:>10}",
-        "rewrite rule", "attempted", "applied"
-    );
-    for (rule, (attempted, applied)) in &by_rule {
-        println!("{rule:>22} {attempted:>10} {applied:>10}");
-    }
-    println!(
-        "{golden_count} golden translations (both transports): all five layers clean, \
-         {golden_rewritten} rewritten"
-    );
-    println!(
-        "{queries} fuzzed queries x (naive, cached, optimized, production) lanes vs the oracle: \
-         {} result mismatches, {} rejected, {} validator-detected miscompilations over \
-         {rewritten} audited optimized plans",
-        matrix.mismatches.len(),
-        matrix.rejected,
-        miscompilations.len()
-    );
-    println!(
-        "fuel reduction (naive/optimized): median {median_all:.2}x overall, \
-         median {median_dirty:.2}x / p90 {p90_dirty:.2}x on the P-dirty rewritten slice \
-         ({} queries)",
-        dirty_ratios.len()
-    );
-    for m in &miscompilations {
-        println!("  DIVERGED: {m}");
-    }
-
-    assert!(
-        queries >= 1_000,
-        "acceptance: E12 must execute >= 1000 fuzzed queries, got {queries}"
-    );
-    assert!(
-        matrix.is_clean(),
-        "acceptance: optimized lanes must return exactly the oracle's rows, as the naive ones do"
-    );
-    for label in ["xml+opt", "text+opt", "xml+production", "text+production"] {
-        assert!(
-            matrix.lane(label).rewritten > 0,
-            "acceptance: lane {label} ran no rewritten plan"
-        );
-    }
-    assert!(
-        miscompilations.is_empty(),
-        "acceptance: the validator must detect 0 miscompiled optimized plans"
-    );
-    assert!(
-        !dirty_ratios.is_empty(),
-        "acceptance: the P-dirty rewritten slice must be non-empty"
-    );
-    assert!(
-        median_dirty >= 2.0,
-        "acceptance: median fuel reduction on the P-dirty rewritten slice \
-         must be >= 2x, got {median_dirty:.2}x over {} queries",
-        dirty_ratios.len()
-    );
-
-    let by_rule_json = by_rule
-        .iter()
-        .map(|(rule, (attempted, applied))| {
-            let counts = obj! { "attempted": *attempted, "applied": *applied };
-            (rule.to_string(), counts)
-        })
-        .collect();
-    let json = obj! {
-        "smoke": smoke, "scale_customers": customers, "golden_statements": golden_count,
-        "golden_rewritten": golden_rewritten, "queries": queries, "rewritten": rewritten,
-        "audited": rewritten, "result_mismatches": matrix.mismatches.len(),
-        "validator_miscompilations": miscompilations.len(),
-        "median_fuel_ratio": Json::Num(median_all, 3),
-        "median_fuel_ratio_p_dirty": Json::Num(median_dirty, 3),
-        "p90_fuel_ratio_p_dirty": Json::Num(p90_dirty, 3), "p_dirty_slice": dirty_ratios.len(),
-        "bar": Json::Num(2.0, 1), "by_rule": Json::Obj(by_rule_json),
-    };
-    write_report("optimizer", smoke, &json);
-    println!();
-}
-
 /// E13: the streaming hash-join execution engine. Two halves:
 ///
 /// * **Correctness** — the differential matrix: the paper corpus plus at
@@ -1361,9 +1111,9 @@ fn e13_exec_engine(smoke: bool) {
             for label in ["text+production", "xml+production"] {
                 let lane = report.lane(label);
                 assert!(
-                    lane.hash_operators > 0 && lane.join_fallbacks == 0 && lane.rewritten > 0,
-                    "acceptance: lane {label} must run rewritten plans on hash operators, \
-                     none falling back: {lane:?}"
+                    lane.hash_operators > 0 && lane.join_fallbacks == 0 && lane.memoized > 0,
+                    "acceptance: lane {label} must run plans that memoize invariant sources \
+                     on hash operators, none falling back: {lane:?}"
                 );
             }
             for label in ["text+hash", "xml+hash", "text+production", "xml+production"] {

@@ -139,25 +139,6 @@ impl CatalogStats {
             .copied()
             .unwrap_or_else(|| ColumnStats::assumed(rows))
     }
-
-    /// Every `(table, column)` pair declared unique, in deterministic
-    /// order — the integrity constraints a constraint-aware consumer
-    /// (the bounded-equivalence validator's key filter) can rely on.
-    pub fn unique_columns(&self) -> Vec<(String, String)> {
-        let mut keys: Vec<(String, String)> = self
-            .tables
-            .iter()
-            .flat_map(|(table, stats)| {
-                stats
-                    .columns
-                    .iter()
-                    .filter(|(_, c)| c.unique)
-                    .map(|(column, _)| (table.clone(), column.clone()))
-            })
-            .collect();
-        keys.sort();
-        keys
-    }
 }
 
 /// Builder for one table's column stats (see [`CatalogStats::table`]).

@@ -74,6 +74,9 @@ pub enum Transport {
 }
 
 /// How hard the optimizer rewrites a generated program before execution.
+/// The optimizer production configures rewrites nothing at either level
+/// (the engine evaluates a loop-invariant source once by itself); the knob
+/// stays for the [`QueryOptimizer`]s a caller brings.
 ///
 /// Part of [`TranslationOptions`], and therefore of plan-cache keys: an
 /// optimized plan and the naive plan for the same SQL are distinct cache
@@ -83,9 +86,7 @@ pub enum OptimizeLevel {
     /// No rewriting: execute the stage-three program verbatim.
     #[default]
     Off,
-    /// Run the rewrite engine (loop-invariant hoisting, behind its safety
-    /// gate). The rewrite preserves row order, so an optimized plan
-    /// emits the naive plan's rows in the naive order.
+    /// Run the configured [`QueryOptimizer`].
     Full,
 }
 
@@ -131,19 +132,18 @@ impl TranslationOptions {
 /// One rule application (or refusal) in an optimizer's rewrite trace.
 #[derive(Debug, Clone)]
 pub struct RewriteStep {
-    /// Rule name (`invariant_hoist`).
+    /// Rule name.
     pub rule: &'static str,
-    /// The layer-4 performance lint the rule discharges (`P008`).
+    /// The layer-4 performance lint the rule discharges (`P008`, say).
     pub lint: &'static str,
     /// Estimated evaluator fuel before the rule ran.
     pub cost_before: f64,
     /// Estimated evaluator fuel after the rule ran (equals `cost_before`
     /// when the rule was rejected).
     pub cost_after: f64,
-    /// Whether the rewrite was kept. A `false` here means the safety gate
-    /// (analyzer layers 1–3, and in validating builds the layer-5 bounded
-    /// equivalence check) refused the rewritten program, which was then
-    /// discarded — never silently executed.
+    /// Whether the rewrite was kept. A `false` here means the optimizer
+    /// refused its own candidate, which was then discarded — never
+    /// silently executed.
     pub applied: bool,
     /// Human-readable description of what changed (or why it was refused).
     pub note: String,
@@ -187,10 +187,9 @@ pub struct OptimizeOutcome {
 /// A rewrite engine over generated XQuery programs.
 ///
 /// Defined here (rather than in the optimizer crate) so the plan cache and
-/// driver can hold an optimizer without depending on its implementation —
-/// the implementation lives in `aldsp-optimizer`, which depends on the
-/// analyzer for its safety gate and would otherwise create a dependency
-/// cycle through this crate.
+/// driver can hold an optimizer without depending on an implementation:
+/// `aldsp-optimizer`'s hands every program back unchanged, and tests bring
+/// their own.
 pub trait QueryOptimizer {
     /// Rewrites `xquery` (the stage-three output for `prepared`, in the
     /// transport of `options`) under `options.optimize`. Implementations

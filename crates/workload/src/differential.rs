@@ -1,4 +1,4 @@
-//! The differential matrix (experiments E6, E12, E13 and the chaos sweeps).
+//! The differential matrix (experiments E6, E13 and the chaos sweeps).
 //!
 //! Correctness goal (paper §3.2 (i)): "the XQuery must do what the SQL
 //! query would have done". We check that mechanically, in one place:
@@ -39,7 +39,9 @@ use aldsp_governor::{Lowering, QueryBudget};
 use aldsp_plancache::{CacheStats, PlanCache};
 use aldsp_relational::{execute_query, Database, Relation, SqlValue};
 use aldsp_sql::parse_select;
-use aldsp_xquery::parse_program;
+use aldsp_xquery::exec::{Lowered, PhysicalPlan};
+use aldsp_xquery::visit::each_expr;
+use aldsp_xquery::{parse_program, Program};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -306,6 +308,9 @@ pub struct LaneReport {
     pub analyzed: usize,
     /// Resident plans carrying at least one applied rewrite.
     pub rewritten: usize,
+    /// Resident plans whose physical plan, under the lane's strategy,
+    /// memoizes a loop-invariant source ([`memoized_sources`]).
+    pub memoized: usize,
     /// Transient failures the connection retried.
     pub retries: u64,
 }
@@ -402,6 +407,20 @@ impl MatrixReport {
     pub fn fingerprint(&self) -> String {
         self.outcome_log.join("\n")
     }
+}
+
+/// How many `for` and quantifier sources `program`'s plan under
+/// `strategy` evaluates at most once per evaluation of their FLWOR, as
+/// [`PhysicalPlan::lowered`] reports them.
+pub fn memoized_sources(program: &Program, strategy: ExecStrategy) -> usize {
+    let plan = PhysicalPlan::new(program, strategy, false);
+    let mut sources = 0;
+    each_expr(&program.body, &mut |expr| {
+        if let Lowered::Flwor { memoized, .. } = plan.lowered(expr) {
+            sources += memoized;
+        }
+    });
+    sources
 }
 
 /// Compares a driver result set against an oracle relation.
@@ -679,6 +698,10 @@ pub fn run_matrix(
                         stats.rewritten +=
                             usize::from(plan.rewrite.as_ref().is_some_and(|t| t.applied() > 0));
                         let parsed = parse_program(&plan.translation.xquery);
+                        stats.memoized +=
+                            usize::from(parsed.as_ref().is_ok_and(|program| {
+                                memoized_sources(program, lane.options.exec) > 0
+                            }));
                         let analysis = QueryFacts::of(&plan.prepared).check(parsed.as_ref());
                         match analysis.is_clean() {
                             true => Ok(()),

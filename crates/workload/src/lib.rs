@@ -47,8 +47,8 @@ pub use cached::{
 };
 pub use chaos::ChaosConfig;
 pub use differential::{
-    compare_results, fuzzed_corpus, golden_corpus, paper_corpus, run_matrix, Engine, Lane,
-    LaneReport, MatrixReport, Mismatch, Universe,
+    compare_results, fuzzed_corpus, golden_corpus, memoized_sources, paper_corpus, run_matrix,
+    Engine, Lane, LaneReport, MatrixReport, Mismatch, Universe,
 };
 pub use mutation::{mutants_for, Mutant, MutationClass};
 pub use overload::{run_overload, OverloadConfig, OverloadReport};

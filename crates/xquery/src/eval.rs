@@ -17,17 +17,17 @@
 //! grouped FLWOR or sort or set wrapper (`Evaluator::flwor_tuples`), its
 //! `return <RECORD>…</RECORD>` (`eval_flwor`), a program body that is a
 //! sink's ([`evaluate_program_exec`], [`evaluate_program_to_payload`]) —
-//! and interprets the rest. (The paper leaves optimization to the server's
-//! compiler, §3.2; `exec` is this repository's share of that compiler's
-//! physical side, the rewrite engine in `aldsp-optimizer` its logical
-//! one.)
+//! and interprets the rest — a loop-invariant source the plan names
+//! evaluated once per evaluation of its FLWOR (`Evaluator::source`).
+//! (The paper leaves optimization to the server's compiler, §3.2; `exec`
+//! is this repository's share of that compiler.)
 
 use crate::ast::*;
 use crate::exec::{self, AtomKey, JoinTable, PhysicalPlan, Tuples};
 use crate::functions::{call_builtin, coerce_numeric, data};
 use aldsp_governor::{BudgetError, ExecStrategy, LoweringOutcome, QueryBudget};
 use aldsp_xml::{Atomic, Element, Item, Node, QName, Sequence};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -206,7 +206,13 @@ pub struct Evaluator<'a> {
     budget: Option<&'a QueryBudget>,
     /// What runs each FLWOR and the body: planned once per evaluation.
     plan: &'a PhysicalPlan<'a>,
+    /// A frame per running clause loop of a FLWOR that memoizes sources.
+    memo: RefCell<Vec<Frame>>,
 }
+
+/// A FLWOR's address, and the values of the sources it memoizes that its
+/// clause loop has evaluated so far, by address.
+type Frame = (usize, Vec<(usize, Sequence)>);
 
 /// Evaluates a parsed program against a function source: no external
 /// variables, no budget, the nested-loop interpreter.
@@ -301,6 +307,7 @@ fn run(
             .collect(),
         budget,
         plan,
+        memo: RefCell::default(),
     };
     let mut env = Env::new();
     for (name, value) in vars {
@@ -532,7 +539,7 @@ impl<'a> Evaluator<'a> {
                 source,
                 satisfies,
             } => {
-                let items = self.eval(source, env, context)?;
+                let items = self.source(source, env, context)?;
                 for item in items {
                     let bound = env.bind(var, Sequence::singleton(item));
                     let holds = self.eval(satisfies, &bound, context)?.effective_boolean();
@@ -550,6 +557,34 @@ impl<'a> Evaluator<'a> {
                 Ok(Sequence::singleton(Item::element(element)))
             }
         }
+    }
+
+    /// Evaluates a `for` or quantifier source: one the plan memoizes is
+    /// evaluated on the first tuple of its FLWOR's clause loop that asks
+    /// for it and read back on every later one. Without a frame — an
+    /// operator runs the FLWOR whole — it is evaluated as written.
+    pub(crate) fn source(
+        &self,
+        source: &'a Expr,
+        env: &Env<'a>,
+        context: Option<&Item>,
+    ) -> Result<Sequence, XqError> {
+        let (flwor, at) = (self.plan.memoized_by(source), exec::address(source));
+        let frame = self
+            .memo
+            .borrow()
+            .iter()
+            .rposition(|(of, _)| Some(*of) == flwor);
+        let Some(frame) = frame else {
+            return self.eval(source, env, context);
+        };
+        if let Some((_, value)) = self.memo.borrow()[frame].1.iter().find(|(of, _)| *of == at) {
+            return Ok(value.clone());
+        }
+        // Frames pushed while it is evaluated are gone when it returns.
+        let value = self.eval(source, env, context)?;
+        self.memo.borrow_mut()[frame].1.push((at, value.clone()));
+        Ok(value)
     }
 
     fn eval_numeric_operand(
@@ -732,8 +767,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// [`Evaluator::flwor_tuples`] through the clause loop: each clause
-    /// over the tuple stream, a join-shaped prefix through the pipeline and
-    /// each `let` of a view through its plan, where `node` has them.
+    /// over the tuple stream, a join-shaped prefix through the pipeline,
+    /// each `let` of a view through its plan and each source it memoizes
+    /// through a frame of the memo, where `node` has them.
     fn clause_loop(
         &self,
         flwor: &'a Flwor,
@@ -741,6 +777,16 @@ impl<'a> Evaluator<'a> {
         env: &Env<'a>,
         context: Option<&Item>,
     ) -> Result<Vec<Env<'a>>, XqError> {
+        // An error returns past the truncate below. The frame it leaves is
+        // of an evaluation that is over, and harmless: a source reads the
+        // newest frame of its FLWOR, which is its own evaluation's, and
+        // the enclosing loop drops it when that loop returns.
+        let frames = self.memo.borrow().len();
+        if node.is_some_and(|node| !node.memoized.is_empty()) {
+            self.memo
+                .borrow_mut()
+                .push((exec::address(flwor), Vec::new()));
+        }
         let mut skip = 0;
         let mut tuples: Vec<Env<'a>> = vec![env.clone()];
         if let Some(pipeline) = node.and_then(|node| node.pipeline.as_ref()) {
@@ -775,7 +821,7 @@ impl<'a> Evaluator<'a> {
                 Clause::For { var, source } => {
                     let mut next = Vec::new();
                     for tuple in &tuples {
-                        let seq = self.eval(source, tuple, context)?;
+                        let seq = self.source(source, tuple, context)?;
                         for item in seq {
                             // Charge inside the expansion so a cartesian
                             // product hits its fuel/row limits before the
@@ -812,6 +858,7 @@ impl<'a> Evaluator<'a> {
                 }
             }
         }
+        self.memo.borrow_mut().truncate(frames);
         Ok(tuples)
     }
 

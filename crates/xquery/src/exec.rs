@@ -756,6 +756,88 @@ fn pipeline<'p>(flwor: &'p Flwor, prefix: &'p [Clause]) -> Option<Plan<'p>> {
     })
 }
 
+// ---------------------------------------------------------------------
+// Invariant sources
+// ---------------------------------------------------------------------
+
+/// The sources of `flwor` that have one value over an evaluation of it,
+/// by address: a `for` source past the first clause, or the source of a
+/// quantifier inside a `where`, ahead of the first `group by`, that is
+/// worth keeping ([`is_expensive`]), does not read the context item and
+/// reads no variable bound by the FLWOR or by a binder between the FLWOR
+/// and the source (a nested FLWOR's clause, an enclosing quantifier). The
+/// evaluator evaluates each on the first tuple that asks for it and reads
+/// the value back for every later one, so a FLWOR whose stream is empty
+/// never evaluates it, and one that reads an outer FLWOR's variable is
+/// evaluated again in each evaluation of its own FLWOR.
+fn invariant_sources(flwor: &Flwor) -> Vec<usize> {
+    struct Sources<'p> {
+        bound: Vec<&'p str>,
+        found: Vec<usize>,
+    }
+    impl<'p> Sources<'p> {
+        fn offer(&mut self, source: &'p Expr) {
+            let bound = |v: &str| self.bound.contains(&v);
+            if is_expensive(source) && !uses_context(source) && invariant(source, &bound) {
+                self.found.push(address(source));
+            }
+        }
+    }
+    impl<'p> Visitor<'p> for Sources<'p> {
+        fn visit_expr(&mut self, expr: &'p Expr) {
+            let depth = self.bound.len();
+            // Pushed before the source is walked, which cannot read it: a
+            // nested source that reads an outer name it shadows declines.
+            if let Expr::Quantified { var, source, .. } = expr {
+                self.offer(source);
+                self.bound.push(var);
+            }
+            walk_expr(self, expr);
+            self.bound.truncate(depth);
+        }
+        fn visit_clause(&mut self, clause: &'p Clause) {
+            walk_clause(self, clause);
+            self.bound.extend(binders(clause));
+        }
+    }
+    let (bound, found) = (Vec::new(), Vec::new());
+    let mut sources = Sources { bound, found };
+    for (at, clause) in flwor.clauses.iter().enumerate() {
+        match clause {
+            Clause::For { source, .. } if at > 0 => sources.offer(source),
+            Clause::Where(predicate) => sources.visit_expr(predicate),
+            Clause::GroupBy(_) => break,
+            _ => {}
+        }
+        sources.bound.extend(binders(clause));
+    }
+    sources.found
+}
+
+/// The variables `clause` binds.
+fn binders(clause: &Clause) -> Vec<&str> {
+    match clause {
+        Clause::For { var, .. } | Clause::Let { var, .. } => vec![var],
+        Clause::GroupBy(group) => {
+            let keys = group.keys.iter().map(|(_, var)| &**var);
+            keys.chain([&*group.partition_var]).collect()
+        }
+        Clause::Where(_) | Clause::OrderBy(_) => Vec::new(),
+    }
+}
+
+/// Whether evaluating `expr` again is worth avoiding: it holds a FLWOR, a
+/// filter or a function call (a data-service scan, or a builtin over one).
+/// Variables, literals and plain paths from a variable are not.
+fn is_expensive(expr: &Expr) -> bool {
+    let mut expensive = false;
+    each_expr(expr, &mut |e| match e {
+        Expr::Flwor(_) | Expr::Filter { .. } | Expr::FunctionCall { .. } => expensive = true,
+        _ => {}
+    });
+    expensive
+}
+
 /// Calls `f` on each conjunct of an `and` tree, left to right, until one
 /// answers true.
 fn any_conjunct<'p>(expr: &'p Expr, f: &mut impl FnMut(&'p Expr) -> bool) -> bool {
@@ -920,7 +1002,7 @@ fn drive<'a>(
     };
     match op {
         Op::For { var, source } => {
-            let seq = ev.eval(source, env, context)?;
+            let seq = ev.source(source, env, context)?;
             for item in seq {
                 ev.charge(1)?;
                 let next = env.bind(var, Sequence::singleton(item));
@@ -3027,6 +3109,9 @@ pub(crate) struct FlworPlan<'p> {
     pub(crate) whole: Option<(Lowering, Option<Whole<'p>>)>,
     /// The `return`, lowered.
     project: Option<Project<'p>>,
+    /// The sources its evaluation memoizes ([`invariant_sources`]), by
+    /// address.
+    pub(crate) memoized: Vec<usize>,
 }
 
 /// An operator that runs a FLWOR whole.
@@ -3035,8 +3120,8 @@ pub(crate) enum Whole<'p> {
     Rows(Rows<'p>),
 }
 
-/// The address a plan finds a FLWOR or an aggregate by.
-fn address<T>(at: &T) -> usize {
+/// The address a plan finds a FLWOR, an aggregate or a source by.
+pub(crate) fn address<T>(at: &T) -> usize {
     at as *const T as usize
 }
 
@@ -3065,13 +3150,17 @@ impl<'p> FlworPlan<'p> {
         };
         let project = project(&flwor.ret).map(|project| project.resolved(text));
         let pipeline = plan(flwor);
-        let plans = pipeline.is_some() || !views.is_empty() || whole.is_some() || project.is_some();
-        plans.then_some(FlworPlan {
+        // A source inside a nested FLWOR that memoizes it is that FLWOR's.
+        let mut memoized = invariant_sources(flwor);
+        memoized.retain(|at| !planned.iter().any(|node| node.memoized.contains(at)));
+        let plans = pipeline.is_some() || !views.is_empty() || whole.is_some();
+        (plans || project.is_some() || !memoized.is_empty()).then_some(FlworPlan {
             flwor,
             pipeline,
             views,
             whole,
             project,
+            memoized,
         })
     }
 
@@ -3130,6 +3219,8 @@ pub enum Lowered {
         rows: Option<bool>,
         /// Whether its `return` lowers to the projection operator.
         projection: bool,
+        /// How many of its sources its evaluation memoizes.
+        memoized: usize,
     },
 }
 
@@ -3201,6 +3292,14 @@ impl<'p> PhysicalPlan<'p> {
             .find(|node| std::ptr::eq(node.flwor, flwor))
     }
 
+    /// The FLWOR, by address, whose evaluation memoizes `source`.
+    pub(crate) fn memoized_by(&self, source: &Expr) -> Option<usize> {
+        let at = address(source);
+        let mut nodes = self.nodes.iter();
+        let node = nodes.find(|node| node.memoized.contains(&at))?;
+        Some(address(node.flwor))
+    }
+
     /// The variable an aggregate operator binds `expr`'s value to.
     pub(crate) fn aggregate(&self, expr: &Expr) -> Option<&str> {
         let mut aggregates = self.aggregates.iter();
@@ -3257,6 +3356,7 @@ impl<'p> PhysicalPlan<'p> {
             aggregate: whole(&[Lowering::Aggregate]),
             rows: whole(&[Lowering::Sort, Lowering::Set]),
             projection: node.project.is_some(),
+            memoized: node.memoized.len(),
         }
     }
 }
@@ -3484,7 +3584,7 @@ mod tests {
 
     #[test]
     fn marks_a_bare_function_keyed_by_one_child_indexable() {
-        // The optimizer's hoisted shape: through a `let` of the prefix.
+        // A build side named by a `let` of the prefix.
         assert_eq!(
             requests(
                 "let $var0HX1 := ns1:ORDERS() for $a in ns0:CUSTOMERS() for $b in $var0HX1 \

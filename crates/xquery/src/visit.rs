@@ -17,8 +17,8 @@
 //!   variable from a `let`, and so on).
 //! * [`walk_expr_mut`] / [`walk_clause_mut`] — the same children in the
 //!   same order, mutably, for closures; [`each_expr`] (pre-order) and
-//!   [`each_expr_mut`] (post-order) are the deep walks the optimizer's
-//!   rewrite rule and the mutation harness share.
+//!   [`each_expr_mut`] (post-order) are the deep walks the physical
+//!   planner and the mutation harness share.
 
 use crate::ast::*;
 use std::collections::BTreeSet;
@@ -324,8 +324,8 @@ pub fn for_each_binding(program: &Program, mut f: impl FnMut(&str, BindingKind))
 
 /// True when `expr` contains the context item (`.` or a relative path)
 /// anywhere, nested predicates included — such an expression cannot move
-/// out of the predicate that gives it its context. The rewrite rule
-/// refuses to move one; the physical planner uses it to tell a filter
+/// out of the predicate that gives it its context. The physical planner
+/// memoizes no source that reads it, and uses it to tell a filter
 /// predicate's build side (reads the candidate item) from its probe side
 /// (must not).
 pub fn uses_context(expr: &Expr) -> bool {
@@ -352,10 +352,10 @@ pub fn uses_context(expr: &Expr) -> bool {
 /// clauses bind for subsequent clauses and the return, quantifiers bind
 /// their `satisfies`, group-by binds the partition and key variables, and
 /// a path starting at [`PathStart::Var`] counts as a variable use. The
-/// physical planner and the rewrite rule both decide what may move on
-/// this: over-approximating freeness is safe (they just decline);
-/// missing a use is not, so everything that neither binds nor uses a
-/// name goes through [`walk_expr`].
+/// physical planner decides what it may hash or memoize on this:
+/// over-approximating freeness is safe (it just declines); missing a use
+/// is not, so everything that neither binds nor uses a name goes through
+/// [`walk_expr`].
 pub fn free_vars(expr: &Expr) -> BTreeSet<String> {
     free_vars_except(expr, &mut |_| false)
 }

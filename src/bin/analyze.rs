@@ -23,22 +23,14 @@
 //!   enumerated witness databases); `V` findings are hard errors and
 //!   count toward the exit status.
 //! * `--all` is `--types --cost --validate`.
-//! * `--optimize` additionally runs the cost-driven rewrite engine
-//!   (`aldsp-optimizer`, validation gate on) over each statement and
-//!   prints its trace: one line per rule that fired or was refused, with
-//!   the discharged `P` lint and the fuel estimate before and after. The
-//!   trace is a report, not a finding — it never affects the exit status.
 //! * `--format json` switches the report to machine-readable NDJSON: one
 //!   JSON object per finding (`sql`, `transport`, `layer`, `code`,
-//!   `severity`, `rule`, `message`), one per rewrite step under
-//!   `--optimize` (`sql`, `transport`, `event: "rewrite"`, `rule`,
-//!   `lint`, `applied`, `cost_before`, `cost_after`, `note`), and one per
-//!   failed translation (`sql`, `transport`, `error`). `--format human`
+//!   `severity`, `rule`, `message`), and one per failed translation (`sql`, `transport`, `error`). `--format human`
 //!   is the default.
 //!
 //! ```text
 //! Usage: analyze [--print-xquery] [--types] [--cost] [--validate] [--all]
-//!                [--optimize] [--format human|json] [FILE ...]
+//!                [--format human|json] [FILE ...]
 //! ```
 //!
 //! Exit status is 0 when every statement is clean across every requested
@@ -47,8 +39,7 @@
 
 use aldsp::analyzer::{analyze_sql_with, CostOptions, ValidateOptions};
 use aldsp::catalog::{CachedMetadataApi, InProcessMetadataApi, TableLocator};
-use aldsp::core::{stage1, stage2, OptimizeLevel, QueryOptimizer, TranslationOptions, Transport};
-use aldsp::optimizer::Optimizer;
+use aldsp::core::{TranslationOptions, Transport};
 use aldsp::workload::schema::{build_application, stats_for};
 use aldsp::workload::Scale;
 use std::io::Read;
@@ -75,7 +66,6 @@ fn main() {
     let mut print_types = false;
     let mut check_cost = false;
     let mut check_validate = false;
-    let mut run_optimize = false;
     let mut json = false;
     let mut files: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -85,7 +75,6 @@ fn main() {
             "--types" => print_types = true,
             "--cost" => check_cost = true,
             "--validate" => check_validate = true,
-            "--optimize" => run_optimize = true,
             "--all" => {
                 print_types = true;
                 check_cost = true;
@@ -113,17 +102,13 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!("Usage: analyze [--print-xquery] [--types] [--cost] [--validate] [--all]");
-                println!("               [--optimize] [--format human|json] [FILE ...]");
+                println!("               [--format human|json] [FILE ...]");
                 println!("Lints SQL statements (from files or stdin, `;`-separated)");
                 println!("through the SQL-to-XQuery pipeline against the demo schema.");
                 println!("--types additionally prints the inferred output typing;");
                 println!("--cost adds the cost/cardinality layer (P findings affect");
                 println!("the exit status); --validate runs the bounded equivalence");
                 println!("validator (V findings are hard errors); --all is all three.");
-                println!("--optimize runs the cost-driven rewrite engine (layer-5");
-                println!("gate on) and prints each rewrite step: rule, lint, cost");
-                println!("before/after, applied or refused. Exit status is unchanged");
-                println!("by the trace.");
                 println!("--format json emits NDJSON (one finding object per line).");
                 return;
             }
@@ -168,10 +153,6 @@ fn main() {
         ..CostOptions::default()
     };
     let validate_options = ValidateOptions::default();
-    // The rewrite engine prices with the same demo-universe statistics
-    // and keeps its validation gate on: a refused rewrite is part of the
-    // report, never a silent application.
-    let engine = Optimizer::new(stats_for(Scale::small())).with_validation(true);
 
     let mut dirty = false;
     for sql in input.split(';').map(str::trim).filter(|s| !s.is_empty()) {
@@ -202,44 +183,7 @@ fn main() {
                     if !findings.is_empty() {
                         dirty = true;
                     }
-                    // `--optimize`: re-prepare the statement (the analysis
-                    // result carries only the generated text) and run the
-                    // rewrite engine over it. The trace is a report, not a
-                    // finding — it never touches the exit status; a refused
-                    // step is the safety gate doing its job.
-                    let outcome = if run_optimize {
-                        stage1::parse(sql).ok().and_then(|parsed| {
-                            stage2::prepare(&parsed, &metadata).ok().map(|prepared| {
-                                engine.optimize(
-                                    &prepared,
-                                    &analysis.xquery,
-                                    TranslationOptions::with_transport(transport)
-                                        .optimized(OptimizeLevel::Full),
-                                )
-                            })
-                        })
-                    } else {
-                        None
-                    };
                     if json {
-                        if let Some(outcome) = &outcome {
-                            for s in &outcome.trace.steps {
-                                println!(
-                                    "{{\"sql\": \"{}\", \"transport\": \"{transport:?}\", \
-                                     \"event\": \"rewrite\", \"rule\": \"{}\", \
-                                     \"lint\": \"{}\", \"applied\": {}, \
-                                     \"cost_before\": {:.0}, \"cost_after\": {:.0}, \
-                                     \"note\": \"{}\"}}",
-                                    json_escape(sql),
-                                    json_escape(s.rule),
-                                    json_escape(s.lint),
-                                    s.applied,
-                                    s.cost_before,
-                                    s.cost_after,
-                                    json_escape(&s.note),
-                                );
-                            }
-                        }
                         for d in &findings {
                             println!(
                                 "{{\"sql\": \"{}\", \"transport\": \"{transport:?}\", \
@@ -261,32 +205,6 @@ fn main() {
                         println!("   {transport:?}:");
                         for d in &findings {
                             println!("     {d}");
-                        }
-                    }
-                    if let Some(outcome) = &outcome {
-                        let trace = &outcome.trace;
-                        if !trace.steps.is_empty() {
-                            println!(
-                                "   * optimizer: est fuel {:.0} -> {:.0} \
-                                 ({} applied, {} refused)",
-                                trace.cost_before,
-                                trace.cost_after,
-                                trace.applied(),
-                                trace.rejected(),
-                            );
-                            for s in &trace.steps {
-                                println!(
-                                    "     * {} [{}] {}: fuel {:.0} -> {:.0} — {}",
-                                    s.rule,
-                                    s.lint,
-                                    if s.applied { "applied" } else { "refused" },
-                                    s.cost_before,
-                                    s.cost_after,
-                                    s.note,
-                                );
-                            }
-                        } else {
-                            println!("   * optimizer: no applicable rewrites");
                         }
                     }
                     if check_cost && transport == Transport::Xml {

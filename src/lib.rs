@@ -15,8 +15,8 @@
 //!   contribution).
 //! * [`analyzer`] — static analysis over the pipeline: IR invariant
 //!   checks and XQuery lint (see the `analyze` bin).
-//! * [`optimizer`] — cost-driven FLWOR rewrite engine, every rewrite
-//!   gated by the analyzer and the bounded-equivalence validator.
+//! * [`optimizer`] — the rewrite engine's shell: hands every program
+//!   back unchanged (the engine optimizes in [`xquery`]'s planner).
 //! * [`driver`] — JDBC-analogue driver with both result-transport modes.
 //! * [`workload`] — schema/data/query generators for tests and benches.
 

@@ -62,7 +62,7 @@ static ALLOCATOR: Counting = Counting;
 const RUNS: u64 = 20;
 
 /// The production configuration the benchmark runs: delimited text, the
-/// optimizer with its validation gate, the hash-join engine, a plan cache.
+/// optimizer it builds, the hash-join engine, a plan cache.
 fn service() -> QueryService {
     let scale = Scale::small();
     let application = build_application();

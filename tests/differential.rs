@@ -52,10 +52,10 @@ fn sweep(seed: u64, count_per_class: usize, scale: Scale, production_ran: bool) 
 }
 
 /// The counters that prove a production lane ran the production
-/// configuration: plans were rewritten, hash operators ran and none fell
-/// back, warm executions were exact hits — and every execution (cold and
-/// warm) whose body a sink can write ended in that sink, none of which
-/// gave up: every delimited-text one, and every XML one that is a
+/// configuration: plans memoize invariant sources, hash operators ran and
+/// none fell back, warm executions were exact hits — and every execution
+/// (cold and warm) whose body a sink can write ended in that sink, none of
+/// which gave up: every delimited-text one, and every XML one that is a
 /// `<RECORDSET>` of one FLWOR's `<RECORD>`s or of a sort or set wrapper.
 /// Its `let`-bound views were built by tail plans that dropped cells, and
 /// none gave up either; its grouped FLWORs and its sort and set wrappers
@@ -79,7 +79,7 @@ fn assert_production_ran(
             (2 * sinks, 0),
             "{label}: one sink per sink-shaped execution, no fallback"
         );
-        assert!(lane.rewritten > 0, "{label}: no plan was rewritten");
+        assert!(lane.memoized > 0, "{label}: no plan memoized a source");
         assert!(lane.hash_operators > 0, "{label}: no hash operator ran");
         assert_eq!(
             (lane.join_fallbacks, lane.join_abandons),
@@ -95,9 +95,9 @@ fn assert_production_ran(
         );
         assert_eq!(lane.view_fallbacks, 0, "{label}: a view fell back");
         // Every grouped FLWOR, ORDER BY, DISTINCT and set-operation wrapper
-        // stage 3 and the optimizer emit runs as its operator (INTERSECT
-        // and EXCEPT without ALL are not asked), which never gives up on a
-        // statement that succeeds.
+        // stage 3 emits runs as its operator (INTERSECT and EXCEPT without
+        // ALL are not asked), which never gives up on a statement that
+        // succeeds.
         for (kind, (lowered, declined, abandoned)) in lane.lowerings() {
             assert!(lowered > 0, "{label}: no {kind:?} lowering ran");
             assert_eq!(
@@ -169,12 +169,12 @@ fn differential_deep_sweep() {
 
 // ---- the checker's own teeth -------------------------------------------
 
-/// All five lane kinds on both transports, in dependency order.
+/// The four lane kinds of a real engine on both transports, in
+/// dependency order.
 fn every_lane(scale: Scale) -> Vec<Lane> {
     let mut lanes = Lane::both(Lane::plain);
     lanes.extend(Lane::both(Lane::hash));
     lanes.extend(Lane::both(Lane::cached));
-    lanes.extend(Lane::both(|t| Lane::optimized(t, common::engine(scale))));
     lanes.extend(common::production(scale));
     lanes
 }
@@ -388,7 +388,7 @@ fn lane_counters_prove_each_lane_ran_its_own_configuration() {
     for transport in ["text", "xml"] {
         let lane = |suffix: &str| report.lane(&format!("{transport}{suffix}"));
         let exact_hits = |suffix: &str| lane(suffix).cache.map(|c| c.exact_hits);
-        for interpreted in ["", "+cache", "+opt"] {
+        for interpreted in ["", "+cache"] {
             let lane = lane(interpreted);
             assert_eq!(
                 (lane.hash_operators, lane.views, lane.cells_pruned),
@@ -437,13 +437,7 @@ fn lane_counters_prove_each_lane_ran_its_own_configuration() {
         // delimited-text one, every XML `<RECORDSET>` of one FLWOR's
         // `<RECORD>`s or of a sort or set wrapper — and nothing else; it
         // never gives up on a statement that succeeds.
-        for (suffix, executions) in [
-            ("", 0),
-            ("+hash", 1),
-            ("+cache", 0),
-            ("+opt", 0),
-            ("+production", 2),
-        ] {
+        for (suffix, executions) in [("", 0), ("+hash", 1), ("+cache", 0), ("+production", 2)] {
             let sunk = match (transport, executions) {
                 (_, 0) => 0,
                 ("text", _) => statements.len() as u64,
@@ -465,7 +459,7 @@ fn lane_counters_prove_each_lane_ran_its_own_configuration() {
             assert_eq!(exact_hits(uncached), None, "{transport}{uncached}");
             assert_eq!(lane(uncached).analyzed, 0);
         }
-        for cached in ["+cache", "+opt", "+production"] {
+        for cached in ["+cache", "+production"] {
             assert!(exact_hits(cached) >= Some(statements.len() as u64));
             assert_eq!(
                 lane(cached).analyzed,
@@ -473,15 +467,16 @@ fn lane_counters_prove_each_lane_ran_its_own_configuration() {
                 "{transport}{cached}"
             );
         }
-        assert_eq!(lane("+cache").rewritten, 0);
-        assert!(
-            lane("+opt").rewritten > 0,
-            "{transport}+opt rewrote nothing"
-        );
-        assert!(lane("+production").rewritten > 0);
-        // The optimizer only ever lowers measured fuel over a corpus.
+        // Nothing rewrites a program any more: the engine memoizes what
+        // the rewrite used to hoist, on the pipeline strategy alone, and in
+        // several of the paper and golden statements.
+        for cached in ["+cache", "+production"] {
+            assert_eq!(lane(cached).rewritten, 0, "{transport}{cached}");
+        }
+        assert_eq!(lane("+cache").memoized, 0, "{transport}+cache");
+        let memoized = lane("+production").memoized;
+        assert!(memoized >= 3, "{transport}+production: {memoized}");
         let fuel = |suffix: &str| lane(suffix).fuel.iter().sum::<u64>();
-        assert!(fuel("+opt") < fuel(""), "{transport}+opt saved no fuel");
         assert!(fuel("+hash") < fuel(""), "{transport}+hash saved no fuel");
     }
     assert!(

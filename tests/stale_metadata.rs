@@ -13,7 +13,8 @@ use aldsp_catalog::builder::TableSchemaBuilder;
 use aldsp_catalog::stats::CatalogStats;
 use aldsp_catalog::{Application, ApplicationBuilder, MetadataApi, SqlColumnType};
 use aldsp_core::{
-    ExecStrategy, OptimizeLevel, OptimizeOutcome, PreparedQuery, QueryOptimizer, TranslationOptions,
+    ExecStrategy, OptimizeLevel, OptimizeOutcome, PreparedQuery, QueryOptimizer, RewriteStep,
+    TranslationOptions,
 };
 use aldsp_driver::{Connection, DriverError, DspServer};
 use aldsp_governor::QueryBudget;
@@ -220,7 +221,9 @@ fn cached_plans_are_invalidated_on_reload_never_served_stale() {
 /// Optimized plans ride the same epoch protocol as naive ones: a reload
 /// invalidates the cached optimized plan, and recovery retranslates and
 /// re-optimizes exactly once — the stale optimized program is never
-/// served, and steady-state cache hits never re-run the rewrite engine.
+/// served, and steady-state cache hits never re-run the optimizer. The
+/// production optimizer rewrites nothing, so the wrapper stamps each
+/// outcome with a step naming its call, which the rebuilt plan must carry.
 #[test]
 fn optimized_plans_reoptimize_once_on_epoch_invalidation() {
     struct CountingOptimizer {
@@ -234,8 +237,17 @@ fn optimized_plans_reoptimize_once_on_epoch_invalidation() {
             xquery: &str,
             options: TranslationOptions,
         ) -> OptimizeOutcome {
-            self.calls.fetch_add(1, Ordering::SeqCst);
-            self.inner.optimize(prepared, xquery, options)
+            let call = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
+            let mut outcome = self.inner.optimize(prepared, xquery, options);
+            outcome.trace.steps.push(RewriteStep {
+                rule: "count",
+                lint: "",
+                cost_before: 0.0,
+                cost_after: 0.0,
+                applied: true,
+                note: format!("call {call}"),
+            });
+            outcome
         }
     }
 
@@ -254,8 +266,8 @@ fn optimized_plans_reoptimize_once_on_epoch_invalidation() {
         Arc::clone(&optimizer) as Arc<dyn QueryOptimizer + Send + Sync>
     ));
 
-    // Build once: the plan is optimized at build time (the self-join's
-    // second scan is hoisted into a `let`), then hits reuse it untouched.
+    // Build once: the plan is optimized at build time, then hits reuse it
+    // untouched.
     let sql = "SELECT A.ID FROM CUSTOMERS A INNER JOIN CUSTOMERS B ON A.ID = B.ID";
     assert_eq!(conn.execute_cached(sql, &[]).unwrap().row_count(), 2);
     assert_eq!(optimizer.calls.load(Ordering::SeqCst), 1);
@@ -280,7 +292,7 @@ fn optimized_plans_reoptimize_once_on_epoch_invalidation() {
     assert!(cache.stats().epoch_invalidations >= 1);
 
     // The rebuilt plan is served as a normal hit (no further optimizer
-    // runs) and still carries an applied rewrite trace.
+    // runs) and carries the trace of the call that rebuilt it.
     let (bound, _) = cache
         .plan_with(conn.translator(), sql, options, Some(&*optimizer))
         .unwrap();
@@ -291,8 +303,11 @@ fn optimized_plans_reoptimize_once_on_epoch_invalidation() {
         .as_ref()
         .expect("rebuilt plan has a trace");
     assert!(
-        rewrite.steps.iter().any(|s| s.applied),
-        "rebuilt plan lost its rewrites: {rewrite:?}"
+        rewrite
+            .steps
+            .iter()
+            .any(|s| s.applied && s.note == "call 2"),
+        "rebuilt plan lost its trace: {rewrite:?}"
     );
 }
 
@@ -320,7 +335,7 @@ fn connections_opened_after_reload_start_fresh() {
 
 /// The three `join_report` statements whose build side is a bare
 /// data-service function keyed by one column: `ORDERS.CUSTID` twice (once
-/// through the optimizer's hoisted `let`, once under a GROUP BY's view) and
+/// scanned where it is joined, once under a GROUP BY's view) and
 /// `PAYMENTS.CUSTID` (the outer join's probe-let).
 const INDEXED_JOINS: [&str; 3] = [
     "SELECT CUSTOMERS.CUSTOMERNAME, ORDERS.AMOUNT FROM CUSTOMERS \
@@ -444,8 +459,7 @@ impl FunctionSource for WriteAfterCall<'_> {
 /// The table a statement builds over rows a write has since outdated is
 /// the statement's own: it answers from the snapshot its `call` took, and
 /// the server keeps nothing of it — whether the rows reached the join
-/// through the optimizer's hoisted `let` or were called for where they are
-/// scanned.
+/// through a `let` or were called for where they are scanned.
 #[test]
 fn a_write_between_a_call_and_its_join_leaves_no_index_behind() {
     for (hoisted, orders) in [("let $o := ns1:ORDERS() ", "$o"), ("", "ns1:ORDERS()")] {

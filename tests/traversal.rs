@@ -45,8 +45,8 @@ fn translate_corpus() -> Vec<Case> {
     let translator = Translator::new(CachedMetadataApi::new(InProcessMetadataApi::new(
         TableLocator::for_application(&app),
     )));
-    // The layer-5 gate only decides which rewrites survive; either way
-    // the result is a real program.
+    // The optimizer hands the text back unchanged: `Full` is the program
+    // a plan cache keys apart from `Off`.
     let optimizer = Optimizer::new(stats_for(Scale::small())).with_validation(false);
     let mut statements = paper_corpus();
     statements.extend(
