@@ -6,54 +6,14 @@
 //! layer-2 XQuery lint (scope/def-use over the generated query, paper
 //! §3.5); `T0xx` codes come from the layer-3 type pass (independent type
 //! re-inference over the IR and the generated query, plus the per-output-
-//! column diff between the two, paper §3.1/§3.5 (v)/§4); `P0xx` codes
-//! come from the layer-4 cost pass (catalog-seeded cardinality/cost
-//! estimation over the IR and the generated FLWOR nesting, DESIGN.md
-//! §14); `V0xx` codes come from the layer-5 translation validator
-//! (bounded equivalence checking of the generated XQuery against a
-//! reference relational interpreter over enumerated witness databases,
-//! DESIGN.md §15). `A`/`T`/`V` findings are correctness defects; `P`
-//! findings are advisory performance lints — a `P`-flagged query still
-//! computes the right answer, it just pays for it. The split is made
-//! explicit by [`Severity`], derived in exactly one place
-//! ([`DiagCode::severity`]).
+//! column diff between the two, paper §3.1/§3.5 (v)/§4); `V0xx` codes
+//! come from the layer-5 translation validator (bounded equivalence
+//! checking of the generated XQuery against a reference relational
+//! interpreter over enumerated witness databases, DESIGN.md §15). Every
+//! code is a correctness defect: a translation with any finding is (or
+//! may be) wrong.
 
 use std::fmt;
-
-/// How serious a finding is. Derived from the code in one place
-/// ([`DiagCode::severity`]) instead of prefix string-matching scattered
-/// through the report predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Severity {
-    /// A correctness defect: the translation is (or may be) wrong. All
-    /// `A`, `T` and `V` codes. Errors fail `is_clean` and the
-    /// debug-validate hook.
-    Error,
-    /// A performance finding that predicts a *runtime failure or refusal*
-    /// under the configured governor/cache policy rather than mere waste
-    /// (`P005`, `P006`).
-    Warning,
-    /// A pure performance lint: the query computes the right answer but
-    /// pays more than it needs to (the remaining `P` codes).
-    Advisory,
-}
-
-impl Severity {
-    /// Lower-case label, as printed by `analyze --format json`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-            Severity::Advisory => "advisory",
-        }
-    }
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// A stable diagnostic code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -122,40 +82,6 @@ pub enum DiagCode {
     /// output typing (paper §4: the computed result schema drives the
     /// JDBC metadata).
     T008,
-    /// Cartesian product: a FROM input joins no other input — no
-    /// equality predicate (WHERE or ON) relates it to the rest, so the
-    /// generated FLWOR nesting enumerates the full cross product.
-    P001,
-    /// A WHERE conjunct over an implicit (comma) join references only
-    /// earlier FROM inputs, yet stage 3 evaluates it in the outermost
-    /// where zone — after the innermost `for` has already multiplied the
-    /// tuple stream it could have filtered.
-    P002,
-    /// DISTINCT over a projection that includes a declared-unique column
-    /// of the (single) scanned table: every row is already distinct, the
-    /// dedup pass is pure cost.
-    P003,
-    /// ORDER BY keys following a declared-unique leading key: the tie
-    /// they would break cannot occur, the extra key evaluations are pure
-    /// cost.
-    P004,
-    /// A predicate compares against a NULL literal — the one
-    /// predicate-zone literal plan-cache normalization must leave
-    /// verbatim (it defeats canonical-text sharing), and under
-    /// three-valued logic the comparison never holds anyway.
-    P005,
-    /// The estimated result cardinality exceeds the governor row cap the
-    /// query will run under: the evaluator is predicted to hit
-    /// `RowCapExceeded` after doing most of the work.
-    P006,
-    /// A nested-loop join re-scans a large inner table once per outer
-    /// tuple (the generated FLWOR re-evaluates the inner `for` source
-    /// each iteration) and the estimated total re-scan work is large.
-    P007,
-    /// A predicate-position subquery (IN / EXISTS / quantified / scalar)
-    /// is re-evaluated for every candidate row and the estimated total
-    /// work is large.
-    P008,
     /// Row-set mismatch: on some witness database the generated XQuery
     /// returns a different set of rows than the reference interpreter
     /// (rows present on one side only).
@@ -206,14 +132,6 @@ impl DiagCode {
             DiagCode::T006 => "T006",
             DiagCode::T007 => "T007",
             DiagCode::T008 => "T008",
-            DiagCode::P001 => "P001",
-            DiagCode::P002 => "P002",
-            DiagCode::P003 => "P003",
-            DiagCode::P004 => "P004",
-            DiagCode::P005 => "P005",
-            DiagCode::P006 => "P006",
-            DiagCode::P007 => "P007",
-            DiagCode::P008 => "P008",
             DiagCode::V001 => "V001",
             DiagCode::V002 => "V002",
             DiagCode::V003 => "V003",
@@ -230,25 +148,7 @@ impl DiagCode {
             b'A' if self.as_str() < "A100" => "ir",
             b'A' => "xquery",
             b'T' => "types",
-            b'P' => "cost",
             _ => "validation",
-        }
-    }
-
-    /// Severity, derived from the code in exactly one place: every `A`,
-    /// `T` and `V` code is a correctness [`Severity::Error`]; `P005` and
-    /// `P006` predict a runtime refusal and are [`Severity::Warning`];
-    /// the remaining `P` codes are [`Severity::Advisory`].
-    pub fn severity(self) -> Severity {
-        match self {
-            DiagCode::P005 | DiagCode::P006 => Severity::Warning,
-            DiagCode::P001
-            | DiagCode::P002
-            | DiagCode::P003
-            | DiagCode::P004
-            | DiagCode::P007
-            | DiagCode::P008 => Severity::Advisory,
-            _ => Severity::Error,
         }
     }
 
@@ -278,14 +178,6 @@ impl DiagCode {
             DiagCode::T006 => "nullability lost in translation",
             DiagCode::T007 => "cardinality violation",
             DiagCode::T008 => "result-set metadata mismatch",
-            DiagCode::P001 => "cartesian product",
-            DiagCode::P002 => "predicate not pushed",
-            DiagCode::P003 => "redundant DISTINCT under unique key",
-            DiagCode::P004 => "redundant ORDER BY keys under unique key",
-            DiagCode::P005 => "non-normalizable NULL-literal predicate",
-            DiagCode::P006 => "estimated rows exceed governor cap",
-            DiagCode::P007 => "nested-loop re-scan of large table",
-            DiagCode::P008 => "per-row subquery re-evaluation",
             DiagCode::V001 => "row-set mismatch on witness database",
             DiagCode::V002 => "duplicate-multiplicity mismatch",
             DiagCode::V003 => "NULL-handling divergence",
@@ -319,11 +211,6 @@ impl Diagnostic {
             message: message.into(),
         }
     }
-
-    /// The finding's severity (delegates to [`DiagCode::severity`]).
-    pub fn severity(&self) -> Severity {
-        self.code.severity()
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -343,22 +230,10 @@ mod tests {
     }
 
     #[test]
-    fn severity_is_derived_from_code() {
-        assert_eq!(DiagCode::A003.severity(), Severity::Error);
-        assert_eq!(DiagCode::T005.severity(), Severity::Error);
-        assert_eq!(DiagCode::V001.severity(), Severity::Error);
-        assert_eq!(DiagCode::P005.severity(), Severity::Warning);
-        assert_eq!(DiagCode::P006.severity(), Severity::Warning);
-        assert_eq!(DiagCode::P001.severity(), Severity::Advisory);
-        assert_eq!(DiagCode::P008.severity(), Severity::Advisory);
-    }
-
-    #[test]
     fn layer_is_derived_from_code() {
         assert_eq!(DiagCode::A001.layer(), "ir");
         assert_eq!(DiagCode::A100.layer(), "xquery");
         assert_eq!(DiagCode::T004.layer(), "types");
-        assert_eq!(DiagCode::P003.layer(), "cost");
         assert_eq!(DiagCode::V002.layer(), "validation");
     }
 }

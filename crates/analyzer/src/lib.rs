@@ -23,16 +23,10 @@
 //!   result type against the imported XML schemas, and a per-output-column
 //!   diff between the two — plus a cross-check against the driver's
 //!   result-set metadata. Codes `T001`–`T008`.
-//! * **Layer 4** ([`cost`]) — catalog-seeded cardinality and cost
-//!   estimation: a bottom-up estimator over the prepared IR (standard
-//!   selectivity heuristics, a fuel-unit cost algebra mirroring the
-//!   evaluator's FLWOR iteration) cross-checked by an independent fuel
-//!   walk over the generated XQuery AST, emitting *advisory* performance
-//!   lints — cartesian products, unpushed predicates, redundant
-//!   DISTINCT/ORDER BY under unique keys, plan-cache-hostile NULL
-//!   literals, row-cap blowups, large re-scans, per-row subqueries.
-//!   Codes `P001`–`P008`; calibrated against measured evaluator fuel by
-//!   harness E10.
+//! * *Layer 4*, a cost model with advisory `P` lints, is retired: once
+//!   the physical planner took over optimization nothing that ran read
+//!   an estimate (DESIGN.md §14). The number is kept so the layers keep
+//!   theirs.
 //! * **Layer 5** ([`validate`]) — bounded equivalence validation: a
 //!   reference relational interpreter executes the prepared IR under
 //!   SQL-92 bag semantics while the generated XQuery runs through the
@@ -45,27 +39,22 @@
 //!
 //! Entry points: [`analyze_sql`] runs the static pipeline on a SQL
 //! string (used by the `analyze` bin and the workload harnesses;
-//! [`analyze_sql_with`] is the general form: explicit [`CostOptions`]
-//! and, given [`ValidateOptions`], layer 5 as well);
-//! [`analyze_translation_with`] checks an existing prepared query +
-//! generated text under given [`CostOptions`] and also returns the
-//! inferred output typing. Every text entry point parses
-//! its text once and hands the program to two values that are built per
-//! prepared query and judge any number of programs against it:
+//! [`analyze_sql_with`] is the general form: given [`ValidateOptions`],
+//! layer 5 as well); [`analyze_translation_with`] checks an existing
+//! prepared query + generated text and also returns the inferred output
+//! typing. Every text entry point parses its text once and hands the
+//! program to two values that are built per prepared query and judge any
+//! number of programs against it:
 //! [`QueryFacts`] (what layers 1 and 3 learn from the query alone;
 //! [`QueryFacts::check`] is layers 1–3 over a parse) and [`Witnesses`]
 //! (layer 5's witness databases and reference answers;
-//! [`Witnesses::check`] runs a program on them). The optimizer's safety
-//! gate holds one of each per `optimize` call — layer 4 stays out of it
-//! because its findings are advisory and workloads run expensive queries
-//! on purpose. Piecewise: [`lint_program`]/[`lint_text`] run layer 2
-//! alone;
+//! [`Witnesses::check`] runs a program on them). Piecewise:
+//! [`lint_program`]/[`lint_text`] run layer 2 alone;
 //! [`ty::check_types`]/[`ty::check_translation`]/[`ty::check_metadata`]
-//! layer 3; [`cost::check_cost`]/[`cost::estimate_prepared`] layer 4;
-//! [`validate::check_equivalence`] / [`validate::validate_translation`] /
-//! [`validate::execute_reference`] layer 5.
+//! layer 3; [`validate::check_equivalence`] /
+//! [`validate::validate_translation`] / [`validate::execute_reference`]
+//! layer 5.
 
-pub mod cost;
 pub mod diag;
 pub mod ir_check;
 pub mod report;
@@ -73,8 +62,7 @@ pub mod ty;
 pub mod validate;
 pub mod xq_lint;
 
-pub use cost::{check_cost, estimate_prepared, CostOptions, CostReport, Estimate};
-pub use diag::{DiagCode, Diagnostic, Severity};
+pub use diag::{DiagCode, Diagnostic};
 pub use ir_check::check_prepared;
 pub use report::{
     analyze_sql, analyze_sql_with, analyze_translation_with, Analysis, QueryFacts,

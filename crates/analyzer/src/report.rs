@@ -1,8 +1,7 @@
-//! The combined five-layer report, plus the end-to-end entry point the
-//! `analyze` bin and the workload harnesses use.
+//! The combined report of layers 1–3 and 5, plus the end-to-end entry
+//! point the `analyze` bin and the workload harnesses use.
 
-use crate::cost::{self, CostOptions, CostReport};
-use crate::diag::{Diagnostic, Severity};
+use crate::diag::Diagnostic;
 use crate::validate::{ValidateOptions, Witnesses};
 use crate::{ir_check, ty, xq_lint};
 use aldsp_catalog::MetadataApi;
@@ -10,7 +9,7 @@ use aldsp_core::ir::PreparedQuery;
 use aldsp_core::{stage1, stage2, stage3, wrapper, TranslateError, TranslationOptions, Transport};
 use aldsp_xquery::{parse_program, Program, XqParseError};
 
-/// All five analysis layers over one translation.
+/// Every analysis layer over one translation.
 #[derive(Debug, Clone, Default)]
 pub struct TranslationReport {
     /// Layer-1 findings (IR invariants, `A0xx`).
@@ -23,38 +22,22 @@ pub struct TranslationReport {
     /// Empty unless validation was requested ([`analyze_sql_with`] given
     /// [`ValidateOptions`], or [`crate::validate::check_equivalence`] directly).
     pub validation: Vec<Diagnostic>,
-    /// Layer-4 result: cardinality/cost estimates and the advisory
-    /// `P0xx` findings.
-    pub cost: CostReport,
 }
 
 impl TranslationReport {
-    /// True when no finding of [`Severity::Error`] is present — the
-    /// correctness layers (`A`/`T` codes) and, when validation ran, the
-    /// `V` codes. Layer-4 `P` findings are advisory or warning — a
-    /// `P`-flagged query still computes the right answer — so they
-    /// deliberately do not dirty this predicate (chaos workloads run
-    /// cartesian stressors on purpose). Use
-    /// [`TranslationReport::is_performance_clean`] or
-    /// [`TranslationReport::all`] when `P` findings should count.
+    /// True when there is no finding. Every code is a correctness defect:
+    /// `A`/`T` always, `V` when validation ran.
     pub fn is_clean(&self) -> bool {
-        self.all().all(|d| d.severity() != Severity::Error)
+        self.all().next().is_none()
     }
 
-    /// True when there are no warning/advisory findings either (today:
-    /// layer 4's performance lints).
-    pub fn is_performance_clean(&self) -> bool {
-        !self.all().any(|d| d.severity() != Severity::Error)
-    }
-
-    /// All findings, layer 1 first, advisory layer-4 findings last.
+    /// All findings, layer 1 first.
     pub fn all(&self) -> impl Iterator<Item = &Diagnostic> {
         self.ir
             .iter()
             .chain(self.xquery.iter())
             .chain(self.types.iter())
             .chain(self.validation.iter())
-            .chain(self.cost.diagnostics.iter())
     }
 
     /// One line per finding.
@@ -88,10 +71,8 @@ impl<'q> QueryFacts<'q> {
     }
 
     /// Layers 1–3 over one parse of a translation's text (`validation`
-    /// and `cost` stay empty, so [`TranslationReport::all`] is exactly
-    /// the correctness findings, layer 1 first). Text that did not parse
-    /// is layer 2's single `A100`; the translation type diff needs a
-    /// program and is skipped.
+    /// stays empty). Text that did not parse is layer 2's single `A100`;
+    /// the translation type diff needs a program and is skipped.
     pub fn check(&self, parsed: Result<&Program, &XqParseError>) -> TranslationReport {
         let mut types = self.flow.diagnostics.clone();
         let xquery = match parsed {
@@ -114,20 +95,17 @@ impl<'q> QueryFacts<'q> {
     }
 }
 
-/// Every layer over one parse of `xquery_text`: [`QueryFacts::check`],
-/// layer 4 under `cost_options` (without the FLWOR fuel walk when there
-/// is no program) and, given a budget and a program, layer 5.
+/// Every layer over one parse of `xquery_text`: [`QueryFacts::check`]
+/// and, given a budget and a program, layer 5.
 fn analyze_text(
     prepared: &PreparedQuery,
     xquery_text: &str,
-    cost_options: &CostOptions,
     validate_options: Option<&ValidateOptions>,
 ) -> (TranslationReport, Vec<ty::InferredColumn>) {
     let parsed = parse_program(xquery_text);
     let parsed = parsed.as_ref();
     let facts = QueryFacts::of(prepared);
     let mut report = facts.check(parsed);
-    report.cost = cost::check_cost(prepared, parsed.ok(), cost_options);
     if let (Some(options), Ok(program)) = (validate_options, parsed) {
         report.validation = Witnesses::of(prepared, options).check(program).diagnostics;
     }
@@ -137,15 +115,13 @@ fn analyze_text(
 /// Analyzes one already-produced translation: layer 1 over the prepared
 /// IR, layer 2 over the generated query text (wrapped or unwrapped),
 /// layer 3 re-inferring types on both sides of the translation and
-/// diffing them, layer 4 estimating cardinality/cost under
-/// `cost_options` — all over one parse of the text. Returns the report
+/// diffing them — all over one parse of the text. Returns the report
 /// together with the SQL-side inferred output typing.
 pub fn analyze_translation_with(
     prepared: &PreparedQuery,
     xquery_text: &str,
-    cost_options: &CostOptions,
 ) -> (TranslationReport, Vec<ty::InferredColumn>) {
-    analyze_text(prepared, xquery_text, cost_options, None)
+    analyze_text(prepared, xquery_text, None)
 }
 
 /// An end-to-end analysis: the translation plus its report.
@@ -153,7 +129,7 @@ pub fn analyze_translation_with(
 pub struct Analysis {
     /// The generated query text, per the requested transport.
     pub xquery: String,
-    /// The four-layer report.
+    /// The report.
     pub report: TranslationReport,
     /// The SQL-side inferred output typing (layer 3's view of the
     /// result-set metadata).
@@ -161,9 +137,9 @@ pub struct Analysis {
 }
 
 /// Translates `sql` (stage 1 → 2 → 3 → transport wrapper) and analyzes
-/// both the prepared IR and the generated text, estimating cost under
-/// `cost_options`. Translation failures are returned as-is — they are
-/// the translator rejecting the statement, not analyzer findings.
+/// both the prepared IR and the generated text. Translation failures are
+/// returned as-is — they are the translator rejecting the statement, not
+/// analyzer findings.
 ///
 /// With `validate_options`, layer 5 runs too: the bounded equivalence
 /// validator fills [`TranslationReport::validation`]. `V` findings are
@@ -174,7 +150,6 @@ pub fn analyze_sql_with<M: MetadataApi>(
     sql: &str,
     metadata: &M,
     options: TranslationOptions,
-    cost_options: &CostOptions,
     validate_options: Option<&ValidateOptions>,
 ) -> Result<Analysis, TranslateError> {
     let parsed = stage1::parse(sql)?;
@@ -184,7 +159,7 @@ pub fn analyze_sql_with<M: MetadataApi>(
         Transport::Xml => generated.into_query_text(),
         Transport::DelimitedText => wrapper::wrap_delimited(generated, &prepared),
     };
-    let (report, typing) = analyze_text(&prepared, &xquery, cost_options, validate_options);
+    let (report, typing) = analyze_text(&prepared, &xquery, validate_options);
     Ok(Analysis {
         xquery,
         report,
@@ -192,12 +167,11 @@ pub fn analyze_sql_with<M: MetadataApi>(
     })
 }
 
-/// [`analyze_sql_with`] under default (stats-less) cost options, layers
-/// 1–4 only.
+/// [`analyze_sql_with`] without validation: layers 1–3 only.
 pub fn analyze_sql<M: MetadataApi>(
     sql: &str,
     metadata: &M,
     options: TranslationOptions,
 ) -> Result<Analysis, TranslateError> {
-    analyze_sql_with(sql, metadata, options, &CostOptions::default(), None)
+    analyze_sql_with(sql, metadata, options, None)
 }

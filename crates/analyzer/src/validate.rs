@@ -1,7 +1,7 @@
 //! Layer 5: bounded translation validation (`V` codes).
 //!
-//! The four static layers check *necessary* conditions — invariants,
-//! scopes, types, cost — but never the paper's central claim: that the
+//! The three static layers check *necessary* conditions — invariants,
+//! scopes, types — but never the paper's central claim: that the
 //! generated XQuery computes the same bag of rows as the source SQL
 //! (§3.4/§3.5). This layer checks equivalence directly, bounded:
 //!
@@ -36,9 +36,8 @@
 //!    with the driver's own cell rules and the two row bags compared.
 //!
 //! Divergence classifies into stable codes `V001`–`V006`; each finding
-//! carries the witness database and the differing rows. `V` findings are
-//! hard errors ([`Severity::Error`]): an inequivalence is a
-//! miscompilation, not advice.
+//! carries the witness database and the differing rows. Like every other
+//! code, a `V` finding is an error: an inequivalence is a miscompilation.
 //!
 //! Soundness caveats (DESIGN.md §15): a clean validation is *bounded*
 //! evidence, not proof — only enumerated databases are checked, and any

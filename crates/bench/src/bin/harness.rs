@@ -27,7 +27,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "smoke");
     // Name, the name of the report it writes (also accepted), entry point.
-    let experiments: [(&str, &str, &dyn Fn()); 11] = [
+    let experiments: [(&str, &str, &dyn Fn()); 10] = [
         ("e1", "", &|| e1_result_transport(smoke)),
         ("e2", "", &e2_translation_latency),
         ("e3", "", &e3_metadata_cache),
@@ -36,7 +36,6 @@ fn main() {
         ("e7", "", &e7_null_machinery_ablation),
         ("e8", "plancache", &|| e8_plancache(smoke)),
         ("e9", "overload", &|| e9_overload(smoke)),
-        ("e10", "cost", &|| e10_cost_model(smoke)),
         ("e11", "validation", &|| e11_validation(smoke)),
         ("e13", "exec", &|| e13_exec_engine(smoke)),
     ];
@@ -786,115 +785,6 @@ fn e6_differential() {
     println!();
 }
 
-/// E10: cost-model calibration — the analyzer's static fuel estimate
-/// against the fuel the evaluator actually charges. Generates a fuzzed
-/// workload across every construct class, analyzes each statement with
-/// the universe's real catalog statistics, executes it metered, and
-/// reports the Spearman rank correlation between static estimate and
-/// measured fuel (the acceptance bar: >= 0.6 over >= 500 queries). The
-/// generated-XQuery FLWOR walk is reported as a second, independent
-/// estimator. Emits `BENCH_cost.json`.
-fn e10_cost_model(smoke: bool) {
-    use aldsp_analyzer::{analyze_sql_with, CostOptions};
-    use aldsp_workload::{stats_for, QueryGenerator};
-    use std::collections::BTreeMap;
-
-    println!("== E10: static cost model vs measured evaluator fuel ==");
-    // The correlation bar holds at any scale; smoke only trims the
-    // universe so each query is cheaper to execute, never the sample
-    // size the acceptance criterion is stated over.
-    let customers = if smoke { 25 } else { 40 };
-    let target = if smoke { 500 } else { 1_000 };
-    let scale = Scale::of(customers);
-    let server = server_at_scale(customers, 42);
-    let service = QueryService::new(
-        Arc::clone(&server),
-        TranslationOptions::with_transport(Transport::Xml),
-    );
-    let metadata = demo_metadata();
-    let cost_options = CostOptions {
-        stats: stats_for(scale),
-        ..CostOptions::default()
-    };
-
-    let mut generator = QueryGenerator::new(4242);
-    let mut static_cost: Vec<f64> = Vec::with_capacity(target);
-    let mut flwor_cost: Vec<f64> = Vec::with_capacity(target);
-    let mut measured: Vec<f64> = Vec::with_capacity(target);
-    let mut by_class: BTreeMap<&'static str, (usize, f64, f64)> = BTreeMap::new();
-    let mut skipped = 0usize;
-    while static_cost.len() < target {
-        let (class, sql) = generator.generate_any();
-        let analysis = analyze_sql_with(
-            &sql,
-            &metadata,
-            TranslationOptions::with_transport(Transport::Xml),
-            &cost_options,
-            None,
-        )
-        .unwrap_or_else(|e| panic!("E10: generated query failed to analyze: {e}\n  {sql}"));
-        let meter = QueryBudget::unlimited();
-        let fuel = match service.execute_with_budget(&sql, &[], Some(&meter)) {
-            Ok(_) => meter.fuel_consumed(),
-            Err(e) => {
-                // A generated statement the backend rejects (none known
-                // today) would be a missing sample, not a miscalibration;
-                // count it honestly rather than hiding it.
-                skipped += 1;
-                assert!(skipped < 50, "E10: too many skipped executions: {e}");
-                continue;
-            }
-        };
-        let entry = by_class.entry(class.label()).or_insert((0, 0.0, 0.0));
-        entry.0 += 1;
-        entry.1 += analysis.report.cost.cost;
-        entry.2 += fuel as f64;
-        static_cost.push(analysis.report.cost.cost);
-        flwor_cost.push(analysis.report.cost.flwor_fuel.unwrap_or(0.0));
-        measured.push(fuel as f64);
-    }
-
-    println!(
-        "{:>14} {:>6} {:>14} {:>14}",
-        "class", "n", "mean_est_fuel", "mean_meas_fuel"
-    );
-    for (label, (n, est, meas)) in &by_class {
-        println!(
-            "{:>14} {:>6} {:>14.0} {:>14.0}",
-            label,
-            n,
-            est / *n as f64,
-            meas / *n as f64
-        );
-    }
-
-    let spearman_ir = spearman(&static_cost, &measured);
-    let spearman_flwor = spearman(&flwor_cost, &measured);
-    println!(
-        "{} queries (skipped {skipped}): Spearman(static IR cost, measured fuel) = \
-         {spearman_ir:.3}, Spearman(FLWOR walk, measured fuel) = {spearman_flwor:.3}",
-        static_cost.len()
-    );
-    assert!(
-        static_cost.len() >= 500,
-        "acceptance: E10 must cover >= 500 queries, got {}",
-        static_cost.len()
-    );
-    assert!(
-        spearman_ir >= 0.6,
-        "acceptance: static cost must rank-correlate with measured fuel \
-         (Spearman >= 0.6), got {spearman_ir:.3}"
-    );
-
-    let json = obj! {
-        "smoke": smoke, "scale_customers": customers, "queries": static_cost.len(),
-        "skipped": skipped, "spearman": Json::Num(spearman_ir, 4),
-        "spearman_flwor": Json::Num(spearman_flwor, 4), "bar": Json::Num(0.6, 1),
-    };
-    write_report("cost", smoke, &json);
-    println!();
-}
-
 /// E11: layer-5 validation teeth — the false-positive rate on
 /// known-good translations and the kill rate on seeded translation
 /// mutants. Every golden statement (both transports) and >= 500 fuzzed
@@ -1490,45 +1380,4 @@ fn e13_exec_engine(smoke: bool) {
     };
     write_report("exec", smoke, &json);
     println!();
-}
-
-/// Average-tie ranks of `values` (1-based).
-fn ranks(values: &[f64]) -> Vec<f64> {
-    let mut order: Vec<usize> = (0..values.len()).collect();
-    order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
-    let mut ranks = vec![0.0; values.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && values[order[j + 1]] == values[order[i]] {
-            j += 1;
-        }
-        let rank = (i + j) as f64 / 2.0 + 1.0;
-        for k in i..=j {
-            ranks[order[k]] = rank;
-        }
-        i = j + 1;
-    }
-    ranks
-}
-
-/// Spearman rank correlation: Pearson over average-tie ranks.
-fn spearman(a: &[f64], b: &[f64]) -> f64 {
-    let (ra, rb) = (ranks(a), ranks(b));
-    let n = ra.len() as f64;
-    let (ma, mb) = (ra.iter().sum::<f64>() / n, rb.iter().sum::<f64>() / n);
-    let mut num = 0.0;
-    let mut da = 0.0;
-    let mut db = 0.0;
-    for i in 0..ra.len() {
-        let (xa, xb) = (ra[i] - ma, rb[i] - mb);
-        num += xa * xb;
-        da += xa * xa;
-        db += xb * xb;
-    }
-    if da == 0.0 || db == 0.0 {
-        0.0
-    } else {
-        num / (da * db).sqrt()
-    }
 }

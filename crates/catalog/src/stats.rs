@@ -2,16 +2,15 @@
 //! distinct-value counts.
 //!
 //! The paper's driver caches table *metadata* (names, columns, types —
-//! §3.3) but carries no notion of table *contents*, so nothing downstream
-//! can reason about how expensive a translated query will be to run. This
-//! module is the missing half: a [`CatalogStats`] snapshot that the
-//! analyzer's cost layer seeds its cardinality estimates from — row
-//! counts per table, number-of-distinct-values (NDV) and uniqueness per
-//! column.
+//! §3.3) but carries no notion of table *contents*. A [`CatalogStats`]
+//! snapshot describes them: row counts per table,
+//! number-of-distinct-values (NDV) and uniqueness per column. Only the
+//! optimizer shell takes a snapshot today, and it reads none; both go
+//! together (ROADMAP B2).
 //!
 //! Stats are deliberately decoupled from the live [`crate::MetadataApi`]:
 //! they describe *data*, not *schema*, they go stale on their own
-//! schedule, and a cost model must keep working when nobody has gathered
+//! schedule, and a reader must keep working when nobody has gathered
 //! any. Every lookup therefore falls back to documented defaults:
 //!
 //! * an unknown table is assumed to hold [`CatalogStats::default_rows`]
@@ -21,8 +20,8 @@
 //!   equality selectivity — and is never assumed unique.
 //!
 //! Uniqueness is opt-in (`unique()` on the builder): a wrong uniqueness
-//! claim would let the analyzer call real work redundant, while a missing
-//! one merely costs a lint.
+//! claim would let a reader call real work redundant, while a missing
+//! one merely costs an estimate.
 
 use std::collections::HashMap;
 
@@ -160,8 +159,8 @@ impl TableStatsBuilder {
         self
     }
 
-    /// Declares `column` unique: NDV equals the row count and the cost
-    /// layer may treat deduplication over it as redundant.
+    /// Declares `column` unique: NDV equals the row count, and a reader
+    /// may treat deduplication over it as redundant.
     pub fn unique(mut self, column: impl Into<String>) -> TableStatsBuilder {
         let rows = self.stats.rows;
         self.stats.columns.insert(

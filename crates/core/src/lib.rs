@@ -134,7 +134,7 @@ impl TranslationOptions {
 pub struct RewriteStep {
     /// Rule name.
     pub rule: &'static str,
-    /// The layer-4 performance lint the rule discharges (`P008`, say).
+    /// The performance finding the rule discharges.
     pub lint: &'static str,
     /// Estimated evaluator fuel before the rule ran.
     pub cost_before: f64,

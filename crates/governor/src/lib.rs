@@ -341,10 +341,8 @@ impl QueryBudget {
         self.inner.fuel_spent.load(Ordering::Relaxed)
     }
 
-    /// Total fuel the evaluation consumed, read *after* it finished —
-    /// the telemetry surface E10 calibrates the analyzer's static cost
-    /// model against (one unit per expression evaluation, one per FLWOR
-    /// tuple). Identical to [`QueryBudget::fuel_spent`]; the name marks
+    /// Total fuel the evaluation consumed, read *after* it finished (one
+    /// unit per expression evaluation, one per FLWOR tuple). Identical to [`QueryBudget::fuel_spent`]; the name marks
     /// the post-hoc reading from the in-flight one.
     pub fn fuel_consumed(&self) -> u64 {
         self.fuel_spent()

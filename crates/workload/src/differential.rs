@@ -27,7 +27,7 @@ use crate::querygen::{ConstructClass, QueryGenerator};
 use crate::schema::{
     build_application, golden_statements, paper_queries, populate_database, Scale,
 };
-use aldsp_analyzer::{analyze_sql_with, CostOptions, QueryFacts, ValidateOptions};
+use aldsp_analyzer::{analyze_sql_with, QueryFacts, ValidateOptions};
 use aldsp_catalog::{Application, MetadataApi};
 use aldsp_core::{
     stage1, ExecStrategy, OptimizeLevel, QueryOptimizer, TranslationOptions, Transport,
@@ -491,7 +491,6 @@ pub fn lint_query(conn: &Connection, sql: &str) -> Option<String> {
             sql,
             metadata,
             TranslationOptions::with_transport(transport),
-            &CostOptions::default(),
             Some(&ValidateOptions::quick()),
         ) {
             if !analysis.report.is_clean() {

@@ -168,8 +168,9 @@ pub fn populate_database(app: &Application, scale: Scale, seed: u64) -> Database
 }
 
 /// Catalog statistics matching what [`populate_database`] actually
-/// generates at `scale` — the snapshot the cost analyzer (`analyze
-/// --cost`, harness E10) is seeded with. NDVs follow the population
+/// generates at `scale`. Only the optimizer shell takes them today
+/// (`Optimizer::new`), and it reads none; both go together (ROADMAP
+/// B2). NDVs follow the population
 /// code: ids are unique sequences, category columns draw from the fixed
 /// pools (`REGIONS`/`STATUSES`/`METHODS`), foreign keys cover at
 /// most the customer id range, and money columns are effectively

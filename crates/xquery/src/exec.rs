@@ -488,26 +488,13 @@ pub(crate) struct Indexed<'p> {
 }
 
 /// Recognizes an indexable build side (see [`Indexed`]): `source` is a
-/// call of a data-service function without arguments, or names a `let` of
-/// `before` — the prefix's clauses ahead of the operator — whose value is
-/// exactly that; `key` is `ROW/NAME` or `fn:data(ROW/NAME)`, one name step
-/// without predicate, where `ROW` is the build variable `var` or, for a
-/// probe-let (`None`), the context item. Both modes key a row by the atoms
-/// of its `NAME` children, so they share one index.
-fn indexed<'p>(
-    before: &'p [Clause],
-    source: &'p Expr,
-    key: &'p Expr,
-    var: Option<&str>,
-) -> Option<Indexed<'p>> {
-    let called = match source {
-        Expr::VarRef(held) => before.iter().find_map(|clause| match clause {
-            Clause::Let { var, value } if var == held => Some(value),
-            _ => None,
-        })?,
-        written => written,
-    };
-    let Expr::FunctionCall { name, args } = called else {
+/// call of a data-service function without arguments; `key` is
+/// `ROW/NAME` or `fn:data(ROW/NAME)`, one name step without predicate,
+/// where `ROW` is the build variable `var` or, for a probe-let (`None`),
+/// the context item. Both modes key a row by the atoms of its `NAME`
+/// children, so they share one index.
+fn indexed<'p>(source: &'p Expr, key: &'p Expr, var: Option<&str>) -> Option<Indexed<'p>> {
+    let Expr::FunctionCall { name, args } = source else {
         return None;
     };
     let (row, child) = one_step(call_of(key, "fn:data").unwrap_or(key))?;
@@ -702,24 +689,22 @@ fn pipeline<'p>(flwor: &'p Flwor, prefix: &'p [Clause]) -> Option<Plan<'p>> {
                         source,
                         probe_key,
                         build_key,
-                        index: indexed(&prefix[..i], source, build_key, Some(var)),
+                        index: indexed(source, build_key, Some(var)),
                     });
                 }
                 None => ops.push(Op::For { var, source }),
             },
-            Clause::Let { var, value } => {
-                match probe_let(&prefix[..i], var, value, &|v| varying(i, v)) {
-                    Some(op) => {
-                        hash_ops += 1;
-                        ops.push(op);
-                    }
-                    None => ops.push(Op::Let {
-                        var,
-                        value,
-                        view: view(flwor, i),
-                    }),
+            Clause::Let { var, value } => match probe_let(var, value, &|v| varying(i, v)) {
+                Some(op) => {
+                    hash_ops += 1;
+                    ops.push(op);
                 }
-            }
+                None => ops.push(Op::Let {
+                    var,
+                    value,
+                    view: view(flwor, i),
+                }),
+            },
             Clause::Where(_) => {
                 // A view variable is a `let` of this prefix that holds
                 // the same value on every tuple.
@@ -890,12 +875,7 @@ fn filter_predicate(value: &Expr) -> Option<&Expr> {
 /// item only and the other over tuple-varying bindings only. A predicate
 /// with such a conjunct is an `and` tree or a comparison, so it is never
 /// positional.
-fn probe_let<'p>(
-    before: &'p [Clause],
-    var: &'p str,
-    value: &'p Expr,
-    varying: &dyn Fn(&str) -> bool,
-) -> Option<Op<'p>> {
+fn probe_let<'p>(var: &'p str, value: &'p Expr, varying: &dyn Fn(&str) -> bool) -> Option<Op<'p>> {
     let predicate = filter_predicate(value)?;
     let (source, cut) = match value {
         Expr::Filter { base, .. } => (&**base, false),
@@ -930,9 +910,9 @@ fn probe_let<'p>(
         }
     })?;
     rest.remove(at);
-    // Only a filter's base can be the call or the `let` variable itself; a
-    // cut-out path has a step.
-    let index = (!cut).then(|| indexed(before, source, build_key, None));
+    // Only a filter's base can be the call itself; a cut-out path has a
+    // step.
+    let index = (!cut).then(|| indexed(source, build_key, None));
     Some(Op::ProbeLet {
         var,
         source,
@@ -3584,14 +3564,6 @@ mod tests {
 
     #[test]
     fn marks_a_bare_function_keyed_by_one_child_indexable() {
-        // A build side named by a `let` of the prefix.
-        assert_eq!(
-            requests(
-                "let $var0HX1 := ns1:ORDERS() for $a in ns0:CUSTOMERS() for $b in $var0HX1 \
-                 where $a/CUSTOMERID = $b/CUSTID return $a"
-            ),
-            [request("ORDERS", "CUSTID")]
-        );
         // Stage 3's own: the call written where it is scanned, the key on
         // either side of the `=`, atomized or not.
         assert_eq!(
@@ -3604,8 +3576,7 @@ mod tests {
         // A three-way join's two builds.
         assert_eq!(
             requests(
-                "let $o := ns1:ORDERS() let $p := ns2:PAYMENTS() \
-                 for $a in ns0:CUSTOMERS() for $b in $o for $c in $p \
+                "for $a in ns0:CUSTOMERS() for $b in ns1:ORDERS() for $c in ns2:PAYMENTS() \
                  where ($a/CUSTOMERID = $b/CUSTID) and ($a/CUSTOMERID = $c/CUSTID) return $a"
             ),
             [request("ORDERS", "CUSTID"), request("PAYMENTS", "CUSTID")]
@@ -3615,8 +3586,8 @@ mod tests {
         assert_eq!(requests(OUTER_ARM), [request("PAYMENTS", "CUSTID")]);
         assert_eq!(
             requests(
-                "let $p := ns1:PAYMENTS() for $c in ns0:CUSTOMERS() \
-                 let $m := $p[(fn:data(CUSTID)=$c/CUSTOMERID)] return $m"
+                "for $c in ns0:CUSTOMERS() \
+                 let $m := ns1:PAYMENTS()[(fn:data(CUSTID)=$c/CUSTOMERID)] return $m"
             ),
             [request("PAYMENTS", "CUSTID")]
         );
@@ -3663,12 +3634,23 @@ mod tests {
             ),
             [None]
         );
-        // A `let` whose value is more than the call, and a variable no
-        // `let` of this prefix binds (an enclosing FLWOR's).
+        // A source named by a variable, whatever binds it: a `let` of the
+        // call itself (stage 3 writes the call where it is scanned), a
+        // `let` of more than the call, an enclosing FLWOR's variable.
+        for bound in ["ns1:ORDERS()", "ns1:ORDERS()[AMOUNT > 5]"] {
+            assert_eq!(
+                requests(&format!(
+                    "let $o := {bound} for $a in ns0:CUSTOMERS() for $b in $o \
+                     where $a/CUSTOMERID = $b/CUSTID return $a"
+                )),
+                [None],
+                "{bound}"
+            );
+        }
         assert_eq!(
             requests(
-                "let $o := ns1:ORDERS()[AMOUNT > 5] for $a in ns0:CUSTOMERS() for $b in $o \
-                 where $a/CUSTOMERID = $b/CUSTID return $a"
+                "let $p := ns1:PAYMENTS() for $c in ns0:CUSTOMERS() \
+                 let $m := $p[(fn:data(CUSTID)=$c/CUSTOMERID)] return $m"
             ),
             [None]
         );

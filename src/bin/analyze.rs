@@ -3,11 +3,11 @@
 //!
 //! Reads SQL from file arguments (or stdin when none are given), translates
 //! each statement against the bundled demo schema (the workload generator's
-//! universe: CUSTOMERS / ORDERS / PAYMENTS), and runs the five-layer
-//! analyzer over the result in both transports: the stage-2 IR invariant
-//! check, the XQuery lint over the generated text, the type-flow pass with
-//! its translation type-diff, and (on request) the cost layer and the
-//! bounded equivalence validator. Statements are separated by `;`.
+//! universe: CUSTOMERS / ORDERS / PAYMENTS), and runs the analyzer over
+//! the result in both transports: the stage-2 IR invariant check, the
+//! XQuery lint over the generated text, the type-flow pass with its
+//! translation type-diff, and (on request) the bounded equivalence
+//! validator. Statements are separated by `;`.
 //!
 //! The correctness layers (`A`/`T` codes) always run and always count
 //! toward the exit status. The display flags compose:
@@ -15,21 +15,18 @@
 //! * `--types` prints the inferred output typing of each statement as a
 //!   `label TYPE NULL|NOT NULL` table — the analyzer's independently
 //!   re-derived view of what the driver's result-set metadata must report.
-//! * `--cost` prints the layer-4 estimate (rows, fuel, FLWOR-walk fuel),
-//!   seeded with the demo universe's small-scale statistics, and adds any
-//!   `P` performance findings to the report *and* the exit status.
 //! * `--validate` runs the layer-5 bounded equivalence validator (the
 //!   reference relational interpreter against the real evaluator over
 //!   enumerated witness databases); `V` findings are hard errors and
 //!   count toward the exit status.
-//! * `--all` is `--types --cost --validate`.
+//! * `--all` is `--types --validate`.
 //! * `--format json` switches the report to machine-readable NDJSON: one
-//!   JSON object per finding (`sql`, `transport`, `layer`, `code`,
-//!   `severity`, `rule`, `message`), and one per failed translation (`sql`, `transport`, `error`). `--format human`
-//!   is the default.
+//!   JSON object per finding (`sql`, `transport`, `layer`, `code`, `rule`,
+//!   `message`), and one per failed translation (`sql`, `transport`,
+//!   `error`). `--format human` is the default.
 //!
 //! ```text
-//! Usage: analyze [--print-xquery] [--types] [--cost] [--validate] [--all]
+//! Usage: analyze [--print-xquery] [--types] [--validate] [--all]
 //!                [--format human|json] [FILE ...]
 //! ```
 //!
@@ -37,11 +34,10 @@
 //! layer, 1 when any statement fails to parse/translate or produces
 //! findings in a requested layer, 2 on usage or I/O errors.
 
-use aldsp::analyzer::{analyze_sql_with, CostOptions, ValidateOptions};
+use aldsp::analyzer::{analyze_sql_with, ValidateOptions};
 use aldsp::catalog::{CachedMetadataApi, InProcessMetadataApi, TableLocator};
 use aldsp::core::{TranslationOptions, Transport};
-use aldsp::workload::schema::{build_application, stats_for};
-use aldsp::workload::Scale;
+use aldsp::workload::schema::build_application;
 use std::io::Read;
 
 /// Escapes `s` as the contents of a JSON string literal.
@@ -64,7 +60,6 @@ fn json_escape(s: &str) -> String {
 fn main() {
     let mut print_xquery = false;
     let mut print_types = false;
-    let mut check_cost = false;
     let mut check_validate = false;
     let mut json = false;
     let mut files: Vec<String> = Vec::new();
@@ -73,11 +68,9 @@ fn main() {
         match arg.as_str() {
             "--print-xquery" => print_xquery = true,
             "--types" => print_types = true,
-            "--cost" => check_cost = true,
             "--validate" => check_validate = true,
             "--all" => {
                 print_types = true;
-                check_cost = true;
                 check_validate = true;
             }
             "--format" | "--format=human" | "--format=json" => {
@@ -101,14 +94,13 @@ fn main() {
                 }
             }
             "--help" | "-h" => {
-                println!("Usage: analyze [--print-xquery] [--types] [--cost] [--validate] [--all]");
+                println!("Usage: analyze [--print-xquery] [--types] [--validate] [--all]");
                 println!("               [--format human|json] [FILE ...]");
                 println!("Lints SQL statements (from files or stdin, `;`-separated)");
                 println!("through the SQL-to-XQuery pipeline against the demo schema.");
                 println!("--types additionally prints the inferred output typing;");
-                println!("--cost adds the cost/cardinality layer (P findings affect");
-                println!("the exit status); --validate runs the bounded equivalence");
-                println!("validator (V findings are hard errors); --all is all three.");
+                println!("--validate runs the bounded equivalence validator (V");
+                println!("findings are hard errors); --all is both.");
                 println!("--format json emits NDJSON (one finding object per line).");
                 return;
             }
@@ -145,13 +137,6 @@ fn main() {
     let metadata = CachedMetadataApi::new(InProcessMetadataApi::new(
         TableLocator::for_application(&app),
     ));
-    // Cost estimates are seeded with the statistics of the demo universe
-    // at the differential-test scale, so `analyze --cost` prices queries
-    // against the same data the harnesses execute them on.
-    let cost_options = CostOptions {
-        stats: stats_for(Scale::small()),
-        ..CostOptions::default()
-    };
     let validate_options = ValidateOptions::default();
 
     let mut dirty = false;
@@ -164,22 +149,11 @@ fn main() {
                 sql,
                 &metadata,
                 TranslationOptions::with_transport(transport),
-                &cost_options,
                 check_validate.then_some(&validate_options),
             );
             match result {
                 Ok(analysis) => {
-                    let report = &analysis.report;
-                    let mut findings: Vec<&aldsp::analyzer::Diagnostic> = report
-                        .ir
-                        .iter()
-                        .chain(report.xquery.iter())
-                        .chain(report.types.iter())
-                        .chain(report.validation.iter())
-                        .collect();
-                    if check_cost {
-                        findings.extend(report.cost.diagnostics.iter());
-                    }
+                    let findings: Vec<_> = analysis.report.all().collect();
                     if !findings.is_empty() {
                         dirty = true;
                     }
@@ -187,12 +161,11 @@ fn main() {
                         for d in &findings {
                             println!(
                                 "{{\"sql\": \"{}\", \"transport\": \"{transport:?}\", \
-                                 \"layer\": \"{}\", \"code\": \"{}\", \"severity\": \"{}\", \
+                                 \"layer\": \"{}\", \"code\": \"{}\", \
                                  \"rule\": \"{}\", \"message\": \"{}\"}}",
                                 json_escape(sql),
                                 d.code.layer(),
                                 d.code.as_str(),
-                                d.severity().as_str(),
                                 json_escape(d.code.rule()),
                                 json_escape(&d.message),
                             );
@@ -205,16 +178,6 @@ fn main() {
                         println!("   {transport:?}:");
                         for d in &findings {
                             println!("     {d}");
-                        }
-                    }
-                    if check_cost && transport == Transport::Xml {
-                        print!(
-                            "   ~ est rows {:.0}, est fuel {:.0}",
-                            report.cost.rows, report.cost.cost
-                        );
-                        match report.cost.flwor_fuel {
-                            Some(fuel) => println!(", flwor walk {fuel:.0}"),
-                            None => println!(),
                         }
                     }
                     if print_types && transport == Transport::Xml {

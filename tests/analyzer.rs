@@ -909,472 +909,6 @@ fn fuzzed_workload_type_checks_clean_per_seed() {
     }
 }
 
-// ---- layer 4: cost & cardinality (exact P codes) ---------------------
-
-use aldsp::analyzer::{analyze_sql_with, check_cost, CostOptions};
-use aldsp::catalog::CatalogStats;
-use aldsp::workload::schema::stats_for;
-use aldsp::workload::Scale;
-
-fn cost_codes(query: &PreparedQuery, options: &CostOptions) -> Vec<DiagCode> {
-    let mut codes: Vec<DiagCode> = check_cost(query, None, options)
-        .diagnostics
-        .into_iter()
-        .map(|d| d.code)
-        .collect();
-    codes.sort_unstable();
-    codes.dedup();
-    codes
-}
-
-fn select_mut(query: &mut PreparedQuery) -> &mut PreparedSelect {
-    match &mut query.body {
-        PreparedBody::Select(select) => select,
-        other => panic!("expected a Select body, got {other:?}"),
-    }
-}
-
-fn int_literal(n: i64) -> TExpr {
-    TExpr::new(
-        TExprKind::Literal(Literal::Integer(n)),
-        Some(SqlColumnType::Integer),
-        false,
-    )
-}
-
-fn compare(op: CompareOp, left: TExpr, right: TExpr) -> TExpr {
-    TExpr::new(
-        TExprKind::Compare {
-            op,
-            left: Box::new(left),
-            right: Box::new(right),
-        },
-        None,
-        false,
-    )
-}
-
-fn and(left: TExpr, right: TExpr) -> TExpr {
-    TExpr::new(TExprKind::And(Box::new(left), Box::new(right)), None, false)
-}
-
-/// Stats declaring `T.A` unique at the given row count — the universe all
-/// the hand-built `P` negatives run against.
-fn t_stats(rows: u64) -> CatalogStats {
-    CatalogStats::new().table("T", rows, |t| t.unique("A").ndv("B", rows.max(2) / 2))
-}
-
-fn t_options(rows: u64) -> CostOptions {
-    CostOptions {
-        stats: t_stats(rows),
-        ..CostOptions::default()
-    }
-}
-
-/// `SELECT T.A, U.A FROM T, T U` (optionally with a WHERE) — the comma-join
-/// scaffold for the cartesian/pushdown/rescan negatives.
-fn comma_join(where_clause: Option<TExpr>) -> PreparedQuery {
-    let mut q = select_from(
-        vec![t_table("T"), t_table("U")],
-        vec![
-            PreparedItem {
-                expr: column("T", "A"),
-                output: 0,
-            },
-            PreparedItem {
-                expr: column("U", "A"),
-                output: 1,
-            },
-        ],
-        vec![output("A"), output("A2")],
-    );
-    select_mut(&mut q).where_clause = where_clause;
-    q
-}
-
-#[test]
-fn cost_baseline_is_performance_clean() {
-    let q = select_of(
-        1,
-        vec![PreparedItem {
-            expr: column("T", "A"),
-            output: 0,
-        }],
-        vec![output("A")],
-    );
-    assert_eq!(cost_codes(&q, &t_options(1_000)), vec![]);
-    // And the estimate is seeded from the stats: a plain scan returns
-    // every row.
-    let report = check_cost(&q, None, &t_options(1_000));
-    assert_eq!(report.rows, 1_000.0);
-    assert!(report.cost > 1_000.0, "scan cost below one fuel per row");
-}
-
-#[test]
-fn disconnected_comma_join_is_p001() {
-    // No WHERE at all: T x U is a full cross product.
-    assert_eq!(
-        cost_codes(&comma_join(None), &t_options(1_000)),
-        vec![DiagCode::P001]
-    );
-    // A WHERE whose only equality stays inside one input does not connect
-    // the join either.
-    let local_only = compare(CompareOp::Eq, column("U", "A"), int_literal(7));
-    assert_eq!(
-        cost_codes(&comma_join(Some(local_only)), &t_options(1_000)),
-        vec![DiagCode::P001]
-    );
-    // An equijoin conjunct connects the inputs: clean.
-    let equi = compare(CompareOp::Eq, column("T", "A"), column("U", "A"));
-    assert_eq!(
-        cost_codes(&comma_join(Some(equi)), &t_options(1_000)),
-        vec![]
-    );
-}
-
-#[test]
-fn unpushed_predicate_is_p002() {
-    // `T.A = U.A AND T.A > 5`: the second conjunct touches only the first
-    // input but is evaluated after the innermost for bound U.
-    let equi = compare(CompareOp::Eq, column("T", "A"), column("U", "A"));
-    let outer_only = compare(CompareOp::Gt, column("T", "A"), int_literal(5));
-    assert_eq!(
-        cost_codes(&comma_join(Some(and(equi, outer_only))), &t_options(1_000)),
-        vec![DiagCode::P002]
-    );
-}
-
-#[test]
-fn distinct_over_unique_column_is_p003() {
-    let mut q = select_of(
-        1,
-        vec![PreparedItem {
-            expr: column("T", "A"),
-            output: 0,
-        }],
-        vec![output("A")],
-    );
-    select_mut(&mut q).distinct = true;
-    assert_eq!(cost_codes(&q, &t_options(1_000)), vec![DiagCode::P003]);
-    // Projecting only the non-unique column keeps DISTINCT meaningful.
-    let mut q = select_of(
-        1,
-        vec![PreparedItem {
-            expr: column("T", "B"),
-            output: 0,
-        }],
-        vec![output("B")],
-    );
-    select_mut(&mut q).distinct = true;
-    assert_eq!(cost_codes(&q, &t_options(1_000)), vec![]);
-}
-
-#[test]
-fn order_by_after_unique_key_is_p004() {
-    let items = vec![
-        PreparedItem {
-            expr: column("T", "A"),
-            output: 0,
-        },
-        PreparedItem {
-            expr: column("T", "B"),
-            output: 1,
-        },
-    ];
-    let outputs = vec![output("A"), output("B")];
-    let mut q = select_of(1, items.clone(), outputs.clone());
-    q.order_by = vec![
-        aldsp::core::ir::PreparedOrder {
-            column: 0,
-            ascending: true,
-        },
-        aldsp::core::ir::PreparedOrder {
-            column: 1,
-            ascending: false,
-        },
-    ];
-    assert_eq!(cost_codes(&q, &t_options(1_000)), vec![DiagCode::P004]);
-    // Leading on the non-unique column: both keys carry information.
-    let mut q = select_of(1, items, outputs);
-    q.order_by = vec![
-        aldsp::core::ir::PreparedOrder {
-            column: 1,
-            ascending: true,
-        },
-        aldsp::core::ir::PreparedOrder {
-            column: 0,
-            ascending: true,
-        },
-    ];
-    assert_eq!(cost_codes(&q, &t_options(1_000)), vec![]);
-}
-
-#[test]
-fn null_literal_comparison_is_p005() {
-    let mut q = select_of(
-        1,
-        vec![PreparedItem {
-            expr: column("T", "A"),
-            output: 0,
-        }],
-        vec![output("A")],
-    );
-    select_mut(&mut q).where_clause = Some(compare(
-        CompareOp::Eq,
-        column("T", "A"),
-        TExpr::new(TExprKind::Literal(Literal::Null), None, true),
-    ));
-    assert_eq!(cost_codes(&q, &t_options(1_000)), vec![DiagCode::P005]);
-}
-
-#[test]
-fn estimate_past_row_cap_is_p006() {
-    let q = select_of(
-        1,
-        vec![PreparedItem {
-            expr: column("T", "A"),
-            output: 0,
-        }],
-        vec![output("A")],
-    );
-    let capped = CostOptions {
-        row_cap: Some(10),
-        ..t_options(1_000)
-    };
-    assert_eq!(cost_codes(&q, &capped), vec![DiagCode::P006]);
-    // A cap above the estimate stays silent.
-    let roomy = CostOptions {
-        row_cap: Some(10_000),
-        ..t_options(1_000)
-    };
-    assert_eq!(cost_codes(&q, &roomy), vec![]);
-}
-
-#[test]
-fn large_table_rescan_is_p007() {
-    // A connected (non-P001) comma join over a 20k-row table: the inner
-    // input is re-scanned 20k times, ~4e8 fuel.
-    let equi = compare(CompareOp::Eq, column("T", "A"), column("U", "A"));
-    assert_eq!(
-        cost_codes(&comma_join(Some(equi)), &t_options(20_000)),
-        vec![DiagCode::P007]
-    );
-}
-
-#[test]
-fn expensive_subquery_reevaluation_is_p008() {
-    // EXISTS over a 10k-row scan, re-evaluated for each of 10k candidate
-    // tuples: ~6e8 fuel of repeated work.
-    let subquery = select_of(
-        2,
-        vec![PreparedItem {
-            expr: column("T", "A"),
-            output: 0,
-        }],
-        vec![output("A")],
-    );
-    let mut q = select_of(
-        1,
-        vec![PreparedItem {
-            expr: column("T", "A"),
-            output: 0,
-        }],
-        vec![output("A")],
-    );
-    select_mut(&mut q).where_clause = Some(TExpr::new(
-        TExprKind::Exists {
-            query: Box::new(subquery),
-            negated: false,
-        },
-        None,
-        false,
-    ));
-    assert_eq!(cost_codes(&q, &t_options(10_000)), vec![DiagCode::P008]);
-    // The same shape over a small table is cheap enough to stay silent.
-    assert_eq!(cost_codes(&q, &t_options(100)), vec![]);
-}
-
-/// Monotonicity: adding a conjunct never raises the cardinality estimate,
-/// whatever pair of predicate shapes is combined.
-#[test]
-fn conjunct_never_raises_cardinality_estimate() {
-    let metadata = paper_metadata();
-    let options = CostOptions {
-        stats: stats_for(Scale::small()),
-        ..CostOptions::default()
-    };
-    let predicates = [
-        "CUSTOMERID = 7",
-        "CUSTOMERID > 10",
-        "CUSTOMERID BETWEEN 2 AND 20",
-        "CUSTOMERID IN (1, 2, 3)",
-        "CUSTOMERNAME = 'Sue'",
-        "CUSTOMERNAME <> 'Sue'",
-        "CUSTOMERNAME LIKE 'S%'",
-        "CUSTOMERNAME IS NULL",
-        "CUSTOMERID IN (SELECT CUSTID FROM ORDERS)",
-    ];
-    let rows_of = |predicate: &str| -> f64 {
-        let sql = format!("SELECT CUSTOMERID FROM CUSTOMERS WHERE {predicate}");
-        analyze_sql_with(
-            &sql,
-            &metadata,
-            TranslationOptions::default(),
-            &options,
-            None,
-        )
-        .unwrap_or_else(|e| panic!("`{sql}` failed: {e}"))
-        .report
-        .cost
-        .rows
-    };
-    for p in &predicates {
-        let base = rows_of(p);
-        assert!(base.is_finite() && base >= 0.0, "bad estimate for `{p}`");
-        for q in &predicates {
-            let narrowed = rows_of(&format!("{p} AND {q}"));
-            assert!(
-                narrowed <= base + 1e-9,
-                "adding `{q}` to `{p}` raised the estimate: {narrowed} > {base}"
-            );
-        }
-    }
-}
-
-/// The FLWOR fuel walk sizes `ns:TABLE()` scans through the prepared
-/// query, so it must see every table the query reaches — one behind a
-/// join's `ON` predicate as much as one behind a WHERE.
-#[test]
-fn cardinality_of_a_table_behind_a_join_on_reaches_the_fuel_walk() {
-    let app = aldsp::workload::schema::build_application();
-    let metadata = CachedMetadataApi::new(InProcessMetadataApi::new(
-        TableLocator::for_application(&app),
-    ));
-    let fuel_at = |sql: &str, payments: usize| -> f64 {
-        let options = CostOptions {
-            stats: stats_for(Scale {
-                payments,
-                ..Scale::small()
-            }),
-            ..CostOptions::default()
-        };
-        analyze_sql_with(
-            sql,
-            &metadata,
-            TranslationOptions::default(),
-            &options,
-            None,
-        )
-        .unwrap_or_else(|e| panic!("`{sql}` failed: {e}"))
-        .report
-        .cost
-        .flwor_fuel
-        .expect("a FLWOR walk")
-    };
-    let subquery = "O.CUSTID IN (SELECT P.CUSTID FROM PAYMENTS P)";
-    for sql in [
-        format!(
-            "SELECT C.CUSTOMERNAME FROM CUSTOMERS C INNER JOIN ORDERS O \
-             ON C.CUSTOMERID = O.CUSTID AND {subquery}"
-        ),
-        format!("SELECT O.ORDERID FROM ORDERS O WHERE {subquery}"),
-    ] {
-        let (small, large) = (fuel_at(&sql, 15), fuel_at(&sql, 15_000));
-        assert!(
-            small < large,
-            "PAYMENTS at 15 and at 15,000 rows price `{sql}` alike: {small} vs {large}"
-        );
-    }
-}
-
-/// All 25 golden statements analyze `P`-clean end to end under the demo
-/// universe's statistics, in both transports.
-#[test]
-fn golden_statements_are_performance_clean() {
-    let app = aldsp::workload::schema::build_application();
-    let metadata = CachedMetadataApi::new(InProcessMetadataApi::new(
-        TableLocator::for_application(&app),
-    ));
-    let options = CostOptions {
-        stats: stats_for(Scale::small()),
-        ..CostOptions::default()
-    };
-    let mut checked = 0usize;
-    for sql in &aldsp::workload::golden_statements() {
-        for transport in [Transport::Xml, Transport::DelimitedText] {
-            let analysis = analyze_sql_with(
-                sql,
-                &metadata,
-                TranslationOptions::with_transport(transport),
-                &options,
-                None,
-            )
-            .unwrap_or_else(|e| panic!("golden `{sql}` failed: {e}"));
-            assert!(
-                analysis.report.is_performance_clean(),
-                "P findings for golden `{sql}` ({transport:?}):\n{}",
-                analysis.report.render()
-            );
-        }
-        checked += 1;
-    }
-    assert!(checked >= 25, "only {checked} golden statements checked");
-}
-
-/// ≥500 fuzzed queries per seed cost-analyze without panic in both
-/// transports, with finite estimates and a FLWOR fuel walk present.
-#[test]
-fn fuzzed_workload_cost_analyzes_per_seed() {
-    use aldsp::workload::querygen::{ConstructClass, QueryGenerator};
-    let app = aldsp::workload::schema::build_application();
-    let metadata = CachedMetadataApi::new(InProcessMetadataApi::new(
-        TableLocator::for_application(&app),
-    ));
-    let options = CostOptions {
-        stats: stats_for(Scale::small()),
-        ..CostOptions::default()
-    };
-    for seed in [11u64, 23] {
-        let mut generator = QueryGenerator::new(seed);
-        let mut checked = 0usize;
-        for class in ConstructClass::all() {
-            for _ in 0..46 {
-                let sql = generator.generate(*class);
-                for transport in [Transport::Xml, Transport::DelimitedText] {
-                    let analysis = analyze_sql_with(
-                        &sql,
-                        &metadata,
-                        TranslationOptions::with_transport(transport),
-                        &options,
-                        None,
-                    )
-                    .unwrap_or_else(|e| panic!("seed {seed}: `{sql}` failed: {e}"));
-                    let cost = &analysis.report.cost;
-                    assert!(
-                        cost.rows.is_finite() && cost.rows >= 0.0,
-                        "seed {seed}: bad cardinality for `{sql}`: {}",
-                        cost.rows
-                    );
-                    assert!(
-                        cost.cost.is_finite() && cost.cost > 0.0,
-                        "seed {seed}: bad cost for `{sql}`: {}",
-                        cost.cost
-                    );
-                    let fuel = cost
-                        .flwor_fuel
-                        .unwrap_or_else(|| panic!("seed {seed}: no FLWOR walk for `{sql}`"));
-                    assert!(
-                        fuel.is_finite() && fuel > 0.0,
-                        "seed {seed}: bad FLWOR fuel for `{sql}`: {fuel}"
-                    );
-                }
-                checked += 1;
-            }
-        }
-        assert!(checked >= 500, "only {checked} queries cost-analyzed");
-    }
-}
-
 // ---- layer 5: bounded equivalence validation -------------------------
 //
 // Negative direction: the generated text of a correct translation is
@@ -1386,7 +920,7 @@ fn fuzzed_workload_cost_analyzes_per_seed() {
 // witness budget, and a fuzzed workload sample per seed validates clean
 // under the quick budget.
 
-use aldsp::analyzer::{validate_translation, ValidateOptions};
+use aldsp::analyzer::{analyze_sql_with, validate_translation, ValidateOptions};
 use aldsp::core::{stage1, stage2, wrapper};
 
 fn demo_metadata() -> CachedMetadataApi<InProcessMetadataApi> {
@@ -1493,7 +1027,6 @@ fn rejected_evaluation_is_v006() {
 #[test]
 fn golden_statements_validate_equivalent_in_both_transports() {
     let metadata = demo_metadata();
-    let cost_options = CostOptions::default();
     let validate_options = ValidateOptions::default();
     let mut checked = 0usize;
     for sql in &aldsp::workload::golden_statements() {
@@ -1502,7 +1035,6 @@ fn golden_statements_validate_equivalent_in_both_transports() {
                 sql,
                 &metadata,
                 TranslationOptions::with_transport(transport),
-                &cost_options,
                 Some(&validate_options),
             )
             .unwrap_or_else(|e| panic!("golden `{sql}` failed: {e}"));
@@ -1614,12 +1146,11 @@ fn shared_reference_side_agrees_with_a_fresh_validation() {
     );
 }
 
-/// Layers 1–4 composed by hand from the piecewise functions, each given
+/// Layers 1–3 composed by hand from the piecewise functions, each given
 /// the text or a parse of its own.
-fn piecewise_report(prepared: &PreparedQuery, text: &str) -> (String, Option<f64>) {
+fn piecewise_report(prepared: &PreparedQuery, text: &str) -> String {
     let flow = check_types(prepared);
     let program = parse_program(text).ok();
-    let cost = check_cost(prepared, program.as_ref(), &CostOptions::default());
     let diff = program
         .iter()
         .flat_map(|program| check_translation(prepared, program, &flow.columns));
@@ -1628,10 +1159,9 @@ fn piecewise_report(prepared: &PreparedQuery, text: &str) -> (String, Option<f64
         .chain(lint_text(text))
         .chain(flow.diagnostics.iter().cloned())
         .chain(diff)
-        .chain(cost.diagnostics)
         .map(|d| d.to_string())
         .collect();
-    (findings.join("\n"), cost.flwor_fuel)
+    findings.join("\n")
 }
 
 #[test]
@@ -1643,22 +1173,21 @@ fn one_parse_returns_the_piecewise_report() {
             .into_iter()
             .chain(mutants.iter().map(|m| &m.xquery))
         {
-            let (report, _) = analyze_translation_with(prepared, text, &CostOptions::default());
+            let (report, _) = analyze_translation_with(prepared, text);
             assert_eq!(
-                (report.render(), report.cost.flwor_fuel),
+                report.render(),
                 piecewise_report(prepared, text),
                 "{origin}:\n{text}"
             );
             assert!(report.validation.is_empty());
             texts += 1;
-            dirty += usize::from(report.all().next().is_some());
+            dirty += usize::from(!report.is_clean());
         }
-        // Text that is not a program: `A100` once, no translation diff,
-        // no FLWOR fuel walk.
+        // Text that is not a program: `A100` once, no translation diff.
         let broken = format!("{xml} (");
-        let (report, typing) = analyze_translation_with(prepared, &broken, &CostOptions::default());
+        let (report, typing) = analyze_translation_with(prepared, &broken);
         assert_eq!(
-            (report.render(), report.cost.flwor_fuel),
+            report.render(),
             piecewise_report(prepared, &broken),
             "{origin}: unparsable text"
         );
@@ -1668,7 +1197,6 @@ fn one_parse_returns_the_piecewise_report() {
             d.code,
             DiagCode::T004 | DiagCode::T005 | DiagCode::T006 | DiagCode::T007
         )));
-        assert_eq!(report.cost.flwor_fuel, None);
         assert_eq!(typing.len(), prepared.output.len());
     }
     assert!(

@@ -1701,9 +1701,10 @@ fn invariant_sources_are_memoized_lazily_and_per_flwor_evaluation() {
 
 /// The fuel bar the retired rewrite experiment held its hoist to, on the
 /// engine: over the shapes a loop-invariant source is re-evaluated per
-/// tuple in (P008: NOT IN's `every`, `> ALL`, `> ANY` and a join's second
-/// scan), in both transports, the pipeline strategy spends at most half the
-/// interpreter's fuel at the median, every plan memoizing a source.
+/// tuple in (NOT IN's `every`, `> ALL`, `> ANY` and a join's second scan;
+/// `p008` was the retired cost model's code for them), in both transports,
+/// the pipeline strategy spends at most half the interpreter's fuel at the
+/// median, every plan memoizing a source.
 #[test]
 fn invariant_sources_halve_the_fuel_of_p008_shapes() {
     let statements = [

@@ -38,13 +38,17 @@ fn golden_corpus_optimizes_clean_through_all_layers() {
             .translate_full(sql, options)
             .unwrap_or_else(|e| panic!("golden `{sql}` must translate: {e}"));
         let outcome = engine.optimize(&full.prepared, &full.translation.xquery, options);
-        assert_eq!(outcome.xquery, full.translation.xquery, "`{sql}` was rewritten");
+        assert_eq!(
+            outcome.xquery, full.translation.xquery,
+            "`{sql}` was rewritten"
+        );
         assert_eq!(outcome.trace.applied(), 0, "`{sql}`");
         let program = parse_program(&outcome.xquery)
             .unwrap_or_else(|e| panic!("golden `{sql}` must parse: {e}"));
         let report = QueryFacts::of(&full.prepared).check(Ok(&program));
         assert!(report.is_clean(), "golden `{sql}`:\n{}", report.render());
-        let diverged = check_equivalence(&full.prepared, &outcome.xquery, &ValidateOptions::quick());
+        let diverged =
+            check_equivalence(&full.prepared, &outcome.xquery, &ValidateOptions::quick());
         assert!(diverged.is_empty(), "golden `{sql}` diverged: {diverged:?}");
         if memoized_sources(&program, ExecStrategy::HashJoin) > 0 {
             memoizing += 1;

@@ -458,56 +458,46 @@ impl FunctionSource for WriteAfterCall<'_> {
 
 /// The table a statement builds over rows a write has since outdated is
 /// the statement's own: it answers from the snapshot its `call` took, and
-/// the server keeps nothing of it — whether the rows reached the join
-/// through a `let` or were called for where they are scanned.
+/// the server keeps nothing of it.
 #[test]
 fn a_write_between_a_call_and_its_join_leaves_no_index_behind() {
-    for (hoisted, orders) in [("let $o := ns1:ORDERS() ", "$o"), ("", "ns1:ORDERS()")] {
-        let xquery = format!(
-            "{hoisted}for $c in ns0:CUSTOMERS() for $b in {orders} \
-             where $c/CUSTOMERID = $b/CUSTID return <R>{{fn:data($b/ORDERID)}}</R>"
-        );
-        let (server, _, _) = production_universe();
-        // On the server itself: the rows the join returns, and what it did
-        // about its index.
-        let on_server = || {
-            let meter = QueryBudget::unlimited();
-            let rows = server
-                .execute_governed_with(&xquery, &[], Some(&meter), ExecStrategy::HashJoin)
-                .unwrap();
-            (rows.len(), meter.index_counts())
-        };
-        let (before, built) = on_server();
-        assert_eq!(built, (1, 0), "{orders}");
-        assert_eq!(on_server(), (before, (0, 1)), "{orders}");
-
-        let order = vec![
-            SqlValue::Int(9_001),
-            SqlValue::Int(1),
-            SqlValue::Decimal(12.5),
-            SqlValue::Str("OPEN".into()),
-        ];
-        let racing = WriteAfterCall {
-            server: &server,
-            order: Mutex::new(Some(order)),
-        };
-        let program = parse_program(&xquery).unwrap();
+    let xquery = "for $c in ns0:CUSTOMERS() for $b in ns1:ORDERS() \
+                  where $c/CUSTOMERID = $b/CUSTID return <R>{fn:data($b/ORDERID)}</R>";
+    let (server, _, _) = production_universe();
+    // On the server itself: the rows the join returns, and what it did
+    // about its index.
+    let on_server = || {
         let meter = QueryBudget::unlimited();
-        let rows =
-            evaluate_program_exec(&program, &racing, &[], Some(&meter), ExecStrategy::HashJoin)
-                .unwrap();
-        assert_eq!(
-            server.epoch(),
-            1,
-            "{orders}: the write landed mid-statement"
-        );
-        assert_eq!(rows.len(), before, "{orders}: a snapshot of its one call");
-        assert_eq!(meter.index_counts(), (1, 0), "{orders}");
+        let rows = server
+            .execute_governed_with(xquery, &[], Some(&meter), ExecStrategy::HashJoin)
+            .unwrap();
+        (rows.len(), meter.index_counts())
+    };
+    let (before, built) = on_server();
+    assert_eq!(built, (1, 0));
+    assert_eq!(on_server(), (before, (0, 1)));
 
-        // The next statement keys the new rows, the new order among them.
-        assert_eq!(on_server(), (before + 1, (1, 0)), "{orders}");
-        assert_eq!(on_server(), (before + 1, (0, 1)), "{orders}");
-    }
+    let order = vec![
+        SqlValue::Int(9_001),
+        SqlValue::Int(1),
+        SqlValue::Decimal(12.5),
+        SqlValue::Str("OPEN".into()),
+    ];
+    let racing = WriteAfterCall {
+        server: &server,
+        order: Mutex::new(Some(order)),
+    };
+    let program = parse_program(xquery).unwrap();
+    let meter = QueryBudget::unlimited();
+    let rows = evaluate_program_exec(&program, &racing, &[], Some(&meter), ExecStrategy::HashJoin)
+        .unwrap();
+    assert_eq!(server.epoch(), 1, "the write landed mid-statement");
+    assert_eq!(rows.len(), before, "a snapshot of its one call");
+    assert_eq!(meter.index_counts(), (1, 0));
+
+    // The next statement keys the new rows, the new order among them.
+    assert_eq!(on_server(), (before + 1, (1, 0)));
+    assert_eq!(on_server(), (before + 1, (0, 1)));
 }
 
 /// `C`, `O` and `P`, and the logical `BIG_O` — the orders of 10 and more —

@@ -5,26 +5,21 @@
 //! walks every analysis and rewrite is written against (DESIGN §19). A
 //! variant added to one match and forgotten in the other, or a site the
 //! IR deep walk skips, fails here — on the paper, golden and fuzzed
-//! corpus in both transports, naive and optimized — rather than in a cost
-//! estimate or a missed rewrite.
+//! corpus in both transports — rather than in an analysis that silently
+//! misses a node.
 
 use aldsp::catalog::{CachedMetadataApi, InProcessMetadataApi, TableLocator};
 use aldsp::core::ir::{IrNode, PreparedQuery, TExpr, TExprKind};
-use aldsp::core::{
-    sql_param_name, OptimizeLevel, QueryOptimizer, TranslationOptions, Translator, Transport,
-};
-use aldsp::optimizer::Optimizer;
-use aldsp::workload::{
-    build_application, fuzzed_corpus, golden_statements, paper_corpus, stats_for, Scale,
-};
+use aldsp::core::{sql_param_name, TranslationOptions, Translator, Transport};
+use aldsp::workload::{build_application, fuzzed_corpus, golden_statements, paper_corpus};
 use aldsp::xquery::ast::{Expr, Program};
 use aldsp::xquery::visit::{each_expr_mut, free_vars, walk_expr, walk_expr_mut, Visitor};
 use aldsp::xquery::{parse_program, unparse_program};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::OnceLock;
 
-/// One translated statement: the IR, the parsed program (naive or
-/// optimized), and how many `?` markers it takes.
+/// One translated statement: the IR, the parsed program, and how many `?`
+/// markers it takes.
 struct Case {
     origin: String,
     prepared: PreparedQuery,
@@ -33,21 +28,22 @@ struct Case {
 }
 
 /// Paper + golden (parameterized statements included) + `fuzzed_corpus(3,
-/// 10)`, × both transports × `OptimizeLevel::Off` and `Full`; translated
+/// FUZZED_PER_CLASS)`, × both transports, each program once; translated
 /// once for the whole test binary.
 fn corpus() -> &'static [Case] {
     static CORPUS: OnceLock<Vec<Case>> = OnceLock::new();
     CORPUS.get_or_init(translate_corpus)
 }
 
+/// Fuzzed statements per construct class: enough that the bars below
+/// hold over distinct programs.
+const FUZZED_PER_CLASS: usize = 25;
+
 fn translate_corpus() -> Vec<Case> {
     let app = build_application();
     let translator = Translator::new(CachedMetadataApi::new(InProcessMetadataApi::new(
         TableLocator::for_application(&app),
     )));
-    // The optimizer hands the text back unchanged: `Full` is the program
-    // a plan cache keys apart from `Off`.
-    let optimizer = Optimizer::new(stats_for(Scale::small())).with_validation(false);
     let mut statements = paper_corpus();
     statements.extend(
         golden_statements()
@@ -55,31 +51,24 @@ fn translate_corpus() -> Vec<Case> {
             .enumerate()
             .map(|(i, sql)| (format!("golden:{}", i + 1), sql)),
     );
-    statements.extend(fuzzed_corpus(3, 10));
+    statements.extend(fuzzed_corpus(3, FUZZED_PER_CLASS));
+    let mut seen = HashSet::new();
     let mut cases = Vec::new();
     for (origin, sql) in &statements {
         for transport in [Transport::DelimitedText, Transport::Xml] {
-            for level in [OptimizeLevel::Off, OptimizeLevel::Full] {
-                let options = TranslationOptions::with_transport(transport).optimized(level);
-                let full = translator
-                    .translate_full(sql, options)
-                    .unwrap_or_else(|e| panic!("{origin}: `{sql}`: {e}"));
-                let text = match level {
-                    OptimizeLevel::Off => full.translation.xquery.clone(),
-                    _ => {
-                        optimizer
-                            .optimize(&full.prepared, &full.translation.xquery, options)
-                            .xquery
-                    }
-                };
-                cases.push(Case {
-                    origin: format!("{origin} {transport:?} {level:?}"),
-                    program: parse_program(&text)
-                        .unwrap_or_else(|e| panic!("{origin}: generated text parses: {e}")),
-                    prepared: full.prepared,
-                    parameter_count: full.translation.parameter_count,
-                });
+            let full = translator
+                .translate_full(sql, TranslationOptions::with_transport(transport))
+                .unwrap_or_else(|e| panic!("{origin}: `{sql}`: {e}"));
+            if !seen.insert(full.translation.xquery.clone()) {
+                continue;
             }
+            cases.push(Case {
+                origin: format!("{origin} {transport:?}"),
+                program: parse_program(&full.translation.xquery)
+                    .unwrap_or_else(|e| panic!("{origin}: generated text parses: {e}")),
+                prepared: full.prepared,
+                parameter_count: full.translation.parameter_count,
+            });
         }
     }
     assert!(cases.len() >= 500, "only {} programs", cases.len());
