@@ -1297,12 +1297,12 @@ fn decode_result(result: &Sequence, output: &[OutputColumn]) -> Result<Vec<Vec<S
         // XML transport: a RECORDSET element of RECORD rows.
         Item::Node(_) => {
             let element = item
-                .as_element()
+                .as_element_ref()
                 .ok_or_else(|| "payload node is not an element".to_string())?;
-            if element.name.local_part() != "RECORDSET" {
+            if element.name().local_part() != "RECORDSET" {
                 return Err(format!(
                     "expected a RECORDSET payload, got <{}>",
-                    element.name.local_part()
+                    element.name().local_part()
                 ));
             }
             let mut rows = Vec::new();

@@ -8,8 +8,7 @@
 //! and `n` `O(1)` probes. The gap is the engine's whole value
 //! proposition; E13 measures the same effect end-to-end.
 
-use aldsp_xml::atomic::Atomic;
-use aldsp_xml::flat::build_row;
+use aldsp_xml::flat::{build_row, RowSchema};
 use aldsp_xml::qname::QName;
 use aldsp_xml::sequence::{Item, Sequence};
 use aldsp_xquery::eval::{evaluate_program_exec, FunctionSource, XqError};
@@ -17,7 +16,7 @@ use aldsp_xquery::{parse_program, ExecStrategy};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 /// Two pre-built flat tables; cloning a `Sequence` is per-row `Arc`
-/// bumps, so each call hands out the same trees.
+/// bumps, so each call hands out the same rows.
 struct TwoTables {
     left: Sequence,
     right: Sequence,
@@ -26,14 +25,12 @@ struct TwoTables {
 impl TwoTables {
     fn of(n: usize) -> TwoTables {
         let table = |name: &str, key: &str, val: &str| -> Sequence {
+            let schema = RowSchema::new(QName::prefixed("ns0", name), [key, val]);
             (0..n)
                 .map(|i| {
-                    Item::element(build_row(
-                        &QName::prefixed("ns0", name),
-                        [
-                            (key, Some(Atomic::Integer(i as i64))),
-                            (val, Some(Atomic::String(format!("{name}-{i}")))),
-                        ],
+                    Item::from(build_row(
+                        &schema,
+                        [Some(i.to_string()), Some(format!("{name}-{i}"))],
                     ))
                 })
                 .collect()

@@ -46,9 +46,14 @@ use std::fmt;
 pub enum DriverError {
     /// Translation failed (syntax, semantics, metadata).
     Translation(aldsp_core::TranslateError),
-    /// Server-side execution failed (permanent: the statement itself is
-    /// at fault, or the endpoint declared the failure final).
+    /// Server-side execution failed permanently: the query did not
+    /// compile on the server, or the endpoint declared the failure final.
+    /// Counts toward the circuit breaker.
     Execution(String),
+    /// The statement's own dynamic error at evaluation — a division by
+    /// zero, a failed cast, an overflow. Permanent, and no sign of the
+    /// backend's health: the circuit breaker does not count it.
+    Evaluation(String),
     /// A transient boundary failure — a dropped fetch, an aborted
     /// execution, a lost payload. Retrying the same statement can
     /// succeed.
@@ -95,6 +100,7 @@ impl DriverError {
             DriverError::Transient(_) | DriverError::Timeout(_) | DriverError::Decode(_) => true,
             DriverError::Translation(e) => e.is_transient(),
             DriverError::Execution(_)
+            | DriverError::Evaluation(_)
             | DriverError::StaleMetadata { .. }
             | DriverError::Usage(_)
             | DriverError::BudgetExceeded(_)
@@ -124,6 +130,7 @@ impl fmt::Display for DriverError {
         match self {
             DriverError::Translation(e) => write!(f, "translation: {e}"),
             DriverError::Execution(m) => write!(f, "execution: {m}"),
+            DriverError::Evaluation(m) => write!(f, "evaluation: {m}"),
             DriverError::Transient(m) => write!(f, "transient failure: {m}"),
             DriverError::Timeout(m) => write!(f, "timeout: {m}"),
             DriverError::StaleMetadata {

@@ -133,7 +133,7 @@ impl QueryService {
     /// Feeds an execution outcome back into the governor. Backend-health
     /// signals (execution, transport, timeout, decode failures) count
     /// toward opening the breaker; the statement's own defects
-    /// (translation, usage, depth) and the caller's budget choices
+    /// (translation, evaluation, usage, depth) and the caller's budget choices
     /// (budget, cancellation) are neutral — a storm of bad queries must
     /// not take the backend offline for good ones.
     fn observe(&self, result: &Result<ResultSet, DriverError>) {

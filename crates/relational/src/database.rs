@@ -3,7 +3,7 @@
 use crate::relation::{ColumnInfo, Relation};
 use crate::value::SqlValue;
 use aldsp_catalog::TableSchema;
-use aldsp_xml::{flat::build_row, Item, QName, Sequence};
+use aldsp_xml::{flat::build_row, Item, QName, RowSchema, Sequence};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -64,23 +64,31 @@ impl Table {
 
     /// The table as its physical data-service function returns it (paper
     /// Example 1): one flat `ns0:<row_element>` per row, a child element
-    /// per column, SQL NULL as an *absent* child. The one definition of
-    /// that shape — the server materializes tables with it and the
-    /// layer-5 validator serves its witness tables with it, so what the
-    /// validator proves is about the rows production queries see.
+    /// per column, SQL NULL as an *absent* child — held as flat rows that
+    /// share one schema. The one definition of that shape — the server
+    /// materializes tables with it and the layer-5 validator serves its
+    /// witness tables with it, so what the validator proves is about the
+    /// rows production queries see.
     pub fn row_elements(&self) -> Sequence {
         let row_name = QName::prefixed("ns0", self.schema.row_element.clone());
-        let mut rows = Sequence::empty();
-        for row in &self.rows {
-            let columns = self
-                .schema
-                .columns
-                .iter()
-                .zip(row)
-                .map(|(c, v)| (c.name.as_str(), v.to_atomic()));
-            rows.push(Item::element(build_row(&row_name, columns)));
-        }
-        rows
+        let columns = self.schema.columns.iter().map(|c| c.name.as_str());
+        let schema = RowSchema::new(row_name, columns);
+        // Each cell's lexical form is formatted here once, into one buffer,
+        // and copied into the text the row keeps: an allocation per cell.
+        let mut lexical = String::new();
+        let mut text = |value: &SqlValue| {
+            let atomic = match value {
+                SqlValue::Str(s) | SqlValue::Date(s) => return Some(Arc::from(s.as_str())),
+                other => other.to_atomic()?,
+            };
+            lexical.clear();
+            atomic.write_lexical(&mut lexical);
+            Some(Arc::from(lexical.as_str()))
+        };
+        self.rows
+            .iter()
+            .map(|row| Item::from(build_row(&schema, row.iter().map(&mut text))))
+            .collect()
     }
 }
 

@@ -9,7 +9,8 @@
 //! * [`Atomic`] — typed atomic values (`xs:string`, `xs:integer`,
 //!   `xs:decimal`, `xs:double`, `xs:boolean`, `xs:date`) with the cast and
 //!   comparison rules the generated queries rely on.
-//! * [`Node`] / [`Element`] — ordered XML trees (elements, text).
+//! * [`Node`] / [`Element`] — ordered XML trees (elements, text), and
+//!   [`ElementRef`], the one borrowed view every reader of an element uses.
 //! * [`Item`] and [`Sequence`] — the universal value type of the evaluator.
 //! * Serialization ([`serialize`]) and a small well-formed-XML pull
 //!   reader ([`parse`]) with its two consumers: the tree builder here and
@@ -19,7 +20,8 @@
 //!
 //! Data-service functions in the platform return "flat" XML: a sequence of
 //! row elements whose simple-typed children are the columns (paper §2.3,
-//! Example 1). Helpers for building such rows live in [`flat`].
+//! Example 1). They are held as [`FlatRow`]s — one shared [`RowSchema`]
+//! per table, one optional text per cell — built in [`flat`].
 
 pub mod atomic;
 pub mod escape;
@@ -31,7 +33,8 @@ pub mod sequence;
 pub mod serialize;
 
 pub use atomic::{Atomic, XsType};
-pub use node::{Element, Node};
+pub use flat::{FlatRow, RowSchema};
+pub use node::{Element, ElementRef, Node};
 pub use parse::{parse_document, parse_fragment, XmlParseError};
 pub use qname::QName;
 pub use sequence::{Item, Sequence};

@@ -6,7 +6,7 @@
 //! is the *slow* path that the text-encoded transport replaces).
 
 use crate::escape::{escape_attribute, escape_attribute_into, escape_text, escape_text_into};
-use crate::node::{Element, Node};
+use crate::node::{Child, Children, ElementRef, Node};
 use crate::qname::QName;
 use crate::sequence::{Item, Sequence};
 
@@ -49,9 +49,13 @@ pub fn serialize_sequence(seq: &Sequence) -> String {
 }
 
 fn write_node(out: &mut String, node: &Node) {
-    match node {
-        Node::Text(t) => write_text(out, t),
-        Node::Element(e) => write_element(out, e),
+    write_child(out, node.as_child());
+}
+
+fn write_child(out: &mut String, child: Child<'_>) {
+    match child {
+        Child::Text(t) => write_text(out, t),
+        Child::Element(e) => write_element(out, e),
     }
 }
 
@@ -87,25 +91,34 @@ pub fn write_text(out: &mut String, text: &str) {
 }
 
 /// A whole element, markup and content.
-pub fn write_element(out: &mut String, e: &Element) {
+pub fn write_element(out: &mut String, e: ElementRef<'_>) {
+    write_parts(out, e.name(), e.attributes(), e.children());
+}
+
+pub(crate) fn write_parts(
+    out: &mut String,
+    name: &QName,
+    attributes: &[(QName, String)],
+    children: Children<'_>,
+) {
     out.push('<');
-    e.name.write_into(out);
-    for (name, value) in &e.attributes {
+    name.write_into(out);
+    for (name, value) in attributes {
         out.push(' ');
         name.write_into(out);
         out.push_str("=\"");
         escape_attribute_into(out, value);
         out.push('"');
     }
-    if e.children.is_empty() {
+    if children.clone().next().is_none() {
         out.push_str("/>");
         return;
     }
     out.push('>');
-    for child in &e.children {
-        write_node(out, child);
+    for child in children {
+        write_child(out, child);
     }
-    write_end_tag(out, &e.name);
+    write_end_tag(out, name);
 }
 
 /// Pretty-prints a node with two-space indentation — used by examples and
@@ -113,20 +126,20 @@ pub fn write_element(out: &mut String, e: &Element) {
 /// simple content).
 pub fn pretty_print(node: &Node) -> String {
     let mut out = String::new();
-    pretty_node(node, 0, &mut out);
+    pretty_node(node.as_child(), 0, &mut out);
     out
 }
 
-fn pretty_node(node: &Node, depth: usize, out: &mut String) {
+fn pretty_node(node: Child<'_>, depth: usize, out: &mut String) {
     match node {
-        Node::Text(t) => {
+        Child::Text(t) => {
             indent(depth, out);
             out.push_str(&escape_text(t));
             out.push('\n');
         }
-        Node::Element(e) => {
+        Child::Element(e) => {
             indent(depth, out);
-            if e.children.is_empty() {
+            if e.children().next().is_none() {
                 out.push_str(&format!("<{}/>\n", render_open(e)));
             } else if e.is_simple() {
                 // Simple content inline: <ID>55</ID>
@@ -134,23 +147,23 @@ fn pretty_node(node: &Node, depth: usize, out: &mut String) {
                     "<{}>{}</{}>\n",
                     render_open(e),
                     escape_text(&e.string_value()),
-                    e.name
+                    e.name()
                 ));
             } else {
                 out.push_str(&format!("<{}>\n", render_open(e)));
-                for child in &e.children {
+                for child in e.children() {
                     pretty_node(child, depth + 1, out);
                 }
                 indent(depth, out);
-                out.push_str(&format!("</{}>\n", e.name));
+                out.push_str(&format!("</{}>\n", e.name()));
             }
         }
     }
 }
 
-fn render_open(e: &Element) -> String {
-    let mut s = e.name.to_string();
-    for (name, value) in &e.attributes {
+fn render_open(e: ElementRef<'_>) -> String {
+    let mut s = e.name().to_string();
+    for (name, value) in e.attributes() {
         s.push_str(&format!(" {}=\"{}\"", name, escape_attribute(value)));
     }
     s
@@ -166,6 +179,7 @@ fn indent(depth: usize, out: &mut String) {
 mod tests {
     use super::*;
     use crate::atomic::Atomic;
+    use crate::Element;
 
     fn record() -> Element {
         Element::new("RECORD")

@@ -732,10 +732,10 @@ pub(crate) fn record_key(key: &mut String, name: &str, value: &str) {
 /// The key of a row element: [`record_key`] of each child. `None` for an
 /// item that is no element.
 fn row_key(item: &Item) -> Option<String> {
-    let element = item.as_element()?;
+    let element = item.as_element_ref()?;
     let mut key = String::new();
     for child in element.child_elements() {
-        record_key(&mut key, child.name.local_part(), &child.string_value());
+        record_key(&mut key, child.name().local_part(), &child.string_value());
     }
     Some(key)
 }
@@ -969,12 +969,9 @@ mod tests {
 
     fn record(cols: &[(&str, Option<&str>)]) -> Item {
         use aldsp_xml::flat::build_row;
-        use aldsp_xml::QName;
-        Item::element(build_row(
-            &QName::local("RECORD"),
-            cols.iter()
-                .map(|(n, v)| (*n, v.map(|s| Atomic::String(s.to_string())))),
-        ))
+        use aldsp_xml::{QName, RowSchema};
+        let schema = RowSchema::new(QName::local("RECORD"), cols.iter().map(|(n, _)| *n));
+        Item::from(build_row(&schema, cols.iter().map(|(_, v)| *v)))
     }
 
     #[test]

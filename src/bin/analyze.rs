@@ -38,7 +38,7 @@ use aldsp::analyzer::{analyze_sql_with, ValidateOptions};
 use aldsp::catalog::{CachedMetadataApi, InProcessMetadataApi, TableLocator};
 use aldsp::core::{TranslationOptions, Transport};
 use aldsp::workload::schema::build_application;
-use std::io::Read;
+use std::io::{ErrorKind, Read, Write};
 
 /// Escapes `s` as the contents of a JSON string literal.
 fn json_escape(s: &str) -> String {
@@ -58,20 +58,22 @@ fn json_escape(s: &str) -> String {
 }
 
 fn main() {
-    let mut print_xquery = false;
-    let mut print_types = false;
-    let mut check_validate = false;
-    let mut json = false;
+    let mut flags = Flags {
+        print_xquery: false,
+        print_types: false,
+        check_validate: false,
+        json: false,
+    };
     let mut files: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--print-xquery" => print_xquery = true,
-            "--types" => print_types = true,
-            "--validate" => check_validate = true,
+            "--print-xquery" => flags.print_xquery = true,
+            "--types" => flags.print_types = true,
+            "--validate" => flags.check_validate = true,
             "--all" => {
-                print_types = true;
-                check_validate = true;
+                flags.print_types = true;
+                flags.check_validate = true;
             }
             "--format" | "--format=human" | "--format=json" => {
                 let value = match arg.as_str() {
@@ -85,8 +87,8 @@ fn main() {
                     other => other["--format=".len()..].to_string(),
                 };
                 match value.as_str() {
-                    "human" => json = false,
-                    "json" => json = true,
+                    "human" => flags.json = false,
+                    "json" => flags.json = true,
                     other => {
                         eprintln!("analyze: unknown format `{other}` (human|json)");
                         std::process::exit(2);
@@ -133,23 +135,48 @@ fn main() {
         }
     }
 
+    let stdout = std::io::stdout();
+    match report(&mut stdout.lock(), &input, &flags) {
+        Ok(dirty) => std::process::exit(if dirty { 1 } else { 0 }),
+        // A reader that closed the pipe (`analyze … | head`) has all it
+        // wants: stop quietly.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("analyze: writing stdout: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// What the flags ask [`report`] to show and check.
+struct Flags {
+    print_xquery: bool,
+    print_types: bool,
+    check_validate: bool,
+    json: bool,
+}
+
+/// Analyzes every statement of `input`, writing the report to `out`.
+/// `Ok(true)` when any statement failed or had findings.
+fn report(out: &mut impl Write, input: &str, flags: &Flags) -> std::io::Result<bool> {
     let app = build_application();
     let metadata = CachedMetadataApi::new(InProcessMetadataApi::new(
         TableLocator::for_application(&app),
     ));
     let validate_options = ValidateOptions::default();
+    let json = flags.json;
 
     let mut dirty = false;
     for sql in input.split(';').map(str::trim).filter(|s| !s.is_empty()) {
         if !json {
-            println!("-- {sql}");
+            writeln!(out, "-- {sql}")?;
         }
         for transport in [Transport::Xml, Transport::DelimitedText] {
             let result = analyze_sql_with(
                 sql,
                 &metadata,
                 TranslationOptions::with_transport(transport),
-                check_validate.then_some(&validate_options),
+                flags.check_validate.then_some(&validate_options),
             );
             match result {
                 Ok(analysis) => {
@@ -159,7 +186,8 @@ fn main() {
                     }
                     if json {
                         for d in &findings {
-                            println!(
+                            writeln!(
+                                out,
                                 "{{\"sql\": \"{}\", \"transport\": \"{transport:?}\", \
                                  \"layer\": \"{}\", \"code\": \"{}\", \
                                  \"rule\": \"{}\", \"message\": \"{}\"}}",
@@ -168,50 +196,52 @@ fn main() {
                                 d.code.as_str(),
                                 json_escape(d.code.rule()),
                                 json_escape(&d.message),
-                            );
+                            )?;
                         }
                         continue;
                     }
                     if findings.is_empty() {
-                        println!("   {transport:?}: clean");
+                        writeln!(out, "   {transport:?}: clean")?;
                     } else {
-                        println!("   {transport:?}:");
+                        writeln!(out, "   {transport:?}:")?;
                         for d in &findings {
-                            println!("     {d}");
+                            writeln!(out, "     {d}")?;
                         }
                     }
-                    if print_types && transport == Transport::Xml {
+                    if flags.print_types && transport == Transport::Xml {
                         for col in &analysis.typing {
-                            println!(
+                            writeln!(
+                                out,
                                 "   : {} {} {}",
                                 col.label,
                                 col.sql_type.map_or("<unknown>", |t| t.sql_name()),
                                 if col.nullable { "NULL" } else { "NOT NULL" }
-                            );
+                            )?;
                         }
                     }
-                    if print_xquery && transport == Transport::Xml {
+                    if flags.print_xquery && transport == Transport::Xml {
                         for line in analysis.xquery.lines() {
-                            println!("   | {line}");
+                            writeln!(out, "   | {line}")?;
                         }
                     }
                 }
                 Err(e) => {
                     dirty = true;
                     if json {
-                        println!(
+                        writeln!(
+                            out,
                             "{{\"sql\": \"{}\", \"transport\": \"{transport:?}\", \
                              \"error\": \"{}\"}}",
                             json_escape(sql),
                             json_escape(&e.to_string()),
-                        );
+                        )?;
                     } else {
-                        println!("   {transport:?}: translation failed: {e}");
+                        writeln!(out, "   {transport:?}: translation failed: {e}")?;
                     }
                 }
             }
         }
     }
-
-    std::process::exit(if dirty { 1 } else { 0 });
+    out.flush()?;
+    Ok(dirty)
 }

@@ -1204,3 +1204,41 @@ fn one_parse_returns_the_piecewise_report() {
         "{texts} texts, {dirty} with findings"
     );
 }
+
+/// A reader that stops early (`analyze … | head -5`) ends the report: the
+/// binary exits 0 without a word on stderr instead of panicking on the
+/// closed pipe.
+#[test]
+fn analyze_stops_quietly_when_its_reader_closes_the_pipe() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_analyze"))
+        .args(["--print-xquery", "--types"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let statements: String = (0..300)
+        .map(|i| format!("SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERID = {i};\n"))
+        .collect();
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(statements.as_bytes()).unwrap();
+    drop(stdin);
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    for _ in 0..5 {
+        let mut line = String::new();
+        assert!(stdout.read_line(&mut line).unwrap() > 0);
+    }
+    drop(stdout);
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    let status = child.wait().unwrap();
+    assert_eq!(status.code(), Some(0), "stderr: {stderr}");
+    assert_eq!(stderr, "");
+}

@@ -752,7 +752,7 @@ proptest! {
                         }
                     }
                     (Err(hashed), Err(interpreted)) => {
-                        prop_assert!(matches!(interpreted, DriverError::Execution(_)), "{}", at);
+                        prop_assert!(matches!(interpreted, DriverError::Evaluation(_)), "{}", at);
                         prop_assert_eq!(hashed.to_string(), interpreted.to_string(), "{}", at);
                         // Every attempt of the fallback chain ran the
                         // operator and handed the FLWOR back.
@@ -1443,7 +1443,7 @@ proptest! {
                         }
                     }
                     (Err(hashed), Err(interpreted)) => {
-                        prop_assert!(matches!(interpreted, DriverError::Execution(_)), "{}", at);
+                        prop_assert!(matches!(interpreted, DriverError::Evaluation(_)), "{}", at);
                         prop_assert_eq!(hashed.to_string(), interpreted.to_string(), "{}", at);
                         prop_assert!(abandoned > 0, "{}", at);
                     }
@@ -1602,7 +1602,7 @@ fn budgets_and_errors_inside_the_projected_sinks_match_the_interpreter() {
         };
         let piped = run(&budget, ExecStrategy::HashJoin).unwrap_err();
         let naive = run(&QueryBudget::unlimited(), ExecStrategy::NestedLoop).unwrap_err();
-        assert!(matches!(naive, DriverError::Execution(_)), "{naive}");
+        assert!(matches!(naive, DriverError::Evaluation(_)), "{naive}");
         assert_eq!(piped.to_string(), naive.to_string(), "{transport:?}");
         assert_eq!(budget.sink_counts(), (0, 1), "{transport:?}");
     }

@@ -162,6 +162,35 @@ fn breaker_opens_sheds_and_recovers_via_half_open_probe() {
     assert!(service.governor_stats().is_consistent());
 }
 
+/// A statement's own dynamic error says nothing of the backend: twice the
+/// breaker's threshold of divisions by zero, each a typed `Evaluation`
+/// error, leave it closed, and a good statement after them runs.
+#[test]
+fn a_statements_own_dynamic_errors_do_not_trip_the_breaker() {
+    const THRESHOLD: u32 = 3;
+    let service = QueryService::new(server(Scale::small(), 5), Default::default()).with_governor(
+        GovernorConfig {
+            breaker: BreakerConfig {
+                failure_threshold: THRESHOLD,
+                open_duration: Duration::from_secs(60),
+            },
+            ..GovernorConfig::default()
+        },
+    );
+    for _ in 0..2 * THRESHOLD {
+        let r = service.execute("SELECT CUSTOMERID / 0 FROM CUSTOMERS", &[]);
+        assert!(
+            matches!(&r, Err(DriverError::Evaluation(m)) if m.contains("division by zero")),
+            "expected a division-by-zero Evaluation error, got {r:?}"
+        );
+    }
+    let stats = service.governor_stats();
+    assert_eq!(stats.breaker_state, BreakerState::Closed);
+    assert_eq!(stats.breaker_trips, 0);
+    let good = service.execute("SELECT CUSTOMERID FROM CUSTOMERS ORDER BY CUSTOMERID", &[]);
+    assert!(good.is_ok(), "{good:?}");
+}
+
 /// Satellite 3: 8 threads of mixed good/pathological statements against
 /// a tightly governed service — the governor and cache counters must sum
 /// consistently whatever the interleaving, and every shed statement must

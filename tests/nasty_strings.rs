@@ -467,7 +467,7 @@ fn integer_overflow_corners_are_answers_or_typed_errors() {
             }
             for sql in &overflowing {
                 match conn.create_statement().execute_query(sql) {
-                    Err(DriverError::Execution(m)) if m.contains("integer overflow") => {}
+                    Err(DriverError::Evaluation(m)) if m.contains("integer overflow") => {}
                     other => panic!(
                         "`{sql}` ({transport:?}/{exec:?}) must fail with a typed integer \
                          overflow, got {:?}",
