@@ -1,10 +1,14 @@
-//! The experiment harness: regenerates every table in EXPERIMENTS.md in
-//! one run.
+//! The experiment harness: regenerates every table in EXPERIMENTS.md that
+//! the end-to-end benchmark (`e2e/`) does not answer, in one run.
 //!
 //! ```sh
-//! cargo run --release -p aldsp-bench --bin harness          # all
-//! cargo run --release -p aldsp-bench --bin harness e1 e3    # subset
+//! cargo run --release -p aldsp-bench --bin harness              # all
+//! cargo run --release -p aldsp-bench --bin harness e1 e3        # subset
+//! cargo run --release -p aldsp-bench --bin harness e13 smoke    # CI size
 //! ```
+//!
+//! An experiment is named by its number or by the report it writes; any
+//! other argument but `smoke` exits 2 with the list of known names.
 
 use aldsp_bench::{
     connect, demo_metadata, payload_for, production_lanes, projection_query, server_at_scale,
@@ -14,36 +18,68 @@ use aldsp_core::{TranslationOptions, Translator, Transport};
 use aldsp_driver::{Connection, DspServer, QueryService, ResultSet};
 use aldsp_governor::{Lowering, QueryBudget};
 use aldsp_plancache::PlanCache;
-use aldsp_relational::{execute_query, SqlValue};
+use aldsp_relational::execute_query;
 use aldsp_sql::parse_select;
 use aldsp_workload::{
-    build_application, fuzzed_corpus, golden_statements, paper_corpus, paper_queries,
-    report_statement, run_matrix, Lane, MatrixReport, Scale, Universe,
+    build_application, fuzzed_corpus, golden_statements, paper_corpus, run_matrix, Lane,
+    MatrixReport, Scale, Universe,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// An experiment: its name, the name of the report it writes (also
+/// accepted; empty if none), and its entry point, given whether this is a
+/// smoke run.
+type Experiment = (&'static str, &'static str, fn(bool));
+
+const EXPERIMENTS: [Experiment; 8] = [
+    ("e1", "", e1_result_transport),
+    ("e3", "", |_| e3_metadata_cache()),
+    ("e4", "", |_| e4_end_to_end()),
+    ("e6", "", |_| e6_differential()),
+    ("e7", "", |_| e7_null_machinery_ablation()),
+    ("e9", "overload", e9_overload),
+    ("e11", "validation", e11_validation),
+    ("e13", "exec", e13_exec_engine),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = unknown_arg(&args) {
+        let known: Vec<&str> = EXPERIMENTS
+            .iter()
+            .flat_map(|(name, report, _)| [*name, *report])
+            .filter(|name| !name.is_empty())
+            .collect();
+        eprintln!(
+            "harness: unknown experiment `{unknown}`; known: {} (and `smoke`)",
+            known.join(" ")
+        );
+        std::process::exit(2);
+    }
     let smoke = args.iter().any(|a| a == "smoke");
-    // Name, the name of the report it writes (also accepted), entry point.
-    let experiments: [(&str, &str, &dyn Fn()); 10] = [
-        ("e1", "", &|| e1_result_transport(smoke)),
-        ("e2", "", &e2_translation_latency),
-        ("e3", "", &e3_metadata_cache),
-        ("e4", "", &e4_end_to_end),
-        ("e6", "", &e6_differential),
-        ("e7", "", &e7_null_machinery_ablation),
-        ("e8", "plancache", &|| e8_plancache(smoke)),
-        ("e9", "overload", &|| e9_overload(smoke)),
-        ("e11", "validation", &|| e11_validation(smoke)),
-        ("e13", "exec", &|| e13_exec_engine(smoke)),
-    ];
-    for (name, report, run) in experiments {
-        if args.is_empty() || args.iter().any(|a| a == name || a == report) {
-            run();
+    let all = args.iter().all(|a| a == "smoke");
+    for (name, report, run) in EXPERIMENTS {
+        if all || args.iter().any(|arg| names(arg, name, report)) {
+            run(smoke);
         }
     }
+}
+
+/// The first argument that is neither `smoke` nor an experiment's name or
+/// report name.
+fn unknown_arg(args: &[String]) -> Option<&str> {
+    args.iter().map(String::as_str).find(|arg| {
+        *arg != "smoke"
+            && !EXPERIMENTS
+                .iter()
+                .any(|(name, report, _)| names(arg, name, report))
+    })
+}
+
+/// Whether `arg` names the experiment `name`, which writes `report`.
+fn names(arg: &str, name: &str, report: &str) -> bool {
+    arg == name || (!report.is_empty() && arg == report)
 }
 
 /// Writes one experiment's JSON report. A full run writes the committed
@@ -155,11 +191,6 @@ impl Json {
         out.push_str(&separator(depth));
         out.push(close);
     }
-}
-
-/// The `{ "p50": .., "p95": .. }` pair of a sorted microsecond sample set.
-fn p50_p95(sorted: &[f64]) -> Json {
-    obj! { "p50": Json::Num(percentile(sorted, 0.5), 2), "p95": Json::Num(percentile(sorted, 0.95), 2) }
 }
 
 /// Prints the first few mismatches of a matrix run.
@@ -293,40 +324,6 @@ fn e1_result_transport(smoke: bool) {
                  {text_statement:?}, an XML one {xml_statement:?}: the §4 claim is reversed"
             );
         }
-    }
-    println!();
-}
-
-/// E2: per-stage translation latency by construct class.
-fn e2_translation_latency() {
-    println!("== E2: translation latency by construct class (paper §3.2 (ii)) ==");
-    let translator = Translator::new(demo_metadata());
-    let options = TranslationOptions::with_transport(Transport::Xml);
-    println!(
-        "{:>20} {:>10} {:>11} {:>12} {:>10}",
-        "class", "parse_us", "prepare_us", "generate_us", "total_us"
-    );
-    for (name, sql) in paper_queries() {
-        // Warm cache + measure averaged stages.
-        translator.translate(sql, options).unwrap();
-        let n = 500;
-        let (mut parse, mut prepare, mut generate) =
-            (Duration::ZERO, Duration::ZERO, Duration::ZERO);
-        for _ in 0..n {
-            let t = translator.translate(sql, options).unwrap();
-            parse += t.timings.parse;
-            prepare += t.timings.prepare;
-            generate += t.timings.generate;
-        }
-        let us = |d: Duration| d.as_secs_f64() * 1e6 / n as f64;
-        println!(
-            "{:>20} {:>10.1} {:>11.1} {:>12.1} {:>10.1}",
-            name,
-            us(parse),
-            us(prepare),
-            us(generate),
-            us(parse + prepare + generate)
-        );
     }
     println!();
 }
@@ -488,183 +485,6 @@ fn e7_null_machinery_ablation() {
          emptiness guards; the NOT NULL variant generates the paper's plain\n\
          patterns. Catalog nullability is what arbitrates, per column.\n"
     );
-}
-
-/// E8: the plan-cache subsystem — cold/warm translation latency
-/// percentiles, normalized-hit latency, and multi-threaded `QueryService`
-/// throughput against a single-threaded uncached oracle. Emits
-/// `BENCH_plancache.json` and `BENCH_translation.json` in the working
-/// directory. `smoke` shrinks every dimension for CI while keeping the
-/// correctness assertions (hit rate > 0, oracle match).
-fn e8_plancache(smoke: bool) {
-    println!("== E8: plan cache (translation reuse + concurrent service) ==");
-    let customers = if smoke { 30 } else { 200 };
-    let samples_per_query = if smoke { 30 } else { 200 };
-    let threads: usize = if smoke { 4 } else { 8 };
-    let iterations: usize = if smoke { 25 } else { 150 };
-
-    let server = server_at_scale(customers, 7);
-    let options = TranslationOptions::default();
-
-    // --- cold vs warm plan acquisition over the golden paper queries ---
-    let cache = Arc::new(PlanCache::default());
-    let conn = Connection::open_with_cache(Arc::clone(&server), options, Arc::clone(&cache));
-    let queries: Vec<&str> = paper_queries().iter().map(|(_, sql)| *sql).collect();
-    let mut cold = Vec::new();
-    let mut warm = Vec::new();
-    let mut normalized = Vec::new();
-    // Metadata warm-up: the comparison is cache-hit vs full translation,
-    // not vs a cold metadata round trip (that is E3's subject).
-    for sql in &queries {
-        cache.plan(conn.translator(), sql, options).unwrap();
-    }
-    for _ in 0..samples_per_query {
-        for sql in &queries {
-            cache.clear();
-            let t = Instant::now();
-            cache.plan(conn.translator(), sql, options).unwrap();
-            cold.push(t.elapsed().as_secs_f64() * 1e6);
-        }
-    }
-    for sql in &queries {
-        cache.plan(conn.translator(), sql, options).unwrap();
-    }
-    for _ in 0..samples_per_query {
-        for sql in &queries {
-            let t = Instant::now();
-            cache.plan(conn.translator(), sql, options).unwrap();
-            warm.push(t.elapsed().as_secs_f64() * 1e6);
-        }
-    }
-    // Normalized hits: every turn is a distinct SQL text (fresh literal)
-    // landing on one shared plan — pays parse + normalize, skips
-    // translation.
-    for turn in 0..(samples_per_query * queries.len()) {
-        let (sql, _) = report_statement(3, (turn as i64 + 100_000) % 9 + 1);
-        let sql = format!("{sql} /* v{turn} */");
-        let t = Instant::now();
-        cache.plan(conn.translator(), &sql, options).unwrap();
-        normalized.push(t.elapsed().as_secs_f64() * 1e6);
-    }
-    let (cold, warm, normalized) = (sorted_us(cold), sorted_us(warm), sorted_us(normalized));
-    let speedup = percentile(&cold, 0.5) / percentile(&warm, 0.5).max(1e-9);
-    println!("{:>22} {:>10} {:>10}", "path", "p50_us", "p95_us");
-    for (label, s) in [
-        ("cold (translate)", &cold),
-        ("warm (exact hit)", &warm),
-        ("warm (normalized)", &normalized),
-    ] {
-        println!(
-            "{:>22} {:>10.2} {:>10.2}",
-            label,
-            percentile(s, 0.5),
-            percentile(s, 0.95)
-        );
-    }
-    println!("warm exact-hit speedup over cold translation (p50): {speedup:.1}x");
-    assert!(
-        speedup >= 5.0,
-        "acceptance: warm cache hits must be at least 5x faster than cold \
-         translation (measured {speedup:.1}x)"
-    );
-
-    // --- multi-threaded throughput vs the single-threaded oracle ---
-    // The shared reporting templates, values cycling 1..=9.
-    let e8_statement = |turn: usize| report_statement(turn, turn as i64 % 9 + 1);
-    let oracle_conn = Connection::open(Arc::clone(&server));
-    let mut oracle: Vec<Vec<Vec<Vec<SqlValue>>>> = Vec::new();
-    for worker in 0..threads {
-        let mut per_worker = Vec::new();
-        for turn in 0..iterations {
-            let (sql, params) = e8_statement(worker + turn);
-            let rs = oracle_conn.execute_cached(&sql, &params).unwrap();
-            per_worker.push(rs.rows().to_vec());
-        }
-        oracle.push(per_worker);
-    }
-    let service = QueryService::new(Arc::clone(&server), options);
-    let started = Instant::now();
-    let mismatches: usize = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|worker| {
-                let service = &service;
-                let expected = &oracle[worker];
-                scope.spawn(move || {
-                    let mut bad = 0usize;
-                    for (turn, expected_rows) in expected.iter().enumerate() {
-                        let (sql, params) = e8_statement(worker + turn);
-                        match service.execute(&sql, &params) {
-                            Ok(rs) if rs.rows() == expected_rows.as_slice() => {}
-                            _ => bad += 1,
-                        }
-                    }
-                    bad
-                })
-            })
-            .collect();
-        workers.into_iter().map(|w| w.join().unwrap()).sum()
-    });
-    let elapsed = started.elapsed();
-    let executions = threads * iterations;
-    let qps = executions as f64 / elapsed.as_secs_f64();
-    let stats = service.cache_stats();
-    let hit_rate = stats.hit_rate().unwrap_or(0.0);
-    println!(
-        "{threads} threads x {iterations} statements: {qps:.0} q/s, \
-         hit rate {:.3} ({} exact + {} normalized / {} lookups), oracle mismatches: {mismatches}",
-        hit_rate,
-        stats.exact_hits,
-        stats.normalized_hits,
-        stats.hits() + stats.misses + stats.fallbacks,
-    );
-    assert_eq!(
-        mismatches, 0,
-        "acceptance: threaded service must be byte-identical to the \
-         single-threaded uncached oracle"
-    );
-    assert!(
-        hit_rate > 0.0,
-        "acceptance: cache hit rate must be positive"
-    );
-
-    let plancache_json = obj! {
-        "smoke": smoke, "scale_customers": customers,
-        "cold_plan_us": p50_p95(&cold), "warm_exact_hit_us": p50_p95(&warm),
-        "warm_normalized_hit_us": p50_p95(&normalized), "warm_speedup_p50": Json::Num(speedup, 2),
-        "throughput": obj! {
-            "threads": threads, "statements": executions,
-            "elapsed_ms": Json::Num(elapsed.as_secs_f64() * 1e3, 2), "qps": Json::Num(qps, 1),
-            "oracle_matched": mismatches == 0,
-        },
-        "cache_stats": obj! {
-            "exact_hits": stats.exact_hits, "normalized_hits": stats.normalized_hits,
-            "misses": stats.misses, "fallbacks": stats.fallbacks, "evictions": stats.evictions,
-            "epoch_invalidations": stats.epoch_invalidations, "hit_rate": Json::Num(hit_rate, 4),
-        },
-    };
-    write_report("plancache", smoke, &plancache_json);
-
-    // --- per-class translation latency percentiles (uncached path) ---
-    let translator = Translator::new(demo_metadata());
-    let mut entries = Vec::new();
-    for (name, sql) in paper_queries() {
-        translator.translate(sql, options).unwrap(); // warm metadata
-        let mut samples = Vec::new();
-        for _ in 0..samples_per_query {
-            let t = Instant::now();
-            translator.translate(sql, options).unwrap();
-            samples.push(t.elapsed().as_secs_f64() * 1e6);
-        }
-        let samples = sorted_us(samples);
-        entries.push(obj! {
-            "class": name, "p50_us": Json::Num(percentile(&samples, 0.5), 2),
-            "p95_us": Json::Num(percentile(&samples, 0.95), 2),
-        });
-    }
-    let translation_json =
-        obj! { "smoke": smoke, "samples_per_class": samples_per_query, "classes": entries };
-    write_report("translation", smoke, &translation_json);
-    println!();
 }
 
 /// E9: overload protection — the same mixed good/pathological workload
@@ -1380,4 +1200,28 @@ fn e13_exec_engine(smoke: bool) {
     };
     write_report("exec", smoke, &json);
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn unknown(args: &[&str]) -> Option<String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        unknown_arg(&args).map(str::to_string)
+    }
+
+    #[test]
+    fn an_argument_naming_no_experiment_is_refused() {
+        assert_eq!(unknown(&[]), None);
+        assert_eq!(unknown(&["smoke"]), None);
+        assert_eq!(unknown(&["e1", "e13", "smoke"]), None);
+        assert_eq!(unknown(&["overload", "validation", "exec"]), None);
+        // The retired experiments and their reports are names no more.
+        for retired in ["e2", "e8", "plancache", "translation", "e10", "e12"] {
+            assert_eq!(unknown(&[retired, "smoke"]), Some(retired.to_string()));
+        }
+        assert_eq!(unknown(&["e1", "E1"]), Some("E1".to_string()));
+        assert_eq!(unknown(&[""]), Some(String::new()));
+    }
 }

@@ -1,8 +1,8 @@
-//! # aldsp-bench — shared fixtures for benchmarks and the experiment
-//! harness.
+//! # aldsp-bench — the experiment harness and its shared fixtures.
 //!
-//! One bench target per experiment in `EXPERIMENTS.md` (E1–E4), plus the
-//! `harness` binary that prints every experiment's table in one run.
+//! The `harness` binary prints the table of every experiment in
+//! `EXPERIMENTS.md` that the end-to-end benchmark (`e2e/`) does not
+//! answer, in one run.
 
 use aldsp_catalog::{CachedMetadataApi, InProcessMetadataApi, TableLocator};
 use aldsp_core::{TranslationOptions, Transport};
@@ -47,8 +47,8 @@ pub fn connect(server: &Arc<DspServer>, transport: Transport) -> Connection {
 }
 
 /// Produces the transport payload for a query (server side included), so
-/// decode-side benchmarks can isolate driver work — the paper's §4 claim
-/// is specifically about client-side materialization/parsing overhead.
+/// E1 can time decoding alone — the paper's §4 claim is specifically about
+/// client-side materialization/parsing overhead.
 pub fn payload_for(
     server: &Arc<DspServer>,
     transport: Transport,

@@ -2,8 +2,8 @@
 //! XML (materialize-and-parse) and as delimited text, and compare payload
 //! sizes and end-to-end time, under the production execution strategy
 //! (whose text sink writes the delimited payload row by row). This is a
-//! demonstration; the rigorous sweep is `cargo bench -p aldsp-bench` (E1)
-//! and the harness binary.
+//! demonstration; the rigorous sweep is experiment E1
+//! (`cargo run --release -p aldsp-bench --bin harness e1`).
 //!
 //! ```sh
 //! cargo run --release --example transport_comparison
